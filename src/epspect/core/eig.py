@@ -52,23 +52,29 @@ def _eig_double(a: np.ndarray):
     return values, vr, vl
 
 
+def to_mp_matrix(a: np.ndarray):
+    """``mp.matrix`` with the entries of a 2-D array at the working precision."""
+    rows, cols = a.shape
+    m = mp.matrix(rows, cols)
+    for i in range(rows):
+        for j in range(cols):
+            m[i, j] = mp.mpc(a[i, j])
+    return m
+
+
+def from_mp_matrix(m) -> np.ndarray:
+    """Complex ndarray with the entries of an ``mp.matrix``."""
+    return np.array([[complex(m[i, j]) for j in range(m.cols)] for i in range(m.rows)])
+
+
 def _eig_extended(a: np.ndarray):
-    n = a.shape[0]
     with mp.workdps(EXTENDED_DPS):
-        m = mp.matrix(n)
-        for i in range(n):
-            for j in range(n):
-                m[i, j] = mp.mpc(a[i, j])
-        ev, el, er = mp.eig(m, left=True, right=True)
+        ev, el, er = mp.eig(to_mp_matrix(a), left=True, right=True)
         values = np.array([complex(v) for v in ev])
-        right = np.array(
-            [[complex(er[i, j]) for j in range(n)] for i in range(n)]
-        )
+        right = from_mp_matrix(er)
         # mpmath returns left eigenvectors as rows with EL*M = diag(E)*EL;
         # our convention stores y_i as a column with y^H M = lambda y^H.
-        left = np.array(
-            [[complex(el[j, i]).conjugate() for j in range(n)] for i in range(n)]
-        )
+        left = from_mp_matrix(el).T.conj()
         values_mp = tuple(ev)
     return values, right, left, values_mp
 

@@ -371,41 +371,25 @@ def poly_roots(
 # --------------------------------------------------------------------------
 
 
+def _sylvester_rows(f: list, g: list, zero=0) -> list[list]:
+    """Sylvester matrix of two ascending coefficient lists.
+
+    Convention Res(f, g) = lc(f)^deg(g) * prod g(alpha_i).  Entries are
+    scalars, or Polynomials in a second variable (pass ``zero`` to match).
+    """
+    n, m = len(f) - 1, len(g) - 1
+    size = n + m
+    fr, gr = f[::-1], g[::-1]
+    return [[zero] * i + fr + [zero] * (size - n - 1 - i) for i in range(m)] + [
+        [zero] * i + gr + [zero] * (size - m - 1 - i) for i in range(n)
+    ]
+
+
 def sylvester_matrix(p: Polynomial, q: Polynomial) -> list[list]:
     """Sylvester matrix in the convention Res(p,q) = lc(p)^deg(q) * prod q(alpha_i)."""
-    n, m = p.degree, q.degree
-    if n < 1 or m < 1:
+    if p.degree < 1 or q.degree < 1:
         raise ValueError("resultant requires both degrees >= 1")
-    size = n + m
-    pm = list(reversed(p.coeffs))
-    qm = list(reversed(q.coeffs))
-    rows = []
-    for i in range(m):
-        rows.append([0] * i + pm + [0] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([0] * i + qm + [0] * (size - m - 1 - i))
-    return rows
-
-
-def _det_bareiss_fraction(rows: list[list[Fraction]]):
-    """Fraction-free style elimination; exact for rational entries."""
-    a = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in rows]
-    n = len(a)
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return _sylvester_rows(list(p.coeffs), list(q.coeffs))
 
 
 def resultant(p: Polynomial, q: Polynomial):
@@ -417,10 +401,14 @@ def resultant(p: Polynomial, q: Polynomial):
     """
     if p.degree < 1 or q.degree < 1:
         raise ValueError("resultant requires both degrees >= 1 (nonzero lc)")
-    rows = sylvester_matrix(p, q)
     if p.mode is Precision.EXACT and q.mode is Precision.EXACT:
-        return _det_bareiss_fraction(rows)
-    arr = np.array([[complex(to_double(x)) for x in row] for row in rows])
+        # constant polynomials in a dummy second variable
+        f = [Polynomial([c]) for c in p.coeffs]
+        g = [Polynomial([c]) for c in q.coeffs]
+        return Fraction(res_E(f, g).coeffs[0])
+    arr = np.array(
+        [[complex(to_double(x)) for x in row] for row in sylvester_matrix(p, q)]
+    )
     det = complex(np.linalg.det(arr))
     if abs(det.imag) <= 1e-12 * (1 + abs(det.real)):
         return det.real
@@ -434,6 +422,48 @@ def discriminant(p: Polynomial):
     if isinstance(lc, ExactTypes):
         return Fraction(res) / lc
     return res / lc
+
+
+def _det_bareiss_poly(rows: list[list[Polynomial]]) -> Polynomial:
+    """Bareiss elimination over exact polynomial entries (exact division)."""
+    a = [row[:] for row in rows]
+    n = len(a)
+    sign = 1
+    prev = Polynomial([1])
+    for k in range(n - 1):
+        if a[k][k].is_zero:
+            piv = next((i for i in range(k + 1, n) if not a[i][k].is_zero), None)
+            if piv is None:
+                return Polynomial.zero()
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
+                a[i][j] = num.exact_div(prev)
+            a[i][k] = Polynomial.zero()
+        prev = a[k][k]
+    det = a[n - 1][n - 1]
+    return det if sign == 1 else -det
+
+
+def res_E(f: list[Polynomial], g: list[Polynomial]) -> Polynomial:
+    """Res_E(f, g) as an exact polynomial in a second variable.
+
+    ``f`` and ``g`` are polynomials in E given as ascending lists of their
+    E-coefficients, each an exact Polynomial in the second variable.
+    """
+    return _det_bareiss_poly(_sylvester_rows(f, g, Polynomial.zero()))
+
+
+def disc_E(f: list[Polynomial]) -> Polynomial:
+    """Disc_E(f) = Res_E(f, df/dE) / lc_E(f), coefficients as in ``res_E``.
+
+    The division is exact for any f, since Res(f, f') is divisible by lc(f)
+    as polynomials in the coefficients.
+    """
+    df = [k * f[k] for k in range(1, len(f))]
+    return res_E(f, df).exact_div(f[-1])
 
 
 # --------------------------------------------------------------------------
@@ -470,29 +500,6 @@ class BivariateSecular:
         return self.A.to_double() + self.B.to_double().scale(to_double(p0))
 
 
-def _det_bareiss_poly(rows: list[list[Polynomial]]) -> Polynomial:
-    """Bareiss elimination over exact polynomial entries (exact division)."""
-    a = [row[:] for row in rows]
-    n = len(a)
-    sign = 1
-    prev = Polynomial([1])
-    for k in range(n - 1):
-        if a[k][k].is_zero:
-            piv = next((i for i in range(k + 1, n) if not a[i][k].is_zero), None)
-            if piv is None:
-                return Polynomial.zero()
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = num.exact_div(prev)
-            a[i][k] = Polynomial.zero()
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
 def discriminant_in_E(s: BivariateSecular) -> Polynomial:
     """Discriminant of A(E) + p*B(E) with respect to E, as a polynomial in p.
 
@@ -504,22 +511,7 @@ def discriminant_in_E(s: BivariateSecular) -> Polynomial:
     """
     if s.A.mode is not Precision.EXACT or s.B.mode is not Precision.EXACT:
         raise TypeError("discriminant_in_E requires exact coefficients")
-    n = s.A.degree
     # coefficient of E^k as a polynomial in p
     a = list(s.A.coeffs)
-    b = list(s.B.coeffs) + [0] * (n + 1 - len(s.B.coeffs))
-    ce = [Polynomial([Fraction(a[k]), Fraction(b[k])]) for k in range(n + 1)]
-    de = [k * ce[k] for k in range(1, n + 1)]
-
-    size = n + (n - 1)
-    pm = list(reversed(ce))
-    qm = list(reversed(de))
-    zero = Polynomial.zero()
-    rows = []
-    for i in range(n - 1):
-        rows.append([zero] * i + pm + [zero] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([zero] * i + qm + [zero] * (size - n - i))
-    det = _det_bareiss_poly(rows)
-    lc = Fraction(s.A.lc)
-    return det.scale(1 / lc)
+    b = list(s.B.coeffs) + [0] * (len(a) - len(s.B.coeffs))
+    return disc_E([Polynomial([Fraction(ak), Fraction(bk)]) for ak, bk in zip(a, b)])

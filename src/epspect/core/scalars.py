@@ -16,7 +16,6 @@ a rational.
 
 from __future__ import annotations
 
-import cmath
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,19 +32,6 @@ class Precision(enum.Enum):
     EXACT = "exact"
     DOUBLE = "double"
     EXTENDED = "extended"
-
-
-def mode_of(value) -> Precision:
-    """Arithmetic tier a scalar belongs to."""
-    if isinstance(value, bool):
-        raise TypeError("booleans are not scalars")
-    if isinstance(value, ExactTypes):
-        return Precision.EXACT
-    if isinstance(value, MpTypes):
-        return Precision.EXTENDED
-    if isinstance(value, (float, complex)):
-        return Precision.DOUBLE
-    raise TypeError(f"unsupported scalar type {type(value)!r}")
 
 
 def is_exact_zero(value) -> bool:
@@ -88,17 +74,6 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, float):
         return Fraction(value)
     raise TypeError(f"cannot represent {type(value)!r} exactly")
-
-
-def principal_sqrt(value):
-    """Principal complex square root; real output for real non-negative input."""
-    if isinstance(value, MpTypes):
-        return mp.sqrt(value)
-    if isinstance(value, complex) or value < 0:
-        return cmath.sqrt(value)
-    import math
-
-    return math.sqrt(value)
 
 
 # --------------------------------------------------------------------------

@@ -10,10 +10,9 @@ surrounds one in double arithmetic.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -28,17 +27,25 @@ from .core import (
     as_fraction,
     charpoly_tridiag,
     cluster_points,
+    disc_E,
     discriminant,
     discriminant_in_E,
     eig_dense,
     exact_matmul,
     exact_rank,
     poly_roots,
+    res_E,
+    to_mp_matrix,
 )
 from .models import BcModel, ShiftedCircle, bc_matrix, z_value
-from .sturmian import SturmianFunction, bc_secular_parts, bivariate_secular
+from .sturmian import (
+    SturmianFunction,
+    _real_roots,
+    bc_secular_parts,
+    bivariate_secular,
+    secular_in_y,
+)
 
-THREADS_ENV = "EPSPECT_THREADS"
 REALITY_RTOL = 1e-10
 POLISH_SHRINK = 100.0  # accepted EPs must tighten at least this much
 POLISH_DPS = 40
@@ -77,14 +84,11 @@ class SweepResult:
         return self.tracks.shape[0]
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get(THREADS_ENV, "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+def _min_pairwise(values) -> float:
+    n = len(values)
+    return min(
+        abs(values[i] - values[j]) for i in range(n) for j in range(i + 1, n)
+    )
 
 
 def sweep(
@@ -93,28 +97,13 @@ def sweep(
     samples: int,
     *,
     reality_rtol: float = REALITY_RTOL,
-    threads: int | None = None,
     precision: Precision = Precision.DOUBLE,
 ) -> SweepResult:
-    """Continued eigenvalue tracks of ``model.matrix(p)`` over a grid.
-
-    Grid points are independent; with ``threads`` > 1 (or the EPSPECT_THREADS
-    environment variable) they are solved in a thread pool and reassembled by
-    index, so the result does not depend on scheduling.
-    """
+    """Continued eigenvalue tracks of ``model.matrix(p)`` over a grid."""
     if samples < 2:
         raise ValueError("samples must be >= 2")
     grid = np.linspace(float(param_range[0]), float(param_range[1]), samples)
-
-    def solve(p):
-        return eig_dense(model.matrix(p), precision=precision).values
-
-    nworkers = _thread_count(threads)
-    if nworkers > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            spectra = list(pool.map(solve, grid))
-    else:
-        spectra = [solve(p) for p in grid]
+    spectra = [eig_dense(model.matrix(p), precision=precision).values for p in grid]
 
     n = len(spectra[0])
     tracks = np.zeros((n, samples), dtype=complex)
@@ -129,14 +118,8 @@ def sweep(
         assigned = cur[cols[np.argsort(rows)]]
         tracks[:, k] = assigned
         step = np.abs(assigned - prev)
-        if n > 1:
-            gap = min(
-                abs(assigned[i] - assigned[j])
-                for i in range(n)
-                for j in range(i + 1, n)
-            )
-            if gap < 2.0 * float(np.max(step)):
-                warnings[k] = True
+        if n > 1 and _min_pairwise(assigned) < 2.0 * float(np.max(step)):
+            warnings[k] = True
 
     flags = np.zeros_like(tracks, dtype=bool)
     for k in range(samples):
@@ -172,6 +155,18 @@ class CriticalPoint:
     residuals: dict
 
 
+def _geometric_multiplicity(a: np.ndarray, energy: complex, rank_rtol: float = 1e-8):
+    """n - rank(A - E I) from the singular values, at ``rank_rtol * max(||A||_2, 1)``.
+
+    Returns the multiplicity, the singular values (descending, so the last
+    is sigma_min) and the threshold.
+    """
+    n = a.shape[0]
+    sv = np.linalg.svd(a - energy * np.eye(n), compute_uv=False)
+    thr = rank_rtol * max(float(np.linalg.norm(a, 2)), 1.0)
+    return n - int(np.sum(sv > thr)), sv, thr
+
+
 def classify_degeneracy(
     m,
     energy: complex,
@@ -190,7 +185,6 @@ def classify_degeneracy(
     call ambiguous and the verdict "indeterminate" instead of a guess.
     """
     a = as_array(m)
-    n = a.shape[0]
     res = eig_dense(a, precision=precision, cluster_rtol=cluster_rtol)
     # algebraic multiplicity from root clustering of the characteristic
     # polynomial; for tridiagonal input the minor recurrence is far more
@@ -225,12 +219,9 @@ def classify_degeneracy(
     if alg == 1:
         return Classification("simple", 1, 1, cluster.center, residuals)
 
-    sv = np.linalg.svd(a - cluster.center * np.eye(n), compute_uv=False)
+    geo, sv, thr = _geometric_multiplicity(a, cluster.center, rank_rtol)
     norm = max(float(sv[0]), 1e-300)
-    thr = rank_rtol * max(float(np.linalg.norm(a, 2)), 1.0)
     in_band = [s for s in sv if thr / band < s < thr * band]
-    rank = int(np.sum(sv > thr))
-    geo = n - rank
     residuals["rank_defect"] = geo
     residuals["sigma_min"] = float(sv[-1])
     residuals["sigma_gap"] = float(sv[-1] / norm)
@@ -261,25 +252,6 @@ def classify_degeneracy(
 # --------------------------------------------------------------------------
 # one-parameter EP location
 # --------------------------------------------------------------------------
-
-
-def _min_pairwise(values) -> float:
-    n = len(values)
-    return min(
-        abs(values[i] - values[j]) for i in range(n) for j in range(i + 1, n)
-    )
-
-
-def _merging_cluster(values, rtol0=CLUSTER_RTOL, rtol_max=5e-2):
-    """Largest cluster under the tightest tolerance that produces one."""
-    rtol = rtol0
-    while rtol <= rtol_max:
-        clusters = cluster_points(values, rtol=rtol)
-        multi = [c for c in clusters if c.multiplicity > 1]
-        if multi:
-            return max(multi, key=lambda c: c.multiplicity), rtol
-        rtol *= 10
-    return None, rtol
 
 
 def _merging_candidates(values, rtol0=CLUSTER_RTOL, rtol_max=5e-2):
@@ -329,12 +301,7 @@ def _mp_eigvals(model, p):
     if hasattr(model, "matrix_mp"):
         m = model.matrix_mp(p)
     else:
-        a = model.matrix(float(p))
-        n = a.shape[0]
-        m = mp.matrix(n)
-        for i in range(n):
-            for j in range(n):
-                m[i, j] = mp.mpc(a[i, j])
+        m = to_mp_matrix(model.matrix(float(p)))
     ev, _ = mp.eig(m)
     return ev
 
@@ -374,13 +341,8 @@ def _ep_locate_sturmian(s: SturmianFunction, r_range) -> list[CriticalPoint]:
     dd = d
     while dd.coeffs[0] == 0 and dd.degree >= 1:
         dd = Polynomial(dd.coeffs[1:])
-    if dd.degree >= 1:
-        for c in poly_roots(dd.to_double()).clusters:
-            if abs(c.center.imag) > 1e-8 * (1 + abs(c.center)):
-                continue
-            p0 = c.center.real
-            if p_lo - 1e-12 <= p0 <= p_hi + 1e-12:
-                roots_p.append(_newton_polish_real(dd, p0))
+    for p0, _ in _real_roots(dd, p_lo - 1e-12, p_hi + 1e-12):
+        roots_p.append(_newton_polish_real(dd, p0))
 
     points = []
     for p0 in roots_p:
@@ -528,11 +490,7 @@ def _polish_candidate(model, bracket, scale) -> CriticalPoint | None:
         # the polished cluster fixes the algebraic multiplicity; the
         # geometric one comes from the singular values of M - E I, which
         # stay well conditioned at the degeneracy itself
-        a = model.matrix(p_star)
-        n = a.shape[0]
-        sv = np.linalg.svd(a - center * np.eye(n), compute_uv=False)
-        thr = 1e-8 * max(float(np.linalg.norm(a, 2)), 1.0)
-        geo = n - int(np.sum(sv > thr))
+        geo, sv, _ = _geometric_multiplicity(model.matrix(p_star), center)
         resid["sigma_min"] = float(sv[-1])
         resid["rank_defect"] = geo
         kind = "ep" if geo == 1 else "diabolic"
@@ -582,49 +540,13 @@ def _bisect_signature_change(n, y_lo, y_hi, sig_lo, sig_hi, r_samples, tol=1e-8)
     return y_lo, y_hi, sig_hi
 
 
-def _exact_secular_in_y(n: int, p) -> list[Polynomial]:
-    """E-coefficients of det(R - E) at fixed rational p, as polynomials in y."""
-    c0, c1, c2, c3 = bc_secular_parts(n)
-    p = as_fraction(p)
-    deg = c0.degree
-    coeffs_y = []
-    for k in range(deg + 1):
-        a0 = Fraction(c0.coeffs[k]) if k < len(c0.coeffs) else Fraction(0)
-        a1 = Fraction(c1.coeffs[k]) if k < len(c1.coeffs) else Fraction(0)
-        a2 = Fraction(c2.coeffs[k]) if k < len(c2.coeffs) else Fraction(0)
-        a3 = Fraction(c3.coeffs[k]) if k < len(c3.coeffs) else Fraction(0)
-        # coefficient of E^k: a0 + (a1+a2) y + a3 (y^2 + 1 - p)
-        coeffs_y.append(Polynomial([a0 + a3 * (1 - p), a1 + a2, a3]))
-    return coeffs_y
-
-
+@lru_cache(maxsize=None)
 def _disc_in_y_at_p(n: int, p) -> Polynomial:
     """Discriminant in E of the secular polynomial, as an exact polynomial in y."""
-    ce = _exact_secular_in_y(n, p)
-    de = [k * ce[k] for k in range(1, len(ce))]
-    det = _resultant_poly_entries(ce, de)
-    lc = Fraction(ce[-1].coeffs[0])
-    return det.scale(1 / lc)
+    return disc_E(list(secular_in_y(n, p)))
 
 
-def _resultant_poly_entries(pm_coeffs: list[Polynomial], qm_coeffs: list[Polynomial]) -> Polynomial:
-    """Res_E of two E-polynomials whose coefficients are polynomials in y."""
-    deg_p = len(pm_coeffs) - 1
-    deg_q = len(qm_coeffs) - 1
-    size = deg_p + deg_q
-    zero = Polynomial.zero()
-    pm = list(reversed(pm_coeffs))
-    qm = list(reversed(qm_coeffs))
-    rows = []
-    for i in range(deg_q):
-        rows.append([zero] * i + pm + [zero] * (size - deg_p - 1 - i))
-    for i in range(deg_p):
-        rows.append([zero] * i + qm + [zero] * (size - deg_q - 1 - i))
-    from .core.poly import _det_bareiss_poly
-
-    return _det_bareiss_poly(rows)
-
-
+@lru_cache(maxsize=None)
 def _pole_collision_poly(n: int) -> Polynomial:
     """Res_E(A_y, B) as an exact polynomial in y.
 
@@ -632,24 +554,21 @@ def _pole_collision_poly(n: int) -> Polynomial:
     its denominator: the coupling function develops a persistent eigenvalue
     at a pole instead of a level merger.
     """
-    ce = _exact_secular_in_y(n, 0)  # A_y = secular at p = 0
-    _, _, _, c3 = bc_secular_parts(n)
-    b = -c3
-    qm = [Polynomial([Fraction(c)]) for c in b.coeffs]
-    return _resultant_poly_entries(ce, qm)
+    b = -bc_secular_parts(n)[3]
+    return res_E(list(secular_in_y(n)), [Polynomial([Fraction(c)]) for c in b.coeffs])
 
 
-def _fold_coeffs_in_E(n: int) -> list[Polynomial]:
+@lru_cache(maxsize=None)
+def _fold_coeffs_in_E(n: int) -> tuple[Polynomial, ...]:
     """E-coefficients of W = A_y' B - A_y B' (polynomials in y).
 
     Real double roots of W(., y) with coupling p = -A/B inside (0, 1] are
     folds of the exceptional-point curve: two level mergers collide at an
     interior r and the non-real interval between them closes.
     """
-    ce = _exact_secular_in_y(n, 0)
+    ce = secular_in_y(n)
     de = [k * ce[k] for k in range(1, len(ce))]
-    _, _, _, c3 = bc_secular_parts(n)
-    b = [Fraction(c) for c in (-c3).coeffs]
+    b = [Fraction(c) for c in (-bc_secular_parts(n)[3]).coeffs]
     db = [k * b[k] for k in range(1, len(b))]
 
     def mul_scalar(coeffs_poly, coeffs_scalar):
@@ -671,19 +590,13 @@ def _fold_coeffs_in_E(n: int) -> list[Polynomial]:
     w = [t1 - t2 for t1, t2 in zip(term1, term2)]
     while len(w) > 1 and w[-1].is_zero:
         w.pop()
-    return w
+    return tuple(w)
 
 
+@lru_cache(maxsize=None)
 def _fold_event_poly(n: int) -> Polynomial:
     """Disc_E of W(E, y) as an exact polynomial in y (EP-curve folds)."""
-    w = _fold_coeffs_in_E(n)
-    dw = [k * w[k] for k in range(1, len(w))]
-    det = _resultant_poly_entries(w, dw)
-    lc = w[-1]
-    try:
-        return det.exact_div(lc)
-    except ArithmeticError:
-        return det
+    return disc_E(list(_fold_coeffs_in_E(n)))
 
 
 def ep_locate_2d_bc(
@@ -742,26 +655,27 @@ def ep_locate_2d_bc(
 Y_EVENT_MATCH_TOL = 2e-3  # exact event root must sit this close to the bisection
 
 
-def _real_poly_roots(p: Polynomial) -> list[float]:
-    if p.degree < 1:
-        return []
-    return [
-        c.center.real
-        for c in poly_roots(p.to_double()).clusters
-        if abs(c.center.imag) <= 1e-8 * (1 + abs(c.center))
-    ]
+def _event_root(poly: Polynomial, y_est: float) -> float | None:
+    """The real root of an exact event polynomial nearest the bisected shift.
 
-
-def _polish_merge_event(n, y_est, labels) -> CriticalPoint | None:
-    """A level merger at r = 0: polish y on the exact discriminant."""
-    dpoly = _disc_in_y_at_p(n, 0)
-    cands = _real_poly_roots(dpoly)
+    None unless it lies within ``Y_EVENT_MATCH_TOL``; otherwise it is
+    polished under mpmath.
+    """
+    cands = [y for y, _ in _real_roots(poly)]
     if not cands:
         return None
     y0 = min(cands, key=lambda v: abs(v - y_est))
     if abs(y0 - y_est) > Y_EVENT_MATCH_TOL:
         return None
-    y_star = _newton_polish_real(dpoly, y0)
+    return _newton_polish_real(poly, y0)
+
+
+def _polish_merge_event(n, y_est, labels) -> CriticalPoint | None:
+    """A level merger at r = 0: polish y on the exact discriminant."""
+    dpoly = _disc_in_y_at_p(n, 0)
+    y_star = _event_root(dpoly, y_est)
+    if y_star is None:
+        return None
 
     s = bivariate_secular(n, as_fraction(y_star))
     poly0 = s.poly_at(Fraction(0))
@@ -786,16 +700,12 @@ def _polish_merge_event(n, y_est, labels) -> CriticalPoint | None:
 def _polish_pole_event(n, y_est, appearing, vanishing) -> CriticalPoint | None:
     """A reality exchange through a pole of the coupling function."""
     rpoly = _pole_collision_poly(n)
-    cands = _real_poly_roots(rpoly)
-    if not cands:
+    y_star = _event_root(rpoly, y_est)
+    if y_star is None:
         return None
-    y0 = min(cands, key=lambda v: abs(v - y_est))
-    if abs(y0 - y_est) > Y_EVENT_MATCH_TOL:
-        return None
-    y_star = _newton_polish_real(rpoly, y0)
 
     s = bivariate_secular(n, as_fraction(y_star))
-    poles = _real_poly_roots(s.B)
+    poles = [e for e, _ in _real_roots(s.B)]
     a_dbl = s.A.to_double()
     energy = min(poles, key=lambda e: abs(a_dbl(complex(e)))) if poles else float("nan")
 
@@ -806,12 +716,7 @@ def _polish_pole_event(n, y_est, appearing, vanishing) -> CriticalPoint | None:
     for offset in (-1e-6, 1e-6):
         s_probe = bivariate_secular(n, as_fraction(y_star + offset))
         d = discriminant_in_E(s_probe.secular)
-        for c in poly_roots(d.to_double()).clusters:
-            if abs(c.center.imag) > 1e-8 * (1 + abs(c.center)):
-                continue
-            p0 = c.center.real
-            if not -1e-9 <= p0 <= 1.0 + 1e-9:
-                continue
+        for p0, _ in _real_roots(d, -1e-9, 1.0 + 1e-9):
             for e, _ in _degenerate_energies(s_probe, float(p0)):
                 if abs(e - energy) <= 5e-3 * (1 + abs(energy)):
                     disc_clash = True
@@ -828,13 +733,9 @@ def _polish_pole_event(n, y_est, appearing, vanishing) -> CriticalPoint | None:
 def _polish_fold_event(n, y_est, labels) -> CriticalPoint | None:
     """Two interior-r level mergers colliding: a fold of the EP curve."""
     vpoly = _fold_event_poly(n)
-    cands = _real_poly_roots(vpoly)
-    if not cands:
+    y_star = _event_root(vpoly, y_est)
+    if y_star is None:
         return None
-    y0 = min(cands, key=lambda v: abs(v - y_est))
-    if abs(y0 - y_est) > Y_EVENT_MATCH_TOL:
-        return None
-    y_star = _newton_polish_real(vpoly, y0)
 
     # the double E-root of W(., y*) pins the collision energy
     w_coeffs = _fold_coeffs_in_E(n)
@@ -959,12 +860,12 @@ def perturbation_exponent(
     if at is not None:
         center = min((c.center for c in base.clusters), key=lambda v: abs(v - at))
     elif order > 1:
-        cluster, _ = _merging_cluster(base.values)
-        if cluster is None or cluster.multiplicity < order:
+        candidates = _merging_candidates(base.values)
+        if not candidates or candidates[0].multiplicity < order:
             raise ValueError(
                 f"matrix does not show an eigenvalue cluster of size {order}"
             )
-        center = cluster.center
+        center = candidates[0].center
     else:
         center = min(base.values, key=abs)
 
@@ -978,11 +879,7 @@ def perturbation_exponent(
             pert = a + e * g
             if use_mp:
                 with mp.workdps(PERTURB_DPS):
-                    mm = mp.matrix(n)
-                    for i in range(n):
-                        for k in range(n):
-                            mm[i, k] = mp.mpc(pert[i, k])
-                    ev, _ = mp.eig(mm)
+                    ev, _ = mp.eig(to_mp_matrix(pert))
                     vals = [complex(v) for v in ev]
             else:
                 vals = list(eig_dense(pert).values)

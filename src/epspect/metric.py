@@ -25,6 +25,8 @@ from .core import (
     Precision,
     as_array,
     eig_dense,
+    from_mp_matrix,
+    to_mp_matrix,
 )
 
 COND_FLAG = 1e6  # eigenbasis condition number beyond which results are suspect
@@ -147,11 +149,7 @@ def _build_theta_double(a, kappa):
 def _build_theta_extended(a, kappa):
     n = a.shape[0]
     with mp.workdps(EXTENDED_DPS):
-        mm = mp.matrix(n)
-        for i in range(n):
-            for j in range(n):
-                mm[i, j] = mp.mpc(a[i, j])
-        ev, el, er = mp.eig(mm, left=True, right=True)
+        ev, el, er = mp.eig(to_mp_matrix(a), left=True, right=True)
         scale = max(1.0, max(abs(v) for v in ev))
         nonreal = [complex(v) for v in ev if abs(mp.im(v)) > 1e-10 * scale]
         if nonreal:
@@ -166,12 +164,8 @@ def _build_theta_extended(a, kappa):
             for p in range(n):
                 for q in range(n):
                     theta[p, q] += mp.mpf(float(kappa[i])) * yk[p] * mp.conj(yk[q])
-        out = np.array(
-            [[complex(theta[i, j]) for j in range(n)] for i in range(n)]
-        )
-        er_np = np.array(
-            [[complex(er[i, j]) for j in range(n)] for i in range(n)]
-        )
+        out = from_mp_matrix(theta)
+        er_np = from_mp_matrix(er)
     return out, float(np.linalg.cond(er_np))
 
 

@@ -59,12 +59,24 @@ def bc_secular_parts(n: int) -> tuple[Polynomial, Polynomial, Polynomial, Polyno
     return c0, c1, c2, c3
 
 
-def secular_in_p_and_y(n: int, y, p) -> Polynomial:
-    """Exact det(R - E) at rational shift y and rational p = r^2."""
-    c0, c1, c2, c3 = bc_secular_parts(n)
-    y = as_fraction(y)
+@lru_cache(maxsize=None)
+def secular_in_y(n: int, p=0) -> tuple[Polynomial, ...]:
+    """E-coefficients of det(R - E) at fixed rational p = r^2, as polynomials in y.
+
+    Coefficient k is c0_k + (c1_k + c2_k)*y + c3_k*(y^2 + 1 - p): the one
+    place where the corner decomposition is assembled.
+    """
     p = as_fraction(p)
-    return c0 + (c1 + c2).scale(y) + c3.scale(y * y + 1 - p)
+    parts = bc_secular_parts(n)
+    width = parts[0].degree + 1
+    c0, c1, c2, c3 = (
+        [Fraction(x) for x in c.coeffs] + [Fraction(0)] * (width - len(c.coeffs))
+        for c in parts
+    )
+    return tuple(
+        Polynomial([c0[k] + c3[k] * (1 - p), c1[k] + c2[k], c3[k]])
+        for k in range(width)
+    )
 
 
 @dataclass(frozen=True)
@@ -98,10 +110,9 @@ def bivariate_secular(n: int, y) -> SturmianFunction:
 
     y may be an int, Fraction or float (floats convert exactly).
     """
-    c0, c1, c2, c3 = bc_secular_parts(n)
     y = as_fraction(y)
-    a = c0 + (c1 + c2).scale(y) + c3.scale(y * y + 1)
-    b = -c3
+    a = Polynomial([c(y) for c in secular_in_y(n)])
+    b = -bc_secular_parts(n)[3]
     return SturmianFunction(n, y, a, b)
 
 

@@ -20,6 +20,7 @@ from epspect.core import (
     poly_roots,
     resultant,
 )
+from epspect.epfinder import _disc_in_y_at_p, _fold_event_poly, _pole_collision_poly
 from epspect.models import bc_matrix, epn_exact_parts, epn_matrix
 from epspect.sturmian import bivariate_secular
 
@@ -378,3 +379,14 @@ def test_discriminant_in_E_matches_pointwise_resultant():
         poly = s.poly_at(p0)
         want = Fraction(resultant(poly, poly.derivative())) / lc
         assert d(p0) == want
+
+    # the event polynomials in the shift y, against the same scalar kernels
+    # at rational points
+    n = 5
+    for y0 in (Fraction(-1, 2), Fraction(1, 3), Fraction(-7, 9), Fraction(2)):
+        s = bivariate_secular(n, y0)
+        for p0 in (Fraction(0), Fraction(2, 5)):
+            assert _disc_in_y_at_p(n, p0)(y0) == discriminant(s.poly_at(p0))
+        assert _pole_collision_poly(n)(y0) == resultant(s.A, s.B)
+        w = s.A.derivative() * s.B - s.A * s.B.derivative()
+        assert _fold_event_poly(n)(y0) == discriminant(w)

@@ -1,0 +1,80 @@
+"""Static guard against dead code in the package (stdlib ``ast`` only).
+
+Two things fail the guard: an import a module never uses (package
+``__init__.py`` files are exempt, their imports are re-exports), and a
+``_private`` top-level function that no module of the package references.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "epspect"
+MODULES = sorted(PACKAGE.rglob("*.py"))
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _used_names(tree) -> set[str]:
+    """Every identifier a module loads, reads as an attribute or imports by name."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def _imported_bindings(tree):
+    """(bound name, line) for each module-level or nested import statement."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _loaded_names(tree) -> set[str]:
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+
+
+def test_package_modules_were_found():
+    assert any(path.name == "epfinder.py" for path in MODULES)
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in MODULES:
+        if path.name == "__init__.py":
+            continue
+        tree = _parse(path)
+        loaded = _loaded_names(tree)
+        for name, line in _imported_bindings(tree):
+            if name not in loaded:
+                unused.append(f"{path.relative_to(PACKAGE)}:{line}: {name}")
+    assert unused == []
+
+
+def test_no_unreferenced_private_functions():
+    trees = {path: _parse(path) for path in MODULES}
+    used = set().union(*(_used_names(tree) for tree in trees.values()))
+    dead = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}: {node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in used
+    ]
+    assert dead == []

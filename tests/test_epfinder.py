@@ -70,15 +70,6 @@ def test_sweep_requires_two_samples():
         sweep(EpnModel(6), (0.0, 1.0), 1)
 
 
-def test_sweep_threaded_assembly_is_deterministic(monkeypatch):
-    serial = sweep(EpnModel(6), (0.1, 0.9), 40)
-    threaded = sweep(EpnModel(6), (0.1, 0.9), 40, threads=4)
-    assert np.array_equal(serial.tracks, threaded.tracks)
-    monkeypatch.setenv("EPSPECT_THREADS", "3")
-    via_env = sweep(EpnModel(6), (0.1, 0.9), 40)
-    assert np.array_equal(serial.tracks, via_env.tracks)
-
-
 # --------------------------------------------------------------------------
 # classification
 # --------------------------------------------------------------------------
@@ -226,10 +217,13 @@ def test_reality_signatures_either_side_of_pole_event():
 # --------------------------------------------------------------------------
 
 
-def test_perturbation_exponent_maximal_order():
-    fit = perturbation_exponent(epn_matrix(6, 0), 6, EPS_LADDER, seed=42, draws=4)
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_perturbation_exponent_maximal_order(n):
+    # the whole EPN spectrum is one cluster; at n >= 7 the double-precision
+    # fog only merges it at the loosest rung of the tolerance ladder
+    fit = perturbation_exponent(epn_matrix(n, 0), n, EPS_LADDER, seed=42, draws=4)
     assert fit.ok
-    assert fit.slope == pytest.approx(1 / 6, abs=0.02)
+    assert fit.slope == pytest.approx(1 / n, abs=0.02)
 
 
 def test_perturbation_exponent_pairwise():
