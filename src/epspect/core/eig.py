@@ -1,9 +1,15 @@
-"""Dense nonsymmetric eigensolver with left/right pairs and residual checks.
+"""Dense nonsymmetric eigensolvers: left/right pairs with residual checks,
+and extended-precision eigenvalues alone.
 
-Double precision work is delegated to LAPACK through scipy; the extended
-tier runs mpmath's QR eigensolver, which matters close to a degeneracy
-where double-precision eigenvalues lose half their digits per coalescing
-level.
+Double precision work is delegated to LAPACK through scipy.  The extended
+tier matters close to a degeneracy, where double-precision eigenvalues
+lose half their digits per coalescing level.  Eigenvalues alone
+(``eigvals_mp``) come from the Berkowitz characteristic polynomial, built
+at twice the working dps because its coefficients are ill-conditioned,
+whose roots the mpmath Aberth iteration of ``poly`` finds from the double
+eigenvalues.  mpmath's QR eigensolver (``eigtriples_mp``) serves only the
+consumers of eigenvectors: ``eig_dense(precision=EXTENDED)`` and the
+extended metric.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import mpmath as mp
 import numpy as np
 import scipy.linalg as sla
 
+from .poly import ConvergenceError, _aberth
 from .scalars import CLUSTER_RTOL, EXTENDED_DPS, Precision, RootCluster, cluster_points
 from .tridiag import as_array
 
@@ -67,9 +74,60 @@ def from_mp_matrix(m) -> np.ndarray:
     return np.array([[complex(m[i, j]) for j in range(m.cols)] for i in range(m.rows)])
 
 
+def eigtriples_mp(a: np.ndarray):
+    """``mp.eig`` eigenvalues, left rows and right columns at the working dps."""
+    return mp.eig(to_mp_matrix(a), left=True, right=True)
+
+
+def _berkowitz(m) -> list:
+    """Characteristic polynomial det(x I - m), ascending coefficients.
+
+    Berkowitz's division-free recurrence: with r and s the row and column
+    bordering the leading k x k block B, and a the new diagonal entry, the
+    polynomial grows by a lower-triangular Toeplitz product with
+    (1, -a, -r s, -r B s, ..., -r B^(k-1) s).
+    """
+    n = m.rows
+    poly = [mp.mpf(1)]  # descending
+    for k in range(n):
+        toeplitz = [mp.mpf(1), -m[k, k]]
+        col = [m[i, k] for i in range(k)]
+        rows = [[m[i, j] for j in range(k)] for i in range(k + 1)]
+        for _ in range(k):
+            toeplitz.append(-mp.fdot(rows[k], col))
+            col = [mp.fdot(rows[i], col) for i in range(k)]
+        poly = [
+            mp.fdot((toeplitz[i - j], poly[j]) for j in range(min(i, k) + 1))
+            for i in range(k + 2)
+        ]
+    return poly[::-1]
+
+
+def eigvals_mp(m, seeds=None) -> list:
+    """Eigenvalues of an ``mp.matrix`` at the working precision.
+
+    Roots of the Berkowitz characteristic polynomial (coefficients at twice
+    the working dps) by Aberth iteration from ``seeds``, by default the
+    double eigenvalues.  Raises ``ConvergenceError`` with the unconverged
+    subset if any root fails to lock; unpolished roots are never returned.
+    """
+    with mp.workdps(2 * mp.mp.dps):
+        coeffs = _berkowitz(m)
+    if seeds is None:
+        seeds = np.linalg.eigvals(from_mp_matrix(m))
+    z = [mp.mpc(s) for s in seeds]
+    z, locked, _ = _aberth(coeffs, z, mp.eps, lambda t: float(abs(t)))
+    if not all(locked):
+        bad = [zi for zi, ok in zip(z, locked) if not ok]
+        raise ConvergenceError(
+            f"{len(bad)} eigenvalue(s) failed to converge", roots=z, unconverged=bad
+        )
+    return z
+
+
 def _eig_extended(a: np.ndarray):
     with mp.workdps(EXTENDED_DPS):
-        ev, el, er = mp.eig(to_mp_matrix(a), left=True, right=True)
+        ev, el, er = eigtriples_mp(a)
         values = np.array([complex(v) for v in ev])
         right = from_mp_matrix(er)
         # mpmath returns left eigenvectors as rows with EL*M = diag(E)*EL;

@@ -258,15 +258,18 @@ def _horner_pair(coeffs, z):
     return p, dp
 
 
-def _residual_scale(coeffs, z, absfn):
-    return sum(absfn(c) * absfn(z) ** k for k, c in enumerate(coeffs))
-
-
 def _aberth(coeffs, z, eps, absfn, maxiter=200):
-    """Aberth-Ehrlich simultaneous iteration from the starting points z."""
+    """Aberth-Ehrlich simultaneous iteration from the starting points z.
+
+    A root locks once |p(z)| <= 16 eps sum |c_k| |z|^k.  Magnitudes are
+    taken once per coefficient and once per root and sweep: under mpmath
+    each ``abs`` is a hypot, and near a degeneracy the iteration converges
+    only linearly, so they would otherwise dominate.
+    """
     m = len(z)
     locked = [False] * m
     tol_factor = 16 * eps
+    abs_coeffs = [absfn(c) for c in coeffs]
     it = 0
     for it in range(1, maxiter + 1):
         moved = False
@@ -274,12 +277,14 @@ def _aberth(coeffs, z, eps, absfn, maxiter=200):
             if locked[i]:
                 continue
             p, dp = _horner_pair(coeffs, z[i])
-            if absfn(p) <= tol_factor * _residual_scale(coeffs, z[i], absfn):
+            az = absfn(z[i])
+            scale = sum(a * az ** k for k, a in enumerate(abs_coeffs))
+            if absfn(p) <= tol_factor * scale:
                 locked[i] = True
                 continue
-            if absfn(dp) == 0:
+            if dp == 0:
                 # nudge off a stationary point
-                z[i] = z[i] + (0.5 + 0.5j) * (1 + absfn(z[i])) * eps ** 0.25
+                z[i] = z[i] + (0.5 + 0.5j) * (1 + az) * eps ** 0.25
                 moved = True
                 continue
             newton = p / dp
@@ -287,11 +292,11 @@ def _aberth(coeffs, z, eps, absfn, maxiter=200):
             for j in range(m):
                 if j != i:
                     d = z[i] - z[j]
-                    if absfn(d) == 0:
-                        d = eps * (1 + absfn(z[i]))
+                    if d == 0:
+                        d = eps * (1 + az)
                     s = s + 1 / d
             denom = 1 - newton * s
-            step = newton if absfn(denom) == 0 else newton / denom
+            step = newton if denom == 0 else newton / denom
             z[i] = z[i] - step
             moved = True
         if not moved:

@@ -31,6 +31,7 @@ from .core import (
     discriminant,
     discriminant_in_E,
     eig_dense,
+    eigvals_mp,
     exact_matmul,
     exact_rank,
     poly_roots,
@@ -297,13 +298,12 @@ def _golden_min_mp(f, lo, hi, iters=80):
     return (a + b) / 2
 
 
-def _mp_eigvals(model, p):
+def _mp_eigvals(model, p, seeds):
     if hasattr(model, "matrix_mp"):
         m = model.matrix_mp(p)
     else:
         m = to_mp_matrix(model.matrix(float(p)))
-    ev, _ = mp.eig(m)
-    return ev
+    return eigvals_mp(m, seeds)
 
 
 def ep_locate_1d(target, param_range: tuple[float, float], *, samples: int = 201):
@@ -454,9 +454,12 @@ def _polish_candidate(model, bracket, scale) -> CriticalPoint | None:
         radius_dbl = max(cluster.radius, 1e-300)
         with mp.workdps(POLISH_DPS):
             anchor = mp.mpc(cluster.center)
+            # each evaluation starts Aberth from the previous one's roots
+            seeds = None
 
             def diameter_mp(p):
-                ev = _mp_eigvals(model, p)
+                nonlocal seeds
+                ev = seeds = _mp_eigvals(model, p, seeds)
                 members = sorted(ev, key=lambda v: abs(v - anchor))[
                     : cluster.multiplicity
                 ]
@@ -465,7 +468,7 @@ def _polish_candidate(model, bracket, scale) -> CriticalPoint | None:
 
             width = max(abs(bracket[1] - bracket[0]) * 0.05, 1e-6)
             p_mp = _golden_min_mp(diameter_mp, p_dbl - width, p_dbl + width)
-            ev_star = _mp_eigvals(model, p_mp)
+            ev_star = _mp_eigvals(model, p_mp, seeds)
             members = sorted(ev_star, key=lambda v: abs(v - anchor))[
                 : cluster.multiplicity
             ]
@@ -879,8 +882,7 @@ def perturbation_exponent(
             pert = a + e * g
             if use_mp:
                 with mp.workdps(PERTURB_DPS):
-                    ev, _ = mp.eig(to_mp_matrix(pert))
-                    vals = [complex(v) for v in ev]
+                    vals = [complex(v) for v in eigvals_mp(to_mp_matrix(pert))]
             else:
                 vals = list(eig_dense(pert).values)
             members = sorted(vals, key=lambda v: abs(v - center))[:order]

@@ -25,8 +25,8 @@ from .core import (
     Precision,
     as_array,
     eig_dense,
+    eigtriples_mp,
     from_mp_matrix,
-    to_mp_matrix,
 )
 
 COND_FLAG = 1e6  # eigenbasis condition number beyond which results are suspect
@@ -149,7 +149,7 @@ def _build_theta_double(a, kappa):
 def _build_theta_extended(a, kappa):
     n = a.shape[0]
     with mp.workdps(EXTENDED_DPS):
-        ev, el, er = mp.eig(to_mp_matrix(a), left=True, right=True)
+        ev, el, er = eigtriples_mp(a)
         scale = max(1.0, max(abs(v) for v in ev))
         nonreal = [complex(v) for v in ev if abs(mp.im(v)) > 1e-10 * scale]
         if nonreal:

@@ -3,25 +3,31 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import epspect.core.eig as core_eig
 from epspect.core import (
     BivariateSecular,
+    ConvergenceError,
     Polynomial,
     Precision,
     Tridiagonal,
     charpoly_from_parts,
     charpoly_tridiag,
+    cluster_points,
     discriminant,
     discriminant_in_E,
     eig_dense,
+    eigvals_mp,
     poly_roots,
     resultant,
+    to_mp_matrix,
 )
 from epspect.epfinder import _disc_in_y_at_p, _fold_event_poly, _pole_collision_poly
-from epspect.models import bc_matrix, epn_exact_parts, epn_matrix
+from epspect.models import EpnModel, bc_matrix, epn_exact_parts, epn_matrix
 from epspect.sturmian import bivariate_secular
 
 
@@ -273,6 +279,71 @@ def test_eig_dense_matches_charpoly_roots_on_random_tridiagonals():
 def test_eig_dense_flags_near_degenerate_vectors():
     res = eig_dense(bc_matrix(6, 1j))
     assert res.low_confidence.sum() >= 2  # the merged pair at E = 2
+
+
+# --------------------------------------------------------------------------
+# extended eigenvalues: Berkowitz charpoly + Aberth against the mp.eig oracle
+# --------------------------------------------------------------------------
+
+
+def _oracle_input(kind, n):
+    if kind == "random":
+        rng = np.random.default_rng(100 + n)
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "epn":
+        return epn_matrix(n, 0.5).to_array()
+    return bc_matrix(n, 1j).to_array()
+
+
+@pytest.mark.parametrize("kind", ["random", "epn", "bc"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_eigvals_mp_matches_mp_eig_oracle(n, kind):
+    with mp.workdps(40):
+        m = to_mp_matrix(_oracle_input(kind, n))
+        ours = eigvals_mp(m)
+        oracle, _ = mp.eig(m)
+        assert len(ours) == n
+        # bc at z = i has a defective pair at E = 2 for even n.  Aberth locks
+        # a root once |p(z)| <= 16 eps sum |c_k| |z|^k, so the members of a
+        # defective k-cluster are fixed only to about (eps sum|c_k|)^(1/k)
+        # (~1e-19 here, against ~1e-21 from QR); they are held to that fog
+        for c in cluster_points([complex(v) for v in oracle], rtol=1e-12):
+            center = mp.mpc(c.center)
+            near = lambda vals: [v for v in vals if abs(v - center) <= 1e-8 * (1 + abs(center))]
+            members, want = near(ours), near(oracle)
+            assert len(members) == len(want) == c.multiplicity
+            if c.multiplicity == 1:
+                tol = mp.mpf("1e-20")
+            else:
+                tol = (10**6 * mp.eps) ** (mp.mpf(1) / c.multiplicity)
+            centroid = mp.fsum(want) / c.multiplicity
+            for v in members:
+                assert abs(v - centroid) <= tol * (1 + abs(centroid))
+
+
+def test_eigvals_mp_resolves_epn6_exceptional_point():
+    with mp.workdps(40):
+        m = EpnModel(6).matrix_mp(0)
+        for ev in (eigvals_mp(m), mp.eig(m)[0]):
+            center = mp.fsum(ev) / len(ev)
+            assert abs(center) < 1e-5
+            assert max(abs(v - center) for v in ev) < 1e-5
+
+
+def test_eigvals_mp_raises_on_unconverged_roots(monkeypatch):
+    real_aberth = core_eig._aberth
+
+    def stalls_on_first(coeffs, z, eps, absfn, maxiter=200):
+        z, locked, it = real_aberth(coeffs, z, eps, absfn, maxiter)
+        return z, [False] + locked[1:], it
+
+    monkeypatch.setattr(core_eig, "_aberth", stalls_on_first)
+    with mp.workdps(40):
+        m = to_mp_matrix(epn_matrix(4, 0.5).to_array())
+        with pytest.raises(ConvergenceError) as err:
+            eigvals_mp(m)
+    assert len(err.value.roots) == 4
+    assert err.value.unconverged == (err.value.roots[0],)
 
 
 # --------------------------------------------------------------------------
