@@ -293,8 +293,6 @@ def _golden_min_mp(f, lo, hi, iters=80):
             a, c, fc = c, d, fd
             d = a + phi * (b - a)
             fd = f(d)
-        if b - a <= mp.mpf(10) ** (-POLISH_DPS + 2) * (1 + abs(a)):
-            break
     return (a + b) / 2
 
 
@@ -531,18 +529,6 @@ def bc_reality_signature(
     return frozenset(nonreal)
 
 
-def _bisect_signature_change(n, y_lo, y_hi, sig_lo, sig_hi, r_samples, tol=1e-8):
-    while y_hi - y_lo > tol:
-        mid = 0.5 * (y_lo + y_hi)
-        sig = bc_reality_signature(n, mid, r_samples)
-        if sig == sig_lo:
-            y_lo = mid
-        else:
-            y_hi = mid
-            sig_hi = sig
-    return y_lo, y_hi, sig_hi
-
-
 @lru_cache(maxsize=None)
 def _disc_in_y_at_p(n: int, p) -> Polynomial:
     """Discriminant in E of the secular polynomial, as an exact polynomial in y."""
@@ -602,111 +588,123 @@ def _fold_event_poly(n: int) -> Polynomial:
     return disc_E(list(_fold_coeffs_in_E(n)))
 
 
-def ep_locate_2d_bc(
-    n: int,
-    y_range: tuple[float, float],
-    *,
-    y_samples: int = 21,
-    r_samples: int = 161,
-) -> list[CriticalPoint]:
+def ep_locate_2d_bc(n: int, y_range: tuple[float, float]) -> list[CriticalPoint]:
     """Critical shifts y where the reality pattern of the spectrum changes.
 
-    Outer scan/bisection over y watches which tracks are non-real somewhere
-    on r in [-1, 1]; each change of that signature is polished against the
-    exact algebra (discriminant root in y for level mergers, numerator/
-    denominator resultant for pole events) and classified.
+    The exact algebra decides.  The candidates are the real roots in
+    ``y_range`` (endpoints included) of the three event polynomials in y:
+    level mergers at r = 0 (the discriminant of the secular polynomial at
+    p = 0), poles (Res_E(A_y, B)) and folds of the EP curve (Disc_E W).  A
+    root is an event exactly when its mechanism's polisher accepts it; a
+    root shared by several polynomials is tried on merge, pole and fold in
+    that order and yields at most one event.
+
+    The reality signatures sampled at y* - 1e-4 and y* + 1e-4 only label an
+    event (``tracks``, or ``appearing``/``vanishing`` for poles, read
+    walking y downward through it); they never create or remove one.  The
+    labels can be empty where the r-grid of ``bc_reality_signature`` cannot
+    resolve the change, as at folds.
     """
-    y_lo, y_hi = float(y_range[0]), float(y_range[1])
-    if y_lo > y_hi:
-        y_lo, y_hi = y_hi, y_lo
-    ys = np.linspace(y_lo, y_hi, y_samples)
-    sigs = [bc_reality_signature(n, y, r_samples) for y in ys]
-
-    events = []
-    for k in range(len(ys) - 1):
-        if sigs[k] != sigs[k + 1]:
-            events.append((ys[k], ys[k + 1], sigs[k], sigs[k + 1]))
-
+    lo, hi = sorted((float(y_range[0]), float(y_range[1])))
+    candidates = sorted(
+        (
+            (y, polishers)
+            for piece, polishers in _event_pieces(n)
+            for y in _roots_in_window(piece, lo, hi)
+        ),
+        key=lambda c: c[0],
+    )
     points = []
-    for y_a, y_b, sig_a, sig_b in events:
-        lo, hi, _ = _bisect_signature_change(n, y_a, y_b, sig_a, sig_b, r_samples)
-        y_est = 0.5 * (lo + hi)
-        # sig_a belongs to the more-negative side: walking y downward through
-        # the event, new_desc labels lose reality and gone_desc regain it
-        new_desc = sig_a - sig_b
-        gone_desc = sig_b - sig_a
-        labels = sorted(new_desc | gone_desc)
-        # the event mechanism is decided by which exact polynomial in y owns
-        # a root at the bisected location, not by the signature shape
-        point = (
-            _polish_merge_event(n, y_est, labels)
-            or _polish_pole_event(n, y_est, sorted(new_desc), sorted(gone_desc))
-            or _polish_fold_event(n, y_est, labels)
-        )
-        if point is None:
-            point = CriticalPoint(
-                {"y": y_est, "r": float("nan")},
-                complex("nan"),
-                "indeterminate",
-                0,
-                {"bracket": (lo, hi)},
-            )
-        points.append(point)
+    for y_star, polishers in candidates:
+        below, above = (bc_reality_signature(n, y_star + d) for d in (-1e-4, 1e-4))
+        for polish in polishers:
+            point = polish(n, y_star, below, above)
+            if point is not None:
+                points.append(point)
+                break
     return points
 
 
-Y_EVENT_MATCH_TOL = 2e-3  # exact event root must sit this close to the bisection
+def _event_pieces(n: int) -> list[tuple[Polynomial, tuple]]:
+    """The event polynomials split into coprime square-free exact factors.
 
-
-def _event_root(poly: Polynomial, y_est: float) -> float | None:
-    """The real root of an exact event polynomial nearest the bisected shift.
-
-    None unless it lies within ``Y_EVENT_MATCH_TOL``; otherwise it is
-    polished under mpmath.
+    Each factor carries the polishers of every event polynomial it divides,
+    in the order merge, pole, fold, so each real root appears in exactly
+    one factor together with all of its mechanisms (the fold polynomial,
+    for one, vanishes at every pole root).  The split is by gcds over Q;
+    no two floating-point roots are ever compared.
     """
-    cands = [y for y, _ in _real_roots(poly)]
-    if not cands:
-        return None
-    y0 = min(cands, key=lambda v: abs(v - y_est))
-    if abs(y0 - y_est) > Y_EVENT_MATCH_TOL:
-        return None
-    return _newton_polish_real(poly, y0)
+    pieces = []
+    for polish, poly in (
+        (_polish_merge_event, _disc_in_y_at_p(n, 0)),
+        (_polish_pole_event, _pole_collision_poly(n)),
+        (_polish_fold_event, _fold_event_poly(n)),
+    ):
+        if poly.degree < 1:
+            continue
+        rest = poly.exact_div(poly.gcd(poly.derivative()))
+        split = []
+        for piece, owners in pieces:
+            common = piece.gcd(rest)
+            if common.degree >= 1:
+                split.append((common, owners + (polish,)))
+                piece, rest = piece.exact_div(common), rest.exact_div(common)
+            if piece.degree >= 1:
+                split.append((piece, owners))
+        if rest.degree >= 1:
+            split.append((rest, (polish,)))
+        pieces = split
+    return pieces
 
 
-def _polish_merge_event(n, y_est, labels) -> CriticalPoint | None:
-    """A level merger at r = 0: polish y on the exact discriminant."""
-    dpoly = _disc_in_y_at_p(n, 0)
-    y_star = _event_root(dpoly, y_est)
-    if y_star is None:
-        return None
+def _roots_in_window(piece: Polynomial, lo: float, hi: float) -> list[float]:
+    """Real roots in [lo, hi] of a square-free exact polynomial.
 
+    Each is Newton-polished on the polynomial itself, where every root is
+    simple.  A root on an endpoint is found by exact evaluation and
+    deflated, so the polish cannot move it out of the window.
+    """
+    roots = []
+    for end in sorted({lo, hi}):
+        e = as_fraction(end)
+        if piece(e) == 0:
+            roots.append(end)
+            piece = piece.exact_div(Polynomial([-e, 1]))
+    polished = (_newton_polish_real(piece, y0) for y0, _ in _real_roots(piece))
+    return roots + [y for y in polished if lo <= y <= hi]
+
+
+def _polish_merge_event(n, y_star, below, above) -> CriticalPoint | None:
+    """A level merger at r = 0 on a root y* of the exact discriminant.
+
+    The double root of the secular polynomial at y* fixes the energy and
+    the algebraic multiplicity; the geometric one comes from the singular
+    values of M - E I, as in ``_polish_candidate``.
+    """
     s = bivariate_secular(n, as_fraction(y_star))
-    poly0 = s.poly_at(Fraction(0))
-    # double-root location: the polished y is a float, so the exact pair is
-    # split by ~sqrt(rounding); the extended pass resolves it below tolerance
-    clusters = poly_roots(poly0, precision=Precision.EXTENDED).clusters
+    # the polished y is a float, so the exact pair is split by
+    # ~sqrt(rounding); the extended pass resolves it below tolerance
+    clusters = poly_roots(s.poly_at(Fraction(0)), precision=Precision.EXTENDED).clusters
     merged = [c for c in clusters if c.multiplicity >= 2]
     if not merged:
         return None
-    energy = merged[0].center
-
-    z = z_value(ShiftedCircle(y_star, 0.0))
-    cls = classify_degeneracy(bc_matrix(n, z), energy)
-    resid = dict(cls.residuals)
-    resid["tracks"] = tuple(labels)
-    resid["disc_residual"] = abs(dpoly.to_double()(complex(y_star)))
+    cluster = merged[0]
+    geo, sv, _ = _geometric_multiplicity(BcModel(n, y_star).matrix(0.0), cluster.center)
+    resid = {
+        "cluster_radius": cluster.radius,
+        "rank_defect": geo,
+        "sigma_min": float(sv[-1]),
+        "tracks": tuple(sorted(below ^ above)),
+        "disc_residual": abs(_disc_in_y_at_p(n, 0).to_double()(complex(y_star))),
+    }
+    kind = "ep" if geo == 1 else "diabolic"
     return CriticalPoint(
-        {"y": y_star, "r": 0.0}, cls.energy, cls.kind, cls.algebraic, resid
+        {"y": y_star, "r": 0.0}, cluster.center, kind, cluster.multiplicity, resid
     )
 
 
-def _polish_pole_event(n, y_est, appearing, vanishing) -> CriticalPoint | None:
+def _polish_pole_event(n, y_star, below, above) -> CriticalPoint | None:
     """A reality exchange through a pole of the coupling function."""
-    rpoly = _pole_collision_poly(n)
-    y_star = _event_root(rpoly, y_est)
-    if y_star is None:
-        return None
-
     s = bivariate_secular(n, as_fraction(y_star))
     poles = [e for e, _ in _real_roots(s.B)]
     a_dbl = s.A.to_double()
@@ -725,21 +723,16 @@ def _polish_pole_event(n, y_est, appearing, vanishing) -> CriticalPoint | None:
                     disc_clash = True
     kind = "indeterminate" if disc_clash else "sturmian-pole"
     resid = {
-        "appearing": tuple(appearing),
-        "vanishing": tuple(vanishing),
+        "appearing": tuple(sorted(below - above)),
+        "vanishing": tuple(sorted(above - below)),
         "numerator_at_pole": abs(a_dbl(complex(energy))),
-        "resultant_residual": abs(rpoly.to_double()(complex(y_star))),
+        "resultant_residual": abs(_pole_collision_poly(n).to_double()(complex(y_star))),
     }
     return CriticalPoint({"y": y_star, "r": float("nan")}, complex(energy), kind, 1, resid)
 
 
-def _polish_fold_event(n, y_est, labels) -> CriticalPoint | None:
+def _polish_fold_event(n, y_star, below, above) -> CriticalPoint | None:
     """Two interior-r level mergers colliding: a fold of the EP curve."""
-    vpoly = _fold_event_poly(n)
-    y_star = _event_root(vpoly, y_est)
-    if y_star is None:
-        return None
-
     # the double E-root of W(., y*) pins the collision energy
     w_coeffs = _fold_coeffs_in_E(n)
     y_frac = as_fraction(y_star)
@@ -780,8 +773,8 @@ def _polish_fold_event(n, y_est, labels) -> CriticalPoint | None:
     except ValueError:
         return None
     resid = dict(cls.residuals)
-    resid["tracks"] = tuple(labels)
-    resid["fold_residual"] = abs(vpoly.to_double()(complex(y_star)))
+    resid["tracks"] = tuple(sorted(below ^ above))
+    resid["fold_residual"] = abs(_fold_event_poly(n).to_double()(complex(y_star)))
     return CriticalPoint(
         {"y": y_star, "r": r0}, cls.energy, cls.kind, cls.algebraic, resid
     )

@@ -29,8 +29,6 @@ from .core import (
     from_mp_matrix,
 )
 
-COND_FLAG = 1e6  # eigenbasis condition number beyond which results are suspect
-
 
 class DegenerateBasisError(ValueError):
     """Spectrum is numerically clustered; no biorthogonal basis exists."""

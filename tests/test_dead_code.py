@@ -1,8 +1,9 @@
 """Static guard against dead code in the package (stdlib ``ast`` only).
 
-Two things fail the guard: an import a module never uses (package
-``__init__.py`` files are exempt, their imports are re-exports), and a
-``_private`` top-level function that no module of the package references.
+Three things fail the guard: an import a module never uses (package
+``__init__.py`` files are exempt, their imports are re-exports), a
+``_private`` top-level function that no module of the package references,
+and a module-level UPPER_CASE constant that no module of the package loads.
 """
 
 import ast
@@ -76,5 +77,27 @@ def test_no_unreferenced_private_functions():
         and node.name.startswith("_")
         and not node.name.startswith("__")
         and node.name not in used
+    ]
+    assert dead == []
+
+
+def test_no_unloaded_constants():
+    """cli.py's ``EXIT_*`` codes are exempt: they spell out the exit-code
+    contract, and argparse itself exits with ``EXIT_USAGE``."""
+    trees = {path: _parse(path) for path in MODULES}
+    loaded = set()
+    for tree in trees.values():
+        loaded |= _loaded_names(tree)
+        loaded |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    dead = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}: {target.id}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+        and target.id.isupper()
+        and target.id not in loaded
+        and not (path.name == "cli.py" and target.id.startswith("EXIT_"))
     ]
     assert dead == []

@@ -1,11 +1,16 @@
 """Degeneracy location and classification."""
 
+import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from epspect.epfinder import (
+    _disc_in_y_at_p,
+    _fold_event_poly,
+    _pole_collision_poly,
     bc_reality_signature,
     classify_degeneracy,
     ep_locate_1d,
@@ -205,6 +210,57 @@ def test_scan_y_locates_pole_event():
     (pt,) = poles
     assert pt.params["y"] == pytest.approx(-0.7071, abs=0.002)
     assert pt.energy.real == pytest.approx(2 + math.sqrt(2), abs=1e-6)
+
+
+def test_scan_y_events_do_not_depend_on_the_window():
+    wide = ep_locate_2d_bc(5, (-1.0, 0.0))
+    narrow = ep_locate_2d_bc(5, (-0.75, -0.65))
+    assert narrow
+    for p in narrow:
+        assert any(
+            q.kind == p.kind
+            and q.order == p.order
+            and abs(q.params["y"] - p.params["y"]) <= 1e-9
+            for q in wide
+        ), p
+
+
+@pytest.fixture(scope="module")
+def scan8():
+    return ep_locate_2d_bc(8, (-1.0, 0.0))
+
+
+def _own_event_poly(point):
+    """The exact polynomial in y of the event's mechanism, made square-free."""
+    if point.kind == "sturmian-pole":
+        poly = _pole_collision_poly(8)
+    elif point.params["r"] == 0:
+        poly = _disc_in_y_at_p(8, 0)
+    else:
+        poly = _fold_event_poly(8)
+    return poly.exact_div(poly.gcd(poly.derivative()))
+
+
+def test_scan8_events_are_sign_changes_of_their_own_polynomial(scan8):
+    assert scan8
+    d = Fraction(1, 10**9)
+    for p in scan8:
+        poly = _own_event_poly(p)
+        y = Fraction(p.params["y"])
+        assert poly(y - d) * poly(y + d) <= 0, p
+
+
+def test_scan8_verdicts_are_certified(scan8):
+    for p in scan8:
+        assert p.kind != "simple", p
+        assert p.kind == "sturmian-pole" or p.order >= 2, p
+        assert not cmath.isnan(p.energy), p
+    folds = [
+        p
+        for p in scan8
+        if p.params["r"] > 0 and abs(p.params["y"] - (-0.951492)) <= 1e-6
+    ]
+    assert [(p.kind, p.order) for p in folds] == [("ep", 3)]
 
 
 def test_reality_signatures_either_side_of_pole_event():
