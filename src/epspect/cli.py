@@ -120,18 +120,12 @@ def _parse_floats(text: str) -> list[float]:
 # --------------------------------------------------------------------------
 
 
-def _make_model(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    if args.model == "epn":
-        if getattr(args, "param", None) not in (None, "t"):
-            parser.error("the epn family sweeps the parameter t")
-        return EpnModel(args.n)
-    if args.model == "bc":
-        if getattr(args, "param", None) not in (None, "r"):
-            parser.error("the bc family sweeps the parameter r")
-        return BcModel(args.n, getattr(args, "y", 0.0) or 0.0)
-    if args.model == "hermitian-demo":
-        return HermitianDemoModel(args.n, args.seed)
-    parser.error(f"unknown model {args.model!r}")
+def _make_model(name: str, n: int, y: float | None, seed: int):
+    if name == "epn":
+        return EpnModel(n)
+    if name == "bc":
+        return BcModel(n, y or 0.0)
+    return HermitianDemoModel(n, seed)
 
 
 # --------------------------------------------------------------------------
@@ -139,76 +133,75 @@ def _make_model(args: argparse.Namespace, parser: argparse.ArgumentParser):
 # --------------------------------------------------------------------------
 
 
+def _write_sweep_csv(out: Path, result, param: str) -> None:
+    ntr = result.n_tracks
+    header = ["index", param]
+    for i in range(ntr):
+        header += [f"re{i}", f"im{i}", f"real{i}"]
+    header.append("pairing_warning")
+    rows = []
+    for k, p in enumerate(result.grid):
+        row = [k, float(p)]
+        for i in range(ntr):
+            v = result.tracks[i, k]
+            row += [v.real, v.imag, bool(result.real_flags[i, k])]
+        row.append(bool(result.warnings[k]))
+        rows.append(row)
+    write_csv(out, header, rows)
+    print(out)
+
+
 def _cmd_sweep(args, parser) -> int:
-    model = _make_model(args, parser)
+    model = _make_model(args.model, args.n, args.y, args.seed)
+    if args.model != "hermitian-demo" and args.param not in (None, model.param):
+        parser.error(f"the {args.model} family sweeps the parameter {model.param}")
     result = sweep(model, args.range, args.samples, precision=Precision(args.precision))
     out = Path(args.output or "sweep.csv")
+    if args.format == "csv":
+        _write_sweep_csv(out, result, model.param)
+        return EXIT_OK
+
     flags = {
         "model": args.model,
         "n": args.n,
-        "y": getattr(args, "y", None),
+        "y": args.y,
         "param": model.param,
         "range": f"{args.range[0]}:{args.range[1]}",
         "samples": args.samples,
     }
     if args.model == "hermitian-demo":
         flags["seed"] = args.seed
-
     ntr = result.n_tracks
-    if args.format == "json":
-        payload = {
-            "provenance": _provenance("sweep", flags, args.seed, args.precision),
-            "grid": [float(p) for p in result.grid],
-            "tracks": [
-                [[float(v.real), float(v.imag)] for v in result.tracks[i]]
-                for i in range(ntr)
-            ],
-            "real_flags": [
-                [bool(b) for b in result.real_flags[i]] for i in range(ntr)
-            ],
-            "pairing_warnings": [bool(b) for b in result.warnings],
-        }
-        write_json(out, payload)
-    else:
-        header = ["index", model.param]
-        for i in range(ntr):
-            header += [f"re{i}", f"im{i}", f"real{i}"]
-        header.append("pairing_warning")
-        rows = []
-        for k, p in enumerate(result.grid):
-            row = [k, float(p)]
-            for i in range(ntr):
-                v = result.tracks[i, k]
-                row += [v.real, v.imag, bool(result.real_flags[i, k])]
-            row.append(bool(result.warnings[k]))
-            rows.append(row)
-        write_csv(out, header, rows)
+    payload = {
+        "provenance": _provenance("sweep", flags, args.seed, args.precision),
+        "grid": [float(p) for p in result.grid],
+        "tracks": [
+            [[float(v.real), float(v.imag)] for v in result.tracks[i]]
+            for i in range(ntr)
+        ],
+        "real_flags": [
+            [bool(b) for b in result.real_flags[i]] for i in range(ntr)
+        ],
+        "pairing_warnings": [bool(b) for b in result.warnings],
+    }
+    write_json(out, payload)
     print(out)
     return EXIT_OK
 
 
-def _cmd_sturmian(args, parser) -> int:
-    s = bivariate_secular(args.n, args.y)
-    trace = branch_trace(s, args.range, args.samples)
-    out = Path(args.output or "sturmian.csv")
+def _write_sturmian(out: Path, trace, flags: dict, seed: int, precision: str) -> None:
+    """The branch CSV plus its ``_poles.json`` sidecar with the provenance."""
     header = ["energy", "r_plus", "r_minus", "in_model", "refined"]
     rows = [
         (p.energy, p.r_plus, p.r_minus, p.in_model, p.refined)
         for p in trace.points
     ]
     write_csv(out, header, rows)
-
-    flags = {
-        "n": args.n,
-        "y": args.y,
-        "range": f"{args.range[0]}:{args.range[1]}",
-        "samples": args.samples,
-    }
     sidecar = out.with_name(out.stem + "_poles.json")
     write_json(
         sidecar,
         {
-            "provenance": _provenance("sturmian", flags, args.seed, args.precision),
+            "provenance": _provenance("sturmian", flags, seed, precision),
             "poles": [
                 {"energy": b.energy, "kind": b.kind, "multiplicity": b.multiplicity}
                 for b in trace.poles
@@ -222,6 +215,18 @@ def _cmd_sturmian(args, parser) -> int:
     )
     print(out)
     print(sidecar)
+
+
+def _cmd_sturmian(args, parser) -> int:
+    trace = branch_trace(bivariate_secular(args.n, args.y), args.range, args.samples)
+    flags = {
+        "n": args.n,
+        "y": args.y,
+        "range": f"{args.range[0]}:{args.range[1]}",
+        "samples": args.samples,
+    }
+    out = Path(args.output or "sturmian.csv")
+    _write_sturmian(out, trace, flags, args.seed, args.precision)
     return EXIT_OK
 
 
@@ -379,19 +384,16 @@ def _cmd_figure(args, parser) -> int:
     command, spec = FIGURES[k]
     outdir = Path(args.out_dir)
     data = outdir / f"figure{k}_data.csv"
-    ns = argparse.Namespace(
-        seed=spec.get("seed", DEFAULT_SEED),
-        precision="double",
-        format="csv",
-        output=str(data),
-        **{kk: vv for kk, vv in spec.items() if kk != "seed"},
-    )
     if command == "sweep":
-        ns.param = "t"
-        ns.y = None
-        _cmd_sweep(ns, parser)
+        model = _make_model(spec["model"], spec["n"], None, spec.get("seed", DEFAULT_SEED))
+        result = sweep(model, spec["range"], spec["samples"])
+        _write_sweep_csv(data, result, model.param)
     else:
-        _cmd_sturmian(ns, parser)
+        trace = branch_trace(
+            bivariate_secular(spec["n"], spec["y"]), spec["range"], spec["samples"]
+        )
+        flags = dict(spec, range=f"{spec['range'][0]}:{spec['range'][1]}")
+        _write_sturmian(data, trace, flags, DEFAULT_SEED, "double")
     n_tracks = spec["n"]
     script = outdir / f"figure{k}_plot.txt"
     _atomic_write(script, _plot_script(k, command, spec, data.name, n_tracks))

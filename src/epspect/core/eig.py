@@ -1,15 +1,16 @@
-"""Dense nonsymmetric eigensolvers: left/right pairs with residual checks,
-and extended-precision eigenvalues alone.
+"""Dense nonsymmetric eigensolvers in double and extended precision.
 
-Double precision work is delegated to LAPACK through scipy.  The extended
-tier matters close to a degeneracy, where double-precision eigenvalues
-lose half their digits per coalescing level.  Eigenvalues alone
-(``eigvals_mp``) come from the Berkowitz characteristic polynomial, built
-at twice the working dps because its coefficients are ill-conditioned,
-whose roots the mpmath Aberth iteration of ``poly`` finds from the double
-eigenvalues.  mpmath's QR eigensolver (``eigtriples_mp``) serves only the
-consumers of eigenvectors: ``eig_dense(precision=EXTENDED)`` and the
-extended metric.
+Each tier has an eigenvalue-only primitive for the callers that read
+nothing else: ``eigvals_double`` (LAPACK without eigenvectors, in the order
+of ``eig_dense``) and ``eigvals_mp`` (the roots of the Berkowitz
+characteristic polynomial, built at twice the working dps because its
+coefficients are ill-conditioned, found by the mpmath Aberth iteration of
+``poly`` from the double eigenvalues).  The extended tier matters close to
+a degeneracy, where double-precision eigenvalues lose half their digits per
+coalescing level.  ``eig_dense`` (left and right eigenvectors with residual
+checks; LAPACK through scipy, or mpmath's QR in ``eigtriples_mp``) serves
+only the consumers of eigenvectors: degeneracy classification, the metric
+and the extended sweep.
 """
 
 from __future__ import annotations
@@ -52,6 +53,16 @@ class EigResult:
 def _sort_triples(values, right, left):
     order = np.lexsort((values.imag, values.real))
     return values[order], right[:, order], left[:, order]
+
+
+def eigvals_double(m) -> np.ndarray:
+    """Eigenvalues of a dense matrix in double precision, ascending (Re, Im).
+
+    The double twin of ``eigvals_mp``: LAPACK with no eigenvectors, in the
+    order in which ``eig_dense`` reports its values.
+    """
+    values = np.linalg.eigvals(as_array(m))
+    return values[np.lexsort((values.imag, values.real))]
 
 
 def _eig_double(a: np.ndarray):

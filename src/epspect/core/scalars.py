@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 
 EXTENDED_DPS = 30
 
@@ -74,6 +75,24 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, float):
         return Fraction(value)
     raise TypeError(f"cannot represent {type(value)!r} exactly")
+
+
+# --------------------------------------------------------------------------
+# reality test
+# --------------------------------------------------------------------------
+
+REALITY_RTOL = 1e-10
+
+
+def reality_flags(values, rtol: float = REALITY_RTOL) -> np.ndarray:
+    """Which eigenvalues count as real: |Im E| <= rtol * max(1, max |E|).
+
+    ``values`` is one spectrum or an (n, samples) array of tracks; the scale
+    is taken per column, i.e. per spectrum.
+    """
+    values = np.asarray(values)
+    scale = np.maximum(1.0, np.max(np.abs(values), axis=0, initial=0.0))
+    return np.abs(values.imag) <= rtol * scale
 
 
 # --------------------------------------------------------------------------

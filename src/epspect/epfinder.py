@@ -20,6 +20,7 @@ from scipy.optimize import linear_sum_assignment, minimize_scalar
 
 from .core import (
     CLUSTER_RTOL,
+    REALITY_RTOL,
     Polynomial,
     Precision,
     Tridiagonal,
@@ -31,10 +32,12 @@ from .core import (
     discriminant,
     discriminant_in_E,
     eig_dense,
+    eigvals_double,
     eigvals_mp,
     exact_matmul,
     exact_rank,
     poly_roots,
+    reality_flags,
     res_E,
     to_mp_matrix,
 )
@@ -47,15 +50,9 @@ from .sturmian import (
     secular_in_y,
 )
 
-REALITY_RTOL = 1e-10
 POLISH_SHRINK = 100.0  # accepted EPs must tighten at least this much
 POLISH_DPS = 40
 PERTURB_DPS = 30
-
-
-def reality_flags(values: np.ndarray, rtol: float = REALITY_RTOL) -> np.ndarray:
-    scale = max(1.0, float(np.max(np.abs(values))) if len(values) else 1.0)
-    return np.abs(np.asarray(values).imag) <= rtol * scale
 
 
 # --------------------------------------------------------------------------
@@ -86,10 +83,11 @@ class SweepResult:
 
 
 def _min_pairwise(values) -> float:
-    n = len(values)
-    return min(
-        abs(values[i] - values[j]) for i in range(n) for j in range(i + 1, n)
-    )
+    """Smallest distance between two of the values (at least two)."""
+    diff = np.subtract.outer(values, values)[np.triu_indices(len(values), 1)]
+    # hypot, not np.abs: the vectorized complex abs can differ from the
+    # scalar one in the last bit, which moves EP polishing minima
+    return float(np.min(np.hypot(diff.real, diff.imag)))
 
 
 def sweep(
@@ -104,7 +102,15 @@ def sweep(
     if samples < 2:
         raise ValueError("samples must be >= 2")
     grid = np.linspace(float(param_range[0]), float(param_range[1]), samples)
-    spectra = [eig_dense(model.matrix(p), precision=precision).values for p in grid]
+    if precision is Precision.DOUBLE:
+        spectra = [eigvals_double(model.matrix(p)) for p in grid]
+    elif precision is Precision.EXTENDED:
+        spectra = [
+            eig_dense(model.matrix(p), precision=Precision.EXTENDED).values
+            for p in grid
+        ]
+    else:
+        raise ValueError("sweep supports double or extended precision")
 
     n = len(spectra[0])
     tracks = np.zeros((n, samples), dtype=complex)
@@ -122,9 +128,7 @@ def sweep(
         if n > 1 and _min_pairwise(assigned) < 2.0 * float(np.max(step)):
             warnings[k] = True
 
-    flags = np.zeros_like(tracks, dtype=bool)
-    for k in range(samples):
-        flags[:, k] = reality_flags(tracks[:, k], rtol=reality_rtol)
+    flags = reality_flags(tracks, rtol=reality_rtol)
     info = model.describe() if hasattr(model, "describe") else {}
     return SweepResult(grid, tracks, flags, warnings, info)
 
@@ -421,7 +425,7 @@ def _degenerate_energies(s: SturmianFunction, p0):
 def _ep_locate_model(model, param_range, samples) -> list[CriticalPoint]:
     lo, hi = float(param_range[0]), float(param_range[1])
     grid = np.linspace(lo, hi, samples)
-    spectra = [eig_dense(model.matrix(p)).values for p in grid]
+    spectra = [eigvals_double(model.matrix(p)) for p in grid]
     gaps = np.array([_min_pairwise(v) for v in spectra])
     scale = max(1.0, max(float(np.max(np.abs(v))) for v in spectra))
 
@@ -440,13 +444,13 @@ def _ep_locate_model(model, param_range, samples) -> list[CriticalPoint]:
 
 def _polish_candidate(model, bracket, scale) -> CriticalPoint | None:
     def gap_double(p):
-        return _min_pairwise(eig_dense(model.matrix(p)).values)
+        return _min_pairwise(eigvals_double(model.matrix(p)))
 
     res = minimize_scalar(
         gap_double, bounds=bracket, method="bounded", options={"xatol": 1e-13}
     )
     p_dbl = float(res.x)
-    vals = eig_dense(model.matrix(p_dbl)).values
+    vals = eigvals_double(model.matrix(p_dbl))
     fallback = None
     for cluster in _merging_candidates(vals):
         radius_dbl = max(cluster.radius, 1e-300)
@@ -852,18 +856,18 @@ def perturbation_exponent(
 
     a = as_array(m)
     n = a.shape[0]
-    base = eig_dense(a)
+    base = eigvals_double(a)
     if at is not None:
-        center = min((c.center for c in base.clusters), key=lambda v: abs(v - at))
+        center = min((c.center for c in cluster_points(base)), key=lambda v: abs(v - at))
     elif order > 1:
-        candidates = _merging_candidates(base.values)
+        candidates = _merging_candidates(base)
         if not candidates or candidates[0].multiplicity < order:
             raise ValueError(
                 f"matrix does not show an eigenvalue cluster of size {order}"
             )
         center = candidates[0].center
     else:
-        center = min(base.values, key=abs)
+        center = min(base, key=abs)
 
     rng = np.random.default_rng(seed)
     logs = np.zeros((draws, len(eps)))
@@ -877,7 +881,7 @@ def perturbation_exponent(
                 with mp.workdps(PERTURB_DPS):
                     vals = [complex(v) for v in eigvals_mp(to_mp_matrix(pert))]
             else:
-                vals = list(eig_dense(pert).values)
+                vals = eigvals_double(pert)
             members = sorted(vals, key=lambda v: abs(v - center))[:order]
             split = max(abs(v - center) for v in members)
             logs[d, j] = math.log(split)

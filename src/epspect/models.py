@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Union
 
@@ -182,14 +183,14 @@ def hermitian_demo(n: int, t: float, seed: int) -> DenseMatrix:
     from ``numpy.random.default_rng(seed)``; exhibits avoided crossings of
     all eigenvalue curves as t sweeps an interval.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
     a, b = hermitian_demo_pencil(n, seed)
     return DenseMatrix(a + t * b)
 
 
 def hermitian_demo_pencil(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The (A, B) pair behind ``hermitian_demo``."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
     rng = np.random.default_rng(seed)
     g1 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     g2 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -275,8 +276,14 @@ class HermitianDemoModel:
 
     param = "t"
 
+    @cached_property
+    def _pencil(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A, B), drawn once per model and shared by every grid point."""
+        return hermitian_demo_pencil(self.n, self.seed)
+
     def matrix(self, t: float) -> np.ndarray:
-        return hermitian_demo(self.n, t, self.seed).a
+        a, b = self._pencil
+        return a + t * b
 
     def describe(self) -> dict:
         return {"model": "hermitian-demo", "n": self.n, "seed": self.seed, "param": "t"}

@@ -22,8 +22,9 @@ from .core import (
     Polynomial,
     as_fraction,
     charpoly_from_parts,
-    eig_dense,
+    eigvals_double,
     poly_roots,
+    reality_flags,
 )
 from .models import bc_matrix
 
@@ -300,7 +301,5 @@ def real_spectrum_at(n: int, y: float, r: float) -> RealSpectrum:
     |Im| <= 1e-10 * max(1, spectral scale).
     """
     z = y + 1j * cmath.sqrt(1.0 - r * r)
-    res = eig_dense(bc_matrix(n, z))
-    scale = max(1.0, float(np.max(np.abs(res.values))))
-    flags = np.abs(res.values.imag) <= 1e-10 * scale
-    return RealSpectrum(res.values, flags, abs(r) <= 1.0)
+    values = eigvals_double(bc_matrix(n, z))
+    return RealSpectrum(values, reality_flags(values), abs(r) <= 1.0)

@@ -21,13 +21,15 @@ from epspect.core import (
     discriminant,
     discriminant_in_E,
     eig_dense,
+    eigvals_double,
     eigvals_mp,
     poly_roots,
+    reality_flags,
     resultant,
     to_mp_matrix,
 )
 from epspect.epfinder import _disc_in_y_at_p, _fold_event_poly, _pole_collision_poly
-from epspect.models import EpnModel, bc_matrix, epn_exact_parts, epn_matrix
+from epspect.models import EpnModel, bc_matrix, epn_exact_parts, epn_matrix, hermitian_demo
 from epspect.sturmian import bivariate_secular
 
 
@@ -279,6 +281,40 @@ def test_eig_dense_matches_charpoly_roots_on_random_tridiagonals():
 def test_eig_dense_flags_near_degenerate_vectors():
     res = eig_dense(bc_matrix(6, 1j))
     assert res.low_confidence.sum() >= 2  # the merged pair at E = 2
+
+
+def _random_complex(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        epn_matrix(8, 0.5),
+        bc_matrix(6, -0.5 + 0.8j),
+        hermitian_demo(4, 0.3, 1),
+        _random_complex(7, 5),
+    ],
+    ids=["epn8", "bc6", "demo4", "random7"],
+)
+def test_eigvals_double_matches_eig_dense_values_in_order(m):
+    want = eig_dense(m).values
+    got = eigvals_double(m)
+    assert got.shape == want.shape
+    # index by index, so the (Re, Im) order must agree as well
+    assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want)))
+
+
+def test_reality_flags_scale_is_per_column():
+    # the same value 1 + 5e-9 i is real beside |E| = 100 (scale 100) and
+    # not real beside |E| = 1 (scale 1)
+    tracks = np.array([[100.0, 1.0], [1 + 5e-9j, 1 + 5e-9j]])
+    assert reality_flags(tracks).tolist() == [[True, True], [True, False]]
+    for k in range(2):
+        assert reality_flags(tracks[:, k]).tolist() == reality_flags(tracks)[:, k].tolist()
+    # the scale never drops below 1
+    assert reality_flags(np.array([0.0, 1e-11j, 2e-10j])).tolist() == [True, True, False]
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Static guard against dead code in the package (stdlib ``ast`` only).
 
-Three things fail the guard: an import a module never uses (package
+Four things fail the guard: an import a module never uses (package
 ``__init__.py`` files are exempt, their imports are re-exports), a
 ``_private`` top-level function that no module of the package references,
-and a module-level UPPER_CASE constant that no module of the package loads.
+a module-level UPPER_CASE constant that no module of the package loads, and
+an eigenvector solve whose eigenvalues are all that is read.
 """
 
 import ast
@@ -101,3 +102,32 @@ def test_no_unloaded_constants():
         and not (path.name == "cli.py" and target.id.startswith("EXIT_"))
     ]
     assert dead == []
+
+
+def _is_extended(call) -> bool:
+    return any(
+        kw.arg == "precision"
+        and isinstance(kw.value, ast.Attribute)
+        and kw.value.attr == "EXTENDED"
+        for kw in call.keywords
+    )
+
+
+def test_no_eigenvector_solve_for_values_only():
+    """``eig_dense(...).values`` computes left and right eigenvectors,
+    residuals and clusters only to drop them: in double precision the
+    eigenvalue-only primitive is ``eigvals_double``.  A call that names
+    ``precision=Precision.EXTENDED`` is exempt; the extended sweep keeps
+    mpmath's QR values."""
+    solves = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "values"
+        and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Name)
+        and node.value.func.id == "eig_dense"
+        and not _is_extended(node.value)
+    ]
+    assert solves == []

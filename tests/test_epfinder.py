@@ -6,10 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+from epspect.core import eig_dense
 from epspect.epfinder import (
     _disc_in_y_at_p,
     _fold_event_poly,
+    _min_pairwise,
     _pole_collision_poly,
     bc_reality_signature,
     classify_degeneracy,
@@ -19,7 +22,7 @@ from epspect.epfinder import (
     perturbation_exponent,
     sweep,
 )
-from epspect.models import EpnModel, HermitianDemoModel, bc_matrix, epn_matrix
+from epspect.models import BcModel, EpnModel, HermitianDemoModel, bc_matrix, epn_matrix
 from epspect.sturmian import bivariate_secular
 
 EPS_LADDER = [1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6]
@@ -73,6 +76,61 @@ def test_sweep_track_continuity():
 def test_sweep_requires_two_samples():
     with pytest.raises(ValueError):
         sweep(EpnModel(6), (0.0, 1.0), 1)
+
+
+def _pairwise_loop(values):
+    n = len(values)
+    return min(abs(values[i] - values[j]) for i in range(n) for j in range(i + 1, n))
+
+
+def test_min_pairwise_matches_the_double_loop():
+    rng = np.random.default_rng(8)
+    for n in (2, 3, 5, 9, 32):
+        for scale in (1e-6, 1.0, 1e4):
+            v = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            assert _min_pairwise(v) == _pairwise_loop(v)
+            assert _min_pairwise(v.real.astype(complex)) == _pairwise_loop(v.real.astype(complex))
+    repeated = np.array([1 + 2j, 3 - 1j, 1 + 2j, -4 + 0j])
+    assert _min_pairwise(repeated) == 0.0
+    assert _min_pairwise(np.array([0.5 + 0j, 2.0 + 1j])) == abs(1.5 + 1j)
+
+
+def _reference_sweep(model, param_range, samples):
+    """The sweep as one eigentriple solve per point and Python loops."""
+    grid = np.linspace(param_range[0], param_range[1], samples)
+    spectra = [eig_dense(model.matrix(p)).values for p in grid]
+    n = len(spectra[0])
+    tracks = np.zeros((n, samples), dtype=complex)
+    warnings = np.zeros(samples, dtype=bool)
+    tracks[:, 0] = spectra[0]
+    for k in range(1, samples):
+        prev, cur = tracks[:, k - 1], spectra[k]
+        rows, cols = linear_sum_assignment(np.abs(cur[None, :] - prev[:, None]))
+        tracks[:, k] = cur[cols[np.argsort(rows)]]
+        step = np.max(np.abs(tracks[:, k] - prev))
+        warnings[k] = _pairwise_loop(tracks[:, k]) < 2.0 * step
+    flags = np.zeros((n, samples), dtype=bool)
+    for k in range(samples):
+        col = tracks[:, k]
+        scale = max(1.0, float(np.max(np.abs(col))))
+        flags[:, k] = np.abs(col.imag) <= 1e-10 * scale
+    return tracks, flags, warnings
+
+
+@pytest.mark.parametrize(
+    "model, param_range, samples",
+    [(EpnModel(8), (-0.5, 0.5), 201), (BcModel(6, -0.5), (1.0, 0.0), 161)],
+    ids=["epn8-through-EP8", "bc6-y-0.5"],
+)
+def test_sweep_matches_per_point_eigentriple_reference(model, param_range, samples):
+    tracks, flags, warnings = _reference_sweep(model, param_range, samples)
+    res = sweep(model, param_range, samples)
+    assert np.max(np.abs(res.tracks - tracks)) <= 1e-12
+    assert np.array_equal(res.real_flags, flags)
+    assert np.array_equal(res.warnings, warnings)
+    # the windows cross the reality boundary and the ambiguous pairings
+    assert flags.any() and not flags.all()
+    assert warnings.any()
 
 
 # --------------------------------------------------------------------------

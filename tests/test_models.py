@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import epspect.models as models
 from epspect.core import eig_dense, poly_roots, charpoly_tridiag
 from epspect.models import (
     Circle,
     Explicit,
+    HermitianDemoModel,
     Robin,
     ShiftedCircle,
     bc_matrix,
@@ -183,6 +185,24 @@ def test_hermitian_demo_seed_reproducibility():
     c = hermitian_demo(5, 0.37, seed=10).a
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_hermitian_demo_model_draws_its_pencil_once(monkeypatch):
+    draws = []
+    pencil = models.hermitian_demo_pencil
+
+    def counted(n, seed):
+        draws.append((n, seed))
+        return pencil(n, seed)
+
+    monkeypatch.setattr(models, "hermitian_demo_pencil", counted)
+    ts = np.linspace(-1, 1, 21)
+    model = HermitianDemoModel(4, 1)
+    mats = [model.matrix(t) for t in ts]
+    assert draws == [(4, 1)]
+    monkeypatch.undo()
+    for t, m in zip(ts, mats):
+        assert np.array_equal(m, hermitian_demo(4, t, seed=1).a)
 
 
 def test_hermitian_demo_sweep_all_real_with_positive_gap():
