@@ -7,10 +7,11 @@ characteristic polynomial, built at twice the working dps because its
 coefficients are ill-conditioned, found by the mpmath Aberth iteration of
 ``poly`` from the double eigenvalues).  The extended tier matters close to
 a degeneracy, where double-precision eigenvalues lose half their digits per
-coalescing level.  ``eig_dense`` (left and right eigenvectors with residual
-checks; LAPACK through scipy, or mpmath's QR in ``eigtriples_mp``) serves
-only the consumers of eigenvectors: degeneracy classification, the metric
-and the extended sweep.
+coalescing level; the extended sweep, EP polishing and perturbation draws
+all read ``eigvals_mp``.  ``eig_dense`` (left and right eigenvectors with
+residual checks; LAPACK through scipy, or mpmath's QR in ``eigtriples_mp``)
+serves only the consumers of eigenvectors: degeneracy classification and
+the metric.
 """
 
 from __future__ import annotations
@@ -119,14 +120,17 @@ def eigvals_mp(m, seeds=None) -> list:
 
     Roots of the Berkowitz characteristic polynomial (coefficients at twice
     the working dps) by Aberth iteration from ``seeds``, by default the
-    double eigenvalues.  Raises ``ConvergenceError`` with the unconverged
-    subset if any root fails to lock; unpolished roots are never returned.
+    double eigenvalues.  The seeds are lifted off the real axis by
+    1e-3 * 2^-26 * (1 + |s|): from real seeds the iterates of a polynomial
+    with real coefficients stay real and never reach a complex pair.
+    Raises ``ConvergenceError`` with the unconverged subset if any root
+    fails to lock; unpolished roots are never returned.
     """
     with mp.workdps(2 * mp.mp.dps):
         coeffs = _berkowitz(m)
     if seeds is None:
         seeds = np.linalg.eigvals(from_mp_matrix(m))
-    z = [mp.mpc(s) for s in seeds]
+    z = [mp.mpc(s) + mp.mpc(0, 1e-3 * 2.0**-26 * (1 + abs(s))) for s in seeds]
     z, locked, _ = _aberth(coeffs, z, mp.eps, lambda t: float(abs(t)))
     if not all(locked):
         bad = [zi for zi, ok in zip(z, locked) if not ok]

@@ -62,12 +62,10 @@ class Tridiagonal:
         return True
 
     def to_array(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=complex)
-        for k, d in enumerate(self.diag):
-            a[k, k] = complex(to_double(d))
-        for k in range(self.n - 1):
-            a[k, k + 1] = complex(to_double(self.sup[k]))
-            a[k + 1, k] = complex(to_double(self.sub[k]))
+        a = np.diag(np.asarray(self.diag, dtype=complex))
+        k = np.arange(self.n - 1)
+        a[k, k + 1] = np.asarray(self.sup, dtype=complex)
+        a[k + 1, k] = np.asarray(self.sub, dtype=complex)
         return a
 
 

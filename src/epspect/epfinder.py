@@ -20,6 +20,7 @@ from scipy.optimize import linear_sum_assignment, minimize_scalar
 
 from .core import (
     CLUSTER_RTOL,
+    EXTENDED_DPS,
     REALITY_RTOL,
     Polynomial,
     Precision,
@@ -98,17 +99,20 @@ def sweep(
     reality_rtol: float = REALITY_RTOL,
     precision: Precision = Precision.DOUBLE,
 ) -> SweepResult:
-    """Continued eigenvalue tracks of ``model.matrix(p)`` over a grid."""
+    """Continued eigenvalue tracks of ``model.matrix(p)`` over a grid.
+
+    Extended precision reads the eigenvalue-only ``eigvals_mp`` at
+    ``EXTENDED_DPS``, from ``model.matrix_mp`` where the model has one.
+    """
     if samples < 2:
         raise ValueError("samples must be >= 2")
     grid = np.linspace(float(param_range[0]), float(param_range[1]), samples)
     if precision is Precision.DOUBLE:
         spectra = [eigvals_double(model.matrix(p)) for p in grid]
     elif precision is Precision.EXTENDED:
-        spectra = [
-            eig_dense(model.matrix(p), precision=Precision.EXTENDED).values
-            for p in grid
-        ]
+        with mp.workdps(EXTENDED_DPS):
+            values = [np.array(_mp_eigvals(model, p, None), dtype=complex) for p in grid]
+        spectra = [v[np.lexsort((v.imag, v.real))] for v in values]
     else:
         raise ValueError("sweep supports double or extended precision")
 
@@ -327,9 +331,7 @@ def ep_locate_1d(target, param_range: tuple[float, float], *, samples: int = 201
 
 
 def _ep_locate_sturmian(s: SturmianFunction, r_range) -> list[CriticalPoint]:
-    lo, hi = float(r_range[0]), float(r_range[1])
-    if lo > hi:
-        lo, hi = hi, lo
+    lo, hi = sorted((float(r_range[0]), float(r_range[1])))
     p_lo = 0.0 if lo <= 0.0 <= hi else min(lo * lo, hi * hi)
     p_hi = max(lo * lo, hi * hi)
 
@@ -337,26 +339,15 @@ def _ep_locate_sturmian(s: SturmianFunction, r_range) -> list[CriticalPoint]:
     if d.is_zero:
         raise ValueError("discriminant vanishes identically; family is degenerate")
 
-    roots_p: list[Fraction | float] = []
-    if d.coeffs[0] == 0 and p_lo <= 0.0 <= p_hi:
-        roots_p.append(Fraction(0))
-    dd = d
-    while dd.coeffs[0] == 0 and dd.degree >= 1:
-        dd = Polynomial(dd.coeffs[1:])
-    for p0, _ in _real_roots(dd, p_lo - 1e-12, p_hi + 1e-12):
-        roots_p.append(_newton_polish_real(dd, p0))
-
     points = []
-    for p0 in roots_p:
-        for energy, mult in _degenerate_energies(s, p0):
-            r0 = math.sqrt(float(p0)) if float(p0) >= 0 else float("nan")
-            if math.isnan(r0):
-                continue
-            r_here = r0 if lo <= r0 <= hi else (-r0 if lo <= -r0 <= hi else None)
-            if r_here is None:
-                continue
-            z = z_value(ShiftedCircle(float(s.y), r_here))
-            cls = classify_degeneracy(bc_matrix(s.n, z), energy)
+    for p0 in _roots_in_window(d.exact_div(d.gcd(d.derivative())), p_lo, p_hi):
+        r0 = math.sqrt(p0)
+        r_here = r0 if lo <= r0 <= hi else (-r0 if lo <= -r0 <= hi else None)
+        if r_here is None:
+            continue
+        m = bc_matrix(s.n, z_value(ShiftedCircle(float(s.y), r_here)))
+        for energy in _degenerate_energies(s, p0):
+            cls = classify_degeneracy(m, energy)
             resid = dict(cls.residuals)
             resid["disc_residual"] = abs(d.to_double()(complex(p0)))
             points.append(
@@ -400,26 +391,19 @@ def _eval_exact_mp(p: Polynomial, x):
     return acc
 
 
-def _degenerate_energies(s: SturmianFunction, p0):
+def _degenerate_energies(s: SturmianFunction, p0) -> list[complex]:
     """Repeated E-roots of the secular polynomial at one parameter value."""
-    out = []
-    if isinstance(p0, (int, Fraction)):
-        poly = s.poly_at(Fraction(p0))
+    if isinstance(p0, Fraction):
+        poly = s.poly_at(p0)
         g = poly.gcd(poly.derivative())
         if g.degree == 1:
-            e = -Fraction(g.coeffs[0]) / Fraction(g.coeffs[1])
-            out.append((complex(float(e)), None))
-            return out
+            return [complex(float(-Fraction(g.coeffs[0]) / Fraction(g.coeffs[1])))]
         if g.degree >= 2:
-            for c in poly_roots(g.to_double()).clusters:
-                out.append((c.center, c.multiplicity))
-            return out
-        return out
+            return [c.center for c in poly_roots(g.to_double()).clusters]
+        return []
     poly = s.poly_at(float(p0))
-    for c in poly_roots(poly, precision=Precision.EXTENDED).clusters:
-        if c.multiplicity >= 2:
-            out.append((c.center, c.multiplicity))
-    return out
+    clusters = poly_roots(poly, precision=Precision.EXTENDED).clusters
+    return [c.center for c in clusters if c.multiplicity >= 2]
 
 
 def _ep_locate_model(model, param_range, samples) -> list[CriticalPoint]:
@@ -603,6 +587,8 @@ def ep_locate_2d_bc(n: int, y_range: tuple[float, float]) -> list[CriticalPoint]
     root shared by several polynomials is tried on merge, pole and fold in
     that order and yields at most one event.
 
+    A pole-owned root is always a ``sturmian-pole``, with its crossing
+    coupling p* = -A'(E*)/B'(E*) in the residuals; no sampling decides it.
     The reality signatures sampled at y* - 1e-4 and y* + 1e-4 only label an
     event (``tracks``, or ``appearing``/``vanishing`` for poles, read
     walking y downward through it); they never create or remove one.  The
@@ -614,7 +600,7 @@ def ep_locate_2d_bc(n: int, y_range: tuple[float, float]) -> list[CriticalPoint]
         (
             (y, polishers)
             for piece, polishers in _event_pieces(n)
-            for y in _roots_in_window(piece, lo, hi)
+            for y in map(float, _roots_in_window(piece, lo, hi))
         ),
         key=lambda c: c[0],
     )
@@ -661,18 +647,19 @@ def _event_pieces(n: int) -> list[tuple[Polynomial, tuple]]:
     return pieces
 
 
-def _roots_in_window(piece: Polynomial, lo: float, hi: float) -> list[float]:
+def _roots_in_window(piece: Polynomial, lo: float, hi: float) -> list[Fraction | float]:
     """Real roots in [lo, hi] of a square-free exact polynomial.
 
     Each is Newton-polished on the polynomial itself, where every root is
-    simple.  A root on an endpoint is found by exact evaluation and
-    deflated, so the polish cannot move it out of the window.
+    simple.  A root on an endpoint is found by exact evaluation, returned
+    as that exact ``Fraction`` and deflated, so the polish cannot move it
+    out of the window.
     """
     roots = []
     for end in sorted({lo, hi}):
         e = as_fraction(end)
         if piece(e) == 0:
-            roots.append(end)
+            roots.append(e)
             piece = piece.exact_div(Polynomial([-e, 1]))
     polished = (_newton_polish_real(piece, y0) for y0, _ in _real_roots(piece))
     return roots + [y for y in polished if lo <= y <= hi]
@@ -707,32 +694,33 @@ def _polish_merge_event(n, y_star, below, above) -> CriticalPoint | None:
     )
 
 
-def _polish_pole_event(n, y_star, below, above) -> CriticalPoint | None:
-    """A reality exchange through a pole of the coupling function."""
-    s = bivariate_secular(n, as_fraction(y_star))
-    poles = [e for e, _ in _real_roots(s.B)]
-    a_dbl = s.A.to_double()
-    energy = min(poles, key=lambda e: abs(a_dbl(complex(e)))) if poles else float("nan")
+def _polish_pole_event(n, y_star, below, above) -> CriticalPoint:
+    """A reality exchange through a pole of the coupling function.
 
-    # a pole event must NOT coincide with a level merger at the same energy;
-    # probed a touch off y* because exactly there the persistent eigenvalue
-    # line produces a spurious degenerate crossing of its own
-    disc_clash = False
-    for offset in (-1e-6, 1e-6):
-        s_probe = bivariate_secular(n, as_fraction(y_star + offset))
-        d = discriminant_in_E(s_probe.secular)
-        for p0, _ in _real_roots(d, -1e-9, 1.0 + 1e-9):
-            for e, _ in _degenerate_energies(s_probe, float(p0)):
-                if abs(e - energy) <= 5e-3 * (1 + abs(energy)):
-                    disc_clash = True
-    kind = "indeterminate" if disc_clash else "sturmian-pole"
+    At a root y* of Res_E(A_y, B) the numerator A_y* and the denominator B
+    share a real root E*: an eigenvalue that stays put for every coupling.
+    B is the characteristic polynomial of the interior Hermitian chain, so
+    its roots are real and simple, and E* is the one where A_y* vanishes.
+    A root shared with the merge polynomial is tried as a merger first, so
+    every root that reaches this polisher is a pole.  Its
+    ``crossing_coupling`` p* = -A'(E*)/B'(E*) is the coupling at which the
+    moving branch of r^2(E) passes through the persistent line.
+    """
+    s = bivariate_secular(n, as_fraction(y_star))
+    a_dbl = s.A.to_double()
+    energy = min((e for e, _ in _real_roots(s.B)), key=lambda e: abs(a_dbl(complex(e))))
+    slope_a = s.A.derivative().to_double()(complex(energy))
+    slope_b = s.B.derivative().to_double()(complex(energy))
     resid = {
         "appearing": tuple(sorted(below - above)),
         "vanishing": tuple(sorted(above - below)),
         "numerator_at_pole": abs(a_dbl(complex(energy))),
+        "crossing_coupling": float((-slope_a / slope_b).real),
         "resultant_residual": abs(_pole_collision_poly(n).to_double()(complex(y_star))),
     }
-    return CriticalPoint({"y": y_star, "r": float("nan")}, complex(energy), kind, 1, resid)
+    return CriticalPoint(
+        {"y": y_star, "r": float("nan")}, complex(energy), "sturmian-pole", 1, resid
+    )
 
 
 def _polish_fold_event(n, y_star, below, above) -> CriticalPoint | None:

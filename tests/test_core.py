@@ -148,6 +148,21 @@ def test_charpoly_matches_cofactor_on_random_exact_tridiagonals():
             assert got == want
 
 
+def test_tridiagonal_to_array_converts_every_entry_type():
+    diag = (Fraction(1, 3), 2, 2.5, 1 - 2j, mp.mpf("0.25"))
+    sup = (mp.mpc(1, -1), Fraction(-1, 7), -0.0, 3)
+    sub = (-1, 1j, mp.mpf(3), Fraction(5, 2))
+    want = np.zeros((5, 5), dtype=complex)
+    for k in range(5):
+        want[k, k] = complex(diag[k])
+    for k in range(4):
+        want[k, k + 1] = complex(sup[k])
+        want[k + 1, k] = complex(sub[k])
+    got = Tridiagonal(diag, sup, sub).to_array()
+    assert got.dtype == complex and got.tobytes() == want.tobytes()
+    assert Tridiagonal((Fraction(3),), (), ()).to_array().tolist() == [[3]]
+
+
 # --------------------------------------------------------------------------
 # polynomial roots
 # --------------------------------------------------------------------------
@@ -364,6 +379,14 @@ def test_eigvals_mp_resolves_epn6_exceptional_point():
             center = mp.fsum(ev) / len(ev)
             assert abs(center) < 1e-5
             assert max(abs(v - center) for v in ev) < 1e-5
+
+
+def test_eigvals_mp_reaches_a_complex_pair_from_real_seeds():
+    # real seeds of a real polynomial keep every Aberth iterate real
+    with mp.workdps(30):
+        m = mp.matrix([[0, -1], [1, 0]])
+        ev = sorted(eigvals_mp(m, [0.5, -0.5]), key=lambda v: v.imag)
+    assert abs(ev[0] + 1j) < 1e-25 and abs(ev[1] - 1j) < 1e-25
 
 
 def test_eigvals_mp_raises_on_unconverged_roots(monkeypatch):

@@ -104,21 +104,11 @@ def test_no_unloaded_constants():
     assert dead == []
 
 
-def _is_extended(call) -> bool:
-    return any(
-        kw.arg == "precision"
-        and isinstance(kw.value, ast.Attribute)
-        and kw.value.attr == "EXTENDED"
-        for kw in call.keywords
-    )
-
-
 def test_no_eigenvector_solve_for_values_only():
     """``eig_dense(...).values`` computes left and right eigenvectors,
-    residuals and clusters only to drop them: in double precision the
-    eigenvalue-only primitive is ``eigvals_double``.  A call that names
-    ``precision=Precision.EXTENDED`` is exempt; the extended sweep keeps
-    mpmath's QR values."""
+    residuals and clusters only to drop them: the eigenvalue-only
+    primitives are ``eigvals_double`` and, in extended precision,
+    ``eigvals_mp``."""
     solves = [
         f"{path.relative_to(PACKAGE)}:{node.lineno}"
         for path in MODULES
@@ -128,6 +118,5 @@ def test_no_eigenvector_solve_for_values_only():
         and isinstance(node.value, ast.Call)
         and isinstance(node.value.func, ast.Name)
         and node.value.func.id == "eig_dense"
-        and not _is_extended(node.value)
     ]
     assert solves == []

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from epspect.core import eig_dense
+from epspect.core import Precision, eig_dense
 from epspect.epfinder import (
     _disc_in_y_at_p,
     _fold_event_poly,
@@ -133,6 +133,33 @@ def test_sweep_matches_per_point_eigentriple_reference(model, param_range, sampl
     assert warnings.any()
 
 
+def _matched_distance(got, want):
+    """Largest distance between two spectra after min-cost matching."""
+    cost = np.abs(got[:, None] - want[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
+
+
+@pytest.mark.parametrize(
+    "model, param_range, samples",
+    [(EpnModel(6), (-0.5, 1.0), 6), (BcModel(5, -0.5), (1.0, 0.0), 6)],
+    ids=["epn6", "bc5-y-0.5"],
+)
+def test_extended_sweep_matches_mpmath_qr_values(model, param_range, samples):
+    # the index order may differ where real parts tie (t < 0 for epn), so
+    # each grid point is compared as a matched set
+    res = sweep(model, param_range, samples, precision=Precision.EXTENDED)
+    for k, p in enumerate(res.grid):
+        want = eig_dense(model.matrix(p), precision=Precision.EXTENDED).values
+        assert _matched_distance(res.tracks[:, k], want) <= 1e-12, p
+
+
+def test_extended_sweep_converges_through_maximal_ep():
+    res = sweep(EpnModel(8), (-0.2, 0.2), 5, precision=Precision.EXTENDED)
+    assert abs(res.grid[2]) < 1e-15
+    assert np.all(np.isfinite(res.tracks))
+
+
 # --------------------------------------------------------------------------
 # classification
 # --------------------------------------------------------------------------
@@ -237,6 +264,23 @@ def test_locate_epn6_finds_maximal_ep():
     assert pt.residuals["polish_shrink"] >= 100
 
 
+@pytest.mark.parametrize("n, y", [(3, -0.5), (5, -0.5), (6, 0)])
+def test_matrix_and_sturmian_paths_agree(n, y):
+    # at n=3, y=-0.5 the golden-section polish hands Aberth real seeds
+    # (the previous roots) next to the complex pair 3 +- 3.9e-6i
+    matrix = ep_locate_1d(BcModel(n, y), (-1, 1))
+    exact = ep_locate_1d(bivariate_secular(n, y), (-1, 1))
+
+    def verdicts(points):
+        return {(round(abs(p.params["r"]), 6), p.kind, p.order) for p in points}
+
+    # the matrix path reports both mirrors +-r, the Sturmian path one of them
+    assert verdicts(matrix) == verdicts(exact)
+    for p in matrix:
+        q = next(q for q in exact if abs(abs(q.params["r"]) - abs(p.params["r"])) < 1e-6)
+        assert abs(p.energy - q.energy) <= 1e-6
+
+
 def test_locate_hermitian_demo_finds_nothing():
     assert [
         p
@@ -268,6 +312,7 @@ def test_scan_y_locates_pole_event():
     (pt,) = poles
     assert pt.params["y"] == pytest.approx(-0.7071, abs=0.002)
     assert pt.energy.real == pytest.approx(2 + math.sqrt(2), abs=1e-6)
+    assert pt.residuals["crossing_coupling"] == pytest.approx(0.25)
 
 
 def test_scan_y_events_do_not_depend_on_the_window():
@@ -280,6 +325,23 @@ def test_scan_y_events_do_not_depend_on_the_window():
             and q.order == p.order
             and abs(q.params["y"] - p.params["y"]) <= 1e-9
             for q in wide
+        ), p
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_scan_y_events_mirror_under_y_to_minus_y(n):
+    # R(n, -conj z) is similar to 4 - R(n, z) (reverse the basis, flip
+    # alternate signs), so an event at (y, E) has a mirror at (-y, 4 - E)
+    # with the same kind and order
+    events = ep_locate_2d_bc(n, (-1.0, 1.0))
+    assert all(p.kind != "indeterminate" for p in events)
+    for p in events:
+        assert any(
+            q.kind == p.kind
+            and q.order == p.order
+            and abs(q.params["y"] + p.params["y"]) <= 1e-9
+            and abs(q.energy.real - (4 - p.energy.real)) <= 1e-9
+            for q in events
         ), p
 
 
