@@ -151,10 +151,16 @@ def _write_sweep_csv(out: Path, result, param: str) -> None:
     print(out)
 
 
-def _cmd_sweep(args, parser) -> int:
+def _family_model(args, parser):
+    """The model behind --model, refusing a --param the family does not sweep."""
     model = _make_model(args.model, args.n, args.y, args.seed)
     if args.model != "hermitian-demo" and args.param not in (None, model.param):
         parser.error(f"the {args.model} family sweeps the parameter {model.param}")
+    return model
+
+
+def _cmd_sweep(args, parser) -> int:
+    model = _family_model(args, parser)
     result = sweep(model, args.range, args.samples, precision=Precision(args.precision))
     out = Path(args.output or "sweep.csv")
     if args.format == "csv":
@@ -264,17 +270,14 @@ def _cmd_find_ep(args, parser) -> int:
         "range": f"{args.range[0]}:{args.range[1]}",
         "scan_y": args.scan_y or None,
     }
+    model = _family_model(args, parser)
     if args.scan_y:
         if args.model != "bc":
             parser.error("--scan-y only applies to the bc family")
         points = ep_locate_2d_bc(args.n, args.range)
-    elif args.model == "bc":
-        s = bivariate_secular(args.n, args.y or 0.0)
-        points = ep_locate_1d(s, args.range)
-    elif args.model == "epn":
-        points = ep_locate_1d(EpnModel(args.n), args.range)
     else:
-        parser.error("find-ep supports the bc and epn families")
+        target = bivariate_secular(args.n, model.y) if args.model == "bc" else model
+        points = ep_locate_1d(target, args.range)
 
     out = Path(args.output or "critical_points.json")
     write_json(
@@ -505,10 +508,24 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _check_values(args, parser) -> None:
+    """Refuse, as usage errors, flag values that no command can run with."""
+    if getattr(args, "n", 2) < 2:
+        parser.error("--n must be at least 2")
+    if getattr(args, "samples", 2) < 2:
+        parser.error("--samples must be at least 2")
+    kappa = getattr(args, "kappa", None)
+    if kappa is not None and (len(kappa) != args.n or min(kappa) <= 0):
+        parser.error(f"--kappa needs {args.n} positive weights")
+    if args.command == "sturmian" and args.range[1] <= args.range[0]:
+        parser.error("--range needs lo < hi")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = parser.parse_args(_join_negative_values(argv))
+    _check_values(args, parser)
     try:
         return args.func(args, parser)
     except (DegenerateBasisError, ComplexSpectrumError, MetricConstructionError) as exc:

@@ -498,6 +498,13 @@ class BivariateSecular:
     def degree(self) -> int:
         return self.A.degree
 
+    @property
+    def coefficients(self) -> list[Polynomial]:
+        """E-coefficients A_k + p B_k, each an exact polynomial in p."""
+        a = list(self.A.coeffs)
+        b = list(self.B.coeffs) + [0] * (len(a) - len(self.B.coeffs))
+        return [Polynomial([Fraction(ak), Fraction(bk)]) for ak, bk in zip(a, b)]
+
     def poly_at(self, p0) -> Polynomial:
         """Specialize the parameter; exact when p0 and the coefficients are."""
         if isinstance(p0, ExactTypes) and self.A.mode is Precision.EXACT:
@@ -516,7 +523,4 @@ def discriminant_in_E(s: BivariateSecular) -> Polynomial:
     """
     if s.A.mode is not Precision.EXACT or s.B.mode is not Precision.EXACT:
         raise TypeError("discriminant_in_E requires exact coefficients")
-    # coefficient of E^k as a polynomial in p
-    a = list(s.A.coeffs)
-    b = list(s.B.coeffs) + [0] * (len(a) - len(s.B.coeffs))
-    return disc_E([Polynomial([Fraction(ak), Fraction(bk)]) for ak, bk in zip(a, b)])
+    return disc_E(s.coefficients)

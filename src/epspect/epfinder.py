@@ -1,14 +1,15 @@
 """Location and classification of spectral degeneracies.
 
-Detection runs in double precision; every candidate is re-polished under
-mpmath and only accepted as an exceptional point if its eigenvalue cluster
-shrinks by at least two orders of magnitude under polishing.  That chain is
-what separates a true non-Hermitian degeneracy from the rounding fog that
-surrounds one in double arithmetic.
+Where a family has an exact secular polynomial, the real roots of its
+discriminant decide.  Elsewhere detection runs in double precision; every
+candidate is re-polished under mpmath and only accepted as an exceptional
+point if its eigenvalue cluster shrinks by at least two orders of magnitude,
+which separates a true degeneracy from the rounding fog around one.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,7 +32,6 @@ from .core import (
     cluster_points,
     disc_E,
     discriminant,
-    discriminant_in_E,
     eig_dense,
     eigvals_double,
     eigvals_mp,
@@ -42,7 +42,7 @@ from .core import (
     res_E,
     to_mp_matrix,
 )
-from .models import BcModel, ShiftedCircle, bc_matrix, z_value
+from .models import BcModel, EpnModel, ShiftedCircle, bc_matrix, epn_secular, z_value
 from .sturmian import (
     SturmianFunction,
     _real_roots,
@@ -315,61 +315,84 @@ def _mp_eigvals(model, p, seeds):
 def ep_locate_1d(target, param_range: tuple[float, float], *, samples: int = 201):
     """All exceptional points of a one-parameter family inside a range.
 
-    ``target`` is either a SturmianFunction (parameter r, handled exactly
-    through the discriminant of the secular polynomial) or a swept model
-    with a ``matrix(p)`` method (handled by gap minimization plus
-    extended-precision polishing).
-
-    The coupling enters only through p = r^2, so the two mirror locations
-    +-r carry one critical point each way; the result keeps a single
-    representative per discriminant zero (the nonnegative r when the range
-    allows it).
+    The two solvable families are located exactly (``_ep_locate_exact``): a
+    SturmianFunction in r, where lam = r^2, and an EpnModel in t, where
+    lam = (1 - t)^2.  Any other swept model with a ``matrix(p)`` method is
+    handled by gap minimization plus extended-precision polishing.
     """
     if isinstance(target, SturmianFunction):
-        return _ep_locate_sturmian(target, param_range)
+        model = BcModel(target.n, float(target.y))
+        coeffs, shift = target.secular.coefficients, lambda lam: 0.0
+        return _ep_locate_exact(model, coeffs, lambda mu: mu, shift, param_range)
+    if isinstance(target, EpnModel):
+        coeffs, shift = epn_secular(target.n), lambda lam: 8 * cmath.sqrt(1 - lam)
+        return _ep_locate_exact(target, coeffs, lambda mu: 1 - mu, shift, param_range)
     return _ep_locate_model(target, param_range, samples)
 
 
-def _ep_locate_sturmian(s: SturmianFunction, r_range) -> list[CriticalPoint]:
-    lo, hi = sorted((float(r_range[0]), float(r_range[1])))
-    p_lo = 0.0 if lo <= 0.0 <= hi else min(lo * lo, hi * hi)
-    p_hi = max(lo * lo, hi * hi)
+def _ep_locate_exact(model, coeffs, to_param, shift, param_range) -> list[CriticalPoint]:
+    """Every real root lam of the square-free discriminant in the window.
 
-    d = discriminant_in_E(s.secular)
+    ``coeffs`` are the E-coefficients of the secular polynomial, exact
+    polynomials in lam = mu^2; it is the characteristic polynomial of
+    ``model.matrix`` in E - shift(lam).  ``to_param`` maps mu to the swept
+    parameter and back.  The mirror locations +-mu carry one critical point
+    each way; one representative is kept, mu = +sqrt(lam) when the range
+    allows it.
+    """
+    lo, hi = sorted((float(param_range[0]), float(param_range[1])))
+    mu_lo, mu_hi = sorted((to_param(lo), to_param(hi)))
+    lam_lo = 0.0 if mu_lo <= 0.0 <= mu_hi else min(mu_lo * mu_lo, mu_hi * mu_hi)
+    lam_hi = max(mu_lo * mu_lo, mu_hi * mu_hi)
+    d = disc_E(list(coeffs))
     if d.is_zero:
         raise ValueError("discriminant vanishes identically; family is degenerate")
 
     points = []
-    for p0 in _roots_in_window(d.exact_div(d.gcd(d.derivative())), p_lo, p_hi):
-        r0 = math.sqrt(p0)
-        r_here = r0 if lo <= r0 <= hi else (-r0 if lo <= -r0 <= hi else None)
-        if r_here is None:
+    for lam in _roots_in_window(d.exact_div(d.gcd(d.derivative())), lam_lo, lam_hi):
+        mu = math.sqrt(lam)
+        param = next((p for p in (to_param(mu), to_param(-mu)) if lo <= p <= hi), None)
+        if param is None:
             continue
-        m = bc_matrix(s.n, z_value(ShiftedCircle(float(s.y), r_here)))
-        for energy in _degenerate_energies(s, p0):
-            cls = classify_degeneracy(m, energy)
-            resid = dict(cls.residuals)
-            resid["disc_residual"] = abs(d.to_double()(complex(p0)))
-            points.append(
-                CriticalPoint(
-                    {"y": float(s.y), "r": r_here},
-                    energy,
-                    cls.kind,
-                    cls.algebraic,
-                    resid,
-                )
-            )
+        params = {"y": model.y, "r": param} if isinstance(model, BcModel) else {"t": param}
+        matrix = model.matrix(param)
+        for energy, order, kind, resid in _repeated_roots(coeffs, lam, matrix, shift(lam)):
+            resid["disc_residual"] = abs(float(d(as_fraction(lam))))
+            points.append(CriticalPoint(params, energy, kind, order, resid))
     return points
+
+
+def _repeated_roots(coeffs, root, matrix, shift=0.0) -> list[tuple]:
+    """(energy, order, kind, residuals) of each repeated root at one exact event.
+
+    ``root`` is a real root of the discriminant of the secular polynomial
+    with E-coefficients ``coeffs``, the characteristic polynomial of
+    ``matrix`` in E - ``shift``.  The algebraic multiplicity is the size of
+    an extended-precision root cluster of that polynomial evaluated exactly
+    at ``as_fraction(root)`` (a float root splits a double root by
+    ~sqrt(rounding), below tolerance); the geometric one comes from the
+    singular values of M - E I.
+    """
+    poly = Polynomial([k(as_fraction(root)) for k in coeffs])
+    found = []
+    for c in poly_roots(poly, precision=Precision.EXTENDED).clusters:
+        if c.multiplicity < 2:
+            continue
+        energy = c.center + shift
+        geo, sv, _ = _geometric_multiplicity(matrix, energy)
+        resid = {"cluster_radius": c.radius, "rank_defect": geo, "sigma_min": float(sv[-1])}
+        found.append((energy, c.multiplicity, "ep" if geo == 1 else "diabolic", resid))
+    return found
 
 
 def _newton_polish_real(p: Polynomial, x0: float) -> float:
     """Polish a real root of an exact polynomial under mpmath."""
-    dp = p.derivative()
     with mp.workdps(POLISH_DPS):
+        f, df = p.to_extended(), p.derivative().to_extended()
         x = mp.mpf(x0)
         for _ in range(60):
-            fx = _eval_exact_mp(p, x)
-            dfx = _eval_exact_mp(dp, x)
+            fx = f(x)
+            dfx = df(x)
             if dfx == 0:
                 break
             step = fx / dfx
@@ -377,33 +400,6 @@ def _newton_polish_real(p: Polynomial, x0: float) -> float:
             if abs(step) <= mp.mpf(10) ** (-POLISH_DPS + 4) * (1 + abs(x)):
                 break
         return float(x)
-
-
-def _eval_exact_mp(p: Polynomial, x):
-    acc = mp.mpf(0)
-    for c in reversed(p.coeffs):
-        cc = (
-            mp.mpf(c.numerator) / c.denominator
-            if isinstance(c, Fraction)
-            else mp.mpf(c)
-        )
-        acc = acc * x + cc
-    return acc
-
-
-def _degenerate_energies(s: SturmianFunction, p0) -> list[complex]:
-    """Repeated E-roots of the secular polynomial at one parameter value."""
-    if isinstance(p0, Fraction):
-        poly = s.poly_at(p0)
-        g = poly.gcd(poly.derivative())
-        if g.degree == 1:
-            return [complex(float(-Fraction(g.coeffs[0]) / Fraction(g.coeffs[1])))]
-        if g.degree >= 2:
-            return [c.center for c in poly_roots(g.to_double()).clusters]
-        return []
-    poly = s.poly_at(float(p0))
-    clusters = poly_roots(poly, precision=Precision.EXTENDED).clusters
-    return [c.center for c in clusters if c.multiplicity >= 2]
 
 
 def _ep_locate_model(model, param_range, samples) -> list[CriticalPoint]:
@@ -668,30 +664,16 @@ def _roots_in_window(piece: Polynomial, lo: float, hi: float) -> list[Fraction |
 def _polish_merge_event(n, y_star, below, above) -> CriticalPoint | None:
     """A level merger at r = 0 on a root y* of the exact discriminant.
 
-    The double root of the secular polynomial at y* fixes the energy and
-    the algebraic multiplicity; the geometric one comes from the singular
-    values of M - E I, as in ``_polish_candidate``.
+    The secular polynomial at r = 0, as a polynomial in y, is classified at
+    y* by ``_repeated_roots``, like every root of the exact 1-D locator.
     """
-    s = bivariate_secular(n, as_fraction(y_star))
-    # the polished y is a float, so the exact pair is split by
-    # ~sqrt(rounding); the extended pass resolves it below tolerance
-    clusters = poly_roots(s.poly_at(Fraction(0)), precision=Precision.EXTENDED).clusters
-    merged = [c for c in clusters if c.multiplicity >= 2]
-    if not merged:
+    found = _repeated_roots(secular_in_y(n), y_star, BcModel(n, y_star).matrix(0.0))
+    if not found:
         return None
-    cluster = merged[0]
-    geo, sv, _ = _geometric_multiplicity(BcModel(n, y_star).matrix(0.0), cluster.center)
-    resid = {
-        "cluster_radius": cluster.radius,
-        "rank_defect": geo,
-        "sigma_min": float(sv[-1]),
-        "tracks": tuple(sorted(below ^ above)),
-        "disc_residual": abs(_disc_in_y_at_p(n, 0).to_double()(complex(y_star))),
-    }
-    kind = "ep" if geo == 1 else "diabolic"
-    return CriticalPoint(
-        {"y": y_star, "r": 0.0}, cluster.center, kind, cluster.multiplicity, resid
-    )
+    energy, order, kind, resid = found[0]
+    resid["tracks"] = tuple(sorted(below ^ above))
+    resid["disc_residual"] = abs(_disc_in_y_at_p(n, 0).to_double()(complex(y_star)))
+    return CriticalPoint({"y": y_star, "r": 0.0}, energy, kind, order, resid)
 
 
 def _polish_pole_event(n, y_star, below, above) -> CriticalPoint:

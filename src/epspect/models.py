@@ -14,12 +14,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from typing import Union
 
 import numpy as np
 
-from .core import Tridiagonal, DenseMatrix, as_fraction
+from .core import DenseMatrix, Polynomial, Tridiagonal
 
 
 # --------------------------------------------------------------------------
@@ -122,42 +121,27 @@ def epn_matrix(n: int, t: float) -> Tridiagonal:
     return Tridiagonal(diag, sup, sub)
 
 
-def epn_exact_parts(n: int, t) -> tuple[tuple | None, tuple]:
-    """Exact diagonal and off-diagonal products for rational t.
+def epn_secular(n: int) -> tuple[Polynomial, ...]:
+    """E-coefficients of det(M(t) - E) in u = E - 8*sqrt(1 - q), q = (1 - t)^2.
 
-    The products sup_k*sub_k = -(k+1)(n-k-1)*tau^2 are rational for every
-    rational t and feed the exact characteristic-polynomial recurrence.
-    The diagonal is only rational when 8*sqrt(1 - tau^2) is (t = 0 or 2
-    give 0, t = 1 gives 8); otherwise None is returned for it.
+    The shift is common to the whole diagonal, so in u the minor recurrence
+    runs over Q[q] with diagonal 2k - n + 1 and products -(k+1)(n-k-1)*q;
+    coefficient k of the returned tuple is the exact polynomial in q that
+    multiplies u^k.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    t = as_fraction(t)
-    tau = 1 - t
-    tau2 = tau * tau
-    products = tuple(
-        -Fraction(_epn_weight_sq(n, k)) * tau2 for k in range(n - 1)
-    )
-    inside = 1 - tau2
-    diag = None
-    if inside == 0:
-        diag = tuple(Fraction(2 * k - n + 1) for k in range(n))
-    else:
-        root = _fraction_sqrt(inside)
-        if root is not None:
-            diag = tuple(Fraction(2 * k - n + 1) + 8 * root for k in range(n))
-    return diag, products
-
-
-def _fraction_sqrt(q: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None."""
-    if q < 0:
-        return None
-    num = math.isqrt(q.numerator)
-    den = math.isqrt(q.denominator)
-    if num * num == q.numerator and den * den == q.denominator:
-        return Fraction(num, den)
-    return None
+    prev, cur = (), (Polynomial([1]),)
+    for k in range(n):
+        d = Polynomial([2 * k - n + 1])
+        nxt = [d * c for c in cur] + [Polynomial.zero()]
+        for j, c in enumerate(cur):
+            nxt[j + 1] = nxt[j + 1] - c
+        w = Polynomial([0, _epn_weight_sq(n, k - 1)])
+        for j, c in enumerate(prev):
+            nxt[j] = nxt[j] + w * c
+        prev, cur = cur, tuple(nxt)
+    return cur
 
 
 def bc_matrix(n: int, z: complex) -> Tridiagonal:

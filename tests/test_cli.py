@@ -144,6 +144,21 @@ def test_find_ep_empty_result_is_success(tmp_path):
     assert json.loads(out.read_text())["critical_points"] == []
 
 
+def test_find_ep_epn8_writes_the_maximal_ep(tmp_path):
+    out = tmp_path / "epn8.json"
+    code = run(
+        [
+            "find-ep", "--model", "epn", "--n", "8", "--range", "-0.5:0.5",
+            "--output", str(out),
+        ]
+    )
+    assert code == 0
+    pts = json.loads(out.read_text())["critical_points"]
+    assert [(p["params"], p["kind"], p["order"], p["energy"]) for p in pts] == [
+        ({"t": 0.0}, "ep", 8, [0.0, 0.0])
+    ]
+
+
 def test_find_ep_scan_y(tmp_path):
     out = tmp_path / "scan.json"
     code = run(
@@ -225,6 +240,42 @@ def test_wrong_param_for_model_is_usage_error():
                 "--range", "0:1", "--samples", "5",
             ]
         )
+    assert exc.value.code == 2
+
+
+def test_find_ep_wrong_param_for_model_is_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(
+            [
+                "find-ep", "--model", "epn", "--n", "6", "--param", "r",
+                "--range", "-0.5:0.5", "--output", str(tmp_path / "ep.json"),
+            ]
+        )
+    assert exc.value.code == 2
+    assert not (tmp_path / "ep.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--model", "epn", "--n", "1", "--range", "0:1", "--samples", "5"],
+        ["find-ep", "--model", "epn", "--n", "1", "--range", "-0.5:0.5"],
+        ["metric", "--model", "epn", "--n", "1", "--t", "0.5"],
+        ["sweep", "--model", "epn", "--n", "4", "--range", "0:1", "--samples", "1"],
+        ["sturmian", "--n", "4", "--y", "0", "--range", "0:5", "--samples", "1"],
+        ["metric", "--model", "epn", "--n", "4", "--t", "0.5", "--kappa", "1,2"],
+        ["sturmian", "--n", "4", "--y", "0", "--range", "5:0", "--samples", "10"],
+        ["sturmian", "--n", "4", "--y", "0", "--range", "2:2", "--samples", "10"],
+    ],
+    ids=[
+        "sweep-n1", "find-ep-n1", "metric-n1", "sweep-samples1",
+        "sturmian-samples1", "metric-kappa-length", "sturmian-reversed-range",
+        "sturmian-empty-range",
+    ],
+)
+def test_bad_values_are_usage_errors(argv, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--output", str(tmp_path / "out")])
     assert exc.value.code == 2
 
 

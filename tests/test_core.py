@@ -29,7 +29,7 @@ from epspect.core import (
     to_mp_matrix,
 )
 from epspect.epfinder import _disc_in_y_at_p, _fold_event_poly, _pole_collision_poly
-from epspect.models import EpnModel, bc_matrix, epn_exact_parts, epn_matrix, hermitian_demo
+from epspect.models import EpnModel, bc_matrix, epn_matrix, epn_secular, hermitian_demo
 from epspect.sturmian import bivariate_secular
 
 
@@ -99,12 +99,11 @@ def _poly_matrix(diag, sup, sub):
     return rows
 
 
-def test_charpoly_epn_at_t1_is_diagonal_product():
-    diag, prods = epn_exact_parts(6, 1)
-    assert diag == tuple(Fraction(v) for v in (3, 5, 7, 9, 11, 13))
-    assert all(p == 0 for p in prods)
-    p = charpoly_from_parts(diag, prods)
-    assert p == Polynomial.from_roots([Fraction(v) for v in (3, 5, 7, 9, 11, 13)])
+def test_epn_secular_at_q0_is_diagonal_product():
+    # t = 1 (q = 0) decouples the chain; with the shift 8 back in, the
+    # spectrum in E is 3, 5, ..., 13
+    p = Polynomial([c(0) for c in epn_secular(6)])
+    assert p == Polynomial.from_roots([Fraction(v) for v in (-5, -3, -1, 1, 3, 5)])
 
 
 def test_charpoly_bc6_matches_printed_secular_polynomial():
@@ -119,15 +118,15 @@ def test_charpoly_bc6_matches_printed_secular_polynomial():
             assert abs(complex(a) - complex(b)) < 1e-12
 
 
-def test_charpoly_epn_at_t0_is_pure_power():
-    diag, prods = epn_exact_parts(6, 0)
-    p = charpoly_from_parts(diag, prods)
+def test_epn_secular_at_q1_is_pure_power():
+    # t = 0 (q = 1): the shift vanishes and det(M - E) = E^6
+    p = Polynomial([c(1) for c in epn_secular(6)])
     assert p == Polynomial([0, 0, 0, 0, 0, 0, 1])
     # independent oracle: exact cofactor expansion of the rationalized
-    # similar matrix (sup -> products, sub -> -1 keeps the determinant)
-    rows = _poly_matrix(
-        diag, [Fraction(-pk) for pk in prods], [Fraction(-1)] * (len(diag) - 1)
-    )
+    # similar matrix (sup -> -products, sub -> -1 keeps the determinant)
+    diag = [Fraction(2 * k - 5) for k in range(6)]
+    prods = [-Fraction((k + 1) * (5 - k)) for k in range(5)]
+    rows = _poly_matrix(diag, [-pk for pk in prods], [Fraction(-1)] * 5)
     assert _cofactor_det(rows) == p
 
 

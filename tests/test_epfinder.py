@@ -13,6 +13,7 @@ from epspect.epfinder import (
     _disc_in_y_at_p,
     _fold_event_poly,
     _min_pairwise,
+    _ep_locate_model,
     _pole_collision_poly,
     bc_reality_signature,
     classify_degeneracy,
@@ -261,13 +262,37 @@ def test_locate_epn6_finds_maximal_ep():
     assert pt.order == 6
     assert abs(pt.params["t"]) <= 1e-6
     assert abs(pt.energy) <= 1e-4
-    assert pt.residuals["polish_shrink"] >= 100
 
 
-@pytest.mark.parametrize("n, y", [(3, -0.5), (5, -0.5), (6, 0)])
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_locate_epn_exact_maximal_ep(n):
+    # the discriminant's only root is q = 1, where det(M - E) = +-E^n; the
+    # float gap scan and polish report EP2 at n=8 and nothing certain at 10
+    pts = ep_locate_1d(EpnModel(n), (-0.5, 0.5))
+    assert [(p.params, p.kind, p.order) for p in pts] == [({"t": 0.0}, "ep", n)]
+    assert pts[0].energy == 0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_epn_exact_path_matches_float_chain(n):
+    # the gap scan plus mp polish stays the reference for models without an
+    # exact form; where it resolves the EP it must agree with the exact path
+    exact = ep_locate_1d(EpnModel(n), (-0.5, 0.5))
+    chain = _ep_locate_model(EpnModel(n), (-0.5, 0.5), 201)
+    assert [(p.kind, p.order) for p in chain] == [(p.kind, p.order) for p in exact]
+    for p in chain:
+        assert abs(p.params["t"]) <= 1e-6
+        assert p.residuals["polish_shrink"] >= 100
+
+
+@pytest.mark.parametrize(
+    "n, y", [(3, -0.5), (5, -0.5), (6, 0), (6, -0.8), (7, -0.196), (8, 0.3)]
+)
 def test_matrix_and_sturmian_paths_agree(n, y):
     # at n=3, y=-0.5 the golden-section polish hands Aberth real seeds
-    # (the previous roots) next to the complex pair 3 +- 3.9e-6i
+    # (the previous roots) next to the complex pair 3 +- 3.9e-6i; the last
+    # three cases need the secular polynomial evaluated exactly at the
+    # irrational root, not rounded to double
     matrix = ep_locate_1d(BcModel(n, y), (-1, 1))
     exact = ep_locate_1d(bivariate_secular(n, y), (-1, 1))
 

@@ -1,5 +1,6 @@
 """Matrix family constructors and coupling parameterizations."""
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import epspect.models as models
-from epspect.core import eig_dense, poly_roots, charpoly_tridiag
+from epspect.core import Polynomial, charpoly_from_parts, charpoly_tridiag, eig_dense, poly_roots
 from epspect.models import (
     Circle,
     Explicit,
@@ -16,8 +17,8 @@ from epspect.models import (
     Robin,
     ShiftedCircle,
     bc_matrix,
-    epn_exact_parts,
     epn_matrix,
+    epn_secular,
     hermitian_demo,
     z_value,
 )
@@ -51,14 +52,25 @@ def test_epn_degenerate_instant():
     assert all(abs(r) < 1e-2 for r in roots.roots)  # total collapse at t=0
 
 
-def test_epn_offdiagonal_products_exact():
+def test_epn_secular_matches_charpoly_of_the_matrix():
+    # the E-coefficients in u = E - 8 sqrt(1 - q), q = (1 - t)^2, shifted
+    # back to E, against the float recurrence on the assembled matrix;
+    # t = -0.4 makes the shift imaginary, t = 1.7 makes tau negative
     rng = np.random.default_rng(1)
-    for n in range(2, 11):
+    for n in (2, 3, 6, 8):
+        for t in (-0.4, 0.3, 0.9, 1.7):
+            q = (1 - t) ** 2
+            in_u = np.polynomial.Polynomial([float(c(q)) for c in epn_secular(n)])
+            got = in_u(np.polynomial.Polynomial([-8 * cmath.sqrt(1 - q), 1])).coef
+            want = np.array([complex(c) for c in charpoly_tridiag(epn_matrix(n, t)).coeffs])
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (n, t)
+        # at rational t the coefficients are exact: the recurrence on the
+        # products -(k+1)(n-k-1) tau^2 gives the same polynomial in u
         t = Fraction(int(rng.integers(-30, 31)), int(rng.integers(1, 20)))
-        tau = 1 - t
-        _, prods = epn_exact_parts(n, t)
-        for k, p in enumerate(prods):
-            assert p == -Fraction((k + 1) * (n - k - 1)) * tau * tau
+        q = (1 - t) ** 2
+        diag = [Fraction(2 * k - n + 1) for k in range(n)]
+        prods = [-Fraction((k + 1) * (n - k - 1)) * q for k in range(n - 1)]
+        assert Polynomial([c(q) for c in epn_secular(n)]) == charpoly_from_parts(diag, prods)
 
 
 def test_epn_spectrum_reality_partition():
