@@ -3,12 +3,20 @@
 Polynomials carry their coefficients in one of the three arithmetic tiers
 (see ``scalars``).  Exact-tier polynomials support exact division, gcd and
 resultants; floating tiers feed the Aberth-Ehrlich root finder.
+
+Every exact resultant and discriminant goes through one kernel: the
+Sylvester determinant over Z[y] by Bareiss's fraction-free elimination on
+plain ``int`` coefficient lists.  ``res_E`` and ``disc_E`` clear each
+argument's denominators once, check every division for exactness, and
+rescale at the end, so they return the rational polynomial an elimination
+over ``Fraction`` would, without a gcd per arithmetic operation.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from itertools import zip_longest
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -137,7 +145,8 @@ class Polynomial:
         if isinstance(other, Polynomial):
             self._check_mode(other)
             if self.is_zero or other.is_zero:
-                return Polynomial([0])
+                # a zero of the operands' tier: a float 0.0 stays floating
+                return Polynomial([self.coeffs[0] * other.coeffs[0]])
             a, b = self.coeffs, other.coeffs
             out = [0] * (len(a) + len(b) - 1)
             for i, ca in enumerate(a):
@@ -380,7 +389,8 @@ def _sylvester_rows(f: list, g: list, zero=0) -> list[list]:
     """Sylvester matrix of two ascending coefficient lists.
 
     Convention Res(f, g) = lc(f)^deg(g) * prod g(alpha_i).  Entries are
-    scalars, or Polynomials in a second variable (pass ``zero`` to match).
+    scalars, or int coefficient lists of polynomials in a second variable
+    (pass ``zero=[]``).
     """
     n, m = len(f) - 1, len(g) - 1
     size = n + m
@@ -429,46 +439,128 @@ def discriminant(p: Polynomial):
     return res / lc
 
 
-def _det_bareiss_poly(rows: list[list[Polynomial]]) -> Polynomial:
-    """Bareiss elimination over exact polynomial entries (exact division)."""
+# The exact kernel runs over Z[y]: a polynomial in the second variable is an
+# ascending list of ints with a nonzero last entry, and [] is zero.
+
+
+def _int_mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _int_sub(a: list[int], b: list[int]) -> list[int]:
+    out = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _int_exact_div(num: list[int], den: list[int]) -> list[int]:
+    """num / den in Z[y]; ArithmeticError unless the quotient is integral and exact."""
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    if not num:
+        return []
+    lc, low = den[-1], den[:-1]
+    shift = len(den) - 1
+    if len(num) <= shift:
+        raise ArithmeticError("division expected to be exact left a remainder")
+    rem = num[:]
+    quot = [0] * (len(num) - shift)
+    for k in range(len(num) - 1, shift - 1, -1):
+        q, r = divmod(rem[k], lc)
+        if r:
+            raise ArithmeticError("division expected to be exact has no integral quotient")
+        if q:
+            quot[k - shift] = q
+            for j, c in enumerate(low, k - shift):
+                rem[j] -= q * c
+    if any(rem[:shift]):
+        raise ArithmeticError("division expected to be exact left a remainder")
+    return quot
+
+
+def _det_bareiss_poly(rows: list[list[list[int]]]) -> list[int]:
+    """Determinant over Z[y] by Bareiss's fraction-free elimination.
+
+    Every division by the previous pivot is exact (Bareiss 1968), so no
+    entry ever leaves Z[y] and no gcd is taken.
+    """
     a = [row[:] for row in rows]
     n = len(a)
     sign = 1
-    prev = Polynomial([1])
+    prev = [1]
     for k in range(n - 1):
-        if a[k][k].is_zero:
-            piv = next((i for i in range(k + 1, n) if not a[i][k].is_zero), None)
+        if not a[k][k]:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
             if piv is None:
-                return Polynomial.zero()
+                return []
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
-        for i in range(k + 1, n):
+        pivot, row_k, divide = a[k][k], a[k], prev != [1]
+        for row in a[k + 1 :]:
+            lead = row[k]
             for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = num.exact_div(prev)
-            a[i][k] = Polynomial.zero()
-        prev = a[k][k]
+                num = _int_sub(_int_mul(row[j], pivot), _int_mul(lead, row_k[j]))
+                row[j] = _int_exact_div(num, prev) if divide else num
+            row[k] = []
+        prev = pivot
     det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
+    return det if sign == 1 else [-c for c in det]
+
+
+def _cleared(coeffs: list[Polynomial]) -> tuple[list[list[int]], int]:
+    """Integer coefficient lists of D * coeffs, with D the lcm of all denominators."""
+    for p in coeffs:
+        if p.mode is not Precision.EXACT:
+            raise TypeError("the exact kernel requires exact coefficients")
+    d = math.lcm(*(Fraction(c).denominator for p in coeffs for c in p.coeffs))
+    cleared = []
+    for p in coeffs:
+        ints = [int(c * d) for c in p.coeffs]
+        while ints and not ints[-1]:
+            ints.pop()
+        cleared.append(ints)
+    return cleared, d
+
+
+def _rescaled(det: list[int], denom: int) -> Polynomial:
+    return Polynomial([Fraction(c, denom) for c in det])
 
 
 def res_E(f: list[Polynomial], g: list[Polynomial]) -> Polynomial:
     """Res_E(f, g) as an exact polynomial in a second variable.
 
     ``f`` and ``g`` are polynomials in E given as ascending lists of their
-    E-coefficients, each an exact Polynomial in the second variable.
+    E-coefficients, each an exact Polynomial in the second variable.  Each
+    argument is scaled once by its common denominator (Df, Dg) and the
+    Sylvester determinant runs over Z[y]; since the resultant has degree
+    deg g in f's coefficients and deg f in g's, it is divided by
+    Df^deg g * Dg^deg f at the end.
     """
-    return _det_bareiss_poly(_sylvester_rows(f, g, Polynomial.zero()))
+    fi, df = _cleared(f)
+    gi, dg = _cleared(g)
+    det = _det_bareiss_poly(_sylvester_rows(fi, gi, []))
+    return _rescaled(det, df ** (len(g) - 1) * dg ** (len(f) - 1))
 
 
 def disc_E(f: list[Polynomial]) -> Polynomial:
     """Disc_E(f) = Res_E(f, df/dE) / lc_E(f), coefficients as in ``res_E``.
 
-    The division is exact for any f, since Res(f, f') is divisible by lc(f)
-    as polynomials in the coefficients.
+    With F = D f integral, Res(F, F') = +-lc(F) Disc(F) where Disc(F) is an
+    integer polynomial in the coefficients of F, so the division by lc(F) is
+    exact over Z[y]; Disc_E(f) = Res(F, F') / lc(F) / D^(2 deg f - 2).
     """
-    df = [k * f[k] for k in range(1, len(f))]
-    return res_E(f, df).exact_div(f[-1])
+    fi, d = _cleared(f)
+    dfi = [[k * c for c in fi[k]] for k in range(1, len(fi))]
+    res = _det_bareiss_poly(_sylvester_rows(fi, dfi, []))
+    return _rescaled(_int_exact_div(res, fi[-1]), d ** (2 * len(f) - 4))
 
 
 # --------------------------------------------------------------------------

@@ -67,13 +67,16 @@ def to_extended(value):
 
 
 def as_fraction(value) -> Fraction:
-    """Exact rational from an int/Fraction/float (floats convert exactly)."""
+    """Exact rational from an int/Fraction/float/mpf (binary floats convert exactly)."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
         return Fraction(value)
+    if isinstance(value, mp.mpf):
+        man, exp = value.man_exp
+        return Fraction(man) * Fraction(2) ** exp
     raise TypeError(f"cannot represent {type(value)!r} exactly")
 
 

@@ -42,7 +42,7 @@ from .core import (
     res_E,
     to_mp_matrix,
 )
-from .models import BcModel, EpnModel, ShiftedCircle, bc_matrix, epn_secular, z_value
+from .models import BcModel, EpnModel, epn_secular
 from .sturmian import (
     SturmianFunction,
     _real_roots,
@@ -357,7 +357,7 @@ def _ep_locate_exact(model, coeffs, to_param, shift, param_range) -> list[Critic
         params = {"y": model.y, "r": param} if isinstance(model, BcModel) else {"t": param}
         matrix = model.matrix(param)
         for energy, order, kind, resid in _repeated_roots(coeffs, lam, matrix, shift(lam)):
-            resid["disc_residual"] = abs(float(d(as_fraction(lam))))
+            resid["disc_residual"] = _relative_residual(d, lam)
             points.append(CriticalPoint(params, energy, kind, order, resid))
     return points
 
@@ -385,8 +385,19 @@ def _repeated_roots(coeffs, root, matrix, shift=0.0) -> list[tuple]:
     return found
 
 
-def _newton_polish_real(p: Polynomial, x0: float) -> float:
-    """Polish a real root of an exact polynomial under mpmath."""
+def _relative_residual(p: Polynomial, x) -> float:
+    """|p(x)| / sum |c_k| |x|^k, evaluated exactly at the exact value of x.
+
+    At a double rounded from a simple root this reads a few units of
+    rounding, however large the coefficients of p are.
+    """
+    x = as_fraction(x)
+    scale = Polynomial([abs(c) for c in p.coeffs])(abs(x))
+    return float(abs(p(x)) / scale) if scale else 0.0
+
+
+def _newton_polish_real(p: Polynomial, x0: float) -> mp.mpf:
+    """Polish a real root of an exact polynomial to ``POLISH_DPS`` digits."""
     with mp.workdps(POLISH_DPS):
         f, df = p.to_extended(), p.derivative().to_extended()
         x = mp.mpf(x0)
@@ -399,7 +410,7 @@ def _newton_polish_real(p: Polynomial, x0: float) -> float:
             x = x - step
             if abs(step) <= mp.mpf(10) ** (-POLISH_DPS + 4) * (1 + abs(x)):
                 break
-        return float(x)
+        return x
 
 
 def _ep_locate_model(model, param_range, samples) -> list[CriticalPoint]:
@@ -657,7 +668,7 @@ def _roots_in_window(piece: Polynomial, lo: float, hi: float) -> list[Fraction |
         if piece(e) == 0:
             roots.append(e)
             piece = piece.exact_div(Polynomial([-e, 1]))
-    polished = (_newton_polish_real(piece, y0) for y0, _ in _real_roots(piece))
+    polished = (float(_newton_polish_real(piece, y0)) for y0, _ in _real_roots(piece))
     return roots + [y for y in polished if lo <= y <= hi]
 
 
@@ -672,7 +683,7 @@ def _polish_merge_event(n, y_star, below, above) -> CriticalPoint | None:
         return None
     energy, order, kind, resid = found[0]
     resid["tracks"] = tuple(sorted(below ^ above))
-    resid["disc_residual"] = abs(_disc_in_y_at_p(n, 0).to_double()(complex(y_star)))
+    resid["disc_residual"] = _relative_residual(_disc_in_y_at_p(n, 0), y_star)
     return CriticalPoint({"y": y_star, "r": 0.0}, energy, kind, order, resid)
 
 
@@ -698,7 +709,7 @@ def _polish_pole_event(n, y_star, below, above) -> CriticalPoint:
         "vanishing": tuple(sorted(above - below)),
         "numerator_at_pole": abs(a_dbl(complex(energy))),
         "crossing_coupling": float((-slope_a / slope_b).real),
-        "resultant_residual": abs(_pole_collision_poly(n).to_double()(complex(y_star))),
+        "resultant_residual": _relative_residual(_pole_collision_poly(n), y_star),
     }
     return CriticalPoint(
         {"y": y_star, "r": float("nan")}, complex(energy), "sturmian-pole", 1, resid
@@ -706,52 +717,40 @@ def _polish_pole_event(n, y_star, below, above) -> CriticalPoint:
 
 
 def _polish_fold_event(n, y_star, below, above) -> CriticalPoint | None:
-    """Two interior-r level mergers colliding: a fold of the EP curve."""
-    # the double E-root of W(., y*) pins the collision energy
-    w_coeffs = _fold_coeffs_in_E(n)
-    y_frac = as_fraction(y_star)
-    w_at = Polynomial([c(y_frac) for c in w_coeffs])
-    clusters = poly_roots(w_at, precision=Precision.EXTENDED).clusters
-    merged = [
-        c
-        for c in clusters
-        if c.multiplicity >= 2 and abs(c.center.imag) <= 1e-6 * (1 + abs(c.center))
-    ]
-    if not merged:
-        return None
-    s = bivariate_secular(n, y_frac)
-    b_dbl = s.B.to_double()
-    a_dbl = s.A.to_double()
+    """Two interior-r level mergers colliding: a fold of the EP curve.
 
-    best = None
-    for c in merged:
-        e0 = complex(c.center)
-        denom = b_dbl(e0)
-        if abs(denom) < 1e-12:
+    A double root E* of W(., y*) with coupling p* = -A(E*)/B(E*) in [0, 1]
+    is a triple root of A + p* B.  E* is Newton-polished on W' and p* kept
+    as the exact rational of that E*: a double p* would split the triple
+    root beyond any cluster tolerance.  The secular polynomial at p* is
+    then classified by ``_repeated_roots``, like every merger; the event
+    energy is E* itself.
+    """
+    y_frac = as_fraction(y_star)
+    w_at = Polynomial([c(y_frac) for c in _fold_coeffs_in_E(n)])
+    s = bivariate_secular(n, y_frac)
+    for c in poly_roots(w_at, precision=Precision.EXTENDED).clusters:
+        if c.multiplicity < 2 or abs(c.center.imag) > 1e-6 * (1 + abs(c.center)):
             continue
-        p0 = (-a_dbl(e0) / denom).real
-        if not -1e-9 <= p0 <= 1.0 + 1e-9:
+        e_star = as_fraction(_newton_polish_real(w_at.derivative(), c.center.real))
+        denom = s.B(e_star)
+        if denom == 0:
             continue
-        best = (e0.real, max(p0, 0.0))
-        break
-    if best is None:
-        return None
-    energy, p0 = best
-    r0 = math.sqrt(p0)
-    z = z_value(ShiftedCircle(y_star, r0))
-    # a fold joins two double roots, so up to three levels coalesce; in
-    # double arithmetic that cluster spreads like eps^(1/3), beyond the
-    # default tolerance
-    try:
-        cls = classify_degeneracy(bc_matrix(n, z), energy, cluster_rtol=1e-4)
-    except ValueError:
-        return None
-    resid = dict(cls.residuals)
-    resid["tracks"] = tuple(sorted(below ^ above))
-    resid["fold_residual"] = abs(_fold_event_poly(n).to_double()(complex(y_star)))
-    return CriticalPoint(
-        {"y": y_star, "r": r0}, cls.energy, cls.kind, cls.algebraic, resid
-    )
+        p_star = -s.A(e_star) / denom
+        if not -1e-9 <= p_star <= 1 + 1e-9:
+            continue
+        r0 = math.sqrt(max(float(p_star), 0.0))
+        matrix = BcModel(n, y_star).matrix(r0)
+        found = _repeated_roots(secular_in_y(n, p_star), y_star, matrix)
+        if not found:
+            return None
+        # the cluster fixes order and kind; its centroid carries the
+        # rounding fog of the 30-digit root finder, E* does not
+        _, order, kind, resid = min(found, key=lambda f: abs(f[0] - complex(e_star)))
+        resid["tracks"] = tuple(sorted(below ^ above))
+        resid["fold_residual"] = _relative_residual(_fold_event_poly(n), y_star)
+        return CriticalPoint({"y": y_star, "r": r0}, complex(e_star), kind, order, resid)
+    return None
 
 
 # --------------------------------------------------------------------------

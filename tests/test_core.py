@@ -18,6 +18,7 @@ from epspect.core import (
     charpoly_from_parts,
     charpoly_tridiag,
     cluster_points,
+    disc_E,
     discriminant,
     discriminant_in_E,
     eig_dense,
@@ -25,12 +26,21 @@ from epspect.core import (
     eigvals_mp,
     poly_roots,
     reality_flags,
+    res_E,
     resultant,
+    sylvester_matrix,
     to_mp_matrix,
 )
-from epspect.epfinder import _disc_in_y_at_p, _fold_event_poly, _pole_collision_poly
+from epspect.core.poly import _int_exact_div
+from epspect.epfinder import (
+    _disc_in_y_at_p,
+    _fold_coeffs_in_E,
+    _fold_event_poly,
+    _pole_collision_poly,
+    classify_degeneracy,
+)
 from epspect.models import EpnModel, bc_matrix, epn_matrix, epn_secular, hermitian_demo
-from epspect.sturmian import bivariate_secular
+from epspect.sturmian import bivariate_secular, secular_in_y
 
 
 # --------------------------------------------------------------------------
@@ -128,6 +138,20 @@ def test_epn_secular_at_q1_is_pure_power():
     prods = [-Fraction((k + 1) * (5 - k)) for k in range(5)]
     rows = _poly_matrix(diag, [-pk for pk in prods], [Fraction(-1)] * 5)
     assert _cofactor_det(rows) == p
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_charpoly_epn_at_t1_keeps_the_floating_tier(n):
+    # at t = 1 the off-diagonal products are float +-0.0; a zero product
+    # must stay in the double tier, or the recurrence mixes tiers
+    m = epn_matrix(n, 1.0)
+    want = Polynomial([1.0])
+    for d in m.diag:
+        want = Polynomial([d, -1]) * want
+    got = charpoly_tridiag(m)
+    assert got.mode is Precision.DOUBLE
+    assert got == want
+    assert classify_degeneracy(m, m.diag[0]).kind == "simple"
 
 
 def test_charpoly_floating_overflow_is_an_error():
@@ -519,3 +543,90 @@ def test_discriminant_in_E_matches_pointwise_resultant():
         assert _pole_collision_poly(n)(y0) == resultant(s.A, s.B)
         w = s.A.derivative() * s.B - s.A * s.B.derivative()
         assert _fold_event_poly(n)(y0) == discriminant(w)
+
+
+# --------------------------------------------------------------------------
+# the exact kernel against an oracle that does not go through it
+# --------------------------------------------------------------------------
+
+
+def _det_gauss(rows):
+    """Determinant by Fraction Gaussian elimination with row swaps."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            if f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+def _sylvester(f, g):
+    """Sylvester matrix of two ascending coefficient lists, leading zeros kept."""
+    n, m = len(f) - 1, len(g) - 1
+    return [[0] * i + f[::-1] + [0] * (m - 1 - i) for i in range(m)] + [
+        [0] * i + g[::-1] + [0] * (n - 1 - i) for i in range(n)
+    ]
+
+
+def _disc_oracle(p):
+    return _det_gauss(sylvester_matrix(p, p.derivative())) / p.lc
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_event_polynomials_match_gaussian_elimination(n):
+    for y0 in (Fraction(-1, 2), Fraction(2, 7), Fraction(-9, 10)):
+        s = bivariate_secular(n, y0)
+        a = Polynomial([c(y0) for c in secular_in_y(n)])
+        assert a == s.A
+        assert _disc_in_y_at_p(n, 0)(y0) == _disc_oracle(a)
+        assert _pole_collision_poly(n)(y0) == _det_gauss(sylvester_matrix(s.A, s.B))
+        w = Polynomial([c(y0) for c in _fold_coeffs_in_E(n)])
+        assert _fold_event_poly(n)(y0) == _disc_oracle(w)
+
+
+_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+_polys_in_y = st.lists(_fractions, min_size=1, max_size=3).map(Polynomial)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.lists(_polys_in_y, min_size=2, max_size=4),
+    st.lists(_polys_in_y, min_size=2, max_size=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=20),
+)
+def test_res_E_with_denominators_matches_sylvester_at_a_point(f, g, y0):
+    fy, gy = [c(y0) for c in f], [c(y0) for c in g]
+    assert res_E(f, g)(y0) == _det_gauss(_sylvester(fy, gy))
+    if fy[-1] != 0:
+        dfy = [k * c for k, c in enumerate(fy)][1:]
+        assert disc_E(f)(y0) == _det_gauss(_sylvester(fy, dfy)) / fy[-1]
+
+
+def test_res_E_zero_leading_pivot_swaps_rows():
+    # lc_E(f) is the zero polynomial, so the first pivot is zero
+    f = [Polynomial([Fraction(1, 2), Fraction(1, 3)]), Polynomial([Fraction(2, 3)]), Polynomial.zero()]
+    g = [Polynomial([Fraction(-5, 4)]), Polynomial([Fraction(0), Fraction(3, 7)]), Polynomial([Fraction(1, 6)])]
+    res = res_E(f, g)
+    assert not res.is_zero
+    for y0 in (Fraction(0), Fraction(1, 3), Fraction(-7, 5)):
+        assert res(y0) == _det_gauss(_sylvester([c(y0) for c in f], [c(y0) for c in g]))
+
+
+def test_integer_division_is_checked():
+    assert _int_exact_div([2, 6, 4], [1, 2]) == [2, 2]
+    with pytest.raises(ArithmeticError):
+        _int_exact_div([1, 1], [2])  # quotient not integral
+    with pytest.raises(ArithmeticError):
+        _int_exact_div([1, 0, 1], [1, 1])  # remainder 2
+    with pytest.raises(ZeroDivisionError):
+        _int_exact_div([1], [])

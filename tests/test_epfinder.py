@@ -304,6 +304,8 @@ def test_matrix_and_sturmian_paths_agree(n, y):
     for p in matrix:
         q = next(q for q in exact if abs(abs(q.params["r"]) - abs(p.params["r"])) < 1e-6)
         assert abs(p.energy - q.energy) <= 1e-6
+    # relative to the discriminant's own size, so a root reads ~rounding
+    assert all(q.residuals["disc_residual"] <= 1e-15 for q in exact)
 
 
 def test_locate_hermitian_demo_finds_nothing():
@@ -375,37 +377,53 @@ def scan8():
     return ep_locate_2d_bc(8, (-1.0, 0.0))
 
 
-def _own_event_poly(point):
+@pytest.fixture(scope="module")
+def scan10():
+    return ep_locate_2d_bc(10, (-1.0, 0.0))
+
+
+def _own_event_poly(n, point):
     """The exact polynomial in y of the event's mechanism, made square-free."""
     if point.kind == "sturmian-pole":
-        poly = _pole_collision_poly(8)
+        poly = _pole_collision_poly(n)
     elif point.params["r"] == 0:
-        poly = _disc_in_y_at_p(8, 0)
+        poly = _disc_in_y_at_p(n, 0)
     else:
-        poly = _fold_event_poly(8)
+        poly = _fold_event_poly(n)
     return poly.exact_div(poly.gcd(poly.derivative()))
 
 
-def test_scan8_events_are_sign_changes_of_their_own_polynomial(scan8):
-    assert scan8
+@pytest.mark.parametrize("n", [8, 10])
+def test_scan_events_are_sign_changes_of_their_own_polynomial(n, request):
+    events = request.getfixturevalue(f"scan{n}")
+    assert events
     d = Fraction(1, 10**9)
-    for p in scan8:
-        poly = _own_event_poly(p)
+    for p in events:
+        poly = _own_event_poly(n, p)
         y = Fraction(p.params["y"])
         assert poly(y - d) * poly(y + d) <= 0, p
 
 
-def test_scan8_verdicts_are_certified(scan8):
-    for p in scan8:
+@pytest.mark.parametrize("n", [8, 10])
+def test_scan_verdicts_are_certified(n, request):
+    events = request.getfixturevalue(f"scan{n}")
+    for p in events:
         assert p.kind != "simple", p
         assert p.kind == "sturmian-pole" or p.order >= 2, p
         assert not cmath.isnan(p.energy), p
-    folds = [
-        p
-        for p in scan8
-        if p.params["r"] > 0 and abs(p.params["y"] - (-0.951492)) <= 1e-6
-    ]
-    assert [(p.kind, p.order) for p in folds] == [("ep", 3)]
+        # each residual is relative to the polynomial's own size: a double
+        # rounded from a root reads a few units of rounding
+        (residual,) = (
+            p.residuals[k]
+            for k in ("disc_residual", "resultant_residual", "fold_residual")
+            if k in p.residuals
+        )
+        assert residual <= 1e-15, p
+    folds = [p for p in events if p.params["r"] > 0]
+    assert folds
+    assert all((p.kind, p.order) == ("ep", 3) for p in folds), folds
+    if n == 8:
+        assert any(abs(p.params["y"] - (-0.951492)) <= 1e-6 for p in folds)
 
 
 def test_reality_signatures_either_side_of_pole_event():
