@@ -134,20 +134,26 @@ def _make_model(name: str, n: int, y: float | None, seed: int):
 
 
 def _write_sweep_csv(out: Path, result, param: str) -> None:
-    ntr = result.n_tracks
+    """``write_csv`` of a sweep, formatted column by column from Python scalars.
+
+    Byte-identical to ``write_csv`` on the same rows (``repr`` of each float,
+    ``1``/``0`` for each flag) without its per-cell type dispatch.
+    """
+    flag = ("0", "1")
     header = ["index", param]
-    for i in range(ntr):
+    columns = [map(str, range(len(result.grid))), map(repr, result.grid.tolist())]
+    for i in range(result.n_tracks):
         header += [f"re{i}", f"im{i}", f"real{i}"]
+        columns += [
+            map(repr, result.tracks[i].real.tolist()),
+            map(repr, result.tracks[i].imag.tolist()),
+            (flag[b] for b in result.real_flags[i].tolist()),
+        ]
     header.append("pairing_warning")
-    rows = []
-    for k, p in enumerate(result.grid):
-        row = [k, float(p)]
-        for i in range(ntr):
-            v = result.tracks[i, k]
-            row += [v.real, v.imag, bool(result.real_flags[i, k])]
-        row.append(bool(result.warnings[k]))
-        rows.append(row)
-    write_csv(out, header, rows)
+    columns.append(flag[b] for b in result.warnings.tolist())
+    lines = [",".join(header)]
+    lines += map(",".join, zip(*columns))
+    _atomic_write(out, "\n".join(lines) + "\n")
     print(out)
 
 

@@ -12,6 +12,13 @@ all read ``eigvals_mp``.  ``eig_dense`` (left and right eigenvectors with
 residual checks; LAPACK through scipy, or mpmath's QR in ``eigtriples_mp``)
 serves only the consumers of eigenvectors: degeneracy classification and
 the metric.
+
+No other module calls LAPACK's nonsymmetric drivers.  Both double solvers
+send a matrix whose imaginary parts are all exactly zero to the real
+``dgeev`` and any other to ``zgeev``.  The real driver is faster, and a real
+matrix's real eigenvalues come back with imaginary part exactly 0.0, the
+others in exact conjugate pairs.  The double seeds of ``eigvals_mp`` stay on
+the complex driver: real seeds would move the extended roots it polishes.
 """
 
 from __future__ import annotations
@@ -56,18 +63,29 @@ def _sort_triples(values, right, left):
     return values[order], right[:, order], left[:, order]
 
 
+def _real_if_exact(a: np.ndarray) -> np.ndarray:
+    """``a.real`` when every imaginary part of ``a`` is exactly zero, else ``a``.
+
+    Both double solvers pass through here, so a real matrix takes LAPACK's
+    real driver (``dgeev``) and a complex one ``zgeev``.
+    """
+    return a if a.imag.any() else a.real
+
+
 def eigvals_double(m) -> np.ndarray:
     """Eigenvalues of a dense matrix in double precision, ascending (Re, Im).
 
     The double twin of ``eigvals_mp``: LAPACK with no eigenvectors, in the
-    order in which ``eig_dense`` reports its values.
+    order in which ``eig_dense`` reports its values.  Always complex; for a
+    real matrix the real eigenvalues have imaginary part exactly 0.0 and the
+    others come in exact conjugate pairs.
     """
-    values = np.linalg.eigvals(as_array(m))
+    values = np.linalg.eigvals(_real_if_exact(as_array(m))).astype(complex, copy=False)
     return values[np.lexsort((values.imag, values.real))]
 
 
 def _eig_double(a: np.ndarray):
-    values, vl, vr = sla.eig(a, left=True, right=True)
+    values, vl, vr = sla.eig(_real_if_exact(a), left=True, right=True)
     return values, vr, vl
 
 

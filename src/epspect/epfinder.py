@@ -83,9 +83,17 @@ class SweepResult:
         return self.tracks.shape[0]
 
 
+@lru_cache(maxsize=None)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)``, built once per n and read-only (it is shared)."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def _min_pairwise(values) -> float:
     """Smallest distance between two of the values (at least two)."""
-    diff = np.subtract.outer(values, values)[np.triu_indices(len(values), 1)]
+    diff = np.subtract.outer(values, values)[_upper_pairs(len(values))]
     # hypot, not np.abs: the vectorized complex abs can differ from the
     # scalar one in the last bit, which moves EP polishing minima
     return float(np.min(np.hypot(diff.real, diff.imag)))
@@ -693,26 +701,26 @@ def _polish_pole_event(n, y_star, below, above) -> CriticalPoint:
     At a root y* of Res_E(A_y, B) the numerator A_y* and the denominator B
     share a real root E*: an eigenvalue that stays put for every coupling.
     B is the characteristic polynomial of the interior Hermitian chain, so
-    its roots are real and simple, and E* is the one where A_y* vanishes.
-    A root shared with the merge polynomial is tried as a merger first, so
+    its roots are real and simple, and E* is the one where A_y* vanishes,
+    Newton-polished on B at ``POLISH_DPS``; the residuals evaluate A, A'
+    and B' exactly at that E*.  A root shared with the merge polynomial is tried as a merger first, so
     every root that reaches this polisher is a pole.  Its
     ``crossing_coupling`` p* = -A'(E*)/B'(E*) is the coupling at which the
     moving branch of r^2(E) passes through the persistent line.
     """
     s = bivariate_secular(n, as_fraction(y_star))
     a_dbl = s.A.to_double()
-    energy = min((e for e, _ in _real_roots(s.B)), key=lambda e: abs(a_dbl(complex(e))))
-    slope_a = s.A.derivative().to_double()(complex(energy))
-    slope_b = s.B.derivative().to_double()(complex(energy))
+    e0 = min((e for e, _ in _real_roots(s.B)), key=lambda e: abs(a_dbl(complex(e))))
+    energy = as_fraction(_newton_polish_real(s.B, e0))
     resid = {
         "appearing": tuple(sorted(below - above)),
         "vanishing": tuple(sorted(above - below)),
-        "numerator_at_pole": abs(a_dbl(complex(energy))),
-        "crossing_coupling": float((-slope_a / slope_b).real),
+        "numerator_at_pole": abs(float(s.A(energy))),
+        "crossing_coupling": float(-s.A.derivative()(energy) / s.B.derivative()(energy)),
         "resultant_residual": _relative_residual(_pole_collision_poly(n), y_star),
     }
     return CriticalPoint(
-        {"y": y_star, "r": float("nan")}, complex(energy), "sturmian-pole", 1, resid
+        {"y": y_star, "r": float("nan")}, complex(float(energy)), "sturmian-pole", 1, resid
     )
 
 

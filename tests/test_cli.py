@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from epspect.cli import main
+from epspect.cli import _write_sweep_csv, main, write_csv
+from epspect.epfinder import sweep
+from epspect.models import EpnModel
 
 
 def run(argv):
@@ -36,6 +38,32 @@ def test_sweep_csv_schema(tmp_path):
     assert float(row[1]) == 0.5
     val = float(row[2])
     assert repr(val) == row[2]
+
+
+def test_sweep_csv_fast_path_matches_write_csv(tmp_path, capsys):
+    result = sweep(EpnModel(4), (-0.5, 1.0), 9)
+    result.tracks[0, 0] = complex(result.tracks[0, 0].real, -0.0)
+    result.tracks[1, 3] = complex(-0.0, -0.0)
+    result.warnings[2] = True
+    assert result.real_flags.any() and not result.real_flags.all()
+    # the reference: one row per grid point through write_csv's _fmt
+    header = ["index", "t"]
+    for i in range(result.n_tracks):
+        header += [f"re{i}", f"im{i}", f"real{i}"]
+    header.append("pairing_warning")
+    rows = []
+    for k, p in enumerate(result.grid):
+        row = [k, float(p)]
+        for i in range(result.n_tracks):
+            v = result.tracks[i, k]
+            row += [v.real, v.imag, bool(result.real_flags[i, k])]
+        rows.append(row + [bool(result.warnings[k])])
+    write_csv(tmp_path / "ref.csv", header, rows)
+    _write_sweep_csv(tmp_path / "fast.csv", result, "t")
+    capsys.readouterr()
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert b",-0.0," in fast
+    assert fast == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_sweep_json_has_provenance(tmp_path):

@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 import epspect.core.eig as core_eig
 from epspect.core import (
@@ -342,6 +343,62 @@ def test_eigvals_double_matches_eig_dense_values_in_order(m):
     assert got.shape == want.shape
     # index by index, so the (Re, Im) order must agree as well
     assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want)))
+
+
+def _random_real_normal(n, seed):
+    """Q T Q^T with Q orthogonal and T block diagonal: 1x1 real blocks and
+    scaled rotations (conjugate pairs), real parts 3 apart.  The matrix is
+    normal, so every eigenvalue is perfectly conditioned."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    t = np.zeros((n, n))
+    k = 0
+    while k < n:
+        t[k, k] = 3.0 * k + rng.uniform(-1, 1)
+        if k + 1 < n and rng.random() < 0.5:
+            t[k + 1, k + 1] = t[k, k]
+            t[k, k + 1] = rng.uniform(0.5, 2.0)
+            t[k + 1, k] = -t[k, k + 1]
+            k += 1
+        k += 1
+    return q @ t @ q.T
+
+
+def _assert_closed_under_conjugation(values):
+    # exact: a real eigenvalue has imaginary part 0.0 (its own conjugate),
+    # every other one has its conjugate bit for bit in the spectrum
+    pairs = sorted((v.real, v.imag) for v in values)
+    assert pairs == sorted((v.real, -v.imag) for v in values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 2**32 - 1))
+def test_real_matrix_spectrum_is_exactly_conjugate_closed(n, seed):
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    values = eigvals_double(a)
+    assert values.dtype == complex
+    _assert_closed_under_conjugation(values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.floats(0.0, 2.0))
+def test_epn_spectrum_is_exactly_conjugate_closed(n, t):
+    _assert_closed_under_conjugation(eigvals_double(epn_matrix(n, t)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 2**32 - 1))
+def test_real_driver_matches_complex_driver(n, seed):
+    a = _random_real_normal(n, seed)
+    got = eigvals_double(a)
+    want = np.linalg.eigvals(a.astype(complex))
+    # matched, not index by index: a conjugate pair's two real parts are
+    # equal from the real driver and may differ in the last bit from the
+    # complex one, which can swap the pair in (Re, Im) order
+    rows, cols = linear_sum_assignment(np.abs(got[:, None] - want[None, :]))
+    assert np.all(np.abs(got[rows] - want[cols]) <= 1e-8 * (1 + np.abs(want[cols])))
+    dense = eig_dense(a).values
+    assert np.all(np.abs(got - dense) <= 1e-12 * (1 + np.abs(dense)))
 
 
 def test_reality_flags_scale_is_per_column():

@@ -3,8 +3,9 @@
 Four things fail the guard: an import a module never uses (package
 ``__init__.py`` files are exempt, their imports are re-exports), a
 ``_private`` top-level function that no module of the package references,
-a module-level UPPER_CASE constant that no module of the package loads, and
-an eigenvector solve whose eigenvalues are all that is read.
+a module-level UPPER_CASE constant that no module of the package loads,
+an eigenvector solve whose eigenvalues are all that is read, and a
+nonsymmetric LAPACK eigensolve outside ``core/eig.py``.
 """
 
 import ast
@@ -120,3 +121,60 @@ def test_no_eigenvector_solve_for_values_only():
         and node.value.func.id == "eig_dense"
     ]
     assert solves == []
+
+
+LAPACK_EIG = {"numpy.linalg.eig", "numpy.linalg.eigvals", "scipy.linalg.eig", "scipy.linalg.eigvals"}
+
+
+def _dotted(node, aliases):
+    """The module path an attribute chain names, with import aliases resolved."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(aliases.get(node.id, node.id))
+    return ".".join(reversed(parts))
+
+
+def _lapack_eig_uses(tree):
+    """Lines that name a nonsymmetric LAPACK eigensolver, by attribute or import."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                full = f"{node.module}.{alias.name}"
+                if full in LAPACK_EIG:
+                    yield node.lineno
+                aliases[alias.asname or alias.name] = full
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _dotted(node, aliases) in LAPACK_EIG:
+            yield node.lineno
+
+
+def test_lapack_eigensolves_only_in_core_eig():
+    """``core/eig.py`` sends a real matrix to the real driver and a complex
+    one to the complex driver; a solve elsewhere would bypass that choice.
+    ``eigvalsh`` (the Hermitian Theta of the metric) is not nonsymmetric
+    and stays allowed."""
+    solves = [
+        f"{path.relative_to(PACKAGE)}:{line}"
+        for path in MODULES
+        if path != PACKAGE / "core" / "eig.py"
+        for line in _lapack_eig_uses(_parse(path))
+    ]
+    assert solves == []
+
+
+def test_lapack_eigensolve_guard_sees_every_spelling():
+    source = (
+        "import numpy as np\nimport scipy.linalg as sla\nimport scipy\n"
+        "from numpy import linalg\nfrom scipy.linalg import eigvals as ev\n"
+        "np.linalg.eig(a); sla.eig(a); scipy.linalg.eigvals(a); linalg.eigvals(a)\n"
+        "np.linalg.eigvalsh(a); sla.eigh(a)\n"
+    )
+    assert sorted(_lapack_eig_uses(ast.parse(source))) == [5, 6, 6, 6, 6]

@@ -426,6 +426,16 @@ def test_scan_verdicts_are_certified(n, request):
         assert any(abs(p.params["y"] - (-0.951492)) <= 1e-6 for p in folds)
 
 
+def test_scan10_pole_energy_is_the_exact_root_of_B(scan10):
+    # at y = -1/2 the interior chain's polynomial B has the exact root 3
+    (pole,) = (p for p in scan10 if p.kind == "sturmian-pole" and p.params["y"] == -0.5)
+    assert abs(pole.energy - 3.0) <= 1e-15
+    s = bivariate_secular(10, Fraction(-1, 2))
+    assert s.B(Fraction(3)) == 0
+    exact = -s.A.derivative()(Fraction(3)) / s.B.derivative()(Fraction(3))
+    assert abs(pole.residuals["crossing_coupling"] - float(exact)) <= 1e-14 * abs(float(exact))
+
+
 def test_reality_signatures_either_side_of_pole_event():
     assert bc_reality_signature(5, -0.5) == frozenset({1, 2})
     assert 0 in bc_reality_signature(5, -0.8)
