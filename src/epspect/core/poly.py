@@ -530,6 +530,17 @@ def _cleared(coeffs: list[Polynomial]) -> tuple[list[list[int]], int]:
     return cleared, d
 
 
+def _int_homogeneous(ints: list[int], u: int, v: int) -> int:
+    """v^deg * P(u/v) for P with integer coefficients ``ints``: Horner without division."""
+    if not ints:
+        return 0
+    acc, vk = ints[-1], 1
+    for c in reversed(ints[:-1]):
+        vk *= v
+        acc = acc * u + c * vk
+    return acc
+
+
 def _rescaled(det: list[int], denom: int) -> Polynomial:
     return Polynomial([Fraction(c, denom) for c in det])
 

@@ -379,14 +379,22 @@ def _repeated_roots(coeffs, root, matrix, shift=0.0) -> list[tuple]:
     an extended-precision root cluster of that polynomial evaluated exactly
     at ``as_fraction(root)`` (a float root splits a double root by
     ~sqrt(rounding), below tolerance); the geometric one comes from the
-    singular values of M - E I.
+    singular values of M - E I.  A centre within the cluster radius of the
+    real axis is Newton-polished on the (m-1)-th derivative, where the m-fold
+    root is simple, so an exactly rational root comes out exact.
     """
     poly = Polynomial([k(as_fraction(root)) for k in coeffs])
     found = []
     for c in poly_roots(poly, precision=Precision.EXTENDED).clusters:
         if c.multiplicity < 2:
             continue
-        energy = c.center + shift
+        center = c.center
+        if abs(center.imag) <= c.radius:
+            simple = poly
+            for _ in range(c.multiplicity - 1):
+                simple = simple.derivative()
+            center = complex(float(_newton_polish_real(simple, center.real)))
+        energy = center + shift
         geo, sv, _ = _geometric_multiplicity(matrix, energy)
         resid = {"cluster_radius": c.radius, "rank_defect": geo, "sigma_min": float(sv[-1])}
         found.append((energy, c.multiplicity, "ep" if geo == 1 else "diabolic", resid))

@@ -5,6 +5,11 @@ the two corner couplings z and conj(z), hence linear in p = r^2 once
 z = y + i*sqrt(1 - r^2).  Writing det = A(E) + p*B(E) inverts to the
 two-branched coupling function r^2(E) = -A(E)/B(E): every spectral question
 at fixed y becomes a question about one rational function of E.
+
+r^2(E) is evaluated exactly on integers: A and B are cleared to integer
+coefficients once per function, and each energy, an exact rational, goes
+through a division-free homogeneous Horner sum, so a pole is an integer
+zero test and a finite value costs one Fraction.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -26,6 +31,7 @@ from .core import (
     poly_roots,
     reality_flags,
 )
+from .core.poly import _cleared, _int_homogeneous
 from .models import bc_matrix
 
 
@@ -105,6 +111,12 @@ class SturmianFunction:
         """Exact gcd(A, B); nontrivial iff some E is an eigenvalue for every r."""
         return self.A.gcd(self.B)
 
+    @cached_property
+    def cleared(self) -> tuple[list[int], list[int]]:
+        """Integer coefficient lists of D*A and D*B, one common denominator D."""
+        (a, b), _ = _cleared([self.A, self.B])
+        return a, b
+
 
 def bivariate_secular(n: int, y) -> SturmianFunction:
     """Exact A, B with det(R(n, y + i*sqrt(1-r^2)) - E) = A(E) + r^2*B(E).
@@ -138,15 +150,21 @@ class R2Value:
 def sturmian_r2(s: SturmianFunction, energy) -> R2Value:
     """Evaluate r^2(E) = -A(E)/B(E), reporting poles and 0/0 explicitly.
 
-    Evaluation is exact (the float input converts exactly to a rational), so
-    a pole is B(E) == 0 identically, not a small-denominator accident.
+    Evaluation is exact (the float input converts exactly to a rational
+    u/v), so a pole is B(E) == 0 identically, not a small-denominator
+    accident.  With the integer forms of D*A and D*B, N_P = v^deg P * P(u/v)
+    is a homogeneous Horner sum over the integers, and
+    r^2 = -N_A / (N_B * v^(deg A - deg B)): one Fraction per finite value,
+    none per Horner step.
     """
     e = as_fraction(energy)
-    a = s.A(e)
-    b = s.B(e)
-    if b == 0:
-        return R2Value("indeterminate" if a == 0 else "pole", None)
-    val = -a / b
+    u, v = e.numerator, e.denominator
+    a, b = s.cleared
+    num = _int_homogeneous(a, u, v)
+    den = _int_homogeneous(b, u, v)
+    if den == 0:
+        return R2Value("indeterminate" if num == 0 else "pole", None)
+    val = Fraction(-num, den * v ** (len(a) - len(b)))
     return R2Value("finite", float(val), val)
 
 

@@ -1,11 +1,12 @@
 """Static guard against dead code in the package (stdlib ``ast`` only).
 
-Four things fail the guard: an import a module never uses (package
+Six things fail the guard: an import a module never uses (package
 ``__init__.py`` files are exempt, their imports are re-exports), a
 ``_private`` top-level function that no module of the package references,
 a module-level UPPER_CASE constant that no module of the package loads,
-an eigenvector solve whose eigenvalues are all that is read, and a
-nonsymmetric LAPACK eigensolve outside ``core/eig.py``.
+an eigenvector solve whose eigenvalues are all that is read, a
+nonsymmetric LAPACK eigensolve outside ``core/eig.py``, and denominator
+clearing (``math.lcm``) outside ``core/poly.py``.
 """
 
 import ast
@@ -138,8 +139,8 @@ def _dotted(node, aliases):
     return ".".join(reversed(parts))
 
 
-def _lapack_eig_uses(tree):
-    """Lines that name a nonsymmetric LAPACK eigensolver, by attribute or import."""
+def _uses(tree, targets):
+    """Lines that name one of the dotted ``targets``, by attribute or import."""
     aliases = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -148,11 +149,13 @@ def _lapack_eig_uses(tree):
         elif isinstance(node, ast.ImportFrom) and node.module:
             for alias in node.names:
                 full = f"{node.module}.{alias.name}"
-                if full in LAPACK_EIG:
+                if full in targets or (
+                    alias.name == "*" and any(t.rpartition(".")[0] == node.module for t in targets)
+                ):
                     yield node.lineno
                 aliases[alias.asname or alias.name] = full
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and _dotted(node, aliases) in LAPACK_EIG:
+        if isinstance(node, ast.Attribute) and _dotted(node, aliases) in targets:
             yield node.lineno
 
 
@@ -165,7 +168,7 @@ def test_lapack_eigensolves_only_in_core_eig():
         f"{path.relative_to(PACKAGE)}:{line}"
         for path in MODULES
         if path != PACKAGE / "core" / "eig.py"
-        for line in _lapack_eig_uses(_parse(path))
+        for line in _uses(_parse(path), LAPACK_EIG)
     ]
     assert solves == []
 
@@ -177,4 +180,29 @@ def test_lapack_eigensolve_guard_sees_every_spelling():
         "np.linalg.eig(a); sla.eig(a); scipy.linalg.eigvals(a); linalg.eigvals(a)\n"
         "np.linalg.eigvalsh(a); sla.eigh(a)\n"
     )
-    assert sorted(_lapack_eig_uses(ast.parse(source))) == [5, 6, 6, 6, 6]
+    assert sorted(_uses(ast.parse(source), LAPACK_EIG)) == [5, 6, 6, 6, 6]
+
+
+DENOMINATOR_CLEARING = {"math.lcm"}
+
+
+def test_denominator_clearing_only_in_core_poly():
+    """``core/poly.py``'s ``_cleared`` is the one place that scales exact
+    coefficients to integers; the exact kernel and the integer evaluation
+    of r^2(E) both take their integers from it."""
+    uses = [
+        f"{path.relative_to(PACKAGE)}:{line}"
+        for path in MODULES
+        if path != PACKAGE / "core" / "poly.py"
+        for line in _uses(_parse(path), DENOMINATOR_CLEARING)
+    ]
+    assert uses == []
+
+
+def test_denominator_clearing_guard_sees_every_spelling():
+    source = (
+        "import math\nimport math as m\nfrom math import lcm\n"
+        "from math import lcm as l\nfrom math import *\nfrom math import gcd\n"
+        "math.lcm(a, b); m.lcm(a); math.gcd(a, b)\n"
+    )
+    assert sorted(_uses(ast.parse(source), DENOMINATOR_CLEARING)) == [3, 4, 5, 7, 7]

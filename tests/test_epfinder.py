@@ -436,6 +436,21 @@ def test_scan10_pole_energy_is_the_exact_root_of_B(scan10):
     assert abs(pole.residuals["crossing_coupling"] - float(exact)) <= 1e-14 * abs(float(exact))
 
 
+@pytest.mark.parametrize("n", [6, 8])
+def test_locate_bc_rational_double_root_is_exact(n):
+    # at y = 0 the levels merge at r = 0 on E = 2 exactly; the extended
+    # cluster centre is off by ~1e-14, the polish on the derivative is not
+    pts = ep_locate_1d(bivariate_secular(n, 0), (-1, 1))
+    merges = [p for p in pts if p.params["r"] == 0.0]
+    assert [(p.kind, p.order, p.energy) for p in merges] == [("ep", 2, 2.0 + 0j)]
+    assert merges[0].energy.imag == 0.0
+
+
+def test_scan8_merge_at_zero_shift_is_exact(scan8):
+    (merge,) = (p for p in scan8 if p.params == {"y": 0.0, "r": 0.0})
+    assert merge.energy == 2.0 + 0j and merge.energy.imag == 0.0
+
+
 def test_reality_signatures_either_side_of_pole_event():
     assert bc_reality_signature(5, -0.5) == frozenset({1, 2})
     assert 0 in bc_reality_signature(5, -0.8)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from epspect.core import Polynomial, charpoly_tridiag, eig_dense
 from epspect.models import bc_matrix
@@ -110,6 +111,47 @@ def test_r2_matches_printed_rational_function():
         v = sturmian_r2(s, float(e))
         assert v.kind == "finite"
         assert abs(v.value - num / den) <= 1e-12 * (1 + abs(num / den))
+
+
+def _r2_oracle(s, energy):
+    """(kind, exact) of -A(E)/B(E) by a plain Fraction loop over the coefficients."""
+    e = Fraction(energy)
+    a = sum((Fraction(c) * e**k for k, c in enumerate(s.A.coeffs)), Fraction(0))
+    b = sum((Fraction(c) * e**k for k, c in enumerate(s.B.coeffs)), Fraction(0))
+    if b == 0:
+        return ("indeterminate" if a == 0 else "pole"), None
+    return "finite", -a / b
+
+
+SHIFTS = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.sampled_from([Fraction(1, 3), Fraction(-2, 7), Fraction(5, 9), Fraction(-11, 15)]),
+    st.fractions(-1, 1, max_denominator=60),
+)
+ENERGIES = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.integers(-10, 10),
+    st.fractions(-10, 10, max_denominator=1000),
+    st.sampled_from([1, 2, 3]),  # the rational roots of B, where n allows them
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 10), SHIFTS, ENERGIES)
+@example(5, 0.0, 2)  # 0/0: the persistent centre level of odd n at y = 0
+@example(7, Fraction(-2, 7), 2)  # B(2) = 0 for odd n
+@example(4, Fraction(1, 3), 1)  # B(1) = B(3) = 0 when 3 divides n - 1
+@example(10, -0.5, 3)  # 0/0: A and B share the root 3 at the n=10 pole event
+def test_r2_matches_fraction_oracle(n, y, energy):
+    s = bivariate_secular(n, y)
+    kind, exact = _r2_oracle(s, energy)
+    got = sturmian_r2(s, energy)
+    assert got.kind == kind
+    assert got.exact == exact
+    if exact is None:
+        assert got.value is None
+    else:
+        assert got.value.hex() == float(exact).hex()  # bit-equal
 
 
 # --------------------------------------------------------------------------
