@@ -30,6 +30,7 @@ from .scalars import (
     MpTypes,
     Precision,
     RootCluster,
+    as_fraction,
     cluster_points,
     is_exact_zero,
     to_double,
@@ -380,6 +381,26 @@ def poly_roots(
     return PolyRoots(tuple(roots_sorted), clusters, residuals, iters)
 
 
+POLISH_DPS = 40
+
+
+def _newton_polish_real(p: Polynomial, x0: float) -> mp.mpf:
+    """Polish a simple real root of an exact polynomial to ``POLISH_DPS`` digits."""
+    with mp.workdps(POLISH_DPS):
+        f, df = p.to_extended(), p.derivative().to_extended()
+        x = mp.mpf(x0)
+        for _ in range(60):
+            fx = f(x)
+            dfx = df(x)
+            if dfx == 0:
+                break
+            step = fx / dfx
+            x = x - step
+            if abs(step) <= mp.mpf(10) ** (-POLISH_DPS + 4) * (1 + abs(x)):
+                break
+        return x
+
+
 # --------------------------------------------------------------------------
 # resultants / discriminants
 # --------------------------------------------------------------------------
@@ -572,6 +593,94 @@ def disc_E(f: list[Polynomial]) -> Polynomial:
     dfi = [[k * c for c in fi[k]] for k in range(1, len(fi))]
     res = _det_bareiss_poly(_sylvester_rows(fi, dfi, []))
     return _rescaled(_int_exact_div(res, fi[-1]), d ** (2 * len(f) - 4))
+
+
+# --------------------------------------------------------------------------
+# exact real-root counting (Sturm)
+# --------------------------------------------------------------------------
+
+
+def _int_content_free(ints: list[int]) -> list[int]:
+    """The integer list divided by the gcd of its entries (a positive factor)."""
+    g = math.gcd(*ints)
+    return [c // g for c in ints] if g > 1 else ints
+
+
+def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of the remainder of a by b over Z.
+
+    Each elimination step scales by lc(b); the sign that the lc(b)^(d+1)
+    factor carries in total is undone at the end, so the result has the
+    sign pattern of the true remainder.
+    """
+    rem = a[:]
+    lc, db = b[-1], len(b) - 1
+    steps = 0
+    while len(rem) - 1 >= db and rem:
+        lead, shift = rem[-1], len(rem) - 1 - db
+        rem = [lc * c for c in rem]
+        for j, c in enumerate(b):
+            rem[shift + j] -= lead * c
+        rem.pop()
+        while rem and not rem[-1]:
+            rem.pop()
+        steps += 1
+    if lc < 0 and steps % 2:
+        rem = [-c for c in rem]
+    return rem
+
+
+def _sturm_sequence(p: Polynomial) -> list[list[int]]:
+    """Positive integer multiples of the Sturm sequence of the square-free part of p."""
+    (ints,), _ = _cleared([p])
+    seq = [_int_content_free(ints), _int_content_free([k * c for k, c in enumerate(ints)][1:])]
+    while len(seq[-1]) > 1:
+        rem = _int_pseudo_rem(seq[-2], seq[-1])
+        if not rem:
+            break
+        seq.append(_int_content_free([-c for c in rem]))
+    if len(seq[-1]) > 1:
+        # a repeated root: count the distinct ones on p / gcd(p, p')
+        return _sturm_sequence(p.exact_div(p.gcd(p.derivative())))
+    return seq
+
+
+def _sign_variations(seq: list[list[int]], x) -> int:
+    """Sign changes of the sequence at x (None: +inf, "-inf": -inf), zeros skipped."""
+    if x is None:
+        signs = [c[-1] > 0 for c in seq]
+    elif x == "-inf":
+        signs = [(c[-1] > 0) == (len(c) % 2 == 1) for c in seq]
+    else:
+        u, v = x.numerator, x.denominator
+        values = (_int_homogeneous(c, u, v) for c in seq)
+        signs = [val > 0 for val in values if val]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def real_root_count(p: Polynomial, lo=None, hi=None) -> int:
+    """Number of distinct real roots of an exact polynomial in (lo, hi].
+
+    ``lo=None`` and ``hi=None`` stand for -inf and +inf; finite ends are
+    converted exactly (``as_fraction``).  Sturm's theorem on the square-free
+    part (Basu, Pollack and Roy, *Algorithms in Real Algebraic Geometry*,
+    ch. 2): the count is the drop in sign variations of the Sturm sequence
+    from lo to hi.  The sequence is a primitive pseudo-remainder sequence
+    over Z, so no rational gcd is taken.  Raises ``TypeError`` on floating
+    coefficients and ``ValueError`` on the zero polynomial.
+    """
+    if p.mode is not Precision.EXACT:
+        raise TypeError("real_root_count requires exact coefficients")
+    if p.is_zero:
+        raise ValueError("the zero polynomial has no finite root count")
+    if p.degree < 1:
+        return 0
+    lo = "-inf" if lo is None else as_fraction(lo)
+    hi = None if hi is None else as_fraction(hi)
+    if lo != "-inf" and hi is not None and lo >= hi:
+        return 0
+    seq = _sturm_sequence(p)
+    return _sign_variations(seq, lo) - _sign_variations(seq, hi)
 
 
 # --------------------------------------------------------------------------

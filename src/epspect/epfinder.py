@@ -38,21 +38,24 @@ from .core import (
     exact_matmul,
     exact_rank,
     poly_roots,
+    real_root_count,
     reality_flags,
     res_E,
     to_mp_matrix,
 )
+from .core.poly import POLISH_DPS, _newton_polish_real
 from .models import BcModel, EpnModel, epn_secular
 from .sturmian import (
     SturmianFunction,
     _real_roots,
     bc_secular_parts,
     bivariate_secular,
+    branch_merges,
     secular_in_y,
+    sturmian_r2,
 )
 
 POLISH_SHRINK = 100.0  # accepted EPs must tighten at least this much
-POLISH_DPS = 40
 PERTURB_DPS = 30
 
 
@@ -412,23 +415,6 @@ def _relative_residual(p: Polynomial, x) -> float:
     return float(abs(p(x)) / scale) if scale else 0.0
 
 
-def _newton_polish_real(p: Polynomial, x0: float) -> mp.mpf:
-    """Polish a real root of an exact polynomial to ``POLISH_DPS`` digits."""
-    with mp.workdps(POLISH_DPS):
-        f, df = p.to_extended(), p.derivative().to_extended()
-        x = mp.mpf(x0)
-        for _ in range(60):
-            fx = f(x)
-            dfx = df(x)
-            if dfx == 0:
-                break
-            step = fx / dfx
-            x = x - step
-            if abs(step) <= mp.mpf(10) ** (-POLISH_DPS + 4) * (1 + abs(x)):
-                break
-        return x
-
-
 def _ep_locate_model(model, param_range, samples) -> list[CriticalPoint]:
     lo, hi = float(param_range[0]), float(param_range[1])
     grid = np.linspace(lo, hi, samples)
@@ -517,27 +503,157 @@ def _polish_candidate(model, bracket, scale) -> CriticalPoint | None:
 # --------------------------------------------------------------------------
 
 
-def bc_reality_signature(
-    n: int,
-    y: float,
-    r_samples: int = 161,
-    *,
-    reality_rtol: float = REALITY_RTOL,
-) -> frozenset:
-    """Which tracks lose reality somewhere on r in [0, 1].
+@dataclass(frozen=True)
+class _RealityHistory:
+    """The real levels of A + p B, labelled along p = r^2 from 1 down to 0.
+
+    ``steps`` are the couplings p_j in (0, 1) where the number of real
+    levels changes, descending: (p_j, "depart" | "land", k), the pair
+    sitting at positions k and k + 1 of the real levels, descending in
+    energy, on the side where it is real.  ``segments[i]``
+    lists the labels of the real levels, descending in energy, above step
+    i (the last one below every step, down to r = 0).  A label is ``None``
+    where a landing pair could be either of two complex pairs.  ``lost``
+    holds every label that leaves the real axis on r in [0, 1].
+    """
+
+    steps: tuple
+    segments: tuple
+    lost: frozenset
+
+
+def _simplest_between(lo: Fraction, hi: Fraction | None) -> Fraction:
+    """The rational with the smallest denominator in the open interval (lo, hi).
+
+    ``hi=None`` is +inf.  Continued-fraction descent (Stern-Brocot).
+    """
+    if hi is not None and lo < 0 < hi:
+        return Fraction(0)
+    if hi is not None and hi <= 0:
+        return -_simplest_between(-hi, -lo)
+    whole = lo.numerator // lo.denominator
+    if hi is None or whole + 1 < hi:
+        return Fraction(whole + 1)
+    return whole + 1 / _simplest_between(1 / (hi - whole), None if lo == whole else 1 / (lo - whole))
+
+
+def _inner_rational(a, b) -> Fraction:
+    """The simplest rational in the middle half of (a, b), clear of the rounding of a and b."""
+    a, b = Fraction(a), Fraction(b)
+    quarter = (b - a) / 4
+    return _simplest_between(a + quarter, b - quarter)
+
+
+def _levels_above(roots, energy: complex, cluster: int, real: int) -> int:
+    """Real levels above ``energy`` in one double spectrum with ``real`` real levels.
+
+    The exact count ``real`` says how many levels are real; the doubles
+    only say which and on which side of ``energy`` they lie.  The
+    ``cluster`` roots nearest ``energy`` are the ones meeting there: they
+    are real and not "above".  The other real ones are the ``real -
+    cluster`` roots nearest the real axis.
+    """
+    roots = sorted(roots, key=lambda z: abs(z - energy))
+    others = sorted(roots[cluster:], key=lambda z: abs(z.imag))[: real - cluster]
+    return sum(z.real > energy.real for z in others)
+
+
+@lru_cache(maxsize=128)
+def _reality_history(n: int, y: Fraction) -> _RealityHistory:
+    """The exact label history of the boundary-controlled family at a rational y.
+
+    A + p B has a real double root E* exactly where r^2(E) = -A/B has a
+    critical point with critical value p (A and B share no root between
+    events), so the number of real levels can change only at the branch
+    merges of r^2 with r^2(E*) in (0, 1): the real roots of A'B - AB',
+    certified by a Sturm count (``branch_merges``).  Between two of them
+    the number of real levels is constant: the Sturm count of A + p B at a
+    rational p inside.  Labels run 0..n-1 descending at the Hermitian end
+    r = 1 and are continued downward: the pair merging at E* sits at the
+    positions given by the number of real levels above E*, read off the
+    roots at p_j (``_levels_above``).  A landing pair is the one complex
+    pair, its labels in ascending order; with several complex pairs it is
+    unknown.
+    """
+    s = bivariate_secular(n, y)
+    # the critical values are exact rationals (r^2 at the double E*), so
+    # even the ~1e-18-wide interval between two critical points next to a
+    # fold of the EP curve has a rational inside; equal ones are one point
+    critical = ((sturmian_r2(s, m.energy).exact, m.energy) for m in branch_merges(s))
+    merges = dict(sorted(critical, reverse=True))
+    merges = [(p, e) for p, e in merges.items() if 0 < p < 1]
+    bounds = [1.0, *(p for p, _ in merges), 0.0]
+    counts = [real_root_count(s.poly_at(_inner_rational(b, a))) for a, b in zip(bounds, bounds[1:])]
+    steps = []
+    for (p_j, e_star), above, below in zip(merges, counts, counts[1:]):
+        if below == above:
+            continue
+        if abs(below - above) != 2:
+            raise ArithmeticError(f"{abs(below - above)} levels change reality at one p = {p_j}")
+        roots = poly_roots(s.poly_at(p_j)).roots
+        _, pair, third = sorted(abs(z - e_star) for z in roots)[:3]
+        if third <= 100 * pair:
+            # a third level as close as the pair's own rounding split (near a
+            # fold): the double roots cannot tell its side, 30 digits can
+            roots = poly_roots(s.poly_at(p_j), precision=Precision.EXTENDED).roots
+        k = _levels_above(roots, complex(e_star), 2, max(above, below))
+        steps.append((p_j, "depart" if below < above else "land", k))
+    return _RealityHistory(tuple(steps), *_continue_labels(n, steps))
+
+
+def _continue_labels(n: int, steps) -> tuple[tuple, frozenset]:
+    """Label segments and lost labels of the steps of a history, from r = 1 down."""
+    real, complex_pairs, lost = list(range(n)), [], set()
+    segments = [tuple(real)]
+    for _, kind, k in steps:
+        if kind == "depart":
+            pair = tuple(real[k : k + 2])
+            del real[k : k + 2]
+            complex_pairs.append(pair)
+            lost.update(label for label in pair if label is not None)
+        elif len(complex_pairs) == 1 and None not in complex_pairs[0]:
+            real[k:k] = sorted(complex_pairs.pop())
+        else:
+            real[k:k] = [None, None]
+            complex_pairs = [(None, None)] * (len(complex_pairs) - 1)
+        segments.append(tuple(real))
+    return tuple(segments), frozenset(lost)
+
+
+def bc_reality_signature(n: int, y) -> frozenset:
+    """Which tracks lose reality somewhere on r in [0, 1], decided exactly.
 
     Track labels run 0..n-1 in descending eigenvalue order at the Hermitian
-    endpoint r = 1 (label 0 is the topmost level) and are continued toward
-    r = 0 by minimal-displacement matching.
+    endpoint r = 1 (label 0 is the topmost level).  y converts exactly; the
+    real-level count of A + p B changes only at the critical values p in
+    (0, 1) of r^2(E) = -A/B, and between them it is a Sturm count at a
+    rational p (``_reality_history``).  The set is exact even where a
+    landing pair's labels are not: a label of unknown identity has left
+    the axis before.
     """
-    model = BcModel(n, y)
-    result = sweep(model, (1.0, 0.0), r_samples, reality_rtol=reality_rtol)
-    nonreal = set()
-    # sweep sorts ascending at the first grid point (r = 1): relabel descending
-    for i in range(n):
-        if not result.real_flags[i].all():
-            nonreal.add(n - 1 - i)
-    return frozenset(nonreal)
+    return _reality_history(n, as_fraction(y)).lost
+
+
+def _labels_at(levels: tuple, k: int | None, m: int) -> tuple | None:
+    """The m labels at positions k.. of a descending level list, or None if unknown."""
+    if k is None or k < 0 or k + m > len(levels) or None in levels[k : k + m]:
+        return None
+    return tuple(sorted(levels[k : k + m]))
+
+
+def _common_steps(a: _RealityHistory, b: _RealityHistory) -> int:
+    """Number of leading steps on which two histories agree in kind and position."""
+    i = 0
+    while i < min(len(a.steps), len(b.steps)) and a.steps[i][1:] == b.steps[i][1:]:
+        i += 1
+    return i
+
+
+def _label_residuals(resid: dict, key: str, labels) -> None:
+    """Store the labels of an event, or flag them ambiguous instead of guessing."""
+    resid[key] = labels if labels is not None else (() if key == "tracks" else None)
+    if labels is None:
+        resid["labels_ambiguous"] = True
 
 
 @lru_cache(maxsize=None)
@@ -612,26 +728,38 @@ def ep_locate_2d_bc(n: int, y_range: tuple[float, float]) -> list[CriticalPoint]
 
     A pole-owned root is always a ``sturmian-pole``, with its crossing
     coupling p* = -A'(E*)/B'(E*) in the residuals; no sampling decides it.
-    The reality signatures sampled at y* - 1e-4 and y* + 1e-4 only label an
-    event (``tracks``, or ``appearing``/``vanishing`` for poles, read
-    walking y downward through it); they never create or remove one.  The
-    labels can be empty where the r-grid of ``bc_reality_signature`` cannot
-    resolve the change, as at folds.
+    The labels come from one exact label history per gap between
+    consecutive real roots of the event polynomials (on the whole line, so
+    a window only selects events), taken at the simplest rational in the
+    gap: ``tracks`` of a merger or fold are the levels meeting at its
+    multiple root, a pole has ``appearing``/``vanishing`` (read walking y
+    downward through it) and ``crossing_track``, the level that crosses
+    its persistent line.  Where a landing pair cannot be told apart from
+    another complex pair, or two levels reach a persistent line together
+    (the odd-n pole at y = 0), the labels are left out and
+    ``labels_ambiguous`` is set.  The labels never create or remove an
+    event.
     """
     lo, hi = sorted((float(y_range[0]), float(y_range[1])))
-    candidates = sorted(
-        (
-            (y, polishers)
-            for piece, polishers in _event_pieces(n)
-            for y in map(float, _roots_in_window(piece, lo, hi))
-        ),
+    roots = sorted(
+        ((y, polishers) for piece, polishers in _event_pieces(n) for y in _exact_real_roots(piece, lo, hi)),
         key=lambda c: c[0],
     )
+    ys = [float(y) for y, _ in roots]
+
+    def gap(i: int) -> _RealityHistory:
+        """The label history between roots i - 1 and i."""
+        a = ys[i - 1] if i > 0 else ys[0] - 1 - abs(ys[0])
+        b = ys[i] if i < len(ys) else ys[-1] + 1 + abs(ys[-1])
+        return _reality_history(n, _inner_rational(a, b))
+
     points = []
-    for y_star, polishers in candidates:
-        below, above = (bc_reality_signature(n, y_star + d) for d in (-1e-4, 1e-4))
+    for i, (y_star, polishers) in enumerate(roots):
+        if not lo <= y_star <= hi:
+            continue
+        below, above = gap(i), gap(i + 1)
         for polish in polishers:
-            point = polish(n, y_star, below, above)
+            point = polish(n, ys[i], below, above)
             if point is not None:
                 points.append(point)
                 break
@@ -670,13 +798,13 @@ def _event_pieces(n: int) -> list[tuple[Polynomial, tuple]]:
     return pieces
 
 
-def _roots_in_window(piece: Polynomial, lo: float, hi: float) -> list[Fraction | float]:
-    """Real roots in [lo, hi] of a square-free exact polynomial.
+def _exact_real_roots(piece: Polynomial, lo: float, hi: float) -> list[Fraction | float]:
+    """Every real root of a square-free exact polynomial.
 
     Each is Newton-polished on the polynomial itself, where every root is
-    simple.  A root on an endpoint is found by exact evaluation, returned
-    as that exact ``Fraction`` and deflated, so the polish cannot move it
-    out of the window.
+    simple.  A root on an endpoint of [lo, hi] is found by exact
+    evaluation, returned as that exact ``Fraction`` and deflated, so the
+    polish cannot move it out of the window.
     """
     roots = []
     for end in sorted({lo, hi}):
@@ -684,8 +812,12 @@ def _roots_in_window(piece: Polynomial, lo: float, hi: float) -> list[Fraction |
         if piece(e) == 0:
             roots.append(e)
             piece = piece.exact_div(Polynomial([-e, 1]))
-    polished = (float(_newton_polish_real(piece, y0)) for y0, _ in _real_roots(piece))
-    return roots + [y for y in polished if lo <= y <= hi]
+    return roots + [float(_newton_polish_real(piece, y0)) for y0, _ in _real_roots(piece)]
+
+
+def _roots_in_window(piece: Polynomial, lo: float, hi: float) -> list[Fraction | float]:
+    """The real roots in [lo, hi] of a square-free exact polynomial (``_exact_real_roots``)."""
+    return [y for y in _exact_real_roots(piece, lo, hi) if lo <= y <= hi]
 
 
 def _polish_merge_event(n, y_star, below, above) -> CriticalPoint | None:
@@ -693,12 +825,20 @@ def _polish_merge_event(n, y_star, below, above) -> CriticalPoint | None:
 
     The secular polynomial at r = 0, as a polynomial in y, is classified at
     y* by ``_repeated_roots``, like every root of the exact 1-D locator.
+    Its ``tracks`` are the levels at the merge energy's positions at
+    r -> 0, on the side of y* where they are real.
     """
     found = _repeated_roots(secular_in_y(n), y_star, BcModel(n, y_star).matrix(0.0))
     if not found:
         return None
     energy, order, kind, resid = found[0]
-    resid["tracks"] = tuple(sorted(below ^ above))
+    lowest = below.segments[-1], above.segments[-1]
+    levels = max(lowest, key=len)
+    poly = Polynomial([c(as_fraction(y_star)) for c in secular_in_y(n)])
+    k = _levels_above(poly_roots(poly.to_double()).roots, energy, order, len(levels))
+    if len(lowest[0]) == len(lowest[1]) and lowest[0] != lowest[1]:
+        k = None
+    _label_residuals(resid, "tracks", _labels_at(levels, k, order))
     resid["disc_residual"] = _relative_residual(_disc_in_y_at_p(n, 0), y_star)
     return CriticalPoint({"y": y_star, "r": 0.0}, energy, kind, order, resid)
 
@@ -711,25 +851,67 @@ def _polish_pole_event(n, y_star, below, above) -> CriticalPoint:
     B is the characteristic polynomial of the interior Hermitian chain, so
     its roots are real and simple, and E* is the one where A_y* vanishes,
     Newton-polished on B at ``POLISH_DPS``; the residuals evaluate A, A'
-    and B' exactly at that E*.  A root shared with the merge polynomial is tried as a merger first, so
-    every root that reaches this polisher is a pole.  Its
-    ``crossing_coupling`` p* = -A'(E*)/B'(E*) is the coupling at which the
-    moving branch of r^2(E) passes through the persistent line.
+    and B' exactly at that E*.  A rational E* whose double is an exact root
+    of B (E* = 2 for odd n at y = 0) is kept as that root, so the residuals
+    and ``_crossing_track``'s zero-slope test see it exactly.  A root shared
+    with the merge polynomial is tried as a merger first, so every root
+    that reaches this polisher is a pole.  Its ``crossing_coupling``
+    p* = -A'(E*)/B'(E*) is the coupling at which the moving branch of
+    r^2(E) passes through the persistent line; ``crossing_track`` is that
+    moving level (``_crossing_track``).
     """
     s = bivariate_secular(n, as_fraction(y_star))
     a_dbl = s.A.to_double()
     e0 = min((e for e, _ in _real_roots(s.B)), key=lambda e: abs(a_dbl(complex(e))))
-    energy = as_fraction(_newton_polish_real(s.B, e0))
+    polished = _newton_polish_real(s.B, e0)
+    energy = as_fraction(float(polished))
+    if s.B(energy) != 0:
+        energy = as_fraction(polished)
+    p_star = -s.A.derivative()(energy) / s.B.derivative()(energy)
     resid = {
-        "appearing": tuple(sorted(below - above)),
-        "vanishing": tuple(sorted(above - below)),
+        "appearing": tuple(sorted(below.lost - above.lost)),
+        "vanishing": tuple(sorted(above.lost - below.lost)),
         "numerator_at_pole": abs(float(s.A(energy))),
-        "crossing_coupling": float(-s.A.derivative()(energy) / s.B.derivative()(energy)),
+        "crossing_coupling": float(p_star),
         "resultant_residual": _relative_residual(_pole_collision_poly(n), y_star),
     }
+    _label_residuals(resid, "crossing_track", _crossing_track(s, energy, p_star, below, above))
     return CriticalPoint(
         {"y": y_star, "r": float("nan")}, complex(float(energy)), "sturmian-pole", 1, resid
     )
+
+
+def _crossing_track(s: SturmianFunction, energy: Fraction, p_star: Fraction, below, above):
+    """The label of the level that crosses the persistent line E* at p*.
+
+    On E* = energy the persistent level and the moving one meet at p*; the
+    moving one leaves with dE/dp = -2 B'(E*) / (A''(E*) + p* B''(E*)).
+    Inside the model the labels just above p* are those above the first
+    step where the two neighbouring histories differ; a crossing below
+    r = 0 or above r = 1 is read at that end, where the moving level is the
+    neighbour of E* on the side it moved to.
+    """
+    slope = s.A.derivative().derivative()(energy) + p_star * s.B.derivative().derivative()(energy)
+    if slope == 0:  # two levels reach E* together: no single crossing level
+        return None
+    # on the model's side of p*, is the moving level above E*?
+    rising = (-2 * s.B.derivative()(energy) / slope > 0) == (p_star <= 1)
+    inside = 0 < p_star < 1
+    if inside:
+        i = _common_steps(below, above)
+        if i == len(below.steps) == len(above.steps):
+            i = sum(p > p_star for p, _, _ in below.steps)
+        levels = below.segments[i]
+    else:
+        levels = below.segments[-1 if p_star <= 0 else 0]
+        if levels != above.segments[-1 if p_star <= 0 else 0]:
+            return None
+    p_end = min(max(p_star, Fraction(0)), Fraction(1))
+    roots = poly_roots(s.poly_at(p_end).to_double()).roots
+    k = _levels_above(roots, complex(float(energy)), 2 if inside else 1, len(levels))
+    k += inside and rising
+    labels = _labels_at(levels, k - 1 if rising else k + 1, 1)
+    return None if labels is None else labels[0]
 
 
 def _polish_fold_event(n, y_star, below, above) -> CriticalPoint | None:
@@ -740,7 +922,9 @@ def _polish_fold_event(n, y_star, below, above) -> CriticalPoint | None:
     as the exact rational of that E*: a double p* would split the triple
     root beyond any cluster tolerance.  The secular polynomial at p* is
     then classified by ``_repeated_roots``, like every merger; the event
-    energy is E* itself.
+    energy is E* itself.  Its ``tracks`` are the three levels that are real
+    between the landing and the departure that the fold joins: on one side
+    of y* the history has these two extra steps next to each other.
     """
     y_frac = as_fraction(y_star)
     w_at = Polynomial([c(y_frac) for c in _fold_coeffs_in_E(n)])
@@ -763,10 +947,28 @@ def _polish_fold_event(n, y_star, below, above) -> CriticalPoint | None:
         # the cluster fixes order and kind; its centroid carries the
         # rounding fog of the 30-digit root finder, E* does not
         _, order, kind, resid = min(found, key=lambda f: abs(f[0] - complex(e_star)))
-        resid["tracks"] = tuple(sorted(below ^ above))
+        _label_residuals(resid, "tracks", _fold_tracks(below, above, order))
         resid["fold_residual"] = _relative_residual(_fold_event_poly(n), y_star)
         return CriticalPoint({"y": y_star, "r": r0}, complex(e_star), kind, order, resid)
     return None
+
+
+def _fold_tracks(below: _RealityHistory, above: _RealityHistory, order: int) -> tuple | None:
+    """The levels real between a landing and the departure right after it.
+
+    The side of the fold with two more steps has them where the two
+    histories first differ; the landing and departing pairs share one
+    level, so the three meeting levels are consecutive there.
+    """
+    wide, narrow = sorted((below, above), key=lambda h: len(h.steps), reverse=True)
+    if len(wide.steps) != len(narrow.steps) + 2:
+        return None
+    i = _common_steps(wide, narrow)
+    (_, land, k_land), (_, depart, k_depart) = wide.steps[i : i + 2]
+    first = min(k_land, k_depart)
+    if (land, depart) != ("land", "depart") or {k_land, k_depart} != {first, first + 1}:
+        return None
+    return _labels_at(wide.segments[i + 1], first, order) if order == 3 else None
 
 
 # --------------------------------------------------------------------------

@@ -24,15 +24,24 @@ import numpy as np
 
 from .core import (
     BivariateSecular,
+    ConvergenceError,
     Polynomial,
+    Precision,
     as_fraction,
     charpoly_from_parts,
     eigvals_double,
     poly_roots,
+    real_root_count,
     reality_flags,
 )
-from .core.poly import _cleared, _int_homogeneous
+from .core.poly import _cleared, _int_homogeneous, _newton_polish_real
 from .models import bc_matrix
+
+# Cluster radius and reality tolerance of the extended retry in
+# ``_real_roots``: on exact coefficients at 30 digits a multiple root splits
+# by ~1e-15, while two distinct real roots, or a complex pair, 1e-12 apart
+# stay apart.
+EXTENDED_CLUSTER_RTOL = 1e-12
 
 
 @lru_cache(maxsize=None)
@@ -199,43 +208,77 @@ class BranchTrace:
     merges: tuple[BranchPoint, ...]
 
 
-def _real_roots(p: Polynomial, lo: float | None = None, hi: float | None = None):
+def _real_roots(p: Polynomial, lo=None, hi=None) -> list[tuple[float, int]]:
+    """Distinct real roots of an exact polynomial in [lo, hi], with multiplicities.
+
+    The roots are the real clusters of ``poly_roots``; their number is
+    certified against the exact Sturm count on the same window.  On a
+    mismatch the roots are recomputed at ``Precision.EXTENDED`` from the
+    exact coefficients, clustered and filtered at ``EXTENDED_CLUSTER_RTOL``,
+    which separates two real roots, or a complex pair, closer than double
+    rounding can resolve; a second mismatch raises ``ConvergenceError``.
+    """
     if p.degree < 1:
         return []
-    out = []
-    for c in poly_roots(p.to_double()).clusters:
-        if abs(c.center.imag) <= 1e-8 * (1 + abs(c.center)):
-            e = c.center.real
-            if (lo is None or e >= lo) and (hi is None or e <= hi):
-                out.append((e, c.multiplicity))
+    want = real_root_count(p, lo, hi) + (lo is not None and p(as_fraction(lo)) == 0)
+
+    def real_in_window(found, rtol):
+        return [
+            (c.center.real, c.multiplicity)
+            for c in found.clusters
+            if abs(c.center.imag) <= rtol * (1 + abs(c.center))
+            and (lo is None or c.center.real >= lo)
+            and (hi is None or c.center.real <= hi)
+        ]
+
+    out = real_in_window(poly_roots(p.to_double()), 1e-8)
+    if len(out) != want:
+        rtol = EXTENDED_CLUSTER_RTOL
+        out = real_in_window(poly_roots(p, precision=Precision.EXTENDED, cluster_rtol=rtol), rtol)
+    if len(out) != want:
+        raise ConvergenceError(
+            f"{len(out)} real root(s) found where Sturm's theorem counts {want}",
+            roots=[e for e, _ in out],
+        )
     return out
+
+
+def _polished_real_roots(p: Polynomial) -> list[tuple[float, int]]:
+    """``_real_roots`` with each root Newton-polished on the square-free part of p."""
+    simple = p.exact_div(p.gcd(p.derivative())) if p.degree >= 1 else p
+    return [(float(_newton_polish_real(simple, e)), m) for e, m in _real_roots(p)]
+
+
+def _without_factors_of(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p with every factor it shares with q divided out, multiplicity included."""
+    while (common := p.gcd(q)).degree >= 1:
+        p = p.exact_div(common)
+    return p
 
 
 def sturmian_poles(s: SturmianFunction) -> tuple[BranchPoint, ...]:
     """Real zeros of the denominator B, classified pole vs indeterminate.
 
-    An energy where A and B vanish together (detected by exact gcd) is an
-    eigenvalue for every coupling, not a divergence of r(E).
+    B splits exactly into the part made of roots of gcd(A, B), where A and
+    B vanish together and the energy is an eigenvalue for every coupling
+    ("indeterminate", not a divergence of r(E)), and the rest ("pole-of-r").
+    Each root is Newton-polished on its part, so an exact root of B such as
+    E = 2 comes out exact.
     """
-    g = s.common_factor()
-    points = []
-    for e, mult in _real_roots(s.B):
-        kind = "pole-of-r"
-        if g.degree >= 1 and abs(g(complex(e))) <= 1e-8 * (1 + abs(e)):
-            kind = "indeterminate"
-        points.append(BranchPoint(e, kind, mult))
+    poles = _without_factors_of(s.B, s.common_factor())
+    shared = s.B.exact_div(poles)
+    points = [
+        BranchPoint(e, kind, mult)
+        for kind, part in (("indeterminate", shared), ("pole-of-r", poles))
+        for e, mult in _polished_real_roots(part)
+    ]
     return tuple(sorted(points, key=lambda b: b.energy))
 
 
 def branch_merges(s: SturmianFunction) -> tuple[BranchPoint, ...]:
-    """Critical points of r^2(E): real zeros of A'B - AB' away from poles."""
-    num = s.A.derivative() * s.B - s.A * s.B.derivative()
-    bd = s.B.to_double()
-    out = []
-    for e, mult in _real_roots(num):
-        if abs(bd(complex(e))) <= 1e-8 * (1 + abs(e)) ** s.B.degree:
-            continue
-        out.append(BranchPoint(e, "branch-merge", mult))
+    """Critical points of r^2(E): real zeros of A'B - AB' that B does not share."""
+    num = _without_factors_of(s.A.derivative() * s.B - s.A * s.B.derivative(), s.B)
+    out = [BranchPoint(e, "branch-merge", mult) for e, mult in _real_roots(num)]
     return tuple(sorted(out, key=lambda b: b.energy))
 
 

@@ -26,6 +26,7 @@ from epspect.core import (
     eigvals_double,
     eigvals_mp,
     poly_roots,
+    real_root_count,
     reality_flags,
     res_E,
     resultant,
@@ -262,6 +263,66 @@ def test_poly_roots_extended_sharpens_multiple_roots():
     assert pair_err_fine <= max(
         abs(r - 2) for r in coarse.roots if abs(r - 2) < 0.5
     )
+
+
+# --------------------------------------------------------------------------
+# exact real-root counting
+# --------------------------------------------------------------------------
+
+_real_factors = st.lists(
+    st.tuples(st.fractions(min_value=-4, max_value=4, max_denominator=7), st.integers(1, 3)),
+    max_size=4,
+)
+_complex_factors = st.lists(
+    st.fractions(min_value=Fraction(1, 9), max_value=5, max_denominator=9), max_size=2
+)
+
+
+def _product(real_roots, quadratics, lc):
+    """lc * prod (x - a)^k * prod (x^2 + c): known roots, repeated ones included."""
+    p = Polynomial([Fraction(lc)])
+    for a, k in real_roots:
+        for _ in range(k):
+            p = p * Polynomial([-a, Fraction(1)])
+    for c in quadratics:
+        p = p * Polynomial([c, Fraction(0), Fraction(1)])
+    return p
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    _real_factors,
+    _complex_factors,
+    st.sampled_from([1, -3, Fraction(2, 5)]),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+)
+def test_real_root_count_matches_planted_roots(real_roots, quadratics, lc, a, b):
+    p = _product(real_roots, quadratics, lc)
+    distinct = {r for r, _ in real_roots}
+    assert real_root_count(p) == len(distinct)
+    lo, hi = min(a, b), max(a, b)
+    # (lo, hi]: a root on lo is out, a root on hi is in
+    assert real_root_count(p, lo, hi) == sum(lo < r <= hi for r in distinct)
+    assert real_root_count(p, None, hi) == sum(r <= hi for r in distinct)
+    assert real_root_count(p, lo, None) == sum(r > lo for r in distinct)
+
+
+def test_real_root_count_counts_endpoint_roots_on_the_right_only():
+    p = _product([(Fraction(1), 2), (Fraction(2), 1), (Fraction(-1, 3), 3)], [Fraction(2)], 1)
+    assert real_root_count(p) == 3
+    assert real_root_count(p, 1, 2) == 1
+    assert real_root_count(p, Fraction(1, 2), 1) == 1
+    assert real_root_count(p, 1.0, 1.5) == 0
+    assert real_root_count(p, 2, 1) == 0
+    assert real_root_count(Polynomial([Fraction(7)])) == 0
+
+
+def test_real_root_count_rejects_floats_and_zero():
+    with pytest.raises(TypeError):
+        real_root_count(Polynomial([1.0, -2.0, 1.0]))
+    with pytest.raises(ValueError):
+        real_root_count(Polynomial.zero())
 
 
 # --------------------------------------------------------------------------

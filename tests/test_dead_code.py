@@ -1,15 +1,18 @@
 """Static guard against dead code in the package (stdlib ``ast`` only).
 
-Six things fail the guard: an import a module never uses (package
+Seven things fail the guard: an import a module never uses (package
 ``__init__.py`` files are exempt, their imports are re-exports), a
 ``_private`` top-level function that no module of the package references,
 a module-level UPPER_CASE constant that no module of the package loads,
 an eigenvector solve whose eigenvalues are all that is read, a
-nonsymmetric LAPACK eigensolve outside ``core/eig.py``, and denominator
-clearing (``math.lcm``) outside ``core/poly.py``.
+nonsymmetric LAPACK eigensolve outside ``core/eig.py``, denominator
+clearing (``math.lcm``) outside ``core/poly.py``, and sampled reality
+(``sweep``, ``reality_flags``, ``REALITY_RTOL``) anywhere the exact shift
+scan reaches.
 """
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "epspect"
@@ -206,3 +209,50 @@ def test_denominator_clearing_guard_sees_every_spelling():
         "math.lcm(a, b); m.lcm(a); math.gcd(a, b)\n"
     )
     assert sorted(_uses(ast.parse(source), DENOMINATOR_CLEARING)) == [3, 4, 5, 7, 7]
+
+
+SAMPLED_REALITY = {"sweep", "reality_flags", "REALITY_RTOL"}
+EXACT_SCAN = re.compile(r"bc_reality_signature|ep_locate_2d_bc|_polish_\w+_event")
+
+
+def _sampling_in_exact_scan(tree):
+    """(function, line) where a scan function, or a module function it
+    reaches, loads a sampled-reality name."""
+    functions = {
+        node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    reached = [name for name in functions if EXACT_SCAN.fullmatch(name)]
+    for name in reached:
+        for node in ast.walk(functions[name]):
+            ident = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if ident in SAMPLED_REALITY:
+                yield name, node.lineno
+            elif ident in functions and ident not in reached:
+                reached.append(ident)
+
+
+def test_exact_scan_never_samples_reality():
+    """The shift scan's labels come from exact real-root counts; a sweep or
+    a reality tolerance anywhere it reaches would bring back sampling."""
+    found = [
+        f"{path.relative_to(PACKAGE)}:{line}: {name}"
+        for path in MODULES
+        for name, line in _sampling_in_exact_scan(_parse(path))
+    ]
+    assert found == []
+
+
+def test_exact_scan_guard_sees_every_spelling():
+    source = (
+        "from .core import REALITY_RTOL\n"
+        "def helper():\n    return sweep(1)\n"
+        "def ep_locate_2d_bc():\n    return helper()\n"
+        "def _polish_pole_event():\n    return core.reality_flags(x)\n"
+        "def bc_reality_signature(n, y, rtol=REALITY_RTOL):\n    pass\n"
+        "def unrelated():\n    return sweep(2)\n"
+    )
+    assert sorted(_sampling_in_exact_scan(ast.parse(source))) == [
+        ("_polish_pole_event", 7),
+        ("bc_reality_signature", 8),
+        ("helper", 3),
+    ]

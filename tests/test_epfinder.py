@@ -6,15 +6,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
+import epspect.epfinder as epfinder
 from epspect.core import Precision, eig_dense
 from epspect.epfinder import (
     _disc_in_y_at_p,
+    _event_pieces,
     _fold_event_poly,
     _min_pairwise,
     _ep_locate_model,
     _pole_collision_poly,
+    _roots_in_window,
     bc_reality_signature,
     classify_degeneracy,
     ep_locate_1d,
@@ -342,6 +346,17 @@ def test_scan_y_locates_pole_event():
     assert pt.residuals["crossing_coupling"] == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_odd_pole_at_zero_shift_is_exact_and_has_no_single_crossing(n):
+    # A and B share E = 2 exactly; the mirror E -> 4 - E sends two levels
+    # into it together, so no one level crosses the persistent line
+    (pole,) = (p for p in ep_locate_2d_bc(n, (-0.1, 0.1)) if p.kind == "sturmian-pole")
+    assert pole.params["y"] == 0.0 and pole.energy == 2.0
+    assert pole.residuals["numerator_at_pole"] == 0.0
+    assert pole.residuals["crossing_track"] is None
+    assert pole.residuals["labels_ambiguous"] is True
+
+
 def test_scan_y_events_do_not_depend_on_the_window():
     wide = ep_locate_2d_bc(5, (-1.0, 0.0))
     narrow = ep_locate_2d_bc(5, (-0.75, -0.65))
@@ -355,11 +370,30 @@ def test_scan_y_events_do_not_depend_on_the_window():
         ), p
 
 
+def _labels(point):
+    keys = ("tracks", "appearing", "vanishing", "crossing_track", "labels_ambiguous")
+    return {k: point.residuals[k] for k in keys if k in point.residuals}
+
+
+def _mirrored_labels(labels, n):
+    """Labels of the mirror event: level l becomes n - 1 - l, and walking
+    y downward through the mirror swaps appearing and vanishing."""
+    swap = {"appearing": "vanishing", "vanishing": "appearing"}
+    out = {}
+    for key, value in labels.items():
+        if isinstance(value, tuple):
+            value = tuple(sorted(n - 1 - label for label in value))
+        elif isinstance(value, int) and not isinstance(value, bool):
+            value = n - 1 - value
+        out[swap.get(key, key)] = value
+    return out
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_scan_y_events_mirror_under_y_to_minus_y(n):
     # R(n, -conj z) is similar to 4 - R(n, z) (reverse the basis, flip
     # alternate signs), so an event at (y, E) has a mirror at (-y, 4 - E)
-    # with the same kind and order
+    # with the same kind, order and mirrored labels
     events = ep_locate_2d_bc(n, (-1.0, 1.0))
     assert all(p.kind != "indeterminate" for p in events)
     for p in events:
@@ -368,6 +402,7 @@ def test_scan_y_events_mirror_under_y_to_minus_y(n):
             and q.order == p.order
             and abs(q.params["y"] + p.params["y"]) <= 1e-9
             and abs(q.energy.real - (4 - p.energy.real)) <= 1e-9
+            and _labels(q) == _mirrored_labels(_labels(p), n)
             for q in events
         ), p
 
@@ -454,6 +489,79 @@ def test_scan8_merge_at_zero_shift_is_exact(scan8):
 def test_reality_signatures_either_side_of_pole_event():
     assert bc_reality_signature(5, -0.5) == frozenset({1, 2})
     assert 0 in bc_reality_signature(5, -0.8)
+
+
+def test_reality_signatures_hold_up_to_each_event(scan8):
+    # at the double nearest an event and 1e-12 from it, where critical
+    # values and levels crowd within rounding (three levels meet at a fold),
+    # the signature is defined and equals that of a side 1e-6 away
+    for p in scan8:
+        y = p.params["y"]
+        below, above = (bc_reality_signature(8, y + d) for d in (-1e-6, 1e-6))
+        assert bc_reality_signature(8, y) in (below, above), p
+        assert bc_reality_signature(8, y - 1e-12) == below, p
+        assert bc_reality_signature(8, y + 1e-12) == above, p
+
+
+def test_scan8_every_event_is_labelled(scan8):
+    # the labels are exact: both folds and the merge at y = 0 carry the
+    # levels that meet, and each pole the level crossing its persistent line
+    for p in scan8:
+        assert "labels_ambiguous" not in p.residuals, p
+        if p.kind == "sturmian-pole":
+            assert p.residuals["crossing_track"] is not None, p
+        else:
+            assert len(p.residuals["tracks"]) == p.order, p
+    folds = [p.residuals["tracks"] for p in scan8 if p.params["r"] > 0]
+    assert folds == [(0, 1, 2), (1, 2, 3)]
+    (merge,) = (p for p in scan8 if p.params == {"y": 0.0, "r": 0.0})
+    assert merge.residuals["tracks"] == (3, 4)
+
+
+def test_scan_labels_without_sweeps_one_history_per_gap(monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the shift scan sampled a sweep")
+
+    monkeypatch.setattr(epfinder, "sweep", no_sweep)
+    epfinder._reality_history.cache_clear()
+    points = ep_locate_2d_bc(8, (-1.0, 0.0))
+    candidates = sum(len(_roots_in_window(piece, -1.0, 0.0)) for piece, _ in _event_pieces(8))
+    assert len(points) == 7
+    assert epfinder._reality_history.cache_info().misses <= candidates + 1
+
+
+def test_landing_labels_are_unknown_only_beside_another_complex_pair():
+    # one complex pair lands with its own labels
+    segments, lost = epfinder._continue_labels(4, [(0.9, "depart", 0), (0.5, "land", 1)])
+    assert segments == ((0, 1, 2, 3), (2, 3), (2, 0, 1, 3)) and lost == {0, 1}
+    # two pairs off the axis: which one lands is not decided, yet the lost
+    # set stays exact, since an unknown label has left the axis before
+    steps = [(0.9, "depart", 0), (0.7, "depart", 2), (0.5, "land", 1), (0.3, "depart", 1), (0.2, "depart", 0)]
+    segments, lost = epfinder._continue_labels(6, steps)
+    assert segments[3] == (2, None, None, 3)
+    assert segments[-1] == ()
+    assert lost == {0, 1, 2, 3, 4, 5}
+    assert epfinder._labels_at(segments[3], 0, 1) == (2,)
+    assert epfinder._labels_at(segments[3], 0, 2) is None
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    st.integers(4, 6),
+    st.floats(-1.0, 0.0),
+    st.floats(-1.0, 0.0),
+)
+def test_scan_events_and_labels_do_not_depend_on_the_window(n, a, b):
+    lo, hi = sorted((a, b))
+    full = ep_locate_2d_bc(n, (-1.0, 0.0))
+    for p in ep_locate_2d_bc(n, (lo, hi)):
+        assert any(
+            q.kind == p.kind
+            and q.order == p.order
+            and abs(q.params["y"] - p.params["y"]) <= 1e-9
+            and _labels(q) == _labels(p)
+            for q in full
+        ), p
 
 
 # --------------------------------------------------------------------------

@@ -4,14 +4,18 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from epspect.core import Polynomial, charpoly_tridiag, eig_dense
+import epspect.sturmian as sturmian
+from epspect.core import ConvergenceError, Polynomial, Precision, charpoly_tridiag, eig_dense, poly_roots
 from epspect.models import bc_matrix
 from epspect.sturmian import (
+    _real_roots,
     bivariate_secular,
+    branch_merges,
     branch_trace,
     real_spectrum_at,
     sturmian_poles,
@@ -245,6 +249,48 @@ def test_five_level_center_is_indeterminate_at_zero_shift():
     poles = sturmian_poles(bivariate_secular(5, 0))
     center = [b for b in poles if abs(b.energy - 2) < 1e-8]
     assert center and center[0].kind == "indeterminate"
+
+
+@pytest.mark.parametrize("y", [-0.5, -0.8])
+def test_poles_are_polished_on_B(y):
+    # B is the interior chain, eigenvalues 2 - 2 cos(k pi / 4): 2 exactly
+    # and 2 +- sqrt(2), each the double nearest the root
+    poles = sturmian_poles(bivariate_secular(5, y))
+    with mp.workdps(40):
+        want = [float(2 - mp.sqrt(2)), 2.0, float(2 + mp.sqrt(2))]
+    assert [b.energy for b in poles] == want
+
+
+@pytest.mark.parametrize("n, y, shared", [(5, 0, 2), (10, Fraction(-1, 2), 3)])
+def test_indeterminate_and_merges_split_by_exact_gcd(n, y, shared):
+    # A and B share the root E = shared exactly: it is indeterminate, not a
+    # pole, and no branch merge sits on it
+    s = bivariate_secular(n, y)
+    assert s.common_factor()(Fraction(shared)) == 0
+    kinds = {b.energy: b.kind for b in sturmian_poles(s)}
+    assert kinds.pop(float(shared)) == "indeterminate"
+    assert set(kinds.values()) == {"pole-of-r"}
+    assert all(s.B(Fraction(b.energy)) != 0 for b in branch_merges(s))
+
+
+def test_real_roots_retry_extended_then_raise(monkeypatch):
+    p = Polynomial([Fraction(c) for c in (-6, 11, -6, 1)])  # roots 1, 2, 3
+    calls = []
+
+    def lossy(poly, precision=Precision.DOUBLE, **kwargs):
+        calls.append(precision)
+        found = poly_roots(poly, precision=precision, **kwargs)
+        if precision is Precision.DOUBLE or not allow_extended:
+            return type(found)(found.roots, found.clusters[1:], found.residuals, found.iterations)
+        return found
+
+    monkeypatch.setattr(sturmian, "poly_roots", lossy)
+    allow_extended = True
+    assert [round(e, 12) for e, _ in _real_roots(p, 0, 4)] == [1.0, 2.0, 3.0]
+    assert calls == [Precision.DOUBLE, Precision.EXTENDED]
+    allow_extended = False
+    with pytest.raises(ConvergenceError):
+        _real_roots(p, 0, 4)
 
 
 # --------------------------------------------------------------------------
