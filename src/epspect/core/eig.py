@@ -8,17 +8,21 @@ coefficients are ill-conditioned, found by the mpmath Aberth iteration of
 ``poly`` from the double eigenvalues).  The extended tier matters close to
 a degeneracy, where double-precision eigenvalues lose half their digits per
 coalescing level; the extended sweep, EP polishing and perturbation draws
-all read ``eigvals_mp``.  ``eig_dense`` (left and right eigenvectors with
-residual checks; LAPACK through scipy, or mpmath's QR in ``eigtriples_mp``)
-serves only the consumers of eigenvectors: degeneracy classification and
-the metric.
+all read ``eigvals_mp``.  ``eigvals_double`` also takes a ``(k, n, n)``
+stack and returns one row per matrix, bit for bit what each matrix gives
+alone; a sweep solves its grid in stacked chunks.  ``eig_dense`` (left and
+right eigenvectors with residual checks; LAPACK through scipy, or mpmath's
+QR in ``eigtriples_mp``) serves only the consumers of eigenvectors:
+degeneracy classification and the metric.  scipy is imported there, on
+first use, so a command that reads no double eigenvectors never loads it.
 
 No other module calls LAPACK's nonsymmetric drivers.  Both double solvers
 send a matrix whose imaginary parts are all exactly zero to the real
 ``dgeev`` and any other to ``zgeev``.  The real driver is faster, and a real
 matrix's real eigenvalues come back with imaginary part exactly 0.0, the
-others in exact conjugate pairs.  The double seeds of ``eigvals_mp`` stay on
-the complex driver: real seeds would move the extended roots it polishes.
+others in exact conjugate pairs; in a stack the choice is made per matrix.
+The double seeds of ``eigvals_mp`` stay on the complex driver: real seeds
+would move the extended roots it polishes.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-import scipy.linalg as sla
 
 from .poly import ConvergenceError, _aberth
 from .scalars import CLUSTER_RTOL, EXTENDED_DPS, Precision, RootCluster, cluster_points
@@ -63,29 +66,34 @@ def _sort_triples(values, right, left):
     return values[order], right[:, order], left[:, order]
 
 
-def _real_if_exact(a: np.ndarray) -> np.ndarray:
-    """``a.real`` when every imaginary part of ``a`` is exactly zero, else ``a``.
-
-    Both double solvers pass through here, so a real matrix takes LAPACK's
-    real driver (``dgeev``) and a complex one ``zgeev``.
-    """
-    return a if a.imag.any() else a.real
-
-
 def eigvals_double(m) -> np.ndarray:
     """Eigenvalues of a dense matrix in double precision, ascending (Re, Im).
 
     The double twin of ``eigvals_mp``: LAPACK with no eigenvectors, in the
     order in which ``eig_dense`` reports its values.  Always complex; for a
     real matrix the real eigenvalues have imaginary part exactly 0.0 and the
-    others come in exact conjugate pairs.
+    others come in exact conjugate pairs.  A ``(k, n, n)`` stack gives a
+    ``(k, n)`` array whose row i equals ``eigvals_double(m[i])`` bit for bit:
+    the real matrices of the stack go to the real driver together, the
+    others to the complex one.
     """
-    values = np.linalg.eigvals(_real_if_exact(as_array(m))).astype(complex, copy=False)
-    return values[np.lexsort((values.imag, values.real))]
+    if np.ndim(m) == 3:
+        a = np.asarray(m, dtype=complex)
+        real = ~a.imag.any(axis=(1, 2))
+        values = np.empty(a.shape[:2], dtype=complex)
+        for rows, stack in ((real, a[real].real), (~real, a[~real])):
+            if len(stack):
+                values[rows] = np.linalg.eigvals(stack)
+    else:
+        a = as_array(m)
+        values = np.linalg.eigvals(a if a.imag.any() else a.real).astype(complex, copy=False)
+    return np.take_along_axis(values, np.lexsort((values.imag, values.real)), axis=-1)
 
 
 def _eig_double(a: np.ndarray):
-    values, vl, vr = sla.eig(_real_if_exact(a), left=True, right=True)
+    import scipy.linalg as sla  # on first use: only eigenvector consumers need it
+
+    values, vl, vr = sla.eig(a if a.imag.any() else a.real, left=True, right=True)
     return values, vr, vl
 
 

@@ -17,7 +17,6 @@ from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
-from scipy.optimize import linear_sum_assignment, minimize_scalar
 
 from .core import (
     CLUSTER_RTOL,
@@ -57,6 +56,7 @@ from .sturmian import (
 
 POLISH_SHRINK = 100.0  # accepted EPs must tighten at least this much
 PERTURB_DPS = 30
+SWEEP_CHUNK = 256  # grid points per stacked double eigensolve and warning pass
 
 
 # --------------------------------------------------------------------------
@@ -102,6 +102,110 @@ def _min_pairwise(values) -> float:
     return float(np.min(np.hypot(diff.real, diff.imag)))
 
 
+def _assign(cost: np.ndarray) -> np.ndarray:
+    """The column of each row in a minimum-cost assignment of a finite square matrix.
+
+    Bit for bit the assignment scipy's ``linear_sum_assignment`` returns:
+    a port of its shortest augmenting path solver (Crouse, IEEE TAES 52(4),
+    2016, after Jonker and Volgenant), with the same scan order, tie rule
+    and floating-point operations, so ties and rounding resolve alike.
+    When the first minima of the rows fall in distinct columns, they are
+    the answer: the solver sinks each row on its first scan, where a tie
+    goes to the lowest free column.
+    """
+    best = cost.argmin(axis=1)
+    if len(set(best.tolist())) == len(best):
+        return best
+    return np.array(_augmenting_paths(cost))
+
+
+def _augmenting_paths(cost: np.ndarray) -> list[int]:
+    """scipy's square ``augmenting_path`` LSAP solver, line by line.
+
+    Rows are added in order.  A run of rows whose reduced row c - v has its
+    first minimum on a free column is placed in one numpy step: the solver
+    sinks each such row on its first scan, and the duals v stay as they are.
+    """
+    n = len(cost)
+    c = cost.tolist()
+    u, v = [0.0] * n, [0.0] * n
+    col4row, row4col, path = [-1] * n, [-1] * n, [-1] * n
+    cur = 0
+    while cur < n:
+        reduced = cost[cur:] - np.array(v)
+        for k, j in enumerate(reduced.argmin(axis=1).tolist()):
+            if row4col[j] != -1:
+                break
+            u[cur], col4row[cur], row4col[j] = float(reduced[k, j]), j, cur
+            cur += 1
+        if cur == n:
+            break
+
+        # the shortest augmenting path from row cur (Crouse's pseudocode)
+        remaining = list(range(n - 1, -1, -1))  # reversed: a constant cost gives the identity
+        shortest = [math.inf] * n
+        visited_rows, visited_cols = [cur], []
+        min_val, i, sink = 0.0, cur, -1
+        while sink == -1:
+            index, lowest = -1, math.inf
+            ci, ui = c[i], u[i]
+            for it, j in enumerate(remaining):
+                s = shortest[j]
+                r = min_val + ci[j] - ui - v[j]
+                if r < s:
+                    path[j] = i
+                    shortest[j] = s = r
+                # among equal minima prefer a free column: a new sink
+                if s <= lowest and (s < lowest or row4col[j] == -1):
+                    lowest, index = s, it
+            min_val = lowest
+            if min_val == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+                visited_rows.append(i)
+            visited_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+
+        u[cur] += min_val
+        for i in visited_rows[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in visited_cols:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+        cur += 1
+    return col4row
+
+
+def _pairing_warnings(tracks: np.ndarray) -> np.ndarray:
+    """Points where two continued values lie closer than twice the largest step into them.
+
+    Per grid point k >= 1 this is ``_min_pairwise(tracks[:, k]) < 2 *
+    max |tracks[:, k] - tracks[:, k - 1]|``, evaluated in column chunks.
+    """
+    n, samples = tracks.shape
+    warnings = np.zeros(samples, dtype=bool)
+    if n < 2:
+        return warnings
+    rows, cols = _upper_pairs(n)
+    for start in range(1, samples, SWEEP_CHUNK):
+        block = tracks[:, start : start + SWEEP_CHUNK]
+        step = np.abs(block - tracks[:, start - 1 : start - 1 + block.shape[1]]).max(axis=0)
+        diff = block[rows] - block[cols]
+        warnings[start : start + block.shape[1]] = np.hypot(diff.real, diff.imag).min(axis=0) < 2.0 * step
+    return warnings
+
+
 def sweep(
     model,
     param_range: tuple[float, float],
@@ -112,6 +216,7 @@ def sweep(
 ) -> SweepResult:
     """Continued eigenvalue tracks of ``model.matrix(p)`` over a grid.
 
+    Double precision solves the grid in stacks of ``SWEEP_CHUNK`` matrices.
     Extended precision reads the eigenvalue-only ``eigvals_mp`` at
     ``EXTENDED_DPS``, from ``model.matrix_mp`` where the model has one.
     """
@@ -119,33 +224,30 @@ def sweep(
         raise ValueError("samples must be >= 2")
     grid = np.linspace(float(param_range[0]), float(param_range[1]), samples)
     if precision is Precision.DOUBLE:
-        spectra = [eigvals_double(model.matrix(p)) for p in grid]
+        spectra = np.concatenate(
+            [
+                eigvals_double(np.array([as_array(model.matrix(p)) for p in grid[k : k + SWEEP_CHUNK]]))
+                for k in range(0, samples, SWEEP_CHUNK)
+            ]
+        )
     elif precision is Precision.EXTENDED:
         with mp.workdps(EXTENDED_DPS):
-            values = [np.array(_mp_eigvals(model, p, None), dtype=complex) for p in grid]
-        spectra = [v[np.lexsort((v.imag, v.real))] for v in values]
+            values = np.array([_mp_eigvals(model, p, None) for p in grid], dtype=complex)
+        spectra = np.take_along_axis(values, np.lexsort((values.imag, values.real)), axis=-1)
     else:
         raise ValueError("sweep supports double or extended precision")
 
-    n = len(spectra[0])
-    tracks = np.zeros((n, samples), dtype=complex)
-    warnings = np.zeros(samples, dtype=bool)
-    order = np.lexsort((spectra[0].imag, spectra[0].real))
-    tracks[:, 0] = spectra[0][order]
+    # row k holds the tracks at grid point k while they are continued
+    rows = np.empty_like(spectra)
+    rows[0] = spectra[0]
     for k in range(1, samples):
-        prev = tracks[:, k - 1]
         cur = spectra[k]
-        cost = np.abs(cur[None, :] - prev[:, None])
-        rows, cols = linear_sum_assignment(cost)
-        assigned = cur[cols[np.argsort(rows)]]
-        tracks[:, k] = assigned
-        step = np.abs(assigned - prev)
-        if n > 1 and _min_pairwise(assigned) < 2.0 * float(np.max(step)):
-            warnings[k] = True
+        rows[k] = cur[_assign(np.abs(cur[None, :] - rows[k - 1][:, None]))]
+    tracks = np.ascontiguousarray(rows.T)
 
     flags = reality_flags(tracks, rtol=reality_rtol)
     info = model.describe() if hasattr(model, "describe") else {}
-    return SweepResult(grid, tracks, flags, warnings, info)
+    return SweepResult(grid, tracks, flags, _pairing_warnings(tracks), info)
 
 
 # --------------------------------------------------------------------------
@@ -436,6 +538,8 @@ def _ep_locate_model(model, param_range, samples) -> list[CriticalPoint]:
 
 
 def _polish_candidate(model, bracket, scale) -> CriticalPoint | None:
+    from scipy.optimize import minimize_scalar  # on first use: no other command needs scipy
+
     def gap_double(p):
         return _min_pairwise(eigvals_double(model.matrix(p)))
 

@@ -176,10 +176,14 @@ def build_metric(
     """Metric Theta = Y diag(kappa) Y^H making M self-adjoint.
 
     Requires a real, numerically simple spectrum and strictly positive
-    kappa (default all ones).  ``precision="auto"`` builds in double and
-    silently re-builds under mpmath if the quasi-Hermiticity residual
-    misses the 1e-10 * ||M||_F * ||Theta||_F bound, which happens when the
-    eigenbasis is badly conditioned near a degeneracy.
+    kappa (default all ones).  A tier's Theta is accepted only if it is
+    positive definite, its smallest eigenvalue above the eigensolver's
+    rounding level n * eps * ||Theta||_2, and its quasi-Hermiticity
+    residual meets the 1e-10 * ||M||_F * ||Theta||_F bound.
+    ``precision="auto"`` builds in double and silently re-builds under
+    mpmath if either test fails, which happens when the eigenbasis is badly
+    conditioned near a degeneracy; ``MetricConstructionError`` is raised
+    when no tier passes.
     """
     a = as_array(m)
     n = a.shape[0]
@@ -194,7 +198,7 @@ def build_metric(
         if precision == "auto"
         else [precision if isinstance(precision, Precision) else Precision(precision)]
     )
-    residual = bound = float("nan")
+    residual = bound = min_eig = float("nan")
     for tier in tiers:
         if tier is Precision.DOUBLE:
             theta, cond = _build_theta_double(a, kappa)
@@ -203,12 +207,16 @@ def build_metric(
         theta = (theta + theta.conj().T) / 2.0
         residual = float(np.linalg.norm(a.conj().T @ theta - theta @ a, "fro"))
         bound = 1e-10 * np.linalg.norm(a, "fro") * np.linalg.norm(theta, "fro")
-        if residual <= bound:
+        w = np.linalg.eigvalsh(theta)
+        min_eig = float(w[0])
+        # the sign of w[0] is only known beyond eigvalsh's rounding, n eps ||Theta||_2
+        if residual <= bound and min_eig > n * np.finfo(float).eps * max(-w[0], w[-1]):
             return MetricOperator(theta, kappa, residual, cond)
     raise MetricConstructionError(
-        f"quasi-Hermiticity residual {residual:.3e} exceeds bound {bound:.3e} "
-        "even under extended precision; the eigenbasis is too close to "
-        "degenerate (near an exceptional point)"
+        f"no positive-definite metric within the quasi-Hermiticity bound in "
+        f"{' or '.join(t.value for t in tiers)} precision: residual {residual:.3e} "
+        f"(bound {bound:.3e}), smallest eigenvalue of Theta {min_eig:.3e}; the "
+        "eigenbasis is too close to degenerate (near an exceptional point)"
     )
 
 
@@ -236,7 +244,8 @@ def metric_conditioning_sweep(model, grid, kappa=None) -> list[ConditioningPoint
     """min_eig and cond of the unit-norm metric along a parameter grid.
 
     Points where construction is refused (degenerate basis, complex
-    spectrum) are recorded as gaps carrying the error text, not aborts.
+    spectrum, no positive-definite metric within the residual bound) are
+    recorded as gaps carrying the error text, not aborts.
     Approaching an exceptional point the minimum eigenvalue of the
     normalized metric decays to zero: the metric ceases to be invertible in
     the limit.
@@ -252,7 +261,7 @@ def metric_conditioning_sweep(model, grid, kappa=None) -> list[ConditioningPoint
                     float(p), float(w[0]), float(w[-1] / w[0]) if w[0] > 0 else float("inf")
                 )
             )
-        except (DegenerateBasisError, ComplexSpectrumError) as exc:
+        except (DegenerateBasisError, ComplexSpectrumError, MetricConstructionError) as exc:
             out.append(ConditioningPoint(float(p), None, None, str(exc)))
     return out
 

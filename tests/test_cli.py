@@ -235,6 +235,15 @@ def test_metric_near_ep_refusal_exit_code(tmp_path):
     assert code == 3
 
 
+def test_metric_without_a_positive_definite_theta_is_refused(tmp_path):
+    out = tmp_path / "m.json"
+    code = run(
+        ["metric", "--model", "epn", "--n", "6", "--t", "0.0001", "--output", str(out)]
+    )
+    assert code == 3
+    assert not out.exists()
+
+
 def test_metric_sweep_has_decreasing_min_eig(tmp_path):
     out = tmp_path / "ms.csv"
     code = run(

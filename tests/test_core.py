@@ -447,6 +447,29 @@ def test_epn_spectrum_is_exactly_conjugate_closed(n, t):
     _assert_closed_under_conjugation(eigvals_double(epn_matrix(n, t)))
 
 
+def test_eigvals_double_stack_matches_single_solves_bit_for_bit():
+    # real matrices (EPN ones, one at its EP8, and a random one with
+    # conjugate pairs) between complex boundary-controlled ones
+    stack = [
+        epn_matrix(8, 0.3).to_array(),
+        bc_matrix(8, 1j).to_array(),
+        epn_matrix(8, 0.0).to_array(),
+        bc_matrix(8, -0.5 + 0.8j).to_array(),
+        epn_matrix(8, 1.7).to_array(),
+        np.random.default_rng(3).standard_normal((8, 8)),
+    ]
+    got = eigvals_double(np.array(stack))
+    assert got.shape == (len(stack), 8) and got.dtype == complex
+    for row, m in zip(got, stack):
+        assert row.tobytes() == eigvals_double(m).tobytes()
+    # the real matrices keep the real driver inside the stack
+    for i in (0, 4):
+        assert np.all(got[i].imag == 0.0)
+    for i in (2, 5):
+        _assert_closed_under_conjugation(got[i])
+    assert np.any(got[5].imag != 0.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 12), st.integers(0, 2**32 - 1))
 def test_real_driver_matches_complex_driver(n, seed):

@@ -1,6 +1,6 @@
 """Static guard against dead code in the package (stdlib ``ast`` only).
 
-Seven things fail the guard: an import a module never uses (package
+Eight things fail the guard: an import a module never uses (package
 ``__init__.py`` files are exempt, their imports are re-exports), a
 ``_private`` top-level function that no module of the package references,
 a module-level UPPER_CASE constant that no module of the package loads,
@@ -8,11 +8,18 @@ an eigenvector solve whose eigenvalues are all that is read, a
 nonsymmetric LAPACK eigensolve outside ``core/eig.py``, denominator
 clearing (``math.lcm``) outside ``core/poly.py``, and sampled reality
 (``sweep``, ``reality_flags``, ``REALITY_RTOL``) anywhere the exact shift
-scan reaches.
+scan reaches, and a ``scipy`` import that runs when a module is imported.
+A fresh-interpreter test checks the last one end to end: importing the
+command line and running the commands that need no double eigenvectors
+never loads scipy.
 """
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "epspect"
@@ -256,3 +263,72 @@ def test_exact_scan_guard_sees_every_spelling():
         ("bc_reality_signature", 8),
         ("helper", 3),
     ]
+
+
+def _eager_imports(tree, package="scipy"):
+    """Lines of imports of ``package`` that run when the module is imported:
+    every import statement outside a function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            if any(alias.name.split(".")[0] == package for alias in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] == package:
+                yield node.lineno
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_level_scipy_import():
+    """scipy takes longer to import than numpy and mpmath together; it is
+    imported inside the two functions that call it (the double eigenvector
+    solve and the bounded gap minimization of the float locator)."""
+    eager = [
+        f"{path.relative_to(PACKAGE)}:{line}" for path in MODULES for line in _eager_imports(_parse(path))
+    ]
+    assert eager == []
+
+
+def test_scipy_import_guard_sees_every_spelling():
+    source = (
+        "import scipy\n"
+        "import scipy.linalg as sla\n"
+        "from scipy import linalg\n"
+        "from scipy.optimize import minimize_scalar\n"
+        "import numpy, scipy.sparse\n"
+        "if True:\n    import scipy.special\n"
+        "class C:\n    from scipy import stats\n"
+        "def lazy():\n    import scipy.linalg as sla\n    from scipy.optimize import x\n"
+        "import scipyx\nfrom .scipy import y\nfrom numpy import scipy\n"
+    )
+    assert sorted(_eager_imports(ast.parse(source))) == [1, 2, 3, 4, 5, 7, 9]
+
+
+COLD_COMMANDS = [
+    ["sweep", "--model", "epn", "--n", "4", "--range", "0:1", "--samples", "11", "--output", "s.csv"],
+    ["find-ep", "--model", "bc", "--n", "4", "--scan-y", "--range", "-1:0", "--output", "scan.json"],
+    ["figure", "4", "--out-dir", "."],
+    ["metric", "--model", "epn", "--n", "4", "--t", "0.5", "--precision", "extended", "--output", "m.json"],
+]
+
+
+def test_commands_without_double_eigenvectors_never_load_scipy(tmp_path):
+    script = (
+        "import json, sys\n"
+        "import epspect.cli\n"
+        "loaded = ['import epspect.cli'] if 'scipy' in sys.modules else []\n"
+        f"for argv in {COLD_COMMANDS!r}:\n"
+        "    assert epspect.cli.main(argv) == 0, argv\n"
+        "    loaded += [argv[0]] if 'scipy' in sys.modules else []\n"
+        "print(json.dumps(loaded))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

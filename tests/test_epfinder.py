@@ -10,12 +10,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import epspect.epfinder as epfinder
-from epspect.core import Precision, eig_dense
+from epspect.core import Precision, eig_dense, eigvals_double
 from epspect.epfinder import (
+    _assign,
     _disc_in_y_at_p,
     _event_pieces,
     _fold_event_poly,
     _min_pairwise,
+    _pairing_warnings,
     _ep_locate_model,
     _pole_collision_poly,
     _roots_in_window,
@@ -136,6 +138,78 @@ def test_sweep_matches_per_point_eigentriple_reference(model, param_range, sampl
     # the windows cross the reality boundary and the ambiguous pairings
     assert flags.any() and not flags.all()
     assert warnings.any()
+
+
+@pytest.mark.parametrize(
+    "model, param_range, samples",
+    [
+        (EpnModel(8), (-0.5, 0.5), 201),
+        (BcModel(6, -0.5), (1.0, 0.0), 161),
+        (EpnModel(4), (-0.5, 0.5), 601),  # crosses two chunk boundaries
+    ],
+    ids=["epn8-through-EP8", "bc6-y-0.5", "epn4-chunked"],
+)
+def test_pairing_warnings_match_the_per_step_formula(model, param_range, samples):
+    tracks = sweep(model, param_range, samples).tracks
+    want = [False] + [
+        _min_pairwise(tracks[:, k]) < 2.0 * float(np.max(np.abs(tracks[:, k] - tracks[:, k - 1])))
+        for k in range(1, samples)
+    ]
+    assert _pairing_warnings(tracks).tolist() == want
+    assert any(want)
+
+
+# --------------------------------------------------------------------------
+# track assignment: bit for bit scipy's linear_sum_assignment
+# --------------------------------------------------------------------------
+
+
+def _scipy_columns(cost):
+    rows, cols = linear_sum_assignment(cost)
+    return cols[np.argsort(rows)]
+
+
+def _cost(kind: str, n: int, seed: int) -> np.ndarray:
+    """A float, small-integer (tie-heavy) or conjugate-pair cost matrix."""
+    rng = np.random.default_rng(seed)
+    if kind == "float":
+        return rng.random((n, n))
+    if kind == "integer":
+        return rng.integers(0, 4, (n, n)).astype(float)
+    # distances between two conjugate-closed spectra, some values real: a
+    # real value is exactly as far from x + iy as from x - iy
+    def spectrum():
+        half = (n + 1) // 2
+        z = (rng.integers(-4, 5, half) + 1j * rng.integers(-4, 5, half)) / 4
+        z.imag[rng.random(half) < 0.4] = 0.0
+        return np.concatenate([z, z.conj()])[:n]
+
+    prev, cur = spectrum(), spectrum()
+    return np.abs(cur[None, :] - prev[:, None])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["float", "integer", "conjugate"]),
+    st.integers(1, 12),
+    st.integers(0, 2**32 - 1),
+)
+def test_assign_matches_scipy_bit_for_bit(kind, n, seed):
+    cost = _cost(kind, n, seed)
+    assert _assign(cost).tolist() == _scipy_columns(cost).tolist()
+
+
+def test_assign_matches_scipy_on_a_sweep_through_the_ep8():
+    model = EpnModel(8)
+    res = sweep(model, (-0.5, 0.5), 201)
+    through_port = 0
+    for k in range(1, len(res.grid)):
+        cur = eigvals_double(model.matrix(res.grid[k]))
+        cost = np.abs(cur[None, :] - res.tracks[:, k - 1][:, None])
+        assert _assign(cost).tolist() == _scipy_columns(cost).tolist(), k
+        through_port += len(set(cost.argmin(axis=1).tolist())) < len(cost)
+    # the augmenting-path port, not only the row-minimum shortcut, is exercised
+    assert through_port > 0
 
 
 def _matched_distance(got, want):

@@ -112,6 +112,21 @@ def test_metric_refuses_at_exceptional_point():
         build_metric(bc_matrix(6, 1j).to_array())
 
 
+@pytest.mark.parametrize("precision", ["auto", "extended"])
+def test_metric_refuses_theta_that_is_not_positive_definite(precision):
+    # at t = 1e-4 both tiers meet the residual bound (relative to a huge
+    # ||Theta||) with a negative smallest eigenvalue: not a metric
+    with pytest.raises(MetricConstructionError, match="positive-definite"):
+        build_metric(EpnModel(6).matrix(1e-4), precision=precision)
+
+
+def test_conditioning_sweep_never_reports_a_point_that_is_not_positive():
+    points = metric_conditioning_sweep(EpnModel(6), [0.5, 0.01, 1e-3, 1e-4])
+    assert [p.error is None for p in points] == [True, True, False, False]
+    assert all(p.min_eig > 0 for p in points if p.error is None)
+    assert all(p.min_eig is None and "positive-definite" in p.error for p in points[2:])
+
+
 def test_metric_kappa_scaling_is_linear():
     m = epn_matrix(6, 0.4).to_array()
     k = np.array([1.0, 2.0, 0.5, 1.5, 3.0, 1.0])
