@@ -2,10 +2,11 @@
 
 Each tier has an eigenvalue-only primitive for the callers that read
 nothing else: ``eigvals_double`` (LAPACK without eigenvectors, in the order
-of ``eig_dense``) and ``eigvals_mp`` (the roots of the Berkowitz
-characteristic polynomial, built at twice the working dps because its
-coefficients are ill-conditioned, found by the mpmath Aberth iteration of
-``poly`` from the double eigenvalues).  The extended tier matters close to
+of ``eig_dense``) and ``eigvals_mp`` (the roots of the characteristic
+polynomial, which Berkowitz's division-free recurrence gives exactly on the
+Gaussian integers of the power-of-two-scaled matrix, found by the integer
+fixed-point Aberth iteration of ``poly`` from the double eigenvalues; no
+step runs in mpmath arithmetic).  The extended tier matters close to
 a degeneracy, where double-precision eigenvalues lose half their digits per
 coalescing level; the extended sweep, EP polishing and perturbation draws
 all read ``eigvals_mp``.  ``eigvals_double`` also takes a ``(k, n, n)``
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .poly import ConvergenceError, _aberth
+from .poly import _extended_roots, _gaussian_cleared
 from .scalars import CLUSTER_RTOL, EXTENDED_DPS, Precision, RootCluster, cluster_points
 from .tridiag import as_array
 
@@ -117,25 +118,34 @@ def eigtriples_mp(a: np.ndarray):
     return mp.eig(to_mp_matrix(a), left=True, right=True)
 
 
-def _berkowitz(m) -> list:
-    """Characteristic polynomial det(x I - m), ascending coefficients.
+def _berkowitz(entries: list[list[tuple[int, int]]]) -> list[tuple[int, int]]:
+    """Characteristic polynomial det(x I - m) of a Gaussian-integer matrix.
 
-    Berkowitz's division-free recurrence: with r and s the row and column
-    bordering the leading k x k block B, and a the new diagonal entry, the
-    polynomial grows by a lower-triangular Toeplitz product with
+    Ascending (re, im) coefficients, exact.  Berkowitz's division-free
+    recurrence: with r and s the row and column bordering the leading
+    k x k block B, and a the new diagonal entry, the polynomial grows by a
+    lower-triangular Toeplitz product with
     (1, -a, -r s, -r B s, ..., -r B^(k-1) s).
     """
-    n = m.rows
-    poly = [mp.mpf(1)]  # descending
-    for k in range(n):
-        toeplitz = [mp.mpf(1), -m[k, k]]
-        col = [m[i, k] for i in range(k)]
-        rows = [[m[i, j] for j in range(k)] for i in range(k + 1)]
+
+    def dot(xs, ys):
+        re = im = 0
+        for (a, b), (c, d) in zip(xs, ys):
+            re += a * c - b * d
+            im += a * d + b * c
+        return re, im
+
+    poly = [(1, 0)]  # descending
+    for k in range(len(entries)):
+        toeplitz = [(1, 0), (-entries[k][k][0], -entries[k][k][1])]
+        col = [entries[i][k] for i in range(k)]
+        rows = [entries[i][:k] for i in range(k + 1)]
         for _ in range(k):
-            toeplitz.append(-mp.fdot(rows[k], col))
-            col = [mp.fdot(rows[i], col) for i in range(k)]
+            re, im = dot(rows[k], col)
+            toeplitz.append((-re, -im))
+            col = [dot(rows[i], col) for i in range(k)]
         poly = [
-            mp.fdot((toeplitz[i - j], poly[j]) for j in range(min(i, k) + 1))
+            dot((toeplitz[i - j] for j in range(min(i, k) + 1)), poly[: min(i, k) + 1])
             for i in range(k + 2)
         ]
     return poly[::-1]
@@ -144,26 +154,28 @@ def _berkowitz(m) -> list:
 def eigvals_mp(m, seeds=None) -> list:
     """Eigenvalues of an ``mp.matrix`` at the working precision.
 
-    Roots of the Berkowitz characteristic polynomial (coefficients at twice
-    the working dps) by Aberth iteration from ``seeds``, by default the
-    double eigenvalues.  The seeds are lifted off the real axis by
-    1e-3 * 2^-26 * (1 + |s|): from real seeds the iterates of a polynomial
-    with real coefficients stay real and never reach a complex pair.
+    Every entry is a dyadic rational, so scaled by the lcm D of their
+    denominators (a power of two) the matrix has Gaussian-integer entries
+    and ``_berkowitz`` gives its characteristic polynomial exactly; its
+    roots are D times the eigenvalues.  They are found by the fixed-point
+    integer Aberth iteration of ``poly`` from ``seeds``, by default the
+    double eigenvalues, at the working precision.  Each seed s is moved by
+    1e-3 * 2^-26 * (1 + |s|) in both the real and the imaginary direction.
+    Exact arithmetic keeps every symmetry of the polynomial: from seeds on
+    the real axis the iterates of a real polynomial stay real, and from
+    seeds on the imaginary axis those of a polynomial symmetric about it
+    (EPN at t < 0) stay imaginary; neither reaches a pair off the axis.
     Raises ``ConvergenceError`` with the unconverged subset if any root
     fails to lock; unpolished roots are never returned.
     """
-    with mp.workdps(2 * mp.mp.dps):
-        coeffs = _berkowitz(m)
+    n = m.rows
+    flat, d = _gaussian_cleared([m[i, j] for i in range(n) for j in range(n)])
+    coeffs = _berkowitz([flat[i * n : (i + 1) * n] for i in range(n)])
     if seeds is None:
         seeds = np.linalg.eigvals(from_mp_matrix(m))
-    z = [mp.mpc(s) + mp.mpc(0, 1e-3 * 2.0**-26 * (1 + abs(s))) for s in seeds]
-    z, locked, _ = _aberth(coeffs, z, mp.eps, lambda t: float(abs(t)))
-    if not all(locked):
-        bad = [zi for zi, ok in zip(z, locked) if not ok]
-        raise ConvergenceError(
-            f"{len(bad)} eigenvalue(s) failed to converge", roots=z, unconverged=bad
-        )
-    return z
+    z = [mp.mpc(s) + 1e-3 * 2.0**-26 * (1 + abs(s)) * mp.mpc(1, 1) for s in seeds]
+    roots, _ = _extended_roots(coeffs, z, d.bit_length() - 1)
+    return roots
 
 
 def _eig_extended(a: np.ndarray):

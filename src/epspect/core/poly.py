@@ -4,6 +4,14 @@ Polynomials carry their coefficients in one of the three arithmetic tiers
 (see ``scalars``).  Exact-tier polynomials support exact division, gcd and
 resultants; floating tiers feed the Aberth-Ehrlich root finder.
 
+Roots come from Aberth-Ehrlich iteration in two kernels: ``_aberth`` in
+double precision, and ``_aberth_fixed`` for the extended tier.  Every
+coefficient of an extended solve is an exact rational, so the second runs
+on Python ints: the coefficients are Gaussian integers (denominators
+cleared by their lcm), the iterates are fixed point, Horner is exact and
+only divisions round.  ``poly_roots(precision=EXTENDED)`` and
+``eig.eigvals_mp`` both reach it through ``_extended_roots``.
+
 Every exact resultant and discriminant goes through one kernel: the
 Sylvester determinant over Z[y] by Bareiss's fraction-free elimination on
 plain ``int`` coefficient lists.  ``res_E`` and ``disc_E`` clear each
@@ -31,6 +39,7 @@ from .scalars import (
     Precision,
     RootCluster,
     as_fraction,
+    as_ratio,
     cluster_points,
     is_exact_zero,
     to_double,
@@ -268,18 +277,16 @@ def _horner_pair(coeffs, z):
     return p, dp
 
 
-def _aberth(coeffs, z, eps, absfn, maxiter=200):
-    """Aberth-Ehrlich simultaneous iteration from the starting points z.
+def _aberth(coeffs, z, maxiter=200):
+    """Aberth-Ehrlich simultaneous iteration in double precision.
 
-    A root locks once |p(z)| <= 16 eps sum |c_k| |z|^k.  Magnitudes are
-    taken once per coefficient and once per root and sweep: under mpmath
-    each ``abs`` is a hypot, and near a degeneracy the iteration converges
-    only linearly, so they would otherwise dominate.
+    ``coeffs`` are complex, ascending; ``z`` the starting points.  A root
+    locks once |p(z)| <= 16 eps sum |c_k| |z|^k.
     """
+    eps = float(np.finfo(float).eps)
     m = len(z)
     locked = [False] * m
-    tol_factor = 16 * eps
-    abs_coeffs = [absfn(c) for c in coeffs]
+    abs_coeffs = [abs(c) for c in coeffs]
     it = 0
     for it in range(1, maxiter + 1):
         moved = False
@@ -287,14 +294,14 @@ def _aberth(coeffs, z, eps, absfn, maxiter=200):
             if locked[i]:
                 continue
             p, dp = _horner_pair(coeffs, z[i])
-            az = absfn(z[i])
-            scale = sum(a * az ** k for k, a in enumerate(abs_coeffs))
-            if absfn(p) <= tol_factor * scale:
+            az = abs(z[i])
+            scale = sum(a * az**k for k, a in enumerate(abs_coeffs))
+            if abs(p) <= 16 * eps * scale:
                 locked[i] = True
                 continue
             if dp == 0:
                 # nudge off a stationary point
-                z[i] = z[i] + (0.5 + 0.5j) * (1 + az) * eps ** 0.25
+                z[i] = z[i] + (0.5 + 0.5j) * (1 + az) * eps**0.25
                 moved = True
                 continue
             newton = p / dp
@@ -312,6 +319,151 @@ def _aberth(coeffs, z, eps, absfn, maxiter=200):
         if not moved:
             break
     return z, locked, it
+
+
+# The extended tier runs on Gaussian integers: a coefficient is an (re, im)
+# pair of ints, and an iterate is an (re, im) pair read at 2^-bits.
+
+
+def _div_round(a: int, b: int) -> int:
+    """a / b rounded to the nearest integer, for b > 0."""
+    return (2 * a + b) // (2 * b)
+
+
+def _gaussian_div(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """a / b rounded to the nearest Gaussian integer (b nonzero)."""
+    (ar, ai), (br, bi) = a, b
+    q = br * br + bi * bi
+    return _div_round(ar * br + ai * bi, q), _div_round(ai * br - ar * bi, q)
+
+
+EXTENDED_GUARD_BITS = 32
+
+
+def _aberth_fixed(coeffs, z, bits, eps_bits, maxiter=200):
+    """Aberth-Ehrlich simultaneous iteration on Gaussian integers.
+
+    ``coeffs`` are ascending Gaussian-integer coefficients and each iterate
+    ``z[i]`` stands for z[i] / 2^bits.  Horner and its derivative are exact:
+    with d the degree, 2^(d bits) p(z) and 2^((d-1) bits) p'(z) are
+    integers.  The Newton quotient N = p / p' is rounded to 2^-bits; the
+    dimensionless Aberth term N sum 1 / (z - z_j) and the step
+    N / (1 - N sum 1 / (z - z_j)) are rounded to 2^-frac, with frac =
+    eps_bits + ``EXTENDED_GUARD_BITS``, whatever the scale of the roots.
+    A root locks once |p(z)| <= 16 2^-eps_bits sum |c_k| |z|^k, compared on
+    integers with the magnitudes floored by ``isqrt``.
+    """
+    m, deg = len(z), len(coeffs) - 1
+    one = 1 << bits
+    frac = eps_bits + EXTENDED_GUARD_BITS
+    locked = [False] * m
+    # c_k 2^((d-k) bits): the Horner terms of the scaled value
+    shifted = [(cr << (deg - k) * bits, ci << (deg - k) * bits) for k, (cr, ci) in enumerate(coeffs)]
+    abs_shifted = [math.isqrt(cr * cr + ci * ci) for cr, ci in shifted]
+    it = 0
+    for it in range(1, maxiter + 1):
+        moved = False
+        for i in range(m):
+            if locked[i]:
+                continue
+            zr, zi = z[i]
+            pr, pi = shifted[-1]
+            dr = di = 0
+            for cr, ci in reversed(shifted[:-1]):
+                dr, di = dr * zr - di * zi + pr, dr * zi + di * zr + pi
+                pr, pi = pr * zr - pi * zi + cr, pr * zi + pi * zr + ci
+            az = math.isqrt(zr * zr + zi * zi)
+            scale = abs_shifted[-1]
+            for a in reversed(abs_shifted[:-1]):
+                scale = scale * az + a
+            if (pr * pr + pi * pi) << 2 * eps_bits <= (scale << 4) ** 2:
+                locked[i] = True
+                continue
+            if not (dr or di):
+                # nudge off a stationary point by (1 + |z|) eps^(1/4) (1 + i) / 2
+                nudge = (one + az) >> eps_bits // 4 + 1
+                z[i] = (zr + nudge, zi + nudge)
+                moved = True
+                continue
+            nr, ni = _gaussian_div((pr, pi), (dr, di))
+            # 1 - N sum 1 / (z - z_j), at 2^-frac
+            wide = (nr << frac, ni << frac)
+            er, ei = 1 << frac, 0
+            for j in range(m):
+                if j != i:
+                    d = (zr - z[j][0], zi - z[j][1])
+                    if d == (0, 0):
+                        d = (max((one + az) >> eps_bits, 1), 0)
+                    qr, qi = _gaussian_div(wide, d)
+                    er, ei = er - qr, ei - qi
+            if er or ei:
+                nr, ni = _gaussian_div(wide, (er, ei))
+            z[i] = (zr - nr, zi - ni)
+            moved = True
+        if not moved:
+            break
+    return z, locked, it
+
+
+def _gaussian_cleared(values) -> tuple[list[tuple[int, int]], int]:
+    """Gaussian integers D * values, with D the lcm of all denominators.
+
+    The values are exact or floating scalars (int, Fraction, float, complex,
+    mpf, mpc); a binary float is the dyadic rational it stores, so for
+    floating input D is a power of two.
+    """
+    parts = [
+        (as_ratio(v.real), as_ratio(v.imag)) if isinstance(v, (complex, mp.mpc)) else (as_ratio(v), (0, 1))
+        for v in values
+    ]
+    d = math.lcm(*(den for pair in parts for _, den in pair))
+    return [(re * (d // re_den), im * (d // im_den)) for (re, re_den), (im, im_den) in parts], d
+
+
+def _bits_below_roots(coeffs) -> int:
+    """An integer b with 2^-b below every root of a polynomial with c_0 != 0.
+
+    Fujiwara's bound on the reversed polynomial: every root has
+    |z| >= 1 / (2 max_k |c_k / c_0|^(1/k)).  The bound is within a factor
+    2d of the smallest root, also of a tight cluster, where the double
+    seeds can be many orders of magnitude too large.
+    """
+    sizes = [max(abs(cr), abs(ci)).bit_length() for cr, ci in coeffs]  # log2|c| in [s - 1, s + 1/2)
+    return 1 + max(-((sizes[0] - s - 2) // k) for k, s in enumerate(sizes) if k and s)
+
+
+def _extended_roots(coeffs, seeds, exp2=0):
+    """Roots at the working precision from the Gaussian-integer ``coeffs``.
+
+    The polynomial's roots are 2^exp2 times the wanted ones; ``seeds``
+    approximate the wanted roots.  Roots exactly at the origin are deflated
+    (the lock test, relative to sum |c_k| |z|^k, cannot pass there) and
+    take the places of the seeds nearest it.  The other iterates are fixed
+    point at 2^-bits, bits = prec + ``EXTENDED_GUARD_BITS`` + the bits below
+    the smallest root (``_bits_below_roots``), so even that root carries the
+    working precision and the guard.  Returns the roots as ``mpc``, in the
+    order of the seeds, and the sweep count; raises ``ConvergenceError``
+    with the unconverged subset if any root fails to lock.
+    """
+    exact = [(as_ratio(s.real), as_ratio(s.imag)) for s in seeds]
+    zeros = next(k for k, c in enumerate(coeffs) if c != (0, 0))
+    nearest = sorted(range(len(seeds)), key=lambda i: abs(complex(seeds[i])))
+    moving = sorted(nearest[zeros:])
+    roots = [mp.mpc(0)] * len(seeds)
+    if not moving:
+        return roots, 0
+    prec = mp.mp.prec
+    bits = max(0, prec + EXTENDED_GUARD_BITS + _bits_below_roots(coeffs[zeros:]))
+    shift = 1 << bits + exp2
+    z = [tuple(_div_round(num * shift, den) for num, den in exact[i]) for i in moving]
+    # mp.eps is 2^(1 - prec)
+    z, locked, it = _aberth_fixed(coeffs[zeros:], z, bits, prec - 1)
+    for i, (zr, zi) in zip(moving, z):
+        roots[i] = mp.mpc(mp.mpf((zr, -bits - exp2)), mp.mpf((zi, -bits - exp2)))
+    if not all(locked):
+        bad = [roots[i] for i, ok in zip(moving, locked) if not ok]
+        raise ConvergenceError(f"{len(bad)} root(s) failed to converge", roots=roots, unconverged=bad)
+    return roots, it
 
 
 def _initial_circle(coeffs):
@@ -334,10 +486,12 @@ def poly_roots(
     """All complex roots of ``p`` with near-coincident roots clustered.
 
     Exact zero constant terms are deflated symbolically, the remaining roots
-    come from Aberth-Ehrlich iteration (double precision start, optionally
-    re-polished under mpmath for ``precision=EXTENDED``).  Raises
-    ``ConvergenceError`` if some roots fail the residual test after the
-    iteration cap; the unconverged subset is attached to the exception.
+    come from Aberth-Ehrlich iteration: a double-precision start, and for
+    ``precision=EXTENDED`` a second pass of the integer kernel on the exact
+    coefficients at ``EXTENDED_DPS``, seeded with the double roots.  Raises
+    ``ConvergenceError`` if some roots of either pass fail the residual
+    test after the iteration cap; the unconverged subset is attached to the
+    exception.
     """
     if p.degree < 1:
         raise ValueError("poly_roots requires degree >= 1")
@@ -350,13 +504,12 @@ def poly_roots(
     roots: list[complex] = [0j] * zero_mult
     iters = 0
     if len(work) > 1:
-        eps = float(np.finfo(float).eps)
         z = _initial_circle(work)
-        z, locked, iters = _aberth(work, z, eps, abs)
+        z, locked, iters = _aberth(work, z)
         if not all(locked):
             # deterministic fallback: companion-matrix estimates, re-polished
             z = list(np.roots(list(reversed(work))).astype(complex))
-            z, locked, extra = _aberth(work, z, eps, abs)
+            z, locked, extra = _aberth(work, z)
             iters += extra
         if not all(locked):
             bad = [zi for zi, ok in zip(z, locked) if not ok]
@@ -366,12 +519,11 @@ def poly_roots(
         roots.extend(z)
 
     if precision is Precision.EXTENDED and len(work) > 1:
+        coeffs, _ = _gaussian_cleared(p.coeffs[zero_mult:])
         with mp.workdps(EXTENDED_DPS):
-            cs = [to_extended(c) for c in p.coeffs[zero_mult:]]
-            z = [mp.mpc(r) for r in roots[zero_mult:]]
-            z, locked, extra = _aberth(cs, z, mp.eps, lambda t: float(abs(t)))
-            iters += extra
-            roots = [0j] * zero_mult + list(z)
+            z, extra = _extended_roots(coeffs, roots[zero_mult:])
+        iters += extra
+        roots = [0j] * zero_mult + z
 
     residuals = tuple(float(abs(p(complex(r)))) for r in roots)
     clusters = cluster_points([complex(r) for r in roots], rtol=cluster_rtol)

@@ -66,18 +66,32 @@ def to_extended(value):
     return value
 
 
+def as_ratio(value) -> tuple[int, int]:
+    """Exact (numerator, positive denominator) of an int/Fraction/float/mpf.
+
+    Binary floats convert exactly, so their denominator is a power of two;
+    the pair need not be in lowest terms.  Infinities and NaNs raise.
+    """
+    if isinstance(value, int):
+        return value, 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    if isinstance(value, float):
+        return value.as_integer_ratio()
+    if isinstance(value, mp.mpf):
+        sign, man, exp, _ = value._mpf_
+        if not man and exp:
+            raise ValueError(f"{value} has no exact rational value")
+        man = -man if sign else man
+        return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+    raise TypeError(f"cannot represent {type(value)!r} exactly")
+
+
 def as_fraction(value) -> Fraction:
     """Exact rational from an int/Fraction/float/mpf (binary floats convert exactly)."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)
-    if isinstance(value, mp.mpf):
-        man, exp = value.man_exp
-        return Fraction(man) * Fraction(2) ** exp
-    raise TypeError(f"cannot represent {type(value)!r} exactly")
+    return Fraction(*as_ratio(value))
 
 
 # --------------------------------------------------------------------------

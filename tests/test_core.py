@@ -1,5 +1,6 @@
 """Core substrate: polynomials, roots, resultants, eigensolver."""
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -9,13 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-import epspect.core.eig as core_eig
+import epspect.core.poly as core_poly
 from epspect.core import (
     BivariateSecular,
     ConvergenceError,
     Polynomial,
     Precision,
     Tridiagonal,
+    as_fraction,
     charpoly_from_parts,
     charpoly_tridiag,
     cluster_points,
@@ -33,7 +35,8 @@ from epspect.core import (
     sylvester_matrix,
     to_mp_matrix,
 )
-from epspect.core.poly import _int_exact_div
+from epspect.core.eig import _berkowitz
+from epspect.core.poly import _extended_roots, _gaussian_cleared, _int_exact_div
 from epspect.epfinder import (
     _disc_in_y_at_p,
     _fold_coeffs_in_E,
@@ -553,18 +556,177 @@ def test_eigvals_mp_reaches_a_complex_pair_from_real_seeds():
     assert abs(ev[0] + 1j) < 1e-25 and abs(ev[1] - 1j) < 1e-25
 
 
-def test_eigvals_mp_raises_on_unconverged_roots(monkeypatch):
-    real_aberth = core_eig._aberth
+def test_as_fraction_keeps_sign_and_refuses_non_finite_values():
+    with mp.workdps(60):
+        tiny = -mp.mpf(3) / mp.mpf(2) ** 1100
+        assert as_fraction(tiny) == Fraction(-3, 2**1100)
+        assert as_fraction(mp.mpf(-0.75)) == as_fraction(-0.75) == Fraction(-3, 4)
+        assert as_fraction(mp.mpf(2) ** 80) == 2**80
+        for bad in (mp.inf, -mp.inf, mp.nan):
+            with pytest.raises(ValueError):
+                as_fraction(bad)
 
-    def stalls_on_first(coeffs, z, eps, absfn, maxiter=200):
-        z, locked, it = real_aberth(coeffs, z, eps, absfn, maxiter)
+
+# The integer kernels of the extended tier against exact and mpmath oracles.
+
+
+def _gaussian_det(rows):
+    """Determinant of a matrix of (re, im) Fraction pairs by exact elimination."""
+    mul = lambda x, y: (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+    a = [list(row) for row in rows]
+    det = (Fraction(1), Fraction(0))
+    for k in range(len(a)):
+        piv = next((i for i in range(k, len(a)) if a[i][k] != (0, 0)), None)
+        if piv is None:
+            return (Fraction(0), Fraction(0))
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = (-det[0], -det[1])
+        det = mul(det, a[k][k])
+        q = a[k][k][0] ** 2 + a[k][k][1] ** 2
+        inv = (a[k][k][0] / q, -a[k][k][1] / q)
+        for i in range(k + 1, len(a)):
+            f = mul(a[i][k], inv)
+            a[i] = [(x[0] - g[0], x[1] - g[1]) for x, g in zip(a[i], [mul(f, y) for y in a[k]])]
+    return det
+
+
+def _mpf_of(q: Fraction):
+    return mp.mpf(q.numerator) / q.denominator  # exact: q is dyadic and fits the precision
+
+
+_dyadics = st.builds(
+    lambda man, exp: Fraction(man) * Fraction(2) ** exp, st.integers(-(2**53), 2**53), st.integers(-300, 300)
+)
+
+
+@st.composite
+def _mp_matrices(draw):
+    """A square ``mp.matrix`` of complex, real-only or sparse dyadic entries
+    over exponents -300..300, or of 40-digit mpmath values."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["complex", "real", "sparse", "dps40"]))
+    m = mp.matrix(n, n)
+    with mp.workdps(400):
+        for i in range(n):
+            for j in range(n):
+                if kind == "dps40":
+                    with mp.workdps(40):
+                        x = mp.sqrt(draw(st.integers(1, 10**6))) * mp.mpf(2) ** draw(st.integers(-60, 60))
+                        m[i, j] = mp.mpc(x, draw(st.sampled_from([0, -1])) / x)
+                elif kind == "sparse" and draw(st.booleans()):
+                    m[i, j] = mp.mpc(0)
+                else:
+                    im = Fraction(0) if kind == "real" else draw(_dyadics)
+                    m[i, j] = mp.mpc(_mpf_of(draw(_dyadics)), _mpf_of(im))
+    return m
+
+
+@settings(deadline=None, max_examples=60)
+@given(_mp_matrices())
+def test_integer_berkowitz_is_the_exact_characteristic_polynomial(m):
+    n = m.rows
+    exact = [[(as_fraction(m[i, j].real), as_fraction(m[i, j].imag)) for j in range(n)] for i in range(n)]
+    flat, d = _gaussian_cleared([m[i, j] for i in range(n) for j in range(n)])
+    assert d & (d - 1) == 0  # dyadic entries: D is a power of two
+    assert flat == [(int(re * d), int(im * d)) for row in exact for re, im in row]
+    coeffs = _berkowitz([flat[i * n : (i + 1) * n] for i in range(n)])
+    assert len(coeffs) == n + 1 and coeffs[-1] == (1, 0)
+    # both sides are monic of degree n in x, so n values fix them:
+    # det(x I - A) = D^-n det(D x I - D A)
+    for x in range(n):
+        want = _gaussian_det(
+            [[((x if i == j else 0) - re, -im) for j, (re, im) in enumerate(row)] for i, row in enumerate(exact)]
+        )
+        got = tuple(
+            sum(Fraction(c[part]) * (d * x) ** k for k, c in enumerate(coeffs)) / Fraction(d) ** n
+            for part in (0, 1)
+        )
+        assert got == want
+
+
+_half_integer_points = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+
+
+def _from_roots(roots):
+    """Gaussian-integer coefficients of prod (2x - R) for the Gaussian integers R:
+    a polynomial whose roots are R / 2."""
+    coeffs = [(1, 0)]
+    for rr, ri in roots:
+        out = [(0, 0)] + [(2 * cr, 2 * ci) for cr, ci in coeffs]
+        for k, (cr, ci) in enumerate(coeffs):
+            out[k] = (out[k][0] - (rr * cr - ri * ci), out[k][1] - (rr * ci + ri * cr))
+        coeffs = out
+    return coeffs
+
+
+def _double_seeds(coeffs):
+    return np.roots([complex(cr, ci) for cr, ci in reversed(coeffs)])
+
+
+def _circle_seeds(degree):
+    """Seeds far from every root: the Aberth term has to keep them apart."""
+    return [5 * cmath.exp(2j * math.pi * (k + 0.25) / degree + 0.4j) for k in range(degree)]
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(_half_integer_points, min_size=1, max_size=6, unique=True), st.booleans())
+def test_integer_aberth_matches_mp_polyroots_on_simple_roots(points, far_seeds):
+    coeffs = _from_roots(points)
+    seeds = _circle_seeds(len(points)) if far_seeds else _double_seeds(coeffs)
+    with mp.workdps(40):
+        ours, _ = _extended_roots(coeffs, seeds)
+        oracle = mp.polyroots([mp.mpc(cr, ci) for cr, ci in reversed(coeffs)], maxsteps=200, extraprec=100)
+        assert len(ours) == len(oracle) == len(points)
+        for want in oracle:
+            assert min(abs(v - want) for v in ours) <= 1e-25
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    _half_integer_points.filter(lambda p: p != (0, 0)),
+    st.integers(2, 4),
+    st.lists(_half_integer_points, max_size=2, unique=True),
+)
+def test_integer_aberth_holds_multiple_roots_to_the_fog_bound(point, mult, others):
+    others = [p for p in others if p != point]
+    coeffs = _from_roots([point] * mult + others)
+    center = complex(*point) / 2
+    with mp.workdps(40):
+        ours, _ = _extended_roots(coeffs, _double_seeds(coeffs))
+        fog = (10**6 * mp.eps) ** (mp.mpf(1) / mult) * (1 + abs(center))
+        members = [v for v in ours if abs(v - center) <= fog]
+    assert len(members) == mult
+    assert len(ours) == mult + len(others)
+
+
+def _stall_first_root(monkeypatch):
+    """Make the integer Aberth kernel report its first root unconverged."""
+    real_aberth = core_poly._aberth_fixed
+
+    def stalls_on_first(coeffs, z, bits, eps_bits, maxiter=200):
+        z, locked, it = real_aberth(coeffs, z, bits, eps_bits, maxiter)
         return z, [False] + locked[1:], it
 
-    monkeypatch.setattr(core_eig, "_aberth", stalls_on_first)
+    monkeypatch.setattr(core_poly, "_aberth_fixed", stalls_on_first)
+
+
+def test_eigvals_mp_raises_on_unconverged_roots(monkeypatch):
+    _stall_first_root(monkeypatch)
     with mp.workdps(40):
         m = to_mp_matrix(epn_matrix(4, 0.5).to_array())
         with pytest.raises(ConvergenceError) as err:
             eigvals_mp(m)
+    assert len(err.value.roots) == 4
+    assert err.value.unconverged == (err.value.roots[0],)
+
+
+def test_poly_roots_extended_raises_on_unconverged_roots(monkeypatch):
+    _stall_first_root(monkeypatch)
+    p = Polynomial.from_roots([Fraction(1), Fraction(2), Fraction(-3), Fraction(5, 2)])
+    assert len(poly_roots(p).roots) == 4  # the double pass alone converges
+    with pytest.raises(ConvergenceError) as err:
+        poly_roots(p, precision=Precision.EXTENDED)
     assert len(err.value.roots) == 4
     assert err.value.unconverged == (err.value.roots[0],)
 

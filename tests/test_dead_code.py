@@ -1,15 +1,17 @@
 """Static guard against dead code in the package (stdlib ``ast`` only).
 
-Eight things fail the guard: an import a module never uses (package
+Nine things fail the guard: an import a module never uses (package
 ``__init__.py`` files are exempt, their imports are re-exports), a
 ``_private`` top-level function that no module of the package references,
 a module-level UPPER_CASE constant that no module of the package loads,
 an eigenvector solve whose eigenvalues are all that is read, a
 nonsymmetric LAPACK eigensolve outside ``core/eig.py``, denominator
-clearing (``math.lcm``) outside ``core/poly.py``, and sampled reality
+clearing (``math.lcm``) outside ``core/poly.py``, sampled reality
 (``sweep``, ``reality_flags``, ``REALITY_RTOL``) anywhere the exact shift
-scan reaches, and a ``scipy`` import that runs when a module is imported.
-A fresh-interpreter test checks the last one end to end: importing the
+scan reaches, a ``scipy`` import that runs when a module is imported, and
+mpmath anywhere the integer kernels of the extended tier (the Berkowitz
+characteristic polynomial and the fixed-point Aberth iteration) reach.
+A fresh-interpreter test checks the scipy guard end to end: importing the
 command line and running the commands that need no double eigenvectors
 never loads scipy.
 """
@@ -262,6 +264,58 @@ def test_exact_scan_guard_sees_every_spelling():
         ("_polish_pole_event", 7),
         ("bc_reality_signature", 8),
         ("helper", 3),
+    ]
+
+
+INTEGER_KERNELS = {"core/eig.py": ("_berkowitz",), "core/poly.py": ("_aberth_fixed",)}
+
+
+def _mpmath_in_kernels(tree, kernels):
+    """(function, line) where a kernel, or a module function it reaches,
+    names mpmath: a module alias (``mp.``) or a name imported from it."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {a.asname or a.name for a in node.names if a.name.split(".")[0] == "mpmath"}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "mpmath":
+            aliases |= {a.asname or a.name for a in node.names}
+    functions = {
+        node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    reached = [name for name in kernels if name in functions]
+    for name in reached:
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name) and node.id in aliases:
+                yield name, node.lineno
+            elif isinstance(node, ast.Name) and node.id in functions and node.id not in reached:
+                reached.append(node.id)
+
+
+def test_integer_kernels_use_no_mpmath():
+    """The extended tier's characteristic polynomial and root iteration run
+    on Python ints; mpmath appears only where their callers convert in and
+    out, so no mpmath fallback can creep back into the kernels."""
+    found = [
+        f"{module}:{line}: {name}"
+        for module, kernels in INTEGER_KERNELS.items()
+        for name, line in _mpmath_in_kernels(_parse(PACKAGE / module), kernels)
+    ]
+    assert found == []
+
+
+def test_integer_kernel_guard_sees_every_spelling():
+    source = (
+        "import mpmath as mp\nimport mpmath\nfrom mpmath import mpf, fdot as fd\n"
+        "def helper():\n    return mp.mpf(1)\n"
+        "def _berkowitz(m):\n    return helper() + mpmath.fsum(m)\n"
+        "def _aberth_fixed(c):\n    return fd(c, c) + mpf(2)\n"
+        "def unrelated():\n    return mp.mpc(1)\n"
+    )
+    assert sorted(_mpmath_in_kernels(ast.parse(source), ("_berkowitz", "_aberth_fixed"))) == [
+        ("_aberth_fixed", 9),
+        ("_aberth_fixed", 9),
+        ("_berkowitz", 7),
+        ("helper", 5),
     ]
 
 
