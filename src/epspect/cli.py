@@ -282,8 +282,7 @@ def _cmd_find_ep(args, parser) -> int:
             parser.error("--scan-y only applies to the bc family")
         points = ep_locate_2d_bc(args.n, args.range)
     else:
-        target = bivariate_secular(args.n, model.y) if args.model == "bc" else model
-        points = ep_locate_1d(target, args.range)
+        points = ep_locate_1d(model, args.range)
 
     out = Path(args.output or "critical_points.json")
     write_json(

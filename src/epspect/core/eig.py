@@ -8,10 +8,10 @@ Gaussian integers of the power-of-two-scaled matrix, found by the integer
 fixed-point Aberth iteration of ``poly`` from the double eigenvalues; no
 step runs in mpmath arithmetic).  The extended tier matters close to
 a degeneracy, where double-precision eigenvalues lose half their digits per
-coalescing level; the extended sweep, EP polishing and perturbation draws
-all read ``eigvals_mp``.  ``eigvals_double`` also takes a ``(k, n, n)``
-stack and returns one row per matrix, bit for bit what each matrix gives
-alone; a sweep solves its grid in stacked chunks.  ``eig_dense`` (left and
+coalescing level; the extended sweep and the perturbation draws read
+``eigvals_mp``.  ``eigvals_double`` also takes a ``(k, n, n)`` stack and
+returns one row per matrix, bit for bit what each matrix gives alone; a
+sweep solves its grid in stacked chunks.  ``eig_dense`` (left and
 right eigenvectors with residual checks; LAPACK through scipy, or mpmath's
 QR in ``eigtriples_mp``) serves only the consumers of eigenvectors:
 degeneracy classification and the metric.  scipy is imported there, on
@@ -151,16 +151,16 @@ def _berkowitz(entries: list[list[tuple[int, int]]]) -> list[tuple[int, int]]:
     return poly[::-1]
 
 
-def eigvals_mp(m, seeds=None) -> list:
+def eigvals_mp(m) -> list:
     """Eigenvalues of an ``mp.matrix`` at the working precision.
 
     Every entry is a dyadic rational, so scaled by the lcm D of their
     denominators (a power of two) the matrix has Gaussian-integer entries
     and ``_berkowitz`` gives its characteristic polynomial exactly; its
     roots are D times the eigenvalues.  They are found by the fixed-point
-    integer Aberth iteration of ``poly`` from ``seeds``, by default the
-    double eigenvalues, at the working precision.  Each seed s is moved by
-    1e-3 * 2^-26 * (1 + |s|) in both the real and the imaginary direction.
+    integer Aberth iteration of ``poly`` from the double eigenvalues, at
+    the working precision.  Each seed s is moved by 1e-3 * 2^-26 * (1 + |s|)
+    in both the real and the imaginary direction.
     Exact arithmetic keeps every symmetry of the polynomial: from seeds on
     the real axis the iterates of a real polynomial stay real, and from
     seeds on the imaginary axis those of a polynomial symmetric about it
@@ -171,8 +171,7 @@ def eigvals_mp(m, seeds=None) -> list:
     n = m.rows
     flat, d = _gaussian_cleared([m[i, j] for i in range(n) for j in range(n)])
     coeffs = _berkowitz([flat[i * n : (i + 1) * n] for i in range(n)])
-    if seeds is None:
-        seeds = np.linalg.eigvals(from_mp_matrix(m))
+    seeds = np.linalg.eigvals(from_mp_matrix(m))
     z = [mp.mpc(s) + 1e-3 * 2.0**-26 * (1 + abs(s)) * mp.mpc(1, 1) for s in seeds]
     roots, _ = _extended_roots(coeffs, z, d.bit_length() - 1)
     return roots

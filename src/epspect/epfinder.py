@@ -1,10 +1,11 @@
 """Location and classification of spectral degeneracies.
 
-Where a family has an exact secular polynomial, the real roots of its
-discriminant decide.  Elsewhere detection runs in double precision; every
-candidate is re-polished under mpmath and only accepted as an exceptional
-point if its eigenvalue cluster shrinks by at least two orders of magnitude,
-which separates a true degeneracy from the rounding fog around one.
+The exceptional points of the two solvable families are decided exactly:
+along one parameter by the real roots of the discriminant of the secular
+polynomial, along the shift y by three exact event polynomials.  A
+Hermitian family has none, and any other one-parameter model is refused.
+Sweeps, the classification of one matrix and the perturbation exponent
+read eigenvalues in double or extended precision.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from .core import (
     res_E,
     to_mp_matrix,
 )
-from .core.poly import POLISH_DPS, _newton_polish_real
-from .models import BcModel, EpnModel, epn_secular
+from .core.poly import _newton_polish_real
+from .models import BcModel, EpnModel, HermitianDemoModel, epn_secular
 from .sturmian import (
     SturmianFunction,
     _real_roots,
@@ -54,7 +55,6 @@ from .sturmian import (
     sturmian_r2,
 )
 
-POLISH_SHRINK = 100.0  # accepted EPs must tighten at least this much
 PERTURB_DPS = 30
 SWEEP_CHUNK = 256  # grid points per stacked double eigensolve and warning pass
 
@@ -92,14 +92,6 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = np.triu_indices(n, 1)
     rows.flags.writeable = cols.flags.writeable = False
     return rows, cols
-
-
-def _min_pairwise(values) -> float:
-    """Smallest distance between two of the values (at least two)."""
-    diff = np.subtract.outer(values, values)[_upper_pairs(len(values))]
-    # hypot, not np.abs: the vectorized complex abs can differ from the
-    # scalar one in the last bit, which moves EP polishing minima
-    return float(np.min(np.hypot(diff.real, diff.imag)))
 
 
 def _assign(cost: np.ndarray) -> np.ndarray:
@@ -190,8 +182,8 @@ def _augmenting_paths(cost: np.ndarray) -> list[int]:
 def _pairing_warnings(tracks: np.ndarray) -> np.ndarray:
     """Points where two continued values lie closer than twice the largest step into them.
 
-    Per grid point k >= 1 this is ``_min_pairwise(tracks[:, k]) < 2 *
-    max |tracks[:, k] - tracks[:, k - 1]|``, evaluated in column chunks.
+    Per grid point k >= 1 this is ``min_{i<j} |tracks[i, k] - tracks[j, k]|
+    < 2 * max |tracks[:, k] - tracks[:, k - 1]|``, evaluated in column chunks.
     """
     n, samples = tracks.shape
     warnings = np.zeros(samples, dtype=bool)
@@ -231,8 +223,9 @@ def sweep(
             ]
         )
     elif precision is Precision.EXTENDED:
+        matrix_mp = getattr(model, "matrix_mp", None) or (lambda p: to_mp_matrix(model.matrix(float(p))))
         with mp.workdps(EXTENDED_DPS):
-            values = np.array([_mp_eigvals(model, p, None) for p in grid], dtype=complex)
+            values = np.array([eigvals_mp(matrix_mp(p)) for p in grid], dtype=complex)
         spectra = np.take_along_axis(values, np.lexsort((values.imag, values.real)), axis=-1)
     else:
         raise ValueError("sweep supports double or extended precision")
@@ -376,63 +369,19 @@ def classify_degeneracy(
 # --------------------------------------------------------------------------
 
 
-def _merging_candidates(values, rtol0=CLUSTER_RTOL, rtol_max=5e-2):
-    """Candidate merging clusters over the tolerance ladder.
-
-    One candidate per distinct multiplicity, largest first: near a
-    high-order degeneracy the rounding fog splits the coalescing set
-    unevenly, so tight tolerances see spurious sub-pairs while the full
-    multiplicity only appears at a looser one.  The polish shrink test
-    downstream rejects the over-merged candidates.
-    """
-    levels = []
-    rtol = rtol0
-    while rtol < rtol_max:
-        levels.append(rtol)
-        rtol *= 10
-    levels.append(rtol_max)
-    seen = {}
-    for rtol in levels:
-        for c in cluster_points(values, rtol=rtol):
-            if c.multiplicity > 1 and c.multiplicity not in seen:
-                seen[c.multiplicity] = c
-    return [seen[m] for m in sorted(seen, reverse=True)]
-
-
-def _golden_min_mp(f, lo, hi, iters=80):
-    phi = (mp.sqrt(5) - 1) / 2
-    a, b = mp.mpf(lo), mp.mpf(hi)
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    return (a + b) / 2
-
-
-def _mp_eigvals(model, p, seeds):
-    if hasattr(model, "matrix_mp"):
-        m = model.matrix_mp(p)
-    else:
-        m = to_mp_matrix(model.matrix(float(p)))
-    return eigvals_mp(m, seeds)
-
-
-def ep_locate_1d(target, param_range: tuple[float, float], *, samples: int = 201):
+def ep_locate_1d(target, param_range: tuple[float, float]) -> list[CriticalPoint]:
     """All exceptional points of a one-parameter family inside a range.
 
-    The two solvable families are located exactly (``_ep_locate_exact``): a
-    SturmianFunction in r, where lam = r^2, and an EpnModel in t, where
-    lam = (1 - t)^2.  Any other swept model with a ``matrix(p)`` method is
-    handled by gap minimization plus extended-precision polishing.
+    The two solvable families are located exactly (``_ep_locate_exact``):
+    the boundary-controlled family in r, given as a BcModel or its
+    SturmianFunction, where lam = r^2, and an EpnModel in t, where
+    lam = (1 - t)^2.  A HermitianDemoModel has none: its matrix is
+    Hermitian at every real t, hence diagonalizable, and a level crossing
+    on a generic one-parameter Hermitian line has codimension 3 (von
+    Neumann and Wigner, 1929).  Any other target raises ``TypeError``.
     """
+    if isinstance(target, BcModel):
+        target = bivariate_secular(target.n, target.y)
     if isinstance(target, SturmianFunction):
         model = BcModel(target.n, float(target.y))
         coeffs, shift = target.secular.coefficients, lambda lam: 0.0
@@ -440,7 +389,9 @@ def ep_locate_1d(target, param_range: tuple[float, float], *, samples: int = 201
     if isinstance(target, EpnModel):
         coeffs, shift = epn_secular(target.n), lambda lam: 8 * cmath.sqrt(1 - lam)
         return _ep_locate_exact(target, coeffs, lambda mu: 1 - mu, shift, param_range)
-    return _ep_locate_model(target, param_range, samples)
+    if isinstance(target, HermitianDemoModel):
+        return []
+    raise TypeError(f"no exact exceptional-point locator for {type(target).__name__}")
 
 
 def _ep_locate_exact(model, coeffs, to_param, shift, param_range) -> list[CriticalPoint]:
@@ -515,91 +466,6 @@ def _relative_residual(p: Polynomial, x) -> float:
     x = as_fraction(x)
     scale = Polynomial([abs(c) for c in p.coeffs])(abs(x))
     return float(abs(p(x)) / scale) if scale else 0.0
-
-
-def _ep_locate_model(model, param_range, samples) -> list[CriticalPoint]:
-    lo, hi = float(param_range[0]), float(param_range[1])
-    grid = np.linspace(lo, hi, samples)
-    spectra = [eigvals_double(model.matrix(p)) for p in grid]
-    gaps = np.array([_min_pairwise(v) for v in spectra])
-    scale = max(1.0, max(float(np.max(np.abs(v))) for v in spectra))
-
-    points = []
-    for k in range(1, samples - 1):
-        if not (gaps[k] <= gaps[k - 1] and gaps[k] <= gaps[k + 1]):
-            continue
-        if gaps[k] > 0.25 * float(np.median(gaps)):
-            continue
-        bracket = (grid[k - 1], grid[k + 1])
-        point = _polish_candidate(model, bracket, scale)
-        if point is not None:
-            points.append(point)
-    return points
-
-
-def _polish_candidate(model, bracket, scale) -> CriticalPoint | None:
-    from scipy.optimize import minimize_scalar  # on first use: no other command needs scipy
-
-    def gap_double(p):
-        return _min_pairwise(eigvals_double(model.matrix(p)))
-
-    res = minimize_scalar(
-        gap_double, bounds=bracket, method="bounded", options={"xatol": 1e-13}
-    )
-    p_dbl = float(res.x)
-    vals = eigvals_double(model.matrix(p_dbl))
-    fallback = None
-    for cluster in _merging_candidates(vals):
-        radius_dbl = max(cluster.radius, 1e-300)
-        with mp.workdps(POLISH_DPS):
-            anchor = mp.mpc(cluster.center)
-            # each evaluation starts Aberth from the previous one's roots
-            seeds = None
-
-            def diameter_mp(p):
-                nonlocal seeds
-                ev = seeds = _mp_eigvals(model, p, seeds)
-                members = sorted(ev, key=lambda v: abs(v - anchor))[
-                    : cluster.multiplicity
-                ]
-                c2 = sum(members) / len(members)
-                return max(abs(v - c2) for v in members)
-
-            width = max(abs(bracket[1] - bracket[0]) * 0.05, 1e-6)
-            p_mp = _golden_min_mp(diameter_mp, p_dbl - width, p_dbl + width)
-            ev_star = _mp_eigvals(model, p_mp, seeds)
-            members = sorted(ev_star, key=lambda v: abs(v - anchor))[
-                : cluster.multiplicity
-            ]
-            center = complex(sum(members) / len(members))
-            radius_mp = float(max(abs(v - center) for v in members))
-            p_star = float(p_mp)
-
-        shrink = radius_dbl / max(radius_mp, 1e-300)
-        resid = {
-            "cluster_radius_double": radius_dbl,
-            "cluster_radius_polished": radius_mp,
-            "polish_shrink": shrink,
-            "bracket": (float(bracket[0]), float(bracket[1])),
-        }
-        if shrink < POLISH_SHRINK or radius_mp > 1e-4 * scale:
-            if fallback is None and radius_dbl <= 1e-3 * scale:
-                fallback = CriticalPoint(
-                    {model.param: p_dbl}, cluster.center, "indeterminate", 0, resid
-                )
-            continue
-
-        # the polished cluster fixes the algebraic multiplicity; the
-        # geometric one comes from the singular values of M - E I, which
-        # stay well conditioned at the degeneracy itself
-        geo, sv, _ = _geometric_multiplicity(model.matrix(p_star), center)
-        resid["sigma_min"] = float(sv[-1])
-        resid["rank_defect"] = geo
-        kind = "ep" if geo == 1 else "diabolic"
-        return CriticalPoint(
-            {model.param: p_star}, center, kind, cluster.multiplicity, resid
-        )
-    return fallback
 
 
 # --------------------------------------------------------------------------
@@ -954,7 +820,7 @@ def _polish_pole_event(n, y_star, below, above) -> CriticalPoint:
     share a real root E*: an eigenvalue that stays put for every coupling.
     B is the characteristic polynomial of the interior Hermitian chain, so
     its roots are real and simple, and E* is the one where A_y* vanishes,
-    Newton-polished on B at ``POLISH_DPS``; the residuals evaluate A, A'
+    Newton-polished on B at 40 digits; the residuals evaluate A, A'
     and B' exactly at that E*.  A rational E* whose double is an exact root
     of B (E* = 2 for odd n at y = 0) is kept as that root, so the residuals
     and ``_crossing_track``'s zero-slope test see it exactly.  A root shared
@@ -1121,6 +987,28 @@ class ExponentFit:
     ok: bool
 
 
+def _largest_merging_cluster(values, rtol0=CLUSTER_RTOL, rtol_max=5e-2):
+    """The merging cluster of largest multiplicity over the tolerance ladder, or None.
+
+    Near a high-order degeneracy the rounding fog splits the coalescing set
+    unevenly, so tight tolerances see spurious sub-pairs while the full
+    multiplicity only appears at a looser one.  Of equal multiplicities the
+    one found at the tightest tolerance is kept.
+    """
+    levels = []
+    rtol = rtol0
+    while rtol < rtol_max:
+        levels.append(rtol)
+        rtol *= 10
+    levels.append(rtol_max)
+    best = None
+    for rtol in levels:
+        for c in cluster_points(values, rtol=rtol):
+            if c.multiplicity > (best.multiplicity if best else 1):
+                best = c
+    return best
+
+
 def perturbation_exponent(
     m,
     order: int,
@@ -1151,12 +1039,12 @@ def perturbation_exponent(
     if at is not None:
         center = min((c.center for c in cluster_points(base)), key=lambda v: abs(v - at))
     elif order > 1:
-        candidates = _merging_candidates(base)
-        if not candidates or candidates[0].multiplicity < order:
+        cluster = _largest_merging_cluster(base)
+        if cluster is None or cluster.multiplicity < order:
             raise ValueError(
                 f"matrix does not show an eigenvalue cluster of size {order}"
             )
-        center = candidates[0].center
+        center = cluster.center
     else:
         center = min(base, key=abs)
 

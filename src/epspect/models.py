@@ -198,7 +198,7 @@ class EpnModel:
         return epn_matrix(self.n, t).to_array()
 
     def matrix_mp(self, t):
-        """Entries built in mpmath arithmetic (for polishing near the EP)."""
+        """Entries built in mpmath arithmetic (for the extended sweep)."""
         import mpmath as mp
 
         n = self.n
@@ -231,7 +231,7 @@ class BcModel:
         return bc_matrix(self.n, z).to_array()
 
     def matrix_mp(self, r):
-        """Entries built in mpmath arithmetic (for polishing near an EP)."""
+        """Entries built in mpmath arithmetic (for the extended sweep)."""
         import mpmath as mp
 
         n = self.n

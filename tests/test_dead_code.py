@@ -338,8 +338,8 @@ def _eager_imports(tree, package="scipy"):
 
 def test_no_module_level_scipy_import():
     """scipy takes longer to import than numpy and mpmath together; it is
-    imported inside the two functions that call it (the double eigenvector
-    solve and the bounded gap minimization of the float locator)."""
+    imported inside the one function that calls it, the double eigenvector
+    solve."""
     eager = [
         f"{path.relative_to(PACKAGE)}:{line}" for path in MODULES for line in _eager_imports(_parse(path))
     ]
@@ -377,6 +377,10 @@ def test_commands_without_double_eigenvectors_never_load_scipy(tmp_path):
         f"for argv in {COLD_COMMANDS!r}:\n"
         "    assert epspect.cli.main(argv) == 0, argv\n"
         "    loaded += [argv[0]] if 'scipy' in sys.modules else []\n"
+        "from epspect import BcModel, HermitianDemoModel, ep_locate_1d\n"
+        "for model in (BcModel(6, -0.8), HermitianDemoModel(4, 1)):\n"
+        "    ep_locate_1d(model, (-1, 1))\n"
+        "    loaded += [repr(model)] if 'scipy' in sys.modules else []\n"
         "print(json.dumps(loaded))\n"
     )
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))

@@ -4,21 +4,20 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import epspect.epfinder as epfinder
-from epspect.core import Precision, eig_dense, eigvals_double
+from epspect.core import Precision, eig_dense, eigvals_double, eigvals_mp
 from epspect.epfinder import (
     _assign,
     _disc_in_y_at_p,
     _event_pieces,
     _fold_event_poly,
-    _min_pairwise,
     _pairing_warnings,
-    _ep_locate_model,
     _pole_collision_poly,
     _roots_in_window,
     bc_reality_signature,
@@ -90,18 +89,6 @@ def _pairwise_loop(values):
     return min(abs(values[i] - values[j]) for i in range(n) for j in range(i + 1, n))
 
 
-def test_min_pairwise_matches_the_double_loop():
-    rng = np.random.default_rng(8)
-    for n in (2, 3, 5, 9, 32):
-        for scale in (1e-6, 1.0, 1e4):
-            v = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            assert _min_pairwise(v) == _pairwise_loop(v)
-            assert _min_pairwise(v.real.astype(complex)) == _pairwise_loop(v.real.astype(complex))
-    repeated = np.array([1 + 2j, 3 - 1j, 1 + 2j, -4 + 0j])
-    assert _min_pairwise(repeated) == 0.0
-    assert _min_pairwise(np.array([0.5 + 0j, 2.0 + 1j])) == abs(1.5 + 1j)
-
-
 def _reference_sweep(model, param_range, samples):
     """The sweep as one eigentriple solve per point and Python loops."""
     grid = np.linspace(param_range[0], param_range[1], samples)
@@ -152,7 +139,7 @@ def test_sweep_matches_per_point_eigentriple_reference(model, param_range, sampl
 def test_pairing_warnings_match_the_per_step_formula(model, param_range, samples):
     tracks = sweep(model, param_range, samples).tracks
     want = [False] + [
-        _min_pairwise(tracks[:, k]) < 2.0 * float(np.max(np.abs(tracks[:, k] - tracks[:, k - 1])))
+        _pairwise_loop(tracks[:, k]) < 2.0 * float(np.max(np.abs(tracks[:, k] - tracks[:, k - 1])))
         for k in range(1, samples)
     ]
     assert _pairing_warnings(tracks).tolist() == want
@@ -351,47 +338,126 @@ def test_locate_epn_exact_maximal_ep(n):
     assert pts[0].energy == 0
 
 
+def _min_gaps(model, params) -> np.ndarray:
+    """Smallest distance between two double eigenvalues of ``model.matrix(p)``, per p."""
+    gaps = []
+    for p in params:
+        v = np.linalg.eigvals(model.matrix(p))
+        gaps.append(np.abs(v[:, None] - v[None, :])[np.triu_indices(len(v), 1)].min())
+    return np.array(gaps)
+
+
+def _refined_gap(model, lo, hi, rounds=8, points=21) -> float:
+    """The smallest gap on [lo, hi], zooming tenfold per round around the grid minimum."""
+    for _ in range(rounds):
+        grid = np.linspace(lo, hi, points)
+        gaps = _min_gaps(model, grid)
+        k = int(np.argmin(gaps))
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, points - 1)]
+    return float(gaps[k])
+
+
+def _mp_distances(model, point, dps=40) -> list[float]:
+    """Distances of the eigenvalues of ``model.matrix_mp`` at the point from its energy, ascending."""
+    with mp.workdps(dps):
+        values = eigvals_mp(model.matrix_mp(point.params[model.param]))
+    return sorted(abs(complex(v) - point.energy) for v in values)
+
+
+def _assert_mp_order(model, point):
+    """At 40 digits ``order`` eigenvalues lie within 1e-6 of the energy, the next one far outside."""
+    dist = _mp_distances(model, point)
+    assert dist[point.order - 1] <= 1e-6
+    assert point.order == len(dist) or dist[point.order] > 1e-3
+
+
+def _check_against_gap_scan(model, param_range, points, mirror, samples=201):
+    """An independent double and 40-digit check of an exact 1-D locator result.
+
+    Completeness: every deep minimum of the smallest eigenvalue gap on the
+    grid (a local minimum below a quarter of the median gap) lies within
+    one grid step of an exact event or its mirror, or is an avoided
+    crossing whose refined gap stays open; every event in the range has
+    such a minimum next to it.  Order: ``_assert_mp_order``.  Kind: M - E I
+    loses rank once at an ep, ``order`` times at a diabolic point.
+    """
+    grid = np.linspace(param_range[0], param_range[1], samples)
+    step = abs(grid[1] - grid[0])
+    gaps = _min_gaps(model, grid)
+    events = [p.params[model.param] for p in points]
+    events += [mirror(e) for e in events]
+    deep = [
+        k
+        for k in range(1, samples - 1)
+        if gaps[k] <= min(gaps[k - 1], gaps[k + 1]) and gaps[k] <= 0.25 * np.median(gaps)
+    ]
+    for k in deep:
+        if not any(abs(grid[k] - e) <= step for e in events):
+            # a missed EP2 would close to ~1e-5 after eight tenfold zooms
+            assert _refined_gap(model, grid[k - 1], grid[k + 1]) > 1e-3, grid[k]
+    for e in events:
+        if min(param_range) <= e <= max(param_range):
+            assert any(abs(grid[k] - e) <= step for k in deep), e
+
+    for p in points:
+        _assert_mp_order(model, p)
+        a = model.matrix(p.params[model.param])
+        sv = np.linalg.svd(a - p.energy * np.eye(len(a)), compute_uv=False)
+        defect = int(np.sum(sv <= 1e-6 * np.linalg.norm(a, 2)))
+        assert defect == (1 if p.kind == "ep" else p.order)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_epn_exact_path_matches_float_chain(n):
-    # the gap scan plus mp polish stays the reference for models without an
-    # exact form; where it resolves the EP it must agree with the exact path
+    # the maximal EP at t = 0 and nothing else, checked by a double gap scan
+    # and by 40-digit eigenvalues; the mirror of t is 2 - t (q = (1 - t)^2)
     exact = ep_locate_1d(EpnModel(n), (-0.5, 0.5))
-    chain = _ep_locate_model(EpnModel(n), (-0.5, 0.5), 201)
-    assert [(p.kind, p.order) for p in chain] == [(p.kind, p.order) for p in exact]
-    for p in chain:
+    assert [(p.kind, p.order) for p in exact] == [("ep", n)]
+    _check_against_gap_scan(EpnModel(n), (-0.5, 0.5), exact, mirror=lambda t: 2 - t)
+    for p in exact:
         assert abs(p.params["t"]) <= 1e-6
-        assert p.residuals["polish_shrink"] >= 100
+        # 40 digits tighten the double cluster at least a hundredfold
+        double = sorted(abs(v - p.energy) for v in np.linalg.eigvals(EpnModel(n).matrix(p.params["t"])))
+        assert double[n - 1] >= 100 * _mp_distances(EpnModel(n), p)[n - 1]
 
 
 @pytest.mark.parametrize(
     "n, y", [(3, -0.5), (5, -0.5), (6, 0), (6, -0.8), (7, -0.196), (8, 0.3)]
 )
 def test_matrix_and_sturmian_paths_agree(n, y):
-    # at n=3, y=-0.5 the golden-section polish hands Aberth real seeds
-    # (the previous roots) next to the complex pair 3 +- 3.9e-6i; the last
-    # three cases need the secular polynomial evaluated exactly at the
-    # irrational root, not rounded to double
+    # n=6, y=-0.8 has avoided crossings at r = +-0.73 (gap 0.096) beside the
+    # EP at r = 0.591; the last three cases need the secular polynomial
+    # evaluated exactly at the irrational root, not rounded to double
     matrix = ep_locate_1d(BcModel(n, y), (-1, 1))
     exact = ep_locate_1d(bivariate_secular(n, y), (-1, 1))
-
-    def verdicts(points):
-        return {(round(abs(p.params["r"]), 6), p.kind, p.order) for p in points}
-
-    # the matrix path reports both mirrors +-r, the Sturmian path one of them
-    assert verdicts(matrix) == verdicts(exact)
-    for p in matrix:
-        q = next(q for q in exact if abs(abs(q.params["r"]) - abs(p.params["r"])) < 1e-6)
-        assert abs(p.energy - q.energy) <= 1e-6
+    assert matrix == exact
+    _check_against_gap_scan(BcModel(n, y), (-1, 1), exact, mirror=lambda r: -r)
     # relative to the discriminant's own size, so a root reads ~rounding
     assert all(q.residuals["disc_residual"] <= 1e-15 for q in exact)
 
 
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(3, 7), y=st.fractions(-1, 1, max_denominator=16).filter(lambda y: abs(y) < 1))
+def test_bc_located_points_are_multiple_eigenvalues(n, y):
+    model = BcModel(n, float(y))
+    for p in ep_locate_1d(model, (-1, 1)):
+        assert p.kind != "simple" and p.order >= 2
+        _assert_mp_order(model, p)
+
+
 def test_locate_hermitian_demo_finds_nothing():
-    assert [
-        p
-        for p in ep_locate_1d(HermitianDemoModel(4, 1), (-1, 1), samples=101)
-        if p.kind == "ep"
-    ] == []
+    assert ep_locate_1d(HermitianDemoModel(4, 1), (-1, 1)) == []
+
+
+def test_locate_refuses_a_model_without_an_exact_form():
+    class Pencil:
+        param = "t"
+
+        def matrix(self, t):
+            return np.array([[0.0, 1.0], [t, 0.0]])
+
+    with pytest.raises(TypeError):
+        ep_locate_1d(Pencil(), (-1, 1))
 
 
 # --------------------------------------------------------------------------
