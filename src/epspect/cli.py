@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -98,21 +99,26 @@ def _provenance(command: str, flags: dict, seed: int, precision: str) -> dict:
     }
 
 
-def _parse_range(text: str) -> tuple[float, float]:
+def _finite(text: str) -> float:
+    """A float flag value; NaN and +-inf are usage errors like any other bad number."""
     try:
-        lo, hi = text.split(":")
-        return float(lo), float(hi)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"range must look like 'lo:hi', got {text!r}"
-        ) from exc
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _parse_range(text: str) -> tuple[float, float]:
+    bounds = text.split(":")
+    if len(bounds) != 2:
+        raise argparse.ArgumentTypeError(f"range must look like 'lo:hi', got {text!r}")
+    return _finite(bounds[0]), _finite(bounds[1])
 
 
 def _parse_floats(text: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}") from exc
+    return [_finite(x) for x in text.split(",") if x.strip() != ""]
 
 
 # --------------------------------------------------------------------------
@@ -436,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="eigenvalue tracks over a parameter grid")
     p.add_argument("--model", required=True, choices=["epn", "bc", "hermitian-demo"])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--y", type=float, help="shift for the bc family")
+    p.add_argument("--y", type=_finite, help="shift for the bc family")
     p.add_argument("--param", choices=["t", "r"], help="sweep parameter (model-implied)")
     p.add_argument("--range", type=_parse_range, required=True)
     p.add_argument("--samples", type=int, required=True)
@@ -446,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sturmian", help="coupling-function branches r(E)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--y", type=float, required=True)
+    p.add_argument("--y", type=_finite, required=True)
     p.add_argument("--range", type=_parse_range, required=True)
     p.add_argument("--samples", type=int, required=True)
     common(p)
@@ -455,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find-ep", help="locate and classify spectral degeneracies")
     p.add_argument("--model", required=True, choices=["bc", "epn"])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--y", type=float, help="shift for the bc family")
+    p.add_argument("--y", type=_finite, help="shift for the bc family")
     p.add_argument("--param", choices=["t", "r"])
     p.add_argument("--range", type=_parse_range, required=True)
     p.add_argument("--scan-y", action="store_true", help="scan the shift y (bc only)")
@@ -465,9 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metric", help="build a quasi-Hermiticity metric")
     p.add_argument("--model", required=True, choices=["epn", "bc"])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=float, help="epn family parameter")
-    p.add_argument("--y", type=float, help="bc shift")
-    p.add_argument("--r", type=float, help="bc coupling parameter")
+    p.add_argument("--t", type=_finite, help="epn family parameter")
+    p.add_argument("--y", type=_finite, help="bc shift")
+    p.add_argument("--r", type=_finite, help="bc coupling parameter")
     p.add_argument("--kappa", type=_parse_floats, help="comma-separated weights")
     common(p)
     p.set_defaults(func=_cmd_metric)

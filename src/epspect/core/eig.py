@@ -11,11 +11,14 @@ a degeneracy, where double-precision eigenvalues lose half their digits per
 coalescing level; the extended sweep and the perturbation draws read
 ``eigvals_mp``.  ``eigvals_double`` also takes a ``(k, n, n)`` stack and
 returns one row per matrix, bit for bit what each matrix gives alone; a
-sweep solves its grid in stacked chunks.  ``eig_dense`` (left and
-right eigenvectors with residual checks; LAPACK through scipy, or mpmath's
-QR in ``eigtriples_mp``) serves only the consumers of eigenvectors:
-degeneracy classification and the metric.  scipy is imported there, on
-first use, so a command that reads no double eigenvectors never loads it.
+sweep solves its grid in stacked chunks, on several threads at once (the
+LAPACK call releases the GIL), and a real stack reaches ``dgeev`` without
+a complex copy.  A LAPACK failure is raised as ``ConvergenceError``.
+``eig_dense`` (left and right eigenvectors with residual checks; LAPACK
+through scipy, or mpmath's QR in ``eigtriples_mp``) serves only the
+consumers of eigenvectors: degeneracy classification and the metric.
+scipy is imported there, on first use, so a command that reads no double
+eigenvectors never loads it.
 
 No other module calls LAPACK's nonsymmetric drivers.  Both double solvers
 send a matrix whose imaginary parts are all exactly zero to the real
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .poly import _extended_roots, _gaussian_cleared
+from .poly import ConvergenceError, _extended_roots, _gaussian_cleared
 from .scalars import CLUSTER_RTOL, EXTENDED_DPS, Precision, RootCluster, cluster_points
 from .tridiag import as_array
 
@@ -75,19 +78,26 @@ def eigvals_double(m) -> np.ndarray:
     real matrix the real eigenvalues have imaginary part exactly 0.0 and the
     others come in exact conjugate pairs.  A ``(k, n, n)`` stack gives a
     ``(k, n)`` array whose row i equals ``eigvals_double(m[i])`` bit for bit:
-    the real matrices of the stack go to the real driver together, the
-    others to the complex one.
+    a real stack goes to the real driver as it is; of a complex one, the
+    matrices with no imaginary part go to the real driver together, the
+    others to the complex one.  A LAPACK failure (``LinAlgError``) is raised
+    as ``ConvergenceError``.
     """
-    if np.ndim(m) == 3:
-        a = np.asarray(m, dtype=complex)
-        real = ~a.imag.any(axis=(1, 2))
-        values = np.empty(a.shape[:2], dtype=complex)
-        for rows, stack in ((real, a[real].real), (~real, a[~real])):
-            if len(stack):
-                values[rows] = np.linalg.eigvals(stack)
-    else:
-        a = as_array(m)
-        values = np.linalg.eigvals(a if a.imag.any() else a.real).astype(complex, copy=False)
+    try:
+        if np.ndim(m) != 3:
+            a = as_array(m)
+            values = np.linalg.eigvals(a if a.imag.any() else a.real).astype(complex, copy=False)
+        elif not np.iscomplexobj(m):
+            values = np.linalg.eigvals(m).astype(complex, copy=False)
+        else:
+            a = np.asarray(m)
+            real = ~a.imag.any(axis=(1, 2))
+            values = np.empty(a.shape[:2], dtype=complex)
+            for rows, stack in ((real, a[real].real), (~real, a[~real])):
+                if len(stack):
+                    values[rows] = np.linalg.eigvals(stack)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"double eigensolve failed: {exc}") from exc
     return np.take_along_axis(values, np.lexsort((values.imag, values.real)), axis=-1)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -198,6 +199,32 @@ def _pairing_warnings(tracks: np.ndarray) -> np.ndarray:
     return warnings
 
 
+def _worker_count(chunks: int) -> int:
+    """Threads for the chunk solves of a double sweep: one per usable CPU, at most one per chunk."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, chunks)
+
+
+def _continue_tracks(blocks) -> np.ndarray:
+    """Row k: the tracks at grid point k, each row continued from the one before.
+
+    ``blocks`` yields the sorted spectra of consecutive grid points, in
+    order and in blocks of rows; the first spectrum is row 0 as it is.
+    """
+    out, prev = [], None
+    for block in blocks:
+        rows = np.empty_like(block)
+        for k, cur in enumerate(block):
+            if prev is not None:
+                cur = cur[_assign(np.abs(cur[None, :] - prev[:, None]))]
+            rows[k] = prev = cur
+        out.append(rows)
+    return np.concatenate(out)
+
+
 def sweep(
     model,
     param_range: tuple[float, float],
@@ -208,7 +235,13 @@ def sweep(
 ) -> SweepResult:
     """Continued eigenvalue tracks of ``model.matrix(p)`` over a grid.
 
-    Double precision solves the grid in stacks of ``SWEEP_CHUNK`` matrices.
+    Double precision cuts the grid into chunks of ``SWEEP_CHUNK`` points and
+    solves each as one stack from ``model.matrices``.  With more than one
+    chunk and more than one usable CPU, a thread pool builds and solves the
+    chunks while this thread continues the tracks through the chunks already
+    solved; numpy's eigensolver releases the GIL.  Only the pool's running
+    chunks hold a matrix stack, and the pool is shut down before ``sweep``
+    returns or raises.  The tracks do not depend on the number of threads.
     Extended precision reads the eigenvalue-only ``eigvals_mp`` at
     ``EXTENDED_DPS``, from ``model.matrix_mp`` where the model has one.
     """
@@ -216,28 +249,31 @@ def sweep(
         raise ValueError("samples must be >= 2")
     grid = np.linspace(float(param_range[0]), float(param_range[1]), samples)
     if precision is Precision.DOUBLE:
-        spectra = np.concatenate(
-            [
-                eigvals_double(np.array([as_array(model.matrix(p)) for p in grid[k : k + SWEEP_CHUNK]]))
-                for k in range(0, samples, SWEEP_CHUNK)
-            ]
-        )
+        def solve(chunk):
+            return eigvals_double(model.matrices(chunk))
+
+        chunks = [grid[k : k + SWEEP_CHUNK] for k in range(0, samples, SWEEP_CHUNK)]
+        workers = _worker_count(len(chunks))
+        if workers == 1:
+            rows = _continue_tracks(map(solve, chunks))
+        else:
+            from concurrent.futures import ThreadPoolExecutor  # on first use: import time stays flat
+
+            pool = ThreadPoolExecutor(workers)
+            try:
+                rows = _continue_tracks(pool.map(solve, chunks))
+            finally:
+                pool.shutdown(cancel_futures=True)
     elif precision is Precision.EXTENDED:
         matrix_mp = getattr(model, "matrix_mp", None) or (lambda p: to_mp_matrix(model.matrix(float(p))))
         with mp.workdps(EXTENDED_DPS):
             values = np.array([eigvals_mp(matrix_mp(p)) for p in grid], dtype=complex)
-        spectra = np.take_along_axis(values, np.lexsort((values.imag, values.real)), axis=-1)
+        rows = _continue_tracks([np.take_along_axis(values, np.lexsort((values.imag, values.real)), axis=-1)])
     else:
         raise ValueError("sweep supports double or extended precision")
 
-    # row k holds the tracks at grid point k while they are continued
-    rows = np.empty_like(spectra)
-    rows[0] = spectra[0]
-    for k in range(1, samples):
-        cur = spectra[k]
-        rows[k] = cur[_assign(np.abs(cur[None, :] - rows[k - 1][:, None]))]
+    # row k of ``rows`` holds the tracks at grid point k
     tracks = np.ascontiguousarray(rows.T)
-
     flags = reality_flags(tracks, rtol=reality_rtol)
     info = model.describe() if hasattr(model, "describe") else {}
     return SweepResult(grid, tracks, flags, _pairing_warnings(tracks), info)
@@ -274,8 +310,10 @@ def _geometric_multiplicity(a: np.ndarray, energy: complex, rank_rtol: float = 1
     """n - rank(A - E I) from the singular values, at ``rank_rtol * max(||A||_2, 1)``.
 
     Returns the multiplicity, the singular values (descending, so the last
-    is sigma_min) and the threshold.
+    is sigma_min) and the threshold.  A real ``a`` is taken as complex, so
+    both norms come from the one complex SVD driver.
     """
+    a = as_array(a)
     n = a.shape[0]
     sv = np.linalg.svd(a - energy * np.eye(n), compute_uv=False)
     thr = rank_rtol * max(float(np.linalg.norm(a, 2)), 1.0)

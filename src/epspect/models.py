@@ -194,8 +194,32 @@ class EpnModel:
 
     param = "t"
 
+    def matrices(self, grid) -> np.ndarray:
+        """The ``(k, n, n)`` stack of the matrices at each t of ``grid``, in one numpy pass.
+
+        The entries are bit for bit those of ``epn_matrix``.  The stack is
+        real when 1 - tau^2 >= 0 at every t; otherwise it is complex, and
+        where 1 - tau^2 < 0 the shift 8*sqrt(1 - tau^2) is imaginary.
+        """
+        n = self.n
+        if n < 2:
+            raise ValueError("n must be >= 2")
+        tau = 1.0 - np.asarray(grid, dtype=float)
+        inside = (1.0 - tau * tau)[:, None]
+        shift = 8.0 * np.sqrt(np.abs(inside))
+        real = inside >= 0
+        sup = np.sqrt([_epn_weight_sq(n, k) for k in range(n - 1)]) * tau[:, None]
+        k = np.arange(n)
+        out = np.zeros((len(tau), n, n), dtype=float if real.all() else complex)
+        out[:, k, k] = np.arange(1 - n, n, 2.0) + np.where(real, shift, 0.0)
+        if not real.all():
+            out.imag[:, k, k] = np.where(real, 0.0, shift)
+        out[:, k[:-1], k[1:]] = sup
+        out[:, k[1:], k[:-1]] = -sup
+        return out
+
     def matrix(self, t: float) -> np.ndarray:
-        return epn_matrix(self.n, t).to_array()
+        return self.matrices([t])[0]
 
     def matrix_mp(self, t):
         """Entries built in mpmath arithmetic (for the extended sweep)."""
@@ -226,9 +250,27 @@ class BcModel:
 
     param = "r"
 
+    def matrices(self, grid) -> np.ndarray:
+        """The ``(k, n, n)`` complex stack of the matrices at each r of ``grid``.
+
+        z = y + i*sqrt(1 - r^2) on the principal branch, as in ``z_value``;
+        the entries are bit for bit those of ``bc_matrix``.
+        """
+        n = self.n
+        if n < 2:
+            raise ValueError("n must be >= 2")
+        r = np.asarray(grid, dtype=float)
+        z = self.y + 1j * np.sqrt((1.0 - r * r).astype(complex))
+        k = np.arange(n)
+        out = np.zeros((len(r), n, n), dtype=complex)
+        out[:, k, k] = 2.0
+        out[:, 0, 0] = 2.0 - z
+        out[:, -1, -1] = 2.0 - z.conj()
+        out[:, k[:-1], k[1:]] = out[:, k[1:], k[:-1]] = -1.0
+        return out
+
     def matrix(self, r: float) -> np.ndarray:
-        z = z_value(ShiftedCircle(self.y, r))
-        return bc_matrix(self.n, z).to_array()
+        return self.matrices([r])[0]
 
     def matrix_mp(self, r):
         """Entries built in mpmath arithmetic (for the extended sweep)."""
@@ -265,9 +307,13 @@ class HermitianDemoModel:
         """(A, B), drawn once per model and shared by every grid point."""
         return hermitian_demo_pencil(self.n, self.seed)
 
-    def matrix(self, t: float) -> np.ndarray:
+    def matrices(self, grid) -> np.ndarray:
+        """The ``(k, n, n)`` stack A + t*B over the t of ``grid``."""
         a, b = self._pencil
-        return a + t * b
+        return a + np.asarray(grid, dtype=float)[:, None, None] * b
+
+    def matrix(self, t: float) -> np.ndarray:
+        return self.matrices([t])[0]
 
     def describe(self) -> dict:
         return {"model": "hermitian-demo", "n": self.n, "seed": self.seed, "param": "t"}

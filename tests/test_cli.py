@@ -303,17 +303,40 @@ def test_find_ep_wrong_param_for_model_is_usage_error(tmp_path):
         ["metric", "--model", "epn", "--n", "4", "--t", "0.5", "--kappa", "1,2"],
         ["sturmian", "--n", "4", "--y", "0", "--range", "5:0", "--samples", "10"],
         ["sturmian", "--n", "4", "--y", "0", "--range", "2:2", "--samples", "10"],
+        # NaN and infinity are refused by every float flag
+        ["sweep", "--model", "epn", "--n", "4", "--range", "nan:1", "--samples", "5"],
+        ["sweep", "--model", "bc", "--n", "4", "--y", "inf", "--range", "0:1", "--samples", "5"],
+        ["find-ep", "--model", "bc", "--n", "4", "--y", "nan", "--range", "-1:1"],
+        ["sturmian", "--n", "4", "--y", "0", "--range", "0:inf", "--samples", "10"],
+        ["metric", "--model", "epn", "--n", "4", "--t", "nan"],
+        ["metric", "--model", "bc", "--n", "4", "--r", "inf"],
+        ["metric", "--model", "epn", "--n", "3", "--t", "0.5", "--kappa", "1,nan,1"],
+        ["metric-sweep", "--model", "epn", "--n", "4", "--t-grid", "0.5,nan"],
     ],
     ids=[
         "sweep-n1", "find-ep-n1", "metric-n1", "sweep-samples1",
         "sturmian-samples1", "metric-kappa-length", "sturmian-reversed-range",
-        "sturmian-empty-range",
+        "sturmian-empty-range", "sweep-range-nan", "sweep-y-inf", "find-ep-y-nan",
+        "sturmian-range-inf", "metric-t-nan", "metric-r-inf", "metric-kappa-nan",
+        "metric-sweep-t-grid-nan",
     ],
 )
 def test_bad_values_are_usage_errors(argv, tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(argv + ["--output", str(tmp_path / "out")])
     assert exc.value.code == 2
+
+
+def test_failed_lapack_solve_in_a_sweep_exits_4(tmp_path, monkeypatch, capsys):
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--model", "epn", "--n", "4", "--range", "0:1", "--samples", "600", "--output", str(out)]
+    assert run(argv) == 4
+    assert "no convergence" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_figure_index_validated(tmp_path):

@@ -1,6 +1,6 @@
 """Static guard against dead code in the package (stdlib ``ast`` only).
 
-Nine things fail the guard: an import a module never uses (package
+Ten things fail the guard: an import a module never uses (package
 ``__init__.py`` files are exempt, their imports are re-exports), a
 ``_private`` top-level function that no module of the package references,
 a module-level UPPER_CASE constant that no module of the package loads,
@@ -8,12 +8,14 @@ an eigenvector solve whose eigenvalues are all that is read, a
 nonsymmetric LAPACK eigensolve outside ``core/eig.py``, denominator
 clearing (``math.lcm``) outside ``core/poly.py``, sampled reality
 (``sweep``, ``reality_flags``, ``REALITY_RTOL``) anywhere the exact shift
-scan reaches, a ``scipy`` import that runs when a module is imported, and
+scan reaches, a ``scipy`` import that runs when a module is imported,
 mpmath anywhere the integer kernels of the extended tier (the Berkowitz
-characteristic polynomial and the fixed-point Aberth iteration) reach.
-A fresh-interpreter test checks the scipy guard end to end: importing the
-command line and running the commands that need no double eigenvectors
-never loads scipy.
+characteristic polynomial and the fixed-point Aberth iteration) reach, and
+an import of ``threading`` or ``concurrent.futures`` anywhere but in
+``epfinder.sweep``.  Fresh-interpreter tests check the import guards end
+to end: importing the command line and running the commands that need no
+double eigenvectors never loads scipy, and importing it or sweeping one
+chunk never loads ``concurrent.futures``.
 """
 
 import ast
@@ -390,3 +392,65 @@ def test_commands_without_double_eigenvectors_never_load_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+THREAD_MODULES = {"threading", "concurrent"}
+
+
+def _thread_imports(tree):
+    """(line, top-level function or None) of each import of ``threading`` or ``concurrent``."""
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] in THREAD_MODULES for name in names):
+                yield node.lineno, owner
+
+
+def test_only_sweep_imports_threads():
+    """The chunk pool of the double sweep is the package's one source of
+    threads: no other function or module imports ``threading`` or
+    ``concurrent.futures``."""
+    found = {
+        (str(path.relative_to(PACKAGE)), owner) for path in MODULES for _, owner in _thread_imports(_parse(path))
+    }
+    assert found == {("epfinder.py", "sweep")}
+
+
+def test_thread_import_guard_sees_every_spelling():
+    source = (
+        "import threading\n"
+        "import concurrent.futures\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "from concurrent import futures\n"
+        "import os, threading as th\n"
+        "def sweep():\n    from concurrent.futures import ThreadPoolExecutor\n"
+        "class C:\n    def sweep(self):\n        import threading\n"
+        "import threadingx\nfrom .threading import y\nfrom os import threading\n"
+    )
+    want = [(1, None), (2, None), (3, None), (4, None), (5, None), (7, "sweep"), (10, None)]
+    assert list(_thread_imports(ast.parse(source))) == want
+
+
+def test_import_and_one_chunk_sweep_never_load_a_thread_pool(tmp_path):
+    argv = ["sweep", "--model", "epn", "--n", "4", "--range", "0:1", "--samples", "256", "--output", "s.csv"]
+    script = (
+        "import sys\n"
+        "import epspect.cli\n"
+        "loaded = ['import epspect.cli'] if 'concurrent.futures' in sys.modules else []\n"
+        f"assert epspect.cli.main({argv!r}) == 0\n"
+        "loaded += ['sweep'] if 'concurrent.futures' in sys.modules else []\n"
+        "print(loaded)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

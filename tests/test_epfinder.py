@@ -1,7 +1,9 @@
 """Degeneracy location and classification."""
 
 import cmath
+import itertools
 import math
+import threading
 from fractions import Fraction
 
 import mpmath as mp
@@ -11,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import epspect.epfinder as epfinder
-from epspect.core import Precision, eig_dense, eigvals_double, eigvals_mp
+from epspect.core import ConvergenceError, Precision, eig_dense, eigvals_double, eigvals_mp
 from epspect.epfinder import (
+    SWEEP_CHUNK,
     _assign,
     _disc_in_y_at_p,
     _event_pieces,
@@ -144,6 +147,49 @@ def test_pairing_warnings_match_the_per_step_formula(model, param_range, samples
     ]
     assert _pairing_warnings(tracks).tolist() == want
     assert any(want)
+
+
+def _sweep_on(workers, monkeypatch, *args):
+    """``sweep(*args)`` with the chunk solves on at most ``workers`` threads."""
+    monkeypatch.setattr(epfinder, "_worker_count", lambda chunks: min(workers, chunks))
+    return sweep(*args)
+
+
+@pytest.mark.parametrize("samples", [2, 255, 256, 257, 513, 2001])
+@pytest.mark.parametrize(
+    "model, param_range",
+    [(EpnModel(8), (-0.5, 1.0)), (BcModel(5, -0.5), (-1.5, 1.5))],
+    ids=["epn8-mixed-stacks", "bc5-beyond-unit-r"],
+)
+def test_pooled_sweep_is_the_one_thread_sweep_bit_for_bit(model, param_range, samples, monkeypatch):
+    alone = _sweep_on(1, monkeypatch, model, param_range, samples)
+    for workers in (2, 3):
+        pooled = _sweep_on(workers, monkeypatch, model, param_range, samples)
+        assert np.array_equal(pooled.grid, alone.grid)
+        assert np.array_equal(pooled.tracks.view(float), alone.tracks.view(float))
+        assert np.array_equal(pooled.real_flags, alone.real_flags)
+        assert np.array_equal(pooled.warnings, alone.warnings)
+
+
+@pytest.mark.parametrize(
+    "error, raised",
+    [(np.linalg.LinAlgError("Eigenvalues did not converge"), ConvergenceError), (ValueError("bad chunk"), ValueError)],
+    ids=["lapack", "other"],
+)
+def test_a_failed_chunk_solve_propagates_and_leaves_no_thread(error, raised, monkeypatch):
+    calls, eigvals = itertools.count(), np.linalg.eigvals
+
+    def third_solve_fails(a):
+        if next(calls) == 2:
+            raise error
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", third_solve_fails)
+    monkeypatch.setattr(epfinder, "_worker_count", lambda chunks: min(2, chunks))
+    threads = threading.active_count()
+    with pytest.raises(raised):
+        sweep(EpnModel(6), (0.0, 1.0), 6 * SWEEP_CHUNK)
+    assert threading.active_count() == threads
 
 
 # --------------------------------------------------------------------------

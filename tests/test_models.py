@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import epspect.models as models
-from epspect.core import Polynomial, charpoly_from_parts, charpoly_tridiag, eig_dense, poly_roots
+from epspect.core import Polynomial, as_array, charpoly_from_parts, charpoly_tridiag, eig_dense, poly_roots
 from epspect.models import (
+    BcModel,
     Circle,
+    EpnModel,
     Explicit,
     HermitianDemoModel,
     Robin,
@@ -94,6 +96,12 @@ def test_epn_outside_unit_window_goes_complex():
 def test_epn_rejects_tiny_dimension():
     with pytest.raises(ValueError):
         epn_matrix(1, 0.5)
+
+
+@pytest.mark.parametrize("model", [EpnModel(1), BcModel(1), HermitianDemoModel(1)], ids=repr)
+def test_models_reject_tiny_dimension(model):
+    with pytest.raises(ValueError):
+        model.matrices([0.5])
 
 
 # --------------------------------------------------------------------------
@@ -224,3 +232,46 @@ def test_hermitian_demo_sweep_all_real_with_positive_gap():
         vals = np.linalg.eigvalsh(hermitian_demo(4, float(t), seed=1).a)
         min_gap = min(min_gap, float(np.diff(vals).min()))
     assert min_gap > 0
+
+
+# --------------------------------------------------------------------------
+# stacked builders
+# --------------------------------------------------------------------------
+
+
+def _bits(a):
+    """The float64 words of a real or complex array, so -0.0 differs from 0.0."""
+    return np.asarray(a, dtype=complex).view(np.uint64)
+
+
+def _bc_point(n, y, r):
+    return bc_matrix(n, z_value(ShiftedCircle(y, r)))
+
+
+@pytest.mark.parametrize(
+    "model, grid, tridiagonal",
+    [
+        # 1 - tau^2 changes sign at t = 0 and t = 2: both complex branches
+        (EpnModel(6), np.linspace(-0.5, 2.5, 601), lambda t: epn_matrix(6, t)),
+        (EpnModel(9), np.array([-0.5, 0.0, 1.0, 2.0, 2.5, 1e-17]), lambda t: epn_matrix(9, t)),
+        (BcModel(5, -0.5), np.linspace(-1.5, 1.5, 301), lambda r: _bc_point(5, -0.5, r)),
+        (BcModel(4), np.array([-2.0, -1.0, 0.0, 1.0, 3.0]), lambda r: _bc_point(4, 0.0, r)),
+        (HermitianDemoModel(4, 1), np.linspace(-1, 1, 101), lambda t: hermitian_demo(4, t, seed=1)),
+    ],
+    ids=["epn6-both-branches", "epn9-edges", "bc5-beyond-unit-r", "bc4-real-z", "demo4"],
+)
+def test_matrices_are_the_per_point_matrices_bit_for_bit(model, grid, tridiagonal):
+    stack = model.matrices(grid)
+    per_point = np.array([model.matrix(p) for p in grid])
+    assert stack.dtype == per_point.dtype and stack.shape == (len(grid), model.n, model.n)
+    assert np.array_equal(_bits(stack), _bits(per_point))
+    # and the entries of the Tridiagonal / DenseMatrix constructors
+    want = np.array([as_array(tridiagonal(float(p))) for p in grid])
+    assert np.array_equal(_bits(stack), _bits(want))
+
+
+def test_epn_stack_is_real_exactly_where_every_shift_is():
+    assert EpnModel(6).matrices(np.linspace(0.0, 2.0, 11)).dtype == np.float64
+    mixed = EpnModel(6).matrices([-0.5, 0.5])
+    assert mixed.dtype == np.complex128
+    assert not mixed[1].imag.any() and mixed[0].imag.any()
