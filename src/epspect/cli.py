@@ -318,7 +318,7 @@ def _cmd_metric(args, parser) -> int:
     else:
         parser.error("metric supports the epn and bc families")
     kappa = args.kappa
-    met = build_metric(matrix, kappa, precision=args.precision if args.precision != "double" else "auto")
+    met = build_metric(matrix, kappa)
     flags = {"model": args.model, "n": args.n, **at}
     if kappa is not None:
         flags["kappa"] = ",".join(repr(k) for k in kappa)
@@ -499,18 +499,15 @@ NEGATIVE_VALUE_FLAGS = {"--range", "--t", "--y", "--r", "--t-grid", "--kappa"}
 
 
 def _join_negative_values(argv: list[str]) -> list[str]:
-    """Turn `--range -1:1` into `--range=-1:1` so argparse accepts it."""
+    """Turn `--range -1:1` (or `--y -inf`) into `--range=-1:1` so argparse
+    accepts it: any value after one of these flags that starts with a
+    single `-` is the flag's value, not another option."""
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
         nxt = argv[i + 1] if i + 1 < len(argv) else ""
-        if (
-            tok in NEGATIVE_VALUE_FLAGS
-            and len(nxt) > 1
-            and nxt[0] == "-"
-            and (nxt[1].isdigit() or nxt[1] == ".")
-        ):
+        if tok in NEGATIVE_VALUE_FLAGS and len(nxt) > 1 and nxt[0] == "-" and nxt[1] != "-":
             out.append(f"{tok}={nxt}")
             i += 2
             continue

@@ -8,17 +8,18 @@ Gaussian integers of the power-of-two-scaled matrix, found by the integer
 fixed-point Aberth iteration of ``poly`` from the double eigenvalues; no
 step runs in mpmath arithmetic).  The extended tier matters close to
 a degeneracy, where double-precision eigenvalues lose half their digits per
-coalescing level; the extended sweep and the perturbation draws read
-``eigvals_mp``.  ``eigvals_double`` also takes a ``(k, n, n)`` stack and
-returns one row per matrix, bit for bit what each matrix gives alone; a
-sweep solves its grid in stacked chunks, on several threads at once (the
-LAPACK call releases the GIL), and a real stack reaches ``dgeev`` without
-a complex copy.  A LAPACK failure is raised as ``ConvergenceError``.
-``eig_dense`` (left and right eigenvectors with residual checks; LAPACK
-through scipy, or mpmath's QR in ``eigtriples_mp``) serves only the
-consumers of eigenvectors: degeneracy classification and the metric.
-scipy is imported there, on first use, so a command that reads no double
-eigenvectors never loads it.
+coalescing level; the extended sweep, the perturbation draws and the
+metric's reality verdict read ``eigvals_mp``.  ``eigvals_double`` also takes
+a ``(k, n, n)`` stack and returns one row per matrix, bit for bit what each
+matrix gives alone; a sweep solves its grid in stacked chunks, on several
+threads at once (the LAPACK call releases the GIL), and a real stack
+reaches ``dgeev`` without a complex copy.  A LAPACK failure is raised as
+``ConvergenceError``.
+``eig_dense`` (right eigenvectors of unit 2-norm from ``numpy.linalg.eig``,
+left ones as the columns of Y = X^-H, so that Y^H X = I by construction, with
+residual checks) serves only the consumers of eigenvectors: degeneracy
+classification and the metric.  Eigenvectors exist in double precision
+only.
 
 No other module calls LAPACK's nonsymmetric drivers.  Both double solvers
 send a matrix whose imaginary parts are all exactly zero to the real
@@ -37,7 +38,7 @@ import mpmath as mp
 import numpy as np
 
 from .poly import ConvergenceError, _extended_roots, _gaussian_cleared
-from .scalars import CLUSTER_RTOL, EXTENDED_DPS, Precision, RootCluster, cluster_points
+from .scalars import CLUSTER_RTOL, RootCluster, cluster_points
 from .tridiag import as_array
 
 
@@ -45,8 +46,11 @@ from .tridiag import as_array
 class EigResult:
     """Eigentriples of a dense matrix.
 
-    ``right[:, i]`` satisfies M x = values[i] x, ``left[:, i]`` satisfies
-    y^H M = values[i] y^H; columns are index-paired by eigenvalue.
+    ``right[:, i]`` satisfies M x = values[i] x and has unit 2-norm;
+    ``left[:, i]`` satisfies y^H M = values[i] y^H, and the columns are
+    normalized against each other, Y^H X = I.  Where X is exactly singular
+    (LAPACK's vectors of a defective matrix can be parallel to the last
+    bit), ``left`` is all NaN.
     ``low_confidence[i]`` marks members of an eigenvalue cluster whose
     eigenvectors are not individually trustworthy.
     """
@@ -58,7 +62,6 @@ class EigResult:
     residual_left: np.ndarray
     low_confidence: np.ndarray
     clusters: tuple[RootCluster, ...]
-    values_mp: tuple | None = None
 
     @property
     def n(self) -> int:
@@ -102,10 +105,13 @@ def eigvals_double(m) -> np.ndarray:
 
 
 def _eig_double(a: np.ndarray):
-    import scipy.linalg as sla  # on first use: only eigenvector consumers need it
-
-    values, vl, vr = sla.eig(a if a.imag.any() else a.real, left=True, right=True)
-    return values, vr, vl
+    values, right = np.linalg.eig(a if a.imag.any() else a.real)
+    right = right.astype(complex, copy=False)
+    try:
+        left = np.linalg.inv(right).conj().T
+    except np.linalg.LinAlgError:
+        left = np.full_like(right, np.nan)
+    return values.astype(complex, copy=False), right, left
 
 
 def to_mp_matrix(a: np.ndarray):
@@ -121,11 +127,6 @@ def to_mp_matrix(a: np.ndarray):
 def from_mp_matrix(m) -> np.ndarray:
     """Complex ndarray with the entries of an ``mp.matrix``."""
     return np.array([[complex(m[i, j]) for j in range(m.cols)] for i in range(m.rows)])
-
-
-def eigtriples_mp(a: np.ndarray):
-    """``mp.eig`` eigenvalues, left rows and right columns at the working dps."""
-    return mp.eig(to_mp_matrix(a), left=True, right=True)
 
 
 def _berkowitz(entries: list[list[tuple[int, int]]]) -> list[tuple[int, int]]:
@@ -187,23 +188,7 @@ def eigvals_mp(m) -> list:
     return roots
 
 
-def _eig_extended(a: np.ndarray):
-    with mp.workdps(EXTENDED_DPS):
-        ev, el, er = eigtriples_mp(a)
-        values = np.array([complex(v) for v in ev])
-        right = from_mp_matrix(er)
-        # mpmath returns left eigenvectors as rows with EL*M = diag(E)*EL;
-        # our convention stores y_i as a column with y^H M = lambda y^H.
-        left = from_mp_matrix(el).T.conj()
-        values_mp = tuple(ev)
-    return values, right, left, values_mp
-
-
-def eig_dense(
-    m,
-    precision: Precision = Precision.DOUBLE,
-    cluster_rtol: float = CLUSTER_RTOL,
-) -> EigResult:
+def eig_dense(m, cluster_rtol: float = CLUSTER_RTOL) -> EigResult:
     """Eigenvalues plus right and left eigenvectors of a dense matrix.
 
     Residuals are ||M x - lambda x||_2 (and the adjoint analogue) per
@@ -212,14 +197,7 @@ def eig_dense(
     individual eigenvectors are ill-conditioned near a degeneracy.
     """
     a = as_array(m)
-    values_mp = None
-    if precision is Precision.EXTENDED:
-        values, right, left, values_mp = _eig_extended(a)
-    elif precision is Precision.DOUBLE:
-        values, right, left = _eig_double(a)
-    else:
-        raise ValueError("eig_dense supports double or extended precision")
-
+    values, right, left = _eig_double(a)
     values, right, left = _sort_triples(values, right, left)
     norm = np.linalg.norm(a, "fro")
     res_r = np.array(
@@ -244,4 +222,4 @@ def eig_dense(
         bad = (res_r > 1e-8 * norm) & ~low
         if np.any(bad):
             low = low | bad
-    return EigResult(values, right, left, res_r, res_l, low, clusters, values_mp)
+    return EigResult(values, right, left, res_r, res_l, low, clusters)

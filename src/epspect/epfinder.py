@@ -4,8 +4,9 @@ The exceptional points of the two solvable families are decided exactly:
 along one parameter by the real roots of the discriminant of the secular
 polynomial, along the shift y by three exact event polynomials.  A
 Hermitian family has none, and any other one-parameter model is refused.
-Sweeps, the classification of one matrix and the perturbation exponent
-read eigenvalues in double or extended precision.
+Sweeps and the perturbation exponent read eigenvalues in double or
+extended precision; the classification of one matrix reads the double
+eigenvectors.
 """
 
 from __future__ import annotations
@@ -324,7 +325,6 @@ def classify_degeneracy(
     m,
     energy: complex,
     *,
-    precision: Precision = Precision.DOUBLE,
     cluster_rtol: float = CLUSTER_RTOL,
     rank_rtol: float = 1e-8,
     band: float = 10.0,
@@ -338,7 +338,7 @@ def classify_degeneracy(
     call ambiguous and the verdict "indeterminate" instead of a guess.
     """
     a = as_array(m)
-    res = eig_dense(a, precision=precision, cluster_rtol=cluster_rtol)
+    res = eig_dense(a, cluster_rtol=cluster_rtol)
     # algebraic multiplicity from root clustering of the characteristic
     # polynomial; for tridiagonal input the minor recurrence is far more
     # backward-stable than the eigensolver near a high-order degeneracy

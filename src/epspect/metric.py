@@ -7,6 +7,13 @@ positive weight vector.  The kappa freedom is the well-known ambiguity of
 the metric; everything here reports relative to an explicit kappa, with
 (1, ..., 1) as the reproducible default.
 
+Theta also depends on the scale of each right eigenvector x_i: rescaling
+x_i by c rescales kappa_i by 1/|c|^2.  One convention fixes it: X holds
+LAPACK's right eigenvectors of unit 2-norm, and Y = X^-H.  Every metric is
+built one way, from that double eigenbasis; whether the spectrum is real is
+decided from the extended eigenvalues (``eigvals_mp``), where the rounding
+noise of a double eigensolve cannot make a real level look complex.
+
 Close to an exceptional point the eigenbasis degenerates and every such
 Theta loses invertibility; construction is refused there instead of
 returning a numerically singular metric.
@@ -19,15 +26,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .core import (
-    CLUSTER_RTOL,
-    EXTENDED_DPS,
-    Precision,
-    as_array,
-    eig_dense,
-    eigtriples_mp,
-    from_mp_matrix,
-)
+from .core import CLUSTER_RTOL, EXTENDED_DPS, as_array, eig_dense, eigvals_mp, reality_flags, to_mp_matrix
 
 
 class DegenerateBasisError(ValueError):
@@ -52,7 +51,7 @@ class ComplexSpectrumError(ValueError):
 
 
 class MetricConstructionError(ValueError):
-    """No tier produced a metric within the quasi-Hermiticity bound."""
+    """Theta is not positive definite within the quasi-Hermiticity bound."""
 
 
 @dataclass(frozen=True)
@@ -74,31 +73,18 @@ class BiorthogonalBasis:
         )
 
 
-def biorthogonal_basis(
-    m,
-    *,
-    cluster_rtol: float = CLUSTER_RTOL,
-    precision: Precision = Precision.DOUBLE,
-) -> BiorthogonalBasis:
-    """Left/right eigenbasis normalized to Y^H X = I.
+def biorthogonal_basis(m, *, cluster_rtol: float = CLUSTER_RTOL) -> BiorthogonalBasis:
+    """Left/right eigenbasis normalized to Y^H X = I (Y = X^-H).
 
     Raises DegenerateBasisError naming the cluster when the spectrum is not
     numerically simple; a finite but large cond(X) (> 1e6) is tolerated and
     left to the caller via ``cond_right``.
     """
-    a = as_array(m)
-    res = eig_dense(a, precision=precision, cluster_rtol=cluster_rtol)
+    res = eig_dense(m, cluster_rtol=cluster_rtol)
     bad = [c for c in res.clusters if c.multiplicity > 1]
     if bad:
         raise DegenerateBasisError(bad)
-    x = res.right.copy()
-    y = res.left.copy()
-    overlap = np.diag(y.conj().T @ x)
-    if np.min(np.abs(overlap)) == 0:
-        raise DegenerateBasisError(res.clusters)
-    y = y / np.conj(overlap)[None, :]
-    cond = float(np.linalg.cond(x))
-    return BiorthogonalBasis(res.values, x, y, cond)
+    return BiorthogonalBasis(res.values, res.right, res.left, float(np.linalg.cond(res.right)))
 
 
 @dataclass(frozen=True)
@@ -132,58 +118,18 @@ class MetricOperator:
         return float(np.linalg.norm(a.conj().T @ self.theta - self.theta @ a, "fro"))
 
 
-def _build_theta_double(a, kappa):
-    basis = biorthogonal_basis(a)
-    values = basis.values
-    scale = max(1.0, float(np.max(np.abs(values))))
-    nonreal = [v for v in values if abs(v.imag) > 1e-10 * scale]
-    if nonreal:
-        raise ComplexSpectrumError(nonreal)
-    y = basis.left
-    theta = y @ np.diag(kappa.astype(complex)) @ y.conj().T
-    return theta, basis.cond_right
-
-
-def _build_theta_extended(a, kappa):
-    n = a.shape[0]
-    with mp.workdps(EXTENDED_DPS):
-        ev, el, er = eigtriples_mp(a)
-        scale = max(1.0, max(abs(v) for v in ev))
-        nonreal = [complex(v) for v in ev if abs(mp.im(v)) > 1e-10 * scale]
-        if nonreal:
-            raise ComplexSpectrumError(nonreal)
-        # normalize rows of el against columns of er, then Theta = Y K Y^H
-        theta = mp.zeros(n)
-        for i in range(n):
-            row = el[i, :]
-            col = er[:, i]
-            d = sum(row[0, k] * col[k, 0] for k in range(n))
-            yk = [mp.conj(row[0, k] / d) for k in range(n)]
-            for p in range(n):
-                for q in range(n):
-                    theta[p, q] += mp.mpf(float(kappa[i])) * yk[p] * mp.conj(yk[q])
-        out = from_mp_matrix(theta)
-        er_np = from_mp_matrix(er)
-    return out, float(np.linalg.cond(er_np))
-
-
-def build_metric(
-    m,
-    kappa=None,
-    *,
-    precision: str | Precision = "auto",
-) -> MetricOperator:
+def build_metric(m, kappa=None) -> MetricOperator:
     """Metric Theta = Y diag(kappa) Y^H making M self-adjoint.
 
-    Requires a real, numerically simple spectrum and strictly positive
-    kappa (default all ones).  A tier's Theta is accepted only if it is
+    Requires a numerically simple spectrum (else ``DegenerateBasisError``),
+    a real one by ``reality_flags`` on the extended eigenvalues (else
+    ``ComplexSpectrumError``, carrying the non-real ones) and strictly
+    positive kappa (default all ones).  Theta is accepted only if it is
     positive definite, its smallest eigenvalue above the eigensolver's
     rounding level n * eps * ||Theta||_2, and its quasi-Hermiticity
-    residual meets the 1e-10 * ||M||_F * ||Theta||_F bound.
-    ``precision="auto"`` builds in double and silently re-builds under
-    mpmath if either test fails, which happens when the eigenbasis is badly
-    conditioned near a degeneracy; ``MetricConstructionError`` is raised
-    when no tier passes.
+    residual meets the 1e-10 * ||M||_F * ||Theta||_F bound; otherwise
+    ``MetricConstructionError`` is raised, which happens when the
+    eigenbasis is badly conditioned near a degeneracy.
     """
     a = as_array(m)
     n = a.shape[0]
@@ -193,30 +139,25 @@ def build_metric(
     if np.any(kappa <= 0):
         raise ValueError("kappa must be strictly positive")
 
-    tiers = (
-        [Precision.DOUBLE, Precision.EXTENDED]
-        if precision == "auto"
-        else [precision if isinstance(precision, Precision) else Precision(precision)]
-    )
-    residual = bound = min_eig = float("nan")
-    for tier in tiers:
-        if tier is Precision.DOUBLE:
-            theta, cond = _build_theta_double(a, kappa)
-        else:
-            theta, cond = _build_theta_extended(a, kappa)
-        theta = (theta + theta.conj().T) / 2.0
-        residual = float(np.linalg.norm(a.conj().T @ theta - theta @ a, "fro"))
-        bound = 1e-10 * np.linalg.norm(a, "fro") * np.linalg.norm(theta, "fro")
-        w = np.linalg.eigvalsh(theta)
-        min_eig = float(w[0])
-        # the sign of w[0] is only known beyond eigvalsh's rounding, n eps ||Theta||_2
-        if residual <= bound and min_eig > n * np.finfo(float).eps * max(-w[0], w[-1]):
-            return MetricOperator(theta, kappa, residual, cond)
+    basis = biorthogonal_basis(a)
+    with mp.workdps(EXTENDED_DPS):
+        values = np.sort_complex([complex(v) for v in eigvals_mp(to_mp_matrix(a))])
+    real = reality_flags(values)
+    if not real.all():
+        raise ComplexSpectrumError(values[~real])
+    y = basis.left
+    theta = (y * kappa) @ y.conj().T
+    theta = (theta + theta.conj().T) / 2.0
+    residual = float(np.linalg.norm(a.conj().T @ theta - theta @ a, "fro"))
+    bound = 1e-10 * np.linalg.norm(a, "fro") * np.linalg.norm(theta, "fro")
+    w = np.linalg.eigvalsh(theta)
+    # the sign of w[0] is only known beyond eigvalsh's rounding, n eps ||Theta||_2
+    if residual <= bound and w[0] > n * np.finfo(float).eps * max(-w[0], w[-1]):
+        return MetricOperator(theta, kappa, residual, basis.cond_right)
     raise MetricConstructionError(
-        f"no positive-definite metric within the quasi-Hermiticity bound in "
-        f"{' or '.join(t.value for t in tiers)} precision: residual {residual:.3e} "
-        f"(bound {bound:.3e}), smallest eigenvalue of Theta {min_eig:.3e}; the "
-        "eigenbasis is too close to degenerate (near an exceptional point)"
+        f"no positive-definite metric within the quasi-Hermiticity bound: residual "
+        f"{residual:.3e} (bound {bound:.3e}), smallest eigenvalue of Theta {w[0]:.3e}; "
+        "the eigenbasis is too close to degenerate (near an exceptional point)"
     )
 
 

@@ -327,6 +327,23 @@ def test_bad_values_are_usage_errors(argv, tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--model", "epn", "--n", "4", "--range", "-inf:1", "--samples", "5"],
+        ["find-ep", "--model", "bc", "--n", "4", "--y", "-inf", "--range", "0:1"],
+        ["metric", "--model", "epn", "--n", "4", "--t", "-nan"],
+    ],
+    ids=["sweep-range-minus-inf", "find-ep-y-minus-inf", "metric-t-minus-nan"],
+)
+def test_negative_non_finite_values_reach_the_finite_check(argv, tmp_path, capsys):
+    # a value that starts with "-" but no digit is still the flag's value
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--output", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "not a finite number" in capsys.readouterr().err
+
+
 def test_failed_lapack_solve_in_a_sweep_exits_4(tmp_path, monkeypatch, capsys):
     def no_convergence(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -343,7 +343,7 @@ def test_eig_dense_hermitian_spectrum_is_real():
 
 
 def test_eig_dense_epn_half_matches_closed_form():
-    res = eig_dense(epn_matrix(6, 0.5), precision=Precision.EXTENDED)
+    res = eig_dense(epn_matrix(6, 0.5))
     want = np.array([3, 5, 7, 9, 11, 13]) * math.sqrt(0.75)
     assert np.allclose(np.sort(res.values.real), want, atol=1e-9)
     assert np.max(np.abs(res.values.imag)) < 1e-9
@@ -379,6 +379,14 @@ def test_eig_dense_matches_charpoly_roots_on_random_tridiagonals():
         ev = np.sort(eig_dense(t).values.real)
         rr = sorted(r.real for r in poly_roots(charpoly_tridiag(t)).roots)
         assert np.allclose(ev, rr, atol=1e-8)
+
+
+def test_eig_dense_without_an_inverse_of_the_right_vectors_has_nan_left_vectors():
+    # LAPACK's two eigenvectors of this Jordan block are exactly parallel
+    with np.errstate(over="ignore"):  # ||M||_F overflows
+        res = eig_dense(np.array([[0.0, 1e300], [0.0, 0.0]]))
+    assert np.all(np.isfinite(res.right)) and np.all(np.isnan(res.left))
+    assert res.low_confidence.all()
 
 
 def test_eig_dense_flags_near_degenerate_vectors():

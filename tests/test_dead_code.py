@@ -1,6 +1,6 @@
 """Static guard against dead code in the package (stdlib ``ast`` only).
 
-Ten things fail the guard: an import a module never uses (package
+Eleven things fail the guard: an import a module never uses (package
 ``__init__.py`` files are exempt, their imports are re-exports), a
 ``_private`` top-level function that no module of the package references,
 a module-level UPPER_CASE constant that no module of the package loads,
@@ -8,14 +8,14 @@ an eigenvector solve whose eigenvalues are all that is read, a
 nonsymmetric LAPACK eigensolve outside ``core/eig.py``, denominator
 clearing (``math.lcm``) outside ``core/poly.py``, sampled reality
 (``sweep``, ``reality_flags``, ``REALITY_RTOL``) anywhere the exact shift
-scan reaches, a ``scipy`` import that runs when a module is imported,
-mpmath anywhere the integer kernels of the extended tier (the Berkowitz
+scan reaches, a ``scipy`` import anywhere, a call of mpmath's QR
+eigensolver ``mp.eig``, mpmath anywhere the integer kernels of the extended tier (the Berkowitz
 characteristic polynomial and the fixed-point Aberth iteration) reach, and
 an import of ``threading`` or ``concurrent.futures`` anywhere but in
 ``epfinder.sweep``.  Fresh-interpreter tests check the import guards end
-to end: importing the command line and running the commands that need no
-double eigenvectors never loads scipy, and importing it or sweeping one
-chunk never loads ``concurrent.futures``.
+to end: importing the command line, running its commands (the default
+``metric`` included) and classifying a degeneracy never load scipy, and
+importing it or sweeping one chunk never loads ``concurrent.futures``.
 """
 
 import ast
@@ -321,31 +321,24 @@ def test_integer_kernel_guard_sees_every_spelling():
     ]
 
 
-def _eager_imports(tree, package="scipy"):
-    """Lines of imports of ``package`` that run when the module is imported:
-    every import statement outside a function body."""
-    stack = list(tree.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
+def _package_imports(tree, package="scipy"):
+    """Lines of every import of ``package``, function bodies included."""
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             if any(alias.name.split(".")[0] == package for alias in node.names):
                 yield node.lineno
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             if node.module.split(".")[0] == package:
                 yield node.lineno
-        stack.extend(ast.iter_child_nodes(node))
 
 
-def test_no_module_level_scipy_import():
-    """scipy takes longer to import than numpy and mpmath together; it is
-    imported inside the one function that calls it, the double eigenvector
-    solve."""
-    eager = [
-        f"{path.relative_to(PACKAGE)}:{line}" for path in MODULES for line in _eager_imports(_parse(path))
+def test_no_module_imports_scipy():
+    """numpy is the eigensolver of every tier: the double eigenbasis is
+    ``numpy.linalg.eig`` with Y = X^-H, and scipy stays a test oracle."""
+    found = [
+        f"{path.relative_to(PACKAGE)}:{line}" for path in MODULES for line in _package_imports(_parse(path))
     ]
-    assert eager == []
+    assert found == []
 
 
 def test_scipy_import_guard_sees_every_spelling():
@@ -360,7 +353,27 @@ def test_scipy_import_guard_sees_every_spelling():
         "def lazy():\n    import scipy.linalg as sla\n    from scipy.optimize import x\n"
         "import scipyx\nfrom .scipy import y\nfrom numpy import scipy\n"
     )
-    assert sorted(_eager_imports(ast.parse(source))) == [1, 2, 3, 4, 5, 7, 9]
+    assert sorted(_package_imports(ast.parse(source))) == [1, 2, 3, 4, 5, 7, 9, 11, 12]
+
+
+MP_QR = {"mpmath.eig"}
+
+
+def test_no_module_calls_mpmath_qr():
+    """Eigenvalues in extended precision are the roots of the exact
+    characteristic polynomial (``eigvals_mp``); mpmath's QR eigensolver
+    stays a test oracle."""
+    found = [f"{path.relative_to(PACKAGE)}:{line}" for path in MODULES for line in _uses(_parse(path), MP_QR)]
+    assert found == []
+
+
+def test_mpmath_qr_guard_sees_every_spelling():
+    source = (
+        "import mpmath as mp\nimport mpmath\nfrom mpmath import eig\n"
+        "from mpmath import eig as qr\nfrom mpmath import *\n"
+        "def f(a):\n    return mp.eig(a), mpmath.eig(a, left=True), mp.eigsy(a), mp.polyroots(a)\n"
+    )
+    assert sorted(_uses(ast.parse(source), MP_QR)) == [3, 4, 5, 7, 7]
 
 
 COLD_COMMANDS = [
@@ -368,10 +381,11 @@ COLD_COMMANDS = [
     ["find-ep", "--model", "bc", "--n", "4", "--scan-y", "--range", "-1:0", "--output", "scan.json"],
     ["figure", "4", "--out-dir", "."],
     ["metric", "--model", "epn", "--n", "4", "--t", "0.5", "--precision", "extended", "--output", "m.json"],
+    ["metric", "--model", "bc", "--n", "6", "--r", "0.5", "--output", "m.json"],
 ]
 
 
-def test_commands_without_double_eigenvectors_never_load_scipy(tmp_path):
+def test_cold_commands_never_load_scipy(tmp_path):
     script = (
         "import json, sys\n"
         "import epspect.cli\n"
@@ -379,10 +393,12 @@ def test_commands_without_double_eigenvectors_never_load_scipy(tmp_path):
         f"for argv in {COLD_COMMANDS!r}:\n"
         "    assert epspect.cli.main(argv) == 0, argv\n"
         "    loaded += [argv[0]] if 'scipy' in sys.modules else []\n"
-        "from epspect import BcModel, HermitianDemoModel, ep_locate_1d\n"
+        "from epspect import BcModel, HermitianDemoModel, bc_matrix, classify_degeneracy, ep_locate_1d\n"
         "for model in (BcModel(6, -0.8), HermitianDemoModel(4, 1)):\n"
         "    ep_locate_1d(model, (-1, 1))\n"
         "    loaded += [repr(model)] if 'scipy' in sys.modules else []\n"
+        "classify_degeneracy(bc_matrix(6, 1j), 2.0)\n"
+        "loaded += ['classify_degeneracy'] if 'scipy' in sys.modules else []\n"
         "print(json.dumps(loaded))\n"
     )
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import epspect.epfinder as epfinder
-from epspect.core import ConvergenceError, Precision, eig_dense, eigvals_double, eigvals_mp
+from epspect.core import EXTENDED_DPS, ConvergenceError, Precision, eig_dense, eigvals_double, eigvals_mp, to_mp_matrix
 from epspect.epfinder import (
     SWEEP_CHUNK,
     _assign,
@@ -262,7 +262,8 @@ def test_extended_sweep_matches_mpmath_qr_values(model, param_range, samples):
     # each grid point is compared as a matched set
     res = sweep(model, param_range, samples, precision=Precision.EXTENDED)
     for k, p in enumerate(res.grid):
-        want = eig_dense(model.matrix(p), precision=Precision.EXTENDED).values
+        with mp.workdps(EXTENDED_DPS):
+            want = np.array([complex(v) for v in mp.eig(to_mp_matrix(model.matrix(p)), left=False, right=False)])
         assert _matched_distance(res.tracks[:, k], want) <= 1e-12, p
 
 

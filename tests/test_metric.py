@@ -1,8 +1,10 @@
 """Metric operators: biorthogonal bases, quasi-Hermiticity, conditioning."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from epspect.core import to_mp_matrix
 from epspect.metric import (
     ComplexSpectrumError,
     DegenerateBasisError,
@@ -112,12 +114,11 @@ def test_metric_refuses_at_exceptional_point():
         build_metric(bc_matrix(6, 1j).to_array())
 
 
-@pytest.mark.parametrize("precision", ["auto", "extended"])
-def test_metric_refuses_theta_that_is_not_positive_definite(precision):
-    # at t = 1e-4 both tiers meet the residual bound (relative to a huge
+def test_metric_refuses_theta_that_is_not_positive_definite():
+    # at t = 1e-4 Theta meets the residual bound (relative to a huge
     # ||Theta||) with a negative smallest eigenvalue: not a metric
     with pytest.raises(MetricConstructionError, match="positive-definite"):
-        build_metric(EpnModel(6).matrix(1e-4), precision=precision)
+        build_metric(EpnModel(6).matrix(1e-4))
 
 
 def test_conditioning_sweep_never_reports_a_point_that_is_not_positive():
@@ -125,6 +126,39 @@ def test_conditioning_sweep_never_reports_a_point_that_is_not_positive():
     assert [p.error is None for p in points] == [True, True, False, False]
     assert all(p.min_eig > 0 for p in points if p.error is None)
     assert all(p.min_eig is None and "positive-definite" in p.error for p in points[2:])
+
+
+@pytest.mark.parametrize("n, y, r", [(4, 0.0, 1e-6), (6, 0.0, 1e-6), (7, -0.5, 1e-3)])
+def test_metric_exists_where_the_double_spectrum_looks_complex(n, y, r):
+    # the double eigenvalues of these real spectra carry imaginary parts far
+    # above 1e-10 |E|; the extended ones, which decide reality, do not
+    m = BcModel(n, y).matrix(r)
+    met = build_metric(m)
+    assert met.residual <= 1e-10 * np.linalg.norm(m) * np.linalg.norm(met.theta)
+    assert met.min_eig > 0
+
+
+def _theta_oracle(m):
+    """Theta for kappa = 1 from mpmath's QR at 30 digits: right vectors of
+    unit 2-norm, Y = X^-H."""
+    with mp.workdps(30):
+        _, x = mp.eig(to_mp_matrix(m))
+        for j in range(x.cols):
+            x[:, j] /= mp.norm(x[:, j])
+        y = mp.inverse(x).H
+        theta = y * y.H
+        return np.array([[complex(theta[i, j]) for j in range(theta.cols)] for i in range(theta.rows)])
+
+
+@pytest.mark.parametrize(
+    "m",
+    [EpnModel(6).matrix(0.5), EpnModel(8).matrix(0.2), BcModel(7, 0.0).matrix(0.5)],
+    ids=["epn6-t0.5", "epn8-t0.2", "bc7-y0-r0.5"],
+)
+def test_metric_matches_a_30_digit_oracle_in_the_unit_norm_convention(m):
+    theta = build_metric(m).theta
+    want = _theta_oracle(m)
+    assert np.linalg.norm(theta - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_metric_kappa_scaling_is_linear():
