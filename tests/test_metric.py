@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from epspect.core import to_mp_matrix
+from epspect.core import EXTENDED_DPS, to_mp_matrix
 from epspect.metric import (
     ComplexSpectrumError,
     DegenerateBasisError,
@@ -114,11 +114,29 @@ def test_metric_refuses_at_exceptional_point():
         build_metric(bc_matrix(6, 1j).to_array())
 
 
-def test_metric_refuses_theta_that_is_not_positive_definite():
+def _epn_entries_in_double(t):
+    return EpnModel(6).matrix(t)
+
+
+def _epn_entries_in_extended(t):
+    with mp.workdps(EXTENDED_DPS):
+        m = EpnModel(6).matrix_mp(mp.mpf(t))
+    return np.array(m.tolist(), dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        pytest.param(_epn_entries_in_double, id="auto"),
+        pytest.param(_epn_entries_in_extended, id="extended"),
+    ],
+)
+def test_metric_refuses_theta_that_is_not_positive_definite(entries):
     # at t = 1e-4 Theta meets the residual bound (relative to a huge
-    # ||Theta||) with a negative smallest eigenvalue: not a metric
+    # ||Theta||) with a negative smallest eigenvalue: not a metric, whether
+    # the entries are built in double or in extended arithmetic and rounded
     with pytest.raises(MetricConstructionError, match="positive-definite"):
-        build_metric(EpnModel(6).matrix(1e-4))
+        build_metric(entries(1e-4))
 
 
 def test_conditioning_sweep_never_reports_a_point_that_is_not_positive():
