@@ -4,9 +4,10 @@ Each tier has an eigenvalue-only primitive for the callers that read
 nothing else: ``eigvals_double`` (LAPACK without eigenvectors, in the order
 of ``eig_dense``) and ``eigvals_mp`` (the roots of the characteristic
 polynomial, which Berkowitz's division-free recurrence gives exactly on the
-Gaussian integers of the power-of-two-scaled matrix, found by the integer
-fixed-point Aberth iteration of ``poly`` from the double eigenvalues; no
-step runs in mpmath arithmetic).  The extended tier matters close to
+Gaussian integers of the power-of-two-scaled matrix, found at
+``EXTENDED_BITS`` by the integer fixed-point Aberth iteration of ``poly``
+from the double eigenvalues, and rounded once to ``complex``).  The
+extended tier matters close to
 a degeneracy, where double-precision eigenvalues lose half their digits per
 coalescing level; the extended sweep, the perturbation draws and the
 metric's reality verdict read ``eigvals_mp``.  ``eigvals_double`` also takes
@@ -33,12 +34,12 @@ would move the extended roots it polishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 from .poly import ConvergenceError, _extended_roots, _gaussian_cleared
-from .scalars import CLUSTER_RTOL, RootCluster, cluster_points
+from .scalars import CLUSTER_RTOL, EXTENDED_BITS, RootCluster, cluster_points
 from .tridiag import as_array
 
 
@@ -114,21 +115,6 @@ def _eig_double(a: np.ndarray):
     return values.astype(complex, copy=False), right, left
 
 
-def to_mp_matrix(a: np.ndarray):
-    """``mp.matrix`` with the entries of a 2-D array at the working precision."""
-    rows, cols = a.shape
-    m = mp.matrix(rows, cols)
-    for i in range(rows):
-        for j in range(cols):
-            m[i, j] = mp.mpc(a[i, j])
-    return m
-
-
-def from_mp_matrix(m) -> np.ndarray:
-    """Complex ndarray with the entries of an ``mp.matrix``."""
-    return np.array([[complex(m[i, j]) for j in range(m.cols)] for i in range(m.rows)])
-
-
 def _berkowitz(entries: list[list[tuple[int, int]]]) -> list[tuple[int, int]]:
     """Characteristic polynomial det(x I - m) of a Gaussian-integer matrix.
 
@@ -162,30 +148,46 @@ def _berkowitz(entries: list[list[tuple[int, int]]]) -> list[tuple[int, int]]:
     return poly[::-1]
 
 
-def eigvals_mp(m) -> list:
-    """Eigenvalues of an ``mp.matrix`` at the working precision.
+def _nudged_seeds(values) -> list[tuple[Fraction, Fraction]]:
+    """Each double eigenvalue s moved exactly by 1e-3 * 2^-26 * (1 + |s|) along both axes.
 
-    Every entry is a dyadic rational, so scaled by the lcm D of their
-    denominators (a power of two) the matrix has Gaussian-integer entries
-    and ``_berkowitz`` gives its characteristic polynomial exactly; its
-    roots are D times the eigenvalues.  They are found by the fixed-point
-    integer Aberth iteration of ``poly`` from the double eigenvalues, at
-    the working precision.  Each seed s is moved by 1e-3 * 2^-26 * (1 + |s|)
-    in both the real and the imaginary direction.
     Exact arithmetic keeps every symmetry of the polynomial: from seeds on
     the real axis the iterates of a real polynomial stay real, and from
     seeds on the imaginary axis those of a polynomial symmetric about it
     (EPN at t < 0) stay imaginary; neither reaches a pair off the axis.
+    """
+    steps = [Fraction(1e-3 * 2.0**-26 * (1 + abs(s))) for s in values]
+    return [(Fraction(s.real) + e, Fraction(s.imag) + e) for s, e in zip(values, steps)]
+
+
+def _gaussian_eigvals(rows: list[list[tuple[int, int]]], exp2: int, approx: np.ndarray) -> list[complex]:
+    """Eigenvalues of the Gaussian-integer matrix ``rows`` / 2^exp2 at ``EXTENDED_BITS``.
+
+    ``_berkowitz`` gives the characteristic polynomial exactly; its roots
+    are 2^exp2 times the eigenvalues.  They are found by the fixed-point
+    integer Aberth iteration of ``poly``, seeded with ``_nudged_seeds`` of
+    the eigenvalues of ``approx`` (a double matrix near this one) from the
+    complex LAPACK driver, and each is rounded once to ``complex``.
     Raises ``ConvergenceError`` with the unconverged subset if any root
     fails to lock; unpolished roots are never returned.
     """
-    n = m.rows
-    flat, d = _gaussian_cleared([m[i, j] for i in range(n) for j in range(n)])
-    coeffs = _berkowitz([flat[i * n : (i + 1) * n] for i in range(n)])
-    seeds = np.linalg.eigvals(from_mp_matrix(m))
-    z = [mp.mpc(s) + 1e-3 * 2.0**-26 * (1 + abs(s)) * mp.mpc(1, 1) for s in seeds]
-    roots, _ = _extended_roots(coeffs, z, d.bit_length() - 1)
+    coeffs = _berkowitz(rows)
+    seeds = _nudged_seeds(np.linalg.eigvals(approx.astype(complex)))
+    roots, _ = _extended_roots(coeffs, seeds, EXTENDED_BITS, exp2)
     return roots
+
+
+def eigvals_mp(m) -> list[complex]:
+    """Eigenvalues of a dense matrix at ``EXTENDED_BITS``, in the order of its double ones.
+
+    Every entry is a binary float, so scaled by the lcm D of their
+    denominators (a power of two) the matrix has Gaussian-integer entries,
+    and ``_gaussian_eigvals`` finds the eigenvalues from them.
+    """
+    a = as_array(m)
+    n = len(a)
+    flat, d = _gaussian_cleared(a.ravel())
+    return _gaussian_eigvals([flat[i * n : (i + 1) * n] for i in range(n)], d.bit_length() - 1, a)
 
 
 def eig_dense(m, cluster_rtol: float = CLUSTER_RTOL) -> EigResult:

@@ -1,16 +1,19 @@
 """Univariate polynomials, root finding, resultants and discriminants.
 
-Polynomials carry their coefficients in one of the three arithmetic tiers
+Polynomials carry exact (``int`` / ``Fraction``) or double coefficients
 (see ``scalars``).  Exact-tier polynomials support exact division, gcd and
-resultants; floating tiers feed the Aberth-Ehrlich root finder.
+resultants; both tiers feed the Aberth-Ehrlich root finder.
 
 Roots come from Aberth-Ehrlich iteration in two kernels: ``_aberth`` in
 double precision, and ``_aberth_fixed`` for the extended tier.  Every
 coefficient of an extended solve is an exact rational, so the second runs
 on Python ints: the coefficients are Gaussian integers (denominators
 cleared by their lcm), the iterates are fixed point, Horner is exact and
-only divisions round.  ``poly_roots(precision=EXTENDED)`` and
-``eig.eigvals_mp`` both reach it through ``_extended_roots``.
+only divisions round.  ``_dyadic_roots`` runs it at a precision given in
+bits and returns the exact fixed-point iterates; ``_extended_roots``
+rounds each of them once to ``complex``.  ``poly_roots(precision=EXTENDED)``,
+``eig.eigvals_mp``, the extended spectra of the models and the real-root
+polisher ``_newton_polish_real`` all reach the same kernel.
 
 Every exact resultant and discriminant goes through one kernel: the
 Sylvester determinant over Z[y] by Bareiss's fraction-free elimination on
@@ -28,14 +31,12 @@ from itertools import zip_longest
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 from .scalars import (
-    EXTENDED_DPS,
     CLUSTER_RTOL,
+    EXTENDED_BITS,
     ExactTypes,
-    MpTypes,
     Precision,
     RootCluster,
     as_fraction,
@@ -43,7 +44,6 @@ from .scalars import (
     cluster_points,
     is_exact_zero,
     to_double,
-    to_extended,
 )
 
 
@@ -62,8 +62,7 @@ class Polynomial:
     Trailing coefficients that are exactly zero are trimmed, so the leading
     coefficient is nonzero unless the polynomial is identically zero (whose
     degree is reported as -1).  Binary operations require both operands in
-    the same arithmetic tier; convert explicitly with ``to_double()`` or
-    ``to_extended()``.
+    the same arithmetic tier; convert explicitly with ``to_double()``.
     """
 
     __slots__ = ("coeffs",)
@@ -95,8 +94,6 @@ class Polynomial:
 
     @property
     def mode(self) -> Precision:
-        if any(isinstance(c, MpTypes) for c in self.coeffs):
-            return Precision.EXTENDED
         if all(isinstance(c, ExactTypes) for c in self.coeffs):
             return Precision.EXACT
         return Precision.DOUBLE
@@ -117,9 +114,6 @@ class Polynomial:
     def to_double(self) -> "Polynomial":
         return Polynomial([to_double(c) for c in self.coeffs])
 
-    def to_extended(self) -> "Polynomial":
-        return Polynomial([to_extended(c) for c in self.coeffs])
-
     # -- arithmetic -----------------------------------------------------------
 
     def _check_mode(self, other: "Polynomial"):
@@ -127,7 +121,7 @@ class Polynomial:
         if Precision.EXACT in (a, b) and a != b:
             raise TypeError(
                 "mixed exact/floating polynomial arithmetic; convert "
-                "explicitly with to_double()/to_extended()"
+                "explicitly with to_double()"
             )
 
     def __add__(self, other):
@@ -408,14 +402,11 @@ def _aberth_fixed(coeffs, z, bits, eps_bits, maxiter=200):
 def _gaussian_cleared(values) -> tuple[list[tuple[int, int]], int]:
     """Gaussian integers D * values, with D the lcm of all denominators.
 
-    The values are exact or floating scalars (int, Fraction, float, complex,
-    mpf, mpc); a binary float is the dyadic rational it stores, so for
+    The values are exact or floating scalars (int, Fraction, float,
+    complex); a binary float is the dyadic rational it stores, so for
     floating input D is a power of two.
     """
-    parts = [
-        (as_ratio(v.real), as_ratio(v.imag)) if isinstance(v, (complex, mp.mpc)) else (as_ratio(v), (0, 1))
-        for v in values
-    ]
+    parts = [(as_ratio(v.real), as_ratio(v.imag)) for v in values]
     d = math.lcm(*(den for pair in parts for _, den in pair))
     return [(re * (d // re_den), im * (d // im_den)) for (re, re_den), (im, im_den) in parts], d
 
@@ -432,38 +423,50 @@ def _bits_below_roots(coeffs) -> int:
     return 1 + max(-((sizes[0] - s - 2) // k) for k, s in enumerate(sizes) if k and s)
 
 
-def _extended_roots(coeffs, seeds, exp2=0):
-    """Roots at the working precision from the Gaussian-integer ``coeffs``.
+def _dyadic_roots(coeffs, seeds, prec, exp2=0):
+    """Roots at ``prec`` bits from the Gaussian-integer ``coeffs``, exactly as iterated.
 
-    The polynomial's roots are 2^exp2 times the wanted ones; ``seeds``
-    approximate the wanted roots.  Roots exactly at the origin are deflated
-    (the lock test, relative to sum |c_k| |z|^k, cannot pass there) and
-    take the places of the seeds nearest it.  The other iterates are fixed
-    point at 2^-bits, bits = prec + ``EXTENDED_GUARD_BITS`` + the bits below
-    the smallest root (``_bits_below_roots``), so even that root carries the
-    working precision and the guard.  Returns the roots as ``mpc``, in the
-    order of the seeds, and the sweep count; raises ``ConvergenceError``
-    with the unconverged subset if any root fails to lock.
+    The polynomial's roots are 2^exp2 times the wanted ones; ``seeds`` are
+    (re, im) pairs of exact or binary-float reals that approximate the
+    wanted roots.  Roots exactly at the origin are deflated (the lock test,
+    relative to sum |c_k| |z|^k, cannot pass there) and take the places of
+    the seeds nearest it.  The other iterates are fixed point at 2^-bits,
+    bits = prec + ``EXTENDED_GUARD_BITS`` + the bits below the smallest root
+    (``_bits_below_roots``), so even that root carries ``prec`` bits and the
+    guard; a root locks at the relative residual 16 * 2^(1 - prec).
+    Returns ``(z, scale, sweeps)``: root i, in the order of the seeds, is
+    (z[i][0] + i z[i][1]) / 2^scale.  Raises ``ConvergenceError`` with the
+    unconverged subset, rounded to ``complex``, if any root fails to lock.
     """
-    exact = [(as_ratio(s.real), as_ratio(s.imag)) for s in seeds]
+    exact = [(as_ratio(re), as_ratio(im)) for re, im in seeds]
     zeros = next(k for k, c in enumerate(coeffs) if c != (0, 0))
-    nearest = sorted(range(len(seeds)), key=lambda i: abs(complex(seeds[i])))
+    nearest = sorted(range(len(seeds)), key=lambda i: abs(complex(float(seeds[i][0]), float(seeds[i][1]))))
     moving = sorted(nearest[zeros:])
-    roots = [mp.mpc(0)] * len(seeds)
+    roots = [(0, 0)] * len(seeds)
     if not moving:
-        return roots, 0
-    prec = mp.mp.prec
+        return roots, prec + EXTENDED_GUARD_BITS + exp2, 0
     bits = max(0, prec + EXTENDED_GUARD_BITS + _bits_below_roots(coeffs[zeros:]))
     shift = 1 << bits + exp2
     z = [tuple(_div_round(num * shift, den) for num, den in exact[i]) for i in moving]
-    # mp.eps is 2^(1 - prec)
     z, locked, it = _aberth_fixed(coeffs[zeros:], z, bits, prec - 1)
-    for i, (zr, zi) in zip(moving, z):
-        roots[i] = mp.mpc(mp.mpf((zr, -bits - exp2)), mp.mpf((zi, -bits - exp2)))
+    for i, root in zip(moving, z):
+        roots[i] = root
     if not all(locked):
-        bad = [roots[i] for i, ok in zip(moving, locked) if not ok]
-        raise ConvergenceError(f"{len(bad)} root(s) failed to converge", roots=roots, unconverged=bad)
-    return roots, it
+        rounded = [_rounded(root, bits + exp2) for root in roots]
+        bad = [rounded[i] for i, ok in zip(moving, locked) if not ok]
+        raise ConvergenceError(f"{len(bad)} root(s) failed to converge", roots=rounded, unconverged=bad)
+    return roots, bits + exp2, it
+
+
+def _rounded(root: tuple[int, int], scale: int) -> complex:
+    """The fixed-point (re, im) / 2^scale rounded once to the nearest ``complex``."""
+    return complex(root[0] / (1 << scale), root[1] / (1 << scale))
+
+
+def _extended_roots(coeffs, seeds, prec, exp2=0):
+    """``_dyadic_roots`` with each root rounded once to ``complex``; also returns the sweep count."""
+    roots, scale, it = _dyadic_roots(coeffs, seeds, prec, exp2)
+    return [_rounded(root, scale) for root in roots], it
 
 
 def _initial_circle(coeffs):
@@ -488,7 +491,7 @@ def poly_roots(
     Exact zero constant terms are deflated symbolically, the remaining roots
     come from Aberth-Ehrlich iteration: a double-precision start, and for
     ``precision=EXTENDED`` a second pass of the integer kernel on the exact
-    coefficients at ``EXTENDED_DPS``, seeded with the double roots.  Raises
+    coefficients at ``EXTENDED_BITS``, seeded with the double roots.  Raises
     ``ConvergenceError`` if some roots of either pass fail the residual
     test after the iteration cap; the unconverged subset is attached to the
     exception.
@@ -520,8 +523,7 @@ def poly_roots(
 
     if precision is Precision.EXTENDED and len(work) > 1:
         coeffs, _ = _gaussian_cleared(p.coeffs[zero_mult:])
-        with mp.workdps(EXTENDED_DPS):
-            z, extra = _extended_roots(coeffs, roots[zero_mult:])
+        z, extra = _extended_roots(coeffs, [(r.real, r.imag) for r in roots[zero_mult:]], EXTENDED_BITS)
         iters += extra
         roots = [0j] * zero_mult + z
 
@@ -533,24 +535,22 @@ def poly_roots(
     return PolyRoots(tuple(roots_sorted), clusters, residuals, iters)
 
 
-POLISH_DPS = 40
+POLISH_BITS = 136  # 40 decimal digits
 
 
-def _newton_polish_real(p: Polynomial, x0: float) -> mp.mpf:
-    """Polish a simple real root of an exact polynomial to ``POLISH_DPS`` digits."""
-    with mp.workdps(POLISH_DPS):
-        f, df = p.to_extended(), p.derivative().to_extended()
-        x = mp.mpf(x0)
-        for _ in range(60):
-            fx = f(x)
-            dfx = df(x)
-            if dfx == 0:
-                break
-            step = fx / dfx
-            x = x - step
-            if abs(step) <= mp.mpf(10) ** (-POLISH_DPS + 4) * (1 + abs(x)):
-                break
-        return x
+def _newton_polish_real(p: Polynomial, x0: float) -> Fraction:
+    """A simple real root of an exact polynomial, polished from x0 to ``POLISH_BITS``.
+
+    The one-seed integer Aberth iteration is Newton's; from a real seed its
+    exact iterates stay real.  A root at the origin is returned for the seed
+    0 and deflated otherwise.  Returns the last iterate, an exact dyadic.
+    """
+    coeffs, _ = _gaussian_cleared(p.coeffs)
+    zeros = next(k for k, c in enumerate(coeffs) if c != (0, 0))
+    if zeros and x0 == 0:
+        return Fraction(0)
+    (root,), scale, _ = _dyadic_roots(coeffs[zeros:], [(x0, 0)], POLISH_BITS)
+    return Fraction(root[0], 1 << scale)
 
 
 # --------------------------------------------------------------------------

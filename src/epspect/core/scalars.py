@@ -6,27 +6,27 @@ Three tiers are used throughout the package:
   used for every polynomial identity.  Values are kept in lowest terms by
   ``Fraction`` itself and can never overflow.
 * ``DOUBLE``   -- IEEE double (``float`` / ``complex``), used for sweeps.
-* ``EXTENDED`` -- mpmath multiprecision, used to polish results close to a
-  spectral degeneracy where double arithmetic loses too many digits.
+* ``EXTENDED`` -- fixed-point dyadic rationals on Python integers, used to
+  polish results close to a spectral degeneracy where double arithmetic
+  loses too many digits.  Its working precision is ``EXTENDED_BITS`` (103
+  bits, about 30 digits); results leave it rounded once to ``complex``.
 
-Conversions out of the exact tier are explicit (``to_double`` /
-``to_extended``); nothing in the package silently promotes a float back to
-a rational.
+Conversions out of the exact tier are explicit (``to_double``); nothing in
+the package silently promotes a float back to a rational.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
-EXTENDED_DPS = 30
+EXTENDED_BITS = 103  # 30 decimal digits
 
 ExactTypes = (int, Fraction)
-MpTypes = (mp.mpf, mp.mpc)
 
 
 class Precision(enum.Enum):
@@ -42,53 +42,29 @@ def is_exact_zero(value) -> bool:
 
 def to_double(value):
     """Explicit conversion to double arithmetic (complex preserved)."""
-    if isinstance(value, Fraction):
-        return float(value)
-    if isinstance(value, int):
-        return float(value)
-    if isinstance(value, mp.mpc):
-        return complex(value)
-    if isinstance(value, mp.mpf):
-        return float(value)
-    return value
-
-
-def to_extended(value):
-    """Explicit conversion to mpmath arithmetic at the current precision."""
-    if isinstance(value, Fraction):
-        return mp.mpf(value.numerator) / mp.mpf(value.denominator)
-    if isinstance(value, int):
-        return mp.mpf(value)
-    if isinstance(value, complex):
-        return mp.mpc(value)
-    if isinstance(value, float):
-        return mp.mpf(value)
-    return value
+    return float(value) if isinstance(value, ExactTypes) else value
 
 
 def as_ratio(value) -> tuple[int, int]:
-    """Exact (numerator, positive denominator) of an int/Fraction/float/mpf.
+    """Exact (numerator, positive denominator) of an int/Fraction/float.
 
     Binary floats convert exactly, so their denominator is a power of two;
-    the pair need not be in lowest terms.  Infinities and NaNs raise.
+    the pair need not be in lowest terms.  Infinities and NaNs raise
+    ``ValueError``.
     """
     if isinstance(value, int):
         return value, 1
     if isinstance(value, Fraction):
         return value.numerator, value.denominator
     if isinstance(value, float):
-        return value.as_integer_ratio()
-    if isinstance(value, mp.mpf):
-        sign, man, exp, _ = value._mpf_
-        if not man and exp:
+        if not math.isfinite(value):
             raise ValueError(f"{value} has no exact rational value")
-        man = -man if sign else man
-        return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+        return value.as_integer_ratio()
     raise TypeError(f"cannot represent {type(value)!r} exactly")
 
 
 def as_fraction(value) -> Fraction:
-    """Exact rational from an int/Fraction/float/mpf (binary floats convert exactly)."""
+    """Exact rational from an int/Fraction/float (binary floats convert exactly)."""
     if isinstance(value, Fraction):
         return value
     return Fraction(*as_ratio(value))

@@ -4,9 +4,9 @@ The exceptional points of the two solvable families are decided exactly:
 along one parameter by the real roots of the discriminant of the secular
 polynomial, along the shift y by three exact event polynomials.  A
 Hermitian family has none, and any other one-parameter model is refused.
-Sweeps and the perturbation exponent read eigenvalues in double or
-extended precision; the classification of one matrix reads the double
-eigenvectors.
+Sweeps read eigenvalues in double or extended precision, the
+perturbation exponent in extended precision; the classification of one
+matrix reads the double eigenvectors.
 """
 
 from __future__ import annotations
@@ -18,13 +18,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
 from .core import (
     CLUSTER_RTOL,
-    EXTENDED_DPS,
-    REALITY_RTOL,
     Polynomial,
     Precision,
     Tridiagonal,
@@ -43,7 +40,6 @@ from .core import (
     real_root_count,
     reality_flags,
     res_E,
-    to_mp_matrix,
 )
 from .core.poly import _newton_polish_real
 from .models import BcModel, EpnModel, HermitianDemoModel, epn_secular
@@ -57,7 +53,6 @@ from .sturmian import (
     sturmian_r2,
 )
 
-PERTURB_DPS = 30
 SWEEP_CHUNK = 256  # grid points per stacked double eigensolve and warning pass
 
 
@@ -231,7 +226,6 @@ def sweep(
     param_range: tuple[float, float],
     samples: int,
     *,
-    reality_rtol: float = REALITY_RTOL,
     precision: Precision = Precision.DOUBLE,
 ) -> SweepResult:
     """Continued eigenvalue tracks of ``model.matrix(p)`` over a grid.
@@ -243,8 +237,8 @@ def sweep(
     solved; numpy's eigensolver releases the GIL.  Only the pool's running
     chunks hold a matrix stack, and the pool is shut down before ``sweep``
     returns or raises.  The tracks do not depend on the number of threads.
-    Extended precision reads the eigenvalue-only ``eigvals_mp`` at
-    ``EXTENDED_DPS``, from ``model.matrix_mp`` where the model has one.
+    Extended precision reads each point's ``model.eigvals_mp``.  Levels
+    are flagged real by ``reality_flags``.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
@@ -266,16 +260,14 @@ def sweep(
             finally:
                 pool.shutdown(cancel_futures=True)
     elif precision is Precision.EXTENDED:
-        matrix_mp = getattr(model, "matrix_mp", None) or (lambda p: to_mp_matrix(model.matrix(float(p))))
-        with mp.workdps(EXTENDED_DPS):
-            values = np.array([eigvals_mp(matrix_mp(p)) for p in grid], dtype=complex)
+        values = np.array([model.eigvals_mp(p) for p in grid], dtype=complex)
         rows = _continue_tracks([np.take_along_axis(values, np.lexsort((values.imag, values.real)), axis=-1)])
     else:
         raise ValueError("sweep supports double or extended precision")
 
     # row k of ``rows`` holds the tracks at grid point k
     tracks = np.ascontiguousarray(rows.T)
-    flags = reality_flags(tracks, rtol=reality_rtol)
+    flags = reality_flags(tracks)
     info = model.describe() if hasattr(model, "describe") else {}
     return SweepResult(grid, tracks, flags, _pairing_warnings(tracks), info)
 
@@ -347,8 +339,8 @@ def classify_degeneracy(
         if char.mode is not Precision.DOUBLE:
             char = char.to_double()
         # the recurrence often yields exact coefficients; re-polishing the
-        # roots under mpmath then resolves a true multiple root far below
-        # the clustering tolerance, which double evaluation noise cannot
+        # roots in the extended tier then resolves a true multiple root far
+        # below the clustering tolerance, which double evaluation noise cannot
         clusters = poly_roots(
             char, precision=Precision.EXTENDED, cluster_rtol=cluster_rtol
         ).clusters
@@ -1055,7 +1047,6 @@ def perturbation_exponent(
     *,
     at: complex | None = None,
     draws: int = 16,
-    precision: Precision = Precision.EXTENDED,
 ) -> ExponentFit:
     """Fitted exponent of the eigenvalue splitting law near a degeneracy.
 
@@ -1063,7 +1054,8 @@ def perturbation_exponent(
     records the largest displacement inside the tracked cluster, averages
     the logs over ``draws`` directions, and fits a log-log slope.  An EP of
     order m splits like eps^(1/m); a simple eigenvalue like eps^1.  Fits
-    with R^2 < 0.99 are flagged not ok.
+    with R^2 < 0.99 are flagged not ok.  Each perturbed spectrum is read
+    from ``eigvals_mp``.
     """
     eps = sorted(float(e) for e in eps_list)
     if len(eps) < 3 or eps[0] <= 0:
@@ -1088,17 +1080,11 @@ def perturbation_exponent(
 
     rng = np.random.default_rng(seed)
     logs = np.zeros((draws, len(eps)))
-    use_mp = precision is Precision.EXTENDED
     for d in range(draws):
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         g /= np.linalg.norm(g)
         for j, e in enumerate(eps):
-            pert = a + e * g
-            if use_mp:
-                with mp.workdps(PERTURB_DPS):
-                    vals = [complex(v) for v in eigvals_mp(to_mp_matrix(pert))]
-            else:
-                vals = eigvals_double(pert)
+            vals = eigvals_mp(a + e * g)
             members = sorted(vals, key=lambda v: abs(v - center))[:order]
             split = max(abs(v - center) for v in members)
             logs[d, j] = math.log(split)

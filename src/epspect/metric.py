@@ -23,10 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
-from .core import CLUSTER_RTOL, EXTENDED_DPS, as_array, eig_dense, eigvals_mp, reality_flags, to_mp_matrix
+from .core import CLUSTER_RTOL, as_array, eig_dense, eigvals_mp, reality_flags
 
 
 class DegenerateBasisError(ValueError):
@@ -140,8 +139,7 @@ def build_metric(m, kappa=None) -> MetricOperator:
         raise ValueError("kappa must be strictly positive")
 
     basis = biorthogonal_basis(a)
-    with mp.workdps(EXTENDED_DPS):
-        values = np.sort_complex([complex(v) for v in eigvals_mp(to_mp_matrix(a))])
+    values = np.sort_complex(eigvals_mp(a))
     real = reality_flags(values)
     if not real.all():
         raise ComplexSpectrumError(values[~real])

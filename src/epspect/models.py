@@ -13,12 +13,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
 
-from .core import DenseMatrix, Polynomial, Tridiagonal
+from .core import EXTENDED_BITS, DenseMatrix, Polynomial, Tridiagonal, as_fraction, eigvals_double, eigvals_mp
+from .core.eig import _gaussian_eigvals, _nudged_seeds
+from .core.poly import _dyadic_roots, _gaussian_cleared, _rounded
 
 
 # --------------------------------------------------------------------------
@@ -121,6 +124,7 @@ def epn_matrix(n: int, t: float) -> Tridiagonal:
     return Tridiagonal(diag, sup, sub)
 
 
+@lru_cache(maxsize=None)
 def epn_secular(n: int) -> tuple[Polynomial, ...]:
     """E-coefficients of det(M(t) - E) in u = E - 8*sqrt(1 - q), q = (1 - t)^2.
 
@@ -142,6 +146,11 @@ def epn_secular(n: int) -> tuple[Polynomial, ...]:
             nxt[j] = nxt[j] + w * c
         prev, cur = cur, tuple(nxt)
     return cur
+
+
+def _sqrt_rounded(x: Fraction, scale: int) -> int:
+    """round(sqrt(x) 2^scale), x >= 0: floor(sqrt(y) + 1/2) = (isqrt(floor(4y)) + 1) // 2, y = x 4^scale."""
+    return (math.isqrt((x.numerator << 2 * scale + 2) // x.denominator) + 1) // 2
 
 
 def bc_matrix(n: int, z: complex) -> Tridiagonal:
@@ -221,21 +230,23 @@ class EpnModel:
     def matrix(self, t: float) -> np.ndarray:
         return self.matrices([t])[0]
 
-    def matrix_mp(self, t):
-        """Entries built in mpmath arithmetic (for the extended sweep)."""
-        import mpmath as mp
+    def eigvals_mp(self, t) -> list[complex]:
+        """The eigenvalues at t at ``EXTENDED_BITS``, from the exact secular polynomial.
 
-        n = self.n
-        tau = 1 - mp.mpf(t) if not isinstance(t, mp.mpc) else 1 - t
-        shift = 8 * mp.sqrt(1 - tau * tau)
-        m = mp.zeros(n)
-        for k in range(n):
-            m[k, k] = (2 * k - n + 1) + shift
-        for k in range(n - 1):
-            w = mp.sqrt((k + 1) * (n - k - 1))
-            m[k, k + 1] = w * tau
-            m[k + 1, k] = -w * tau
-        return m
+        The roots u of ``epn_secular`` at the exact q = (1 - t)^2 are found
+        by the fixed-point integer Aberth iteration, seeded with the double
+        eigenvalues less the double shift (``_nudged_seeds``).  The shift
+        8 sqrt(1 - q), imaginary where q > 1, is rounded once to the same
+        fixed point and added exactly; each E = u + shift is then rounded
+        once to ``complex``.  At t = 0 the polynomial is u^n and every E
+        is 0.
+        """
+        q = (1 - as_fraction(t)) ** 2
+        coeffs, _ = _gaussian_cleared([c(q) for c in epn_secular(self.n)])
+        seeds = eigvals_double(self.matrix(t)) - 8 * cmath.sqrt(1 - float(q))
+        roots, scale, _ = _dyadic_roots(coeffs, _nudged_seeds(seeds), EXTENDED_BITS)
+        shift = _sqrt_rounded(64 * abs(1 - q), scale)
+        return [_rounded((re + shift, im) if q <= 1 else (re, im + shift), scale) for re, im in roots]
 
     def describe(self) -> dict:
         return {"model": "epn", "n": self.n, "param": "t"}
@@ -272,22 +283,24 @@ class BcModel:
     def matrix(self, r: float) -> np.ndarray:
         return self.matrices([r])[0]
 
-    def matrix_mp(self, r):
-        """Entries built in mpmath arithmetic (for the extended sweep)."""
-        import mpmath as mp
+    def eigvals_mp(self, r) -> list[complex]:
+        """The eigenvalues at r at ``EXTENDED_BITS``, in the order of the double ones.
 
+        The matrix is exact but for sqrt(1 - r^2), which is rounded once to
+        2^-``EXTENDED_BITS`` (on the principal branch, as in ``z_value``);
+        ``_gaussian_eigvals`` finds its eigenvalues from Berkowitz's
+        characteristic polynomial, seeded from ``matrix(r)``.
+        """
+        x = 1 - as_fraction(r) ** 2
+        root = Fraction(_sqrt_rounded(abs(x), EXTENDED_BITS), 1 << EXTENDED_BITS)
+        y = as_fraction(self.y)
+        z_re, z_im = (y, root) if x >= 0 else (y - root, 0)
+        # D times the matrix: diagonal 2, off-diagonals -1, corners 2 - z and 2 - conj(z)
+        ((re, _), (im, _)), d = _gaussian_cleared([2 - z_re, z_im])
         n = self.n
-        rr = mp.mpf(r) if not isinstance(r, mp.mpc) else r
-        z = mp.mpf(self.y) + mp.mpc(0, 1) * mp.sqrt(1 - rr * rr)
-        m = mp.zeros(n)
-        for k in range(n):
-            m[k, k] = 2
-        m[0, 0] = 2 - z
-        m[n - 1, n - 1] = 2 - mp.conj(z)
-        for k in range(n - 1):
-            m[k, k + 1] = -1
-            m[k + 1, k] = -1
-        return m
+        rows = [[(2 * d if i == j else -d if abs(i - j) == 1 else 0, 0) for j in range(n)] for i in range(n)]
+        rows[0][0], rows[-1][-1] = (re, -im), (re, im)
+        return _gaussian_eigvals(rows, d.bit_length() - 1, self.matrix(r))
 
     def describe(self) -> dict:
         return {"model": "bc", "n": self.n, "y": self.y, "param": "r"}
@@ -314,6 +327,10 @@ class HermitianDemoModel:
 
     def matrix(self, t: float) -> np.ndarray:
         return self.matrices([t])[0]
+
+    def eigvals_mp(self, t) -> list[complex]:
+        """The eigenvalues at t at ``EXTENDED_BITS``: ``eigvals_mp`` of the double matrix."""
+        return eigvals_mp(self.matrix(t))
 
     def describe(self) -> dict:
         return {"model": "hermitian-demo", "n": self.n, "seed": self.seed, "param": "t"}

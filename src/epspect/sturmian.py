@@ -43,6 +43,9 @@ from .models import bc_matrix
 # stay apart.
 EXTENDED_CLUSTER_RTOL = 1e-12
 
+REFINE_LEVELS = 3  # local refinements of a branch trace around each pole and merge
+REFINE_FACTOR = 10  # each one this many times finer than the last
+
 
 @lru_cache(maxsize=None)
 def bc_secular_parts(n: int) -> tuple[Polynomial, Polynomial, Polynomial, Polynomial]:
@@ -286,15 +289,14 @@ def branch_trace(
     s: SturmianFunction,
     e_range: tuple[float, float],
     samples: int,
-    refine_levels: int = 3,
-    refine_factor: int = 10,
 ) -> BranchTrace:
     """Both coupling branches r = +-sqrt(r^2(E)) over an energy window.
 
     Energies with r^2 < 0 are omitted; r^2 > 1 is emitted but flagged
-    outside the model.  The uniform grid is locally refined (3 levels,
-    factor 10 each) around poles and branch merges; output is ordered by
-    energy regardless of refinement.
+    outside the model.  The uniform grid is locally refined
+    (``REFINE_LEVELS`` levels, ``REFINE_FACTOR`` times finer each) around
+    poles and branch merges; output is ordered by energy regardless of
+    refinement.
     """
     lo, hi = float(e_range[0]), float(e_range[1])
     if samples < 2:
@@ -313,9 +315,9 @@ def branch_trace(
         if not (lo <= e0 <= hi):
             continue
         window = h
-        for _ in range(refine_levels):
-            step = window / refine_factor
-            k = np.arange(-refine_factor, refine_factor + 1)
+        for _ in range(REFINE_LEVELS):
+            step = window / REFINE_FACTOR
+            k = np.arange(-REFINE_FACTOR, REFINE_FACTOR + 1)
             for e in e0 + k * step:
                 if lo <= e <= hi:
                     energies.append((float(e), True))

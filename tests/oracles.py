@@ -1,0 +1,92 @@
+"""mpmath oracles shared by the tests: family matrices and eigenvalues beyond double.
+
+The package computes in double or in fixed-point integers only; these
+helpers build the EPN and boundary-controlled matrices with every entry
+rounded at mpmath's working precision, and read the package's integer
+eigenvalue kernel at a chosen number of bits.
+"""
+
+from fractions import Fraction
+from typing import NamedTuple
+
+import mpmath as mp
+import numpy as np
+
+from epspect.core.eig import _berkowitz, _nudged_seeds
+from epspect.core.poly import _dyadic_roots, _gaussian_cleared
+from epspect.models import BcModel, EpnModel
+
+POLISH_PREC = 136  # mpmath's precision at 40 digits
+
+
+class Gaussian(NamedTuple):
+    """An exact complex entry: ``_gaussian_cleared`` reads ``.real`` and ``.imag``."""
+
+    real: Fraction
+    imag: Fraction
+
+
+def frac(x) -> Fraction:
+    """The exact rational value of a finite ``mpf``."""
+    x = mp.mpf(x)
+    man, exp = x.man_exp  # the mantissa without its sign
+    return (-1 if x < 0 else 1) * Fraction(man) * Fraction(2) ** exp
+
+
+def epn_mp(n, t):
+    """EPN matrix with entries at the working precision (principal branch for t < 0)."""
+    tau = 1 - mp.mpf(t)
+    shift = 8 * mp.sqrt(1 - tau * tau)
+    m = mp.zeros(n)
+    for k in range(n):
+        m[k, k] = (2 * k - n + 1) + shift
+    for k in range(n - 1):
+        w = mp.sqrt((k + 1) * (n - k - 1))
+        m[k, k + 1] = w * tau
+        m[k + 1, k] = -w * tau
+    return m
+
+
+def bc_mp(n, y, r):
+    """Boundary-controlled matrix with z = y + i sqrt(1 - r^2) at the working precision."""
+    z = mp.mpf(y) + mp.mpc(0, 1) * mp.sqrt(1 - mp.mpf(r) ** 2)
+    m = mp.zeros(n)
+    for k in range(n):
+        m[k, k] = 2
+    m[0, 0] = 2 - z
+    m[n - 1, n - 1] = 2 - mp.conj(z)
+    for k in range(n - 1):
+        m[k, k + 1] = m[k + 1, k] = -1
+    return m
+
+
+def model_mp(model, p):
+    """``epn_mp`` or ``bc_mp`` of a model at its parameter value p."""
+    if isinstance(model, EpnModel):
+        return epn_mp(model.n, p)
+    if isinstance(model, BcModel):
+        return bc_mp(model.n, model.y, p)
+    raise TypeError(model)
+
+
+def eigvals_at(m, prec):
+    """Eigenvalues of an ``mp.matrix`` of dyadic entries, at ``prec`` bits, as ``mpc``.
+
+    The route of ``eigvals_mp`` read exactly: Berkowitz's polynomial of the
+    power-of-two-scaled matrix, the integer Aberth kernel at ``prec`` bits
+    seeded with the nudged double eigenvalues, and each fixed-point root
+    converted to ``mpc`` at the working precision.
+    """
+    n = m.rows
+    entries = [Gaussian(frac(mp.mpc(v).real), frac(mp.mpc(v).imag)) for v in m]
+    flat, d = _gaussian_cleared(entries)
+    coeffs = _berkowitz([flat[i * n : (i + 1) * n] for i in range(n)])
+    approx = np.array(m.tolist(), dtype=complex)
+    seeds = _nudged_seeds(np.linalg.eigvals(approx))
+    roots, scale, _ = _dyadic_roots(coeffs, seeds, prec, d.bit_length() - 1)
+    return [as_mpc(root, scale) for root in roots]
+
+
+def as_mpc(root, scale):
+    """The fixed-point (re, im) / 2^scale as ``mpc`` at the working precision."""
+    return mp.mpc(mp.mpf((root[0], -scale)), mp.mpf((root[1], -scale)))

@@ -12,6 +12,7 @@ from scipy.optimize import linear_sum_assignment
 
 import epspect.core.poly as core_poly
 from epspect.core import (
+    EXTENDED_BITS,
     BivariateSecular,
     ConvergenceError,
     Polynomial,
@@ -33,10 +34,9 @@ from epspect.core import (
     res_E,
     resultant,
     sylvester_matrix,
-    to_mp_matrix,
 )
 from epspect.core.eig import _berkowitz
-from epspect.core.poly import _extended_roots, _gaussian_cleared, _int_exact_div
+from epspect.core.poly import _dyadic_roots, _gaussian_cleared, _int_exact_div
 from epspect.epfinder import (
     _disc_in_y_at_p,
     _fold_coeffs_in_E,
@@ -46,6 +46,7 @@ from epspect.epfinder import (
 )
 from epspect.models import EpnModel, bc_matrix, epn_matrix, epn_secular, hermitian_demo
 from epspect.sturmian import bivariate_secular, secular_in_y
+from oracles import POLISH_PREC, Gaussian, as_mpc, eigvals_at, epn_mp, frac
 
 
 # --------------------------------------------------------------------------
@@ -254,7 +255,7 @@ def test_poly_roots_rejects_constants():
 
 def test_poly_roots_extended_sharpens_multiple_roots():
     # (E-2)^2 (E-5): double evaluation noise limits the pair to ~1e-6;
-    # the mpmath polish brings it below the clustering tolerance
+    # the integer polish brings it below the clustering tolerance
     p = Polynomial([Fraction(-20), Fraction(24), Fraction(-9), Fraction(1)])
     coarse = poly_roots(p)
     fine = poly_roots(p, precision=Precision.EXTENDED)
@@ -524,9 +525,13 @@ def _oracle_input(kind, n):
 @pytest.mark.parametrize("kind", ["random", "epn", "bc"])
 @pytest.mark.parametrize("n", range(2, 9))
 def test_eigvals_mp_matches_mp_eig_oracle(n, kind):
+    a = _oracle_input(kind, n)
+    with mp.workdps(30):
+        # eigvals_mp is the 103-bit route of ``eigvals_at``, each root rounded once
+        assert eigvals_mp(a) == [complex(v) for v in eigvals_at(mp.matrix(a.tolist()), EXTENDED_BITS)]
     with mp.workdps(40):
-        m = to_mp_matrix(_oracle_input(kind, n))
-        ours = eigvals_mp(m)
+        m = mp.matrix(a.tolist())
+        ours = eigvals_at(m, POLISH_PREC)
         oracle, _ = mp.eig(m)
         assert len(ours) == n
         # bc at z = i has a defective pair at E = 2 for even n.  Aberth locks
@@ -548,9 +553,12 @@ def test_eigvals_mp_matches_mp_eig_oracle(n, kind):
 
 
 def test_eigvals_mp_resolves_epn6_exceptional_point():
+    # the secular polynomial is exactly u^6 at t = 0; the 40-digit matrix
+    # splits the EP by ~(1e-40)^(1/6), for the kernel and for QR alike
+    assert EpnModel(6).eigvals_mp(0.0) == [0j] * 6
     with mp.workdps(40):
-        m = EpnModel(6).matrix_mp(0)
-        for ev in (eigvals_mp(m), mp.eig(m)[0]):
+        m = epn_mp(6, 0)
+        for ev in (eigvals_at(m, POLISH_PREC), mp.eig(m)[0]):
             center = mp.fsum(ev) / len(ev)
             assert abs(center) < 1e-5
             assert max(abs(v - center) for v in ev) < 1e-5
@@ -560,21 +568,19 @@ def test_eigvals_mp_reaches_a_complex_pair_from_real_seeds(monkeypatch):
     # real seeds of a real polynomial keep every Aberth iterate real; the
     # double seed solve is replaced by real ones to cover the off-axis lift
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.array([0.5, -0.5]))
-    with mp.workdps(30):
-        m = mp.matrix([[0, -1], [1, 0]])
-        ev = sorted(eigvals_mp(m), key=lambda v: v.imag)
+    ev = sorted(eigvals_mp(np.array([[0.0, -1.0], [1.0, 0.0]])), key=lambda v: v.imag)
     assert abs(ev[0] + 1j) < 1e-25 and abs(ev[1] - 1j) < 1e-25
 
 
 def test_as_fraction_keeps_sign_and_refuses_non_finite_values():
-    with mp.workdps(60):
-        tiny = -mp.mpf(3) / mp.mpf(2) ** 1100
-        assert as_fraction(tiny) == Fraction(-3, 2**1100)
-        assert as_fraction(mp.mpf(-0.75)) == as_fraction(-0.75) == Fraction(-3, 4)
-        assert as_fraction(mp.mpf(2) ** 80) == 2**80
-        for bad in (mp.inf, -mp.inf, mp.nan):
-            with pytest.raises(ValueError):
-                as_fraction(bad)
+    tiny = Fraction(-3, 2**1100)
+    assert as_fraction(tiny) is tiny
+    assert as_fraction(-0.75) == as_fraction(Fraction(-3, 4)) == Fraction(-3, 4)
+    assert as_fraction(-5e-324) == Fraction(-1, 2**1074)
+    assert as_fraction(2.0**80) == 2**80
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            as_fraction(bad)
 
 
 # The integer kernels of the extended tier against exact and mpmath oracles.
@@ -601,43 +607,38 @@ def _gaussian_det(rows):
     return det
 
 
-def _mpf_of(q: Fraction):
-    return mp.mpf(q.numerator) / q.denominator  # exact: q is dyadic and fits the precision
-
-
 _dyadics = st.builds(
     lambda man, exp: Fraction(man) * Fraction(2) ** exp, st.integers(-(2**53), 2**53), st.integers(-300, 300)
 )
 
 
 @st.composite
-def _mp_matrices(draw):
-    """A square ``mp.matrix`` of complex, real-only or sparse dyadic entries
-    over exponents -300..300, or of 40-digit mpmath values."""
+def _exact_matrices(draw):
+    """A square matrix (rows of ``Gaussian`` entries) of complex, real-only or
+    sparse dyadic entries over exponents -300..300, or of 40-digit values."""
     n = draw(st.integers(1, 5))
     kind = draw(st.sampled_from(["complex", "real", "sparse", "dps40"]))
-    m = mp.matrix(n, n)
-    with mp.workdps(400):
-        for i in range(n):
-            for j in range(n):
-                if kind == "dps40":
-                    with mp.workdps(40):
-                        x = mp.sqrt(draw(st.integers(1, 10**6))) * mp.mpf(2) ** draw(st.integers(-60, 60))
-                        m[i, j] = mp.mpc(x, draw(st.sampled_from([0, -1])) / x)
-                elif kind == "sparse" and draw(st.booleans()):
-                    m[i, j] = mp.mpc(0)
-                else:
-                    im = Fraction(0) if kind == "real" else draw(_dyadics)
-                    m[i, j] = mp.mpc(_mpf_of(draw(_dyadics)), _mpf_of(im))
-    return m
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if kind == "dps40":
+                with mp.workdps(40):
+                    x = mp.sqrt(draw(st.integers(1, 10**6))) * mp.mpf(2) ** draw(st.integers(-60, 60))
+                    rows[i][j] = Gaussian(frac(x), frac(draw(st.sampled_from([0, -1])) / x))
+            elif kind == "sparse" and draw(st.booleans()):
+                rows[i][j] = Gaussian(Fraction(0), Fraction(0))
+            else:
+                im = Fraction(0) if kind == "real" else draw(_dyadics)
+                rows[i][j] = Gaussian(draw(_dyadics), im)
+    return rows
 
 
 @settings(deadline=None, max_examples=60)
-@given(_mp_matrices())
+@given(_exact_matrices())
 def test_integer_berkowitz_is_the_exact_characteristic_polynomial(m):
-    n = m.rows
-    exact = [[(as_fraction(m[i, j].real), as_fraction(m[i, j].imag)) for j in range(n)] for i in range(n)]
-    flat, d = _gaussian_cleared([m[i, j] for i in range(n) for j in range(n)])
+    n = len(m)
+    exact = [[(v.real, v.imag) for v in row] for row in m]
+    flat, d = _gaussian_cleared([v for row in m for v in row])
     assert d & (d - 1) == 0  # dyadic entries: D is a power of two
     assert flat == [(int(re * d), int(im * d)) for row in exact for re, im in row]
     coeffs = _berkowitz([flat[i * n : (i + 1) * n] for i in range(n)])
@@ -671,12 +672,19 @@ def _from_roots(roots):
 
 
 def _double_seeds(coeffs):
-    return np.roots([complex(cr, ci) for cr, ci in reversed(coeffs)])
+    return [(s.real, s.imag) for s in np.roots([complex(cr, ci) for cr, ci in reversed(coeffs)])]
 
 
 def _circle_seeds(degree):
     """Seeds far from every root: the Aberth term has to keep them apart."""
-    return [5 * cmath.exp(2j * math.pi * (k + 0.25) / degree + 0.4j) for k in range(degree)]
+    seeds = [5 * cmath.exp(2j * math.pi * (k + 0.25) / degree + 0.4j) for k in range(degree)]
+    return [(s.real, s.imag) for s in seeds]
+
+
+def _roots_at_40_digits(coeffs, seeds):
+    """The integer kernel's roots at 136 bits, as ``mpc`` (call at 40 digits)."""
+    roots, scale, _ = _dyadic_roots(coeffs, seeds, POLISH_PREC)
+    return [as_mpc(root, scale) for root in roots]
 
 
 @settings(deadline=None, max_examples=80)
@@ -685,7 +693,7 @@ def test_integer_aberth_matches_mp_polyroots_on_simple_roots(points, far_seeds):
     coeffs = _from_roots(points)
     seeds = _circle_seeds(len(points)) if far_seeds else _double_seeds(coeffs)
     with mp.workdps(40):
-        ours, _ = _extended_roots(coeffs, seeds)
+        ours = _roots_at_40_digits(coeffs, seeds)
         oracle = mp.polyroots([mp.mpc(cr, ci) for cr, ci in reversed(coeffs)], maxsteps=200, extraprec=100)
         assert len(ours) == len(oracle) == len(points)
         for want in oracle:
@@ -703,7 +711,7 @@ def test_integer_aberth_holds_multiple_roots_to_the_fog_bound(point, mult, other
     coeffs = _from_roots([point] * mult + others)
     center = complex(*point) / 2
     with mp.workdps(40):
-        ours, _ = _extended_roots(coeffs, _double_seeds(coeffs))
+        ours = _roots_at_40_digits(coeffs, _double_seeds(coeffs))
         fog = (10**6 * mp.eps) ** (mp.mpf(1) / mult) * (1 + abs(center))
         members = [v for v in ours if abs(v - center) <= fog]
     assert len(members) == mult
@@ -723,10 +731,8 @@ def _stall_first_root(monkeypatch):
 
 def test_eigvals_mp_raises_on_unconverged_roots(monkeypatch):
     _stall_first_root(monkeypatch)
-    with mp.workdps(40):
-        m = to_mp_matrix(epn_matrix(4, 0.5).to_array())
-        with pytest.raises(ConvergenceError) as err:
-            eigvals_mp(m)
+    with pytest.raises(ConvergenceError) as err:
+        eigvals_mp(epn_matrix(4, 0.5))
     assert len(err.value.roots) == 4
     assert err.value.unconverged == (err.value.roots[0],)
 

@@ -1,6 +1,6 @@
 """Static guard against dead code in the package (stdlib ``ast`` only).
 
-Eleven things fail the guard: an import a module never uses (package
+Ten things fail the guard: an import a module never uses (package
 ``__init__.py`` files are exempt, their imports are re-exports), a
 ``_private`` top-level function that no module of the package references,
 a module-level UPPER_CASE constant that no module of the package loads,
@@ -8,14 +8,14 @@ an eigenvector solve whose eigenvalues are all that is read, a
 nonsymmetric LAPACK eigensolve outside ``core/eig.py``, denominator
 clearing (``math.lcm``) outside ``core/poly.py``, sampled reality
 (``sweep``, ``reality_flags``, ``REALITY_RTOL``) anywhere the exact shift
-scan reaches, a ``scipy`` import anywhere, a call of mpmath's QR
-eigensolver ``mp.eig``, mpmath anywhere the integer kernels of the extended tier (the Berkowitz
-characteristic polynomial and the fixed-point Aberth iteration) reach, and
-an import of ``threading`` or ``concurrent.futures`` anywhere but in
-``epfinder.sweep``.  Fresh-interpreter tests check the import guards end
-to end: importing the command line, running its commands (the default
-``metric`` included) and classifying a degeneracy never load scipy, and
-importing it or sweeping one chunk never loads ``concurrent.futures``.
+scan reaches, a ``scipy`` import anywhere, an ``mpmath`` import anywhere
+(numpy is the one runtime dependency), and an import of ``threading`` or
+``concurrent.futures`` anywhere but in ``epfinder.sweep``.
+Fresh-interpreter tests check the import guards end to end: importing the
+command line, running its commands (the default ``metric`` included) and
+classifying a degeneracy never load scipy; the extended commands and the
+perturbation exponent never load mpmath; and importing the command line
+or sweeping one chunk never loads ``concurrent.futures``.
 """
 
 import ast
@@ -269,66 +269,20 @@ def test_exact_scan_guard_sees_every_spelling():
     ]
 
 
-INTEGER_KERNELS = {"core/eig.py": ("_berkowitz",), "core/poly.py": ("_aberth_fixed",)}
-
-
-def _mpmath_in_kernels(tree, kernels):
-    """(function, line) where a kernel, or a module function it reaches,
-    names mpmath: a module alias (``mp.``) or a name imported from it."""
-    aliases = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            aliases |= {a.asname or a.name for a in node.names if a.name.split(".")[0] == "mpmath"}
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "mpmath":
-            aliases |= {a.asname or a.name for a in node.names}
-    functions = {
-        node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-    reached = [name for name in kernels if name in functions]
-    for name in reached:
-        for node in ast.walk(functions[name]):
-            if isinstance(node, ast.Name) and node.id in aliases:
-                yield name, node.lineno
-            elif isinstance(node, ast.Name) and node.id in functions and node.id not in reached:
-                reached.append(node.id)
-
-
-def test_integer_kernels_use_no_mpmath():
-    """The extended tier's characteristic polynomial and root iteration run
-    on Python ints; mpmath appears only where their callers convert in and
-    out, so no mpmath fallback can creep back into the kernels."""
-    found = [
-        f"{module}:{line}: {name}"
-        for module, kernels in INTEGER_KERNELS.items()
-        for name, line in _mpmath_in_kernels(_parse(PACKAGE / module), kernels)
-    ]
-    assert found == []
-
-
-def test_integer_kernel_guard_sees_every_spelling():
-    source = (
-        "import mpmath as mp\nimport mpmath\nfrom mpmath import mpf, fdot as fd\n"
-        "def helper():\n    return mp.mpf(1)\n"
-        "def _berkowitz(m):\n    return helper() + mpmath.fsum(m)\n"
-        "def _aberth_fixed(c):\n    return fd(c, c) + mpf(2)\n"
-        "def unrelated():\n    return mp.mpc(1)\n"
-    )
-    assert sorted(_mpmath_in_kernels(ast.parse(source), ("_berkowitz", "_aberth_fixed"))) == [
-        ("_aberth_fixed", 9),
-        ("_aberth_fixed", 9),
-        ("_berkowitz", 7),
-        ("helper", 5),
-    ]
-
-
 def _package_imports(tree, package="scipy"):
-    """Lines of every import of ``package``, function bodies included."""
+    """Lines of every import of ``package``, function bodies included, and of
+    every ``importlib.import_module`` or ``__import__`` call that names it."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             if any(alias.name.split(".")[0] == package for alias in node.names):
                 yield node.lineno
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             if node.module.split(".")[0] == package:
+                yield node.lineno
+        elif isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            target = node.args[0].value
+            if name in ("__import__", "import_module") and isinstance(target, str) and target.split(".")[0] == package:
                 yield node.lineno
 
 
@@ -356,24 +310,35 @@ def test_scipy_import_guard_sees_every_spelling():
     assert sorted(_package_imports(ast.parse(source))) == [1, 2, 3, 4, 5, 7, 9, 11, 12]
 
 
-MP_QR = {"mpmath.eig"}
-
-
-def test_no_module_calls_mpmath_qr():
-    """Eigenvalues in extended precision are the roots of the exact
-    characteristic polynomial (``eigvals_mp``); mpmath's QR eigensolver
-    stays a test oracle."""
-    found = [f"{path.relative_to(PACKAGE)}:{line}" for path in MODULES for line in _uses(_parse(path), MP_QR)]
+def test_no_module_imports_mpmath():
+    """The extended tier is fixed-point integer arithmetic: the Berkowitz
+    characteristic polynomial, the Aberth iteration and the real-root
+    polisher run on Python ints, and results leave it as ``complex`` or
+    ``Fraction``.  mpmath, its QR eigensolver ``mp.eig`` included, stays a
+    test oracle."""
+    found = [
+        f"{path.relative_to(PACKAGE)}:{line}"
+        for path in MODULES
+        for line in _package_imports(_parse(path), "mpmath")
+    ]
     assert found == []
 
 
-def test_mpmath_qr_guard_sees_every_spelling():
+def test_mpmath_import_guard_sees_every_spelling():
     source = (
-        "import mpmath as mp\nimport mpmath\nfrom mpmath import eig\n"
-        "from mpmath import eig as qr\nfrom mpmath import *\n"
-        "def f(a):\n    return mp.eig(a), mpmath.eig(a, left=True), mp.eigsy(a), mp.polyroots(a)\n"
+        "import mpmath as mp\n"
+        "import mpmath\n"
+        "from mpmath import mpf, fdot as fd\n"
+        "from mpmath import eig\n"
+        "from mpmath import eig as qr\n"
+        "from mpmath import *\n"
+        "import numpy, mpmath.libmp\n"
+        "def _berkowitz(m):\n    import mpmath as mp\n    return mp.eig(m)\n"
+        "class C:\n    from mpmath.libmp import mpf_add\n"
+        "import importlib\nimportlib.import_module('mpmath')\n__import__('mpmath.libmp')\n"
+        "import mpmathx\nfrom .mpmath import y\nfrom numpy import mpmath\nimportlib.import_module('numpy')\n"
     )
-    assert sorted(_uses(ast.parse(source), MP_QR)) == [3, 4, 5, 7, 7]
+    assert sorted(_package_imports(ast.parse(source), "mpmath")) == [1, 2, 3, 4, 5, 6, 7, 9, 12, 14, 15]
 
 
 COLD_COMMANDS = [
@@ -383,6 +348,17 @@ COLD_COMMANDS = [
     ["metric", "--model", "epn", "--n", "4", "--t", "0.5", "--precision", "extended", "--output", "m.json"],
     ["metric", "--model", "bc", "--n", "6", "--r", "0.5", "--output", "m.json"],
 ]
+
+
+def _fresh_interpreter(script, cwd):
+    """The last line a fresh interpreter running ``script`` prints, with the package on its path."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
 
 
 def test_cold_commands_never_load_scipy(tmp_path):
@@ -401,13 +377,33 @@ def test_cold_commands_never_load_scipy(tmp_path):
         "loaded += ['classify_degeneracy'] if 'scipy' in sys.modules else []\n"
         "print(json.dumps(loaded))\n"
     )
-    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    assert json.loads(_fresh_interpreter(script, tmp_path)) == []
+
+
+EXTENDED_COMMANDS = [
+    "find-ep --model epn --n 4 --param t --range -0.5:0.5 --output ep.json".split(),
+    "find-ep --model bc --n 4 --scan-y --range -1:0 --output scan.json".split(),
+    "metric --model epn --n 4 --t 0.5 --precision extended --output m.json".split(),
+    "sweep --model epn --n 4 --range=-0.5:1 --samples 5 --precision extended --output e.csv".split(),
+    "sweep --model bc --n 4 --range=-1.5:1.5 --samples 5 --precision extended --output b.csv".split(),
+    "sweep --model hermitian-demo --n 3 --range 0:1 --samples 3 --precision extended --output d.csv".split(),
+]
+
+
+def test_extended_commands_never_load_mpmath(tmp_path):
+    script = (
+        "import json, sys\n"
+        "import epspect.cli\n"
+        "loaded = ['import epspect.cli'] if 'mpmath' in sys.modules else []\n"
+        f"for argv in {EXTENDED_COMMANDS!r}:\n"
+        "    assert epspect.cli.main(argv) == 0, argv\n"
+        "    loaded += [argv[0]] if 'mpmath' in sys.modules else []\n"
+        "from epspect import epn_matrix, perturbation_exponent\n"
+        "perturbation_exponent(epn_matrix(4, 0.0), 4, [1e-12, 1e-10, 1e-8], seed=1, draws=1)\n"
+        "loaded += ['perturbation_exponent'] if 'mpmath' in sys.modules else []\n"
+        "print(json.dumps(loaded))\n"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    assert json.loads(_fresh_interpreter(script, tmp_path)) == []
 
 
 THREAD_MODULES = {"threading", "concurrent"}
@@ -463,10 +459,4 @@ def test_import_and_one_chunk_sweep_never_load_a_thread_pool(tmp_path):
         "loaded += ['sweep'] if 'concurrent.futures' in sys.modules else []\n"
         "print(loaded)\n"
     )
-    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert _fresh_interpreter(script, tmp_path) == "[]"

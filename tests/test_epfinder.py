@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import epspect.epfinder as epfinder
-from epspect.core import EXTENDED_DPS, ConvergenceError, Precision, eig_dense, eigvals_double, eigvals_mp, to_mp_matrix
+from epspect.core import ConvergenceError, Precision, eig_dense, eigvals_double
 from epspect.epfinder import (
     SWEEP_CHUNK,
     _assign,
@@ -33,6 +33,7 @@ from epspect.epfinder import (
 )
 from epspect.models import BcModel, EpnModel, HermitianDemoModel, bc_matrix, epn_matrix
 from epspect.sturmian import bivariate_secular
+from oracles import POLISH_PREC, eigvals_at, model_mp
 
 EPS_LADDER = [1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6]
 
@@ -262,8 +263,8 @@ def test_extended_sweep_matches_mpmath_qr_values(model, param_range, samples):
     # each grid point is compared as a matched set
     res = sweep(model, param_range, samples, precision=Precision.EXTENDED)
     for k, p in enumerate(res.grid):
-        with mp.workdps(EXTENDED_DPS):
-            want = np.array([complex(v) for v in mp.eig(to_mp_matrix(model.matrix(p)), left=False, right=False)])
+        with mp.workdps(30):
+            want = np.array([complex(v) for v in mp.eig(mp.matrix(model.matrix(p).tolist()), left=False, right=False)])
         assert _matched_distance(res.tracks[:, k], want) <= 1e-12, p
 
 
@@ -404,10 +405,10 @@ def _refined_gap(model, lo, hi, rounds=8, points=21) -> float:
     return float(gaps[k])
 
 
-def _mp_distances(model, point, dps=40) -> list[float]:
-    """Distances of the eigenvalues of ``model.matrix_mp`` at the point from its energy, ascending."""
-    with mp.workdps(dps):
-        values = eigvals_mp(model.matrix_mp(point.params[model.param]))
+def _mp_distances(model, point) -> list[float]:
+    """Distances of the 40-digit eigenvalues of the 40-digit matrix at the point from its energy, ascending."""
+    with mp.workdps(40):
+        values = eigvals_at(model_mp(model, point.params[model.param]), POLISH_PREC)
     return sorted(abs(complex(v) - point.energy) for v in values)
 
 

@@ -4,7 +4,6 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from epspect.core import EXTENDED_DPS, to_mp_matrix
 from epspect.metric import (
     ComplexSpectrumError,
     DegenerateBasisError,
@@ -16,6 +15,7 @@ from epspect.metric import (
     physical_inner_product,
 )
 from epspect.models import EpnModel, BcModel, bc_matrix, epn_matrix
+from oracles import epn_mp
 
 
 def _random_hermitian(n, seed):
@@ -119,8 +119,8 @@ def _epn_entries_in_double(t):
 
 
 def _epn_entries_in_extended(t):
-    with mp.workdps(EXTENDED_DPS):
-        m = EpnModel(6).matrix_mp(mp.mpf(t))
+    with mp.workdps(30):
+        m = epn_mp(6, t)
     return np.array(m.tolist(), dtype=complex)
 
 
@@ -160,7 +160,7 @@ def _theta_oracle(m):
     """Theta for kappa = 1 from mpmath's QR at 30 digits: right vectors of
     unit 2-norm, Y = X^-H."""
     with mp.workdps(30):
-        _, x = mp.eig(to_mp_matrix(m))
+        _, x = mp.eig(mp.matrix(np.asarray(m, dtype=complex).tolist()))
         for j in range(x.cols):
             x[:, j] /= mp.norm(x[:, j])
         y = mp.inverse(x).H

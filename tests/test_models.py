@@ -4,9 +4,10 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import epspect.models as models
 from epspect.core import Polynomial, as_array, charpoly_from_parts, charpoly_tridiag, eig_dense, poly_roots
@@ -91,6 +92,30 @@ def test_epn_outside_unit_window_goes_complex():
     m = epn_matrix(6, -0.5)
     assert isinstance(m.diag[0], complex)
     assert m.diag[0].imag != 0
+
+
+# dyadic t in [-0.5, 1] with at most 53 significant bits: exact doubles
+_dyadic_t = st.integers(0, 52).flatmap(lambda k: st.integers(-(2**k >> 1), 2**k).map(lambda m: m / 2**k))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 12), t=_dyadic_t)
+@example(n=12, t=0.0)
+@example(n=8, t=2.0**-30)
+def test_epn_extended_spectrum_is_the_closed_form(n, t):
+    # E_k = (2k - n + 1 + 8) sqrt(1 - tau^2), tau = 1 - t, at 40 digits; the
+    # levels lie on the real axis (t >= 0) or the imaginary one (t < 0), so
+    # Re + Im orders both sides alike
+    x = 1 - (1 - Fraction(t)) ** 2
+    got = sorted(EpnModel(n).eigvals_mp(t), key=lambda v: v.real + v.imag)
+    with mp.workdps(40):
+        root = mp.sqrt(mp.mpf(x.numerator) / x.denominator)
+        want = [(2 * k - n + 1 + 8) * root for k in range(n)]
+        scale = max(abs(w) for w in want)
+        for g, w in zip(got, sorted(want, key=lambda v: mp.re(v) + mp.im(v))):
+            assert abs(g - w) <= 2**-52 * scale, (g, w)
+    if t == 0:
+        assert got == [0j] * n  # the exact n-fold E = 0
 
 
 def test_epn_rejects_tiny_dimension():
