@@ -10,7 +10,11 @@ clearing (``math.lcm``) outside ``core/poly.py``, sampled reality
 (``sweep``, ``reality_flags``, ``REALITY_RTOL``) anywhere the exact shift
 scan reaches, a ``scipy`` import anywhere, an ``mpmath`` import anywhere
 (numpy is the one runtime dependency), and an import of ``threading`` or
-``concurrent.futures`` anywhere but in ``epfinder.sweep``.
+``concurrent.futures`` anywhere but in ``epfinder.sweep``.  Two narrower
+mpmath guards stay beside the import guard and name the culprit when it
+fails: mpmath in the integer kernels of the extended tier (the Berkowitz
+characteristic polynomial and the fixed-point Aberth iteration), and a
+call of mpmath's QR eigensolver ``mp.eig``.
 Fresh-interpreter tests check the import guards end to end: importing the
 command line, running its commands (the default ``metric`` included) and
 classifying a degeneracy never load scipy; the extended commands and the
@@ -269,6 +273,61 @@ def test_exact_scan_guard_sees_every_spelling():
     ]
 
 
+INTEGER_KERNELS = {"core/eig.py": ("_berkowitz",), "core/poly.py": ("_aberth_fixed",)}
+
+
+def _mpmath_in_kernels(tree, kernels):
+    """(function, line) where a kernel, or a module function it reaches,
+    names mpmath: a module alias (``mp.``) or a name imported from it."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {a.asname or a.name for a in node.names if a.name.split(".")[0] == "mpmath"}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "mpmath":
+            aliases |= {a.asname or a.name for a in node.names}
+    functions = {
+        node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    reached = [name for name in kernels if name in functions]
+    for name in reached:
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name) and node.id in aliases:
+                yield name, node.lineno
+            elif isinstance(node, ast.Name) and node.id in functions and node.id not in reached:
+                reached.append(node.id)
+
+
+def test_integer_kernels_use_no_mpmath():
+    """The extended tier's characteristic polynomial and root iteration run
+    on Python ints.  The package-wide import guard below already refuses
+    mpmath; this narrower guard also names the kernel that would reach it."""
+    for module, kernels in INTEGER_KERNELS.items():
+        defined = {node.name for node in _parse(PACKAGE / module).body if isinstance(node, ast.FunctionDef)}
+        assert set(kernels) <= defined, module
+    found = [
+        f"{module}:{line}: {name}"
+        for module, kernels in INTEGER_KERNELS.items()
+        for name, line in _mpmath_in_kernels(_parse(PACKAGE / module), kernels)
+    ]
+    assert found == []
+
+
+def test_integer_kernel_guard_sees_every_spelling():
+    source = (
+        "import mpmath as mp\nimport mpmath\nfrom mpmath import mpf, fdot as fd\n"
+        "def helper():\n    return mp.mpf(1)\n"
+        "def _berkowitz(m):\n    return helper() + mpmath.fsum(m)\n"
+        "def _aberth_fixed(c):\n    return fd(c, c) + mpf(2)\n"
+        "def unrelated():\n    return mp.mpc(1)\n"
+    )
+    assert sorted(_mpmath_in_kernels(ast.parse(source), ("_berkowitz", "_aberth_fixed"))) == [
+        ("_aberth_fixed", 9),
+        ("_aberth_fixed", 9),
+        ("_berkowitz", 7),
+        ("helper", 5),
+    ]
+
+
 def _package_imports(tree, package="scipy"):
     """Lines of every import of ``package``, function bodies included, and of
     every ``importlib.import_module`` or ``__import__`` call that names it."""
@@ -339,6 +398,25 @@ def test_mpmath_import_guard_sees_every_spelling():
         "import mpmathx\nfrom .mpmath import y\nfrom numpy import mpmath\nimportlib.import_module('numpy')\n"
     )
     assert sorted(_package_imports(ast.parse(source), "mpmath")) == [1, 2, 3, 4, 5, 6, 7, 9, 12, 14, 15]
+
+
+MP_QR = {"mpmath.eig"}
+
+
+def test_no_module_calls_mpmath_qr():
+    """Eigenvalues in extended precision are the roots of the exact
+    characteristic polynomial; mpmath's QR eigensolver stays a test oracle."""
+    found = [f"{path.relative_to(PACKAGE)}:{line}" for path in MODULES for line in _uses(_parse(path), MP_QR)]
+    assert found == []
+
+
+def test_mpmath_qr_guard_sees_every_spelling():
+    source = (
+        "import mpmath as mp\nimport mpmath\nfrom mpmath import eig\n"
+        "from mpmath import eig as qr\nfrom mpmath import *\n"
+        "def f(a):\n    return mp.eig(a), mpmath.eig(a, left=True), mp.eigsy(a), mp.polyroots(a)\n"
+    )
+    assert sorted(_uses(ast.parse(source), MP_QR)) == [3, 4, 5, 7, 7]
 
 
 COLD_COMMANDS = [
