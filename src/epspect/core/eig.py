@@ -9,8 +9,9 @@ Gaussian integers of the power-of-two-scaled matrix, found at
 from the double eigenvalues, and rounded once to ``complex``).  The
 extended tier matters close to
 a degeneracy, where double-precision eigenvalues lose half their digits per
-coalescing level; the extended sweep, the perturbation draws and the
-metric's reality verdict read ``eigvals_mp``.  ``eigvals_double`` also takes
+coalescing level; the extended sweep, the perturbation draws, the
+metric's reality verdict and the algebraic multiplicity of a degeneracy
+classification read ``eigvals_mp``.  ``eigvals_double`` also takes
 a ``(k, n, n)`` stack and returns one row per matrix, bit for bit what each
 matrix gives alone; a sweep solves its grid in stacked chunks, on several
 threads at once (the LAPACK call releases the GIL), and a real stack
@@ -18,9 +19,9 @@ reaches ``dgeev`` without a complex copy.  A LAPACK failure is raised as
 ``ConvergenceError``.
 ``eig_dense`` (right eigenvectors of unit 2-norm from ``numpy.linalg.eig``,
 left ones as the columns of Y = X^-H, so that Y^H X = I by construction, with
-residual checks) serves only the consumers of eigenvectors: degeneracy
-classification and the metric.  Eigenvectors exist in double precision
-only.
+residual checks) serves only the consumers of eigenvectors: the metric
+and the coalescence angle of a degeneracy classification.  Eigenvectors
+exist in double precision only.
 
 No other module calls LAPACK's nonsymmetric drivers.  Both double solvers
 send a matrix whose imaginary parts are all exactly zero to the real
@@ -39,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from .poly import ConvergenceError, _extended_roots, _gaussian_cleared
-from .scalars import CLUSTER_RTOL, EXTENDED_BITS, RootCluster, cluster_points
+from .scalars import EXTENDED_BITS, RootCluster, cluster_points
 from .tridiag import as_array
 
 
@@ -190,12 +191,12 @@ def eigvals_mp(m) -> list[complex]:
     return _gaussian_eigvals([flat[i * n : (i + 1) * n] for i in range(n)], d.bit_length() - 1, a)
 
 
-def eig_dense(m, cluster_rtol: float = CLUSTER_RTOL) -> EigResult:
+def eig_dense(m) -> EigResult:
     """Eigenvalues plus right and left eigenvectors of a dense matrix.
 
     Residuals are ||M x - lambda x||_2 (and the adjoint analogue) per
     column.  Members of any eigenvalue cluster tighter than
-    ``cluster_rtol`` are flagged low-confidence instead of raising: their
+    ``CLUSTER_RTOL`` are flagged low-confidence instead of raising: their
     individual eigenvectors are ill-conditioned near a degeneracy.
     """
     a = as_array(m)
@@ -212,7 +213,7 @@ def eig_dense(m, cluster_rtol: float = CLUSTER_RTOL) -> EigResult:
         ]
     )
 
-    clusters = cluster_points(values, rtol=cluster_rtol)
+    clusters = cluster_points(values)
     low = np.zeros(len(values), dtype=bool)
     for c in clusters:
         if c.multiplicity > 1:

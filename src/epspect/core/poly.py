@@ -1,8 +1,8 @@
 """Univariate polynomials, root finding, resultants and discriminants.
 
 Polynomials carry exact (``int`` / ``Fraction``) or double coefficients
-(see ``scalars``).  Exact-tier polynomials support exact division, gcd and
-resultants; both tiers feed the Aberth-Ehrlich root finder.
+(see ``scalars``).  Only exact-tier polynomials support exact division, gcd
+and resultants; both tiers feed the Aberth-Ehrlich root finder.
 
 Roots come from Aberth-Ehrlich iteration in two kernels: ``_aberth`` in
 double precision, and ``_aberth_fixed`` for the extended tier.  Every
@@ -15,12 +15,15 @@ rounds each of them once to ``complex``.  ``poly_roots(precision=EXTENDED)``,
 ``eig.eigvals_mp``, the extended spectra of the models and the real-root
 polisher ``_newton_polish_real`` all reach the same kernel.
 
-Every exact resultant and discriminant goes through one kernel: the
-Sylvester determinant over Z[y] by Bareiss's fraction-free elimination on
-plain ``int`` coefficient lists.  ``res_E`` and ``disc_E`` clear each
-argument's denominators once, check every division for exactness, and
-rescale at the end, so they return the rational polynomial an elimination
-over ``Fraction`` would, without a gcd per arithmetic operation.
+Every resultant and discriminant goes through one kernel: the Sylvester
+determinant over Z[y] by Bareiss's fraction-free elimination on plain
+``int`` coefficient lists.  ``res_E`` and ``disc_E`` clear each argument's
+denominators once, check every division for exactness, and rescale at the
+end, so they return the rational polynomial an elimination over
+``Fraction`` would, without a gcd per arithmetic operation.  The
+univariate ``resultant`` and ``discriminant`` are that kernel on constant
+coefficients.  There is no floating resultant: floating coefficients are
+refused with ``TypeError``.
 """
 
 from __future__ import annotations
@@ -580,36 +583,23 @@ def sylvester_matrix(p: Polynomial, q: Polynomial) -> list[list]:
     return _sylvester_rows(list(p.coeffs), list(q.coeffs))
 
 
-def resultant(p: Polynomial, q: Polynomial):
+def resultant(p: Polynomial, q: Polynomial) -> Fraction:
     """Resultant of p and q: lc(p)^deg(q) * prod over roots alpha of p of q(alpha).
 
-    Exact-tier inputs give an exact Fraction (zero iff a common root exists);
-    floating inputs go through an LU determinant of the Sylvester matrix and
-    are zero only up to rounding (compare against ``1e-10 * scale``).
+    Exact, zero iff p and q share a root: the Bareiss kernel of ``res_E``
+    with constant coefficients in the second variable.  Raises
+    ``TypeError`` on floating coefficients.
     """
     if p.degree < 1 or q.degree < 1:
         raise ValueError("resultant requires both degrees >= 1 (nonzero lc)")
-    if p.mode is Precision.EXACT and q.mode is Precision.EXACT:
-        # constant polynomials in a dummy second variable
-        f = [Polynomial([c]) for c in p.coeffs]
-        g = [Polynomial([c]) for c in q.coeffs]
-        return Fraction(res_E(f, g).coeffs[0])
-    arr = np.array(
-        [[complex(to_double(x)) for x in row] for row in sylvester_matrix(p, q)]
-    )
-    det = complex(np.linalg.det(arr))
-    if abs(det.imag) <= 1e-12 * (1 + abs(det.real)):
-        return det.real
-    return det
+    if p.mode is not Precision.EXACT or q.mode is not Precision.EXACT:
+        raise TypeError("resultant requires exact coefficients")
+    return Fraction(res_E([Polynomial([c]) for c in p.coeffs], [Polynomial([c]) for c in q.coeffs]).coeffs[0])
 
 
-def discriminant(p: Polynomial):
-    """Res(p, p') / lc(p)."""
-    res = resultant(p, p.derivative())
-    lc = p.lc
-    if isinstance(lc, ExactTypes):
-        return Fraction(res) / lc
-    return res / lc
+def discriminant(p: Polynomial) -> Fraction:
+    """Res(p, p') / lc(p), exact; ``TypeError`` on floating coefficients."""
+    return resultant(p, p.derivative()) / p.lc
 
 
 # The exact kernel runs over Z[y]: a polynomial in the second variable is an

@@ -5,8 +5,10 @@ along one parameter by the real roots of the discriminant of the secular
 polynomial, along the shift y by three exact event polynomials.  A
 Hermitian family has none, and any other one-parameter model is refused.
 Sweeps read eigenvalues in double or extended precision, the
-perturbation exponent in extended precision; the classification of one
-matrix reads the double eigenvectors.
+perturbation exponent in extended precision.  The classification of one
+matrix takes its algebraic multiplicity from the extended eigenvalues,
+whatever the type of the matrix, and reads the double eigenvectors only
+for the coalescence angle.
 """
 
 from __future__ import annotations
@@ -24,13 +26,10 @@ from .core import (
     CLUSTER_RTOL,
     Polynomial,
     Precision,
-    Tridiagonal,
     as_array,
     as_fraction,
-    charpoly_tridiag,
     cluster_points,
     disc_E,
-    discriminant,
     eig_dense,
     eigvals_double,
     eigvals_mp,
@@ -323,31 +322,21 @@ def classify_degeneracy(
 ) -> Classification:
     """Algebraic/geometric multiplicity at one energy plus the verdict.
 
-    Algebraic multiplicity is the size of the eigenvalue cluster at
-    ``energy``; geometric multiplicity is n - rank(M - E I) with the rank
-    read off the singular values at threshold ``rank_rtol * ||M||``.  A
-    singular value inside (threshold/band, threshold*band) makes the rank
-    call ambiguous and the verdict "indeterminate" instead of a guess.
+    Algebraic multiplicity is the size of the cluster at ``energy`` among
+    the extended eigenvalues (``eigvals_mp``: the roots of the exact
+    characteristic polynomial of the binary-float matrix), whatever type
+    ``m`` has; an EP of order k splits like eps^(1/k) under rounding, so
+    double eigenvalues cannot hold one of order 3.  The residual
+    "discriminant" is prod_{i<j} |E_i - E_j|^2 over the same values, which
+    is |Res(chi, chi')| for the monic chi(E) = det(E - M).  Geometric
+    multiplicity is n - rank(M - E I) with the rank read off the singular
+    values at threshold ``rank_rtol * ||M||``.  A singular value inside
+    (threshold/band, threshold*band) makes the rank call ambiguous and the
+    verdict "indeterminate" instead of a guess.
     """
     a = as_array(m)
-    res = eig_dense(a, cluster_rtol=cluster_rtol)
-    # algebraic multiplicity from root clustering of the characteristic
-    # polynomial; for tridiagonal input the minor recurrence is far more
-    # backward-stable than the eigensolver near a high-order degeneracy
-    if isinstance(m, Tridiagonal):
-        char = charpoly_tridiag(m)
-        if char.mode is not Precision.DOUBLE:
-            char = char.to_double()
-        # the recurrence often yields exact coefficients; re-polishing the
-        # roots in the extended tier then resolves a true multiple root far
-        # below the clustering tolerance, which double evaluation noise cannot
-        clusters = poly_roots(
-            char, precision=Precision.EXTENDED, cluster_rtol=cluster_rtol
-        ).clusters
-    else:
-        char = Polynomial([complex(c) for c in np.poly(a)[::-1]])
-        clusters = res.clusters
-    cluster = min(clusters, key=lambda c: abs(c.center - energy))
+    values = eigvals_mp(a)
+    cluster = min(cluster_points(values, rtol=cluster_rtol), key=lambda c: abs(c.center - energy))
     tol = cluster_rtol * (1 + abs(energy))
     if abs(cluster.center - energy) > max(10 * tol, 2 * cluster.radius):
         raise ValueError(
@@ -355,15 +344,16 @@ def classify_degeneracy(
         )
     alg = cluster.multiplicity
 
-    disc = discriminant(char) if char.degree >= 2 else None
+    pairs = [abs(u - v) ** 2 for i, u in enumerate(values) for v in values[i + 1 :]]
     residuals = {
         "cluster_radius": cluster.radius,
-        "discriminant": abs(disc) if disc is not None else float("nan"),
+        "discriminant": math.prod(pairs) if pairs else float("nan"),
     }
 
     if alg == 1:
         return Classification("simple", 1, 1, cluster.center, residuals)
 
+    res = eig_dense(a)
     geo, sv, thr = _geometric_multiplicity(a, cluster.center, rank_rtol)
     norm = max(float(sv[0]), 1e-300)
     in_band = [s for s in sv if thr / band < s < thr * band]
@@ -835,7 +825,7 @@ def _polish_merge_event(n, y_star, below, above) -> CriticalPoint | None:
     lowest = below.segments[-1], above.segments[-1]
     levels = max(lowest, key=len)
     poly = Polynomial([c(as_fraction(y_star)) for c in secular_in_y(n)])
-    k = _levels_above(poly_roots(poly.to_double()).roots, energy, order, len(levels))
+    k = _levels_above(poly_roots(poly).roots, energy, order, len(levels))
     if len(lowest[0]) == len(lowest[1]) and lowest[0] != lowest[1]:
         k = None
     _label_residuals(resid, "tracks", _labels_at(levels, k, order))
@@ -861,8 +851,7 @@ def _polish_pole_event(n, y_star, below, above) -> CriticalPoint:
     moving level (``_crossing_track``).
     """
     s = bivariate_secular(n, as_fraction(y_star))
-    a_dbl = s.A.to_double()
-    e0 = min((e for e, _ in _real_roots(s.B)), key=lambda e: abs(a_dbl(complex(e))))
+    e0 = min((e for e, _ in _real_roots(s.B)), key=lambda e: abs(s.A(complex(e))))
     polished = _newton_polish_real(s.B, e0)
     energy = as_fraction(float(polished))
     if s.B(energy) != 0:
@@ -907,7 +896,7 @@ def _crossing_track(s: SturmianFunction, energy: Fraction, p_star: Fraction, bel
         if levels != above.segments[-1 if p_star <= 0 else 0]:
             return None
     p_end = min(max(p_star, Fraction(0)), Fraction(1))
-    roots = poly_roots(s.poly_at(p_end).to_double()).roots
+    roots = poly_roots(s.poly_at(p_end)).roots
     k = _levels_above(roots, complex(float(energy)), 2 if inside else 1, len(levels))
     k += inside and rising
     labels = _labels_at(levels, k - 1 if rising else k + 1, 1)

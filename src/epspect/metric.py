@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CLUSTER_RTOL, as_array, eig_dense, eigvals_mp, reality_flags
+from .core import as_array, eig_dense, eigvals_mp, reality_flags
 
 
 class DegenerateBasisError(ValueError):
@@ -72,14 +72,14 @@ class BiorthogonalBasis:
         )
 
 
-def biorthogonal_basis(m, *, cluster_rtol: float = CLUSTER_RTOL) -> BiorthogonalBasis:
+def biorthogonal_basis(m) -> BiorthogonalBasis:
     """Left/right eigenbasis normalized to Y^H X = I (Y = X^-H).
 
     Raises DegenerateBasisError naming the cluster when the spectrum is not
     numerically simple; a finite but large cond(X) (> 1e6) is tolerated and
     left to the caller via ``cond_right``.
     """
-    res = eig_dense(m, cluster_rtol=cluster_rtol)
+    res = eig_dense(m)
     bad = [c for c in res.clusters if c.multiplicity > 1]
     if bad:
         raise DegenerateBasisError(bad)

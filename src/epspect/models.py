@@ -106,22 +106,11 @@ def epn_matrix(n: int, t: float) -> Tridiagonal:
     sub_k = -sup_k.  The spectrum is (2k - n + 1 + 8)*sqrt(1 - tau^2): real
     and positive on t in (0, 1] for n <= 8, fully degenerate at t = 0, and
     purely non-real for t < 0 (the shift turns imaginary; the principal
-    square root is used for t outside [0, 2]).
+    square root is used for t outside [0, 2]).  The bands are those of
+    ``EpnModel(n).matrix(t)``; the off-diagonals are real.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    tau = 1.0 - t
-    inside = 1.0 - tau * tau
-    if inside >= 0:
-        shift = 8.0 * math.sqrt(inside)
-        diag = tuple(float(2 * k - n + 1) + shift for k in range(n))
-    else:
-        shift = 8.0 * cmath.sqrt(inside)
-        diag = tuple(complex(2 * k - n + 1) + shift for k in range(n))
-    w = [math.sqrt(_epn_weight_sq(n, k)) for k in range(n - 1)]
-    sup = tuple(wk * tau for wk in w)
-    sub = tuple(-wk * tau for wk in w)
-    return Tridiagonal(diag, sup, sub)
+    a = EpnModel(n).matrix(t)
+    return Tridiagonal(a.diagonal().tolist(), a.diagonal(1).real.tolist(), a.diagonal(-1).real.tolist())
 
 
 @lru_cache(maxsize=None)
@@ -157,16 +146,24 @@ def bc_matrix(n: int, z: complex) -> Tridiagonal:
     """Discrete Laplacian with corner couplings 2-z and 2-conj(z).
 
     diag = (2-z, 2, ..., 2, 2-conj(z)), sup = sub = -1; Hermitian exactly
-    when z is real.
+    when z is real.  The bands are read from the stack that
+    ``BcModel.matrices`` also fills.
     """
+    a = _bc_matrices(n, np.array([complex(z)]))[0]
+    return Tridiagonal(a.diagonal().tolist(), a.diagonal(1).tolist(), a.diagonal(-1).tolist())
+
+
+def _bc_matrices(n: int, z: np.ndarray) -> np.ndarray:
+    """The ``(k, n, n)`` complex stack of ``bc_matrix`` at each coupling of ``z``."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    z = complex(z)
-    diag = [2.0 + 0j] * n
-    diag[0] = 2.0 - z
-    diag[-1] = 2.0 - z.conjugate()
-    ones = tuple(-1.0 + 0j for _ in range(n - 1))
-    return Tridiagonal(tuple(diag), ones, ones)
+    k = np.arange(n)
+    out = np.zeros((len(z), n, n), dtype=complex)
+    out[:, k, k] = 2.0
+    out[:, 0, 0] = 2.0 - z
+    out[:, -1, -1] = 2.0 - z.conj()
+    out[:, k[:-1], k[1:]] = out[:, k[1:], k[:-1]] = -1.0
+    return out
 
 
 def hermitian_demo(n: int, t: float, seed: int) -> DenseMatrix:
@@ -176,8 +173,7 @@ def hermitian_demo(n: int, t: float, seed: int) -> DenseMatrix:
     from ``numpy.random.default_rng(seed)``; exhibits avoided crossings of
     all eigenvalue curves as t sweeps an interval.
     """
-    a, b = hermitian_demo_pencil(n, seed)
-    return DenseMatrix(a + t * b)
+    return DenseMatrix(HermitianDemoModel(n, seed).matrix(t))
 
 
 def hermitian_demo_pencil(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -206,7 +202,7 @@ class EpnModel:
     def matrices(self, grid) -> np.ndarray:
         """The ``(k, n, n)`` stack of the matrices at each t of ``grid``, in one numpy pass.
 
-        The entries are bit for bit those of ``epn_matrix``.  The stack is
+        ``epn_matrix`` reads its bands from here.  The stack is
         real when 1 - tau^2 >= 0 at every t; otherwise it is complex, and
         where 1 - tau^2 < 0 the shift 8*sqrt(1 - tau^2) is imaginary.
         """
@@ -265,20 +261,10 @@ class BcModel:
         """The ``(k, n, n)`` complex stack of the matrices at each r of ``grid``.
 
         z = y + i*sqrt(1 - r^2) on the principal branch, as in ``z_value``;
-        the entries are bit for bit those of ``bc_matrix``.
+        the entries are those of ``bc_matrix`` at that z.
         """
-        n = self.n
-        if n < 2:
-            raise ValueError("n must be >= 2")
         r = np.asarray(grid, dtype=float)
-        z = self.y + 1j * np.sqrt((1.0 - r * r).astype(complex))
-        k = np.arange(n)
-        out = np.zeros((len(r), n, n), dtype=complex)
-        out[:, k, k] = 2.0
-        out[:, 0, 0] = 2.0 - z
-        out[:, -1, -1] = 2.0 - z.conj()
-        out[:, k[:-1], k[1:]] = out[:, k[1:], k[:-1]] = -1.0
-        return out
+        return _bc_matrices(self.n, self.y + 1j * np.sqrt((1.0 - r * r).astype(complex)))
 
     def matrix(self, r: float) -> np.ndarray:
         return self.matrices([r])[0]

@@ -14,7 +14,6 @@ zero test and a finite value costs one Fraction.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +34,7 @@ from .core import (
     reality_flags,
 )
 from .core.poly import _cleared, _int_homogeneous, _newton_polish_real
-from .models import bc_matrix
+from .models import BcModel
 
 # Cluster radius and reality tolerance of the extended retry in
 # ``_real_roots``: on exact coefficients at 30 digits a multiple root splits
@@ -234,7 +233,7 @@ def _real_roots(p: Polynomial, lo=None, hi=None) -> list[tuple[float, int]]:
             and (hi is None or c.center.real <= hi)
         ]
 
-    out = real_in_window(poly_roots(p.to_double()), 1e-8)
+    out = real_in_window(poly_roots(p), 1e-8)
     if len(out) != want:
         rtol = EXTENDED_CLUSTER_RTOL
         out = real_in_window(poly_roots(p, precision=Precision.EXTENDED, cluster_rtol=rtol), rtol)
@@ -363,6 +362,5 @@ def real_spectrum_at(n: int, y: float, r: float) -> RealSpectrum:
     but flagged outside the model.  A value is 'real' when
     |Im| <= 1e-10 * max(1, spectral scale).
     """
-    z = y + 1j * cmath.sqrt(1.0 - r * r)
-    values = eigvals_double(bc_matrix(n, z))
+    values = eigvals_double(BcModel(n, y).matrix(r))
     return RealSpectrum(values, reality_flags(values), abs(r) <= 1.0)

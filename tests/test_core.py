@@ -794,6 +794,14 @@ def test_resultant_rejects_degenerate_inputs():
         resultant(Polynomial([Fraction(3)]), Polynomial([Fraction(0), Fraction(1)]))
 
 
+def test_resultant_and_discriminant_refuse_floating_coefficients():
+    p = Polynomial([6.0, -5.0, 1.0])
+    q = Polynomial([Fraction(1), Fraction(1)])
+    for call in (lambda: resultant(p, q), lambda: resultant(q, p), lambda: discriminant(p)):
+        with pytest.raises(TypeError):
+            call()
+
+
 def test_discriminant_normalization():
     # pinned convention Res(p, p')/lc: for (E-2)(E-3) that is p'(2)p'(3) = -1
     # (differs from the textbook discriminant by (-1)^(n(n-1)/2))

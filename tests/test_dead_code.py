@@ -1,12 +1,14 @@
 """Static guard against dead code in the package (stdlib ``ast`` only).
 
-Ten things fail the guard: an import a module never uses (package
+Eleven things fail the guard: an import a module never uses (package
 ``__init__.py`` files are exempt, their imports are re-exports), a
 ``_private`` top-level function that no module of the package references,
 a module-level UPPER_CASE constant that no module of the package loads,
 an eigenvector solve whose eigenvalues are all that is read, a
-nonsymmetric LAPACK eigensolve outside ``core/eig.py``, denominator
-clearing (``math.lcm``) outside ``core/poly.py``, sampled reality
+nonsymmetric LAPACK eigensolve outside ``core/eig.py``, a floating
+determinant or characteristic polynomial (``numpy.linalg.det``,
+``numpy.poly``) anywhere, denominator clearing (``math.lcm``) outside
+``core/poly.py``, sampled reality
 (``sweep``, ``reality_flags``, ``REALITY_RTOL``) anywhere the exact shift
 scan reaches, a ``scipy`` import anywhere, an ``mpmath`` import anywhere
 (numpy is the one runtime dependency), and an import of ``threading`` or
@@ -199,6 +201,30 @@ def test_lapack_eigensolve_guard_sees_every_spelling():
         "np.linalg.eigvalsh(a); sla.eigh(a)\n"
     )
     assert sorted(_uses(ast.parse(source), LAPACK_EIG)) == [5, 6, 6, 6, 6]
+
+
+FLOAT_ALGEBRA = {"numpy.linalg.det", "numpy.poly"}
+
+
+def test_no_floating_determinant_or_characteristic_polynomial():
+    """Resultants and discriminants are exact Bareiss determinants
+    (``core/poly.py``), and characteristic polynomials are exact recurrences
+    (``charpoly_tridiag``, Berkowitz in ``core/eig.py``); an LU determinant
+    or ``numpy.poly`` would be a second, floating path beside them."""
+    uses = [
+        f"{path.relative_to(PACKAGE)}:{line}" for path in MODULES for line in _uses(_parse(path), FLOAT_ALGEBRA)
+    ]
+    assert uses == []
+
+
+def test_floating_algebra_guard_sees_every_spelling():
+    source = (
+        "import numpy as np\nimport numpy\nfrom numpy.linalg import det\n"
+        "from numpy import poly as charpoly\nfrom numpy import linalg\n"
+        "np.linalg.det(a); numpy.poly(a); linalg.det(a)\n"
+        "np.linalg.slogdet(a); np.roots(c); np.polynomial.Polynomial(c); np.polyval(c, x)\n"
+    )
+    assert sorted(_uses(ast.parse(source), FLOAT_ALGEBRA)) == [3, 4, 6, 6, 6]
 
 
 DENOMINATOR_CLEARING = {"math.lcm"}

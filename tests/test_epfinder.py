@@ -329,6 +329,22 @@ def test_classify_ep_has_small_coalescence_angle():
     assert dia.residuals["coalescence_angle"] > 0.1
 
 
+def test_classify_dense_integer_ep3_is_order_three():
+    # J_3(2) conjugated by S = I + subdiag(1), whose inverse I - N + N^2 is
+    # an integer matrix: an exact EP3 at E = 2.  Its double eigenvalues split
+    # like eps^(1/3) ~ 1e-5, far beyond the cluster tolerance.
+    n = np.diag([1.0, 1.0], -1)
+    a = (np.eye(3) + n) @ (2 * np.eye(3) + n.T) @ (np.eye(3) - n + n @ n)
+    assert not np.linalg.matrix_power(a - 2 * np.eye(3), 3).any()
+    cls = classify_degeneracy(a, 2.0)
+    assert (cls.kind, cls.algebraic, cls.geometric) == ("ep", 3, 1)
+
+
+@pytest.mark.parametrize("m, energy", [(bc_matrix(6, 1j), 2.0), (epn_matrix(5, 0.5), 4 * math.sqrt(0.75))])
+def test_classify_gives_one_verdict_for_either_matrix_form(m, energy):
+    assert classify_degeneracy(m, energy) == classify_degeneracy(m.to_array(), energy)
+
+
 def test_epn_rank_chain_all_dimensions():
     for n in range(2, 9):
         assert epn_rank_chain(n) == list(range(n - 1, -1, -1))
