@@ -530,7 +530,10 @@ def poly_roots(
         iters += extra
         roots = [0j] * zero_mult + z
 
-    residuals = tuple(float(abs(p(complex(r)))) for r in roots)
+    # Horner at a complex point rounds each exact coefficient to double
+    # anyway; rounding them once up front gives the same residuals, cheaper
+    dbl = p.to_double()
+    residuals = tuple(float(abs(dbl(complex(r)))) for r in roots)
     clusters = cluster_points([complex(r) for r in roots], rtol=cluster_rtol)
     roots_sorted = sorted(
         (complex(r) for r in roots), key=lambda v: (v.real, v.imag)
