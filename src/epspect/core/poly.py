@@ -16,14 +16,17 @@ rounds each of them once to ``complex``.  ``poly_roots(precision=EXTENDED)``,
 polisher ``_newton_polish_real`` all reach the same kernel.
 
 Every resultant and discriminant goes through one kernel: the Sylvester
-determinant over Z[y] by Bareiss's fraction-free elimination on plain
-``int`` coefficient lists.  ``res_E`` and ``disc_E`` clear each argument's
-denominators once, check every division for exactness, and rescale at the
-end, so they return the rational polynomial an elimination over
-``Fraction`` would, without a gcd per arithmetic operation.  The
-univariate ``resultant`` and ``discriminant`` are that kernel on constant
-coefficients.  There is no floating resultant: floating coefficients are
-refused with ``TypeError``.
+determinant over Z[y] of the formal degrees, from the subresultant
+pseudo-remainder sequence on plain ``int`` coefficient lists (O(nm) ring
+operations, where an elimination on the Sylvester matrix takes
+O((n+m)^3)).  ``res_E`` and ``disc_E`` clear each argument's denominators
+once, check every division for exactness, and rescale at the end, so they
+return the rational polynomial an elimination over ``Fraction`` would,
+without a gcd per arithmetic operation.  The univariate ``resultant`` and
+``discriminant`` are that kernel on constant coefficients.  There is no
+floating resultant: floating coefficients are refused with ``TypeError``.
+``Polynomial.gcd`` and the Sturm sequences run the primitive
+pseudo-remainder sequence over Z on the same cleared integers.
 """
 
 from __future__ import annotations
@@ -227,15 +230,13 @@ class Polynomial:
         return self.scale(inv)
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Monic gcd by the Euclidean algorithm (exact tier)."""
+        """Monic gcd (exact tier), by the primitive pseudo-remainder sequence over Z."""
         if self.mode is not Precision.EXACT or other.mode is not Precision.EXACT:
             raise TypeError("gcd requires exact-tier polynomials")
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        if a.is_zero:
-            return a
-        return a.monic()
+        (a, b), _ = _cleared([self, other])
+        while b:
+            a, b = b, _int_content_free(_int_pseudo_rem(a, b))
+        return Polynomial(a).monic() if a else Polynomial.zero()
 
     @staticmethod
     def from_roots(roots, lc=1) -> "Polynomial":
@@ -564,32 +565,21 @@ def _newton_polish_real(p: Polynomial, x0: float) -> Fraction:
 # --------------------------------------------------------------------------
 
 
-def _sylvester_rows(f: list, g: list, zero=0) -> list[list]:
-    """Sylvester matrix of two ascending coefficient lists.
-
-    Convention Res(f, g) = lc(f)^deg(g) * prod g(alpha_i).  Entries are
-    scalars, or int coefficient lists of polynomials in a second variable
-    (pass ``zero=[]``).
-    """
-    n, m = len(f) - 1, len(g) - 1
-    size = n + m
-    fr, gr = f[::-1], g[::-1]
-    return [[zero] * i + fr + [zero] * (size - n - 1 - i) for i in range(m)] + [
-        [zero] * i + gr + [zero] * (size - m - 1 - i) for i in range(n)
-    ]
-
-
 def sylvester_matrix(p: Polynomial, q: Polynomial) -> list[list]:
     """Sylvester matrix in the convention Res(p,q) = lc(p)^deg(q) * prod q(alpha_i)."""
     if p.degree < 1 or q.degree < 1:
         raise ValueError("resultant requires both degrees >= 1")
-    return _sylvester_rows(list(p.coeffs), list(q.coeffs))
+    n, m = p.degree, q.degree
+    fr, gr = list(p.coeffs[::-1]), list(q.coeffs[::-1])
+    return [[0] * i + fr + [0] * (m - 1 - i) for i in range(m)] + [
+        [0] * i + gr + [0] * (n - 1 - i) for i in range(n)
+    ]
 
 
 def resultant(p: Polynomial, q: Polynomial) -> Fraction:
     """Resultant of p and q: lc(p)^deg(q) * prod over roots alpha of p of q(alpha).
 
-    Exact, zero iff p and q share a root: the Bareiss kernel of ``res_E``
+    Exact, zero iff p and q share a root: the subresultant kernel of ``res_E``
     with constant coefficients in the second variable.  Raises
     ``TypeError`` on floating coefficients.
     """
@@ -652,33 +642,82 @@ def _int_exact_div(num: list[int], den: list[int]) -> list[int]:
     return quot
 
 
-def _det_bareiss_poly(rows: list[list[list[int]]]) -> list[int]:
-    """Determinant over Z[y] by Bareiss's fraction-free elimination.
+def _int_pow(a: list[int], k: int) -> list[int]:
+    out = [1]
+    for _ in range(k):
+        out = _int_mul(out, a)
+    return out
 
-    Every division by the previous pivot is exact (Bareiss 1968), so no
-    entry ever leaves Z[y] and no gcd is taken.
+
+def _prem(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """lc(b)^(deg a - deg b + 1) a mod b over Z[y], trailing zeros trimmed."""
+    lc, db = b[-1], len(b) - 1
+    rem = a[:]
+    for k in range(len(a) - 1 - db, -1, -1):
+        lead = rem.pop()
+        rem = [_int_mul(lc, c) for c in rem]
+        if lead:
+            for j, c in enumerate(b[:db], k):
+                rem[j] = _int_sub(rem[j], _int_mul(lead, c))
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem
+
+
+def _subresultant(f: list[list[int]], g: list[list[int]]) -> list[int]:
+    """Res(f, g) over Z[y] for nonzero leading E-coefficients and degrees >= 1.
+
+    The subresultant PRS (Cohen, *A Course in Computational Algebraic
+    Number Theory*, Alg. 3.3.7, without the content step): each
+    pseudo-remainder is divided by g h^delta, and each new h by a power of
+    the last one, and every such division is exact, so no entry leaves
+    Z[y] and no gcd is taken.
     """
-    a = [row[:] for row in rows]
-    n = len(a)
     sign = 1
-    prev = [1]
-    for k in range(n - 1):
-        if not a[k][k]:
-            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if piv is None:
-                return []
-            a[k], a[piv] = a[piv], a[k]
+    if len(f) < len(g):
+        f, g = g, f
+        if (len(f) - 1) * (len(g) - 1) % 2:
+            sign = -1
+    lc_g, h = [1], [1]
+    while len(g) > 1:
+        delta = len(f) - len(g)
+        if (len(f) - 1) * (len(g) - 1) % 2:
             sign = -sign
-        pivot, row_k, divide = a[k][k], a[k], prev != [1]
-        for row in a[k + 1 :]:
-            lead = row[k]
-            for j in range(k + 1, n):
-                num = _int_sub(_int_mul(row[j], pivot), _int_mul(lead, row_k[j]))
-                row[j] = _int_exact_div(num, prev) if divide else num
-            row[k] = []
-        prev = pivot
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else [-c for c in det]
+        rem = _prem(f, g)
+        if not rem:
+            return []
+        div = _int_mul(lc_g, _int_pow(h, delta))
+        f, g = g, [_int_exact_div(c, div) for c in rem]
+        lc_g = f[-1]
+        if delta:
+            h = _int_exact_div(_int_pow(lc_g, delta), _int_pow(h, delta - 1))
+    d = len(f) - 1
+    res = _int_exact_div(_int_pow(g[0], d), _int_pow(h, d - 1))
+    return res if sign == 1 else [-c for c in res]
+
+
+def _resultant_int(f: list[list[int]], g: list[list[int]]) -> list[int]:
+    """The Sylvester determinant over Z[y] of the formal degrees len - 1.
+
+    A zero leading E-coefficient of one argument leaves one entry in the
+    first column: Res_{n,m}(f, g) = (-1)^m lc(g) Res_{n-1,m}(f, g) when
+    lc(f) = 0, and lc(f) Res_{n,m-1}(f, g) when lc(g) = 0, so a true degree
+    n' < n contributes (-1)^(m(n-n')) lc(g)^(n-n').  With both leading
+    coefficients zero the first column vanishes.
+    """
+    n, m = len(f) - 1, len(g) - 1
+    if m == 0:
+        return _int_pow(g[0], n)
+    if n == 0:
+        return _int_pow(f[0], m)
+    if not f[-1] and not g[-1]:
+        return []
+    if not f[-1]:
+        res = _int_mul(g[-1], _resultant_int(f[:-1], g))
+        return [-c for c in res] if m % 2 else res
+    if not g[-1]:
+        return _int_mul(f[-1], _resultant_int(f, g[:-1]))
+    return _subresultant(f, g)
 
 
 def _cleared(coeffs: list[Polynomial]) -> tuple[list[list[int]], int]:
@@ -715,16 +754,16 @@ def res_E(f: list[Polynomial], g: list[Polynomial]) -> Polynomial:
     """Res_E(f, g) as an exact polynomial in a second variable.
 
     ``f`` and ``g`` are polynomials in E given as ascending lists of their
-    E-coefficients, each an exact Polynomial in the second variable.  Each
-    argument is scaled once by its common denominator (Df, Dg) and the
-    Sylvester determinant runs over Z[y]; since the resultant has degree
-    deg g in f's coefficients and deg f in g's, it is divided by
+    E-coefficients, each an exact Polynomial in the second variable; the
+    result is the Sylvester determinant of the formal degrees len - 1, so
+    two E-constants give 1.  Each argument is scaled once by its common
+    denominator (Df, Dg) and the resultant runs over Z[y]; since it has
+    degree deg g in f's coefficients and deg f in g's, it is divided by
     Df^deg g * Dg^deg f at the end.
     """
     fi, df = _cleared(f)
     gi, dg = _cleared(g)
-    det = _det_bareiss_poly(_sylvester_rows(fi, gi, []))
-    return _rescaled(det, df ** (len(g) - 1) * dg ** (len(f) - 1))
+    return _rescaled(_resultant_int(fi, gi), df ** (len(g) - 1) * dg ** (len(f) - 1))
 
 
 def disc_E(f: list[Polynomial]) -> Polynomial:
@@ -733,11 +772,16 @@ def disc_E(f: list[Polynomial]) -> Polynomial:
     With F = D f integral, Res(F, F') = +-lc(F) Disc(F) where Disc(F) is an
     integer polynomial in the coefficients of F, so the division by lc(F) is
     exact over Z[y]; Disc_E(f) = Res(F, F') / lc(F) / D^(2 deg f - 2).
+    Raises ``ValueError`` for an E-degree below 1 or a zero leading
+    E-coefficient.
     """
+    if len(f) < 2:
+        raise ValueError(f"disc_E requires E-degree >= 1, got {len(f) - 1}")
     fi, d = _cleared(f)
+    if not fi[-1]:
+        raise ValueError("disc_E requires a nonzero leading E-coefficient")
     dfi = [[k * c for c in fi[k]] for k in range(1, len(fi))]
-    res = _det_bareiss_poly(_sylvester_rows(fi, dfi, []))
-    return _rescaled(_int_exact_div(res, fi[-1]), d ** (2 * len(f) - 4))
+    return _rescaled(_int_exact_div(_resultant_int(fi, dfi), fi[-1]), d ** (2 * len(f) - 4))
 
 
 # --------------------------------------------------------------------------

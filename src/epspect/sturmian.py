@@ -9,7 +9,7 @@ at fixed y becomes a question about one rational function of E.
 r^2(E) is evaluated exactly on integers: A and B are cleared to integer
 coefficients once per function, and each energy, an exact rational, goes
 through a division-free homogeneous Horner sum, so a pole is an integer
-zero test and a finite value costs one Fraction.
+zero test and a finite value is one correctly rounded integer division.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .core import (
     reality_flags,
 )
 from .core.poly import _cleared, _int_homogeneous, _newton_polish_real
+from .core.scalars import as_ratio
 from .models import BcModel
 
 # Cluster radius and reality tolerance of the extended retry in
@@ -147,15 +148,24 @@ def bivariate_secular(n: int, y) -> SturmianFunction:
 
 @dataclass(frozen=True)
 class R2Value:
-    """Value of r^2 at one energy: finite, a pole, or indeterminate (0/0)."""
+    """Value of r^2 at one energy: finite, a pole, or indeterminate (0/0).
+
+    A finite value keeps its exact ratio (numerator, positive denominator),
+    not necessarily in lowest terms, and ``value`` is that ratio rounded
+    once to the nearest double.
+    """
 
     kind: str  # "finite" | "pole" | "indeterminate"
     value: float | None
-    exact: Fraction | None = None
+    ratio: tuple[int, int] | None = None
 
     @property
     def is_finite(self) -> bool:
         return self.kind == "finite"
+
+    @property
+    def exact(self) -> Fraction | None:
+        return None if self.ratio is None else Fraction(*self.ratio)
 
 
 def sturmian_r2(s: SturmianFunction, energy) -> R2Value:
@@ -165,18 +175,19 @@ def sturmian_r2(s: SturmianFunction, energy) -> R2Value:
     u/v), so a pole is B(E) == 0 identically, not a small-denominator
     accident.  With the integer forms of D*A and D*B, N_P = v^deg P * P(u/v)
     is a homogeneous Horner sum over the integers, and
-    r^2 = -N_A / (N_B * v^(deg A - deg B)): one Fraction per finite value,
-    none per Horner step.
+    r^2 = -N_A / (N_B * v^(deg A - deg B)): one correctly rounded integer
+    division per finite value, no gcd and no Fraction.
     """
-    e = as_fraction(energy)
-    u, v = e.numerator, e.denominator
+    u, v = as_ratio(energy)
     a, b = s.cleared
     num = _int_homogeneous(a, u, v)
     den = _int_homogeneous(b, u, v)
     if den == 0:
         return R2Value("indeterminate" if num == 0 else "pole", None)
-    val = Fraction(-num, den * v ** (len(a) - len(b)))
-    return R2Value("finite", float(val), val)
+    # a positive denominator, so a zero value reads +0.0, as float(Fraction) does
+    num, den = (-num, den) if den > 0 else (num, -den)
+    den *= v ** (len(a) - len(b))
+    return R2Value("finite", num / den, (num, den))
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import epspect.core.poly as core_poly
@@ -957,3 +957,83 @@ def test_integer_division_is_checked():
         _int_exact_div([1, 0, 1], [1, 1])  # remainder 2
     with pytest.raises(ZeroDivisionError):
         _int_exact_div([1], [])
+
+
+def _in_E(*coeffs):
+    """E-coefficients, each an ascending coefficient list in y."""
+    return [Polynomial([Fraction(c) for c in cs]) for cs in coeffs]
+
+
+_polys_up_to_cubic = st.lists(_fractions, min_size=1, max_size=4).map(Polynomial)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.lists(_polys_up_to_cubic, min_size=1, max_size=8),
+    st.lists(_polys_up_to_cubic, min_size=1, max_size=8),
+    st.fractions(min_value=-3, max_value=3, max_denominator=20),
+)
+@example(_in_E([1, 1], [2], [0, 0, 3]), _in_E([0, 1], [-1], [Fraction(1, 2)]), Fraction(1, 3))  # delta = 0
+@example(_in_E([0, 1], [2]), _in_E([1], [0], [0, 1], [3]), Fraction(-2, 5))  # degrees 1 and 3, swapped
+@example(_in_E([1], [0, 1], []), _in_E([2], [1], [0, 1]), Fraction(3, 7))  # lc(f) = 0
+@example(_in_E([1], [0, 1], [3]), _in_E([0, 1], [1], [], []), Fraction(-1, 2))  # lc(g) = 0
+@example(_in_E([1], [0, 1], []), _in_E([0, 1], []), Fraction(2))  # both
+@example(_in_E([], []), _in_E([1], [Fraction(1, 3)], [2]), Fraction(1))  # f = 0
+@example(_in_E([2, 1]), _in_E([1], [0, 1], [2]), Fraction(5, 3))  # an E-constant
+def test_resultant_kernel_matches_sylvester_of_the_formal_degrees(f, g, y0):
+    fy, gy = [c(y0) for c in f], [c(y0) for c in g]
+    assert res_E(f, g)(y0) == _det_gauss(_sylvester(fy, gy))
+
+
+def test_res_E_of_two_E_constants_is_the_empty_determinant():
+    assert res_E(_in_E([Fraction(2, 3), 1]), _in_E([5])) == Polynomial([1])
+    assert res_E(_in_E([]), _in_E([0, 1])) == Polynomial([1])
+
+
+def test_disc_E_refuses_an_E_constant():
+    with pytest.raises(ValueError, match="got 0"):
+        disc_E(_in_E([3, 1]))
+
+
+def test_disc_E_refuses_a_zero_leading_E_coefficient():
+    with pytest.raises(ValueError, match="leading"):
+        disc_E(_in_E([1], [0, 1], []))
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_event_polynomials_beyond_n9_match_gaussian_elimination(n):
+    for y0 in (Fraction(-1, 2), Fraction(2, 7)):
+        s = bivariate_secular(n, y0)
+        assert _disc_in_y_at_p(n, 0)(y0) == _disc_oracle(s.A)
+        assert _pole_collision_poly(n)(y0) == _det_gauss(sylvester_matrix(s.A, s.B))
+        w = Polynomial([c(y0) for c in _fold_coeffs_in_E(n)])
+        assert _fold_event_poly(n)(y0) == _disc_oracle(w)
+
+
+def _gcd_oracle(a, b):
+    """Monic gcd by Euclid's algorithm over Fraction."""
+    while not b.is_zero:
+        a, b = b, a % b
+    return a if a.is_zero else a.monic()
+
+
+_polys_in_x = st.lists(_fractions, min_size=1, max_size=5).map(Polynomial)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_polys_in_x, _polys_in_x, _polys_in_x)
+@example(Polynomial.zero(), Polynomial.zero(), Polynomial([1]))
+@example(Polynomial.zero(), Polynomial([Fraction(1, 3), 2]), Polynomial([Fraction(-5, 2), 1]))
+@example(Polynomial([Fraction(7, 4)]), Polynomial([1, 2, 3]), Polynomial([1]))
+@example(Polynomial([Fraction(1, 2), 1]), Polynomial([-1, 0, 1]), Polynomial([Fraction(2, 9), Fraction(-1, 3), 1]))
+def test_gcd_matches_fraction_euclid(a, b, common):
+    """``common`` is planted in both operands unless it is zero."""
+    if not common.is_zero:
+        a, b = a * common, b * common
+    g = a.gcd(b)
+    assert g == _gcd_oracle(a, b)
+    if not g.is_zero:
+        assert g.lc == 1
+        assert (a % g).is_zero and (b % g).is_zero
+        if not common.is_zero:
+            assert (g % common).is_zero

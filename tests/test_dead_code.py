@@ -207,7 +207,7 @@ FLOAT_ALGEBRA = {"numpy.linalg.det", "numpy.poly"}
 
 
 def test_no_floating_determinant_or_characteristic_polynomial():
-    """Resultants and discriminants are exact Bareiss determinants
+    """Resultants and discriminants are exact subresultant sequences
     (``core/poly.py``), and characteristic polynomials are exact recurrences
     (``charpoly_tridiag``, Berkowitz in ``core/eig.py``); an LU determinant
     or ``numpy.poly`` would be a second, floating path beside them."""

@@ -117,6 +117,25 @@ def test_r2_matches_printed_rational_function():
         assert abs(v.value - num / den) <= 1e-12 * (1 + abs(num / den))
 
 
+@pytest.mark.parametrize("n, energy", [(2, 2), (3, 1), (6, 2), (9, 1), (10, 2)])
+def test_r2_zero_is_positive_zero(n, energy):
+    # at these roots of A, B is negative: -0 / B must still read +0.0
+    v = sturmian_r2(bivariate_secular(n, 0), energy)
+    assert v.kind == "finite" and v.value.hex() == 0.0.hex()
+    assert v.exact == Fraction(*v.ratio) == 0
+
+
+def test_r2_exact_is_the_ratio_and_none_on_poles():
+    s = bivariate_secular(7, Fraction(-2, 7))
+    assert sturmian_r2(s, 2).kind == "pole"
+    assert sturmian_r2(s, 2).exact is None
+    for e in (0.3, Fraction(7, 3), -4, 1e-9):
+        v = sturmian_r2(s, e)
+        assert v.kind == "finite" and v.ratio[1] > 0
+        assert v.exact == Fraction(*v.ratio)
+        assert v.value == float(v.exact)
+
+
 def _r2_oracle(s, energy):
     """(kind, exact) of -A(E)/B(E) by a plain Fraction loop over the coefficients."""
     e = Fraction(energy)
