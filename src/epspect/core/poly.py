@@ -13,7 +13,9 @@ only divisions round.  ``_dyadic_roots`` runs it at a precision given in
 bits and returns the exact fixed-point iterates; ``_extended_roots``
 rounds each of them once to ``complex``.  ``poly_roots(precision=EXTENDED)``,
 ``eig.eigvals_mp``, the extended spectra of the models and the real-root
-polisher ``_newton_polish_real`` all reach the same kernel.
+polisher ``_newton_polish_real`` all reach the same kernel; ``real_roots``,
+the one routine for the real roots of an exact polynomial, polishes with it
+inside intervals that Sturm's theorem certifies.
 
 Every resultant and discriminant goes through one kernel: the Sylvester
 determinant over Z[y] of the formal degrees, from the subresultant
@@ -40,7 +42,6 @@ from fractions import Fraction
 import numpy as np
 
 from .scalars import (
-    CLUSTER_RTOL,
     EXTENDED_BITS,
     ExactTypes,
     Precision,
@@ -261,8 +262,6 @@ class PolyRoots:
 
     roots: tuple[complex, ...]
     clusters: tuple[RootCluster, ...]
-    residuals: tuple[float, ...]
-    iterations: int
 
 
 def _horner_pair(coeffs, z):
@@ -285,8 +284,7 @@ def _aberth(coeffs, z, maxiter=200):
     m = len(z)
     locked = [False] * m
     abs_coeffs = [abs(c) for c in coeffs]
-    it = 0
-    for it in range(1, maxiter + 1):
+    for _ in range(maxiter):
         moved = False
         for i in range(m):
             if locked[i]:
@@ -316,7 +314,7 @@ def _aberth(coeffs, z, maxiter=200):
             moved = True
         if not moved:
             break
-    return z, locked, it
+    return z, locked
 
 
 # The extended tier runs on Gaussian integers: a coefficient is an (re, im)
@@ -473,6 +471,25 @@ def _extended_roots(coeffs, seeds, prec, exp2=0):
     return [_rounded(root, scale) for root in roots], it
 
 
+def _finite_doubles(coeffs) -> list:
+    """The coefficients rounded to double; ``ConvergenceError`` unless every one is finite."""
+    try:
+        work = [to_double(c) for c in coeffs]
+    except OverflowError:
+        work = [math.inf]
+    if not all(cmath.isfinite(c) for c in work):
+        raise ConvergenceError("a coefficient is not a finite double")
+    return work
+
+
+def _double_seeds(work: list) -> list:
+    """``numpy.roots`` of finite ascending double coefficients; ``ConvergenceError`` unless every root is finite."""
+    seeds = np.roots(work[::-1]).astype(complex)
+    if not np.isfinite(seeds).all():
+        raise ConvergenceError("a root seed is not a finite double")
+    return list(seeds)
+
+
 def _initial_circle(coeffs):
     """Starting points on a circle sized from the coefficient magnitudes."""
     m = len(coeffs) - 1
@@ -485,20 +502,16 @@ def _initial_circle(coeffs):
     ]
 
 
-def poly_roots(
-    p: Polynomial,
-    precision: Precision = Precision.DOUBLE,
-    cluster_rtol: float = CLUSTER_RTOL,
-) -> PolyRoots:
-    """All complex roots of ``p`` with near-coincident roots clustered.
+def poly_roots(p: Polynomial, precision: Precision = Precision.DOUBLE) -> PolyRoots:
+    """All complex roots of ``p`` with near-coincident roots clustered at ``CLUSTER_RTOL``.
 
     Exact zero constant terms are deflated symbolically, the remaining roots
     come from Aberth-Ehrlich iteration: a double-precision start, and for
     ``precision=EXTENDED`` a second pass of the integer kernel on the exact
     coefficients at ``EXTENDED_BITS``, seeded with the double roots.  Raises
     ``ConvergenceError`` if some roots of either pass fail the residual
-    test after the iteration cap; the unconverged subset is attached to the
-    exception.
+    test after the iteration cap, or if a coefficient or a seed is not a
+    finite double; the unconverged subset is attached to the exception.
     """
     if p.degree < 1:
         raise ValueError("poly_roots requires degree >= 1")
@@ -506,18 +519,14 @@ def poly_roots(
     zero_mult = 0
     while zero_mult < p.degree and is_exact_zero(p.coeffs[zero_mult]):
         zero_mult += 1
-    work = [complex(to_double(c)) for c in p.coeffs[zero_mult:]]
+    work = [complex(c) for c in _finite_doubles(p.coeffs[zero_mult:])]
 
     roots: list[complex] = [0j] * zero_mult
-    iters = 0
     if len(work) > 1:
-        z = _initial_circle(work)
-        z, locked, iters = _aberth(work, z)
+        z, locked = _aberth(work, _initial_circle(work))
         if not all(locked):
             # deterministic fallback: companion-matrix estimates, re-polished
-            z = list(np.roots(list(reversed(work))).astype(complex))
-            z, locked, extra = _aberth(work, z)
-            iters += extra
+            z, locked = _aberth(work, _double_seeds(work))
         if not all(locked):
             bad = [zi for zi, ok in zip(z, locked) if not ok]
             raise ConvergenceError(
@@ -527,19 +536,11 @@ def poly_roots(
 
     if precision is Precision.EXTENDED and len(work) > 1:
         coeffs, _ = _gaussian_cleared(p.coeffs[zero_mult:])
-        z, extra = _extended_roots(coeffs, [(r.real, r.imag) for r in roots[zero_mult:]], EXTENDED_BITS)
-        iters += extra
+        z, _ = _extended_roots(coeffs, [(r.real, r.imag) for r in roots[zero_mult:]], EXTENDED_BITS)
         roots = [0j] * zero_mult + z
 
-    # Horner at a complex point rounds each exact coefficient to double
-    # anyway; rounding them once up front gives the same residuals, cheaper
-    dbl = p.to_double()
-    residuals = tuple(float(abs(dbl(complex(r)))) for r in roots)
-    clusters = cluster_points([complex(r) for r in roots], rtol=cluster_rtol)
-    roots_sorted = sorted(
-        (complex(r) for r in roots), key=lambda v: (v.real, v.imag)
-    )
-    return PolyRoots(tuple(roots_sorted), clusters, residuals, iters)
+    roots = [complex(r) for r in roots]
+    return PolyRoots(tuple(sorted(roots, key=lambda v: (v.real, v.imag))), cluster_points(roots))
 
 
 POLISH_BITS = 136  # 40 decimal digits
@@ -819,19 +820,27 @@ def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     return rem
 
 
-def _sturm_sequence(p: Polynomial) -> list[list[int]]:
-    """Positive integer multiples of the Sturm sequence of the square-free part of p."""
+def _sturm_sequence(p: Polynomial) -> list[list[int]] | None:
+    """Positive integer multiples of the Sturm sequence of the square-free part of p.
+
+    That part heads the sequence, primitive over Z: the sequence of p itself
+    ends in gcd(p, p'), which is divided out once, exactly (Gauss's lemma).
+    None for a nonzero constant; ``TypeError`` on floating coefficients and
+    ``ValueError`` on the zero polynomial.
+    """
     (ints,), _ = _cleared([p])
-    seq = [_int_content_free(ints), _int_content_free([k * c for k, c in enumerate(ints)][1:])]
-    while len(seq[-1]) > 1:
-        rem = _int_pseudo_rem(seq[-2], seq[-1])
-        if not rem:
-            break
-        seq.append(_int_content_free([-c for c in rem]))
-    if len(seq[-1]) > 1:
-        # a repeated root: count the distinct ones on p / gcd(p, p')
-        return _sturm_sequence(p.exact_div(p.gcd(p.derivative())))
-    return seq
+    if len(ints) < 2:
+        if not ints:
+            raise ValueError("the zero polynomial has no finite set of roots")
+        return None
+    seq = [_int_content_free(ints)]
+    while True:
+        seq[1:] = [_int_content_free([k * c for k, c in enumerate(seq[0])][1:])]
+        while len(seq[-1]) > 1 and (rem := _int_pseudo_rem(seq[-2], seq[-1])):
+            seq.append(_int_content_free([-c for c in rem]))
+        if len(seq[-1]) == 1:
+            return seq
+        seq = [_int_exact_div(seq[0], seq[-1])]
 
 
 def _sign_variations(seq: list[list[int]], x) -> int:
@@ -858,18 +867,93 @@ def real_root_count(p: Polynomial, lo=None, hi=None) -> int:
     over Z, so no rational gcd is taken.  Raises ``TypeError`` on floating
     coefficients and ``ValueError`` on the zero polynomial.
     """
-    if p.mode is not Precision.EXACT:
-        raise TypeError("real_root_count requires exact coefficients")
-    if p.is_zero:
-        raise ValueError("the zero polynomial has no finite root count")
-    if p.degree < 1:
-        return 0
+    seq = _sturm_sequence(p)
     lo = "-inf" if lo is None else as_fraction(lo)
     hi = None if hi is None else as_fraction(hi)
-    if lo != "-inf" and hi is not None and lo >= hi:
+    if seq is None or (lo != "-inf" and hi is not None and lo >= hi):
         return 0
-    seq = _sturm_sequence(p)
     return _sign_variations(seq, lo) - _sign_variations(seq, hi)
+
+
+EXTENDED_CLUSTER_RTOL = 1e-12  # reality tolerance of the retry in ``real_roots``, far above 30-digit fog
+
+
+def _isolated(seq: list[list[int]], seeds, rtol: float, first: int, last: int) -> list[Fraction]:
+    """Roots ``first`` to ``last - 1`` of seq[0], each certified alone in an interval and polished there.
+
+    The seeds within ``rtol`` of the real axis, sorted, are cut apart at
+    their exact midpoints.  ``ConvergenceError`` unless Sturm's theorem
+    counts one root in each piece and its Newton iterate stays there (a root
+    at the origin has the seed 0 in both passes, which the polisher keeps).
+    """
+    xs = sorted(z.real for z in seeds if abs(z.imag) <= rtol * (1 + abs(z)))
+    cuts = ["-inf", *((as_fraction(a) + as_fraction(b)) / 2 for a, b in zip(xs, xs[1:])), None]
+    variations = [_sign_variations(seq, x) for x in cuts]
+    if [a - b for a, b in zip(variations, variations[1:])] != [1] * len(xs):
+        raise ConvergenceError(f"{len(xs)} real seeds where Sturm counts {variations[0] - variations[-1]}", roots=xs)
+    roots = []
+    for x0, a, b in zip(xs[first:last], cuts[first:last], cuts[first + 1 : last + 1]):
+        x = _newton_polish_real(Polynomial(seq[0]), x0)
+        if (a != "-inf" and x <= a) or (b is not None and x > b):
+            raise ConvergenceError(f"the root polished from {x0!r} left its interval", roots=xs)
+        u, v = as_ratio(float(x))
+        roots.append(Fraction(u, v) if _int_homogeneous(seq[0], u, v) == 0 else x)
+    return roots
+
+
+def real_roots(p: Polynomial, lo=None, hi=None) -> list[Fraction]:
+    """The distinct real roots of an exact polynomial in [lo, hi], ascending.
+
+    ``lo``/``hi`` of None stand for -inf/+inf; finite ends convert exactly
+    and a root on one is kept.  The square-free part f heads the Sturm
+    sequence, whose counts at lo and hi select the roots.  The double roots
+    of f (``numpy.roots``) only seed ``_isolated``; if it fails, they are
+    refined by the integer Aberth kernel at ``EXTENDED_BITS`` and tried once
+    more at ``EXTENDED_CLUSTER_RTOL``.  A root whose double is a root is that
+    exact ``Fraction``, any other its dyadic Newton iterate at
+    ``POLISH_BITS``; multiplicities come from ``square_free_factors``.
+    Raises ``TypeError`` on floating coefficients, ``ValueError`` on the zero
+    polynomial, and ``ConvergenceError`` if the retry fails too or a
+    coefficient or seed of f is not a finite double (Basu, Pollack and Roy,
+    *Algorithms in Real Algebraic Geometry*, ch. 2).
+    """
+    seq = _sturm_sequence(p)
+    if seq is None:
+        return []
+    start = _sign_variations(seq, "-inf")
+    below = 0  # the roots below lo; ``upto``: those up to hi
+    if lo is not None:
+        lo = as_fraction(lo)
+        below = start - _sign_variations(seq, lo) - (_int_homogeneous(seq[0], lo.numerator, lo.denominator) == 0)
+    upto = start - _sign_variations(seq, None if hi is None else as_fraction(hi))
+    if upto <= below:
+        return []
+    seeds = _double_seeds(_finite_doubles([Fraction(c, seq[0][-1]) for c in seq[0]]))
+    try:
+        return _isolated(seq, seeds, 1e-8, below, upto)
+    except ConvergenceError:
+        coeffs, _ = _gaussian_cleared(seq[0])
+        refined, _ = _extended_roots(coeffs, [(z.real, z.imag) for z in seeds], EXTENDED_BITS)
+        return _isolated(seq, refined, EXTENDED_CLUSTER_RTOL, below, upto)
+
+
+def square_free_factors(p: Polynomial) -> tuple[Polynomial, ...]:
+    """Yun's square-free factorization of an exact polynomial (Yun, 1976).
+
+    Monic, square-free, pairwise coprime f_1, ..., f_k with p = lc(p) f_1
+    f_2^2 ... f_k^k, so each root of f_m has multiplicity m in p (f_m = 1
+    when there is none); a constant p gives ``()``.
+    """
+    if p.degree < 1:
+        return ()
+    a = p.gcd(p.derivative())
+    b, d = p.exact_div(a), p.derivative().exact_div(a)
+    factors = []
+    while b.degree >= 1:
+        d = d - b.derivative()
+        factors.append(b.gcd(d))
+        b, d = b.exact_div(factors[-1]), d.exact_div(factors[-1])
+    return tuple(factors)
 
 
 # --------------------------------------------------------------------------

@@ -37,14 +37,15 @@ from .core import (
     exact_rank,
     poly_roots,
     real_root_count,
+    real_roots,
     reality_flags,
     res_E,
+    square_free_factors,
 )
 from .core.poly import _newton_polish_real
 from .models import BcModel, EpnModel, HermitianDemoModel, epn_secular
 from .sturmian import (
     SturmianFunction,
-    _real_roots,
     bc_secular_parts,
     bivariate_secular,
     branch_merges,
@@ -415,7 +416,7 @@ def ep_locate_1d(target, param_range: tuple[float, float]) -> list[CriticalPoint
 
 
 def _ep_locate_exact(model, coeffs, to_param, shift, param_range) -> list[CriticalPoint]:
-    """Every real root lam of the square-free discriminant in the window.
+    """Every real root lam of the discriminant in the window (``real_roots``), rounded to double.
 
     ``coeffs`` are the E-coefficients of the secular polynomial, exact
     polynomials in lam = mu^2; it is the characteristic polynomial of
@@ -433,7 +434,7 @@ def _ep_locate_exact(model, coeffs, to_param, shift, param_range) -> list[Critic
         raise ValueError("discriminant vanishes identically; family is degenerate")
 
     points = []
-    for lam in _roots_in_window(d.exact_div(d.gcd(d.derivative())), lam_lo, lam_hi):
+    for lam in map(float, real_roots(d, lam_lo, lam_hi)):
         mu = math.sqrt(lam)
         param = next((p for p in (to_param(mu), to_param(-mu)) if lo <= p <= hi), None)
         if param is None:
@@ -731,10 +732,8 @@ def ep_locate_2d_bc(n: int, y_range: tuple[float, float]) -> list[CriticalPoint]
     event.
     """
     lo, hi = sorted((float(y_range[0]), float(y_range[1])))
-    roots = sorted(
-        ((y, polishers) for piece, polishers in _event_pieces(n) for y in _exact_real_roots(piece, lo, hi)),
-        key=lambda c: c[0],
-    )
+    found = ((y, polishers) for piece, polishers in _event_pieces(n) for y in real_roots(piece))
+    roots = sorted(found, key=lambda c: c[0])
     ys = [float(y) for y, _ in roots]
 
     def gap(i: int) -> _RealityHistory:
@@ -744,8 +743,8 @@ def ep_locate_2d_bc(n: int, y_range: tuple[float, float]) -> list[CriticalPoint]
         return _reality_history(n, _inner_rational(a, b))
 
     points = []
-    for i, (y_star, polishers) in enumerate(roots):
-        if not lo <= y_star <= hi:
+    for i, (_, polishers) in enumerate(roots):
+        if not lo <= ys[i] <= hi:
             continue
         below, above = gap(i), gap(i + 1)
         for polish in polishers:
@@ -773,7 +772,7 @@ def _event_pieces(n: int) -> list[tuple[Polynomial, tuple]]:
     ):
         if poly.degree < 1:
             continue
-        rest = poly.exact_div(poly.gcd(poly.derivative()))
+        rest = math.prod(square_free_factors(poly))
         split = []
         for piece, owners in pieces:
             common = piece.gcd(rest)
@@ -786,28 +785,6 @@ def _event_pieces(n: int) -> list[tuple[Polynomial, tuple]]:
             split.append((rest, (polish,)))
         pieces = split
     return pieces
-
-
-def _exact_real_roots(piece: Polynomial, lo: float, hi: float) -> list[Fraction | float]:
-    """Every real root of a square-free exact polynomial.
-
-    Each is Newton-polished on the polynomial itself, where every root is
-    simple.  A root on an endpoint of [lo, hi] is found by exact
-    evaluation, returned as that exact ``Fraction`` and deflated, so the
-    polish cannot move it out of the window.
-    """
-    roots = []
-    for end in sorted({lo, hi}):
-        e = as_fraction(end)
-        if piece(e) == 0:
-            roots.append(e)
-            piece = piece.exact_div(Polynomial([-e, 1]))
-    return roots + [float(_newton_polish_real(piece, y0)) for y0, _ in _real_roots(piece)]
-
-
-def _roots_in_window(piece: Polynomial, lo: float, hi: float) -> list[Fraction | float]:
-    """The real roots in [lo, hi] of a square-free exact polynomial (``_exact_real_roots``)."""
-    return [y for y in _exact_real_roots(piece, lo, hi) if lo <= y <= hi]
 
 
 def _polish_merge_event(n, y_star, below, above) -> CriticalPoint | None:
@@ -837,13 +814,11 @@ def _polish_pole_event(n, y_star, below, above) -> CriticalPoint:
     """A reality exchange through a pole of the coupling function.
 
     At a root y* of Res_E(A_y, B) the numerator A_y* and the denominator B
-    share a real root E*: an eigenvalue that stays put for every coupling.
-    B is the characteristic polynomial of the interior Hermitian chain, so
-    its roots are real and simple, and E* is the one where A_y* vanishes,
-    Newton-polished on B at 40 digits; the residuals evaluate A, A'
-    and B' exactly at that E*.  A rational E* whose double is an exact root
-    of B (E* = 2 for odd n at y = 0) is kept as that root, so the residuals
-    and ``_crossing_track``'s zero-slope test see it exactly.  A root shared
+    share a real root E*: an eigenvalue that stays put for every coupling,
+    the one of ``real_roots(B)`` where A_y* is smallest.  The residuals
+    evaluate A, A' and B' exactly at E*, which is exact where its double is
+    a root of B (E* = 2 for odd n at y = 0), so they and
+    ``_crossing_track``'s zero-slope test see it exactly.  A root shared
     with the merge polynomial is tried as a merger first, so every root
     that reaches this polisher is a pole.  Its ``crossing_coupling``
     p* = -A'(E*)/B'(E*) is the coupling at which the moving branch of
@@ -851,11 +826,7 @@ def _polish_pole_event(n, y_star, below, above) -> CriticalPoint:
     moving level (``_crossing_track``).
     """
     s = bivariate_secular(n, as_fraction(y_star))
-    e0 = min((e for e, _ in _real_roots(s.B)), key=lambda e: abs(s.A(complex(e))))
-    polished = _newton_polish_real(s.B, e0)
-    energy = as_fraction(float(polished))
-    if s.B(energy) != 0:
-        energy = as_fraction(polished)
+    energy = min(real_roots(s.B), key=lambda e: abs(s.A(e)))
     p_star = -s.A.derivative()(energy) / s.B.derivative()(energy)
     resid = {
         "appearing": tuple(sorted(below.lost - above.lost)),

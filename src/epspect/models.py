@@ -20,6 +20,7 @@ from typing import Union
 import numpy as np
 
 from .core import EXTENDED_BITS, DenseMatrix, Polynomial, Tridiagonal, as_fraction, eigvals_double, eigvals_mp
+from .core import real_root_count, square_free_factors
 from .core.eig import _gaussian_eigvals, _nudged_seeds
 from .core.poly import _dyadic_roots, _gaussian_cleared, _rounded
 
@@ -137,6 +138,11 @@ def epn_secular(n: int) -> tuple[Polynomial, ...]:
     return cur
 
 
+def _all_roots_real(p: Polynomial) -> bool:
+    """Whether the Sturm counts of the square-free factors, times their multiplicities, sum to deg p."""
+    return sum(m * real_root_count(f) for m, f in enumerate(square_free_factors(p), 1)) == p.degree
+
+
 def _sqrt_rounded(x: Fraction, scale: int) -> int:
     """round(sqrt(x) 2^scale), x >= 0: floor(sqrt(y) + 1/2) = (isqrt(floor(4y)) + 1) // 2, y = x 4^scale."""
     return (math.isqrt((x.numerator << 2 * scale + 2) // x.denominator) + 1) // 2
@@ -236,13 +242,22 @@ class EpnModel:
         fixed point and added exactly; each E = u + shift is then rounded
         once to ``complex``.  At t = 0 the polynomial is u^n and every E
         is 0.
+        Where Sturm counts certify all n roots u real (q <= 1) or all n
+        roots of the polynomial in v = -iu real (q > 1, the shift imaginary),
+        the imaginary or real parts are exactly 0.  The secular polynomial
+        has the parity of n, so that one is sum c_k (-1)^((k - n)/2) v^k.
         """
         q = (1 - as_fraction(t)) ** 2
-        coeffs, _ = _gaussian_cleared([c(q) for c in epn_secular(self.n)])
+        poly = Polynomial([c(q) for c in epn_secular(self.n)])
+        coeffs, _ = _gaussian_cleared(poly.coeffs)
         seeds = eigvals_double(self.matrix(t)) - 8 * cmath.sqrt(1 - float(q))
         roots, scale, _ = _dyadic_roots(coeffs, _nudged_seeds(seeds), EXTENDED_BITS)
         shift = _sqrt_rounded(64 * abs(1 - q), scale)
-        return [_rounded((re + shift, im) if q <= 1 else (re, im + shift), scale) for re, im in roots]
+        if q <= 1:
+            real = _all_roots_real(poly)
+            return [_rounded((re + shift, 0 if real else im), scale) for re, im in roots]
+        imaginary = _all_roots_real(Polynomial([c if (k - self.n) % 4 == 0 else -c for k, c in enumerate(poly.coeffs)]))
+        return [_rounded((0 if imaginary else re, im + shift), scale) for re, im in roots]
 
     def describe(self) -> dict:
         return {"model": "epn", "n": self.n, "param": "t"}

@@ -23,25 +23,17 @@ import numpy as np
 
 from .core import (
     BivariateSecular,
-    ConvergenceError,
     Polynomial,
-    Precision,
     as_fraction,
     charpoly_from_parts,
     eigvals_double,
-    poly_roots,
-    real_root_count,
+    real_roots,
     reality_flags,
+    square_free_factors,
 )
-from .core.poly import _cleared, _int_homogeneous, _newton_polish_real
+from .core.poly import _cleared, _int_homogeneous
 from .core.scalars import as_ratio
 from .models import BcModel
-
-# Cluster radius and reality tolerance of the extended retry in
-# ``_real_roots``: on exact coefficients at 30 digits a multiple root splits
-# by ~1e-15, while two distinct real roots, or a complex pair, 1e-12 apart
-# stay apart.
-EXTENDED_CLUSTER_RTOL = 1e-12
 
 REFINE_LEVELS = 3  # local refinements of a branch trace around each pole and merge
 REFINE_FACTOR = 10  # each one this many times finer than the last
@@ -221,45 +213,9 @@ class BranchTrace:
     merges: tuple[BranchPoint, ...]
 
 
-def _real_roots(p: Polynomial, lo=None, hi=None) -> list[tuple[float, int]]:
-    """Distinct real roots of an exact polynomial in [lo, hi], with multiplicities.
-
-    The roots are the real clusters of ``poly_roots``; their number is
-    certified against the exact Sturm count on the same window.  On a
-    mismatch the roots are recomputed at ``Precision.EXTENDED`` from the
-    exact coefficients, clustered and filtered at ``EXTENDED_CLUSTER_RTOL``,
-    which separates two real roots, or a complex pair, closer than double
-    rounding can resolve; a second mismatch raises ``ConvergenceError``.
-    """
-    if p.degree < 1:
-        return []
-    want = real_root_count(p, lo, hi) + (lo is not None and p(as_fraction(lo)) == 0)
-
-    def real_in_window(found, rtol):
-        return [
-            (c.center.real, c.multiplicity)
-            for c in found.clusters
-            if abs(c.center.imag) <= rtol * (1 + abs(c.center))
-            and (lo is None or c.center.real >= lo)
-            and (hi is None or c.center.real <= hi)
-        ]
-
-    out = real_in_window(poly_roots(p), 1e-8)
-    if len(out) != want:
-        rtol = EXTENDED_CLUSTER_RTOL
-        out = real_in_window(poly_roots(p, precision=Precision.EXTENDED, cluster_rtol=rtol), rtol)
-    if len(out) != want:
-        raise ConvergenceError(
-            f"{len(out)} real root(s) found where Sturm's theorem counts {want}",
-            roots=[e for e, _ in out],
-        )
-    return out
-
-
-def _polished_real_roots(p: Polynomial) -> list[tuple[float, int]]:
-    """``_real_roots`` with each root Newton-polished on the square-free part of p."""
-    simple = p.exact_div(p.gcd(p.derivative())) if p.degree >= 1 else p
-    return [(float(_newton_polish_real(simple, e)), m) for e, m in _real_roots(p)]
+def _marked(p: Polynomial, kind: str) -> list[BranchPoint]:
+    """A point at each distinct real root of p, its multiplicity from the exact square-free factorization."""
+    return [BranchPoint(float(e), kind, m) for m, f in enumerate(square_free_factors(p), 1) for e in real_roots(f)]
 
 
 def _without_factors_of(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -275,24 +231,18 @@ def sturmian_poles(s: SturmianFunction) -> tuple[BranchPoint, ...]:
     B splits exactly into the part made of roots of gcd(A, B), where A and
     B vanish together and the energy is an eigenvalue for every coupling
     ("indeterminate", not a divergence of r(E)), and the rest ("pole-of-r").
-    Each root is Newton-polished on its part, so an exact root of B such as
-    E = 2 comes out exact.
+    The roots come from ``real_roots``, so an exact root of B such as E = 2
+    comes out exact.
     """
     poles = _without_factors_of(s.B, s.common_factor())
-    shared = s.B.exact_div(poles)
-    points = [
-        BranchPoint(e, kind, mult)
-        for kind, part in (("indeterminate", shared), ("pole-of-r", poles))
-        for e, mult in _polished_real_roots(part)
-    ]
+    points = _marked(s.B.exact_div(poles), "indeterminate") + _marked(poles, "pole-of-r")
     return tuple(sorted(points, key=lambda b: b.energy))
 
 
 def branch_merges(s: SturmianFunction) -> tuple[BranchPoint, ...]:
-    """Critical points of r^2(E): real zeros of A'B - AB' that B does not share."""
+    """Critical points of r^2(E): real zeros of A'B - AB' that B does not share, from ``real_roots``."""
     num = _without_factors_of(s.A.derivative() * s.B - s.A * s.B.derivative(), s.B)
-    out = [BranchPoint(e, "branch-merge", mult) for e, mult in _real_roots(num)]
-    return tuple(sorted(out, key=lambda b: b.energy))
+    return tuple(sorted(_marked(num, "branch-merge"), key=lambda b: b.energy))
 
 
 def branch_trace(
@@ -306,7 +256,8 @@ def branch_trace(
     outside the model.  The uniform grid is locally refined
     (``REFINE_LEVELS`` levels, ``REFINE_FACTOR`` times finer each) around
     poles and branch merges; output is ordered by energy regardless of
-    refinement.
+    refinement.  The persistent lines are the real roots in the window of
+    gcd(A, B), from ``real_roots``.
     """
     lo, hi = float(e_range[0]), float(e_range[1])
     if samples < 2:
@@ -347,11 +298,8 @@ def branch_trace(
         r = math.sqrt(val.value)
         points.append(TracePoint(e, r, -r, val.value <= 1.0, refined))
 
-    lines = []
-    g = s.common_factor()
-    if g.degree >= 1:
-        lines = [e for e, _ in _real_roots(g, lo, hi)]
-    return BranchTrace(tuple(points), tuple(sorted(lines)), poles, merges)
+    lines = tuple(float(e) for e in real_roots(s.common_factor(), lo, hi))
+    return BranchTrace(tuple(points), lines, poles, merges)
 
 
 # --------------------------------------------------------------------------

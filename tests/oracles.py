@@ -1,9 +1,10 @@
-"""mpmath oracles shared by the tests: family matrices and eigenvalues beyond double.
+"""mpmath oracles shared by the tests: family matrices, eigenvalues and real roots beyond double.
 
 The package computes in double or in fixed-point integers only; these
 helpers build the EPN and boundary-controlled matrices with every entry
-rounded at mpmath's working precision, and read the package's integer
-eigenvalue kernel at a chosen number of bits.
+rounded at mpmath's working precision, read the package's integer
+eigenvalue kernel at a chosen number of bits, and find the real roots of
+an exact polynomial with mpmath's own root finder.
 """
 
 from fractions import Fraction
@@ -90,3 +91,20 @@ def eigvals_at(m, prec):
 def as_mpc(root, scale):
     """The fixed-point (re, im) / 2^scale as ``mpc`` at the working precision."""
     return mp.mpc(mp.mpf((root[0], -scale)), mp.mpf((root[1], -scale)))
+
+
+def real_roots_mp(p, dps=40):
+    """The real roots of an exact polynomial by ``mp.polyroots`` at ``dps`` digits, ascending, as ``mpf``.
+
+    A root counts as real when its imaginary part is below 10^(-dps/2).
+    """
+    with mp.workdps(dps):
+        coeffs = [mp.mpf(Fraction(c).numerator) / Fraction(c).denominator for c in reversed(p.coeffs)]
+        roots = mp.polyroots(coeffs, maxsteps=400, extraprec=4 * dps)
+        tiny = mp.mpf(10) ** (-dps // 2)
+        return sorted(mp.re(r) for r in roots if abs(mp.im(r)) < tiny)
+
+
+def rounded(x) -> float:
+    """An ``mpf`` correctly rounded to the nearest double."""
+    return float(frac(x))

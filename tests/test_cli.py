@@ -1,6 +1,10 @@
 """Command-line interface: schemas, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -354,6 +358,27 @@ def test_failed_lapack_solve_in_a_sweep_exits_4(tmp_path, monkeypatch, capsys):
     assert run(argv) == 4
     assert "no convergence" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["find-ep", "--model", "bc", "--n", "5", "--y", "1e300", "--param", "r", "--range", "-1:1"],
+        ["sturmian", "--n", "5", "--y", "1e300", "--range", "0:5", "--samples", "10"],
+    ],
+    ids=["find-ep", "sturmian"],
+)
+def test_shift_beyond_double_range_exits_4_with_one_line(argv, tmp_path):
+    # a fresh interpreter, so that a numpy warning would reach stderr too
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "epspect.cli", *argv, "--output", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 4
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("no convergence: ")
 
 
 def test_figure_index_validated(tmp_path):

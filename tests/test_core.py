@@ -30,9 +30,11 @@ from epspect.core import (
     eigvals_mp,
     poly_roots,
     real_root_count,
+    real_roots,
     reality_flags,
     res_E,
     resultant,
+    square_free_factors,
     sylvester_matrix,
 )
 from epspect.core.eig import _berkowitz
@@ -327,6 +329,91 @@ def test_real_root_count_rejects_floats_and_zero():
         real_root_count(Polynomial([1.0, -2.0, 1.0]))
     with pytest.raises(ValueError):
         real_root_count(Polynomial.zero())
+
+
+def _is_dyadic(r: Fraction) -> bool:
+    return r.denominator & (r.denominator - 1) == 0
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    _real_factors,
+    st.lists(st.fractions(min_value=Fraction(1, 9), max_value=5, max_denominator=9), min_size=1, max_size=2),
+    st.sampled_from([1, -3, Fraction(2, 5)]),
+    st.integers(0, 3),
+    st.integers(0, 3),
+)
+@example([(Fraction(0), 2), (Fraction(1, 3), 1)], [Fraction(1)], 1, 0, 1)
+def test_real_roots_of_planted_roots(real_factors, quadratics, lc, i, j):
+    p = _product(real_factors, quadratics, lc)
+    want = sorted({r for r, _ in real_factors})
+    got = real_roots(p)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if _is_dyadic(w):  # its double is the root: returned exactly
+            assert g == w
+        else:
+            assert abs(g - w) <= Fraction(1, 2**100) and float(g) == float(w)
+    # a root on lo or hi is kept
+    if want:
+        lo, hi = sorted((want[i % len(want)], want[j % len(want)]))
+        assert [float(g) for g in real_roots(p, lo, hi)] == [float(w) for w in want if lo <= w <= hi]
+    planted = {}
+    for r, k in real_factors:
+        planted[r] = planted.get(r, 0) + k
+    found = {float(r): m for m, f in enumerate(square_free_factors(p), 1) for r in real_roots(f)}
+    assert found == {float(r): k for r, k in planted.items()}
+
+
+def test_real_roots_keep_roots_on_float_window_ends():
+    p = _product([(Fraction(1), 2), (Fraction(2), 1), (Fraction(-1, 3), 3)], [Fraction(2)], 1)
+    assert real_roots(p, 1.0, 2.0) == [1, 2]
+    assert real_roots(p, 1.5, 2.0) == [2]
+    assert real_roots(p, 2.0, 1.0) == []
+    assert real_roots(Polynomial([Fraction(7)])) == []
+    assert real_roots(_product([], [Fraction(1)], 1)) == []
+
+
+def test_real_roots_close_pair_forces_the_extended_retry(monkeypatch):
+    # numpy.roots splits the pair 1e-12 apart into a complex pair ~6e-8 off
+    # the axis, so the double seeds cannot be certified
+    pair = [Fraction(2), 2 + Fraction(1, 10**12)]
+    p = Polynomial.from_roots([*pair, Fraction(3)])
+    extended_roots, calls = core_poly._extended_roots, []
+
+    def spy(*args):
+        calls.append(args)
+        return extended_roots(*args)
+
+    monkeypatch.setattr(core_poly, "_extended_roots", spy)
+    got = real_roots(p)
+    assert len(calls) == 1
+    assert got[0] == 2 and got[2] == 3
+    # the pair's condition number ~1e12 costs 12 of the polisher's 40 digits
+    assert abs(got[1] - pair[1]) <= Fraction(1, 10**26) and float(got[1]) == float(pair[1])
+
+
+def test_real_roots_rejects_floats_and_zero():
+    with pytest.raises(TypeError):
+        real_roots(Polynomial([1.0, -2.0, 1.0]))
+    with pytest.raises(ValueError):
+        real_roots(Polynomial.zero())
+
+
+def test_square_free_factors_of_a_constant_and_of_a_power():
+    assert square_free_factors(Polynomial([Fraction(3)])) == ()
+    x = Polynomial([Fraction(0), Fraction(1)])
+    assert square_free_factors(x * x * x) == (Polynomial([1]), Polynomial([1]), x)
+
+
+def test_non_finite_double_coefficients_are_refused_before_numpy():
+    huge = Polynomial([Fraction(1), Fraction(10**400), Fraction(1)])
+    with pytest.raises(ConvergenceError):
+        real_roots(huge)
+    with pytest.raises(ConvergenceError):
+        poly_roots(huge)
+    with pytest.raises(ConvergenceError):
+        poly_roots(Polynomial([1.0, math.inf, 1.0]))
 
 
 # --------------------------------------------------------------------------

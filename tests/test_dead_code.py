@@ -1,6 +1,6 @@
 """Static guard against dead code in the package (stdlib ``ast`` only).
 
-Eleven things fail the guard: an import a module never uses (package
+Twelve things fail the guard: an import a module never uses (package
 ``__init__.py`` files are exempt, their imports are re-exports), a
 ``_private`` top-level function that no module of the package references,
 a module-level UPPER_CASE constant that no module of the package loads,
@@ -8,7 +8,8 @@ an eigenvector solve whose eigenvalues are all that is read, a
 nonsymmetric LAPACK eigensolve outside ``core/eig.py``, a floating
 determinant or characteristic polynomial (``numpy.linalg.det``,
 ``numpy.poly``) anywhere, denominator clearing (``math.lcm``) outside
-``core/poly.py``, sampled reality
+``core/poly.py``, an inline square-free gcd ``p.gcd(p.derivative())``
+outside ``core/poly.py``, sampled reality
 (``sweep``, ``reality_flags``, ``REALITY_RTOL``) anywhere the exact shift
 scan reaches, a ``scipy`` import anywhere, an ``mpmath`` import anywhere
 (numpy is the one runtime dependency), and an import of ``threading`` or
@@ -250,6 +251,47 @@ def test_denominator_clearing_guard_sees_every_spelling():
         "math.lcm(a, b); m.lcm(a); math.gcd(a, b)\n"
     )
     assert sorted(_uses(ast.parse(source), DENOMINATOR_CLEARING)) == [3, 4, 5, 7, 7]
+
+
+def _square_free_gcds(tree):
+    """Lines that call a ``gcd`` with a ``.derivative()`` call anywhere in its arguments."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        args = [*node.args, *(k.value for k in node.keywords)]
+        if name == "gcd" and any(
+            isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute) and sub.func.attr == "derivative"
+            for arg in args
+            for sub in ast.walk(arg)
+        ):
+            yield node.lineno
+
+
+def test_square_free_parts_only_in_core_poly():
+    """``real_roots`` divides gcd(p, p') out of its Sturm sequence and
+    ``square_free_factors`` runs Yun's algorithm, both in ``core/poly.py``;
+    a gcd of a polynomial and its derivative anywhere else would be a
+    second square-free path beside them."""
+    uses = [
+        f"{path.relative_to(PACKAGE)}:{line}"
+        for path in MODULES
+        if path != PACKAGE / "core" / "poly.py"
+        for line in _square_free_gcds(_parse(path))
+    ]
+    assert uses == []
+
+
+def test_square_free_guard_sees_every_spelling():
+    source = (
+        "p.gcd(p.derivative())\n"
+        "Polynomial.gcd(p, p.derivative())\n"
+        "(a * b).gcd((a * b).derivative().monic())\n"
+        "p.gcd(other=q.derivative())\n"
+        "gcd(p, p.exact_div(q).derivative())\n"
+        "p.gcd(q); p.derivative(); math.gcd(a, b); p.gcd(q).derivative()\n"
+    )
+    assert sorted(_square_free_gcds(ast.parse(source))) == [1, 2, 3, 4, 5]
 
 
 SAMPLED_REALITY = {"sweep", "reality_flags", "REALITY_RTOL"}

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import epspect.epfinder as epfinder
-from epspect.core import ConvergenceError, Precision, eig_dense, eigvals_double
+from epspect.core import ConvergenceError, Precision, eig_dense, eigvals_double, real_roots
 from epspect.epfinder import (
     SWEEP_CHUNK,
     _assign,
@@ -22,7 +22,6 @@ from epspect.epfinder import (
     _fold_event_poly,
     _pairing_warnings,
     _pole_collision_poly,
-    _roots_in_window,
     bc_reality_signature,
     classify_degeneracy,
     ep_locate_1d,
@@ -266,6 +265,15 @@ def test_extended_sweep_matches_mpmath_qr_values(model, param_range, samples):
         with mp.workdps(30):
             want = np.array([complex(v) for v in mp.eig(mp.matrix(model.matrix(p).tolist()), left=False, right=False)])
         assert _matched_distance(res.tracks[:, k], want) <= 1e-12, p
+
+
+def test_extended_epn_sweep_orders_imaginary_levels_by_im():
+    # at t = -0.5 every level is imaginary with real part exactly 0, so the
+    # (Re, Im) sort that starts the tracks ascends in Im
+    res = sweep(EpnModel(6), (-0.5, 1.0), 41, precision=Precision.EXTENDED)
+    first = res.tracks[:, 0]
+    assert np.all(first.real == 0)
+    assert np.all(np.diff(first.imag) > 0)
 
 
 def test_extended_sweep_converges_through_maximal_ep():
@@ -729,7 +737,7 @@ def test_scan_labels_without_sweeps_one_history_per_gap(monkeypatch):
     monkeypatch.setattr(epfinder, "sweep", no_sweep)
     epfinder._reality_history.cache_clear()
     points = ep_locate_2d_bc(8, (-1.0, 0.0))
-    candidates = sum(len(_roots_in_window(piece, -1.0, 0.0)) for piece, _ in _event_pieces(8))
+    candidates = sum(len(real_roots(piece, -1.0, 0.0)) for piece, _ in _event_pieces(8))
     assert len(points) == 7
     assert epfinder._reality_history.cache_info().misses <= candidates + 1
 

@@ -118,6 +118,21 @@ def test_epn_extended_spectrum_is_the_closed_form(n, t):
         assert got == [0j] * n  # the exact n-fold E = 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 12), t=_dyadic_t)
+@example(n=6, t=-0.5)
+@example(n=7, t=2.5)
+@example(n=5, t=2.0)
+def test_epn_certified_spectrum_has_exact_zero_parts(n, t):
+    # q = (1 - t)^2 <= 1 exactly for t in [0, 2]: every level is real and its
+    # imaginary part is 0; beyond, every level is imaginary and its real part is 0
+    got = EpnModel(n).eigvals_mp(t)
+    if 0 <= t <= 2:
+        assert all(v.imag == 0 for v in got)
+    else:
+        assert all(v.real == 0 for v in got)
+
+
 def test_epn_rejects_tiny_dimension():
     with pytest.raises(ValueError):
         epn_matrix(1, 0.5)

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import epspect.sturmian as sturmian
-from epspect.core import ConvergenceError, Polynomial, Precision, charpoly_tridiag, eig_dense, poly_roots
+import epspect.core.poly as poly
+from epspect.core import ConvergenceError, Polynomial, Precision, charpoly_tridiag, eig_dense, real_roots
+from epspect.cli import FIGURES
 from epspect.models import bc_matrix
 from epspect.sturmian import (
-    _real_roots,
     bivariate_secular,
     branch_merges,
     branch_trace,
@@ -21,6 +21,7 @@ from epspect.sturmian import (
     sturmian_poles,
     sturmian_r2,
 )
+from oracles import real_roots_mp, rounded
 
 PRINTED_A = Polynomial(
     [Fraction(c) for c in (12, -76, 147, -128, 56, -12, 1)]
@@ -292,24 +293,57 @@ def test_indeterminate_and_merges_split_by_exact_gcd(n, y, shared):
     assert all(s.B(Fraction(b.energy)) != 0 for b in branch_merges(s))
 
 
+@pytest.mark.parametrize(
+    "n, y",
+    [(FIGURES[k][1]["n"], FIGURES[k][1]["y"]) for k in (4, 5, 6)] + [(7, 0.3), (8, -0.5), (10, 0.0)],
+    ids=["figure4", "figure5", "figure6", "n7-y0.3", "n8-y-0.5", "n10-y0"],
+)
+def test_branch_merges_are_the_correctly_rounded_roots(n, y):
+    # the real zeros of A'B - AB' where B does not vanish, found by mpmath
+    # at 40 digits and rounded once to double
+    s = bivariate_secular(n, y)
+    num = s.A.derivative() * s.B - s.A * s.B.derivative()
+    with mp.workdps(40):
+        b_mp = [mp.mpf(Fraction(c).numerator) / Fraction(c).denominator for c in reversed(s.B.coeffs)]
+        want = [rounded(e) for e in real_roots_mp(num) if abs(mp.polyval(b_mp, e)) > mp.mpf(10) ** -20]
+    merges = branch_merges(s)
+    assert [b.energy for b in merges] == want
+    assert all(b.multiplicity == 1 for b in merges)
+    if y == 0:
+        assert want == [2.0]
+
+
+@pytest.mark.parametrize("n, y, line", [(4, -0.5, 3.0), (7, -0.5, 3.0), (10, -0.5, 3.0), (5, 0.0, 2.0)])
+def test_persistent_lines_are_exact_roots(n, y, line):
+    # the common root of A and B is rational, so it reads exactly
+    assert branch_trace(bivariate_secular(n, y), (-1.0, 5.0), 50).persistent_lines == (line,)
+
+
 def test_real_roots_retry_extended_then_raise(monkeypatch):
     p = Polynomial([Fraction(c) for c in (-6, 11, -6, 1)])  # roots 1, 2, 3
+    double_seeds, extended_roots = poly._double_seeds, poly._extended_roots
     calls = []
 
-    def lossy(poly, precision=Precision.DOUBLE, **kwargs):
-        calls.append(precision)
-        found = poly_roots(poly, precision=precision, **kwargs)
-        if precision is Precision.DOUBLE or not allow_extended:
-            return type(found)(found.roots, found.clusters[1:], found.residuals, found.iterations)
-        return found
+    def off_axis(roots):  # the largest root moved off the real axis
+        return sorted(roots, key=lambda z: z.real)[:-1] + [max(roots, key=lambda z: z.real) + 0.1j]
 
-    monkeypatch.setattr(sturmian, "poly_roots", lossy)
+    def lossy_double(work):
+        calls.append(Precision.DOUBLE)
+        return off_axis(double_seeds(work))
+
+    def lossy_extended(coeffs, seeds, prec):
+        calls.append(Precision.EXTENDED)
+        roots, sweeps = extended_roots(coeffs, seeds, prec)
+        return (roots if allow_extended else off_axis(roots)), sweeps
+
+    monkeypatch.setattr(poly, "_double_seeds", lossy_double)
+    monkeypatch.setattr(poly, "_extended_roots", lossy_extended)
     allow_extended = True
-    assert [round(e, 12) for e, _ in _real_roots(p, 0, 4)] == [1.0, 2.0, 3.0]
+    assert real_roots(p, 0, 4) == [1, 2, 3]
     assert calls == [Precision.DOUBLE, Precision.EXTENDED]
     allow_extended = False
     with pytest.raises(ConvergenceError):
-        _real_roots(p, 0, 4)
+        real_roots(p, 0, 4)
 
 
 # --------------------------------------------------------------------------
