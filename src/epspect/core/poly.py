@@ -2,31 +2,29 @@
 
 Polynomials carry exact (``int`` / ``Fraction``) or double coefficients
 (see ``scalars``).  Only exact-tier polynomials support exact division, gcd
-and resultants; both tiers feed the Aberth-Ehrlich root finder.
+and resultants.
 
-Roots come from Aberth-Ehrlich iteration in two kernels: ``_aberth`` in
-double precision, and ``_aberth_fixed`` for the extended tier.  Every
-coefficient of an extended solve is an exact rational, so the second runs
-on Python ints: the coefficients are Gaussian integers (denominators
-cleared by their lcm), the iterates are fixed point, Horner is exact and
-only divisions round.  ``_dyadic_roots`` runs it at a precision given in
-bits and returns the exact fixed-point iterates; ``_extended_roots``
-rounds each of them once to ``complex``.  ``poly_roots(precision=EXTENDED)``,
-``eig.eigvals_mp``, the extended spectra of the models and the real-root
-polisher ``_newton_polish_real`` all reach the same kernel; ``real_roots``,
+Roots come from one Aberth-Ehrlich kernel, ``_aberth_fixed``, on Python
+ints: the coefficients are Gaussian integers (denominators cleared by their
+lcm), the iterates are fixed point, Horner is exact and only divisions
+round.  ``_dyadic_roots`` runs it at a precision given in bits and returns
+the exact fixed-point iterates; ``_extended_roots`` rounds each of them
+once to ``complex``.  The extended pass of ``poly_roots`` (seeded by
+``numpy.roots``), ``eig.eigvals_mp``, the extended spectra of the models and
+the real-root polisher ``_newton_polish_real`` all reach it; ``real_roots``,
 the one routine for the real roots of an exact polynomial, polishes with it
 inside intervals that Sturm's theorem certifies.
 
-Every resultant and discriminant goes through one kernel: the Sylvester
-determinant over Z[y] of the formal degrees, from the subresultant
-pseudo-remainder sequence on plain ``int`` coefficient lists (O(nm) ring
-operations, where an elimination on the Sylvester matrix takes
-O((n+m)^3)).  ``res_E`` and ``disc_E`` clear each argument's denominators
-once, check every division for exactness, and rescale at the end, so they
-return the rational polynomial an elimination over ``Fraction`` would,
-without a gcd per arithmetic operation.  The univariate ``resultant`` and
-``discriminant`` are that kernel on constant coefficients.  There is no
-floating resultant: floating coefficients are refused with ``TypeError``.
+Every resultant and discriminant goes through one kernel: the subresultant
+pseudo-remainder sequence over Z[y] on plain ``int`` coefficient lists, the
+Sylvester determinant of the formal degrees in O(nm) ring operations.
+``res_E`` and ``disc_E`` clear each argument's denominators once, check
+every division for exactness, and rescale at the end, so they return the
+rational polynomial an elimination over ``Fraction`` would.  ``disc_chain``
+keeps the subresultant chain the sequence runs through, which reads the
+repeated root at each real root of the discriminant.  The univariate
+``resultant`` and ``discriminant`` are that kernel on constant
+coefficients; floating coefficients are refused with ``TypeError``.
 ``Polynomial.gcd`` and the Sturm sequences run the primitive
 pseudo-remainder sequence over Z on the same cleared integers.
 """
@@ -264,59 +262,6 @@ class PolyRoots:
     clusters: tuple[RootCluster, ...]
 
 
-def _horner_pair(coeffs, z):
-    """Value and derivative at z in one pass."""
-    p = coeffs[-1]
-    dp = 0 * z
-    for c in reversed(coeffs[:-1]):
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
-
-
-def _aberth(coeffs, z, maxiter=200):
-    """Aberth-Ehrlich simultaneous iteration in double precision.
-
-    ``coeffs`` are complex, ascending; ``z`` the starting points.  A root
-    locks once |p(z)| <= 16 eps sum |c_k| |z|^k.
-    """
-    eps = float(np.finfo(float).eps)
-    m = len(z)
-    locked = [False] * m
-    abs_coeffs = [abs(c) for c in coeffs]
-    for _ in range(maxiter):
-        moved = False
-        for i in range(m):
-            if locked[i]:
-                continue
-            p, dp = _horner_pair(coeffs, z[i])
-            az = abs(z[i])
-            scale = sum(a * az**k for k, a in enumerate(abs_coeffs))
-            if abs(p) <= 16 * eps * scale:
-                locked[i] = True
-                continue
-            if dp == 0:
-                # nudge off a stationary point
-                z[i] = z[i] + (0.5 + 0.5j) * (1 + az) * eps**0.25
-                moved = True
-                continue
-            newton = p / dp
-            s = 0
-            for j in range(m):
-                if j != i:
-                    d = z[i] - z[j]
-                    if d == 0:
-                        d = eps * (1 + az)
-                    s = s + 1 / d
-            denom = 1 - newton * s
-            step = newton if denom == 0 else newton / denom
-            z[i] = z[i] - step
-            moved = True
-        if not moved:
-            break
-    return z, locked
-
-
 # The extended tier runs on Gaussian integers: a coefficient is an (re, im)
 # pair of ints, and an iterate is an (re, im) pair read at 2^-bits.
 
@@ -490,28 +435,15 @@ def _double_seeds(work: list) -> list:
     return list(seeds)
 
 
-def _initial_circle(coeffs):
-    """Starting points on a circle sized from the coefficient magnitudes."""
-    m = len(coeffs) - 1
-    an = abs(coeffs[-1])
-    a0 = abs(coeffs[0])
-    r = (a0 / an) ** (1.0 / m) if a0 > 0 else 0.5
-    r = min(max(r, 1e-3), 1 + max(abs(c) / an for c in coeffs[:-1]))
-    return [
-        r * cmath.exp(2j * math.pi * (k + 0.25) / m + 0.4j) for k in range(m)
-    ]
-
-
 def poly_roots(p: Polynomial, precision: Precision = Precision.DOUBLE) -> PolyRoots:
     """All complex roots of ``p`` with near-coincident roots clustered at ``CLUSTER_RTOL``.
 
-    Exact zero constant terms are deflated symbolically, the remaining roots
-    come from Aberth-Ehrlich iteration: a double-precision start, and for
-    ``precision=EXTENDED`` a second pass of the integer kernel on the exact
-    coefficients at ``EXTENDED_BITS``, seeded with the double roots.  Raises
-    ``ConvergenceError`` if some roots of either pass fail the residual
-    test after the iteration cap, or if a coefficient or a seed is not a
-    finite double; the unconverged subset is attached to the exception.
+    Exact zero constant terms are deflated symbolically, the other roots
+    are ``numpy.roots`` of the coefficients rounded to double, and for
+    ``precision=EXTENDED`` they seed the integer kernel on the exact
+    coefficients at ``EXTENDED_BITS``.  Raises ``ConvergenceError`` if a
+    coefficient or a seed is not a finite double, or with the unconverged
+    subset if some roots of the extended pass fail to lock.
     """
     if p.degree < 1:
         raise ValueError("poly_roots requires degree >= 1")
@@ -519,27 +451,12 @@ def poly_roots(p: Polynomial, precision: Precision = Precision.DOUBLE) -> PolyRo
     zero_mult = 0
     while zero_mult < p.degree and is_exact_zero(p.coeffs[zero_mult]):
         zero_mult += 1
-    work = [complex(c) for c in _finite_doubles(p.coeffs[zero_mult:])]
-
-    roots: list[complex] = [0j] * zero_mult
-    if len(work) > 1:
-        z, locked = _aberth(work, _initial_circle(work))
-        if not all(locked):
-            # deterministic fallback: companion-matrix estimates, re-polished
-            z, locked = _aberth(work, _double_seeds(work))
-        if not all(locked):
-            bad = [zi for zi, ok in zip(z, locked) if not ok]
-            raise ConvergenceError(
-                f"{len(bad)} root(s) failed to converge", roots=z, unconverged=bad
-            )
-        roots.extend(z)
-
-    if precision is Precision.EXTENDED and len(work) > 1:
+    work = _finite_doubles(p.coeffs[zero_mult:])
+    roots = _double_seeds(work) if len(work) > 1 else []
+    if precision is Precision.EXTENDED and roots:
         coeffs, _ = _gaussian_cleared(p.coeffs[zero_mult:])
-        z, _ = _extended_roots(coeffs, [(r.real, r.imag) for r in roots[zero_mult:]], EXTENDED_BITS)
-        roots = [0j] * zero_mult + z
-
-    roots = [complex(r) for r in roots]
+        roots, _ = _extended_roots(coeffs, [(r.real, r.imag) for r in roots], EXTENDED_BITS)
+    roots = [0j] * zero_mult + [complex(r) for r in roots]
     return PolyRoots(tuple(sorted(roots, key=lambda v: (v.real, v.imag))), cluster_points(roots))
 
 
@@ -665,36 +582,46 @@ def _prem(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return rem
 
 
-def _subresultant(f: list[list[int]], g: list[list[int]]) -> list[int]:
-    """Res(f, g) over Z[y] for nonzero leading E-coefficients and degrees >= 1.
+def _subresultant(f: list[list[int]], g: list[list[int]]) -> list[tuple]:
+    """The subresultant chain of f and g over Z[y], for nonzero leading E-coefficients and degrees >= 1.
 
     The subresultant PRS (Cohen, *A Course in Computational Algebraic
     Number Theory*, Alg. 3.3.7, without the content step): each
-    pseudo-remainder is divided by g h^delta, and each new h by a power of
-    the last one, and every such division is exact, so no entry leaves
-    Z[y] and no gcd is taken.
+    pseudo-remainder is divided by lc(f) h^delta, and each new h by a power
+    of the last one, and every such division is exact, so no entry leaves
+    Z[y] and no gcd is taken.  Each remainder g is S_(deg f - 1), and h the
+    principal subresultant coefficient psc_j of j = deg g.  Returns
+    (j, psc_j, S_j) up to sign for each such j, descending, with
+    S_j = lc(g)^(delta-1) g / h^(delta-1); psc_j = 0 at the missing
+    degrees.  The chain ends in (0, Res(f, g), [Res(f, g)]), the resultant
+    with its sign, or above degree 0 when the resultant vanishes.
     """
     sign = 1
     if len(f) < len(g):
         f, g = g, f
         if (len(f) - 1) * (len(g) - 1) % 2:
             sign = -1
-    lc_g, h = [1], [1]
-    while len(g) > 1:
+    chain, lc_f, h_f = [], [1], [1]
+    while True:
         delta = len(f) - len(g)
+        h_g = h_f
+        if delta:
+            scale, lead = _int_pow(h_f, delta - 1), _int_pow(g[-1], delta - 1)
+            h_g = _int_exact_div(_int_mul(lead, g[-1]), scale)
+            s = g if delta == 1 else [_int_exact_div(_int_mul(lead, c), scale) for c in g]
+            chain.append((len(g) - 1, h_g, s))
+        if len(g) == 1:
+            if sign == -1:
+                chain[-1] = (0, [-c for c in h_g], [[-c for c in h_g]])
+            return chain
         if (len(f) - 1) * (len(g) - 1) % 2:
             sign = -sign
         rem = _prem(f, g)
         if not rem:
-            return []
-        div = _int_mul(lc_g, _int_pow(h, delta))
+            return chain
+        div = _int_mul(lc_f, _int_pow(h_f, delta))
         f, g = g, [_int_exact_div(c, div) for c in rem]
-        lc_g = f[-1]
-        if delta:
-            h = _int_exact_div(_int_pow(lc_g, delta), _int_pow(h, delta - 1))
-    d = len(f) - 1
-    res = _int_exact_div(_int_pow(g[0], d), _int_pow(h, d - 1))
-    return res if sign == 1 else [-c for c in res]
+        lc_f, h_f = f[-1], h_g
 
 
 def _resultant_int(f: list[list[int]], g: list[list[int]]) -> list[int]:
@@ -718,7 +645,12 @@ def _resultant_int(f: list[list[int]], g: list[list[int]]) -> list[int]:
         return [-c for c in res] if m % 2 else res
     if not g[-1]:
         return _int_mul(f[-1], _resultant_int(f, g[:-1]))
-    return _subresultant(f, g)
+    return _chain_resultant(_subresultant(f, g))
+
+
+def _chain_resultant(chain: list[tuple]) -> list[int]:
+    """The resultant a subresultant chain ends in: its psc_0, or zero if it ends above degree 0."""
+    return chain[-1][1] if chain and chain[-1][0] == 0 else []
 
 
 def _cleared(coeffs: list[Polynomial]) -> tuple[list[list[int]], int]:
@@ -768,7 +700,12 @@ def res_E(f: list[Polynomial], g: list[Polynomial]) -> Polynomial:
 
 
 def disc_E(f: list[Polynomial]) -> Polynomial:
-    """Disc_E(f) = Res_E(f, df/dE) / lc_E(f), coefficients as in ``res_E``.
+    """Disc_E(f) = Res_E(f, df/dE) / lc_E(f), coefficients as in ``res_E``: ``disc_chain(f).disc``."""
+    return disc_chain(f).disc
+
+
+def disc_chain(f: list[Polynomial]) -> "DiscriminantChain":
+    """Disc_E(f) with the subresultant chain of f and df/dE that computed it.
 
     With F = D f integral, Res(F, F') = +-lc(F) Disc(F) where Disc(F) is an
     integer polynomial in the coefficients of F, so the division by lc(F) is
@@ -782,7 +719,44 @@ def disc_E(f: list[Polynomial]) -> Polynomial:
     if not fi[-1]:
         raise ValueError("disc_E requires a nonzero leading E-coefficient")
     dfi = [[k * c for c in fi[k]] for k in range(1, len(fi))]
-    return _rescaled(_int_exact_div(_resultant_int(fi, dfi), fi[-1]), d ** (2 * len(f) - 4))
+    chain = _subresultant(fi, dfi) if len(dfi) > 1 else [(0, dfi[0], dfi)]
+    disc = _rescaled(_int_exact_div(_chain_resultant(chain), fi[-1]), d ** (2 * len(f) - 4))
+    return DiscriminantChain(disc, tuple(chain))
+
+
+@dataclass(frozen=True)
+class DiscriminantChain:
+    """Disc_E(f) and the subresultant chain (j, psc_j, S_j) of D f and its E-derivative over Z[y]."""
+
+    disc: Polynomial
+    chain: tuple
+
+    def repeated_root(self, g: Polynomial, root, a, b) -> tuple[int, Fraction]:
+        """(j, E*) at a real root y0 of ``disc``: j = deg gcd(f, f_E) there, and E* its one repeated root.
+
+        g is a factor of ``disc`` with y0 as its only root in (a, b], and
+        ``root`` is y0 or a rational close to it, as ``real_root_intervals(g)``
+        gives them.  Under a constant leading E-coefficient, j is the
+        smallest chain degree with psc_j(y0) != 0, and S_j(E, y0) is the gcd
+        times a number (the structure theorem of subresultants: Basu,
+        Pollack and Roy, *Algorithms in Real Algebraic Geometry*, ch. 8).
+        psc_j(y0) = 0 exactly when gcd(g, psc_j) has a root in (a, b].  One
+        repeated root gives S_j = s_j (E - E*)^j, so E* = -s_(j-1) / (j s_j):
+        exact at a rational root, else that formula's exact value at
+        ``root``.  ``ArithmeticError`` for j >= 2 unless the root is rational
+        and S_j that power; ``ValueError`` for a leading E-coefficient that
+        is not a constant.
+        """
+        if len(self.chain[0][1]) != 1:
+            raise ValueError("the chain reads repeated roots only under a constant leading E-coefficient")
+        for j, psc, s in reversed(self.chain):
+            if j and not real_root_count(Polynomial(psc).gcd(g), a, b):
+                break
+        values = [Polynomial(c)(root) for c in s]
+        e_star = -values[j - 1] / (j * values[j])
+        if j > 1 and (g(root) != 0 or Polynomial(values) != Polynomial.from_roots([e_star] * j, values[j])):
+            raise ArithmeticError(f"gcd(f, f_E) of degree {j} at {float(root)!r} is not one repeated root")
+        return j, e_star
 
 
 # --------------------------------------------------------------------------
@@ -875,16 +849,55 @@ def real_root_count(p: Polynomial, lo=None, hi=None) -> int:
     return _sign_variations(seq, lo) - _sign_variations(seq, hi)
 
 
+def real_roots_above(p: Polynomial, center, size: int, real: int) -> int | None:
+    """Distinct real roots of p above the ``size`` roots that cluster at ``center``, or None if not told apart.
+
+    p has ``real`` real roots counted with multiplicity, Sturm's theorem
+    counts distinct ones, and the cluster holds the difference: a multiple
+    root, or roots that the rounding of p pushed off the real axis.  Its
+    other members fill the widest interval (center - 2^e, center + 2^e]
+    that holds no more roots, with e galloping down from a Cauchy bound and
+    then bisected; None unless it holds exactly them, and for a constant p.
+    """
+    seq = _sturm_sequence(p)
+    if seq is None:
+        return None
+    center = as_fraction(center)
+    top = _sign_variations(seq, None)
+    inside = size - real + _sign_variations(seq, "-inf") - top
+    if inside < (_int_homogeneous(seq[0], center.numerator, center.denominator) == 0):
+        return None
+    counts = {}
+
+    def count(e: int) -> int:
+        if e not in counts:
+            d = Fraction(2) ** e
+            counts[e] = _sign_variations(seq, center - d) - _sign_variations(seq, center + d)
+        return counts[e]
+
+    # 2^high > |center| + 1 + max |c_k / c_n|, beyond every root
+    high = math.floor(abs(center) + 1 + max(abs(Fraction(c, seq[0][-1])) for c in seq[0][:-1])).bit_length()
+    e, step = high, 1
+    while count(e) > inside:  # a root at center alone stops it
+        high, e, step = e, e - step, 2 * step
+    while high - e > 1:
+        mid = (e + high) // 2
+        e, high = (mid, high) if count(mid) <= inside else (e, mid)
+    return _sign_variations(seq, center + Fraction(2) ** e) - top if count(e) == inside else None
+
+
 EXTENDED_CLUSTER_RTOL = 1e-12  # reality tolerance of the retry in ``real_roots``, far above 30-digit fog
 
 
-def _isolated(seq: list[list[int]], seeds, rtol: float, first: int, last: int) -> list[Fraction]:
+def _isolated(seq: list[list[int]], seeds, rtol: float, first: int, last: int) -> list[tuple]:
     """Roots ``first`` to ``last - 1`` of seq[0], each certified alone in an interval and polished there.
 
     The seeds within ``rtol`` of the real axis, sorted, are cut apart at
     their exact midpoints.  ``ConvergenceError`` unless Sturm's theorem
     counts one root in each piece and its Newton iterate stays there (a root
     at the origin has the seed 0 in both passes, which the polisher keeps).
+    Returns (root, a, b) for each, with the root alone in (a, b] and None
+    for an infinite end.
     """
     xs = sorted(z.real for z in seeds if abs(z.imag) <= rtol * (1 + abs(z)))
     cuts = ["-inf", *((as_fraction(a) + as_fraction(b)) / 2 for a, b in zip(xs, xs[1:])), None]
@@ -897,12 +910,20 @@ def _isolated(seq: list[list[int]], seeds, rtol: float, first: int, last: int) -
         if (a != "-inf" and x <= a) or (b is not None and x > b):
             raise ConvergenceError(f"the root polished from {x0!r} left its interval", roots=xs)
         u, v = as_ratio(float(x))
-        roots.append(Fraction(u, v) if _int_homogeneous(seq[0], u, v) == 0 else x)
+        roots.append((Fraction(u, v) if _int_homogeneous(seq[0], u, v) == 0 else x, None if a == "-inf" else a, b))
     return roots
 
 
 def real_roots(p: Polynomial, lo=None, hi=None) -> list[Fraction]:
-    """The distinct real roots of an exact polynomial in [lo, hi], ascending.
+    """The distinct real roots of an exact polynomial in [lo, hi], ascending: ``real_root_intervals`` without the intervals."""
+    return [x for x, _, _ in real_root_intervals(p, lo, hi)]
+
+
+def real_root_intervals(p: Polynomial, lo=None, hi=None) -> list[tuple]:
+    """The distinct real roots of an exact polynomial in [lo, hi], ascending, each as (root, a, b).
+
+    The root is the only one of p in (a, b], a Sturm-isolating interval;
+    None stands for an infinite end.
 
     ``lo``/``hi`` of None stand for -inf/+inf; finite ends convert exactly
     and a root on one is kept.  The square-free part f heads the Sturm

@@ -2,8 +2,11 @@
 
 The exceptional points of the two solvable families are decided exactly:
 along one parameter by the real roots of the discriminant of the secular
-polynomial, along the shift y by three exact event polynomials.  A
-Hermitian family has none, and any other one-parameter model is refused.
+polynomial, along the shift y by three exact event polynomials.  The
+subresultant chain that computes a discriminant also reads the order and
+the energy of each event, and every event is an EP: both families are
+irreducible tridiagonal, so each eigenvalue has geometric multiplicity 1.
+A Hermitian family has none, and any other one-parameter model is refused.
 Sweeps read eigenvalues in double or extended precision, the
 perturbation exponent in extended precision.  The classification of one
 matrix takes its algebraic multiplicity from the extended eigenvalues,
@@ -19,30 +22,32 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
     CLUSTER_RTOL,
+    DiscriminantChain,
     Polynomial,
     Precision,
     as_array,
     as_fraction,
     cluster_points,
-    disc_E,
+    disc_chain,
     eig_dense,
     eigvals_double,
     eigvals_mp,
     exact_matmul,
     exact_rank,
-    poly_roots,
     real_root_count,
+    real_root_intervals,
     real_roots,
+    real_roots_above,
     reality_flags,
     res_E,
     square_free_factors,
 )
-from .core.poly import _newton_polish_real
 from .models import BcModel, EpnModel, HermitianDemoModel, epn_secular
 from .sturmian import (
     SturmianFunction,
@@ -294,7 +299,7 @@ class CriticalPoint:
 
     params: dict
     energy: complex
-    kind: str  # "ep" | "diabolic" | "sturmian-pole" | "indeterminate"
+    kind: str  # "ep" | "sturmian-pole"
     order: int
     residuals: dict
 
@@ -416,66 +421,45 @@ def ep_locate_1d(target, param_range: tuple[float, float]) -> list[CriticalPoint
 
 
 def _ep_locate_exact(model, coeffs, to_param, shift, param_range) -> list[CriticalPoint]:
-    """Every real root lam of the discriminant in the window (``real_roots``), rounded to double.
+    """Every real root lam of the discriminant in the window, with its order and energy read from the subresultant chain.
 
     ``coeffs`` are the E-coefficients of the secular polynomial, exact
     polynomials in lam = mu^2; it is the characteristic polynomial of
     ``model.matrix`` in E - shift(lam).  ``to_param`` maps mu to the swept
     parameter and back.  The mirror locations +-mu carry one critical point
     each way; one representative is kept, mu = +sqrt(lam) when the range
-    allows it.
+    allows it.  At each root the chain that computed the discriminant gives
+    deg gcd = j and the repeated root E* (``DiscriminantChain.repeated_root``):
+    an EP of order j + 1 at E* + shift(lam), rounded once.
     """
     lo, hi = sorted((float(param_range[0]), float(param_range[1])))
     mu_lo, mu_hi = sorted((to_param(lo), to_param(hi)))
     lam_lo = 0.0 if mu_lo <= 0.0 <= mu_hi else min(mu_lo * mu_lo, mu_hi * mu_hi)
     lam_hi = max(mu_lo * mu_lo, mu_hi * mu_hi)
-    d = disc_E(list(coeffs))
+    chain = disc_chain(list(coeffs))
+    d = chain.disc
     if d.is_zero:
         raise ValueError("discriminant vanishes identically; family is degenerate")
 
     points = []
-    for lam in map(float, real_roots(d, lam_lo, lam_hi)):
+    for lam, a, b in real_root_intervals(d, lam_lo, lam_hi):
         mu = math.sqrt(lam)
         param = next((p for p in (to_param(mu), to_param(-mu)) if lo <= p <= hi), None)
         if param is None:
             continue
         params = {"y": model.y, "r": param} if isinstance(model, BcModel) else {"t": param}
-        matrix = model.matrix(param)
-        for energy, order, kind, resid in _repeated_roots(coeffs, lam, matrix, shift(lam)):
-            resid["disc_residual"] = _relative_residual(d, lam)
-            points.append(CriticalPoint(params, energy, kind, order, resid))
+        j, e_star = chain.repeated_root(d, lam, a, b)
+        energy = complex(float(e_star)) + shift(float(lam))
+        resid = _rank_residuals(model.matrix(param), energy)
+        resid["disc_residual"] = _relative_residual(d, float(lam))
+        points.append(CriticalPoint(params, energy, "ep", j + 1, resid))
     return points
 
 
-def _repeated_roots(coeffs, root, matrix, shift=0.0) -> list[tuple]:
-    """(energy, order, kind, residuals) of each repeated root at one exact event.
-
-    ``root`` is a real root of the discriminant of the secular polynomial
-    with E-coefficients ``coeffs``, the characteristic polynomial of
-    ``matrix`` in E - ``shift``.  The algebraic multiplicity is the size of
-    an extended-precision root cluster of that polynomial evaluated exactly
-    at ``as_fraction(root)`` (a float root splits a double root by
-    ~sqrt(rounding), below tolerance); the geometric one comes from the
-    singular values of M - E I.  A centre within the cluster radius of the
-    real axis is Newton-polished on the (m-1)-th derivative, where the m-fold
-    root is simple, so an exactly rational root comes out exact.
-    """
-    poly = Polynomial([k(as_fraction(root)) for k in coeffs])
-    found = []
-    for c in poly_roots(poly, precision=Precision.EXTENDED).clusters:
-        if c.multiplicity < 2:
-            continue
-        center = c.center
-        if abs(center.imag) <= c.radius:
-            simple = poly
-            for _ in range(c.multiplicity - 1):
-                simple = simple.derivative()
-            center = complex(float(_newton_polish_real(simple, center.real)))
-        energy = center + shift
-        geo, sv, _ = _geometric_multiplicity(matrix, energy)
-        resid = {"cluster_radius": c.radius, "rank_defect": geo, "sigma_min": float(sv[-1])}
-        found.append((energy, c.multiplicity, "ep" if geo == 1 else "diabolic", resid))
-    return found
+def _rank_residuals(matrix, energy) -> dict:
+    """The rank defect and sigma_min of M - E I at a located EP, from one SVD: reported, never read."""
+    geo, sv, _ = _geometric_multiplicity(matrix, energy)
+    return {"rank_defect": geo, "sigma_min": float(sv[-1])}
 
 
 def _relative_residual(p: Polynomial, x) -> float:
@@ -535,20 +519,6 @@ def _inner_rational(a, b) -> Fraction:
     return _simplest_between(a + quarter, b - quarter)
 
 
-def _levels_above(roots, energy: complex, cluster: int, real: int) -> int:
-    """Real levels above ``energy`` in one double spectrum with ``real`` real levels.
-
-    The exact count ``real`` says how many levels are real; the doubles
-    only say which and on which side of ``energy`` they lie.  The
-    ``cluster`` roots nearest ``energy`` are the ones meeting there: they
-    are real and not "above".  The other real ones are the ``real -
-    cluster`` roots nearest the real axis.
-    """
-    roots = sorted(roots, key=lambda z: abs(z - energy))
-    others = sorted(roots[cluster:], key=lambda z: abs(z.imag))[: real - cluster]
-    return sum(z.real > energy.real for z in others)
-
-
 @lru_cache(maxsize=128)
 def _reality_history(n: int, y: Fraction) -> _RealityHistory:
     """The exact label history of the boundary-controlled family at a rational y.
@@ -561,10 +531,13 @@ def _reality_history(n: int, y: Fraction) -> _RealityHistory:
     the number of real levels is constant: the Sturm count of A + p B at a
     rational p inside.  Labels run 0..n-1 descending at the Hermitian end
     r = 1 and are continued downward: the pair merging at E* sits at the
-    positions given by the number of real levels above E*, read off the
-    roots at p_j (``_levels_above``).  A landing pair is the one complex
-    pair, its labels in ascending order; with several complex pairs it is
-    unknown.
+    positions given by the number of real levels above it.  On the side of
+    p_j where the pair is real, its two levels lie on the monotone branches
+    of r^2 on either side of the critical point, and no other level lies
+    between them, so the Sturm count above its double E* at that side's
+    rational p is one more.  A
+    landing pair is the one complex pair, its labels in ascending order;
+    with several complex pairs it is unknown.
     """
     s = bivariate_secular(n, y)
     # the critical values are exact rationals (r^2 at the double E*), so
@@ -574,20 +547,16 @@ def _reality_history(n: int, y: Fraction) -> _RealityHistory:
     merges = dict(sorted(critical, reverse=True))
     merges = [(p, e) for p, e in merges.items() if 0 < p < 1]
     bounds = [1.0, *(p for p, _ in merges), 0.0]
-    counts = [real_root_count(s.poly_at(_inner_rational(b, a))) for a, b in zip(bounds, bounds[1:])]
+    inner = [s.poly_at(_inner_rational(b, a)) for a, b in zip(bounds, bounds[1:])]
+    counts = [real_root_count(p) for p in inner]
     steps = []
-    for (p_j, e_star), above, below in zip(merges, counts, counts[1:]):
+    for i, (p_j, e_star) in enumerate(merges):
+        above, below = counts[i : i + 2]
         if below == above:
             continue
         if abs(below - above) != 2:
             raise ArithmeticError(f"{abs(below - above)} levels change reality at one p = {p_j}")
-        roots = poly_roots(s.poly_at(p_j)).roots
-        _, pair, third = sorted(abs(z - e_star) for z in roots)[:3]
-        if third <= 100 * pair:
-            # a third level as close as the pair's own rounding split (near a
-            # fold): the double roots cannot tell its side, 30 digits can
-            roots = poly_roots(s.poly_at(p_j), precision=Precision.EXTENDED).roots
-        k = _levels_above(roots, complex(e_star), 2, max(above, below))
+        k = real_root_count(inner[i] if above > below else inner[i + 1], e_star) - 1
         steps.append((p_j, "depart" if below < above else "land", k))
     return _RealityHistory(tuple(steps), *_continue_labels(n, steps))
 
@@ -648,9 +617,14 @@ def _label_residuals(resid: dict, key: str, labels) -> None:
 
 
 @lru_cache(maxsize=None)
+def _secular_chain(n: int, p) -> DiscriminantChain:
+    """The subresultant chain of the secular polynomial at coupling p and its E-derivative, over Z[y]."""
+    return disc_chain(list(secular_in_y(n, p)))
+
+
 def _disc_in_y_at_p(n: int, p) -> Polynomial:
     """Discriminant in E of the secular polynomial, as an exact polynomial in y."""
-    return disc_E(list(secular_in_y(n, p)))
+    return _secular_chain(n, p).disc
 
 
 @lru_cache(maxsize=None)
@@ -665,7 +639,6 @@ def _pole_collision_poly(n: int) -> Polynomial:
     return res_E(list(secular_in_y(n)), [Polynomial([Fraction(c)]) for c in b.coeffs])
 
 
-@lru_cache(maxsize=None)
 def _fold_coeffs_in_E(n: int) -> tuple[Polynomial, ...]:
     """E-coefficients of W = A_y' B - A_y B' (polynomials in y).
 
@@ -674,36 +647,27 @@ def _fold_coeffs_in_E(n: int) -> tuple[Polynomial, ...]:
     interior r and the non-real interval between them closes.
     """
     ce = secular_in_y(n)
-    de = [k * ce[k] for k in range(1, len(ce))]
-    b = [Fraction(c) for c in (-bc_secular_parts(n)[3]).coeffs]
-    db = [k * b[k] for k in range(1, len(b))]
-
-    def mul_scalar(coeffs_poly, coeffs_scalar):
-        out = [Polynomial.zero()] * (len(coeffs_poly) + len(coeffs_scalar) - 1)
-        for i, cp in enumerate(coeffs_poly):
-            if cp.is_zero:
-                continue
-            for j, cs in enumerate(coeffs_scalar):
-                if cs == 0:
-                    continue
-                out[i + j] = out[i + j] + cp.scale(cs)
-        return out
-
-    term1 = mul_scalar(de, b)
-    term2 = mul_scalar(ce, db)
-    size = max(len(term1), len(term2))
-    term1 += [Polynomial.zero()] * (size - len(term1))
-    term2 += [Polynomial.zero()] * (size - len(term2))
-    w = [t1 - t2 for t1, t2 in zip(term1, term2)]
+    b = (-bc_secular_parts(n)[3]).coeffs
+    # A'B - AB' = sum over i, j of (i - j) a_i b_j E^(i + j - 1)
+    w = [Polynomial.zero()] * (len(ce) + len(b) - 2)
+    for i, a_i in enumerate(ce):
+        for j, b_j in enumerate(b):
+            if i != j:
+                w[i + j - 1] = w[i + j - 1] + a_i.scale(Fraction((i - j) * b_j))
     while len(w) > 1 and w[-1].is_zero:
         w.pop()
     return tuple(w)
 
 
 @lru_cache(maxsize=None)
+def _fold_chain(n: int) -> DiscriminantChain:
+    """The subresultant chain of W(E, y) and its E-derivative, over Z[y]."""
+    return disc_chain(list(_fold_coeffs_in_E(n)))
+
+
 def _fold_event_poly(n: int) -> Polynomial:
     """Disc_E of W(E, y) as an exact polynomial in y (EP-curve folds)."""
-    return disc_E(list(_fold_coeffs_in_E(n)))
+    return _fold_chain(n).disc
 
 
 def ep_locate_2d_bc(n: int, y_range: tuple[float, float]) -> list[CriticalPoint]:
@@ -732,9 +696,11 @@ def ep_locate_2d_bc(n: int, y_range: tuple[float, float]) -> list[CriticalPoint]
     event.
     """
     lo, hi = sorted((float(y_range[0]), float(y_range[1])))
-    found = ((y, polishers) for piece, polishers in _event_pieces(n) for y in real_roots(piece))
-    roots = sorted(found, key=lambda c: c[0])
-    ys = [float(y) for y, _ in roots]
+    found = (
+        (_Root(piece, *root), polishers) for piece, polishers in _event_pieces(n) for root in real_root_intervals(piece)
+    )
+    roots = sorted(found, key=lambda c: c[0].value)
+    ys = [float(root.value) for root, _ in roots]
 
     def gap(i: int) -> _RealityHistory:
         """The label history between roots i - 1 and i."""
@@ -743,16 +709,25 @@ def ep_locate_2d_bc(n: int, y_range: tuple[float, float]) -> list[CriticalPoint]
         return _reality_history(n, _inner_rational(a, b))
 
     points = []
-    for i, (_, polishers) in enumerate(roots):
+    for i, (root, polishers) in enumerate(roots):
         if not lo <= ys[i] <= hi:
             continue
         below, above = gap(i), gap(i + 1)
         for polish in polishers:
-            point = polish(n, ys[i], below, above)
+            point = polish(n, root, below, above)
             if point is not None:
                 points.append(point)
                 break
     return points
+
+
+class _Root(NamedTuple):
+    """A real root of a square-free factor of an event polynomial, its only root in (lo, hi]."""
+
+    factor: Polynomial
+    value: Fraction
+    lo: Fraction | None
+    hi: Fraction | None
 
 
 def _event_pieces(n: int) -> list[tuple[Polynomial, tuple]]:
@@ -787,30 +762,33 @@ def _event_pieces(n: int) -> list[tuple[Polynomial, tuple]]:
     return pieces
 
 
-def _polish_merge_event(n, y_star, below, above) -> CriticalPoint | None:
+def _polish_merge_event(n, root: _Root, below, above) -> CriticalPoint:
     """A level merger at r = 0 on a root y* of the exact discriminant.
 
-    The secular polynomial at r = 0, as a polynomial in y, is classified at
-    y* by ``_repeated_roots``, like every root of the exact 1-D locator.
-    Its ``tracks`` are the levels at the merge energy's positions at
-    r -> 0, on the side of y* where they are real.
+    The subresultant chain of the secular polynomial at r = 0, over Z[y],
+    reads the order j + 1 and the energy at y*
+    (``DiscriminantChain.repeated_root``), as at every root of the exact
+    1-D locator.  Its ``tracks`` are the levels at the merge energy's
+    positions at r -> 0, on the side of y* where they are real: Sturm
+    counts the levels of the secular polynomial at the double y* above the
+    merging ones (``real_roots_above``), which that rounding may have moved
+    off the real axis.
     """
-    found = _repeated_roots(secular_in_y(n), y_star, BcModel(n, y_star).matrix(0.0))
-    if not found:
-        return None
-    energy, order, kind, resid = found[0]
+    y_star = float(root.value)
+    j, e_star = _secular_chain(n, 0).repeated_root(*root)
+    energy = complex(float(e_star))
+    resid = _rank_residuals(BcModel(n, y_star).matrix(0.0), energy)
     lowest = below.segments[-1], above.segments[-1]
     levels = max(lowest, key=len)
-    poly = Polynomial([c(as_fraction(y_star)) for c in secular_in_y(n)])
-    k = _levels_above(poly_roots(poly).roots, energy, order, len(levels))
-    if len(lowest[0]) == len(lowest[1]) and lowest[0] != lowest[1]:
-        k = None
-    _label_residuals(resid, "tracks", _labels_at(levels, k, order))
+    k = None
+    if len(lowest[0]) != len(lowest[1]) or lowest[0] == lowest[1]:
+        k = real_roots_above(bivariate_secular(n, y_star).A, energy.real, j + 1, len(levels))
+    _label_residuals(resid, "tracks", _labels_at(levels, k, j + 1))
     resid["disc_residual"] = _relative_residual(_disc_in_y_at_p(n, 0), y_star)
-    return CriticalPoint({"y": y_star, "r": 0.0}, energy, kind, order, resid)
+    return CriticalPoint({"y": y_star, "r": 0.0}, energy, "ep", j + 1, resid)
 
 
-def _polish_pole_event(n, y_star, below, above) -> CriticalPoint:
+def _polish_pole_event(n, root: _Root, below, above) -> CriticalPoint:
     """A reality exchange through a pole of the coupling function.
 
     At a root y* of Res_E(A_y, B) the numerator A_y* and the denominator B
@@ -825,7 +803,8 @@ def _polish_pole_event(n, y_star, below, above) -> CriticalPoint:
     r^2(E) passes through the persistent line; ``crossing_track`` is that
     moving level (``_crossing_track``).
     """
-    s = bivariate_secular(n, as_fraction(y_star))
+    y_star = float(root.value)
+    s = bivariate_secular(n, y_star)
     energy = min(real_roots(s.B), key=lambda e: abs(s.A(e)))
     p_star = -s.A.derivative()(energy) / s.B.derivative()(energy)
     resid = {
@@ -849,7 +828,9 @@ def _crossing_track(s: SturmianFunction, energy: Fraction, p_star: Fraction, bel
     Inside the model the labels just above p* are those above the first
     step where the two neighbouring histories differ; a crossing below
     r = 0 or above r = 1 is read at that end, where the moving level is the
-    neighbour of E* on the side it moved to.
+    neighbour of E* on the side it moved to.  Sturm counts the levels of
+    A + p B above those meeting at E* there (``real_roots_above``), at the
+    double of p, since the rounding of y* has split those levels already.
     """
     slope = s.A.derivative().derivative()(energy) + p_star * s.B.derivative().derivative()(energy)
     if slope == 0:  # two levels reach E* together: no single crossing level
@@ -866,51 +847,39 @@ def _crossing_track(s: SturmianFunction, energy: Fraction, p_star: Fraction, bel
         levels = below.segments[-1 if p_star <= 0 else 0]
         if levels != above.segments[-1 if p_star <= 0 else 0]:
             return None
-    p_end = min(max(p_star, Fraction(0)), Fraction(1))
-    roots = poly_roots(s.poly_at(p_end)).roots
-    k = _levels_above(roots, complex(float(energy)), 2 if inside else 1, len(levels))
+    p_end = as_fraction(min(max(float(p_star), 0.0), 1.0))
+    k = real_roots_above(s.poly_at(p_end), float(energy), 2 if inside else 1, len(levels))
+    if k is None:
+        return None
     k += inside and rising
     labels = _labels_at(levels, k - 1 if rising else k + 1, 1)
     return None if labels is None else labels[0]
 
 
-def _polish_fold_event(n, y_star, below, above) -> CriticalPoint | None:
+def _polish_fold_event(n, root: _Root, below, above) -> CriticalPoint | None:
     """Two interior-r level mergers colliding: a fold of the EP curve.
 
-    A double root E* of W(., y*) with coupling p* = -A(E*)/B(E*) in [0, 1]
-    is a triple root of A + p* B.  E* is Newton-polished on W' and p* kept
-    as the exact rational of that E*: a double p* would split the triple
-    root beyond any cluster tolerance.  The secular polynomial at p* is
-    then classified by ``_repeated_roots``, like every merger; the event
-    energy is E* itself.  Its ``tracks`` are the three levels that are real
+    The subresultant chain of W = A'B - AB', over Z[y], reads the repeated
+    root E* of W(., y*) and its order j_W (``DiscriminantChain.repeated_root``).
+    Where B(E*) != 0, A + p B with p = -A(E*)/B(E*) vanishes to order m at
+    E* exactly when W vanishes to order m - 1 there, so the fold is an EP
+    of order j_W + 2 at E*.  Its coupling p* is r^2 at the reported double
+    E* and y*; r^2 is stationary at E* to second order, so the last bits of
+    E* do not move it.  Its ``tracks`` are the three levels that are real
     between the landing and the departure that the fold joins: on one side
     of y* the history has these two extra steps next to each other.
     """
-    y_frac = as_fraction(y_star)
-    w_at = Polynomial([c(y_frac) for c in _fold_coeffs_in_E(n)])
-    s = bivariate_secular(n, y_frac)
-    for c in poly_roots(w_at, precision=Precision.EXTENDED).clusters:
-        if c.multiplicity < 2 or abs(c.center.imag) > 1e-6 * (1 + abs(c.center)):
-            continue
-        e_star = as_fraction(_newton_polish_real(w_at.derivative(), c.center.real))
-        denom = s.B(e_star)
-        if denom == 0:
-            continue
-        p_star = -s.A(e_star) / denom
-        if not -1e-9 <= p_star <= 1 + 1e-9:
-            continue
-        r0 = math.sqrt(max(float(p_star), 0.0))
-        matrix = BcModel(n, y_star).matrix(r0)
-        found = _repeated_roots(secular_in_y(n, p_star), y_star, matrix)
-        if not found:
-            return None
-        # the cluster fixes order and kind; its centroid carries the
-        # rounding fog of the 30-digit root finder, E* does not
-        _, order, kind, resid = min(found, key=lambda f: abs(f[0] - complex(e_star)))
-        _label_residuals(resid, "tracks", _fold_tracks(below, above, order))
-        resid["fold_residual"] = _relative_residual(_fold_event_poly(n), y_star)
-        return CriticalPoint({"y": y_star, "r": r0}, complex(e_star), kind, order, resid)
-    return None
+    y_star = float(root.value)
+    j, e_star = _fold_chain(n).repeated_root(*root)
+    energy = complex(float(e_star))
+    r2 = sturmian_r2(bivariate_secular(n, y_star), energy.real)
+    if not r2.is_finite or not -1e-9 <= r2.exact <= 1 + 1e-9:
+        return None
+    r0 = math.sqrt(max(r2.value, 0.0))
+    resid = _rank_residuals(BcModel(n, y_star).matrix(r0), energy)
+    _label_residuals(resid, "tracks", _fold_tracks(below, above, j + 2))
+    resid["fold_residual"] = _relative_residual(_fold_event_poly(n), y_star)
+    return CriticalPoint({"y": y_star, "r": r0}, energy, "ep", j + 2, resid)
 
 
 def _fold_tracks(below: _RealityHistory, above: _RealityHistory, order: int) -> tuple | None:

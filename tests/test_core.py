@@ -25,12 +25,15 @@ from epspect.core import (
     disc_E,
     discriminant,
     discriminant_in_E,
+    disc_chain,
     eig_dense,
     eigvals_double,
     eigvals_mp,
     poly_roots,
     real_root_count,
+    real_root_intervals,
     real_roots,
+    real_roots_above,
     reality_flags,
     res_E,
     resultant,
@@ -1085,6 +1088,77 @@ def test_disc_E_refuses_an_E_constant():
 def test_disc_E_refuses_a_zero_leading_E_coefficient():
     with pytest.raises(ValueError, match="leading"):
         disc_E(_in_E([1], [0, 1], []))
+
+
+_small_linear = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(lambda c: Polynomial([Fraction(c[0]), Fraction(c[1])]))
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.lists(st.tuples(_small_linear, st.integers(1, 3)), min_size=1, max_size=3),
+    st.integers(-2, 2).map(Fraction),
+)
+def test_chain_reads_the_gcd_of_f_and_its_derivative(factors, y0):
+    # f = prod (E - a_i(y))^m_i, so roots collide at small integer y and the
+    # chain has missing degrees; at y0 the structure theorem holds
+    f = [Polynomial([Fraction(1)])]
+    for a, m in factors:
+        for _ in range(m):  # f *= E - a
+            f = [s - c * a for s, c in zip([Polynomial.zero()] + f, f + [Polynomial.zero()])]
+    fy = Polynomial([c(y0) for c in f])
+    gcd = fy.gcd(fy.derivative())
+    chain = disc_chain(f).chain
+    j, _, s = min((entry for entry in chain if Polynomial(entry[1])(y0) != 0), key=lambda e: e[0])
+    assert j == gcd.degree
+    assert Polynomial([Polynomial(c)(y0) for c in s]).monic() == gcd
+
+
+def test_chain_reads_order_and_energy_at_rational_and_irrational_roots():
+    # (E - 1)^2 - (y^2 - 2): a double root E = 1 at y = -+sqrt(2)
+    chain = disc_chain(_in_E([3, 0, -1], [-2], [1]))
+    roots = real_root_intervals(chain.disc)
+    assert [float(y) for y, _, _ in roots] == [-math.sqrt(2), math.sqrt(2)]
+    assert [chain.repeated_root(chain.disc, *root) for root in roots] == [(1, 1), (1, 1)]
+    # (E - 1)^3 - y: a triple root E = 1 at y = 0
+    chain = disc_chain(_in_E([-1, -1], [3], [-3], [1]))
+    ((y, a, b),) = real_root_intervals(chain.disc)
+    assert chain.repeated_root(chain.disc, y, a, b) == (2, 1)
+    # E^4 + y E + 1: the remainder drops two degrees, so S_1 is rescaled;
+    # the double root is E* = -+3^(-1/4) at y = -4 E*^3
+    chain = disc_chain(_in_E([1], [0, 1], [], [], [1]))
+    assert [j for j, _, _ in chain.chain] == [3, 1, 0]
+    for root in real_root_intervals(chain.disc):
+        j, e_star = chain.repeated_root(chain.disc, *root)
+        assert j == 1 and float(e_star) == pytest.approx(-math.copysign(3**-0.25, root[0]), rel=1e-15)
+
+
+def test_chain_refuses_what_one_repeated_root_cannot_explain():
+    # ((E - 1)^2 - y)((E + 1)^2 - y): two double roots E = -+1 at y = 0
+    chain = disc_chain(_in_E([1, -2, 1], [], [-2, -2], [], [1]))
+    y, a, b = next(root for root in real_root_intervals(chain.disc) if root[0] == 0)
+    with pytest.raises(ArithmeticError, match="not one repeated root"):
+        chain.repeated_root(chain.disc, y, a, b)
+    # (E - 1)^3 - (y^2 - 2): a triple root at the irrational y = sqrt(2)
+    chain = disc_chain(_in_E([1, 0, -1], [3], [-3], [1]))
+    for root in real_root_intervals(chain.disc):
+        with pytest.raises(ArithmeticError):
+            chain.repeated_root(chain.disc, *root)
+
+
+def test_roots_above_a_cluster_count_multiple_and_split_roots():
+    e = Polynomial([Fraction(0), Fraction(1)])
+    # a double root at 1, one root above it, one below
+    p = (e - Polynomial([1])) * (e - Polynomial([1])) * (e - Polynomial([3])) * (e + Polynomial([2]))
+    assert real_roots_above(p, 1, 2, 4) == 1
+    # the pair split into a complex pair 1 +- 1e-9 i: the count is the same
+    p = ((e - Polynomial([1])) * (e - Polynomial([1])) + Polynomial([Fraction(1, 10**18)])) * (e - Polynomial([3])) * (e + Polynomial([2]))
+    assert real_roots_above(p, 1, 2, 4) == 1
+    # split into two real roots 1 +- 1e-9
+    p = ((e - Polynomial([1])) * (e - Polynomial([1])) - Polynomial([Fraction(1, 10**18)])) * (e - Polynomial([3]))
+    assert real_roots_above(p, Fraction(1), 2, 3) == 1
+    # two roots at the same distance from the centre are not told apart
+    q = Polynomial([Fraction(3, 4)])
+    assert real_roots_above((e - q) * (e + q), 0, 1, 2) is None
 
 
 @pytest.mark.parametrize("n", [10, 11])

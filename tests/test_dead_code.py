@@ -1,6 +1,6 @@
 """Static guard against dead code in the package (stdlib ``ast`` only).
 
-Twelve things fail the guard: an import a module never uses (package
+Thirteen things fail the guard: an import a module never uses (package
 ``__init__.py`` files are exempt, their imports are re-exports), a
 ``_private`` top-level function that no module of the package references,
 a module-level UPPER_CASE constant that no module of the package loads,
@@ -11,7 +11,9 @@ determinant or characteristic polynomial (``numpy.linalg.det``,
 ``core/poly.py``, an inline square-free gcd ``p.gcd(p.derivative())``
 outside ``core/poly.py``, sampled reality
 (``sweep``, ``reality_flags``, ``REALITY_RTOL``) anywhere the exact shift
-scan reaches, a ``scipy`` import anywhere, an ``mpmath`` import anywhere
+scan reaches, a double root read (``poly_roots``, a root cluster, the
+cluster tolerance, a Newton polish or ``_levels_above``) anywhere the exact
+locators reach, a ``scipy`` import anywhere, an ``mpmath`` import anywhere
 (numpy is the one runtime dependency), and an import of ``threading`` or
 ``concurrent.futures`` anywhere but in ``epfinder.sweep``.  Two narrower
 mpmath guards stay beside the import guard and name the culprit when it
@@ -296,22 +298,30 @@ def test_square_free_guard_sees_every_spelling():
 
 SAMPLED_REALITY = {"sweep", "reality_flags", "REALITY_RTOL"}
 EXACT_SCAN = re.compile(r"bc_reality_signature|ep_locate_2d_bc|_polish_\w+_event")
+DOUBLE_ROOTS = {"poly_roots", "cluster_points", "CLUSTER_RTOL", "_newton_polish_real", "_levels_above"}
+EXACT_LOCATORS = re.compile(r"ep_locate_1d|_ep_locate_exact|ep_locate_2d_bc|_polish_\w+_event")
+
+
+def _names_reached(tree, roots, names):
+    """(function, line) where a function named by ``roots``, or a module
+    function it reaches, loads one of ``names``."""
+    functions = {
+        node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    reached = [name for name in functions if roots.fullmatch(name)]
+    for name in reached:
+        for node in ast.walk(functions[name]):
+            ident = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if ident in names:
+                yield name, node.lineno
+            elif ident in functions and ident not in reached:
+                reached.append(ident)
 
 
 def _sampling_in_exact_scan(tree):
     """(function, line) where a scan function, or a module function it
     reaches, loads a sampled-reality name."""
-    functions = {
-        node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-    reached = [name for name in functions if EXACT_SCAN.fullmatch(name)]
-    for name in reached:
-        for node in ast.walk(functions[name]):
-            ident = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-            if ident in SAMPLED_REALITY:
-                yield name, node.lineno
-            elif ident in functions and ident not in reached:
-                reached.append(ident)
+    return _names_reached(tree, EXACT_SCAN, SAMPLED_REALITY)
 
 
 def test_exact_scan_never_samples_reality():
@@ -321,6 +331,19 @@ def test_exact_scan_never_samples_reality():
         f"{path.relative_to(PACKAGE)}:{line}: {name}"
         for path in MODULES
         for name, line in _sampling_in_exact_scan(_parse(path))
+    ]
+    assert found == []
+
+
+def test_exact_locators_never_read_double_roots():
+    """The order, energy and labels of a located event come from the
+    subresultant chain and Sturm counts; a double root finder, a root
+    cluster or its tolerance anywhere the locators reach would bring back
+    rounded roots."""
+    found = [
+        f"{path.relative_to(PACKAGE)}:{line}: {name}"
+        for path in MODULES
+        for name, line in _names_reached(_parse(path), EXACT_LOCATORS, DOUBLE_ROOTS)
     ]
     assert found == []
 
@@ -337,6 +360,20 @@ def test_exact_scan_guard_sees_every_spelling():
     assert sorted(_sampling_in_exact_scan(ast.parse(source))) == [
         ("_polish_pole_event", 7),
         ("bc_reality_signature", 8),
+        ("helper", 3),
+    ]
+    source = (
+        "from .core import CLUSTER_RTOL\n"
+        "def helper():\n    return poly_roots(p)\n"
+        "def ep_locate_1d():\n    return helper()\n"
+        "def _polish_fold_event():\n    return core.poly._newton_polish_real(p, 1.0)\n"
+        "def _ep_locate_exact(rtol=CLUSTER_RTOL):\n    return cluster_points(v)\n"
+        "def unrelated():\n    return _levels_above(1)\n"
+    )
+    assert sorted(_names_reached(ast.parse(source), EXACT_LOCATORS, DOUBLE_ROOTS)) == [
+        ("_ep_locate_exact", 8),
+        ("_ep_locate_exact", 9),
+        ("_polish_fold_event", 7),
         ("helper", 3),
     ]
 

@@ -9,11 +9,19 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import epspect.epfinder as epfinder
-from epspect.core import ConvergenceError, Precision, eig_dense, eigvals_double, real_roots
+from epspect.core import (
+    ConvergenceError,
+    Precision,
+    disc_chain,
+    eig_dense,
+    eigvals_double,
+    real_root_intervals,
+    real_roots,
+)
 from epspect.epfinder import (
     SWEEP_CHUNK,
     _assign,
@@ -32,7 +40,7 @@ from epspect.epfinder import (
 )
 from epspect.models import BcModel, EpnModel, HermitianDemoModel, bc_matrix, epn_matrix
 from epspect.sturmian import bivariate_secular
-from oracles import POLISH_PREC, eigvals_at, model_mp
+from oracles import POLISH_PREC, bc_mp, eigvals_at, model_mp
 
 EPS_LADDER = [1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6]
 
@@ -517,6 +525,65 @@ def test_bc_located_points_are_multiple_eigenvalues(n, y):
         _assert_mp_order(model, p)
 
 
+def _mpf(x: Fraction):
+    return mp.mpf(x.numerator) / x.denominator
+
+
+_unit_fractions = st.fractions(0, 1, max_denominator=64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(3, 8),
+    y=st.fractions(-1, 1, max_denominator=16).filter(lambda y: abs(y) < 1),
+    window=st.tuples(_unit_fractions, _unit_fractions).map(sorted),
+)
+@example(n=6, y=Fraction(-4, 5), window=[Fraction(0), Fraction(1)])
+@example(n=8, y=Fraction(0), window=[Fraction(0), Fraction(1)])
+def test_chain_order_is_the_cluster_size_of_the_40_digit_spectrum(n, y, window):
+    # the chain's order and energy at each root lam0 = r0^2 in the window,
+    # against the eigenvalues of the 40-digit matrix at r0 itself
+    chain = disc_chain(bivariate_secular(n, y).secular.coefficients)
+    for lam, a, b in real_root_intervals(chain.disc, *window):
+        j, e_star = chain.repeated_root(chain.disc, lam, a, b)
+        with mp.workdps(40):
+            values = eigvals_at(bc_mp(n, _mpf(y), mp.sqrt(_mpf(lam))), POLISH_PREC)
+            dist = sorted(abs(v - _mpf(e_star)) for v in values)
+        assert dist[j] <= 1e-15
+        assert j + 1 == n or dist[j + 1] > 1e-8
+    r_window = tuple(math.sqrt(w) for w in window)
+    for p in ep_locate_1d(BcModel(n, float(y)), r_window):
+        assert (p.kind, p.order >= 2) == ("ep", True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 12), window=st.tuples(st.fractions(-1, 1, max_denominator=64), st.fractions(-1, 1, max_denominator=64)).map(sorted))
+@example(n=12, window=[Fraction(-1, 2), Fraction(1, 2)])
+def test_epn_locator_finds_one_epn_in_every_window_around_zero(n, window):
+    points = ep_locate_1d(EpnModel(n), window)
+    if not window[0] <= 0 <= window[1]:
+        assert points == []
+        return
+    assert [(p.params, p.kind, p.order, p.energy) for p in points] == [({"t": 0.0}, "ep", n, 0)]
+    # at t = 0 the matrix is similar to the integer one of epn_rank_chain,
+    # whose 40-digit spectrum is one cluster of all n levels at 0
+    m = mp.matrix(n)
+    for k in range(n):
+        m[k, k] = 2 * k - n + 1
+    for k in range(n - 1):
+        m[k, k + 1], m[k + 1, k] = (k + 1) * (n - k - 1), -1
+    with mp.workdps(40):
+        assert all(v == 0 for v in eigvals_at(m, POLISH_PREC))
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(3, 7), window=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).map(sorted))
+def test_scan_events_are_never_simple(n, window):
+    for p in ep_locate_2d_bc(n, window):
+        assert p.kind in ("ep", "sturmian-pole"), p
+        assert p.kind == "sturmian-pole" or p.order >= 2, p
+
+
 def test_locate_hermitian_demo_finds_nothing():
     assert ep_locate_1d(HermitianDemoModel(4, 1), (-1, 1)) == []
 
@@ -755,6 +822,15 @@ def test_landing_labels_are_unknown_only_beside_another_complex_pair():
     assert lost == {0, 1, 2, 3, 4, 5}
     assert epfinder._labels_at(segments[3], 0, 1) == (2,)
     assert epfinder._labels_at(segments[3], 0, 2) is None
+
+
+def test_history_next_to_a_fold_places_the_departing_pair():
+    # at the double nearest the n = 10 fold at y = -0.9911 a pair lands and,
+    # 3e-25 lower in p, a pair sharing one of its levels departs; an 80-digit
+    # spectrum puts that pair at positions 1 and 2 of the real levels
+    y = Fraction(-8927183828110645, 9007199254740992)
+    steps = [(kind, k) for _, kind, k in epfinder._reality_history(10, y).steps]
+    assert steps == [("depart", 0), ("land", 0), ("depart", 1)]
 
 
 @settings(deadline=None, max_examples=25)

@@ -10,9 +10,8 @@ Energies and flags must match exactly, the coupling branches ``r_plus`` and
 Each ``find-ep`` reference holds the critical points of one run.  Kind,
 order, integer and list residuals must match exactly; parameters, energies
 and the other float residuals to 1e-12 (relative above 1, absolute below).
-``cluster_radius`` is the spread of a defective cluster, set by rounding,
-so it is held only to the fog of a double rounding of the event's
-parameters: an m-fold root splits by at most eps^(1/m) (1 + |E|).
+Every level-merger and fold energy of the shift scan is also checked
+against a 40-digit oracle, rounded once.
 
 Regenerate (only on a deliberate change of the outputs) with
 
@@ -22,11 +21,16 @@ Regenerate (only on a deliberate change of the outputs) with
 import json
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 from epspect.cli import main as cli_main
+from epspect.epfinder import _disc_in_y_at_p, _fold_coeffs_in_E, _fold_event_poly, ep_locate_2d_bc
+from epspect.sturmian import secular_in_y
+from oracles import rounded
 
 DATA = Path(__file__).resolve().parent / "data"
 FIGURES = (4, 5, 6)
@@ -39,7 +43,6 @@ FIND_EP = {
     "scan_bc8": ["--model", "bc", "--n", "8", "--scan-y", "--range", "-1:0"],
 }
 POINT_TOL = 1e-12
-DOUBLE_EPS = 2.0**-52
 
 
 def _reference_of(outdir: Path, k: int) -> dict:
@@ -108,13 +111,47 @@ def test_find_ep_matches_reference(name, tmp_path):
         assert sorted(g["residuals"]) == sorted(w["residuals"]), where
         for key, value in w["residuals"].items():
             mine = g["residuals"][key]
-            if key == "cluster_radius":
-                energy = abs(complex(*g["energy"]))
-                assert 0 <= mine <= DOUBLE_EPS ** (1 / g["order"]) * (1 + energy), (where, mine)
-            elif isinstance(value, float):
+            if isinstance(value, float):
                 assert _close(mine, value), (where, key, mine, value)
             else:
                 assert mine == value, (where, key)
+
+
+def _repeated_root_oracle(event_poly, coeffs_in_E, y_double, energy) -> float:
+    """The repeated root at the event's exact y, at 40 digits and rounded once.
+
+    y is the root of the event polynomial's square-free part that Newton's
+    iteration at 40 digits reaches from the reported double; the repeated root of
+    the polynomial with E-coefficients ``coeffs_in_E`` at y is a simple
+    root of its E-derivative, the one nearest the reported energy.
+    """
+    with mp.workdps(40):
+        f = _mp_coeffs(event_poly.exact_div(event_poly.gcd(event_poly.derivative())))[::-1]
+        df = [k * c for k, c in enumerate(f[::-1])][:0:-1]
+        y = mp.mpf(y_double)
+        for _ in range(8):
+            y -= mp.polyval(f, y) / mp.polyval(df, y)
+        assert abs(y - y_double) < 1e-12
+        coeffs = [mp.polyval(_mp_coeffs(c)[::-1], y) for c in coeffs_in_E]
+        derivative = [k * c for k, c in enumerate(coeffs)][1:]
+        roots = mp.polyroots(derivative[::-1], maxsteps=400, extraprec=400)
+        return rounded(mp.re(min(roots, key=lambda e: abs(e - energy))))
+
+
+def _mp_coeffs(p) -> list:
+    return [mp.mpf(c.numerator) / c.denominator for c in map(Fraction, p.coeffs)]
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_scan_energies_are_40_digit_oracles_rounded_once(n):
+    for p in ep_locate_2d_bc(n, (-1.0, 1.0)):
+        if p.kind != "ep":
+            continue
+        merge = p.params["r"] == 0
+        event = _disc_in_y_at_p(n, 0) if merge else _fold_event_poly(n)
+        coeffs = secular_in_y(n) if merge else _fold_coeffs_in_E(n)
+        assert p.energy.imag == 0
+        assert p.energy.real == _repeated_root_oracle(event, coeffs, p.params["y"], p.energy.real), p
 
 
 if __name__ == "__main__":
