@@ -157,10 +157,15 @@ def _write_sweep_csv(out: Path, result, param: str) -> None:
         ]
     header.append("pairing_warning")
     columns.append(flag[b] for b in result.warnings.tolist())
+    _write_columns(out, header, columns)
+    print(out)
+
+
+def _write_columns(out: Path, header: list[str], columns) -> None:
+    """``write_csv`` of columns of cells already formatted as ``_fmt`` would."""
     lines = [",".join(header)]
     lines += map(",".join, zip(*columns))
     _atomic_write(out, "\n".join(lines) + "\n")
-    print(out)
 
 
 def _family_model(args, parser):
@@ -208,13 +213,17 @@ def _cmd_sweep(args, parser) -> int:
 
 
 def _write_sturmian(out: Path, trace, flags: dict, seed: int, precision: str) -> None:
-    """The branch CSV plus its ``_poles.json`` sidecar with the provenance."""
-    header = ["energy", "r_plus", "r_minus", "in_model", "refined"]
-    rows = [
-        (p.energy, p.r_plus, p.r_minus, p.in_model, p.refined)
-        for p in trace.points
+    """The branch CSV, written column by column, plus its ``_poles.json`` sidecar with the provenance."""
+    flag = ("0", "1")
+    points = trace.points
+    columns = [
+        (repr(p.energy) for p in points),
+        (repr(p.r_plus) for p in points),
+        (repr(p.r_minus) for p in points),
+        (flag[p.in_model] for p in points),
+        (flag[p.refined] for p in points),
     ]
-    write_csv(out, header, rows)
+    _write_columns(out, ["energy", "r_plus", "r_minus", "in_model", "refined"], columns)
     sidecar = out.with_name(out.stem + "_poles.json")
     write_json(
         sidecar,

@@ -203,11 +203,20 @@ class Polynomial:
         return divmod(self, other)[1]
 
     def exact_div(self, other: "Polynomial") -> "Polynomial":
-        """Division known to be remainder-free (exact tier only)."""
-        q, r = divmod(self, other)
-        if not r.is_zero:
-            raise ArithmeticError("division expected to be exact left a remainder")
-        return q
+        """Division known to be remainder-free (exact tier only), over the integers.
+
+        By Gauss's lemma the quotient of the primitive parts of the cleared
+        integer forms is an integer polynomial, so only the ratio of their
+        contents is rational.  ``ArithmeticError`` if a remainder is left.
+        """
+        (a, b), _ = _cleared([self, other])
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        if not a:
+            return Polynomial.zero()
+        ca, cb = math.gcd(*a), math.gcd(*b)
+        quot = _int_exact_div([c // ca for c in a], [c // cb for c in b])
+        return Polynomial([Fraction(ca * c, cb) for c in quot])
 
     def derivative(self) -> "Polynomial":
         if self.degree < 1:
@@ -215,7 +224,19 @@ class Polynomial:
         return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, x):
-        """Horner evaluation; the arithmetic follows the argument's type."""
+        """Horner evaluation; the arithmetic follows the argument's type.
+
+        Exact coefficients at an exact argument u/v take one homogeneous
+        Horner pass over the cleared integers and one division, and give an
+        ``int`` where every coefficient and the argument are ints.
+        """
+        if isinstance(x, ExactTypes) and self.mode is Precision.EXACT:
+            (ints,), d = _cleared([self])
+            u, v = x.numerator, x.denominator
+            value = _int_homogeneous(ints, u, v)
+            if isinstance(x, int) and not any(isinstance(c, Fraction) for c in self.coeffs):
+                return value
+            return Fraction(value, d * v ** max(len(ints) - 1, 0))
         acc = 0 * x + 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -233,9 +254,8 @@ class Polynomial:
         if self.mode is not Precision.EXACT or other.mode is not Precision.EXACT:
             raise TypeError("gcd requires exact-tier polynomials")
         (a, b), _ = _cleared([self, other])
-        while b:
-            a, b = b, _int_content_free(_int_pseudo_rem(a, b))
-        return Polynomial(a).monic() if a else Polynomial.zero()
+        g = _int_gcd(a, b)
+        return _monic(g) if g else Polynomial.zero()
 
     @staticmethod
     def from_roots(roots, lc=1) -> "Polynomial":
@@ -535,6 +555,10 @@ def _int_sub(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def _int_derivative(a: list[int]) -> list[int]:
+    return [k * c for k, c in enumerate(a)][1:]
+
+
 def _int_exact_div(num: list[int], den: list[int]) -> list[int]:
     """num / den in Z[y]; ArithmeticError unless the quotient is integral and exact."""
     if not den:
@@ -658,10 +682,10 @@ def _cleared(coeffs: list[Polynomial]) -> tuple[list[list[int]], int]:
     for p in coeffs:
         if p.mode is not Precision.EXACT:
             raise TypeError("the exact kernel requires exact coefficients")
-    d = math.lcm(*(Fraction(c).denominator for p in coeffs for c in p.coeffs))
+    d = math.lcm(*(c.denominator for p in coeffs for c in p.coeffs))
     cleared = []
     for p in coeffs:
-        ints = [int(c * d) for c in p.coeffs]
+        ints = [c.numerator * (d // c.denominator) for c in p.coeffs]
         while ints and not ints[-1]:
             ints.pop()
         cleared.append(ints)
@@ -794,6 +818,18 @@ def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     return rem
 
 
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """A primitive gcd over Z, by the primitive pseudo-remainder sequence; [] for two zeros."""
+    while b:
+        a, b = b, _int_content_free(_int_pseudo_rem(a, b))
+    return _int_content_free(a) if a else a
+
+
+def _monic(ints: list[int]) -> Polynomial:
+    """The monic rational polynomial of a nonzero integer list, one Fraction per coefficient."""
+    return Polynomial([Fraction(c, ints[-1]) for c in ints])
+
+
 def _sturm_sequence(p: Polynomial) -> list[list[int]] | None:
     """Positive integer multiples of the Sturm sequence of the square-free part of p.
 
@@ -809,7 +845,7 @@ def _sturm_sequence(p: Polynomial) -> list[list[int]] | None:
         return None
     seq = [_int_content_free(ints)]
     while True:
-        seq[1:] = [_int_content_free([k * c for k, c in enumerate(seq[0])][1:])]
+        seq[1:] = [_int_content_free(_int_derivative(seq[0]))]
         while len(seq[-1]) > 1 and (rem := _int_pseudo_rem(seq[-2], seq[-1])):
             seq.append(_int_content_free([-c for c in rem]))
         if len(seq[-1]) == 1:
@@ -967,13 +1003,18 @@ def square_free_factors(p: Polynomial) -> tuple[Polynomial, ...]:
     """
     if p.degree < 1:
         return ()
-    a = p.gcd(p.derivative())
-    b, d = p.exact_div(a), p.derivative().exact_div(a)
+    # Yun's loop on primitive integer forms: a primitive divisor of an
+    # integer polynomial leaves an integer quotient (Gauss's lemma)
+    (b,), _ = _cleared([p])
+    d = _int_derivative(b)
+    a = _int_gcd(b, d)
+    b, d = _int_exact_div(b, a), _int_exact_div(d, a)
     factors = []
-    while b.degree >= 1:
-        d = d - b.derivative()
-        factors.append(b.gcd(d))
-        b, d = b.exact_div(factors[-1]), d.exact_div(factors[-1])
+    while len(b) > 1:
+        d = _int_sub(d, _int_derivative(b))
+        f = _int_gcd(b, d)
+        factors.append(_monic(f))
+        b, d = _int_exact_div(b, f), _int_exact_div(d, f)
     return tuple(factors)
 
 

@@ -529,9 +529,10 @@ def _reality_history(n: int, y: Fraction) -> _RealityHistory:
     merges of r^2 with r^2(E*) in (0, 1): the real roots of A'B - AB',
     certified by a Sturm count (``branch_merges``).  Between two of them
     the number of real levels is constant: the Sturm count of A + p B at a
-    rational p inside.  Labels run 0..n-1 descending at the Hermitian end
-    r = 1 and are continued downward: the pair merging at E* sits at the
-    positions given by the number of real levels above it.  On the side of
+    rational p inside, taken on its integer multiple ``cleared_at(p)``.
+    Labels run 0..n-1 descending at the Hermitian end r = 1 and are
+    continued downward: the pair merging at E* sits at the positions given
+    by the number of real levels above it.  On the side of
     p_j where the pair is real, its two levels lie on the monotone branches
     of r^2 on either side of the critical point, and no other level lies
     between them, so the Sturm count above its double E* at that side's
@@ -547,7 +548,7 @@ def _reality_history(n: int, y: Fraction) -> _RealityHistory:
     merges = dict(sorted(critical, reverse=True))
     merges = [(p, e) for p, e in merges.items() if 0 < p < 1]
     bounds = [1.0, *(p for p, _ in merges), 0.0]
-    inner = [s.poly_at(_inner_rational(b, a)) for a, b in zip(bounds, bounds[1:])]
+    inner = [s.cleared_at(_inner_rational(b, a)) for a, b in zip(bounds, bounds[1:])]
     counts = [real_root_count(p) for p in inner]
     steps = []
     for i, (p_j, e_star) in enumerate(merges):
@@ -848,7 +849,7 @@ def _crossing_track(s: SturmianFunction, energy: Fraction, p_star: Fraction, bel
         if levels != above.segments[-1 if p_star <= 0 else 0]:
             return None
     p_end = as_fraction(min(max(float(p_star), 0.0), 1.0))
-    k = real_roots_above(s.poly_at(p_end), float(energy), 2 if inside else 1, len(levels))
+    k = real_roots_above(s.cleared_at(p_end), float(energy), 2 if inside else 1, len(levels))
     if k is None:
         return None
     k += inside and rising

@@ -6,10 +6,17 @@ z = y + i*sqrt(1 - r^2).  Writing det = A(E) + p*B(E) inverts to the
 two-branched coupling function r^2(E) = -A(E)/B(E): every spectral question
 at fixed y becomes a question about one rational function of E.
 
-r^2(E) is evaluated exactly on integers: A and B are cleared to integer
-coefficients once per function, and each energy, an exact rational, goes
-through a division-free homogeneous Horner sum, so a pole is an integer
-zero test and a finite value is one correctly rounded integer division.
+Everything after the decomposition runs on the cleared integers D*A and
+D*B (``SturmianFunction.cleared``, one common denominator D), which give
+the same r^2, merges, poles and Sturm counts as A and B.  r^2 has one
+kernel, ``_r2_ratio``: at an energy u/v, the exact rational of its float,
+one division-free homogeneous Horner pass over both lists gives N_A and
+N_B, so a pole is an integer zero test and a finite value is one
+correctly rounded integer division.  ``sturmian_r2`` wraps it in an
+``R2Value``; ``branch_trace`` calls it directly for each of its samples.
+Counting real levels at a rational p = num/den uses den*D*A + num*D*B
+(``cleared_at``), and gcd(A, B) is computed once per function
+(``common_factor``).
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import zip_longest
 
 import numpy as np
 
@@ -31,7 +39,7 @@ from .core import (
     reality_flags,
     square_free_factors,
 )
-from .core.poly import _cleared, _int_homogeneous
+from .core.poly import _cleared
 from .core.scalars import as_ratio
 from .models import BcModel
 
@@ -52,11 +60,11 @@ def bc_secular_parts(n: int) -> tuple[Polynomial, Polynomial, Polynomial, Polyno
         raise ValueError("n must be >= 2")
 
     def corner_poly(u: int, v: int) -> Polynomial:
-        diag = [Fraction(2)] * n
-        diag[0] = Fraction(2 - u)
-        diag[-1] = Fraction(2 - v)
-        products = [Fraction(1)] * (n - 1)
-        return charpoly_from_parts(diag, products)
+        # the recurrence runs on ints; the parts carry Fraction coefficients
+        diag = [2] * n
+        diag[0] = 2 - u
+        diag[-1] = 2 - v
+        return Polynomial([Fraction(c) for c in charpoly_from_parts(diag, [1] * (n - 1)).coeffs])
 
     p00 = corner_poly(0, 0)
     p10 = corner_poly(1, 0)
@@ -111,15 +119,32 @@ class SturmianFunction:
     def poly_at(self, p) -> Polynomial:
         return self.secular.poly_at(p)
 
-    def common_factor(self) -> Polynomial:
-        """Exact gcd(A, B); nontrivial iff some E is an eigenvalue for every r."""
-        return self.A.gcd(self.B)
-
     @cached_property
     def cleared(self) -> tuple[list[int], list[int]]:
         """Integer coefficient lists of D*A and D*B, one common denominator D."""
         (a, b), _ = _cleared([self.A, self.B])
         return a, b
+
+    @cached_property
+    def cleared_terms(self) -> list[tuple[int, int]]:
+        """(D*A_k, D*B_k) from the highest degree down, the shorter list padded with zeros."""
+        a, b = self.cleared
+        return list(zip_longest(a, b, fillvalue=0))[::-1]
+
+    def cleared_at(self, p: Fraction) -> Polynomial:
+        """den*D*A + num*D*B at p = num/den: ``poly_at(p)`` times D*den > 0, on integers.
+
+        A positive multiple has the same roots and Sturm counts.
+        """
+        a, b = self.cleared
+        u, v = p.numerator, p.denominator
+        return Polynomial([v * x + u * y for x, y in zip_longest(a, b, fillvalue=0)])
+
+    @cached_property
+    def common_factor(self) -> Polynomial:
+        """Exact monic gcd(A, B); nontrivial iff some E is an eigenvalue for every r."""
+        a, b = self.cleared
+        return Polynomial(a).gcd(Polynomial(b))
 
 
 def bivariate_secular(n: int, y) -> SturmianFunction:
@@ -160,25 +185,36 @@ class R2Value:
         return None if self.ratio is None else Fraction(*self.ratio)
 
 
+def _r2_ratio(terms: list[tuple[int, int]], u: int, v: int) -> tuple[int, int]:
+    """r^2 = num / den at E = u/v (v > 0) from ``SturmianFunction.cleared_terms``, with den >= 0.
+
+    One homogeneous Horner pass over both columns gives N_A = v^d A(u/v)
+    and N_B = v^d B(u/v) at the common degree d, so r^2 = -N_A / N_B on
+    the integers.  den == 0 is a pole (num != 0) or 0/0 (num == 0).
+    """
+    it = iter(terms)
+    (num, den), vk = next(it), 1
+    for ca, cb in it:
+        vk *= v
+        num = num * u + ca * vk
+        den = den * u + cb * vk
+    if den == 0:
+        return num, 0
+    # a positive denominator, so a zero value reads +0.0, as float(Fraction) does
+    return (-num, den) if den > 0 else (num, -den)
+
+
 def sturmian_r2(s: SturmianFunction, energy) -> R2Value:
     """Evaluate r^2(E) = -A(E)/B(E), reporting poles and 0/0 explicitly.
 
     Evaluation is exact (the float input converts exactly to a rational
     u/v), so a pole is B(E) == 0 identically, not a small-denominator
-    accident.  With the integer forms of D*A and D*B, N_P = v^deg P * P(u/v)
-    is a homogeneous Horner sum over the integers, and
-    r^2 = -N_A / (N_B * v^(deg A - deg B)): one correctly rounded integer
-    division per finite value, no gcd and no Fraction.
+    accident.  On the integer forms of D*A and D*B (``_r2_ratio``) a finite
+    value is one correctly rounded integer division, no gcd and no Fraction.
     """
-    u, v = as_ratio(energy)
-    a, b = s.cleared
-    num = _int_homogeneous(a, u, v)
-    den = _int_homogeneous(b, u, v)
+    num, den = _r2_ratio(s.cleared_terms, *as_ratio(energy))
     if den == 0:
         return R2Value("indeterminate" if num == 0 else "pole", None)
-    # a positive denominator, so a zero value reads +0.0, as float(Fraction) does
-    num, den = (-num, den) if den > 0 else (num, -den)
-    den *= v ** (len(a) - len(b))
     return R2Value("finite", num / den, (num, den))
 
 
@@ -234,14 +270,19 @@ def sturmian_poles(s: SturmianFunction) -> tuple[BranchPoint, ...]:
     The roots come from ``real_roots``, so an exact root of B such as E = 2
     comes out exact.
     """
-    poles = _without_factors_of(s.B, s.common_factor())
-    points = _marked(s.B.exact_div(poles), "indeterminate") + _marked(poles, "pole-of-r")
+    denom = Polynomial(s.cleared[1])
+    poles = _without_factors_of(denom, s.common_factor)
+    points = _marked(denom.exact_div(poles), "indeterminate") + _marked(poles, "pole-of-r")
     return tuple(sorted(points, key=lambda b: b.energy))
 
 
 def branch_merges(s: SturmianFunction) -> tuple[BranchPoint, ...]:
-    """Critical points of r^2(E): real zeros of A'B - AB' that B does not share, from ``real_roots``."""
-    num = _without_factors_of(s.A.derivative() * s.B - s.A * s.B.derivative(), s.B)
+    """Critical points of r^2(E): real zeros of A'B - AB' that B does not share, from ``real_roots``.
+
+    D*A and D*B give the same r^2, so the integer forms stand in for A and B.
+    """
+    a, b = (Polynomial(c) for c in s.cleared)
+    num = _without_factors_of(a.derivative() * b - a * b.derivative(), b)
     return tuple(sorted(_marked(num, "branch-merge"), key=lambda b: b.energy))
 
 
@@ -252,8 +293,10 @@ def branch_trace(
 ) -> BranchTrace:
     """Both coupling branches r = +-sqrt(r^2(E)) over an energy window.
 
-    Energies with r^2 < 0 are omitted; r^2 > 1 is emitted but flagged
-    outside the model.  The uniform grid is locally refined
+    Each sample is the integer kernel ``_r2_ratio``, bit for bit what
+    ``sturmian_r2`` reads there.  Poles, 0/0 points and energies with
+    r^2 < 0 are omitted; r^2 > 1 is emitted but flagged outside the
+    model.  The uniform grid is locally refined
     (``REFINE_LEVELS`` levels, ``REFINE_FACTOR`` times finer each) around
     poles and branch merges; output is ordered by energy regardless of
     refinement.  The persistent lines are the real roots in the window of
@@ -285,6 +328,7 @@ def branch_trace(
             window = step
 
     energies.sort(key=lambda t: t[0])
+    terms = s.cleared_terms
     points = []
     seen = set()
     for e, refined in energies:
@@ -292,13 +336,13 @@ def branch_trace(
         if key in seen:
             continue
         seen.add(key)
-        val = sturmian_r2(s, e)
-        if not val.is_finite or val.value < 0:
+        num, den = _r2_ratio(terms, *e.as_integer_ratio())
+        if den == 0 or (r2 := num / den) < 0:
             continue
-        r = math.sqrt(val.value)
-        points.append(TracePoint(e, r, -r, val.value <= 1.0, refined))
+        r = math.sqrt(r2)
+        points.append(TracePoint(e, r, -r, r2 <= 1.0, refined))
 
-    lines = tuple(float(e) for e in real_roots(s.common_factor(), lo, hi))
+    lines = tuple(float(e) for e in real_roots(s.common_factor, lo, hi))
     return BranchTrace(tuple(points), lines, poles, merges)
 
 

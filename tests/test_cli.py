@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epspect.cli import _write_sweep_csv, main, write_csv
+from epspect.cli import _write_sturmian, _write_sweep_csv, main, write_csv
 from epspect.epfinder import sweep
 from epspect.models import EpnModel
+from epspect.sturmian import bivariate_secular, branch_trace
 
 
 def run(argv):
@@ -68,6 +69,30 @@ def test_sweep_csv_fast_path_matches_write_csv(tmp_path, capsys):
     fast = (tmp_path / "fast.csv").read_bytes()
     assert b",-0.0," in fast
     assert fast == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "n, y, window, samples",
+    [
+        (6, 0.0, (0.0, 5.0), 400),  # in and out of the model, refined near poles and merges
+        (5, -0.5, (-1.0, 5.0), 300),
+        (4, 0.1, (10.0, 11.0), 10),  # no point inside the model
+        (3, 0.0, (1.5, 2.5), 50),  # no point at all: r^2 < 0 or 0/0 throughout
+    ],
+)
+def test_sturmian_csv_columns_match_write_csv(tmp_path, capsys, n, y, window, samples):
+    trace = branch_trace(bivariate_secular(n, y), window, samples)
+    header = ["energy", "r_plus", "r_minus", "in_model", "refined"]
+    rows = [(p.energy, p.r_plus, p.r_minus, p.in_model, p.refined) for p in trace.points]
+    write_csv(tmp_path / "ref.csv", header, rows)
+    _write_sturmian(tmp_path / "fast.csv", trace, {"n": n}, 0, "double")
+    capsys.readouterr()
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "ref.csv").read_bytes()
+    if window[0] == 10.0:
+        assert rows and not any(p.in_model for p in trace.points)
+    if n == 3:
+        assert rows == [] and fast == b"energy,r_plus,r_minus,in_model,refined\n"
 
 
 def test_sweep_json_has_provenance(tmp_path):

@@ -1,6 +1,7 @@
 """Core substrate: polynomials, roots, resultants, eigensolver."""
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -41,7 +42,7 @@ from epspect.core import (
     sylvester_matrix,
 )
 from epspect.core.eig import _berkowitz
-from epspect.core.poly import _dyadic_roots, _gaussian_cleared, _int_exact_div
+from epspect.core.poly import _cleared, _dyadic_roots, _gaussian_cleared, _int_exact_div
 from epspect.epfinder import (
     _disc_in_y_at_p,
     _fold_coeffs_in_E,
@@ -85,6 +86,94 @@ def test_polynomial_divmod_and_gcd():
     assert quot == Polynomial.from_roots([Fraction(1), Fraction(3)])
     g = p.gcd(Polynomial.from_roots([Fraction(2), Fraction(5)]))
     assert g == Polynomial([Fraction(-2), Fraction(1)])
+
+
+EXACT_COEFFS = st.lists(
+    st.one_of(st.integers(-50, 50), st.fractions(-50, 50, max_denominator=30)), min_size=1, max_size=8
+)
+
+
+def _fraction_horner(coeffs, x):
+    """Horner with the arithmetic of the argument's type, one operation at a time."""
+    acc = 0 * x + 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(EXACT_COEFFS, st.one_of(st.integers(-20, 20), st.fractions(-20, 20, max_denominator=40)))
+@example([Fraction(4, 2), 0, 3], 2)  # an integral Fraction coefficient keeps a Fraction value
+@example([1, -3, 2], 1)  # an int root of int coefficients reads the int 0
+@example([0], Fraction(1, 2))
+def test_exact_evaluation_is_fraction_horner_with_its_type(coeffs, x):
+    p = Polynomial(coeffs)
+    got, want = p(x), _fraction_horner(p.coeffs, x)
+    assert got == want and type(got) is type(want)
+    if isinstance(x, int) and all(isinstance(c, int) for c in p.coeffs):
+        assert type(got) is int
+
+
+@settings(max_examples=100, deadline=None)
+@given(EXACT_COEFFS, st.one_of(st.floats(-20, 20), st.complex_numbers(max_magnitude=20)))
+def test_evaluation_at_a_float_or_complex_follows_its_type(coeffs, x):
+    for p in (Polynomial(coeffs), Polynomial(coeffs).to_double()):
+        got, want = p(x), _fraction_horner(p.coeffs, x)
+        assert type(got) is type(want) is type(x)
+        assert got == want
+    assert type(Polynomial([0.5, 1.5])(Fraction(1, 3))) is float
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(EXACT_COEFFS, min_size=1, max_size=3))
+def test_cleared_integers_match_the_fraction_route(lists):
+    polys = [Polynomial(c) for c in lists]
+    d = math.lcm(*(Fraction(c).denominator for p in polys for c in p.coeffs))
+    want = [[int(c * d) for c in p.coeffs] for p in polys]
+    for ints in want:
+        while ints and not ints[-1]:
+            ints.pop()
+    assert _cleared(polys) == (want, d)
+
+
+def test_cleared_refuses_a_float_coefficient():
+    with pytest.raises(TypeError, match="the exact kernel requires exact coefficients"):
+        _cleared([Polynomial([Fraction(1, 3), 2]), Polynomial([1, 0.5])])
+
+
+@settings(max_examples=150, deadline=None)
+@given(EXACT_COEFFS, EXACT_COEFFS.filter(lambda c: any(c)))
+def test_exact_division_matches_fraction_long_division(qc, bc):
+    q, b = Polynomial(qc), Polynomial(bc)
+    quot, rem = divmod(q * b, b)
+    got = (q * b).exact_div(b)
+    assert rem.is_zero and got == quot == q
+    if not q.is_zero:
+        assert all(type(c) is Fraction for c in got.coeffs)
+    if b.degree >= 1:
+        with pytest.raises(ArithmeticError):
+            (q * b + Polynomial([1])).exact_div(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(EXACT_COEFFS.filter(lambda c: len(c) > 1 and c[-1]), min_size=1, max_size=3),
+    st.fractions(-9, 9).filter(bool),
+)
+def test_square_free_factors_are_monic_coprime_and_rebuild_p(pieces, lc):
+    p = Polynomial([lc])
+    for m, c in enumerate(pieces, 1):
+        p = p * math.prod([Polynomial(c)] * m, start=Polynomial([1]))
+    factors = square_free_factors(p)
+    assert factors[-1].degree >= 1
+    rebuilt = Polynomial([p.lc])
+    for m, f in enumerate(factors, 1):
+        assert f.lc == 1 and all(type(c) is Fraction for c in f.coeffs)
+        assert f.gcd(f.derivative()).degree <= 0
+        rebuilt = rebuilt * math.prod([f] * m, start=Polynomial([1]))
+    assert rebuilt == p
+    for f, g in itertools.combinations(factors, 2):
+        assert f.gcd(g).degree <= 0
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Static guard against dead code in the package (stdlib ``ast`` only).
 
-Thirteen things fail the guard: an import a module never uses (package
+Fourteen things fail the guard: an import a module never uses (package
 ``__init__.py`` files are exempt, their imports are re-exports), a
 ``_private`` top-level function that no module of the package references,
 a module-level UPPER_CASE constant that no module of the package loads,
@@ -13,7 +13,8 @@ outside ``core/poly.py``, sampled reality
 (``sweep``, ``reality_flags``, ``REALITY_RTOL``) anywhere the exact shift
 scan reaches, a double root read (``poly_roots``, a root cluster, the
 cluster tolerance, a Newton polish or ``_levels_above``) anywhere the exact
-locators reach, a ``scipy`` import anywhere, an ``mpmath`` import anywhere
+locators reach, a ``Fraction``, ``sturmian_r2`` or ``R2Value`` anywhere
+``branch_trace`` reaches, a ``scipy`` import anywhere, an ``mpmath`` import anywhere
 (numpy is the one runtime dependency), and an import of ``threading`` or
 ``concurrent.futures`` anywhere but in ``epfinder.sweep``.  Two narrower
 mpmath guards stay beside the import guard and name the culprit when it
@@ -318,6 +319,10 @@ def _names_reached(tree, roots, names):
                 reached.append(ident)
 
 
+PER_SAMPLE_FRACTIONS = {"Fraction", "sturmian_r2", "R2Value"}
+BRANCH_TRACE = re.compile(r"branch_trace")
+
+
 def _sampling_in_exact_scan(tree):
     """(function, line) where a scan function, or a module function it
     reaches, loads a sampled-reality name."""
@@ -348,6 +353,18 @@ def test_exact_locators_never_read_double_roots():
     assert found == []
 
 
+def test_branch_trace_samples_on_integers():
+    """``branch_trace`` evaluates r^2 at thousands of energies through the
+    integer kernel ``_r2_ratio``; a ``Fraction``, or an ``R2Value`` from
+    ``sturmian_r2``, anywhere it reaches would be built per sample again."""
+    found = [
+        f"{path.relative_to(PACKAGE)}:{line}: {name}"
+        for path in MODULES
+        for name, line in _names_reached(_parse(path), BRANCH_TRACE, PER_SAMPLE_FRACTIONS)
+    ]
+    assert found == []
+
+
 def test_exact_scan_guard_sees_every_spelling():
     source = (
         "from .core import REALITY_RTOL\n"
@@ -374,6 +391,18 @@ def test_exact_scan_guard_sees_every_spelling():
         ("_ep_locate_exact", 8),
         ("_ep_locate_exact", 9),
         ("_polish_fold_event", 7),
+        ("helper", 3),
+    ]
+    source = (
+        "from fractions import Fraction\n"
+        "def helper(s, e):\n    return sturmian_r2(s, e)\n"
+        "def _kernel(u, v):\n    return fractions.Fraction(u, v)\n"
+        "def branch_trace(s):\n    return helper(s, 1), _kernel(1, 2), R2Value('pole', None)\n"
+        "def unrelated():\n    return Fraction(1), sturmian_r2(s, 2)\n"
+    )
+    assert sorted(_names_reached(ast.parse(source), BRANCH_TRACE, PER_SAMPLE_FRACTIONS)) == [
+        ("_kernel", 5),
+        ("branch_trace", 7),
         ("helper", 3),
     ]
 

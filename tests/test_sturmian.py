@@ -3,6 +3,7 @@
 import cmath
 import math
 from fractions import Fraction
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -10,10 +11,21 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import epspect.core.poly as poly
-from epspect.core import ConvergenceError, Polynomial, Precision, charpoly_tridiag, eig_dense, real_roots
+import epspect.epfinder as epfinder
+import epspect.sturmian as sturmian
+from epspect.core import (
+    ConvergenceError,
+    Polynomial,
+    Precision,
+    charpoly_tridiag,
+    eig_dense,
+    real_root_count,
+    real_roots,
+)
 from epspect.cli import FIGURES
 from epspect.models import bc_matrix
 from epspect.sturmian import (
+    SturmianFunction,
     bivariate_secular,
     branch_merges,
     branch_trace,
@@ -223,6 +235,51 @@ def test_branch_trace_flags_out_of_model_points():
     assert outside and not any(p.in_model for p in outside)
 
 
+def _traced(s, window, samples):
+    """``branch_trace`` with the energies its integer kernel evaluated r^2 at."""
+    sampled, kernel = [], sturmian._r2_ratio
+
+    def recording(terms, u, v):
+        sampled.append(u / v)  # u/v is the exact ratio of a float, so this is that float
+        return kernel(terms, u, v)
+
+    with mock.patch.object(sturmian, "_r2_ratio", recording):
+        return branch_trace(s, window, samples), sampled
+
+
+TRACE_SHIFTS = st.one_of(
+    st.just(0),
+    st.fractions(-1, 1, max_denominator=40),
+    st.integers(-64, 64).map(lambda k: k / 64),  # dyadic
+    st.floats(-1.0, 1.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 8), TRACE_SHIFTS, st.floats(-1.0, 3.0), st.floats(0.5, 4.0), st.integers(2, 120))
+@example(5, 0, 1.5, 1.0, 50)  # 0/0 at E = 2: A and B share the root at odd n, y = 0
+@example(7, 0, 0.0, 4.0, 101)
+@example(3, 0, 1.9, 0.2, 2)
+@example(6, Fraction(1, 3), -1.0, 4.0, 97)
+def test_trace_points_are_the_pointwise_r2_and_drop_exactly_the_rest(n, y, lo, width, samples):
+    # every point is sturmian_r2 at its energy, bit for bit, and an evaluated
+    # energy is dropped exactly at a pole, at 0/0 and where r^2 < 0
+    s = bivariate_secular(n, y)
+    tr, sampled = _traced(s, (lo, lo + width), samples)
+    kept = {p.energy: p for p in tr.points}
+    assert [p.energy for p in tr.points] == sorted(kept)  # ascending, no energy twice
+    for e in sampled:
+        v = sturmian_r2(s, e)
+        if not v.is_finite or v.value < 0:
+            assert e not in kept
+            continue
+        p, r = kept.pop(e), math.sqrt(v.value)
+        assert (p.r_plus.hex(), p.r_minus.hex(), p.in_model) == (r.hex(), (-r).hex(), v.value <= 1.0)
+    assert kept == {}
+    if n % 2 and y == 0 and lo <= 2 <= lo + width:
+        assert 2.0 in sampled and sturmian_r2(s, 2).kind == "indeterminate"
+
+
 def test_branch_points_are_eigenvalues():
     s = bivariate_secular(6, 0)
     tr = branch_trace(s, (0.0, 4.0), 120)
@@ -286,11 +343,52 @@ def test_indeterminate_and_merges_split_by_exact_gcd(n, y, shared):
     # A and B share the root E = shared exactly: it is indeterminate, not a
     # pole, and no branch merge sits on it
     s = bivariate_secular(n, y)
-    assert s.common_factor()(Fraction(shared)) == 0
+    assert s.common_factor(Fraction(shared)) == 0
     kinds = {b.energy: b.kind for b in sturmian_poles(s)}
     assert kinds.pop(float(shared)) == "indeterminate"
     assert set(kinds.values()) == {"pole-of-r"}
     assert all(s.B(Fraction(b.energy)) != 0 for b in branch_merges(s))
+
+
+def _by_energy(points):
+    return tuple(sorted(points, key=lambda b: b.energy))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 9), st.fractions(-1, 1, max_denominator=50).filter(lambda y: abs(y) < 1))
+@example(5, Fraction(0))
+@example(10, Fraction(-1, 2))  # A and B share the root 3
+@example(6, Fraction(-7, 10))
+def test_cleared_forms_give_the_merges_poles_and_history_of_a_and_b(n, y):
+    # D*A and D*B stand in for A and B: the same r^2, merges, poles and Sturm counts
+    s = bivariate_secular(n, y)
+    num = sturmian._without_factors_of(s.A.derivative() * s.B - s.A * s.B.derivative(), s.B)
+    assert branch_merges(s) == _by_energy(sturmian._marked(num, "branch-merge"))
+    common = s.A.gcd(s.B)
+    assert s.common_factor == common
+    poles = sturmian._without_factors_of(s.B, common)
+    want = sturmian._marked(s.B.exact_div(poles), "indeterminate") + sturmian._marked(poles, "pole-of-r")
+    assert sturmian_poles(s) == _by_energy(want)
+    # the history from the counts of A + p B itself
+    with mock.patch.object(SturmianFunction, "cleared_at", SturmianFunction.poly_at):
+        want = epfinder._reality_history.__wrapped__(n, y)
+    assert epfinder._reality_history.__wrapped__(n, y) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 10),
+    st.fractions(-1, 1, max_denominator=50),
+    st.fractions(-3, 3, max_denominator=1000),
+    st.one_of(st.none(), st.fractions(-1, 6, max_denominator=64)),
+)
+def test_cleared_at_is_a_positive_multiple_of_poly_at(n, y, p, energy):
+    s = bivariate_secular(n, y)
+    got, want = s.cleared_at(p), s.poly_at(p)
+    assert all(type(c) is int for c in got.coeffs)
+    ratio = Fraction(got.lc) / want.lc
+    assert ratio > 0 and got == want.scale(ratio)
+    assert real_root_count(got, energy) == real_root_count(want, energy)
 
 
 @pytest.mark.parametrize(
