@@ -3,7 +3,8 @@
 Every run is deterministic for a fixed flag set, seed and package version:
 output files are byte-identical across repeated invocations (no timestamps
 anywhere), numbers are written in shortest round-trip form, and files are
-written atomically (temp file, then rename).
+written atomically (temp file, then rename).  A sweep CSV is written one
+stack of grid points at a time, as the stacks are solved.
 
 Exit codes: 0 success, 2 usage error, 3 domain refusal (e.g. a metric
 requested too close to an exceptional point), 4 numerical non-convergence.
@@ -16,7 +17,7 @@ import json
 import math
 import os
 import sys
-import tempfile
+from contextlib import closing, contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ import numpy as np
 from . import __version__
 from .core import ConvergenceError, Precision
 from .epfinder import (
+    _sweep_stacks,
     ep_locate_1d,
     ep_locate_2d_bc,
     sweep,
@@ -63,18 +65,37 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _atomic_write(path: Path, text: str) -> None:
+@contextmanager
+def _atomic_file(path: Path):
+    """A text file that replaces ``path`` when the block ends, and vanishes if it raises.
+
+    It is created beside ``path`` under a fresh ``.tmp`` name with mode
+    0o666 less the umask, as ``open`` creates a file, and renamed over
+    ``path`` once written, so ``path`` is never seen half written.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name, suffix=".tmp")
+    create = os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_BINARY", 0)
+    while True:
+        tmp = path.with_name(f"{path.name}{os.urandom(4).hex()}.tmp")
+        try:
+            fd = os.open(tmp, create, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write(path: Path, text: str) -> None:
+    with _atomic_file(path) as fh:
+        fh.write(text)
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
@@ -139,26 +160,36 @@ def _make_model(name: str, n: int, y: float | None, seed: int):
 # --------------------------------------------------------------------------
 
 
-def _write_sweep_csv(out: Path, result, param: str) -> None:
-    """``write_csv`` of a sweep, formatted column by column from Python scalars.
+def _write_sweep_csv(out: Path, stacks, param: str) -> None:
+    """The sweep CSV, each stack's lines written as ``stacks`` yields the stack.
 
     Byte-identical to ``write_csv`` on the same rows (``repr`` of each float,
-    ``1``/``0`` for each flag) without its per-cell type dispatch.
+    ``1``/``0`` for each flag), formatted column by column from Python
+    scalars without its per-cell type dispatch.
     """
-    flag = ("0", "1")
-    header = ["index", param]
-    columns = [map(str, range(len(result.grid))), map(repr, result.grid.tolist())]
-    for i in range(result.n_tracks):
-        header += [f"re{i}", f"im{i}", f"real{i}"]
-        columns += [
-            map(repr, result.tracks[i].real.tolist()),
-            map(repr, result.tracks[i].imag.tolist()),
-            (flag[b] for b in result.real_flags[i].tolist()),
-        ]
-    header.append("pairing_warning")
-    columns.append(flag[b] for b in result.warnings.tolist())
-    _write_columns(out, header, columns)
+    start = 0
+    with _atomic_file(out) as fh:
+        for stack in stacks:
+            if start == 0:
+                header = [f"{c}{i}" for i in range(len(stack.tracks)) for c in ("re", "im", "real")]
+                fh.write(",".join(["index", param, *header, "pairing_warning"]) + "\n")
+            fh.write(_stack_lines(stack, start))
+            start += len(stack.grid)
     print(out)
+
+
+def _stack_lines(stack, start: int) -> str:
+    """The CSV lines of one sweep stack, its first point numbered ``start``."""
+    flag = ("0", "1")
+    columns = [map(str, range(start, start + len(stack.grid))), map(repr, stack.grid.tolist())]
+    for i in range(len(stack.tracks)):
+        columns += [
+            map(repr, stack.tracks[i].real.tolist()),
+            map(repr, stack.tracks[i].imag.tolist()),
+            (flag[b] for b in stack.real_flags[i].tolist()),
+        ]
+    columns.append(flag[b] for b in stack.warnings.tolist())
+    return "\n".join([*map(",".join, zip(*columns)), ""])
 
 
 def _write_columns(out: Path, header: list[str], columns) -> None:
@@ -178,10 +209,11 @@ def _family_model(args, parser):
 
 def _cmd_sweep(args, parser) -> int:
     model = _family_model(args, parser)
-    result = sweep(model, args.range, args.samples, precision=Precision(args.precision))
+    precision = Precision(args.precision)
     out = Path(args.output or "sweep.csv")
     if args.format == "csv":
-        _write_sweep_csv(out, result, model.param)
+        with closing(_sweep_stacks(model, args.range, args.samples, precision)) as stacks:
+            _write_sweep_csv(out, stacks, model.param)
         return EXIT_OK
 
     flags = {
@@ -194,6 +226,7 @@ def _cmd_sweep(args, parser) -> int:
     }
     if args.model == "hermitian-demo":
         flags["seed"] = args.seed
+    result = sweep(model, args.range, args.samples, precision=precision)
     ntr = result.n_tracks
     payload = {
         "provenance": _provenance("sweep", flags, args.seed, args.precision),
@@ -409,8 +442,8 @@ def _cmd_figure(args, parser) -> int:
     data = outdir / f"figure{k}_data.csv"
     if command == "sweep":
         model = _make_model(spec["model"], spec["n"], None, spec.get("seed", DEFAULT_SEED))
-        result = sweep(model, spec["range"], spec["samples"])
-        _write_sweep_csv(data, result, model.param)
+        with closing(_sweep_stacks(model, spec["range"], spec["samples"])) as stacks:
+            _write_sweep_csv(data, stacks, model.param)
     else:
         trace = branch_trace(
             bivariate_secular(spec["n"], spec["y"]), spec["range"], spec["samples"]

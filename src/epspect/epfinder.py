@@ -8,10 +8,13 @@ the energy of each event, and every event is an EP: both families are
 irreducible tridiagonal, so each eigenvalue has geometric multiplicity 1.
 A Hermitian family has none, and any other one-parameter model is refused.
 Sweeps read eigenvalues in double or extended precision, the
-perturbation exponent in extended precision.  The classification of one
-matrix takes its algebraic multiplicity from the extended eigenvalues,
-whatever the type of the matrix, and reads the double eigenvectors only
-for the coalescence angle.
+perturbation exponent in extended precision.  A sweep is made one stack
+of grid points at a time, each stack sized by the bytes of its matrices
+and continued from the last row of the one before, so a writer can
+stream the stacks as they are solved; ``sweep`` joins them.  The
+classification of one matrix takes its algebraic multiplicity from the
+extended eigenvalues, whatever the type of the matrix, and reads the
+double eigenvectors only for the coalescence angle.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 import os
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -58,7 +62,7 @@ from .sturmian import (
     sturmian_r2,
 )
 
-SWEEP_CHUNK = 256  # grid points per stacked double eigensolve and warning pass
+SWEEP_STACK_BYTES = 1 << 20  # bytes of complex matrices per stack of a sweep
 
 
 # --------------------------------------------------------------------------
@@ -181,49 +185,121 @@ def _augmenting_paths(cost: np.ndarray) -> list[int]:
     return col4row
 
 
-def _pairing_warnings(tracks: np.ndarray) -> np.ndarray:
+def _pairing_warnings(tracks: np.ndarray, before: np.ndarray | None) -> np.ndarray:
     """Points where two continued values lie closer than twice the largest step into them.
 
-    Per grid point k >= 1 this is ``min_{i<j} |tracks[i, k] - tracks[j, k]|
-    < 2 * max |tracks[:, k] - tracks[:, k - 1]|``, evaluated in column chunks.
+    Per column k of a stack of tracks this is ``min_{i<j} |tracks[i, k] -
+    tracks[j, k]| < 2 * max |tracks[:, k] - tracks[:, k - 1]|``.  Column -1
+    is ``before``, the last column of the stack before; with none, column 0
+    is grid point 0 and is never flagged.
     """
-    n, samples = tracks.shape
-    warnings = np.zeros(samples, dtype=bool)
+    n, width = tracks.shape
+    warnings = np.zeros(width, dtype=bool)
     if n < 2:
         return warnings
+    if before is None:
+        warnings[1:] = _pairing_warnings(tracks[:, 1:], tracks[:, 0])
+        return warnings
+    step = np.abs(tracks - np.column_stack((before, tracks[:, :-1]))).max(axis=0)
     rows, cols = _upper_pairs(n)
-    for start in range(1, samples, SWEEP_CHUNK):
-        block = tracks[:, start : start + SWEEP_CHUNK]
-        step = np.abs(block - tracks[:, start - 1 : start - 1 + block.shape[1]]).max(axis=0)
-        diff = block[rows] - block[cols]
-        warnings[start : start + block.shape[1]] = np.hypot(diff.real, diff.imag).min(axis=0) < 2.0 * step
-    return warnings
+    diff = tracks[rows] - tracks[cols]
+    return np.hypot(diff.real, diff.imag).min(axis=0) < 2.0 * step
 
 
-def _worker_count(chunks: int) -> int:
-    """Threads for the chunk solves of a double sweep: one per usable CPU, at most one per chunk."""
+def _stack_length(n: int) -> int:
+    """Grid points per stack: as many complex n x n matrices as ``SWEEP_STACK_BYTES`` holds, at least one."""
+    return max(1, SWEEP_STACK_BYTES // (16 * n * n))
+
+
+def _worker_count(stacks: int) -> int:
+    """Threads for the stack solves of a double sweep: one per usable CPU, at most one per stack."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return min(cpus, chunks)
+    return min(cpus, stacks)
 
 
-def _continue_tracks(blocks) -> np.ndarray:
-    """Row k: the tracks at grid point k, each row continued from the one before.
+def _continue_tracks(values: np.ndarray, prev: np.ndarray | None) -> None:
+    """Continue each sorted spectrum ``values[k]`` from row k - 1, in place.
 
-    ``blocks`` yields the sorted spectra of consecutive grid points, in
-    order and in blocks of rows; the first spectrum is row 0 as it is.
+    Row -1 is ``prev``, the last row of the stack before; with none, row 0
+    is the first spectrum as it is.
     """
-    out, prev = [], None
-    for block in blocks:
-        rows = np.empty_like(block)
-        for k, cur in enumerate(block):
-            if prev is not None:
-                cur = cur[_assign(np.abs(cur[None, :] - prev[:, None]))]
-            rows[k] = prev = cur
-        out.append(rows)
-    return np.concatenate(out)
+    for k, cur in enumerate(values):
+        if prev is not None:
+            values[k] = cur = cur[_assign(np.abs(cur[None, :] - prev[:, None]))]
+        prev = cur
+
+
+def _ahead(pool, solve, stacks, workers: int):
+    """``solve`` of each stack in order, at most ``workers`` stacks submitted to ``pool`` ahead of the caller."""
+    futures = deque()
+    for stack in stacks:
+        futures.append(pool.submit(solve, stack))
+        if len(futures) > workers:
+            yield futures.popleft().result()
+    while futures:
+        yield futures.popleft().result()
+
+
+class SweepStack(NamedTuple):
+    """Consecutive grid points of a sweep, with the fields of ``SweepResult`` there."""
+
+    grid: np.ndarray
+    tracks: np.ndarray
+    real_flags: np.ndarray
+    warnings: np.ndarray
+
+
+def _sweep_stacks(model, param_range: tuple[float, float], samples: int, precision: Precision = Precision.DOUBLE):
+    """The sweep of ``model.matrix(p)`` over a grid, one ``SweepStack`` at a time.
+
+    The grid is cut into stacks of ``_stack_length(model.n)`` points.  In
+    double precision each stack is built by ``model.matrices`` and solved as
+    one; with more than one stack and more than one usable CPU, a thread
+    pool solves the stacks while the caller reads those already continued,
+    since numpy's eigensolver releases the GIL.  The pool keeps at most one
+    stack per worker submitted ahead of the caller, and it is shut down when
+    the generator ends, raises or is closed.  Extended precision reads each
+    point's ``model.eigvals_mp`` on this thread.  Each stack's tracks are
+    continued from the last row of the stack before, so the stacks do not
+    depend on the number of threads; levels are flagged real by
+    ``reality_flags``.
+    """
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
+    grid = np.linspace(float(param_range[0]), float(param_range[1]), samples)
+    if precision is Precision.DOUBLE:
+        def solve(points):
+            return eigvals_double(model.matrices(points))
+
+    elif precision is Precision.EXTENDED:
+        def solve(points):
+            values = np.array([model.eigvals_mp(p) for p in points], dtype=complex)
+            return np.take_along_axis(values, np.lexsort((values.imag, values.real)), axis=-1)
+
+    else:
+        raise ValueError("sweep supports double or extended precision")
+    length = _stack_length(model.n)
+    stacks = [grid[k : k + length] for k in range(0, samples, length)]
+    workers = _worker_count(len(stacks)) if precision is Precision.DOUBLE else 1
+    pool = None
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # on first use: import time stays flat
+
+        pool = ThreadPoolExecutor(workers)
+    try:
+        solved = map(solve, stacks) if pool is None else _ahead(pool, solve, stacks, workers)
+        prev = None
+        for points, values in zip(stacks, solved):
+            _continue_tracks(values, prev)
+            tracks = np.ascontiguousarray(values.T)
+            yield SweepStack(points, tracks, reality_flags(tracks), _pairing_warnings(tracks, prev))
+            prev = values[-1].copy()  # a copy: the stack before need not stay alive
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def sweep(
@@ -235,46 +311,16 @@ def sweep(
 ) -> SweepResult:
     """Continued eigenvalue tracks of ``model.matrix(p)`` over a grid.
 
-    Double precision cuts the grid into chunks of ``SWEEP_CHUNK`` points and
-    solves each as one stack from ``model.matrices``.  With more than one
-    chunk and more than one usable CPU, a thread pool builds and solves the
-    chunks while this thread continues the tracks through the chunks already
-    solved; numpy's eigensolver releases the GIL.  Only the pool's running
-    chunks hold a matrix stack, and the pool is shut down before ``sweep``
-    returns or raises.  The tracks do not depend on the number of threads.
-    Extended precision reads each point's ``model.eigvals_mp``.  Levels
-    are flagged real by ``reality_flags``.
+    The stacks of ``_sweep_stacks``, joined: double precision solves the
+    grid in stacks of matrices, on a thread pool when there are several,
+    and extended precision reads each point's ``model.eigvals_mp``.  The
+    pool is shut down before ``sweep`` returns or raises, and the tracks do
+    not depend on the number of threads.
     """
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    grid = np.linspace(float(param_range[0]), float(param_range[1]), samples)
-    if precision is Precision.DOUBLE:
-        def solve(chunk):
-            return eigvals_double(model.matrices(chunk))
-
-        chunks = [grid[k : k + SWEEP_CHUNK] for k in range(0, samples, SWEEP_CHUNK)]
-        workers = _worker_count(len(chunks))
-        if workers == 1:
-            rows = _continue_tracks(map(solve, chunks))
-        else:
-            from concurrent.futures import ThreadPoolExecutor  # on first use: import time stays flat
-
-            pool = ThreadPoolExecutor(workers)
-            try:
-                rows = _continue_tracks(pool.map(solve, chunks))
-            finally:
-                pool.shutdown(cancel_futures=True)
-    elif precision is Precision.EXTENDED:
-        values = np.array([model.eigvals_mp(p) for p in grid], dtype=complex)
-        rows = _continue_tracks([np.take_along_axis(values, np.lexsort((values.imag, values.real)), axis=-1)])
-    else:
-        raise ValueError("sweep supports double or extended precision")
-
-    # row k of ``rows`` holds the tracks at grid point k
-    tracks = np.ascontiguousarray(rows.T)
-    flags = reality_flags(tracks)
+    stacks = list(_sweep_stacks(model, param_range, samples, precision))
+    grid, tracks, flags, warnings = (np.concatenate(part, axis=-1) for part in zip(*stacks))
     info = model.describe() if hasattr(model, "describe") else {}
-    return SweepResult(grid, tracks, flags, _pairing_warnings(tracks), info)
+    return SweepResult(grid, tracks, flags, warnings, info)
 
 
 # --------------------------------------------------------------------------

@@ -1,17 +1,23 @@
 """Command-line interface: schemas, determinism, exit codes."""
 
+import errno
+import itertools
 import json
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import epspect.epfinder as epfinder
 from epspect.cli import _write_sturmian, _write_sweep_csv, main, write_csv
-from epspect.epfinder import sweep
-from epspect.models import EpnModel
+from epspect.core import Precision
+from epspect.epfinder import SweepStack, _stack_length, sweep
+from epspect.models import BcModel, EpnModel, HermitianDemoModel
 from epspect.sturmian import bivariate_secular, branch_trace
 
 
@@ -45,14 +51,9 @@ def test_sweep_csv_schema(tmp_path):
     assert repr(val) == row[2]
 
 
-def test_sweep_csv_fast_path_matches_write_csv(tmp_path, capsys):
-    result = sweep(EpnModel(4), (-0.5, 1.0), 9)
-    result.tracks[0, 0] = complex(result.tracks[0, 0].real, -0.0)
-    result.tracks[1, 3] = complex(-0.0, -0.0)
-    result.warnings[2] = True
-    assert result.real_flags.any() and not result.real_flags.all()
-    # the reference: one row per grid point through write_csv's _fmt
-    header = ["index", "t"]
+def _write_csv_of(path, result, param):
+    """The reference sweep CSV: one row per grid point through ``write_csv``'s ``_fmt``."""
+    header = ["index", param]
     for i in range(result.n_tracks):
         header += [f"re{i}", f"im{i}", f"real{i}"]
     header.append("pairing_warning")
@@ -63,12 +64,153 @@ def test_sweep_csv_fast_path_matches_write_csv(tmp_path, capsys):
             v = result.tracks[i, k]
             row += [v.real, v.imag, bool(result.real_flags[i, k])]
         rows.append(row + [bool(result.warnings[k])])
-    write_csv(tmp_path / "ref.csv", header, rows)
-    _write_sweep_csv(tmp_path / "fast.csv", result, "t")
+    write_csv(path, header, rows)
+
+
+def test_sweep_csv_fast_path_matches_write_csv(tmp_path, capsys):
+    result = sweep(EpnModel(4), (-0.5, 1.0), 9)
+    result.tracks[0, 0] = complex(result.tracks[0, 0].real, -0.0)
+    result.tracks[1, 3] = complex(-0.0, -0.0)
+    result.warnings[2] = True
+    assert result.real_flags.any() and not result.real_flags.all()
+    _write_csv_of(tmp_path / "ref.csv", result, "t")
+    stacks = [
+        SweepStack(result.grid[k:j], result.tracks[:, k:j], result.real_flags[:, k:j], result.warnings[k:j])
+        for k, j in ((0, 4), (4, 9))
+    ]
+    _write_sweep_csv(tmp_path / "fast.csv", stacks, "t")
     capsys.readouterr()
     fast = (tmp_path / "fast.csv").read_bytes()
     assert b",-0.0," in fast
     assert fast == (tmp_path / "ref.csv").read_bytes()
+
+
+def _streamed_cases(name, argv, model, param_range):
+    """Streamed sweeps of 2 samples, of one stack less one, one and one more, and of two stacks and one."""
+    length = _stack_length(model.n)
+    for samples in (2, length - 1, length, length + 1, 2 * length + 1):
+        yield pytest.param(argv, model, param_range, samples, id=f"{name}-{samples}")
+
+
+@pytest.mark.parametrize(
+    "argv, model, param_range, samples",
+    [
+        *_streamed_cases("epn8-real", "--model epn --n 8 --range 0:1", EpnModel(8), (0.0, 1.0)),
+        *_streamed_cases("bc5-complex", "--model bc --n 5 --y -0.5 --range -1:1", BcModel(5, -0.5), (-1.0, 1.0)),
+        *_streamed_cases(
+            "demo4", "--model hermitian-demo --n 4 --seed 1 --range -1:1", HermitianDemoModel(4, 1), (-1.0, 1.0)
+        ),
+    ],
+)
+def test_streamed_sweep_csv_matches_write_csv(tmp_path, capsys, argv, model, param_range, samples):
+    _write_csv_of(tmp_path / "ref.csv", sweep(model, param_range, samples), model.param)
+    out = tmp_path / "streamed.csv"
+    assert main(["sweep", *argv.split(), "--samples", str(samples), "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("samples", [2, 7, 8, 9, 17])
+def test_streamed_extended_sweep_csv_matches_write_csv(tmp_path, capsys, monkeypatch, samples):
+    """Extended precision streams through the same stacks; here eight points each."""
+    monkeypatch.setattr(epfinder, "SWEEP_STACK_BYTES", 16 * 5 * 5 * 8)
+    assert _stack_length(5) == 8
+    model = BcModel(5, -0.5)
+    result = sweep(model, (-1.5, 1.5), samples, precision=Precision.EXTENDED)
+    _write_csv_of(tmp_path / "ref.csv", result, "r")
+    out = tmp_path / "streamed.csv"
+    argv = f"sweep --model bc --n 5 --y -0.5 --range -1.5:1.5 --samples {samples} --precision extended"
+    assert main([*argv.split(), "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+class _FullDisk:
+    """A text file whose third write fails as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == 3:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(text)
+
+
+@pytest.mark.parametrize("failure", ["lapack", "other", "write"])
+def test_a_failed_stack_solve_or_write_keeps_the_target_and_leaves_no_thread(failure, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "s.csv"
+    out.write_bytes(b"the file before\n")
+    calls, eigvals, fdopen = itertools.count(), np.linalg.eigvals, os.fdopen
+
+    def third_solve_fails(a):
+        if next(calls) == 2:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge") if failure == "lapack" else ValueError("bad")
+        return eigvals(a)
+
+    if failure == "write":
+        monkeypatch.setattr(os, "fdopen", lambda *args, **kwargs: _FullDisk(fdopen(*args, **kwargs)))
+    else:
+        monkeypatch.setattr(np.linalg, "eigvals", third_solve_fails)
+    monkeypatch.setattr(epfinder, "_worker_count", lambda stacks: min(2, stacks))
+    argv = ["sweep", "--model", "epn", "--n", "6", "--range", "0:1", "--samples", str(6 * _stack_length(6))]
+    threads = threading.active_count()
+    if failure == "lapack":
+        assert main([*argv, "--output", str(out)]) == 4
+        assert "no convergence" in capsys.readouterr().err
+    else:
+        # the caught exception, kept alive, holds the frames of the failed command
+        with pytest.raises(OSError if failure == "write" else ValueError) as caught:
+            main([*argv, "--output", str(out)])
+        assert caught.traceback
+    assert out.read_bytes() == b"the file before\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
+    assert threading.active_count() == threads
+
+
+def test_streamed_sweep_memory_is_flat_in_samples(tmp_path, monkeypatch, capsys):
+    """The CSV sweep holds a few stacks, never the whole sweep: its traced
+    peak grows by less than 1 MB from 2,001 to 16,001 samples, on at most
+    two solving threads as on a two-CPU host."""
+    monkeypatch.setattr(epfinder, "_worker_count", lambda stacks: min(2, stacks))
+    argv = ["sweep", "--model", "epn", "--n", "8", "--range", "0:1", "--output", str(tmp_path / "s.csv")]
+    assert main([*argv, "--samples", "2001"]) == 0  # warm: lazy imports and caches
+    peaks = []
+    for samples in ("2001", "16001"):
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--samples", samples]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert peaks[1] - peaks[0] < 1 << 20, peaks
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_output_files_get_the_mode_open_gives(tmp_path, capsys, umask):
+    old = os.umask(umask)
+    try:
+        assert main(["sweep", "--model", "epn", "--n", "4", "--range", "0:1", "--samples", "5",
+                     "--output", str(tmp_path / "s.csv")]) == 0
+        assert main(["figure", "2", "--out-dir", str(tmp_path)]) == 0
+        assert main(["metric", "--model", "epn", "--n", "4", "--t", "0.5", "--output", str(tmp_path / "m.json")]) == 0
+        with open(tmp_path / "plain.txt", "w"):
+            pass
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(
+        ["s.csv", "figure2_data.csv", "figure2_plot.txt", "m.json", "plain.txt"], 0o666 & ~umask
+    )
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 """Static guard against dead code in the package (stdlib ``ast`` only).
 
-Fourteen things fail the guard: an import a module never uses (package
+Fifteen things fail the guard: an import a module never uses (package
 ``__init__.py`` files are exempt, their imports are re-exports), a
 ``_private`` top-level function that no module of the package references,
 a module-level UPPER_CASE constant that no module of the package loads,
@@ -15,8 +15,10 @@ scan reaches, a double root read (``poly_roots``, a root cluster, the
 cluster tolerance, a Newton polish or ``_levels_above``) anywhere the exact
 locators reach, a ``Fraction``, ``sturmian_r2`` or ``R2Value`` anywhere
 ``branch_trace`` reaches, a ``scipy`` import anywhere, an ``mpmath`` import anywhere
-(numpy is the one runtime dependency), and an import of ``threading`` or
-``concurrent.futures`` anywhere but in ``epfinder.sweep``.  Two narrower
+(numpy is the one runtime dependency), an import of ``threading`` or
+``concurrent.futures`` anywhere but in ``epfinder._sweep_stacks``, and a
+whole ``sweep`` or ``SweepResult`` anywhere the CSV branches of the
+``sweep`` and ``figure`` commands reach: they stream ``_sweep_stacks``.  Two narrower
 mpmath guards stay beside the import guard and name the culprit when it
 fails: mpmath in the integer kernels of the extended tier (the Berkowitz
 characteristic polynomial and the fixed-point Aberth iteration), and a
@@ -25,7 +27,7 @@ Fresh-interpreter tests check the import guards end to end: importing the
 command line, running its commands (the default ``metric`` included) and
 classifying a degeneracy never load scipy; the extended commands and the
 perturbation exponent never load mpmath; and importing the command line
-or sweeping one chunk never loads ``concurrent.futures``.
+or sweeping one stack never loads ``concurrent.futures``.
 """
 
 import ast
@@ -637,13 +639,13 @@ def _thread_imports(tree):
 
 
 def test_only_sweep_imports_threads():
-    """The chunk pool of the double sweep is the package's one source of
+    """The stack pool of the double sweep is the package's one source of
     threads: no other function or module imports ``threading`` or
     ``concurrent.futures``."""
     found = {
         (str(path.relative_to(PACKAGE)), owner) for path in MODULES for _, owner in _thread_imports(_parse(path))
     }
-    assert found == {("epfinder.py", "sweep")}
+    assert found == {("epfinder.py", "_sweep_stacks")}
 
 
 def test_thread_import_guard_sees_every_spelling():
@@ -672,3 +674,63 @@ def test_import_and_one_chunk_sweep_never_load_a_thread_pool(tmp_path):
         "print(loaded)\n"
     )
     assert _fresh_interpreter(script, tmp_path) == "[]"
+
+
+CSV_BRANCHES = {"_cmd_sweep": "csv", "_cmd_figure": "sweep"}  # command: the constant its CSV branch tests
+COLLECTED_SWEEP = {"sweep", "SweepResult"}
+
+
+def _csv_branch_names(tree):
+    """(command, name, line) for each name that a CSV branch of ``CSV_BRANCHES``,
+    or a module function it reaches, loads.  A CSV branch is the body of an
+    ``if`` in the command whose test holds the command's constant."""
+    functions = {
+        node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    for command, constant in CSV_BRANCHES.items():
+        todo = [
+            stmt
+            for node in ast.walk(functions[command])
+            if isinstance(node, ast.If)
+            and any(isinstance(c, ast.Constant) and c.value == constant for c in ast.walk(node.test))
+            for stmt in node.body
+        ]
+        reached = set()
+        while todo:
+            for node in ast.walk(todo.pop()):
+                ident = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if ident is None:
+                    continue
+                yield command, ident, node.lineno
+                if ident in functions and ident not in reached:
+                    reached.add(ident)
+                    todo.append(functions[ident])
+
+
+def test_sweep_csv_branches_stream_stacks():
+    """``sweep --format csv`` and figures 1-3 write each stack as it is
+    solved; a ``sweep`` or ``SweepResult`` anywhere they reach would hold
+    the whole sweep and its text again."""
+    names = list(_csv_branch_names(_parse(PACKAGE / "cli.py")))
+    for command in CSV_BRANCHES:
+        assert "_sweep_stacks" in {name for cmd, name, _ in names if cmd == command}, command
+    assert [(cmd, name, line) for cmd, name, line in names if name in COLLECTED_SWEEP] == []
+
+
+def test_csv_branch_guard_sees_every_spelling():
+    source = (
+        "def helper(m):\n    return epfinder.sweep(m, (0, 1), 5)\n"
+        "def _write(out, stacks):\n    return SweepResult(*stacks)\n"
+        "def _cmd_sweep(args):\n"
+        "    if args.format == 'csv':\n        return _write(out, _sweep_stacks(m))\n"
+        "    return sweep(m)\n"
+        "def _cmd_figure(command):\n"
+        "    if command == 'sweep':\n        helper(_sweep_stacks)\n"
+        "    else:\n        sweep(m)\n"
+    )
+    names = list(_csv_branch_names(ast.parse(source)))
+    assert sorted((cmd, name, line) for cmd, name, line in names if name in COLLECTED_SWEEP) == [
+        ("_cmd_figure", "sweep", 2),
+        ("_cmd_sweep", "SweepResult", 4),
+    ]
+    assert {cmd for cmd, name, _ in names if name == "_sweep_stacks"} == set(CSV_BRANCHES)

@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import threading
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -23,13 +24,14 @@ from epspect.core import (
     real_roots,
 )
 from epspect.epfinder import (
-    SWEEP_CHUNK,
     _assign,
     _disc_in_y_at_p,
     _event_pieces,
     _fold_event_poly,
     _pairing_warnings,
     _pole_collision_poly,
+    _stack_length,
+    _sweep_stacks,
     bc_reality_signature,
     classify_degeneracy,
     ep_locate_1d,
@@ -143,31 +145,42 @@ def test_sweep_matches_per_point_eigentriple_reference(model, param_range, sampl
     [
         (EpnModel(8), (-0.5, 0.5), 201),
         (BcModel(6, -0.5), (1.0, 0.0), 161),
-        (EpnModel(4), (-0.5, 0.5), 601),  # crosses two chunk boundaries
+        (EpnModel(4), (-0.5, 0.5), 2 * _stack_length(4) + 1),  # crosses two stack boundaries
     ],
     ids=["epn8-through-EP8", "bc6-y-0.5", "epn4-chunked"],
 )
 def test_pairing_warnings_match_the_per_step_formula(model, param_range, samples):
-    tracks = sweep(model, param_range, samples).tracks
+    res = sweep(model, param_range, samples)
+    tracks = res.tracks
     want = [False] + [
         _pairwise_loop(tracks[:, k]) < 2.0 * float(np.max(np.abs(tracks[:, k] - tracks[:, k - 1])))
         for k in range(1, samples)
     ]
-    assert _pairing_warnings(tracks).tolist() == want
+    assert res.warnings.tolist() == want
+    assert _pairing_warnings(tracks, None).tolist() == want
     assert any(want)
 
 
 def _sweep_on(workers, monkeypatch, *args):
-    """``sweep(*args)`` with the chunk solves on at most ``workers`` threads."""
-    monkeypatch.setattr(epfinder, "_worker_count", lambda chunks: min(workers, chunks))
+    """``sweep(*args)`` with the stack solves on at most ``workers`` threads."""
+    monkeypatch.setattr(epfinder, "_worker_count", lambda stacks: min(workers, stacks))
     return sweep(*args)
 
 
-@pytest.mark.parametrize("samples", [2, 255, 256, 257, 513, 2001])
+def _across_stacks(name, model, param_range):
+    """Sweeps of 2, 255, 256, 257, 513 and 2001 samples, and of one stack
+    less one, one stack, one more, and two stacks and one."""
+    length = _stack_length(model.n)
+    for samples in sorted({2, 255, 256, 257, 513, 2001, length - 1, length, length + 1, 2 * length + 1}):
+        yield pytest.param(model, param_range, samples, id=f"{name}-{samples}")
+
+
 @pytest.mark.parametrize(
-    "model, param_range",
-    [(EpnModel(8), (-0.5, 1.0)), (BcModel(5, -0.5), (-1.5, 1.5))],
-    ids=["epn8-mixed-stacks", "bc5-beyond-unit-r"],
+    "model, param_range, samples",
+    [
+        *_across_stacks("epn8-mixed-stacks", EpnModel(8), (-0.5, 1.0)),
+        *_across_stacks("bc5-beyond-unit-r", BcModel(5, -0.5), (-1.5, 1.5)),
+    ],
 )
 def test_pooled_sweep_is_the_one_thread_sweep_bit_for_bit(model, param_range, samples, monkeypatch):
     alone = _sweep_on(1, monkeypatch, model, param_range, samples)
@@ -193,11 +206,35 @@ def test_a_failed_chunk_solve_propagates_and_leaves_no_thread(error, raised, mon
         return eigvals(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", third_solve_fails)
-    monkeypatch.setattr(epfinder, "_worker_count", lambda chunks: min(2, chunks))
+    monkeypatch.setattr(epfinder, "_worker_count", lambda stacks: min(2, stacks))
     threads = threading.active_count()
     with pytest.raises(raised):
-        sweep(EpnModel(6), (0.0, 1.0), 6 * SWEEP_CHUNK)
+        sweep(EpnModel(6), (0.0, 1.0), 6 * _stack_length(6))
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_the_pool_solves_at_most_one_stack_per_worker_ahead_and_stops_when_closed(workers, monkeypatch):
+    built, matrices = [], EpnModel.matrices
+
+    def counted(self, grid):
+        built.append(len(grid))
+        return matrices(self, grid)
+
+    monkeypatch.setattr(EpnModel, "matrices", counted)
+    monkeypatch.setattr(epfinder, "SWEEP_STACK_BYTES", 16 * 4 * 4 * 4)  # four points per stack at n = 4
+    monkeypatch.setattr(epfinder, "_worker_count", lambda stacks: min(workers, stacks))
+    threads = threading.active_count()
+    stacks = _sweep_stacks(EpnModel(4), (-0.5, 1.0), 4 * 40)
+    for read, stack in enumerate(stacks, 1):
+        assert len(stack.grid) == 4
+        time.sleep(0.002)  # a slow reader: a pool without a bound would solve every stack meanwhile
+        assert len(built) - read <= workers
+        if read == 10:
+            break
+    stacks.close()
+    assert threading.active_count() == threads
+    assert 10 <= len(built) <= 10 + workers
 
 
 # --------------------------------------------------------------------------
