@@ -327,15 +327,17 @@ def branch_trace(
                     energies.append((float(e), True))
             window = step
 
-    energies.sort(key=lambda t: t[0])
+    # one energy per 1e-6 h bucket: the lowest, unless a pole or merge
+    # itself falls there, so a grid point an ulp away cannot displace it
+    centers = {e0 for e0 in special if lo <= e0 <= hi}
+    chosen: dict[int, tuple[float, bool]] = {}
+    for e, refined in sorted(energies, key=lambda t: t[0]):
+        key = round((e - lo) / (h * 1e-6))
+        if key not in chosen or e in centers:
+            chosen[key] = (e, refined)
     terms = s.cleared_terms
     points = []
-    seen = set()
-    for e, refined in energies:
-        key = round((e - lo) / (h * 1e-6))
-        if key in seen:
-            continue
-        seen.add(key)
+    for e, refined in chosen.values():
         num, den = _r2_ratio(terms, *e.as_integer_ratio())
         if den == 0 or (r2 := num / den) < 0:
             continue

@@ -261,6 +261,7 @@ TRACE_SHIFTS = st.one_of(
 @example(7, 0, 0.0, 4.0, 101)
 @example(3, 0, 1.9, 0.2, 2)
 @example(6, Fraction(1, 3), -1.0, 4.0, 97)
+@example(3, 0, 0.0, 2.9999999999999996, 4)  # grid point 1.9999999999999998 shares E = 2's dedupe bucket
 def test_trace_points_are_the_pointwise_r2_and_drop_exactly_the_rest(n, y, lo, width, samples):
     # every point is sturmian_r2 at its energy, bit for bit, and an evaluated
     # energy is dropped exactly at a pole, at 0/0 and where r^2 < 0
