@@ -7,7 +7,8 @@ subresultant chain that computes a discriminant also reads the order and
 the energy of each event, and every event is an EP: both families are
 irreducible tridiagonal, so each eigenvalue has geometric multiplicity 1.
 A Hermitian family has none, and any other one-parameter model is refused.
-Sweeps read eigenvalues in double or extended precision, the
+Sweeps read the family's eigenvalues in double or extended precision
+(for EPN its closed form, for the others those of the matrix), the
 perturbation exponent in extended precision.  A sweep is made one stack
 of grid points at a time, each stack sized by the bytes of its matrices
 and continued from the last row of the one before, so a writer can
@@ -253,11 +254,12 @@ class SweepStack(NamedTuple):
 
 
 def _sweep_stacks(model, param_range: tuple[float, float], samples: int, precision: Precision = Precision.DOUBLE):
-    """The sweep of ``model.matrix(p)`` over a grid, one ``SweepStack`` at a time.
+    """The sweep of the family's spectrum over a grid, one ``SweepStack`` at a time.
 
     The grid is cut into stacks of ``_stack_length(model.n)`` points.  In
-    double precision each stack is built by ``model.matrices`` and solved as
-    one; with more than one stack and more than one usable CPU, a thread
+    double precision each stack is solved as one by ``model.eigvals``: the
+    closed form for EPN, the eigenvalues of the stack of matrices for the
+    others.  With more than one stack and more than one usable CPU, a thread
     pool solves the stacks while the caller reads those already continued,
     since numpy's eigensolver releases the GIL.  The pool keeps at most one
     stack per worker submitted ahead of the caller, and it is shut down when
@@ -271,8 +273,7 @@ def _sweep_stacks(model, param_range: tuple[float, float], samples: int, precisi
         raise ValueError("samples must be >= 2")
     grid = np.linspace(float(param_range[0]), float(param_range[1]), samples)
     if precision is Precision.DOUBLE:
-        def solve(points):
-            return eigvals_double(model.matrices(points))
+        solve = model.eigvals
 
     elif precision is Precision.EXTENDED:
         def solve(points):
@@ -309,10 +310,10 @@ def sweep(
     *,
     precision: Precision = Precision.DOUBLE,
 ) -> SweepResult:
-    """Continued eigenvalue tracks of ``model.matrix(p)`` over a grid.
+    """Continued eigenvalue tracks of the family at each p of a grid.
 
     The stacks of ``_sweep_stacks``, joined: double precision solves the
-    grid in stacks of matrices, on a thread pool when there are several,
+    grid in stacks by ``model.eigvals``, on a thread pool when there are several,
     and extended precision reads each point's ``model.eigvals_mp``.  The
     pool is shut down before ``sweep`` returns or raises, and the tracks do
     not depend on the number of threads.

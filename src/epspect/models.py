@@ -19,10 +19,10 @@ from typing import Union
 
 import numpy as np
 
-from .core import EXTENDED_BITS, DenseMatrix, Polynomial, Tridiagonal, as_fraction, eigvals_double, eigvals_mp
-from .core import real_root_count, square_free_factors
-from .core.eig import _gaussian_eigvals, _nudged_seeds
-from .core.poly import _dyadic_roots, _gaussian_cleared, _rounded
+from .core import EXTENDED_BITS, ConvergenceError, DenseMatrix, Polynomial, Tridiagonal, as_fraction
+from .core import eigvals_double, eigvals_mp
+from .core.eig import _gaussian_eigvals
+from .core.poly import _gaussian_cleared
 
 
 # --------------------------------------------------------------------------
@@ -138,9 +138,17 @@ def epn_secular(n: int) -> tuple[Polynomial, ...]:
     return cur
 
 
-def _all_roots_real(p: Polynomial) -> bool:
-    """Whether the Sturm counts of the square-free factors, times their multiplicities, sum to deg p."""
-    return sum(m * real_root_count(f) for m, f in enumerate(square_free_factors(p), 1)) == p.degree
+def _sqrt_double(y: Fraction) -> float:
+    """sqrt(y), y >= 0, correctly rounded to double; ``OverflowError`` beyond double range.
+
+    m = floor(sqrt(y) 2^s) has at least 55 bits, so no double and no midpoint
+    between two lies strictly between m and m + 1: m / 2^s rounds as sqrt(y)
+    where the root is exact, (m + 1/2) / 2^s where it is not.
+    """
+    s = max(0, 56 - (y.numerator.bit_length() - y.denominator.bit_length()) // 2)
+    n, rem = divmod(y.numerator << 2 * s, y.denominator)
+    m = math.isqrt(n)
+    return (2 * m + (rem != 0 or m * m != n)) / (1 << s + 1)
 
 
 def _sqrt_rounded(x: Fraction, scale: int) -> int:
@@ -232,32 +240,47 @@ class EpnModel:
     def matrix(self, t: float) -> np.ndarray:
         return self.matrices([t])[0]
 
-    def eigvals_mp(self, t) -> list[complex]:
-        """The eigenvalues at t at ``EXTENDED_BITS``, from the exact secular polynomial.
+    def eigvals(self, grid) -> np.ndarray:
+        """The ``(k, n)`` spectra at each t of ``grid`` in double, from the closed form, ascending in (Re, Im).
 
-        The roots u of ``epn_secular`` at the exact q = (1 - t)^2 are found
-        by the fixed-point integer Aberth iteration, seeded with the double
-        eigenvalues less the double shift (``_nudged_seeds``).  The shift
-        8 sqrt(1 - q), imaginary where q > 1, is rounded once to the same
-        fixed point and added exactly; each E = u + shift is then rounded
-        once to ``complex``.  At t = 0 the polynomial is u^n and every E
-        is 0.
-        Where Sturm counts certify all n roots u real (q <= 1) or all n
-        roots of the polynomial in v = -iu real (q > 1, the shift imaginary),
-        the imaginary or real parts are exactly 0.  The secular polynomial
-        has the parity of n, so that one is sum c_k (-1)^((k - n)/2) v^k.
+        M - shift is 2(J_z + i tau J_y) on the spin-(n - 1)/2 representation,
+        so E_k = (2k - n + 9) s with s = sqrt|1 - tau^2|, real where
+        1 - tau^2 >= 0 and imaginary elsewhere; the other part is exactly 0.
+        1 - tau^2 is taken as t(2 - t), the exact 1 - q of ``eigvals_mp``,
+        so each value is the family's at the double t to within three
+        roundings (1.5 eps relative), not that of the rounded matrix.  At
+        t = 0 and t = 2 every level is 0.0 (never -0.0).  A value beyond
+        double range (t(2 - t) overflows beyond |t| ~ 1.3e154) raises
+        ``ConvergenceError``.
         """
-        q = (1 - as_fraction(t)) ** 2
-        poly = Polynomial([c(q) for c in epn_secular(self.n)])
-        coeffs, _ = _gaussian_cleared(poly.coeffs)
-        seeds = eigvals_double(self.matrix(t)) - 8 * cmath.sqrt(1 - float(q))
-        roots, scale, _ = _dyadic_roots(coeffs, _nudged_seeds(seeds), EXTENDED_BITS)
-        shift = _sqrt_rounded(64 * abs(1 - q), scale)
-        if q <= 1:
-            real = _all_roots_real(poly)
-            return [_rounded((re + shift, 0 if real else im), scale) for re, im in roots]
-        imaginary = _all_roots_real(Polynomial([c if (k - self.n) % 4 == 0 else -c for k, c in enumerate(poly.coeffs)]))
-        return [_rounded((0 if imaginary else re, im + shift), scale) for re, im in roots]
+        if self.n < 2:
+            raise ValueError("n must be >= 2")
+        t = np.asarray(grid, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = t * (2.0 - t)
+            values = np.arange(9 - self.n, self.n + 9, 2.0) * np.sqrt(np.abs(x))[:, None] + 0.0  # + 0.0: no -0.0
+        if not np.isfinite(values).all():
+            raise ConvergenceError("an EPN level is not a finite double")
+        out = np.zeros(values.shape, dtype=complex)
+        real = x >= 0
+        out.real[real] = values[real]
+        out.imag[~real] = values[~real]
+        return out
+
+    def eigvals_mp(self, t) -> list[complex]:
+        """The eigenvalues at t, ascending in (Re, Im): (2k - n + 9) sqrt(1 - q), each correctly rounded.
+
+        1 - q = t(2 - t) is exact, and each level is ``_sqrt_double`` of
+        c^2 |1 - q|, real where q <= 1 and imaginary where q > 1, the other
+        part exactly 0.  At t = 0 every E is 0.  A value beyond double range
+        raises ``ConvergenceError``.
+        """
+        x = 1 - (1 - as_fraction(t)) ** 2
+        try:
+            levels = [math.copysign(_sqrt_double(c * c * abs(x)), c) for c in range(9 - self.n, self.n + 9, 2)]
+        except OverflowError:
+            raise ConvergenceError("an EPN level is not a finite double") from None
+        return [complex(v, 0.0) if x >= 0 else complex(0.0, v) for v in levels]
 
     def describe(self) -> dict:
         return {"model": "epn", "n": self.n, "param": "t"}
@@ -283,6 +306,10 @@ class BcModel:
 
     def matrix(self, r: float) -> np.ndarray:
         return self.matrices([r])[0]
+
+    def eigvals(self, grid) -> np.ndarray:
+        """The ``(k, n)`` spectra at each r of ``grid`` in double: ``eigvals_double`` of the stack."""
+        return eigvals_double(self.matrices(grid))
 
     def eigvals_mp(self, r) -> list[complex]:
         """The eigenvalues at r at ``EXTENDED_BITS``, in the order of the double ones.
@@ -328,6 +355,10 @@ class HermitianDemoModel:
 
     def matrix(self, t: float) -> np.ndarray:
         return self.matrices([t])[0]
+
+    def eigvals(self, grid) -> np.ndarray:
+        """The ``(k, n)`` spectra at each t of ``grid`` in double: ``eigvals_double`` of the stack."""
+        return eigvals_double(self.matrices(grid))
 
     def eigvals_mp(self, t) -> list[complex]:
         """The eigenvalues at t at ``EXTENDED_BITS``: ``eigvals_mp`` of the double matrix."""

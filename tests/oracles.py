@@ -2,9 +2,10 @@
 
 The package computes in double or in fixed-point integers only; these
 helpers build the EPN and boundary-controlled matrices with every entry
-rounded at mpmath's working precision, read the package's integer
-eigenvalue kernel at a chosen number of bits, and find the real roots of
-an exact polynomial with mpmath's own root finder.
+rounded at mpmath's working precision, give the EPN family's closed-form
+spectrum at that precision, read the package's integer eigenvalue kernel
+at a chosen number of bits, and find the real roots of an exact
+polynomial with mpmath's own root finder.
 """
 
 from fractions import Fraction
@@ -46,6 +47,17 @@ def epn_mp(n, t):
         m[k, k + 1] = w * tau
         m[k + 1, k] = -w * tau
     return m
+
+
+def epn_levels(n, t):
+    """The EPN family's levels (2k - n + 9) sqrt(t(2 - t)), k = 0..n-1, at the double t.
+
+    t(2 - t) is exact; the root is taken at the working precision, as an
+    ``mpc`` on the imaginary axis where t(2 - t) < 0.
+    """
+    x = Fraction(t) * (2 - Fraction(t))
+    root = mp.sqrt(mp.mpf(x.numerator) / x.denominator)
+    return [(2 * k - n + 9) * root for k in range(n)]
 
 
 def bc_mp(n, y, r):

@@ -160,7 +160,7 @@ def test_a_failed_stack_solve_or_write_keeps_the_target_and_leaves_no_thread(fai
     else:
         monkeypatch.setattr(np.linalg, "eigvals", third_solve_fails)
     monkeypatch.setattr(epfinder, "_worker_count", lambda stacks: min(2, stacks))
-    argv = ["sweep", "--model", "epn", "--n", "6", "--range", "0:1", "--samples", str(6 * _stack_length(6))]
+    argv = ["sweep", "--model", "bc", "--n", "6", "--y", "-0.5", "--range", "-1:1", "--samples", str(6 * _stack_length(6))]
     threads = threading.active_count()
     if failure == "lapack":
         assert main([*argv, "--output", str(out)]) == 4
@@ -521,7 +521,7 @@ def test_failed_lapack_solve_in_a_sweep_exits_4(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
     out = tmp_path / "s.csv"
-    argv = ["sweep", "--model", "epn", "--n", "4", "--range", "0:1", "--samples", "600", "--output", str(out)]
+    argv = ["sweep", "--model", "bc", "--n", "16", "--range", "-1:1", "--samples", "600", "--output", str(out)]  # three stacks
     assert run(argv) == 4
     assert "no convergence" in capsys.readouterr().err
     assert not out.exists()
@@ -546,6 +546,40 @@ def test_shift_beyond_double_range_exits_4_with_one_line(argv, tmp_path):
     assert proc.returncode == 4
     (line,) = proc.stderr.splitlines()
     assert line.startswith("no convergence: ")
+
+
+@pytest.mark.parametrize(
+    "precision, window, code",
+    [
+        ("double", "0:1e160", 4),
+        ("double", "0:1e300", 4),
+        ("extended", "0:1e160", 0),
+        ("extended", "0:1e300", 0),
+        ("extended", "0:1e308", 4),
+    ],
+)
+def test_epn_sweep_beyond_double_range_is_a_typed_refusal(precision, window, code, tmp_path):
+    # t(2 - t) overflows a double beyond |t| ~ 1.3e154, so the double tier refuses
+    # there; the extended tier takes it exactly and refuses only a level
+    # beyond double range.  A fresh interpreter, so that a numpy warning
+    # would reach stderr too.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--model", "epn", "--n", "4", "--range", window, "--samples", "3", "--precision", precision]
+    proc = subprocess.run(
+        [sys.executable, "-m", "epspect.cli", *argv, "--output", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == code
+    if code == 4:
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("no convergence: ")
+        assert not out.exists()
+    else:
+        assert proc.stderr == ""
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.isfinite(rows).all() and rows[-1, 1] == float(window.split(":")[1])
 
 
 def test_figure_index_validated(tmp_path):

@@ -1,6 +1,6 @@
 """Static guard against dead code in the package (stdlib ``ast`` only).
 
-Fifteen things fail the guard: an import a module never uses (package
+Sixteen things fail the guard: an import a module never uses (package
 ``__init__.py`` files are exempt, their imports are re-exports), a
 ``_private`` top-level function that no module of the package references,
 a module-level UPPER_CASE constant that no module of the package loads,
@@ -14,7 +14,9 @@ outside ``core/poly.py``, sampled reality
 scan reaches, a double root read (``poly_roots``, a root cluster, the
 cluster tolerance, a Newton polish or ``_levels_above``) anywhere the exact
 locators reach, a ``Fraction``, ``sturmian_r2`` or ``R2Value`` anywhere
-``branch_trace`` reaches, a ``scipy`` import anywhere, an ``mpmath`` import anywhere
+``branch_trace`` reaches, ``numpy.linalg`` or a ``core.eig`` solver
+anywhere ``EpnModel.eigvals`` reaches (the double EPN spectrum is the
+family's closed form), a ``scipy`` import anywhere, an ``mpmath`` import anywhere
 (numpy is the one runtime dependency), an import of ``threading`` or
 ``concurrent.futures`` anywhere but in ``epfinder._sweep_stacks``, and a
 whole ``sweep`` or ``SweepResult`` anywhere the CSV branches of the
@@ -406,6 +408,61 @@ def test_exact_scan_guard_sees_every_spelling():
         ("_kernel", 5),
         ("branch_trace", 7),
         ("helper", 3),
+    ]
+
+
+LAPACK_ROUTES = {"linalg", "eigvals_double", "eig_dense", "eigvals_mp", "_gaussian_eigvals"}
+
+
+def _method_reaches(tree, cls, method, names):
+    """(function, line) where ``cls.method``, a method of ``cls`` that it
+    calls on ``self``, or a module function it reaches, loads one of ``names``."""
+    functions = {
+        node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    (klass,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == cls]
+    methods = {node.name: node for node in klass.body if isinstance(node, ast.FunctionDef)}
+    todo, reached = [(method, methods[method])], {method}
+    while todo:
+        name, function = todo.pop()
+        for node in ast.walk(function):
+            ident = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            on_self = isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "self"
+            callee = methods.get(ident) if on_self else functions.get(ident) if isinstance(node, ast.Name) else None
+            if ident in names:
+                yield name, node.lineno
+            elif callee is not None and ident not in reached:
+                reached.add(ident)
+                todo.append((ident, callee))
+
+
+def test_epn_double_spectrum_never_reaches_lapack():
+    """``EpnModel.eigvals`` is the family's closed form; ``numpy.linalg`` or a
+    ``core.eig`` solver anywhere it reaches would send the sweep back to the
+    eigenvalues of the rounded matrix."""
+    found = [
+        f"models.py:{line}: {name}"
+        for name, line in _method_reaches(_parse(PACKAGE / "models.py"), "EpnModel", "eigvals", LAPACK_ROUTES)
+    ]
+    assert found == []
+
+
+def test_epn_lapack_guard_sees_every_spelling():
+    source = (
+        "import numpy as np\n"
+        "def helper(a):\n    return eigvals_double(a)\n"
+        "class EpnModel:\n"
+        "    def matrices(self, grid):\n        return np.linalg.eigvals(grid)\n"
+        "    def eigvals(self, grid):\n        return self.matrices(grid) + helper(grid) + self.eigvals_mp(0)\n"
+        "    def eigvals_mp(self, t):\n        return eig_dense(t)\n"
+        "class BcModel:\n"
+        "    def eigvals(self, grid):\n        return eigvals_double(self.matrices(grid))\n"
+        "def unrelated():\n    return np.linalg.eig(1)\n"
+    )
+    assert sorted(_method_reaches(ast.parse(source), "EpnModel", "eigvals", LAPACK_ROUTES)) == [
+        ("eigvals", 8),
+        ("helper", 3),
+        ("matrices", 6),
     ]
 
 

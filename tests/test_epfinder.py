@@ -42,7 +42,7 @@ from epspect.epfinder import (
 )
 from epspect.models import BcModel, EpnModel, HermitianDemoModel, bc_matrix, epn_matrix
 from epspect.sturmian import bivariate_secular
-from oracles import POLISH_PREC, bc_mp, eigvals_at, model_mp
+from oracles import POLISH_PREC, bc_mp, eigvals_at, epn_levels, model_mp
 
 EPS_LADDER = [1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6]
 
@@ -103,9 +103,14 @@ def _pairwise_loop(values):
 
 
 def _reference_sweep(model, param_range, samples):
-    """The sweep as one eigentriple solve per point and Python loops."""
+    """The sweep as one solve per point and Python loops: the eigentriples of
+    the matrix, or for EPN the 40-digit closed form of the family."""
     grid = np.linspace(param_range[0], param_range[1], samples)
-    spectra = [eig_dense(model.matrix(p)).values for p in grid]
+    if isinstance(model, EpnModel):
+        with mp.workdps(40):
+            spectra = [np.sort_complex([complex(v) for v in epn_levels(model.n, p)]) for p in grid]
+    else:
+        spectra = [eig_dense(model.matrix(p)).values for p in grid]
     n = len(spectra[0])
     tracks = np.zeros((n, samples), dtype=complex)
     warnings = np.zeros(samples, dtype=bool)
@@ -209,23 +214,23 @@ def test_a_failed_chunk_solve_propagates_and_leaves_no_thread(error, raised, mon
     monkeypatch.setattr(epfinder, "_worker_count", lambda stacks: min(2, stacks))
     threads = threading.active_count()
     with pytest.raises(raised):
-        sweep(EpnModel(6), (0.0, 1.0), 6 * _stack_length(6))
+        sweep(BcModel(6, -0.5), (-1.0, 1.0), 6 * _stack_length(6))
     assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_the_pool_solves_at_most_one_stack_per_worker_ahead_and_stops_when_closed(workers, monkeypatch):
-    built, matrices = [], EpnModel.matrices
+    built, matrices = [], BcModel.matrices
 
     def counted(self, grid):
         built.append(len(grid))
         return matrices(self, grid)
 
-    monkeypatch.setattr(EpnModel, "matrices", counted)
+    monkeypatch.setattr(BcModel, "matrices", counted)
     monkeypatch.setattr(epfinder, "SWEEP_STACK_BYTES", 16 * 4 * 4 * 4)  # four points per stack at n = 4
     monkeypatch.setattr(epfinder, "_worker_count", lambda stacks: min(workers, stacks))
     threads = threading.active_count()
-    stacks = _sweep_stacks(EpnModel(4), (-0.5, 1.0), 4 * 40)
+    stacks = _sweep_stacks(BcModel(4, -0.5), (-1.0, 1.0), 4 * 40)
     for read, stack in enumerate(stacks, 1):
         assert len(stack.grid) == 4
         time.sleep(0.002)  # a slow reader: a pool without a bound would solve every stack meanwhile

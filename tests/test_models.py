@@ -10,7 +10,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import epspect.models as models
-from epspect.core import Polynomial, as_array, charpoly_from_parts, charpoly_tridiag, eig_dense, poly_roots
+from epspect.cli import main as cli_main
+from epspect.core import (
+    Polynomial,
+    as_array,
+    charpoly_from_parts,
+    charpoly_tridiag,
+    eig_dense,
+    poly_roots,
+    real_root_count,
+    square_free_factors,
+)
 from epspect.models import (
     BcModel,
     Circle,
@@ -25,6 +35,7 @@ from epspect.models import (
     hermitian_demo,
     z_value,
 )
+from oracles import epn_levels, rounded
 
 
 # --------------------------------------------------------------------------
@@ -142,6 +153,120 @@ def test_epn_rejects_tiny_dimension():
 def test_models_reject_tiny_dimension(model):
     with pytest.raises(ValueError):
         model.matrices([0.5])
+    with pytest.raises(ValueError):
+        model.eigvals([0.5])
+
+
+# --------------------------------------------------------------------------
+# EPN closed form: E_k = (2k - n + 9) sqrt(1 - q)
+# --------------------------------------------------------------------------
+
+
+def test_epn_secular_is_the_closed_form_product():
+    # M - shift = 2(J_z + i tau J_y) on spin (n - 1)/2, so over Q[q][u]
+    # det(M - E) = (-1)^n prod_c (u^2 - c^2 (1 - q)) u^(n mod 2), c = n - 1, n - 3, ... > 0
+    for n in range(2, 41):
+        coeffs = [Polynomial.zero()] * (n % 2) + [Polynomial([(-1) ** n])]
+        for c in range(n - 1, 0, -2):
+            padded = coeffs + [Polynomial.zero()] * 2
+            coeffs = [s - Polynomial([c * c, -c * c]) * a for s, a in zip([Polynomial.zero()] * 2 + coeffs, padded)]
+        assert tuple(coeffs) == epn_secular(n), n
+
+
+def _within_2_ulp(got, want) -> bool:
+    """|got - want| <= 2 eps |want| (eps = 2^-52), want at 40 digits."""
+    with mp.workdps(40):
+        return abs(got - want) <= 2 * mp.mpf(2) ** -52 * abs(want)
+
+
+def _rounded_levels(n, t, dps=40) -> list[complex]:
+    """The EPN levels at the double t at ``dps`` digits, each part rounded once to double."""
+    with mp.workdps(dps):
+        return [complex(rounded(mp.re(w)), rounded(mp.im(w))) for w in epn_levels(n, t)]
+
+
+_tiny_t = st.sampled_from([5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300, 2.0**-60, -(2.0**-60)])
+_epn_t = st.one_of(st.floats(-1.0, 3.0), st.just(0.0), st.just(2.0), _tiny_t, st.floats(-1e-12, 1e-12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 40), t=_epn_t)
+@example(n=32, t=0.0)
+@example(n=9, t=2.0)
+@example(n=32, t=0.1505)
+@example(n=12, t=-5e-324)
+@example(n=9, t=0.5)  # level 0 is 0 * sqrt(0.75)
+def test_epn_double_spectrum_is_the_closed_form(n, t):
+    got = EpnModel(n).eigvals([t, t])
+    assert got.shape == (2, n) and np.array_equal(got[0], got[1])
+    with mp.workdps(40):
+        levels = epn_levels(n, t)
+    other = got[0].imag if Fraction(t) * (2 - Fraction(t)) >= 0 else got[0].real
+    assert np.all(other == 0) and not np.signbit(other).any()
+    assert not np.signbit(got[0][got[0] == 0].view(float)).any()  # 0.0, never -0.0
+    for g, w in zip(got[0], levels):
+        assert _within_2_ulp(complex(g), w), (g, w)
+    assert list(got[0]) == sorted(got[0], key=lambda v: (v.real, v.imag))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 40), t=_epn_t)
+@example(n=9, t=0.5)
+@example(n=17, t=-0.5)
+def test_epn_double_and_extended_tiers_agree_within_2_ulp(n, t):
+    double = EpnModel(n).eigvals([t])[0]
+    extended = EpnModel(n).eigvals_mp(t)
+    assert extended == _rounded_levels(n, t)  # correctly rounded
+    assert np.array_equal(double.real == 0, np.array(extended).real == 0)
+    assert np.array_equal(double.imag == 0, np.array(extended).imag == 0)
+    for d, e in zip(double, extended):
+        assert abs(d - e) <= 2 * 2**-52 * abs(e), (d, e)
+
+
+def _exact_real_count(n, t) -> int:
+    """The real eigenvalues of the EPN family at t, with multiplicity, from its exact secular polynomial.
+
+    Where q = (1 - t)^2 <= 1 the shift 8 sqrt(1 - q) is real, so E is real
+    exactly where u is: Sturm counts of the square-free factors.  Where
+    q > 1 the shift is iS with S^2 = 64 (q - 1), and P(E - iS) = A(E) + iS B(E)
+    with A and B over Q, so the real eigenvalues are the real roots of gcd(A, B).
+    """
+    q = (1 - Fraction(t)) ** 2
+    coeffs = [c(q) for c in epn_secular(n)]
+    poly = Polynomial(coeffs)
+    if q > 1:
+        sigma, a, b = 64 * (q - 1), Polynomial.zero(), Polynomial.zero()
+        for k, c in enumerate(coeffs):
+            for j in range(k + 1):  # (-iS)^j is (-1)^(j/2) sigma^(j/2), or -iS (-1)^((j-1)/2) sigma^((j-1)/2)
+                term = Polynomial([0] * (k - j) + [c * math.comb(k, j) * (-1) ** (j // 2) * sigma ** (j // 2)])
+                a, b = (a, b - term) if j % 2 else (a + term, b)
+        poly = a.gcd(b)
+    return sum(m * real_root_count(f) for m, f in enumerate(square_free_factors(poly), 1))
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["figure", "2"], "figure2_data.csv"),
+        (["figure", "3"], "figure3_data.csv"),
+        (["sweep", "--model", "epn", "--n", "12", "--range", "-0.2:0.2", "--samples", "401"], "sweep.csv"),
+    ],
+    ids=["figure2", "figure3", "epn12"],
+)
+def test_epn_sweep_flags_are_the_exact_real_counts(argv, name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli_main([*argv, *(["--out-dir", "."] if argv[0] == "figure" else [])]) == 0
+    header, *lines = (tmp_path / name).read_text(encoding="utf-8").splitlines()
+    flags = [i for i, h in enumerate(header.split(",")) if h.startswith("real")]
+    for line in lines:
+        row = line.split(",")
+        assert sum(int(row[i]) for i in flags) == _exact_real_count(len(flags), float(row[1])), row[:2]
+
+
+def test_epn_extended_levels_are_correctly_rounded_where_t_squared_overflows_a_double():
+    # t(2 - t) is exact, so at t = 1e300 every level is finite (the double tier refuses there);
+    # sqrt(t^2 - 2t) = t - 1 - ... moves a level off a tie by 1e-300 relative, so the oracle takes 700 digits
+    assert EpnModel(4).eigvals_mp(1e300) == _rounded_levels(4, 1e300, dps=700)
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,14 @@
-"""Figures 4-6 and three ``find-ep`` runs against reference outputs stored
+"""Figures 1-6 and three ``find-ep`` runs against reference outputs stored
 under ``tests/data``.
 
-Each figure reference holds a sample of one Sturmian figure: every 20th data
-row and every refined row of ``figure<k>_data.csv``, the row count, and the
-poles, branch merges and persistent lines of ``figure<k>_data_poles.json``.
+Each sweep figure reference (figures 1-3) holds the header, the row count
+and every 10th line of ``figure<k>_data.csv``.  Index, parameter, reality
+flags and pairing warnings must match exactly, each real and imaginary part
+to 1e-12 of the row's largest |E| (at least 1).
+
+Each Sturmian figure reference (figures 4-6) holds every 20th data row and
+every refined row of ``figure<k>_data.csv``, the row count, and the poles,
+branch merges and persistent lines of ``figure<k>_data_poles.json``.
 Energies and flags must match exactly, the coupling branches ``r_plus`` and
 ``r_minus`` to 1e-12 relative.
 
@@ -33,6 +38,9 @@ from epspect.sturmian import secular_in_y
 from oracles import rounded
 
 DATA = Path(__file__).resolve().parent / "data"
+SWEEP_FIGURES = (1, 2, 3)
+SWEEP_STRIDE = 10
+VALUE_TOL = 1e-12
 FIGURES = (4, 5, 6)
 STRIDE = 20
 R_RTOL = 1e-12
@@ -43,6 +51,27 @@ FIND_EP = {
     "scan_bc8": ["--model", "bc", "--n", "8", "--scan-y", "--range", "-1:0"],
 }
 POINT_TOL = 1e-12
+
+
+def _sweep_reference_of(outdir: Path, k: int) -> dict:
+    """The header, row count and every ``SWEEP_STRIDE``-th line of sweep figure k."""
+    header, *lines = (outdir / f"figure{k}_data.csv").read_text(encoding="utf-8").splitlines()
+    return {"header": header, "row_count": len(lines), "rows": lines[::SWEEP_STRIDE]}
+
+
+@pytest.mark.parametrize("k", SWEEP_FIGURES)
+def test_sweep_figure_matches_reference(k, tmp_path):
+    assert cli_main(["figure", str(k), "--out-dir", str(tmp_path)]) == 0
+    got = _sweep_reference_of(tmp_path, k)
+    want = json.loads(_reference_path(k).read_text(encoding="utf-8"))
+
+    assert (got["header"], got["row_count"]) == (want["header"], want["row_count"])
+    values = {i for i, h in enumerate(want["header"].split(",")) if h[:2] in ("re", "im") and h[2:].isdigit()}
+    for g, w in zip(got["rows"], want["rows"]):
+        g, w = g.split(","), w.split(",")
+        assert [x for i, x in enumerate(g) if i not in values] == [x for i, x in enumerate(w) if i not in values]
+        scale = max(1.0, max(abs(float(w[i])) for i in values))
+        assert all(abs(float(g[i]) - float(w[i])) <= VALUE_TOL * scale for i in values), (k, w[:2])
 
 
 def _reference_of(outdir: Path, k: int) -> dict:
@@ -157,10 +186,10 @@ def test_scan_energies_are_40_digit_oracles_rounded_once(n):
 if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for k in FIGURES:
+        for k in SWEEP_FIGURES + FIGURES:
             if cli_main(["figure", str(k), "--out-dir", tmp]) != 0:
                 sys.exit(f"figure {k} failed")
-            payload = _reference_of(Path(tmp), k)
+            payload = (_sweep_reference_of if k in SWEEP_FIGURES else _reference_of)(Path(tmp), k)
             _reference_path(k).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
             print(_reference_path(k))
         for name in FIND_EP:
