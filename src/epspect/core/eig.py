@@ -1,4 +1,4 @@
-"""Dense nonsymmetric eigensolvers in double and extended precision.
+"""Dense eigensolvers in double and extended precision.
 
 Each tier has an eigenvalue-only primitive for the callers that read
 nothing else: ``eigvals_double`` (LAPACK without eigenvectors, in the order
@@ -16,7 +16,9 @@ a ``(k, n, n)`` stack and returns one row per matrix, bit for bit what each
 matrix gives alone; a sweep solves its grid in stacked chunks, on several
 threads at once (the LAPACK call releases the GIL), and a real stack
 reaches ``dgeev`` without a complex copy.  A LAPACK failure is raised as
-``ConvergenceError``.
+``ConvergenceError``.  ``eigvalsh_double`` is the double tier of an exactly
+Hermitian matrix or stack (the Hermitian demo's sweep): LAPACK's Hermitian
+driver, whose values are real by construction.
 ``eig_dense`` (right eigenvectors of unit 2-norm from ``numpy.linalg.eig``,
 left ones as the columns of Y = X^-H, so that Y^H X = I by construction, with
 residual checks) serves only the consumers of eigenvectors: the metric
@@ -104,6 +106,21 @@ def eigvals_double(m) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"double eigensolve failed: {exc}") from exc
     return np.take_along_axis(values, np.lexsort((values.imag, values.real)), axis=-1)
+
+
+def eigvalsh_double(m) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, or a ``(k, n, n)`` stack of them, in double.
+
+    LAPACK's Hermitian driver (``numpy.linalg.eigvalsh``, which reads the
+    lower triangle), ascending and returned as complex with imaginary part
+    +0.0, so each row is in the (Re, Im) order of ``eigvals_double``.  A
+    LAPACK failure (``LinAlgError``) is raised as ``ConvergenceError``.
+    """
+    try:
+        values = np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"double Hermitian eigensolve failed: {exc}") from exc
+    return values.astype(complex)
 
 
 def _eig_double(a: np.ndarray):

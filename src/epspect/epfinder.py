@@ -11,8 +11,9 @@ Sweeps read the family's eigenvalues in double or extended precision
 (for EPN its closed form, for the others those of the matrix), the
 perturbation exponent in extended precision.  A sweep is made one stack
 of grid points at a time, each stack sized by the bytes of its matrices
-and continued from the last row of the one before, so a writer can
-stream the stacks as they are solved; ``sweep`` joins them.  The
+and of the cost block of its continuation, and continued as a whole, in
+numpy, from the last row of the one before, so a writer can stream the
+stacks as they are solved; ``sweep`` joins them.  The
 classification of one matrix takes its algebraic multiplicity from the
 extended eigenvalues, whatever the type of the matrix, and reads the
 double eigenvectors only for the coalescence angle.
@@ -63,7 +64,7 @@ from .sturmian import (
     sturmian_r2,
 )
 
-SWEEP_STACK_BYTES = 1 << 20  # bytes of complex matrices per stack of a sweep
+SWEEP_STACK_BYTES = 1 << 20  # bytes of complex n x n matrices per stack of a sweep
 
 
 # --------------------------------------------------------------------------
@@ -202,13 +203,35 @@ def _pairing_warnings(tracks: np.ndarray, before: np.ndarray | None) -> np.ndarr
         warnings[1:] = _pairing_warnings(tracks[:, 1:], tracks[:, 0])
         return warnings
     step = np.abs(tracks - np.column_stack((before, tracks[:, :-1]))).max(axis=0)
-    rows, cols = _upper_pairs(n)
-    diff = tracks[rows] - tracks[cols]
-    return np.hypot(diff.real, diff.imag).min(axis=0) < 2.0 * step
+    return _min_gaps(tracks) < 2.0 * step
+
+
+def _min_gaps(tracks: np.ndarray) -> np.ndarray:
+    """``min_{i<j} |tracks[i, k] - tracks[j, k]|`` for each column k, as Python's ``abs`` gives it.
+
+    A column whose imaginary parts are all +-0 takes the least gap between
+    its sorted real parts: rounding is monotone and hypot(x, +-0) = |x|, so
+    no farther pair rounds to less.  The others take ``hypot`` of every pair.
+    """
+    gaps = np.empty(tracks.shape[1])
+    real = ~tracks.imag.any(axis=0)
+    gaps[real] = np.diff(np.sort(tracks.real[:, real], axis=0), axis=0).min(axis=0)
+    if not real.all():
+        rows, cols = _upper_pairs(len(tracks))
+        other = tracks[:, ~real]
+        diff = other[rows] - other[cols]
+        gaps[~real] = np.hypot(diff.real, diff.imag).min(axis=0)
+    return gaps
 
 
 def _stack_length(n: int) -> int:
-    """Grid points per stack: as many complex n x n matrices as ``SWEEP_STACK_BYTES`` holds, at least one."""
+    """Grid points per stack: as many complex n x n matrices as ``SWEEP_STACK_BYTES`` holds, at least one.
+
+    That bounds the stack's matrices, where the model builds them (16 n^2
+    bytes per point), and the (k, n, n) cost block of ``_continue_tracks``,
+    which every model builds (8 n^2 bytes per point, and 16 n^2 more for
+    the complex differences of a complex stack while it is made).
+    """
     return max(1, SWEEP_STACK_BYTES // (16 * n * n))
 
 
@@ -225,12 +248,31 @@ def _continue_tracks(values: np.ndarray, prev: np.ndarray | None) -> None:
     """Continue each sorted spectrum ``values[k]`` from row k - 1, in place.
 
     Row -1 is ``prev``, the last row of the stack before; with none, row 0
-    is the first spectrum as it is.
+    is the first spectrum as it is.  Row k becomes s_k[pi_k], where s_k is
+    the sorted row and pi_k is ``_assign`` of |s_k[j] - s_(k-1)[pi_(k-1)[i]]|,
+    the cost between row k and the continued row k - 1.  That cost is
+    C0_k[pi_(k-1)], with C0_k[a, j] = |s_k[j] - s_(k-1)[a]| between the sorted
+    rows, so the C0 of the whole stack is one (k, n, n) block, built from
+    the real parts alone when every imaginary part is +-0, since
+    hypot(x, +-0) = |x|.  Where each row of C0_k has its first minimum on
+    the diagonal, so has C0_k[pi_(k-1)] at pi_(k-1), and ``_assign``
+    returns pi_(k-1): only the other rows are assigned one by one.
     """
-    for k, cur in enumerate(values):
-        if prev is not None:
-            values[k] = cur = cur[_assign(np.abs(cur[None, :] - prev[:, None]))]
-        prev = cur
+    rows = values if prev is None else np.concatenate((prev[None, :], values))
+    if len(rows) < 2:
+        return
+    if rows.imag.any():
+        cost = np.abs(rows[1:, None, :] - rows[:-1, :, None])
+    else:
+        real = rows.real.copy()  # contiguous: the broadcast difference runs faster
+        cost = real[1:, None, :] - real[:-1, :, None]
+        np.abs(cost, out=cost)
+    perms = [np.arange(rows.shape[1])]
+    moved = (cost.argmin(axis=2) != perms[0]).any(axis=1)
+    for k in np.flatnonzero(moved).tolist():
+        perms.append(_assign(cost[k, perms[-1]]))
+    continued = np.take_along_axis(rows[1:], np.array(perms)[np.cumsum(moved)], axis=1)
+    values[len(values) - len(continued) :] = continued
 
 
 def _ahead(pool, solve, stacks, workers: int):
@@ -258,16 +300,19 @@ def _sweep_stacks(model, param_range: tuple[float, float], samples: int, precisi
 
     The grid is cut into stacks of ``_stack_length(model.n)`` points.  In
     double precision each stack is solved as one by ``model.eigvals``: the
-    closed form for EPN, the eigenvalues of the stack of matrices for the
-    others.  With more than one stack and more than one usable CPU, a thread
-    pool solves the stacks while the caller reads those already continued,
-    since numpy's eigensolver releases the GIL.  The pool keeps at most one
-    stack per worker submitted ahead of the caller, and it is shut down when
-    the generator ends, raises or is closed.  Extended precision reads each
+    closed form where the model's ``closed_form_double`` says so (EPN), the
+    eigenvalues of the stack of matrices from LAPACK for the others.  With
+    more than one LAPACK stack and more than one usable CPU, a thread pool
+    solves the stacks while the caller reads those already continued, since
+    numpy's eigensolvers release the GIL; a closed form is solved on this
+    thread, and no pool is made.  The pool keeps at most one stack per
+    worker submitted ahead of the caller, and it is shut down when the
+    generator ends, raises or is closed.  Extended precision reads each
     point's ``model.eigvals_mp`` on this thread.  Each stack's tracks are
-    continued from the last row of the stack before, so the stacks do not
-    depend on the number of threads; levels are flagged real by
-    ``reality_flags``.
+    continued as a whole by ``_continue_tracks`` from the last row of the
+    stack before, so the stacks do not depend on the number of threads;
+    levels are flagged real by ``reality_flags`` and ambiguous pairings by
+    ``_pairing_warnings``.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
@@ -284,7 +329,8 @@ def _sweep_stacks(model, param_range: tuple[float, float], samples: int, precisi
         raise ValueError("sweep supports double or extended precision")
     length = _stack_length(model.n)
     stacks = [grid[k : k + length] for k in range(0, samples, length)]
-    workers = _worker_count(len(stacks)) if precision is Precision.DOUBLE else 1
+    lapack = precision is Precision.DOUBLE and not model.closed_form_double
+    workers = _worker_count(len(stacks)) if lapack else 1
     pool = None
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # on first use: import time stays flat
@@ -313,10 +359,10 @@ def sweep(
     """Continued eigenvalue tracks of the family at each p of a grid.
 
     The stacks of ``_sweep_stacks``, joined: double precision solves the
-    grid in stacks by ``model.eigvals``, on a thread pool when there are several,
-    and extended precision reads each point's ``model.eigvals_mp``.  The
-    pool is shut down before ``sweep`` returns or raises, and the tracks do
-    not depend on the number of threads.
+    grid in stacks by ``model.eigvals``, on a thread pool when there are
+    several LAPACK stacks, and extended precision reads each point's
+    ``model.eigvals_mp``.  The pool is shut down before ``sweep`` returns
+    or raises, and the tracks do not depend on the number of threads.
     """
     stacks = list(_sweep_stacks(model, param_range, samples, precision))
     grid, tracks, flags, warnings = (np.concatenate(part, axis=-1) for part in zip(*stacks))

@@ -20,7 +20,7 @@ from typing import Union
 import numpy as np
 
 from .core import EXTENDED_BITS, ConvergenceError, DenseMatrix, Polynomial, Tridiagonal, as_fraction
-from .core import eigvals_double, eigvals_mp
+from .core import eigvals_double, eigvalsh_double, eigvals_mp
 from .core.eig import _gaussian_eigvals
 from .core.poly import _gaussian_cleared
 
@@ -212,6 +212,7 @@ class EpnModel:
     n: int
 
     param = "t"
+    closed_form_double = True  # ``eigvals`` is the closed form: no LAPACK, no solver threads
 
     def matrices(self, grid) -> np.ndarray:
         """The ``(k, n, n)`` stack of the matrices at each t of ``grid``, in one numpy pass.
@@ -294,6 +295,7 @@ class BcModel:
     y: float = 0.0
 
     param = "r"
+    closed_form_double = False
 
     def matrices(self, grid) -> np.ndarray:
         """The ``(k, n, n)`` complex stack of the matrices at each r of ``grid``.
@@ -342,6 +344,7 @@ class HermitianDemoModel:
     seed: int = 42
 
     param = "t"
+    closed_form_double = False
 
     @cached_property
     def _pencil(self) -> tuple[np.ndarray, np.ndarray]:
@@ -357,8 +360,13 @@ class HermitianDemoModel:
         return self.matrices([t])[0]
 
     def eigvals(self, grid) -> np.ndarray:
-        """The ``(k, n)`` spectra at each t of ``grid`` in double: ``eigvals_double`` of the stack."""
-        return eigvals_double(self.matrices(grid))
+        """The ``(k, n)`` spectra at each t of ``grid`` in double: ``eigvalsh_double`` of the stack.
+
+        A + t*B with A and B Hermitian is exactly Hermitian in double (each
+        conjugate pair of entries is rounded alike), so the Hermitian solver
+        applies: every value is real, with imaginary part +0.0, ascending.
+        """
+        return eigvalsh_double(self.matrices(grid))
 
     def eigvals_mp(self, t) -> list[complex]:
         """The eigenvalues at t at ``EXTENDED_BITS``: ``eigvals_mp`` of the double matrix."""

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import zip_longest
+from typing import NamedTuple
 
 import numpy as np
 
@@ -223,8 +224,13 @@ def sturmian_r2(s: SturmianFunction, energy) -> R2Value:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TracePoint:
+class TracePoint(NamedTuple):
+    """One sample of ``branch_trace``: r = +-sqrt(r^2(E)) at an energy.
+
+    ``in_model`` is r^2 <= 1; ``refined`` marks an energy added around a
+    pole or a branch merge.
+    """
+
     energy: float
     r_plus: float
     r_minus: float

@@ -28,8 +28,9 @@ call of mpmath's QR eigensolver ``mp.eig``.
 Fresh-interpreter tests check the import guards end to end: importing the
 command line, running its commands (the default ``metric`` included) and
 classifying a degeneracy never load scipy; the extended commands and the
-perturbation exponent never load mpmath; and importing the command line
-or sweeping one stack never loads ``concurrent.futures``.
+perturbation exponent never load mpmath; and importing the command line,
+sweeping one stack or sweeping the EPN closed form in many stacks never
+loads ``concurrent.futures``.
 """
 
 import ast
@@ -721,13 +722,20 @@ def test_thread_import_guard_sees_every_spelling():
 
 
 def test_import_and_one_chunk_sweep_never_load_a_thread_pool(tmp_path):
-    argv = ["sweep", "--model", "epn", "--n", "4", "--range", "0:1", "--samples", "256", "--output", "s.csv"]
+    """Importing the command line, a sweep of one stack and an EPN sweep of
+    32 stacks (n = 32 over 2001 samples; its closed form is solved inline)
+    load no thread pool."""
+    one = ["sweep", "--model", "epn", "--n", "4", "--range", "0:1", "--samples", "256", "--output", "s.csv"]
+    many = ["sweep", "--model", "epn", "--n", "32", "--range", "0:1", "--samples", "2001", "--output", "m.csv"]
     script = (
         "import sys\n"
         "import epspect.cli\n"
+        "from epspect.epfinder import _stack_length\n"
+        "assert -(-2001 // _stack_length(32)) == 32\n"
         "loaded = ['import epspect.cli'] if 'concurrent.futures' in sys.modules else []\n"
-        f"assert epspect.cli.main({argv!r}) == 0\n"
-        "loaded += ['sweep'] if 'concurrent.futures' in sys.modules else []\n"
+        f"for argv in ({one!r}, {many!r}):\n"
+        "    assert epspect.cli.main(argv) == 0, argv\n"
+        "    loaded += [' '.join(argv[:5])] if 'concurrent.futures' in sys.modules else []\n"
         "print(loaded)\n"
     )
     assert _fresh_interpreter(script, tmp_path) == "[]"

@@ -295,6 +295,85 @@ def test_assign_matches_scipy_on_a_sweep_through_the_ep8():
     assert through_port > 0
 
 
+ROW_KINDS = ["real", "complex", "mixed", "integer", "conjugate"]
+
+
+def _spectra(kind: str, rows: int, n: int, seed: int) -> np.ndarray:
+    """``rows`` spectra of n values, each sorted in (Re, Im) as a solver returns it:
+    real (with some -0.0 imaginary parts), complex, real and complex rows
+    mixed, small integers (ties and equal values) or conjugate-closed."""
+    rng = np.random.default_rng(seed)
+
+    def row(kind):
+        if kind == "real":
+            z = rng.standard_normal(n) + 0j
+            z.imag[rng.random(n) < 0.3] = -0.0
+        elif kind == "complex":
+            z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        elif kind == "mixed":
+            z = row(rng.choice(["real", "complex", "conjugate"]))
+        elif kind == "integer":
+            z = rng.integers(-2, 3, n) + 1j * rng.integers(-1, 2, n) * (rng.random() < 0.5)
+        else:
+            half = (n + 1) // 2
+            w = (rng.integers(-4, 5, half) + 1j * rng.integers(-4, 5, half)) / 4
+            w.imag[rng.random(half) < 0.4] = 0.0
+            z = np.concatenate([w, w.conj()])[:n]
+        return z.astype(complex)
+
+    values = np.array([row(kind) for _ in range(rows)])
+    return np.take_along_axis(values, np.lexsort((values.imag, values.real)), axis=-1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(ROW_KINDS),
+    st.integers(1, 8),
+    st.integers(1, 6),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_stack_continuation_is_the_per_row_scipy_continuation_bit_for_bit(kind, n, rows, with_prev, seed):
+    spectra = _spectra(kind, rows + with_prev, n, seed)
+    prev, values = (spectra[0], spectra[1:]) if with_prev else (None, spectra)
+    want, last = values.copy(), prev
+    for k, cur in enumerate(want):
+        if last is not None:
+            want[k] = cur = cur[_scipy_columns(np.abs(cur[None, :] - last[:, None]))]
+        last = cur
+    got = values.copy()
+    epfinder._continue_tracks(got, None if prev is None else prev.copy())
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _warning_columns(n: int, width: int, seed: int) -> np.ndarray:
+    """Columns of n values: real, complex, or real beside complex, with some
+    -0.0 imaginary parts and some values repeated (gap 0)."""
+    rng = np.random.default_rng(seed)
+    tracks = rng.integers(-3, 4, (n, width)) / 2 + 0j
+    tracks += rng.standard_normal((n, width)) * (rng.random((1, width)) < 0.5)
+    imag = rng.integers(-2, 3, (n, width)) * (rng.random((n, width)) < rng.random((1, width)))
+    tracks.imag = np.where(imag == 0, np.where(rng.random((n, width)) < 0.5, -0.0, 0.0), imag)
+    repeat = rng.random(width) < 0.3
+    tracks[-1, repeat] = tracks[0, repeat]
+    return tracks
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_pairing_warnings_match_the_pairwise_loop_on_real_and_complex_columns(n, width, seed):
+    tracks = _warning_columns(n, width, seed)
+    before = _warning_columns(n, 1, seed + 1)[:, 0]
+    warnings = _pairing_warnings(tracks, before)
+    if n == 1:
+        assert not warnings.any()
+        return
+    gaps = [_pairwise_loop(tracks[:, k]) for k in range(width)]
+    assert epfinder._min_gaps(tracks).tolist() == gaps
+    steps = np.abs(tracks - np.column_stack((before, tracks[:, :-1]))).max(axis=0)
+    assert warnings.tolist() == [g < 2.0 * s for g, s in zip(gaps, steps.tolist())]
+
+
 def _matched_distance(got, want):
     """Largest distance between two spectra after min-cost matching."""
     cost = np.abs(got[:, None] - want[None, :])

@@ -17,6 +17,7 @@ from epspect.core import (
     charpoly_from_parts,
     charpoly_tridiag,
     eig_dense,
+    eigvals_double,
     poly_roots,
     real_root_count,
     square_free_factors,
@@ -397,6 +398,22 @@ def test_hermitian_demo_sweep_all_real_with_positive_gap():
         vals = np.linalg.eigvalsh(hermitian_demo(4, float(t), seed=1).a)
         min_gap = min(min_gap, float(np.diff(vals).min()))
     assert min_gap > 0
+
+
+@pytest.mark.parametrize("n, seed", [(4, 1), (4, 5), (7, 3)])
+def test_hermitian_demo_double_spectrum_is_the_hermitian_solvers(n, seed):
+    model = HermitianDemoModel(n, seed)
+    grid = np.linspace(-3.0, 3.0, 301)
+    stack = model.matrices(grid)
+    assert np.array_equal(stack, stack.conj().transpose(0, 2, 1))  # exactly Hermitian in double
+    values = model.eigvals(grid)
+    assert values.dtype == np.complex128 and values.shape == (len(grid), n)
+    assert np.array_equal(values.imag.view(np.uint64), np.zeros(values.shape, dtype=np.uint64))  # +0.0
+    assert np.all(np.diff(values.real, axis=1) > 0)
+    assert np.array_equal(values.real, np.array([np.linalg.eigvalsh(m) for m in stack]))
+    # the nonsymmetric solver agrees up to its rounding
+    general = eigvals_double(stack)
+    assert np.max(np.abs(general - values)) <= 1e-13 * np.max(np.abs(values))
 
 
 # --------------------------------------------------------------------------
