@@ -17,12 +17,10 @@ from .core import (
     RootCluster,
     Tridiagonal,
     charpoly_from_parts,
-    charpoly_tridiag,
     cluster_points,
     discriminant,
     discriminant_in_E,
     eig_dense,
-    poly_roots,
     resultant,
 )
 from .models import (
@@ -83,12 +81,10 @@ __all__ = [
     "RootCluster",
     "Tridiagonal",
     "charpoly_from_parts",
-    "charpoly_tridiag",
     "cluster_points",
     "discriminant",
     "discriminant_in_E",
     "eig_dense",
-    "poly_roots",
     "resultant",
     "BcModel",
     "Circle",

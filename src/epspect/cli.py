@@ -13,6 +13,7 @@ requested too close to an exceptional point), 4 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -462,7 +463,9 @@ def _cmd_figure(args, parser) -> int:
 # --------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="epspect",
         description="Spectra, exceptional points and metric operators of two "
@@ -471,14 +474,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"epspect {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    recorded = "recorded in the output's provenance only; the computation does not read it"
+    ignored = "accepted and ignored: nothing reads it"
+
+    def common(p, precision="arithmetic tier for floating work"):
         p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="PRNG seed (default 42)")
-        p.add_argument(
-            "--precision",
-            choices=["double", "extended"],
-            default="double",
-            help="arithmetic tier for floating work",
-        )
+        p.add_argument("--precision", choices=["double", "extended"], default="double", help=precision)
         p.add_argument("--output", help="output file path")
 
     p = sub.add_parser("sweep", help="eigenvalue tracks over a parameter grid")
@@ -497,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", type=_finite, required=True)
     p.add_argument("--range", type=_parse_range, required=True)
     p.add_argument("--samples", type=int, required=True)
-    common(p)
+    common(p, recorded)
     p.set_defaults(func=_cmd_sturmian)
 
     p = sub.add_parser("find-ep", help="locate and classify spectral degeneracies")
@@ -507,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", choices=["t", "r"])
     p.add_argument("--range", type=_parse_range, required=True)
     p.add_argument("--scan-y", action="store_true", help="scan the shift y (bc only)")
-    common(p)
+    common(p, recorded)
     p.set_defaults(func=_cmd_find_ep)
 
     p = sub.add_parser("metric", help="build a quasi-Hermiticity metric")
@@ -517,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", type=_finite, help="bc shift")
     p.add_argument("--r", type=_finite, help="bc coupling parameter")
     p.add_argument("--kappa", type=_parse_floats, help="comma-separated weights")
-    common(p)
+    common(p, recorded)
     p.set_defaults(func=_cmd_metric)
 
     p = sub.add_parser("metric-sweep", help="metric conditioning along a grid")
@@ -525,13 +526,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t-grid", dest="t_grid", type=_parse_floats, required=True)
     p.add_argument("--kappa", type=_parse_floats)
-    common(p)
+    common(p, ignored)
     p.set_defaults(func=_cmd_metric_sweep)
 
     p = sub.add_parser("figure", help="canonical data + plot script for figures 1..6")
     p.add_argument("k", type=int)
     p.add_argument("--out-dir", default=".")
-    common(p)
+    common(p, ignored)
     p.set_defaults(func=_cmd_figure)
 
     return parser

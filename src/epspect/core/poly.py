@@ -9,11 +9,12 @@ ints: the coefficients are Gaussian integers (denominators cleared by their
 lcm), the iterates are fixed point, Horner is exact and only divisions
 round.  ``_dyadic_roots`` runs it at a precision given in bits and returns
 the exact fixed-point iterates; ``_extended_roots`` rounds each of them
-once to ``complex``.  The extended pass of ``poly_roots`` (seeded by
-``numpy.roots``), ``eig.eigvals_mp``, the extended spectra of the models and
-the real-root polisher ``_newton_polish_real`` all reach it; ``real_roots``,
-the one routine for the real roots of an exact polynomial, polishes with it
-inside intervals that Sturm's theorem certifies.
+once to ``complex``.  ``eig.eigvals_mp``, the extended spectra of the models
+and the real-root polisher ``_newton_polish_real`` reach it.
+``real_root_intervals`` is the one routine for the real roots of an exact
+polynomial, and no double seed enters it: it isolates each root by bisecting
+dyadic intervals on the sign variations of a Sturm sequence over Z, and
+polishes it with the kernel inside its interval.
 
 Every resultant and discriminant goes through one kernel: the subresultant
 pseudo-remainder sequence over Z[y] on plain ``int`` coefficient lists, the
@@ -31,22 +32,16 @@ pseudo-remainder sequence over Z on the same cleared integers.
 
 from __future__ import annotations
 
-import cmath
 import math
 from itertools import zip_longest
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .scalars import (
-    EXTENDED_BITS,
     ExactTypes,
     Precision,
-    RootCluster,
     as_fraction,
     as_ratio,
-    cluster_points,
     is_exact_zero,
     to_double,
 )
@@ -274,14 +269,6 @@ class Polynomial:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolyRoots:
-    """All roots of a polynomial plus their multiplicity clusters."""
-
-    roots: tuple[complex, ...]
-    clusters: tuple[RootCluster, ...]
-
-
 # The extended tier runs on Gaussian integers: a coefficient is an (re, im)
 # pair of ints, and an iterate is an (re, im) pair read at 2^-bits.
 
@@ -320,7 +307,7 @@ def _aberth_fixed(coeffs, z, bits, eps_bits, maxiter=200):
     locked = [False] * m
     # c_k 2^((d-k) bits): the Horner terms of the scaled value
     shifted = [(cr << (deg - k) * bits, ci << (deg - k) * bits) for k, (cr, ci) in enumerate(coeffs)]
-    abs_shifted = [math.isqrt(cr * cr + ci * ci) for cr, ci in shifted]
+    abs_shifted = [math.isqrt(cr * cr + ci * ci) if ci else abs(cr) for cr, ci in shifted]
     it = 0
     for it in range(1, maxiter + 1):
         moved = False
@@ -333,7 +320,7 @@ def _aberth_fixed(coeffs, z, bits, eps_bits, maxiter=200):
             for cr, ci in reversed(shifted[:-1]):
                 dr, di = dr * zr - di * zi + pr, dr * zi + di * zr + pi
                 pr, pi = pr * zr - pi * zi + cr, pr * zi + pi * zr + ci
-            az = math.isqrt(zr * zr + zi * zi)
+            az = math.isqrt(zr * zr + zi * zi) if zi else abs(zr)
             scale = abs_shifted[-1]
             for a in reversed(abs_shifted[:-1]):
                 scale = scale * az + a
@@ -383,11 +370,12 @@ def _bits_below_roots(coeffs) -> int:
 
     Fujiwara's bound on the reversed polynomial: every root has
     |z| >= 1 / (2 max_k |c_k / c_0|^(1/k)).  The bound is within a factor
-    2d of the smallest root, also of a tight cluster, where the double
-    seeds can be many orders of magnitude too large.
+    2d of the smallest root, also of a tight cluster, where double seeds
+    can be many orders of magnitude too large.  On the reversed
+    coefficients, 2^b is above every root; a constant gives 1.
     """
     sizes = [max(abs(cr), abs(ci)).bit_length() for cr, ci in coeffs]  # log2|c| in [s - 1, s + 1/2)
-    return 1 + max(-((sizes[0] - s - 2) // k) for k, s in enumerate(sizes) if k and s)
+    return 1 + max((-((sizes[0] - s - 2) // k) for k, s in enumerate(sizes) if k and s), default=0)
 
 
 def _dyadic_roots(coeffs, seeds, prec, exp2=0):
@@ -407,8 +395,9 @@ def _dyadic_roots(coeffs, seeds, prec, exp2=0):
     """
     exact = [(as_ratio(re), as_ratio(im)) for re, im in seeds]
     zeros = next(k for k, c in enumerate(coeffs) if c != (0, 0))
-    nearest = sorted(range(len(seeds)), key=lambda i: abs(complex(float(seeds[i][0]), float(seeds[i][1]))))
-    moving = sorted(nearest[zeros:])
+    moving = range(len(seeds))
+    if zeros:  # the seeds nearest the origin give way to the roots there
+        moving = sorted(sorted(moving, key=lambda i: abs(complex(float(seeds[i][0]), float(seeds[i][1]))))[zeros:])
     roots = [(0, 0)] * len(seeds)
     if not moving:
         return roots, prec + EXTENDED_GUARD_BITS + exp2, 0
@@ -436,82 +425,24 @@ def _extended_roots(coeffs, seeds, prec, exp2=0):
     return [_rounded(root, scale) for root in roots], it
 
 
-def _finite_doubles(coeffs) -> list:
-    """The coefficients rounded to double; ``ConvergenceError`` unless every one is finite."""
-    try:
-        work = [to_double(c) for c in coeffs]
-    except OverflowError:
-        work = [math.inf]
-    if not all(cmath.isfinite(c) for c in work):
-        raise ConvergenceError("a coefficient is not a finite double")
-    return work
-
-
-def _double_seeds(work: list) -> list:
-    """``numpy.roots`` of finite ascending double coefficients; ``ConvergenceError`` unless every root is finite."""
-    seeds = np.roots(work[::-1]).astype(complex)
-    if not np.isfinite(seeds).all():
-        raise ConvergenceError("a root seed is not a finite double")
-    return list(seeds)
-
-
-def poly_roots(p: Polynomial, precision: Precision = Precision.DOUBLE) -> PolyRoots:
-    """All complex roots of ``p`` with near-coincident roots clustered at ``CLUSTER_RTOL``.
-
-    Exact zero constant terms are deflated symbolically, the other roots
-    are ``numpy.roots`` of the coefficients rounded to double, and for
-    ``precision=EXTENDED`` they seed the integer kernel on the exact
-    coefficients at ``EXTENDED_BITS``.  Raises ``ConvergenceError`` if a
-    coefficient or a seed is not a finite double, or with the unconverged
-    subset if some roots of the extended pass fail to lock.
-    """
-    if p.degree < 1:
-        raise ValueError("poly_roots requires degree >= 1")
-    # deflate roots at the origin exactly (constant term identically zero)
-    zero_mult = 0
-    while zero_mult < p.degree and is_exact_zero(p.coeffs[zero_mult]):
-        zero_mult += 1
-    work = _finite_doubles(p.coeffs[zero_mult:])
-    roots = _double_seeds(work) if len(work) > 1 else []
-    if precision is Precision.EXTENDED and roots:
-        coeffs, _ = _gaussian_cleared(p.coeffs[zero_mult:])
-        roots, _ = _extended_roots(coeffs, [(r.real, r.imag) for r in roots], EXTENDED_BITS)
-    roots = [0j] * zero_mult + [complex(r) for r in roots]
-    return PolyRoots(tuple(sorted(roots, key=lambda v: (v.real, v.imag))), cluster_points(roots))
-
-
 POLISH_BITS = 136  # 40 decimal digits
 
 
-def _newton_polish_real(p: Polynomial, x0: float) -> Fraction:
-    """A simple real root of an exact polynomial, polished from x0 to ``POLISH_BITS``.
+def _newton_polish_real(f: list[int], x0: Fraction) -> Fraction:
+    """A simple nonzero real root of the integer polynomial f, polished from the exact x0 to ``POLISH_BITS``.
 
     The one-seed integer Aberth iteration is Newton's; from a real seed its
-    exact iterates stay real.  A root at the origin is returned for the seed
-    0 and deflated otherwise.  Returns the last iterate, an exact dyadic.
+    exact iterates stay real.  A root at the origin is deflated.  Returns
+    the last iterate, an exact dyadic.
     """
-    coeffs, _ = _gaussian_cleared(p.coeffs)
-    zeros = next(k for k, c in enumerate(coeffs) if c != (0, 0))
-    if zeros and x0 == 0:
-        return Fraction(0)
-    (root,), scale, _ = _dyadic_roots(coeffs[zeros:], [(x0, 0)], POLISH_BITS)
+    zeros = next(k for k, c in enumerate(f) if c)
+    (root,), scale, _ = _dyadic_roots([(c, 0) for c in f[zeros:]], [(x0, 0)], POLISH_BITS)
     return Fraction(root[0], 1 << scale)
 
 
 # --------------------------------------------------------------------------
 # resultants / discriminants
 # --------------------------------------------------------------------------
-
-
-def sylvester_matrix(p: Polynomial, q: Polynomial) -> list[list]:
-    """Sylvester matrix in the convention Res(p,q) = lc(p)^deg(q) * prod q(alpha_i)."""
-    if p.degree < 1 or q.degree < 1:
-        raise ValueError("resultant requires both degrees >= 1")
-    n, m = p.degree, q.degree
-    fr, gr = list(p.coeffs[::-1]), list(q.coeffs[::-1])
-    return [[0] * i + fr + [0] * (m - 1 - i) for i in range(m)] + [
-        [0] * i + gr + [0] * (n - 1 - i) for i in range(n)
-    ]
 
 
 def resultant(p: Polynomial, q: Polynomial) -> Fraction:
@@ -922,32 +853,71 @@ def real_roots_above(p: Polynomial, center, size: int, real: int) -> int | None:
     return _sign_variations(seq, center + Fraction(2) ** e) - top if count(e) == inside else None
 
 
-EXTENDED_CLUSTER_RTOL = 1e-12  # reality tolerance of the retry in ``real_roots``, far above 30-digit fog
+def _dyadic_split(a: Fraction, b: Fraction) -> Fraction:
+    """A dyadic point inside (a, b): a power of two for ends of one sign a factor 4 or more apart, else the midpoint.
 
-
-def _isolated(seq: list[list[int]], seeds, rtol: float, first: int, last: int) -> list[tuple]:
-    """Roots ``first`` to ``last - 1`` of seq[0], each certified alone in an interval and polished there.
-
-    The seeds within ``rtol`` of the real axis, sorted, are cut apart at
-    their exact midpoints.  ``ConvergenceError`` unless Sturm's theorem
-    counts one root in each piece and its Newton iterate stays there (a root
-    at the origin has the seed 0 in both passes, which the polisher keeps).
-    Returns (root, a, b) for each, with the root alone in (a, b] and None
-    for an infinite end.
+    Such ends are powers of two (Fujiwara's bounds or earlier such splits),
+    and the split halves the range of exponents between them.
     """
-    xs = sorted(z.real for z in seeds if abs(z.imag) <= rtol * (1 + abs(z)))
-    cuts = ["-inf", *((as_fraction(a) + as_fraction(b)) / 2 for a, b in zip(xs, xs[1:])), None]
-    variations = [_sign_variations(seq, x) for x in cuts]
-    if [a - b for a, b in zip(variations, variations[1:])] != [1] * len(xs):
-        raise ConvergenceError(f"{len(xs)} real seeds where Sturm counts {variations[0] - variations[-1]}", roots=xs)
-    roots = []
-    for x0, a, b in zip(xs[first:last], cuts[first:last], cuts[first + 1 : last + 1]):
-        x = _newton_polish_real(Polynomial(seq[0]), x0)
-        if (a != "-inf" and x <= a) or (b is not None and x > b):
-            raise ConvergenceError(f"the root polished from {x0!r} left its interval", roots=xs)
-        u, v = as_ratio(float(x))
-        roots.append((Fraction(u, v) if _int_homogeneous(seq[0], u, v) == 0 else x, None if a == "-inf" else a, b))
-    return roots
+    (p, q), (r, s) = (a.numerator, a.denominator), (b.numerator, b.denominator)
+    if 0 < 4 * p * s <= r * q or p * s <= 4 * r * q < 0:
+        e = (p.bit_length() - q.bit_length() + r.bit_length() - s.bit_length()) // 2
+        return (1 if p > 0 else -1) * Fraction(2) ** e
+    return Fraction(p * s + r * q, 2 * q * s)
+
+
+def _refined_root(f: list[int], a: Fraction, b: Fraction) -> Fraction:
+    """The root of the square-free integer polynomial f alone in (a, b], as ``real_root_intervals`` returns it.
+
+    A simple root is the only sign change of f in (a, b], so the sign of f
+    at a split point keeps the half that holds it: ``_dyadic_split`` while
+    the ends lie a factor 4 apart, then midpoints, on integers over a power
+    of two.  Once the half is 2^-(``POLISH_BITS`` / 4) of its midpoint wide
+    and the Newton step from the midpoint stays in it, two Newton steps
+    reach ``POLISH_BITS``: ``_newton_polish_real`` takes that step as its
+    exact seed, and its iterate is the root if it stays in the half.  If it
+    leaves, the root lies closer to an end than the polisher resolves, and
+    bisection goes on until the half is 2^-``POLISH_BITS`` of its midpoint
+    wide.  A root met exactly, or whose double is a root, or a root on the
+    tie between two doubles, is that exact ``Fraction``, so every root's
+    double is the correctly rounded one.  ``ConvergenceError`` for a root
+    beyond the double range: its double would overflow, or be 0 for a
+    nonzero root.
+    """
+    fb = _int_homogeneous(f, b.numerator, b.denominator)
+    while fb and (0 < 4 * a <= b or a <= 4 * b < 0):
+        m = _dyadic_split(a, b)
+        fm = _int_homogeneous(f, m.numerator, m.denominator)
+        a, b, fb = (m, b, fb) if fm and (fm > 0) != (fb > 0) else (a, m, fm)
+    e = max(a.denominator, b.denominator).bit_length() - 1  # the half is (lo / 2^e, hi / 2^e]
+    lo, hi = (x.numerator << e + 1 - x.denominator.bit_length() for x in (a, b))
+    df, x, newton = _int_derivative(f), None, True
+    while fb and x is None:
+        mid, lo, hi, e = lo + hi, 2 * lo, 2 * hi, e + 1
+        fm = _int_homogeneous(f, mid, 1 << e)
+        if (hi - lo) << POLISH_BITS <= abs(mid):
+            x = Fraction(mid, 1 << e)
+        elif fm and newton and (hi - lo) << POLISH_BITS // 4 <= abs(mid):
+            dm = _int_homogeneous(df, mid, 1 << e)
+            step = mid * dm - fm  # dm 2^e times the Newton step from the midpoint
+            if lo * dm < step <= hi * dm if dm > 0 else hi * dm <= step < lo * dm:
+                x = _newton_polish_real(f, Fraction(step, dm << e))
+                if not Fraction(lo, 1 << e) < x <= Fraction(hi, 1 << e):
+                    x, newton = None, False
+        lo, hi, fb = (mid, hi, fb) if fm and (fm > 0) != (fb > 0) else (lo, mid, fm)
+    x = Fraction(hi, 1 << e) if x is None else x
+    try:
+        d = float(x)
+        (u, v), (s, t) = d.as_integer_ratio(), math.nextafter(d, math.inf if x > d else -math.inf).as_integer_ratio()
+    except OverflowError:
+        d = 0.0
+    if x and not d:
+        raise ConvergenceError("a real root beyond the double range")
+    # the double of x, or the tie between it and its neighbour toward x, may be the root itself
+    for num, den in ((u, v), (u * t + s * v, 2 * v * t)):
+        if not _int_homogeneous(f, num, den) and a < (c := Fraction(num, den)) <= b:
+            return c
+    return x
 
 
 def real_roots(p: Polynomial, lo=None, hi=None) -> list[Fraction]:
@@ -958,21 +928,26 @@ def real_roots(p: Polynomial, lo=None, hi=None) -> list[Fraction]:
 def real_root_intervals(p: Polynomial, lo=None, hi=None) -> list[tuple]:
     """The distinct real roots of an exact polynomial in [lo, hi], ascending, each as (root, a, b).
 
-    The root is the only one of p in (a, b], a Sturm-isolating interval;
-    None stands for an infinite end.
+    The root is the only one of p in (a, b], a Sturm-isolating interval
+    with finite dyadic ends.
 
     ``lo``/``hi`` of None stand for -inf/+inf; finite ends convert exactly
     and a root on one is kept.  The square-free part f heads the Sturm
-    sequence, whose counts at lo and hi select the roots.  The double roots
-    of f (``numpy.roots``) only seed ``_isolated``; if it fails, they are
-    refined by the integer Aberth kernel at ``EXTENDED_BITS`` and tried once
-    more at ``EXTENDED_CLUSTER_RTOL``.  A root whose double is a root is that
-    exact ``Fraction``, any other its dyadic Newton iterate at
-    ``POLISH_BITS``; multiplicities come from ``square_free_factors``.
-    Raises ``TypeError`` on floating coefficients, ``ValueError`` on the zero
-    polynomial, and ``ConvergenceError`` if the retry fails too or a
-    coefficient or seed of f is not a finite double (Basu, Pollack and Roy,
-    *Algorithms in Real Algebraic Geometry*, ch. 2).
+    sequence, whose counts at lo and hi select the roots.  Isolation
+    bisects from (-2^k, 2^k], with 2^-j below every nonzero root of f and
+    2^k above every root (Fujiwara's bounds, ``_bits_below_roots``): an
+    interval whose ends share a sign and lie a factor 4 or more apart is
+    split at a power of two between them, any other at its midpoint, and
+    only pieces that hold a wanted root are kept, until each holds one
+    (Basu, Pollack and Roy, *Algorithms in Real Algebraic Geometry*,
+    ch. 2).  ``_refined_root`` then finds the root in its piece: an exact
+    ``Fraction`` where one is met, or the root's double or a tie between two
+    doubles is a root, else the dyadic Newton iterate at ``POLISH_BITS`` or,
+    where that leaves the piece's half, a bisection midpoint as fine;
+    multiplicities come from ``square_free_factors``.  Raises ``TypeError`` on floating
+    coefficients, ``ValueError`` on the zero polynomial, and
+    ``ConvergenceError`` if a wanted root lies beyond the double range or
+    the polisher does not converge.
     """
     seq = _sturm_sequence(p)
     if seq is None:
@@ -983,15 +958,29 @@ def real_root_intervals(p: Polynomial, lo=None, hi=None) -> list[tuple]:
         lo = as_fraction(lo)
         below = start - _sign_variations(seq, lo) - (_int_homogeneous(seq[0], lo.numerator, lo.denominator) == 0)
     upto = start - _sign_variations(seq, None if hi is None else as_fraction(hi))
-    if upto <= below:
-        return []
-    seeds = _double_seeds(_finite_doubles([Fraction(c, seq[0][-1]) for c in seq[0]]))
-    try:
-        return _isolated(seq, seeds, 1e-8, below, upto)
-    except ConvergenceError:
-        coeffs, _ = _gaussian_cleared(seq[0])
-        refined, _ = _extended_roots(coeffs, [(z.real, z.imag) for z in seeds], EXTENDED_BITS)
-        return _isolated(seq, refined, EXTENDED_CLUSTER_RTOL, below, upto)
+    f = seq[0]
+    zero = not f[0]  # a root at the origin, alone in (-2^-j, 0]
+    big = Fraction(2) ** _bits_below_roots([(c, 0) for c in reversed(f)])
+    small = Fraction(2) ** -_bits_below_roots([(c, 0) for c in f[zero:]])
+    at0 = _sign_variations(seq, Fraction(0))
+    # pieces (a, V(a), b, V(b)) still to split, the leftmost last
+    pieces = [
+        (small, at0, big, _sign_variations(seq, None)),
+        (-small, at0 + zero, Fraction(0), at0),
+        (-big, start, -small, at0 + zero),
+    ]
+    roots = []
+    while pieces:
+        a, va, b, vb = pieces.pop()
+        if va == vb or start - vb <= below or start - va >= upto:
+            continue
+        if va - vb == 1:
+            roots.append((_refined_root(f, a, b), a, b))
+            continue
+        m = _dyadic_split(a, b)
+        vm = _sign_variations(seq, m)
+        pieces += [(m, vm, b, vb), (a, va, m, vm)]
+    return roots
 
 
 def square_free_factors(p: Polynomial) -> tuple[Polynomial, ...]:

@@ -132,11 +132,6 @@ def charpoly_from_parts(diag, products) -> Polynomial:
     return cur
 
 
-def charpoly_tridiag(t: Tridiagonal) -> Polynomial:
-    """Characteristic polynomial det(T - E*I) of a tridiagonal matrix."""
-    return charpoly_from_parts(t.diag, t.offdiag_products())
-
-
 def exact_rank(rows: list[list]) -> int:
     """Rank over the rationals by exact Gaussian elimination."""
     a = [[Fraction(x) for x in row] for row in rows]

@@ -32,6 +32,7 @@ import numpy as np
 
 from .core import (
     BivariateSecular,
+    ConvergenceError,
     Polynomial,
     as_fraction,
     charpoly_from_parts,
@@ -306,7 +307,8 @@ def branch_trace(
     (``REFINE_LEVELS`` levels, ``REFINE_FACTOR`` times finer each) around
     poles and branch merges; output is ordered by energy regardless of
     refinement.  The persistent lines are the real roots in the window of
-    gcd(A, B), from ``real_roots``.
+    gcd(A, B), from ``real_roots``.  An r^2 sample beyond the double range
+    raises ``ConvergenceError``.
     """
     lo, hi = float(e_range[0]), float(e_range[1])
     if samples < 2:
@@ -343,12 +345,15 @@ def branch_trace(
             chosen[key] = (e, refined)
     terms = s.cleared_terms
     points = []
-    for e, refined in chosen.values():
-        num, den = _r2_ratio(terms, *e.as_integer_ratio())
-        if den == 0 or (r2 := num / den) < 0:
-            continue
-        r = math.sqrt(r2)
-        points.append(TracePoint(e, r, -r, r2 <= 1.0, refined))
+    try:  # only num / den can raise it
+        for e, refined in chosen.values():
+            num, den = _r2_ratio(terms, *e.as_integer_ratio())
+            if den == 0 or (r2 := num / den) < 0:
+                continue
+            r = math.sqrt(r2)
+            points.append(TracePoint(e, r, -r, r2 <= 1.0, refined))
+    except OverflowError:
+        raise ConvergenceError("an r^2(E) sample is not a finite double") from None
 
     lines = tuple(float(e) for e in real_roots(s.common_factor, lo, hi))
     return BranchTrace(tuple(points), lines, poles, merges)

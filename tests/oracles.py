@@ -5,7 +5,9 @@ helpers build the EPN and boundary-controlled matrices with every entry
 rounded at mpmath's working precision, give the EPN family's closed-form
 spectrum at that precision, read the package's integer eigenvalue kernel
 at a chosen number of bits, and find the real roots of an exact
-polynomial with mpmath's own root finder.
+polynomial with mpmath's own root finder.  Two exact oracles sit beside
+them: the characteristic polynomial of a tridiagonal matrix from its
+three-term recurrence, and the Sylvester matrix of two polynomials.
 """
 
 from fractions import Fraction
@@ -14,6 +16,7 @@ from typing import NamedTuple
 import mpmath as mp
 import numpy as np
 
+from epspect.core import Polynomial, Tridiagonal, charpoly_from_parts
 from epspect.core.eig import _berkowitz, _nudged_seeds
 from epspect.core.poly import _dyadic_roots, _gaussian_cleared
 from epspect.models import BcModel, EpnModel
@@ -120,3 +123,19 @@ def real_roots_mp(p, dps=40):
 def rounded(x) -> float:
     """An ``mpf`` correctly rounded to the nearest double."""
     return float(frac(x))
+
+
+def charpoly_tridiag(t: Tridiagonal) -> Polynomial:
+    """Characteristic polynomial det(T - E*I) of a tridiagonal matrix."""
+    return charpoly_from_parts(t.diag, t.offdiag_products())
+
+
+def sylvester_matrix(p: Polynomial, q: Polynomial) -> list[list]:
+    """Sylvester matrix in the convention Res(p,q) = lc(p)^deg(q) * prod q(alpha_i)."""
+    if p.degree < 1 or q.degree < 1:
+        raise ValueError("resultant requires both degrees >= 1")
+    n, m = p.degree, q.degree
+    fr, gr = list(p.coeffs[::-1]), list(q.coeffs[::-1])
+    return [[0] * i + fr + [0] * (m - 1 - i) for i in range(m)] + [
+        [0] * i + gr + [0] * (n - 1 - i) for i in range(n)
+    ]

@@ -527,25 +527,38 @@ def test_failed_lapack_solve_in_a_sweep_exits_4(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["find-ep", "--model", "bc", "--n", "5", "--y", "1e300", "--param", "r", "--range", "-1:1"],
-        ["sturmian", "--n", "5", "--y", "1e300", "--range", "0:5", "--samples", "10"],
-    ],
-    ids=["find-ep", "sturmian"],
-)
-def test_shift_beyond_double_range_exits_4_with_one_line(argv, tmp_path):
-    # a fresh interpreter, so that a numpy warning would reach stderr too
+def _fresh_cli(argv, out):
+    """The command line in a fresh interpreter, so that a numpy warning would reach stderr too."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "epspect.cli", *argv, "--output", str(tmp_path / "out")],
+    return subprocess.run(
+        [sys.executable, "-m", "epspect.cli", *argv, "--output", str(out)],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sturmian", "--n", "5", "--y", "1e300", "--range", "0:5", "--samples", "10"]],
+    ids=["sturmian"],
+)
+def test_shift_beyond_double_range_exits_4_with_one_line(argv, tmp_path):
+    # r^2(E) grows like y^2, beyond the double range
+    proc = _fresh_cli(argv, tmp_path / "out")
     assert proc.returncode == 4
     (line,) = proc.stderr.splitlines()
     assert line.startswith("no convergence: ")
+
+
+def test_find_ep_at_a_shift_of_1e300_locates_the_corner_ep(tmp_path):
+    # the two corner levels 2 - z and 2 - conj(z) meet where their tunnel
+    # splitting, about y^-3, equals Im z = sqrt(1 - r^2): r = 1 to double
+    # precision, E = 2 - y; the exact isolation needs no double coefficient
+    argv = ["find-ep", "--model", "bc", "--n", "5", "--y", "1e300", "--param", "r", "--range", "-1:1"]
+    proc = _fresh_cli(argv, tmp_path / "out")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    (point,) = json.loads((tmp_path / "out").read_text())["critical_points"]
+    assert (point["kind"], point["order"], point["params"], point["energy"]) == ("ep", 2, {"r": 1.0, "y": 1e300}, [-1e300, 0.0])
 
 
 @pytest.mark.parametrize(

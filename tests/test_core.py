@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import epspect.core.poly as core_poly
@@ -21,7 +21,6 @@ from epspect.core import (
     Tridiagonal,
     as_fraction,
     charpoly_from_parts,
-    charpoly_tridiag,
     cluster_points,
     disc_E,
     discriminant,
@@ -30,7 +29,6 @@ from epspect.core import (
     eig_dense,
     eigvals_double,
     eigvals_mp,
-    poly_roots,
     real_root_count,
     real_root_intervals,
     real_roots,
@@ -39,7 +37,6 @@ from epspect.core import (
     res_E,
     resultant,
     square_free_factors,
-    sylvester_matrix,
 )
 from epspect.core.eig import _berkowitz
 from epspect.core.poly import _cleared, _dyadic_roots, _gaussian_cleared, _int_exact_div
@@ -52,7 +49,7 @@ from epspect.epfinder import (
 )
 from epspect.models import EpnModel, bc_matrix, epn_matrix, epn_secular, hermitian_demo
 from epspect.sturmian import bivariate_secular, secular_in_y
-from oracles import POLISH_PREC, Gaussian, as_mpc, eigvals_at, epn_mp, frac
+from oracles import POLISH_PREC, Gaussian, as_mpc, charpoly_tridiag, eigvals_at, epn_mp, frac, sylvester_matrix
 
 
 # --------------------------------------------------------------------------
@@ -291,11 +288,10 @@ def test_tridiagonal_to_array_converts_every_entry_type():
 # --------------------------------------------------------------------------
 
 
-def test_poly_roots_perfect_square():
-    r = poly_roots(Polynomial([4.0, -4.0, 1.0]))
-    assert len(r.roots) == 2
-    (cluster,) = [c for c in r.clusters if c.multiplicity == 2]
-    assert abs(cluster.center - 2) < 1e-6
+def test_real_roots_of_a_perfect_square():
+    p = Polynomial([Fraction(4), Fraction(-4), Fraction(1)])
+    assert real_roots(p) == [2]
+    assert square_free_factors(p) == (Polynomial([1]), Polynomial([-2, 1]))
 
 
 def _bisection_real_roots(coeffs, lo, hi, n_grid=4000):
@@ -325,42 +321,19 @@ def _bisection_real_roots(coeffs, lo, hi, n_grid=4000):
     return roots
 
 
-def test_poly_roots_quartic_against_bisection_oracle():
-    coeffs = [3.0, -16.0, 20.0, -8.0, 1.0]  # ascending
+def test_real_roots_quartic_against_bisection_oracle():
+    coeffs = [3, -16, 20, -8, 1]  # ascending
     expected = _bisection_real_roots(coeffs, 0.0, 4.0)
     assert len(expected) == 4
-    got = sorted(r.real for r in poly_roots(Polynomial(coeffs)).roots)
-    assert np.allclose(got, expected, atol=1e-9)
-    assert all(abs(r.imag) < 1e-9 for r in poly_roots(Polynomial(coeffs)).roots)
+    got = real_roots(Polynomial([Fraction(c) for c in coeffs]))
+    assert np.allclose([float(g) for g in got], expected, atol=1e-9)
 
 
-def test_poly_roots_pure_power_is_one_cluster():
-    r = poly_roots(Polynomial([0, 0, 0, 0, 0, 0, 1]))
-    assert len(r.roots) == 6
-    assert len(r.clusters) == 1
-    assert r.clusters[0].multiplicity == 6
-    assert r.clusters[0].center == 0
-
-
-def test_poly_roots_rejects_constants():
-    with pytest.raises(ValueError):
-        poly_roots(Polynomial([3.0]))
-
-
-def test_poly_roots_extended_sharpens_multiple_roots():
-    # (E-2)^2 (E-5): double evaluation noise limits the pair to ~1e-6;
-    # the integer polish brings it below the clustering tolerance
-    p = Polynomial([Fraction(-20), Fraction(24), Fraction(-9), Fraction(1)])
-    coarse = poly_roots(p)
-    fine = poly_roots(p, precision=Precision.EXTENDED)
-    pair_err_fine = max(
-        abs(r - 2) for r in fine.roots if abs(r - 2) < 0.5
-    )
-    assert pair_err_fine < 1e-10
-    assert any(c.multiplicity == 2 for c in fine.clusters)
-    assert pair_err_fine <= max(
-        abs(r - 2) for r in coarse.roots if abs(r - 2) < 0.5
-    )
+def test_real_roots_of_a_pure_power():
+    x = Polynomial([Fraction(0), Fraction(1)])
+    assert real_roots(x * x * x * x * x * x) == [0]
+    ((root, a, b),) = real_root_intervals(x * x * x * x * x * x, 0, 0)
+    assert root == 0 and a < 0 <= b
 
 
 # --------------------------------------------------------------------------
@@ -457,6 +430,57 @@ def test_real_roots_of_planted_roots(real_factors, quadratics, lc, i, j):
     assert found == {float(r): k for r, k in planted.items()}
 
 
+@st.composite
+def _planted_roots(draw):
+    """Distinct rational roots +-m 2^e, e in [-200, 200], some with a partner 2^-k (k <= 60) above them."""
+    roots = set()
+    for _ in range(draw(st.integers(1, 8))):
+        m = draw(st.fractions(min_value=1, max_value=2, max_denominator=1000))
+        r = draw(st.sampled_from([1, -1])) * m * Fraction(2) ** draw(st.integers(-200, 200))
+        roots.add(r)
+        if draw(st.booleans()):
+            roots.add(r + abs(r) / 2 ** draw(st.integers(1, 60)))
+    return sorted(roots)
+
+
+_SCALES = [Fraction(4, 3) * Fraction(2) ** (20 * k - 200) * sign for k in range(10) for sign in (-1, 1)]
+
+
+@settings(deadline=None, max_examples=30)  # a Sturm sequence at degree 40 and 2^200 takes seconds
+@given(
+    _planted_roots(),
+    st.lists(st.integers(1, 3), min_size=20, max_size=20),
+    _complex_factors,
+    st.integers(0, 19),
+    st.integers(0, 19),
+    st.sampled_from(["both", "lo", "hi", "none"]),
+)
+@example([Fraction(2) ** -200, 3 * Fraction(2) ** -200, Fraction(2) ** 200], [1] * 20, [], 0, 2, "none")
+@example([Fraction(-5, 7) * (1 + Fraction(1, 2**60)), Fraction(-5, 7), Fraction(1, 3)], [3] * 20, [], 0, 1, "both")
+@example(sorted(_SCALES), [2] * 20, [], 3, 16, "both")  # degree 40
+@example([Fraction(1), 1 + Fraction(1, 2**53)], [1] * 20, [], 0, 0, "lo")  # a root on a tie of two doubles
+@example([1 + Fraction(1, 2**150), Fraction(3)], [1] * 20, [], 0, 0, "none")  # nearer the split at 1 than Newton resolves
+def test_real_root_intervals_isolate_planted_roots_at_every_scale(roots, mults, quadratics, i, j, ends):
+    """Planted roots from 2^-200 to 2^200 with multiplicities, close pairs
+    down to 2^-60 apart relative to their size, degree up to 40 and windows
+    whose ends fall on roots: each root lies alone in its (a, b] by a Sturm
+    count of 1, and its double is the planted root's, correctly rounded."""
+    assume(sum(mults[: len(roots)]) + 2 * len(quadratics) <= 40)
+    p = _product(list(zip(roots, mults)), quadratics, 1)
+    lo, hi = sorted((roots[i % len(roots)], roots[j % len(roots)]))
+    lo, hi = {"both": (lo, hi), "lo": (lo, None), "hi": (None, hi), "none": (None, None)}[ends]
+    want = [r for r in roots if (lo is None or lo <= r) and (hi is None or r <= hi)]
+    got = real_root_intervals(p, lo, hi)
+    assert len(got) == len(want)
+    for (x, a, b), w in zip(got, want):
+        assert a < w <= b and real_root_count(p, a, b) == 1
+        # a pair 2^-60 apart costs the polisher 60 of its 136 bits
+        assert a < x <= b and abs(x - w) <= abs(w) / 2**70
+        assert float(x) == float(w)
+        if Fraction(float(w)) == w:
+            assert x == w
+
+
 def test_real_roots_keep_roots_on_float_window_ends():
     p = _product([(Fraction(1), 2), (Fraction(2), 1), (Fraction(-1, 3), 3)], [Fraction(2)], 1)
     assert real_roots(p, 1.0, 2.0) == [1, 2]
@@ -466,20 +490,13 @@ def test_real_roots_keep_roots_on_float_window_ends():
     assert real_roots(_product([], [Fraction(1)], 1)) == []
 
 
-def test_real_roots_close_pair_forces_the_extended_retry(monkeypatch):
-    # numpy.roots splits the pair 1e-12 apart into a complex pair ~6e-8 off
-    # the axis, so the double seeds cannot be certified
+def test_real_roots_close_pair_forces_the_extended_retry():
+    # numpy.roots of the rounded coefficients splits the pair 1e-12 apart
+    # into a complex pair ~6e-8 off the axis, which once forced the 103-bit
+    # retry of the seeded isolation; Sturm bisection needs no seed
     pair = [Fraction(2), 2 + Fraction(1, 10**12)]
     p = Polynomial.from_roots([*pair, Fraction(3)])
-    extended_roots, calls = core_poly._extended_roots, []
-
-    def spy(*args):
-        calls.append(args)
-        return extended_roots(*args)
-
-    monkeypatch.setattr(core_poly, "_extended_roots", spy)
     got = real_roots(p)
-    assert len(calls) == 1
     assert got[0] == 2 and got[2] == 3
     # the pair's condition number ~1e12 costs 12 of the polisher's 40 digits
     assert abs(got[1] - pair[1]) <= Fraction(1, 10**26) and float(got[1]) == float(pair[1])
@@ -502,10 +519,6 @@ def test_non_finite_double_coefficients_are_refused_before_numpy():
     huge = Polynomial([Fraction(1), Fraction(10**400), Fraction(1)])
     with pytest.raises(ConvergenceError):
         real_roots(huge)
-    with pytest.raises(ConvergenceError):
-        poly_roots(huge)
-    with pytest.raises(ConvergenceError):
-        poly_roots(Polynomial([1.0, math.inf, 1.0]))
 
 
 # --------------------------------------------------------------------------
@@ -527,11 +540,9 @@ def test_eig_dense_epn_half_matches_closed_form():
     want = np.array([3, 5, 7, 9, 11, 13]) * math.sqrt(0.75)
     assert np.allclose(np.sort(res.values.real), want, atol=1e-9)
     assert np.max(np.abs(res.values.imag)) < 1e-9
-    # independent route: characteristic polynomial + root finder, extended
-    rr = poly_roots(charpoly_tridiag(epn_matrix(6, 0.5)), precision=Precision.EXTENDED)
-    assert np.allclose(
-        np.sort([r.real for r in rr.roots]), np.sort(res.values.real), atol=1e-9
-    )
+    # independent route: characteristic polynomial + numpy's root finder
+    rr = np.roots([complex(c) for c in reversed(charpoly_tridiag(epn_matrix(6, 0.5)).coeffs)])
+    assert np.allclose(np.sort(rr.real), np.sort(res.values.real), atol=1e-9)
 
 
 def test_eig_dense_epn_negative_t_has_no_real_eigenvalues():
@@ -557,7 +568,7 @@ def test_eig_dense_matches_charpoly_roots_on_random_tridiagonals():
         sub = rng.standard_normal(n - 1)
         t = Tridiagonal(tuple(diag), tuple(sup), tuple(sub))
         ev = np.sort(eig_dense(t).values.real)
-        rr = sorted(r.real for r in poly_roots(charpoly_tridiag(t)).roots)
+        rr = sorted(np.roots([complex(c) for c in reversed(charpoly_tridiag(t).coeffs)]).real)
         assert np.allclose(ev, rr, atol=1e-8)
 
 
@@ -916,16 +927,6 @@ def test_eigvals_mp_raises_on_unconverged_roots(monkeypatch):
     assert err.value.unconverged == (err.value.roots[0],)
 
 
-def test_poly_roots_extended_raises_on_unconverged_roots(monkeypatch):
-    _stall_first_root(monkeypatch)
-    p = Polynomial.from_roots([Fraction(1), Fraction(2), Fraction(-3), Fraction(5, 2)])
-    assert len(poly_roots(p).roots) == 4  # the double pass alone converges
-    with pytest.raises(ConvergenceError) as err:
-        poly_roots(p, precision=Precision.EXTENDED)
-    assert len(err.value.roots) == 4
-    assert err.value.unconverged == (err.value.roots[0],)
-
-
 # --------------------------------------------------------------------------
 # resultants and discriminants
 # --------------------------------------------------------------------------
@@ -1001,9 +1002,7 @@ def test_discriminant_in_E_vanishes_at_p0_for_even_n():
     dd = Polynomial(d.coeffs[1:])
     assert dd(Fraction(0)) != 0
     real_in_range = [
-        c.center.real
-        for c in poly_roots(dd.to_double()).clusters
-        if abs(c.center.imag) <= 1e-8 and 0 <= c.center.real <= 1
+        z.real for z in np.roots([float(c) for c in reversed(dd.coeffs)]) if abs(z.imag) <= 1e-8 and 0 <= z.real <= 1
     ]
     assert real_in_range == []
 
@@ -1021,9 +1020,9 @@ def test_discriminant_in_E_has_zero_past_critical_shift():
     # touches at small coupling: a real discriminant zero inside (0, 1)
     d = discriminant_in_E(bivariate_secular(5, -0.2).secular)
     zeros = [
-        c.center.real
-        for c in poly_roots(d.to_double()).clusters
-        if abs(c.center.imag) <= 1e-8 * (1 + abs(c.center)) and 0 < c.center.real < 1
+        z.real
+        for z in np.roots([float(c) for c in reversed(d.coeffs)])
+        if abs(z.imag) <= 1e-8 * (1 + abs(z)) and 0 < z.real < 1
     ]
     assert zeros, "expected a real discriminant zero in (0, 1)"
 

@@ -1,15 +1,16 @@
 """Static guard against dead code in the package (stdlib ``ast`` only).
 
-Sixteen things fail the guard: an import a module never uses (package
+Seventeen things fail the guard: an import a module never uses (package
 ``__init__.py`` files are exempt, their imports are re-exports), a
 ``_private`` top-level function that no module of the package references,
 a module-level UPPER_CASE constant that no module of the package loads,
 an eigenvector solve whose eigenvalues are all that is read, a
 nonsymmetric LAPACK eigensolve outside ``core/eig.py``, a floating
 determinant or characteristic polynomial (``numpy.linalg.det``,
-``numpy.poly``) anywhere, denominator clearing (``math.lcm``) outside
-``core/poly.py``, an inline square-free gcd ``p.gcd(p.derivative())``
-outside ``core/poly.py``, sampled reality
+``numpy.poly``) anywhere, double root seeds (``numpy.roots``) anywhere,
+denominator clearing (``math.lcm``) outside ``core/poly.py``, an inline
+square-free gcd ``p.gcd(p.derivative())`` outside ``core/poly.py``,
+sampled reality
 (``sweep``, ``reality_flags``, ``REALITY_RTOL``) anywhere the exact shift
 scan reaches, a double root read (``poly_roots``, a root cluster, the
 cluster tolerance, a Newton polish or ``_levels_above``) anywhere the exact
@@ -212,14 +213,16 @@ def test_lapack_eigensolve_guard_sees_every_spelling():
     assert sorted(_uses(ast.parse(source), LAPACK_EIG)) == [5, 6, 6, 6, 6]
 
 
-FLOAT_ALGEBRA = {"numpy.linalg.det", "numpy.poly"}
+FLOAT_ALGEBRA = {"numpy.linalg.det", "numpy.poly", "numpy.roots"}
 
 
 def test_no_floating_determinant_or_characteristic_polynomial():
     """Resultants and discriminants are exact subresultant sequences
-    (``core/poly.py``), and characteristic polynomials are exact recurrences
-    (``charpoly_tridiag``, Berkowitz in ``core/eig.py``); an LU determinant
-    or ``numpy.poly`` would be a second, floating path beside them."""
+    (``core/poly.py``), characteristic polynomials are exact recurrences
+    (``charpoly_from_parts``, Berkowitz in ``core/eig.py``), and real roots
+    are isolated by Sturm bisection (``real_root_intervals``); an LU
+    determinant, ``numpy.poly`` or ``numpy.roots`` seeds would be a second,
+    floating path beside them."""
     uses = [
         f"{path.relative_to(PACKAGE)}:{line}" for path in MODULES for line in _uses(_parse(path), FLOAT_ALGEBRA)
     ]
@@ -232,8 +235,9 @@ def test_floating_algebra_guard_sees_every_spelling():
         "from numpy import poly as charpoly\nfrom numpy import linalg\n"
         "np.linalg.det(a); numpy.poly(a); linalg.det(a)\n"
         "np.linalg.slogdet(a); np.roots(c); np.polynomial.Polynomial(c); np.polyval(c, x)\n"
+        "from numpy import roots as seeds\nnumpy.roots(c); np.polynomial.polynomial.polyroots(c)\n"
     )
-    assert sorted(_uses(ast.parse(source), FLOAT_ALGEBRA)) == [3, 4, 6, 6, 6]
+    assert sorted(_uses(ast.parse(source), FLOAT_ALGEBRA)) == [3, 4, 6, 6, 6, 7, 8, 9]
 
 
 DENOMINATOR_CLEARING = {"math.lcm"}

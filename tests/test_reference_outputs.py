@@ -146,23 +146,34 @@ def test_find_ep_matches_reference(name, tmp_path):
                 assert mine == value, (where, key)
 
 
-def _repeated_root_oracle(event_poly, coeffs_in_E, y_double, energy) -> float:
+def _newton_mp(f, x0, steps=8):
+    """Newton's iteration at the working precision on the descending ``mpf`` coefficients f."""
+    df = [k * c for k, c in enumerate(f[::-1])][:0:-1]
+    x = mp.mpf(x0)
+    for _ in range(steps):
+        x -= mp.polyval(f, x) / mp.polyval(df, x)
+    return x
+
+
+def _repeated_root_oracle(event_poly, coeffs_in_E, y_double, energy, by_newton=False) -> float:
     """The repeated root at the event's exact y, at 40 digits and rounded once.
 
     y is the root of the event polynomial's square-free part that Newton's
     iteration at 40 digits reaches from the reported double; the repeated root of
     the polynomial with E-coefficients ``coeffs_in_E`` at y is a simple
-    root of its E-derivative, the one nearest the reported energy.
+    root of its E-derivative, the one nearest the reported energy: among
+    all its roots (``mp.polyroots``), or, ``by_newton``, the one Newton's
+    iteration reaches from the reported energy within 1e-12.
     """
     with mp.workdps(40):
-        f = _mp_coeffs(event_poly.exact_div(event_poly.gcd(event_poly.derivative())))[::-1]
-        df = [k * c for k, c in enumerate(f[::-1])][:0:-1]
-        y = mp.mpf(y_double)
-        for _ in range(8):
-            y -= mp.polyval(f, y) / mp.polyval(df, y)
+        y = _newton_mp(_mp_coeffs(event_poly.exact_div(event_poly.gcd(event_poly.derivative())))[::-1], y_double)
         assert abs(y - y_double) < 1e-12
         coeffs = [mp.polyval(_mp_coeffs(c)[::-1], y) for c in coeffs_in_E]
         derivative = [k * c for k, c in enumerate(coeffs)][1:]
+        if by_newton:
+            root = _newton_mp(derivative[::-1], energy)
+            assert abs(root - energy) < 1e-12
+            return rounded(root)
         roots = mp.polyroots(derivative[::-1], maxsteps=400, extraprec=400)
         return rounded(mp.re(min(roots, key=lambda e: abs(e - energy))))
 
@@ -171,16 +182,31 @@ def _mp_coeffs(p) -> list:
     return [mp.mpf(c.numerator) / c.denominator for c in map(Fraction, p.coeffs)]
 
 
-@pytest.mark.parametrize("n", [8, 9])
-def test_scan_energies_are_40_digit_oracles_rounded_once(n):
-    for p in ep_locate_2d_bc(n, (-1.0, 1.0)):
+def _check_scan_energies(n, points, by_newton=False):
+    for p in points:
         if p.kind != "ep":
             continue
         merge = p.params["r"] == 0
         event = _disc_in_y_at_p(n, 0) if merge else _fold_event_poly(n)
         coeffs = secular_in_y(n) if merge else _fold_coeffs_in_E(n)
         assert p.energy.imag == 0
-        assert p.energy.real == _repeated_root_oracle(event, coeffs, p.params["y"], p.energy.real), p
+        assert p.energy.real == _repeated_root_oracle(event, coeffs, p.params["y"], p.energy.real, by_newton), p
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_scan_energies_are_40_digit_oracles_rounded_once(n):
+    _check_scan_energies(n, ep_locate_2d_bc(n, (-1.0, 1.0)))
+
+
+def test_scan_at_n17_is_mirror_symmetric_with_40_digit_energies():
+    # the event polynomials reach degree 31 with 43-bit coefficients here;
+    # all roots of each E-derivative at 40 digits would take half a minute
+    points = ep_locate_2d_bc(17, (-1.0, 1.0))
+    events = sorted((round(p.params["y"], 8), round(p.energy.real, 8), p.kind, p.order) for p in points)
+    assert len(events) == 31
+    # the family's mirror: y -> -y and E -> 4 - E map the scan onto itself
+    assert events == sorted((round(-y, 8) + 0.0, round(4 - e, 8), kind, order) for y, e, kind, order in events)
+    _check_scan_energies(17, points, by_newton=True)
 
 
 if __name__ == "__main__":

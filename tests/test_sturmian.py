@@ -10,17 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import epspect.core.poly as poly
 import epspect.epfinder as epfinder
 import epspect.sturmian as sturmian
 from epspect.core import (
-    ConvergenceError,
     Polynomial,
-    Precision,
-    charpoly_tridiag,
     eig_dense,
     real_root_count,
+    real_root_intervals,
     real_roots,
+    square_free_factors,
 )
 from epspect.cli import FIGURES
 from epspect.models import bc_matrix
@@ -33,7 +31,7 @@ from epspect.sturmian import (
     sturmian_poles,
     sturmian_r2,
 )
-from oracles import real_roots_mp, rounded
+from oracles import charpoly_tridiag, real_roots_mp, rounded
 
 PRINTED_A = Polynomial(
     [Fraction(c) for c in (12, -76, 147, -128, 56, -12, 1)]
@@ -412,37 +410,23 @@ def test_branch_merges_are_the_correctly_rounded_roots(n, y):
         assert want == [2.0]
 
 
+@pytest.mark.parametrize("n, y", [(4, -2.9028432123001946e-106), (6, -5.644468332401973e-79)])
+def test_a_merge_nearer_a_split_point_than_the_polish_resolves_stays_in_its_interval(n, y):
+    # at a tiny shift a merge of r^2(E) lies about |y| above E = 2; with
+    # roots at 1 and 3 beside it, 2 ends its isolating interval, and a
+    # 136-bit Newton iterate can land on 2 itself
+    s = bivariate_secular(n, y)
+    for f in square_free_factors(s.A.derivative() * s.B - s.A * s.B.derivative()):
+        g = f * Polynomial.from_roots([Fraction(1), Fraction(3)])
+        roots = real_root_intervals(g)
+        assert all(a < x <= b and real_root_count(g, a, b) == 1 for x, a, b in roots)
+        assert sum(0 < x - 2 < Fraction(1, 10**30) for x, _, _ in roots) == 1
+
+
 @pytest.mark.parametrize("n, y, line", [(4, -0.5, 3.0), (7, -0.5, 3.0), (10, -0.5, 3.0), (5, 0.0, 2.0)])
 def test_persistent_lines_are_exact_roots(n, y, line):
     # the common root of A and B is rational, so it reads exactly
     assert branch_trace(bivariate_secular(n, y), (-1.0, 5.0), 50).persistent_lines == (line,)
-
-
-def test_real_roots_retry_extended_then_raise(monkeypatch):
-    p = Polynomial([Fraction(c) for c in (-6, 11, -6, 1)])  # roots 1, 2, 3
-    double_seeds, extended_roots = poly._double_seeds, poly._extended_roots
-    calls = []
-
-    def off_axis(roots):  # the largest root moved off the real axis
-        return sorted(roots, key=lambda z: z.real)[:-1] + [max(roots, key=lambda z: z.real) + 0.1j]
-
-    def lossy_double(work):
-        calls.append(Precision.DOUBLE)
-        return off_axis(double_seeds(work))
-
-    def lossy_extended(coeffs, seeds, prec):
-        calls.append(Precision.EXTENDED)
-        roots, sweeps = extended_roots(coeffs, seeds, prec)
-        return (roots if allow_extended else off_axis(roots)), sweeps
-
-    monkeypatch.setattr(poly, "_double_seeds", lossy_double)
-    monkeypatch.setattr(poly, "_extended_roots", lossy_extended)
-    allow_extended = True
-    assert real_roots(p, 0, 4) == [1, 2, 3]
-    assert calls == [Precision.DOUBLE, Precision.EXTENDED]
-    allow_extended = False
-    with pytest.raises(ConvergenceError):
-        real_roots(p, 0, 4)
 
 
 # --------------------------------------------------------------------------
