@@ -1,8 +1,8 @@
 """Univariate polynomials, root finding, resultants and discriminants.
 
-Polynomials carry exact (``int`` / ``Fraction``) or double coefficients
-(see ``scalars``).  Only exact-tier polynomials support exact division, gcd
-and resultants.
+A ``Polynomial`` holds exact coefficients only (``int`` / ``Fraction``):
+its constructor refuses any other with ``TypeError``, so division, gcd,
+resultants and root finding all run on rationals.
 
 Roots come from one Aberth-Ehrlich kernel, ``_aberth_fixed``, on Python
 ints: the coefficients are Gaussian integers (denominators cleared by their
@@ -14,7 +14,8 @@ and the real-root polisher ``_newton_polish_real`` reach it.
 ``real_root_intervals`` is the one routine for the real roots of an exact
 polynomial, and no double seed enters it: it isolates each root by bisecting
 dyadic intervals on the sign variations of a Sturm sequence over Z, and
-polishes it with the kernel inside its interval.
+polishes it with the kernel inside its interval, where a sign change
+certifies the result.
 
 Every resultant and discriminant goes through one kernel: the subresultant
 pseudo-remainder sequence over Z[y] on plain ``int`` coefficient lists, the
@@ -25,7 +26,7 @@ rational polynomial an elimination over ``Fraction`` would.  ``disc_chain``
 keeps the subresultant chain the sequence runs through, which reads the
 repeated root at each real root of the discriminant.  The univariate
 ``resultant`` and ``discriminant`` are that kernel on constant
-coefficients; floating coefficients are refused with ``TypeError``.
+coefficients.
 ``Polynomial.gcd`` and the Sturm sequences run the primitive
 pseudo-remainder sequence over Z on the same cleared integers.
 """
@@ -37,14 +38,7 @@ from itertools import zip_longest
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import (
-    ExactTypes,
-    Precision,
-    as_fraction,
-    as_ratio,
-    is_exact_zero,
-    to_double,
-)
+from .scalars import ExactTypes, as_fraction, as_ratio
 
 
 class ConvergenceError(RuntimeError):
@@ -57,19 +51,21 @@ class ConvergenceError(RuntimeError):
 
 
 class Polynomial:
-    """Dense univariate polynomial, coefficients in ascending degree.
+    """Dense univariate polynomial, ``int`` or ``Fraction`` coefficients (any other is a ``TypeError``) in ascending degree.
 
-    Trailing coefficients that are exactly zero are trimmed, so the leading
-    coefficient is nonzero unless the polynomial is identically zero (whose
-    degree is reported as -1).  Binary operations require both operands in
-    the same arithmetic tier; convert explicitly with ``to_double()``.
+    Trailing zero coefficients are trimmed, so the leading coefficient is
+    nonzero unless the polynomial is identically zero (whose degree is
+    reported as -1).
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
         cs = list(coeffs)
-        while len(cs) > 1 and is_exact_zero(cs[-1]):
+        for c in cs:
+            if not isinstance(c, ExactTypes):
+                raise TypeError("the exact kernel requires exact coefficients")
+        while len(cs) > 1 and not cs[-1]:
             cs.pop()
         if not cs:
             cs = [0]
@@ -85,18 +81,12 @@ class Polynomial:
 
     @property
     def is_zero(self) -> bool:
-        return len(self.coeffs) == 1 and is_exact_zero(self.coeffs[0])
+        return len(self.coeffs) == 1 and not self.coeffs[0]
 
     @property
     def lc(self):
         """Leading coefficient (0 for the zero polynomial)."""
         return self.coeffs[-1]
-
-    @property
-    def mode(self) -> Precision:
-        if all(isinstance(c, ExactTypes) for c in self.coeffs):
-            return Precision.EXACT
-        return Precision.DOUBLE
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
@@ -109,25 +99,11 @@ class Polynomial:
     def __hash__(self):
         return hash(self.coeffs)
 
-    # -- conversions ----------------------------------------------------------
-
-    def to_double(self) -> "Polynomial":
-        return Polynomial([to_double(c) for c in self.coeffs])
-
     # -- arithmetic -----------------------------------------------------------
-
-    def _check_mode(self, other: "Polynomial"):
-        a, b = self.mode, other.mode
-        if Precision.EXACT in (a, b) and a != b:
-            raise TypeError(
-                "mixed exact/floating polynomial arithmetic; convert "
-                "explicitly with to_double()"
-            )
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check_mode(other)
         a, b = self.coeffs, other.coeffs
         n = max(len(a), len(b))
         return Polynomial(
@@ -147,14 +123,10 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            self._check_mode(other)
-            if self.is_zero or other.is_zero:
-                # a zero of the operands' tier: a float 0.0 stays floating
-                return Polynomial([self.coeffs[0] * other.coeffs[0]])
             a, b = self.coeffs, other.coeffs
             out = [0] * (len(a) + len(b) - 1)
             for i, ca in enumerate(a):
-                if is_exact_zero(ca):
+                if not ca:
                     continue
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
@@ -169,24 +141,19 @@ class Polynomial:
     def __divmod__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check_mode(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         a = list(self.coeffs)
         b = other.coeffs
         db = len(b) - 1
-        inv = (
-            Fraction(1, 1) / b[-1]
-            if isinstance(b[-1], ExactTypes)
-            else 1.0 / b[-1]
-        )
+        inv = Fraction(1, 1) / b[-1]
         if len(a) - 1 < db:
             return Polynomial([0]), Polynomial(a)
         q = [0] * (len(a) - db)
         for k in range(len(a) - 1, db - 1, -1):
             coeff = a[k] * inv
             q[k - db] = coeff
-            if not is_exact_zero(coeff):
+            if coeff:
                 for j in range(db + 1):
                     a[k - db + j] -= coeff * b[j]
         return Polynomial(q), Polynomial(a[:db])
@@ -198,7 +165,7 @@ class Polynomial:
         return divmod(self, other)[1]
 
     def exact_div(self, other: "Polynomial") -> "Polynomial":
-        """Division known to be remainder-free (exact tier only), over the integers.
+        """Division known to be remainder-free, over the integers.
 
         By Gauss's lemma the quotient of the primitive parts of the cleared
         integer forms is an integer polynomial, so only the ratio of their
@@ -221,11 +188,11 @@ class Polynomial:
     def __call__(self, x):
         """Horner evaluation; the arithmetic follows the argument's type.
 
-        Exact coefficients at an exact argument u/v take one homogeneous
-        Horner pass over the cleared integers and one division, and give an
-        ``int`` where every coefficient and the argument are ints.
+        An exact argument u/v takes one homogeneous Horner pass over the
+        cleared integers and one division, and gives an ``int`` where every
+        coefficient and the argument are ints.
         """
-        if isinstance(x, ExactTypes) and self.mode is Precision.EXACT:
+        if isinstance(x, ExactTypes):
             (ints,), d = _cleared([self])
             u, v = x.numerator, x.denominator
             value = _int_homogeneous(ints, u, v)
@@ -240,14 +207,10 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if self.is_zero:
             raise ZeroDivisionError("zero polynomial has no monic form")
-        lc = self.lc
-        inv = Fraction(1, 1) / lc if isinstance(lc, ExactTypes) else 1.0 / lc
-        return self.scale(inv)
+        return self.scale(Fraction(1, 1) / self.lc)
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Monic gcd (exact tier), by the primitive pseudo-remainder sequence over Z."""
-        if self.mode is not Precision.EXACT or other.mode is not Precision.EXACT:
-            raise TypeError("gcd requires exact-tier polynomials")
+        """Monic gcd, by the primitive pseudo-remainder sequence over Z."""
         (a, b), _ = _cleared([self, other])
         g = _int_gcd(a, b)
         return _monic(g) if g else Polynomial.zero()
@@ -426,18 +389,45 @@ def _extended_roots(coeffs, seeds, prec, exp2=0):
 
 
 POLISH_BITS = 136  # 40 decimal digits
+NEWTON_STEPS = 2  # exact ones after the lock; each doubles the bits
 
 
-def _newton_polish_real(f: list[int], x0: Fraction) -> Fraction:
-    """A simple nonzero real root of the integer polynomial f, polished from the exact x0 to ``POLISH_BITS``.
+def _newton_polish_real(f: list[int], df: list[int], x0: Fraction, half: tuple) -> Fraction | None:
+    """The simple nonzero root of the integer polynomial f in ``half`` = (lo, hi, rising), polished from the exact x0; None if not ``_certified``.
 
     The one-seed integer Aberth iteration is Newton's; from a real seed its
-    exact iterates stay real.  A root at the origin is deflated.  Returns
-    the last iterate, an exact dyadic.
+    exact iterates stay real.  A root at the origin is deflated.  It locks
+    on a relative residual, which ill conditioning (a close neighbouring
+    root, say) leaves short of ``POLISH_BITS``, so up to ``NEWTON_STEPS``
+    exact Newton steps on its grid follow.  Returns an exact dyadic.
     """
     zeros = next(k for k, c in enumerate(f) if c)
     (root,), scale, _ = _dyadic_roots([(c, 0) for c in f[zeros:]], [(x0, 0)], POLISH_BITS)
-    return Fraction(root[0], 1 << scale)
+    u, v = root[0], 1 << scale  # |u| >= 2^(POLISH_BITS + 32): the grid resolves the root
+    for _ in range(NEWTON_STEPS + 1):
+        if _certified(f, u, v, *half):
+            return Fraction(u, v)
+        fu, du = _int_homogeneous(f, u, v), _int_homogeneous(df, u, v)
+        if not du:
+            break
+        u -= _div_round(fu if du > 0 else -fu, abs(du))  # the Newton step in units of 1/v
+    return None
+
+
+def _certified(f: list[int], u: int, v: int, lo: Fraction, hi: Fraction, rising: bool) -> bool:
+    """Whether the one root of f in (lo, hi] lies within eps = 2^(bits of u - ``POLISH_BITS`` - 2) / v <= 2^-(``POLISH_BITS`` + 1) |u / v| of u / v.
+
+    f > 0 at hi if ``rising``, so f < 0 from lo up to the root, which lies
+    above u / v - eps where that is at most lo or f has the sign of lo
+    there, and at most u / v + eps where that is at least hi or f is zero
+    or has the sign of hi there.
+    """
+    eps = 1 << u.bit_length() - POLISH_BITS - 2
+    if not lo < Fraction(u, v) <= hi:
+        return False
+    below = _int_homogeneous(f, u - eps, v) if lo < Fraction(u - eps, v) else 0
+    above = _int_homogeneous(f, u + eps, v) if Fraction(u + eps, v) < hi else 0
+    return not (below and (below > 0) == rising or above and (above > 0) != rising)
 
 
 # --------------------------------------------------------------------------
@@ -449,18 +439,15 @@ def resultant(p: Polynomial, q: Polynomial) -> Fraction:
     """Resultant of p and q: lc(p)^deg(q) * prod over roots alpha of p of q(alpha).
 
     Exact, zero iff p and q share a root: the subresultant kernel of ``res_E``
-    with constant coefficients in the second variable.  Raises
-    ``TypeError`` on floating coefficients.
+    with constant coefficients in the second variable.
     """
     if p.degree < 1 or q.degree < 1:
         raise ValueError("resultant requires both degrees >= 1 (nonzero lc)")
-    if p.mode is not Precision.EXACT or q.mode is not Precision.EXACT:
-        raise TypeError("resultant requires exact coefficients")
     return Fraction(res_E([Polynomial([c]) for c in p.coeffs], [Polynomial([c]) for c in q.coeffs]).coeffs[0])
 
 
 def discriminant(p: Polynomial) -> Fraction:
-    """Res(p, p') / lc(p), exact; ``TypeError`` on floating coefficients."""
+    """Res(p, p') / lc(p), exact."""
     return resultant(p, p.derivative()) / p.lc
 
 
@@ -610,9 +597,6 @@ def _chain_resultant(chain: list[tuple]) -> list[int]:
 
 def _cleared(coeffs: list[Polynomial]) -> tuple[list[list[int]], int]:
     """Integer coefficient lists of D * coeffs, with D the lcm of all denominators."""
-    for p in coeffs:
-        if p.mode is not Precision.EXACT:
-            raise TypeError("the exact kernel requires exact coefficients")
     d = math.lcm(*(c.denominator for p in coeffs for c in p.coeffs))
     cleared = []
     for p in coeffs:
@@ -766,8 +750,7 @@ def _sturm_sequence(p: Polynomial) -> list[list[int]] | None:
 
     That part heads the sequence, primitive over Z: the sequence of p itself
     ends in gcd(p, p'), which is divided out once, exactly (Gauss's lemma).
-    None for a nonzero constant; ``TypeError`` on floating coefficients and
-    ``ValueError`` on the zero polynomial.
+    None for a nonzero constant; ``ValueError`` on the zero polynomial.
     """
     (ints,), _ = _cleared([p])
     if len(ints) < 2:
@@ -805,8 +788,8 @@ def real_root_count(p: Polynomial, lo=None, hi=None) -> int:
     part (Basu, Pollack and Roy, *Algorithms in Real Algebraic Geometry*,
     ch. 2): the count is the drop in sign variations of the Sturm sequence
     from lo to hi.  The sequence is a primitive pseudo-remainder sequence
-    over Z, so no rational gcd is taken.  Raises ``TypeError`` on floating
-    coefficients and ``ValueError`` on the zero polynomial.
+    over Z, so no rational gcd is taken.  Raises ``ValueError`` on the zero
+    polynomial.
     """
     seq = _sturm_sequence(p)
     lo = "-inf" if lo is None else as_fraction(lo)
@@ -875,12 +858,12 @@ def _refined_root(f: list[int], a: Fraction, b: Fraction) -> Fraction:
     of two.  Once the half is 2^-(``POLISH_BITS`` / 4) of its midpoint wide
     and the Newton step from the midpoint stays in it, two Newton steps
     reach ``POLISH_BITS``: ``_newton_polish_real`` takes that step as its
-    exact seed, and its iterate is the root if it stays in the half.  If it
-    leaves, the root lies closer to an end than the polisher resolves, and
-    bisection goes on until the half is 2^-``POLISH_BITS`` of its midpoint
-    wide.  A root met exactly, or whose double is a root, or a root on the
-    tie between two doubles, is that exact ``Fraction``, so every root's
-    double is the correctly rounded one.  ``ConvergenceError`` for a root
+    exact seed, and its iterate is the root if certified.  If not, as beside
+    a neighbour so close that Newton only halves the distance, bisection
+    goes on until the half is 2^-``POLISH_BITS`` of its midpoint wide.  A
+    root met exactly, or whose double is a root, or a root on the tie
+    between two doubles, is that exact ``Fraction``, so every root's double
+    is the correctly rounded one.  ``ConvergenceError`` for a root
     beyond the double range: its double would overflow, or be 0 for a
     nonzero root.
     """
@@ -901,9 +884,8 @@ def _refined_root(f: list[int], a: Fraction, b: Fraction) -> Fraction:
             dm = _int_homogeneous(df, mid, 1 << e)
             step = mid * dm - fm  # dm 2^e times the Newton step from the midpoint
             if lo * dm < step <= hi * dm if dm > 0 else hi * dm <= step < lo * dm:
-                x = _newton_polish_real(f, Fraction(step, dm << e))
-                if not Fraction(lo, 1 << e) < x <= Fraction(hi, 1 << e):
-                    x, newton = None, False
+                x = _newton_polish_real(f, df, Fraction(step, dm << e), (Fraction(lo, 1 << e), Fraction(hi, 1 << e), fb > 0))
+                newton = x is not None
         lo, hi, fb = (mid, hi, fb) if fm and (fm > 0) != (fb > 0) else (lo, mid, fm)
     x = Fraction(hi, 1 << e) if x is None else x
     try:
@@ -942,12 +924,11 @@ def real_root_intervals(p: Polynomial, lo=None, hi=None) -> list[tuple]:
     (Basu, Pollack and Roy, *Algorithms in Real Algebraic Geometry*,
     ch. 2).  ``_refined_root`` then finds the root in its piece: an exact
     ``Fraction`` where one is met, or the root's double or a tie between two
-    doubles is a root, else the dyadic Newton iterate at ``POLISH_BITS`` or,
-    where that leaves the piece's half, a bisection midpoint as fine;
-    multiplicities come from ``square_free_factors``.  Raises ``TypeError`` on floating
-    coefficients, ``ValueError`` on the zero polynomial, and
-    ``ConvergenceError`` if a wanted root lies beyond the double range or
-    the polisher does not converge.
+    doubles is a root, else a dyadic within 2^-``POLISH_BITS`` |root| of
+    it, a certified Newton iterate or a bisection midpoint;
+    multiplicities come from ``square_free_factors``.  Raises ``ValueError``
+    on the zero polynomial and ``ConvergenceError`` if a wanted root lies
+    beyond the double range or the polisher does not converge.
     """
     seq = _sturm_sequence(p)
     if seq is None:
@@ -1042,10 +1023,8 @@ class BivariateSecular:
         return [Polynomial([Fraction(ak), Fraction(bk)]) for ak, bk in zip(a, b)]
 
     def poly_at(self, p0) -> Polynomial:
-        """Specialize the parameter; exact when p0 and the coefficients are."""
-        if isinstance(p0, ExactTypes) and self.A.mode is Precision.EXACT:
-            return self.A + self.B.scale(Fraction(p0))
-        return self.A.to_double() + self.B.to_double().scale(to_double(p0))
+        """Specialize the parameter at p0, an int, Fraction or float that converts exactly (``as_fraction``)."""
+        return self.A + self.B.scale(as_fraction(p0))
 
 
 def discriminant_in_E(s: BivariateSecular) -> Polynomial:
@@ -1053,10 +1032,7 @@ def discriminant_in_E(s: BivariateSecular) -> Polynomial:
 
     Zeros of the returned polynomial are exactly the parameter values where
     the secular polynomial acquires a repeated E-root.  Normalized as
-    Res_E(P, dP/dE) / lc_E(P); requires exact coefficients and a constant
-    (parameter-independent) leading E-coefficient, which holds whenever
-    deg B < deg A.
+    Res_E(P, dP/dE) / lc_E(P); requires a constant (parameter-independent)
+    leading E-coefficient, which holds whenever deg B < deg A.
     """
-    if s.A.mode is not Precision.EXACT or s.B.mode is not Precision.EXACT:
-        raise TypeError("discriminant_in_E requires exact coefficients")
     return disc_E(s.coefficients)

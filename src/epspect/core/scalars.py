@@ -1,18 +1,17 @@
-"""Arithmetic modes and scalar helpers.
+"""Arithmetic tiers and scalar helpers.
 
-Three tiers are used throughout the package:
+Every polynomial identity is exact: a ``Polynomial`` holds ``int`` /
+``fractions.Fraction`` coefficients only (``ExactTypes``), which cannot
+overflow.  Floating work runs in one of two ``Precision`` tiers:
 
-* ``EXACT``    -- rational arithmetic (``int`` / ``fractions.Fraction``),
-  used for every polynomial identity.  Values are kept in lowest terms by
-  ``Fraction`` itself and can never overflow.
 * ``DOUBLE``   -- IEEE double (``float`` / ``complex``), used for sweeps.
 * ``EXTENDED`` -- fixed-point dyadic rationals on Python integers, used to
   polish results close to a spectral degeneracy where double arithmetic
   loses too many digits.  Its working precision is ``EXTENDED_BITS`` (103
   bits, about 30 digits); results leave it rounded once to ``complex``.
 
-Conversions out of the exact tier are explicit (``to_double``); nothing in
-the package silently promotes a float back to a rational.
+A float enters the exact algebra only through ``as_fraction``, as the
+dyadic rational it stores.
 """
 
 from __future__ import annotations
@@ -30,19 +29,8 @@ ExactTypes = (int, Fraction)
 
 
 class Precision(enum.Enum):
-    EXACT = "exact"
     DOUBLE = "double"
     EXTENDED = "extended"
-
-
-def is_exact_zero(value) -> bool:
-    """True only for a value that is exactly zero in its own arithmetic."""
-    return value == 0
-
-
-def to_double(value):
-    """Explicit conversion to double arithmetic (complex preserved)."""
-    return float(value) if isinstance(value, ExactTypes) else value
 
 
 def as_ratio(value) -> tuple[int, int]:

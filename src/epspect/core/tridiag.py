@@ -1,9 +1,9 @@
 """Tridiagonal and dense matrix containers plus characteristic polynomials.
 
 The characteristic polynomial of a tridiagonal matrix only involves the
-diagonal entries and the products sup[k]*sub[k], which lets the exact tier
-handle matrices whose individual off-diagonal entries are irrational but
-whose products are rational.
+diagonal entries and the products sup[k]*sub[k], which lets the exact
+algebra handle matrices whose individual off-diagonal entries are
+irrational but whose products are rational.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from fractions import Fraction
 import numpy as np
 
 from .poly import Polynomial
-from .scalars import Precision, to_double
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,7 @@ class Tridiagonal:
         if any(abs(imag_of(d)) > tol for d in self.diag):
             return False
         for s, t in zip(self.sup, self.sub):
-            delta = complex(to_double(s)) - complex(to_double(t)).conjugate()
+            delta = complex(s) - complex(t).conjugate()
             if abs(delta) > tol:
                 return False
         return True
@@ -104,31 +103,18 @@ def as_array(m) -> np.ndarray:
 
 
 def charpoly_from_parts(diag, products) -> Polynomial:
-    """det(T - E*I) from the diagonal and the off-diagonal products.
+    """det(T - E*I) from exact (``int`` / ``Fraction``) diagonal entries and off-diagonal products.
 
     Three-term minor recurrence D_k = (d_k - E) D_{k-1} - products[k-1] D_{k-2};
-    exact when the inputs are exact.  Floating overflow surfaces as an
-    ArithmeticError rather than propagating non-finite coefficients.
+    a floating input raises ``TypeError`` where its ``Polynomial`` is built.
     """
     diag = list(diag)
     products = list(products)
     if len(products) != len(diag) - 1:
         raise ValueError("need exactly n-1 off-diagonal products")
-    one = diag[0] * 0 + 1  # unit in the input arithmetic
-    prev2 = Polynomial([one])  # D_0 bootstrap
-    prev1 = Polynomial([one])
-    cur = prev1
-    for k, d in enumerate(diag):
-        factor = Polynomial([d, -1])
-        cur = factor * prev1
-        if k > 0:
-            cur = cur - Polynomial([products[k - 1]]) * prev2
-        prev2, prev1 = prev1, cur
-    if cur.mode is not Precision.EXACT:
-        if not all(
-            np.isfinite(complex(to_double(c))) for c in cur.coeffs
-        ):
-            raise ArithmeticError("floating overflow in characteristic polynomial")
+    prev, cur = Polynomial.zero(), Polynomial([1])  # D_-1, D_0
+    for d, w in zip(diag, [0, *products]):
+        prev, cur = cur, Polynomial([d, -1]) * cur - Polynomial([w]) * prev
     return cur
 
 

@@ -523,11 +523,12 @@ def _ep_locate_exact(model, coeffs, to_param, shift, param_range) -> list[Critic
     each way; one representative is kept, mu = +sqrt(lam) when the range
     allows it.  At each root the chain that computed the discriminant gives
     deg gcd = j and the repeated root E* (``DiscriminantChain.repeated_root``):
-    an EP of order j + 1 at E* + shift(lam), rounded once.
+    an EP of order j + 1 at E* + shift(lam), rounded once.  A range end
+    whose square overflows a double bounds nothing above.
     """
     lo, hi = sorted((float(param_range[0]), float(param_range[1])))
     mu_lo, mu_hi = sorted((to_param(lo), to_param(hi)))
-    lam_lo = 0.0 if mu_lo <= 0.0 <= mu_hi else min(mu_lo * mu_lo, mu_hi * mu_hi)
+    lam_lo = 0.0 if mu_lo <= 0.0 <= mu_hi else min(mu_lo * mu_lo, mu_hi * mu_hi, np.finfo(float).max)
     lam_hi = max(mu_lo * mu_lo, mu_hi * mu_hi)
     chain = disc_chain(list(coeffs))
     d = chain.disc
@@ -535,7 +536,7 @@ def _ep_locate_exact(model, coeffs, to_param, shift, param_range) -> list[Critic
         raise ValueError("discriminant vanishes identically; family is degenerate")
 
     points = []
-    for lam, a, b in real_root_intervals(d, lam_lo, lam_hi):
+    for lam, a, b in real_root_intervals(d, lam_lo, lam_hi if math.isfinite(lam_hi) else None):
         mu = math.sqrt(lam)
         param = next((p for p in (to_param(mu), to_param(-mu)) if lo <= p <= hi), None)
         if param is None:

@@ -5,9 +5,10 @@ helpers build the EPN and boundary-controlled matrices with every entry
 rounded at mpmath's working precision, give the EPN family's closed-form
 spectrum at that precision, read the package's integer eigenvalue kernel
 at a chosen number of bits, and find the real roots of an exact
-polynomial with mpmath's own root finder.  Two exact oracles sit beside
+polynomial with mpmath's own root finder.  Two more oracles sit beside
 them: the characteristic polynomial of a tridiagonal matrix from its
-three-term recurrence, and the Sylvester matrix of two polynomials.
+three-term recurrence in complex doubles, and the exact Sylvester matrix of
+two polynomials.
 """
 
 from fractions import Fraction
@@ -16,7 +17,7 @@ from typing import NamedTuple
 import mpmath as mp
 import numpy as np
 
-from epspect.core import Polynomial, Tridiagonal, charpoly_from_parts
+from epspect.core import Polynomial, Tridiagonal
 from epspect.core.eig import _berkowitz, _nudged_seeds
 from epspect.core.poly import _dyadic_roots, _gaussian_cleared
 from epspect.models import BcModel, EpnModel
@@ -125,9 +126,17 @@ def rounded(x) -> float:
     return float(frac(x))
 
 
-def charpoly_tridiag(t: Tridiagonal) -> Polynomial:
-    """Characteristic polynomial det(T - E*I) of a tridiagonal matrix."""
-    return charpoly_from_parts(t.diag, t.offdiag_products())
+def charpoly_tridiag(t: Tridiagonal) -> list[complex]:
+    """Coefficients of det(T - E*I), ascending, by the minor recurrence D_k = (d_k - E) D_(k-1) - w_k D_(k-2) in complex doubles."""
+    prev, cur = [], [1 + 0j]
+    for d, w in zip(t.diag, (0, *t.offdiag_products())):
+        nxt = [complex(d) * c for c in cur] + [0j]
+        for j, c in enumerate(cur):
+            nxt[j + 1] -= c
+        for j, c in enumerate(prev):
+            nxt[j] -= complex(w) * c
+        prev, cur = cur, nxt
+    return cur
 
 
 def sylvester_matrix(p: Polynomial, q: Polynomial) -> list[list]:

@@ -561,6 +561,18 @@ def test_find_ep_at_a_shift_of_1e300_locates_the_corner_ep(tmp_path):
     assert (point["kind"], point["order"], point["params"], point["energy"]) == ("ep", 2, {"r": 1.0, "y": 1e300}, [-1e300, 0.0])
 
 
+@pytest.mark.parametrize("end", ["1e200", "1e300"])
+def test_find_ep_over_a_range_whose_square_overflows(end, tmp_path):
+    # r^2 at +-end overflows a double; that end bounds nothing, so the one
+    # EP of the unit window is all there is, found as over -1:1
+    argv = ["find-ep", "--model", "bc", "--n", "5", "--y", "1", "--param", "r"]
+    wide = _fresh_cli([*argv, "--range", f"-{end}:{end}"], tmp_path / "wide")
+    assert (wide.returncode, wide.stderr) == (0, "")
+    assert main([*argv, "--range", "-1:1", "--output", str(tmp_path / "unit")]) == 0
+    points = [json.loads((tmp_path / name).read_text())["critical_points"] for name in ("wide", "unit")]
+    assert points[0] == points[1] and len(points[0]) == 1
+
+
 @pytest.mark.parametrize(
     "precision, window, code",
     [

@@ -17,7 +17,6 @@ from epspect.core import (
     BivariateSecular,
     ConvergenceError,
     Polynomial,
-    Precision,
     Tridiagonal,
     as_fraction,
     charpoly_from_parts,
@@ -39,7 +38,7 @@ from epspect.core import (
     square_free_factors,
 )
 from epspect.core.eig import _berkowitz
-from epspect.core.poly import _cleared, _dyadic_roots, _gaussian_cleared, _int_exact_div
+from epspect.core.poly import _certified, _cleared, _dyadic_roots, _gaussian_cleared, _int_exact_div
 from epspect.epfinder import (
     _disc_in_y_at_p,
     _fold_coeffs_in_E,
@@ -64,15 +63,21 @@ def test_polynomial_trims_trailing_exact_zeros():
     assert Polynomial([0]).is_zero
 
 
-def test_polynomial_mode_and_guard():
-    exact = Polynomial([Fraction(1), Fraction(1)])
-    dbl = Polynomial([1.0, 1.0])
-    assert exact.mode is Precision.EXACT
-    assert dbl.mode is Precision.DOUBLE
+@pytest.mark.parametrize(
+    "bad", [1.0, 0.5j, np.float64(1), np.int64(1), math.nan], ids=["float", "complex", "float64", "int64", "nan"]
+)
+def test_polynomial_refuses_an_inexact_coefficient(bad):
+    for coeffs in ([bad], [1, bad], [Fraction(1, 3), bad, 2]):
+        with pytest.raises(TypeError, match="the exact kernel requires exact coefficients"):
+            Polynomial(coeffs)
     with pytest.raises(TypeError):
-        exact + dbl
-    # explicit conversion is the supported route
-    assert (exact.to_double() + dbl).coeffs == (2.0, 2.0)
+        Polynomial([1, 2]).scale(bad)
+
+
+def test_polynomial_accepts_int_bool_and_fraction():
+    assert Polynomial([True, 2, Fraction(1, 3)]).coeffs == (1, 2, Fraction(1, 3))
+    assert Polynomial([Fraction(1, 2), False]).coeffs == (Fraction(1, 2),)
+    assert Polynomial([]).is_zero and Polynomial([0, Fraction(0)]).is_zero
 
 
 def test_polynomial_divmod_and_gcd():
@@ -114,11 +119,10 @@ def test_exact_evaluation_is_fraction_horner_with_its_type(coeffs, x):
 @settings(max_examples=100, deadline=None)
 @given(EXACT_COEFFS, st.one_of(st.floats(-20, 20), st.complex_numbers(max_magnitude=20)))
 def test_evaluation_at_a_float_or_complex_follows_its_type(coeffs, x):
-    for p in (Polynomial(coeffs), Polynomial(coeffs).to_double()):
-        got, want = p(x), _fraction_horner(p.coeffs, x)
-        assert type(got) is type(want) is type(x)
-        assert got == want
-    assert type(Polynomial([0.5, 1.5])(Fraction(1, 3))) is float
+    p = Polynomial(coeffs)
+    got, want = p(x), _fraction_horner(p.coeffs, x)
+    assert type(got) is type(want) is type(x)
+    assert got == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -220,9 +224,10 @@ def test_charpoly_bc6_matches_printed_secular_polynomial():
     for r in (0.0, 0.3, 0.7, 1.0):
         z = 1j * math.sqrt(1 - r * r) if r <= 1 else 0
         got = charpoly_tridiag(bc_matrix(6, z))
-        want = s.poly_at(Fraction(r * r) if r in (0.0, 1.0) else r * r)
-        for a, b in zip(got.coeffs, want.to_double().coeffs if want.mode is Precision.EXACT else want.coeffs):
-            assert abs(complex(a) - complex(b)) < 1e-12
+        want = s.poly_at(r * r)
+        assert len(got) == len(want.coeffs)
+        for a, b in zip(got, want.coeffs):
+            assert abs(a - complex(b)) < 1e-12
 
 
 def test_epn_secular_at_q1_is_pure_power():
@@ -237,23 +242,13 @@ def test_epn_secular_at_q1_is_pure_power():
     assert _cofactor_det(rows) == p
 
 
-@pytest.mark.parametrize("n", range(2, 9))
-def test_charpoly_epn_at_t1_keeps_the_floating_tier(n):
-    # at t = 1 the off-diagonal products are float +-0.0; a zero product
-    # must stay in the double tier, or the recurrence mixes tiers
-    m = epn_matrix(n, 1.0)
-    want = Polynomial([1.0])
-    for d in m.diag:
-        want = Polynomial([d, -1]) * want
-    got = charpoly_tridiag(m)
-    assert got.mode is Precision.DOUBLE
-    assert got == want
-    assert classify_degeneracy(m, m.diag[0]).kind == "simple"
-
-
-def test_charpoly_floating_overflow_is_an_error():
-    with pytest.raises(ArithmeticError):
-        charpoly_from_parts([1e308] * 4, [1e308] * 3)
+def test_epn_at_t1_decouples_into_simple_levels():
+    # at t = 1 the off-diagonal products are +-0.0: the levels are the
+    # diagonal, each one simple
+    for n in range(2, 9):
+        m = epn_matrix(n, 1.0)
+        assert m.offdiag_products() == (0,) * (n - 1)
+        assert all(classify_degeneracy(m, d).kind == "simple" for d in m.diag)
 
 
 def test_charpoly_matches_cofactor_on_random_exact_tridiagonals():
@@ -263,7 +258,7 @@ def test_charpoly_matches_cofactor_on_random_exact_tridiagonals():
             diag = [Fraction(int(v)) for v in rng.integers(-5, 6, n)]
             sup = [Fraction(int(v)) for v in rng.integers(-4, 5, n - 1)]
             sub = [Fraction(int(v)) for v in rng.integers(-4, 5, n - 1)]
-            got = charpoly_tridiag(Tridiagonal(diag, sup, sub))
+            got = charpoly_from_parts(diag, Tridiagonal(diag, sup, sub).offdiag_products())
             want = _cofactor_det(_poly_matrix(diag, sup, sub))
             assert got == want
 
@@ -460,11 +455,37 @@ _SCALES = [Fraction(4, 3) * Fraction(2) ** (20 * k - 200) * sign for k in range(
 @example(sorted(_SCALES), [2] * 20, [], 3, 16, "both")  # degree 40
 @example([Fraction(1), 1 + Fraction(1, 2**53)], [1] * 20, [], 0, 0, "lo")  # a root on a tie of two doubles
 @example([1 + Fraction(1, 2**150), Fraction(3)], [1] * 20, [], 0, 0, "none")  # nearer the split at 1 than Newton resolves
+@example([Fraction(1), 1 + Fraction(1, 2**150), Fraction(3)], [1] * 20, [], 0, 2, "none")  # Newton only halves the gap
+@example(  # a Newton iterate kept on its residual alone once missed even 2^-70 here
+    [
+        Fraction(-79989470920704, 91),
+        Fraction(-9998683865088, 13),
+        Fraction(-349, 351797248),
+        Fraction(-1463811747, 1475544604475392),
+        Fraction(249, 302104352320690171801888873360138569274174162831165053036658688),
+        Fraction(63993, 77338714194096683981283551580195473734188585684778253577384624128),
+        Fraction(25, 14462442398330912479877658831070463422699826944045135517712384),
+        Fraction(1717986918425, 993851473937841185390604844167891665152959691992535663943403488227098624),
+        Fraction(141, 440742125766605731236848827632584037671600265120186368),
+        Fraction(162561932149565423757, 508141074782455258849883900360145998936712898076044710123840845977223168),
+        Fraction(323, 81018099971732350697472),
+        Fraction(23274602874250723651, 5837969357487350513793520608751273377792),
+        Fraction(19807040628566084398385987584, 1),
+        Fraction(19807040628566154767130165248, 1),
+    ],
+    [1] * 20,
+    [],
+    0,
+    1,
+    "lo",
+)
 def test_real_root_intervals_isolate_planted_roots_at_every_scale(roots, mults, quadratics, i, j, ends):
     """Planted roots from 2^-200 to 2^200 with multiplicities, close pairs
-    down to 2^-60 apart relative to their size, degree up to 40 and windows
-    whose ends fall on roots: each root lies alone in its (a, b] by a Sturm
-    count of 1, and its double is the planted root's, correctly rounded."""
+    down to 2^-60 apart relative to their size (2^-150 in an example),
+    degree up to 40 and windows whose ends fall on roots: each root lies
+    alone in its (a, b] by a Sturm count of 1, within 2^-136 of the planted
+    root relative to its size, and its double is the planted root's,
+    correctly rounded."""
     assume(sum(mults[: len(roots)]) + 2 * len(quadratics) <= 40)
     p = _product(list(zip(roots, mults)), quadratics, 1)
     lo, hi = sorted((roots[i % len(roots)], roots[j % len(roots)]))
@@ -474,11 +495,23 @@ def test_real_root_intervals_isolate_planted_roots_at_every_scale(roots, mults, 
     assert len(got) == len(want)
     for (x, a, b), w in zip(got, want):
         assert a < w <= b and real_root_count(p, a, b) == 1
-        # a pair 2^-60 apart costs the polisher 60 of its 136 bits
-        assert a < x <= b and abs(x - w) <= abs(w) / 2**70
+        assert a < x <= b and abs(x - w) <= abs(w) / 2**136
         assert float(x) == float(w)
         if Fraction(float(w)) == w:
             assert x == w
+
+
+def test_certificate_reads_the_signs_around_the_iterate():
+    # f = 3x - 1 rises through its root 1/3; u / v lies 2^-202 above it
+    f, v = [-1, 3], 1 << 200
+    u = -(-v // 3)
+    lo, hi = Fraction(1, 4), Fraction(1, 2)
+    assert _certified(f, u, v, lo, hi, True)
+    assert not _certified(f, u, v, lo, hi, False)  # the signs of a falling f
+    assert not _certified(f, u + (1 << 70), v, lo, hi, True)  # 2^-130 off
+    assert not _certified(f, u, v, lo, Fraction(1, 3), True)  # outside the half
+    # at the top of the half nothing above it needs a sign
+    assert _certified(f, u, v, lo, Fraction(u, v), True)
 
 
 def test_real_roots_keep_roots_on_float_window_ends():
@@ -541,7 +574,7 @@ def test_eig_dense_epn_half_matches_closed_form():
     assert np.allclose(np.sort(res.values.real), want, atol=1e-9)
     assert np.max(np.abs(res.values.imag)) < 1e-9
     # independent route: characteristic polynomial + numpy's root finder
-    rr = np.roots([complex(c) for c in reversed(charpoly_tridiag(epn_matrix(6, 0.5)).coeffs)])
+    rr = np.roots(charpoly_tridiag(epn_matrix(6, 0.5))[::-1])
     assert np.allclose(np.sort(rr.real), np.sort(res.values.real), atol=1e-9)
 
 
@@ -568,7 +601,7 @@ def test_eig_dense_matches_charpoly_roots_on_random_tridiagonals():
         sub = rng.standard_normal(n - 1)
         t = Tridiagonal(tuple(diag), tuple(sup), tuple(sub))
         ev = np.sort(eig_dense(t).values.real)
-        rr = sorted(np.roots([complex(c) for c in reversed(charpoly_tridiag(t).coeffs)]).real)
+        rr = sorted(np.roots(charpoly_tridiag(t)[::-1]).real)
         assert np.allclose(ev, rr, atol=1e-8)
 
 
@@ -975,11 +1008,11 @@ def test_resultant_rejects_degenerate_inputs():
 
 
 def test_resultant_and_discriminant_refuse_floating_coefficients():
-    p = Polynomial([6.0, -5.0, 1.0])
+    # the refusal comes from building the floating polynomial
     q = Polynomial([Fraction(1), Fraction(1)])
-    for call in (lambda: resultant(p, q), lambda: resultant(q, p), lambda: discriminant(p)):
-        with pytest.raises(TypeError):
-            call()
+    for call in (lambda p: resultant(p, q), lambda p: resultant(q, p), discriminant):
+        with pytest.raises(TypeError, match="the exact kernel requires exact coefficients"):
+            call(Polynomial([6.0, -5.0, 1.0]))
 
 
 def test_discriminant_normalization():

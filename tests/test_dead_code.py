@@ -1,6 +1,6 @@
 """Static guard against dead code in the package (stdlib ``ast`` only).
 
-Seventeen things fail the guard: an import a module never uses (package
+Eighteen things fail the guard: an import a module never uses (package
 ``__init__.py`` files are exempt, their imports are re-exports), a
 ``_private`` top-level function that no module of the package references,
 a module-level UPPER_CASE constant that no module of the package loads,
@@ -8,6 +8,9 @@ an eigenvector solve whose eigenvalues are all that is read, a
 nonsymmetric LAPACK eigensolve outside ``core/eig.py``, a floating
 determinant or characteristic polynomial (``numpy.linalg.det``,
 ``numpy.poly``) anywhere, double root seeds (``numpy.roots``) anywhere,
+a name of the deleted floating tier of ``Polynomial`` (``to_double``,
+``is_exact_zero``, ``_check_mode``, ``EXACT``, or a ``.mode`` attribute)
+anywhere,
 denominator clearing (``math.lcm``) outside ``core/poly.py``, an inline
 square-free gcd ``p.gcd(p.derivative())`` outside ``core/poly.py``,
 sampled reality
@@ -238,6 +241,50 @@ def test_floating_algebra_guard_sees_every_spelling():
         "from numpy import roots as seeds\nnumpy.roots(c); np.polynomial.polynomial.polyroots(c)\n"
     )
     assert sorted(_uses(ast.parse(source), FLOAT_ALGEBRA)) == [3, 4, 6, 6, 6, 7, 8, 9]
+
+
+FLOATING_TIER = {"to_double", "is_exact_zero", "_check_mode", "EXACT"}
+
+
+def _floating_tier_uses(tree):
+    """Lines that name a ``FLOATING_TIER`` name in any spelling (a name, an
+    attribute, an import, a definition), or read a ``.mode`` attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            found = node.attr in FLOATING_TIER or node.attr == "mode"
+        elif isinstance(node, ast.Name):
+            found = node.id in FLOATING_TIER
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found = node.name in FLOATING_TIER
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found = any(name in FLOATING_TIER for alias in node.names for name in (alias.name.rpartition(".")[2], alias.asname))
+        else:
+            found = False
+        if found:
+            yield node.lineno
+
+
+def test_polynomial_has_one_exact_tier():
+    """A ``Polynomial`` holds ``int`` and ``Fraction`` coefficients only and
+    refuses any other where it is built; a conversion to double, a tier
+    test or an exact member of ``Precision`` would bring the deleted
+    floating tier, and its guards against mixing tiers, back."""
+    uses = [f"{path.relative_to(PACKAGE)}:{line}" for path in MODULES for line in _floating_tier_uses(_parse(path))]
+    assert uses == []
+
+
+def test_floating_tier_guard_sees_every_spelling():
+    source = (
+        "from .scalars import to_double as d\n"
+        "import epspect.core.scalars.is_exact_zero\n"
+        "scalars.to_double(x); p.to_double()\n"
+        "Precision.EXACT; core.Precision.EXACT\n"
+        "if p.mode is Precision.DOUBLE:\n    pass\n"
+        "def _check_mode(a, b):\n    pass\n"
+        "class Precision(enum.Enum):\n    EXACT = 'exact'\n    DOUBLE = 'double'\n"
+        "mode = 'w'; open(f, mode=mode); Precision.DOUBLE; is_exact_zero(c); modes.x\n"
+    )
+    assert sorted(_floating_tier_uses(ast.parse(source))) == [1, 2, 3, 3, 4, 4, 5, 7, 10, 12]
 
 
 DENOMINATOR_CLEARING = {"math.lcm"}
