@@ -41,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .poly import ConvergenceError, _extended_roots, _gaussian_cleared
+from .poly import ConvergenceError, _dyadic_roots, _gaussian_cleared, _rounded
 from .scalars import EXTENDED_BITS, RootCluster, cluster_points
 from .tridiag import as_array
 
@@ -191,8 +191,8 @@ def _gaussian_eigvals(rows: list[list[tuple[int, int]]], exp2: int, approx: np.n
     """
     coeffs = _berkowitz(rows)
     seeds = _nudged_seeds(np.linalg.eigvals(approx.astype(complex)))
-    roots, _ = _extended_roots(coeffs, seeds, EXTENDED_BITS, exp2)
-    return roots
+    roots, scale, _ = _dyadic_roots(coeffs, seeds, EXTENDED_BITS, exp2)
+    return [_rounded(root, scale) for root in roots]
 
 
 def eigvals_mp(m) -> list[complex]:

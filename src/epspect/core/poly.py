@@ -4,18 +4,16 @@ A ``Polynomial`` holds exact coefficients only (``int`` / ``Fraction``):
 its constructor refuses any other with ``TypeError``, so division, gcd,
 resultants and root finding all run on rationals.
 
-Roots come from one Aberth-Ehrlich kernel, ``_aberth_fixed``, on Python
-ints: the coefficients are Gaussian integers (denominators cleared by their
-lcm), the iterates are fixed point, Horner is exact and only divisions
-round.  ``_dyadic_roots`` runs it at a precision given in bits and returns
-the exact fixed-point iterates; ``_extended_roots`` rounds each of them
-once to ``complex``.  ``eig.eigvals_mp``, the extended spectra of the models
-and the real-root polisher ``_newton_polish_real`` reach it.
+Complex roots come from one Aberth-Ehrlich kernel, ``_aberth_fixed``, on
+Python ints: the coefficients are Gaussian integers (denominators cleared
+by their lcm), the iterates are fixed point, Horner is exact and only
+divisions round.  ``_dyadic_roots`` runs it at a precision given in bits
+for ``eig.eigvals_mp`` and the extended spectra of the models.
 ``real_root_intervals`` is the one routine for the real roots of an exact
-polynomial, and no double seed enters it: it isolates each root by bisecting
-dyadic intervals on the sign variations of a Sturm sequence over Z, and
-polishes it with the kernel inside its interval, where a sign change
-certifies the result.
+polynomial, and neither a double seed nor the kernel enters it: it
+isolates each root by bisecting dyadic intervals on the sign variations of
+a Sturm sequence over Z, and ``_bracket`` narrows each interval on exact
+signs, by quadratic interval refinement, to a certified 136 bits.
 
 Every resultant and discriminant goes through one kernel: the subresultant
 pseudo-remainder sequence over Z[y] on plain ``int`` coefficient lists, the
@@ -24,9 +22,10 @@ Sylvester determinant of the formal degrees in O(nm) ring operations.
 every division for exactness, and rescale at the end, so they return the
 rational polynomial an elimination over ``Fraction`` would.  ``disc_chain``
 keeps the subresultant chain the sequence runs through, which reads the
-repeated root at each real root of the discriminant.  The univariate
-``resultant`` and ``discriminant`` are that kernel on constant
-coefficients.
+repeated root at each real root of the discriminant, and at an
+irrational one ``_bracket`` narrows the root until the double that the
+energy rounds to is certified.  The univariate ``resultant`` and
+``discriminant`` are that kernel on constant coefficients.
 ``Polynomial.gcd`` and the Sturm sequences run the primitive
 pseudo-remainder sequence over Z on the same cleared integers.
 """
@@ -123,14 +122,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            a, b = self.coeffs, other.coeffs
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                if not ca:
-                    continue
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-            return Polynomial(out)
+            return Polynomial(_int_mul(self.coeffs, other.coeffs))
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -181,9 +173,7 @@ class Polynomial:
         return Polynomial([Fraction(ca * c, cb) for c in quot])
 
     def derivative(self) -> "Polynomial":
-        if self.degree < 1:
-            return Polynomial([0])
-        return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
+        return Polynomial(_int_derivative(self.coeffs))
 
     def __call__(self, x):
         """Horner evaluation; the arithmetic follows the argument's type.
@@ -382,54 +372,6 @@ def _rounded(root: tuple[int, int], scale: int) -> complex:
     return complex(root[0] / (1 << scale), root[1] / (1 << scale))
 
 
-def _extended_roots(coeffs, seeds, prec, exp2=0):
-    """``_dyadic_roots`` with each root rounded once to ``complex``; also returns the sweep count."""
-    roots, scale, it = _dyadic_roots(coeffs, seeds, prec, exp2)
-    return [_rounded(root, scale) for root in roots], it
-
-
-POLISH_BITS = 136  # 40 decimal digits
-NEWTON_STEPS = 2  # exact ones after the lock; each doubles the bits
-
-
-def _newton_polish_real(f: list[int], df: list[int], x0: Fraction, half: tuple) -> Fraction | None:
-    """The simple nonzero root of the integer polynomial f in ``half`` = (lo, hi, rising), polished from the exact x0; None if not ``_certified``.
-
-    The one-seed integer Aberth iteration is Newton's; from a real seed its
-    exact iterates stay real.  A root at the origin is deflated.  It locks
-    on a relative residual, which ill conditioning (a close neighbouring
-    root, say) leaves short of ``POLISH_BITS``, so up to ``NEWTON_STEPS``
-    exact Newton steps on its grid follow.  Returns an exact dyadic.
-    """
-    zeros = next(k for k, c in enumerate(f) if c)
-    (root,), scale, _ = _dyadic_roots([(c, 0) for c in f[zeros:]], [(x0, 0)], POLISH_BITS)
-    u, v = root[0], 1 << scale  # |u| >= 2^(POLISH_BITS + 32): the grid resolves the root
-    for _ in range(NEWTON_STEPS + 1):
-        if _certified(f, u, v, *half):
-            return Fraction(u, v)
-        fu, du = _int_homogeneous(f, u, v), _int_homogeneous(df, u, v)
-        if not du:
-            break
-        u -= _div_round(fu if du > 0 else -fu, abs(du))  # the Newton step in units of 1/v
-    return None
-
-
-def _certified(f: list[int], u: int, v: int, lo: Fraction, hi: Fraction, rising: bool) -> bool:
-    """Whether the one root of f in (lo, hi] lies within eps = 2^(bits of u - ``POLISH_BITS`` - 2) / v <= 2^-(``POLISH_BITS`` + 1) |u / v| of u / v.
-
-    f > 0 at hi if ``rising``, so f < 0 from lo up to the root, which lies
-    above u / v - eps where that is at most lo or f has the sign of lo
-    there, and at most u / v + eps where that is at least hi or f is zero
-    or has the sign of hi there.
-    """
-    eps = 1 << u.bit_length() - POLISH_BITS - 2
-    if not lo < Fraction(u, v) <= hi:
-        return False
-    below = _int_homogeneous(f, u - eps, v) if lo < Fraction(u - eps, v) else 0
-    above = _int_homogeneous(f, u + eps, v) if Fraction(u + eps, v) < hi else 0
-    return not (below and (below > 0) == rising or above and (above > 0) != rising)
-
-
 # --------------------------------------------------------------------------
 # resultants / discriminants
 # --------------------------------------------------------------------------
@@ -452,7 +394,8 @@ def discriminant(p: Polynomial) -> Fraction:
 
 
 # The exact kernel runs over Z[y]: a polynomial in the second variable is an
-# ascending list of ints with a nonzero last entry, and [] is zero.
+# ascending list of ints with a nonzero last entry, and [] is zero.  Products
+# and derivatives take any exact coefficients, and serve ``Polynomial`` too.
 
 
 def _int_mul(a: list[int], b: list[int]) -> list[int]:
@@ -674,28 +617,93 @@ class DiscriminantChain:
         """(j, E*) at a real root y0 of ``disc``: j = deg gcd(f, f_E) there, and E* its one repeated root.
 
         g is a factor of ``disc`` with y0 as its only root in (a, b], and
-        ``root`` is y0 or a rational close to it, as ``real_root_intervals(g)``
-        gives them.  Under a constant leading E-coefficient, j is the
+        ``root`` is y0 or a dyadic within 2^-``POLISH_BITS`` |root| of it,
+        as ``real_root_intervals(g)`` gives them.  Under a constant leading E-coefficient, j is the
         smallest chain degree with psc_j(y0) != 0, and S_j(E, y0) is the gcd
         times a number (the structure theorem of subresultants: Basu,
         Pollack and Roy, *Algorithms in Real Algebraic Geometry*, ch. 8).
         psc_j(y0) = 0 exactly when gcd(g, psc_j) has a root in (a, b].  One
         repeated root gives S_j = s_j (E - E*)^j, so E* = -s_(j-1) / (j s_j):
-        exact at a rational root, else that formula's exact value at
-        ``root``.  ``ArithmeticError`` for j >= 2 unless the root is rational
-        and S_j that power; ``ValueError`` for a leading E-coefficient that
-        is not a constant.
+        at j = 1 the double that E* rounds to, certified by
+        ``_rounded_energy``, and at j >= 2 exact.  ``ArithmeticError`` for
+        j >= 2 unless the root is rational and S_j that power;
+        ``ValueError`` for a leading E-coefficient that is not a constant.
         """
         if len(self.chain[0][1]) != 1:
             raise ValueError("the chain reads repeated roots only under a constant leading E-coefficient")
         for j, psc, s in reversed(self.chain):
             if j and not real_root_count(Polynomial(psc).gcd(g), a, b):
                 break
+        if j == 1:
+            return j, _rounded_energy(s, g, root, a, b)
         values = [Polynomial(c)(root) for c in s]
         e_star = -values[j - 1] / (j * values[j])
-        if j > 1 and (g(root) != 0 or Polynomial(values) != Polynomial.from_roots([e_star] * j, values[j])):
+        if g(root) != 0 or Polynomial(values) != Polynomial.from_roots([e_star] * j, values[j]):
             raise ArithmeticError(f"gcd(f, f_E) of degree {j} at {float(root)!r} is not one repeated root")
         return j, e_star
+
+
+def _int_homogeneous_bounds(ints: list[int], lo: int, hi: int, e: int) -> tuple[int, int]:
+    """Integers below and above 2^(deg e) P(u / 2^e) for all u in [lo, hi]: Horner on intervals."""
+    low = high = ints[-1]
+    for k, c in enumerate(reversed(ints[:-1]), 1):
+        ends = (low * lo, low * hi, high * lo, high * hi)
+        low, high = min(ends) + (c << e * k), max(ends) + (c << e * k)
+    return low, high
+
+
+def _rounded_energy(s: list[list[int]], g: Polynomial, x: Fraction, a: Fraction, b: Fraction) -> Fraction:
+    """The double E*(y) = -s_0(y) / s_1(y) rounds to at the one root y0 of g in (a, b], as a ``Fraction``; E*(y0) where y0 is met.
+
+    s_1(y0) != 0, and the dyadic x lies within 2^-``POLISH_BITS`` |x| of y0.
+    ``_bracket`` narrows that neighbourhood on the signs of g, or of its
+    square-free part, until Horner on intervals bounds E* over it by two
+    numbers that round to one double.  Where they round to neighbours,
+    E*(y0) may be the tie t between them, which no bracket settles: it is,
+    exactly when s_0 + t s_1 and g share a root in (a, b].
+    ``ConvergenceError`` for an E* beyond the double range.
+    """
+    (f,), _ = _cleared([g])
+    eps = abs(x) / 2**POLISH_BITS
+    grid = Fraction(2) ** (POLISH_BITS + 2 - x.numerator.bit_length() + x.denominator.bit_length())  # 1 / grid <= eps / 2
+    lo, hi = max(a, math.floor((x - eps) * grid) / grid), min(b, math.ceil((x + eps) * grid) / grid)
+
+    def brackets(f: list[int]) -> bool:
+        flo, fhi = (_int_homogeneous(f, y.numerator, y.denominator) for y in (lo, hi))
+        return not fhi or flo and (flo > 0) != (fhi > 0)
+
+    if not brackets(f):  # y0 is a root of g of even multiplicity
+        f = _int_exact_div(f, _int_gcd(f, _int_derivative(f)))
+        lo, hi = (lo, hi) if brackets(f) else (a, b)
+    s0, s1 = (c + [0] * (max(map(len, s[:2])) - len(c)) for c in s[:2])  # one degree: E* = -s_0 / s_1 on any grid
+    rounded = []
+
+    def double(num: int, den: int) -> float:
+        try:
+            return num / den
+        except OverflowError:
+            return math.inf if (num > 0) == (den > 0) else -math.inf
+
+    def done(lo: int, hi: int, e: int) -> bool:
+        (n0, n1), (d0, d1) = (_int_homogeneous_bounds(c, lo, hi, e) for c in (s0, s1))
+        if d0 <= 0 <= d1:
+            return False
+        low, *_, high = sorted(double(-n, d) for n in (n0, n1) for d in (d0, d1))
+        if low == high:
+            rounded.append(low)
+        elif math.isfinite(low - high) and math.nextafter(low, high) == high:  # E*(y0) may be the tie t
+            t = (Fraction(low) + Fraction(high)) / 2
+            at_t = _int_sub([t.denominator * c for c in s0], [-t.numerator * c for c in s1])  # s_0 + t s_1
+            if real_root_count(Polynomial(_int_gcd(f, at_t)), a, b):
+                rounded.append(t)
+        return bool(rounded)
+
+    lo, hi, e = _bracket(f, lo, hi, done)
+    if lo == hi:
+        return Fraction(-_int_homogeneous(s0, hi, 1 << e), _int_homogeneous(s1, hi, 1 << e))
+    if math.isinf(rounded[0]):
+        raise ConvergenceError("an energy beyond the double range")
+    return Fraction(rounded[0])
 
 
 # --------------------------------------------------------------------------
@@ -849,55 +857,65 @@ def _dyadic_split(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(p * s + r * q, 2 * q * s)
 
 
-def _refined_root(f: list[int], a: Fraction, b: Fraction) -> Fraction:
-    """The root of the square-free integer polynomial f alone in (a, b], as ``real_root_intervals`` returns it.
+POLISH_BITS = 136  # 40 decimal digits
 
-    A simple root is the only sign change of f in (a, b], so the sign of f
-    at a split point keeps the half that holds it: ``_dyadic_split`` while
-    the ends lie a factor 4 apart, then midpoints, on integers over a power
-    of two.  Once the half is 2^-(``POLISH_BITS`` / 4) of its midpoint wide
-    and the Newton step from the midpoint stays in it, two Newton steps
-    reach ``POLISH_BITS``: ``_newton_polish_real`` takes that step as its
-    exact seed, and its iterate is the root if certified.  If not, as beside
-    a neighbour so close that Newton only halves the distance, bisection
-    goes on until the half is 2^-``POLISH_BITS`` of its midpoint wide.  A
-    root met exactly, or whose double is a root, or a root on the tie
-    between two doubles, is that exact ``Fraction``, so every root's double
-    is the correctly rounded one.  ``ConvergenceError`` for a root
-    beyond the double range: its double would overflow, or be 0 for a
-    nonzero root.
+
+def _bracket(f: list[int], a: Fraction, b: Fraction, done) -> tuple[int, int, int]:
+    """The one root of the integer polynomial f in (a, b], dyadic ends, bracketed as (lo / 2^e, hi / 2^e] once ``done(lo, hi, e)``; lo = hi where it is met.
+
+    f changes sign in (a, b] only there (f(a) may be 0, at a neighbour).
+    While the ends lie a factor 4 or more apart, ``_dyadic_split`` halves
+    the range of their exponents; then quadratic interval refinement
+    (Abbott, ISSAC 2006; Kerber and Sagraloff, ISSAC 2011): the secant
+    through the ends picks a point of a grid of N pieces, and the signs of f
+    there and at the grid point beside it keep the part that holds the root.
+    N -> N^2 where that part is one piece, else N -> sqrt(N); N = 2 is a
+    bisection.  Near a simple root the secant lands within a piece, so the
+    bits double.
     """
     fb = _int_homogeneous(f, b.numerator, b.denominator)
     while fb and (0 < 4 * a <= b or a <= 4 * b < 0):
         m = _dyadic_split(a, b)
         fm = _int_homogeneous(f, m.numerator, m.denominator)
         a, b, fb = (m, b, fb) if fm and (fm > 0) != (fb > 0) else (a, m, fm)
-    e = max(a.denominator, b.denominator).bit_length() - 1  # the half is (lo / 2^e, hi / 2^e]
-    lo, hi = (x.numerator << e + 1 - x.denominator.bit_length() for x in (a, b))
-    df, x, newton = _int_derivative(f), None, True
-    while fb and x is None:
-        mid, lo, hi, e = lo + hi, 2 * lo, 2 * hi, e + 1
-        fm = _int_homogeneous(f, mid, 1 << e)
-        if (hi - lo) << POLISH_BITS <= abs(mid):
-            x = Fraction(mid, 1 << e)
-        elif fm and newton and (hi - lo) << POLISH_BITS // 4 <= abs(mid):
-            dm = _int_homogeneous(df, mid, 1 << e)
-            step = mid * dm - fm  # dm 2^e times the Newton step from the midpoint
-            if lo * dm < step <= hi * dm if dm > 0 else hi * dm <= step < lo * dm:
-                x = _newton_polish_real(f, df, Fraction(step, dm << e), (Fraction(lo, 1 << e), Fraction(hi, 1 << e), fb > 0))
-                newton = x is not None
-        lo, hi, fb = (mid, hi, fb) if fm and (fm > 0) != (fb > 0) else (lo, mid, fm)
-    x = Fraction(hi, 1 << e) if x is None else x
+    fa = _int_homogeneous(f, a.numerator, a.denominator) if fb else 0
+    e, deg = max(a.denominator, b.denominator).bit_length() - 1, len(f) - 1
+    sa, sb = (e + 1 - x.denominator.bit_length() for x in (a, b))  # the ends and their values onto the grid 2^-e
+    lo, flo, hi, fhi, k = a.numerator << sa, fa << sa * deg, b.numerator << sb, fb << sb * deg, 2  # N = 2^k
+    while fhi and not done(lo, hi, e):
+        w, lo, hi, e = hi - lo, lo << k, hi << k, e + k
+        flo, fhi = flo << k * deg, fhi << k * deg
+        m = lo + w * min(max(_div_round(abs(flo) << k, abs(flo) + abs(fhi)), 1), (1 << k) - 1)
+        for _ in range(2):  # the secant's grid point, then its neighbour toward the root
+            fm = _int_homogeneous(f, m, 1 << e)
+            lo, flo, hi, fhi = (m, fm, hi, fhi) if fm and (fm > 0) != (fhi > 0) else (lo, flo, m, fm)
+            m = lo + w if lo == m else hi - w
+            if not (fhi and lo < m < hi):
+                break
+        k = 2 * k if hi - lo == w else k // 2
+    return (lo if fhi else hi), hi, e
+
+
+def _refined_root(f: list[int], a: Fraction, b: Fraction) -> Fraction:
+    """The root of the square-free integer polynomial f alone in (a, b], as ``real_root_intervals`` returns it.
+
+    The upper end of its ``_bracket`` once that is 2^-``POLISH_BITS`` of
+    either end wide, which certifies it, or the exact root where the bracket
+    meets it or it is the double of that end or the tie toward it, so every
+    root's double is the correctly rounded one.  ``ConvergenceError`` for a
+    root whose double overflows or is 0.
+    """
+    lo, hi, e = _bracket(f, a, b, lambda lo, hi, e: (hi - lo) << POLISH_BITS <= min(abs(lo), abs(hi)))
+    x, lo = Fraction(hi, 1 << e), Fraction(lo, 1 << e)
     try:
         d = float(x)
-        (u, v), (s, t) = d.as_integer_ratio(), math.nextafter(d, math.inf if x > d else -math.inf).as_integer_ratio()
+        near = Fraction(d), (Fraction(d) + Fraction(math.nextafter(d, math.inf if x > d else -math.inf))) / 2
     except OverflowError:
         d = 0.0
     if x and not d:
         raise ConvergenceError("a real root beyond the double range")
-    # the double of x, or the tie between it and its neighbour toward x, may be the root itself
-    for num, den in ((u, v), (u * t + s * v, 2 * v * t)):
-        if not _int_homogeneous(f, num, den) and a < (c := Fraction(num, den)) <= b:
+    for c in near:  # the double of x, or the tie between it and its neighbour toward x, may be the root itself
+        if lo < c <= x and not _int_homogeneous(f, c.numerator, c.denominator):
             return c
     return x
 
@@ -922,13 +940,10 @@ def real_root_intervals(p: Polynomial, lo=None, hi=None) -> list[tuple]:
     split at a power of two between them, any other at its midpoint, and
     only pieces that hold a wanted root are kept, until each holds one
     (Basu, Pollack and Roy, *Algorithms in Real Algebraic Geometry*,
-    ch. 2).  ``_refined_root`` then finds the root in its piece: an exact
-    ``Fraction`` where one is met, or the root's double or a tie between two
-    doubles is a root, else a dyadic within 2^-``POLISH_BITS`` |root| of
-    it, a certified Newton iterate or a bisection midpoint;
-    multiplicities come from ``square_free_factors``.  Raises ``ValueError``
-    on the zero polynomial and ``ConvergenceError`` if a wanted root lies
-    beyond the double range or the polisher does not converge.
+    ch. 2).  ``_refined_root`` then narrows each piece to its root;
+    multiplicities come from ``square_free_factors``.  Raises
+    ``ValueError`` on the zero polynomial and ``ConvergenceError`` if a
+    wanted root lies beyond the double range.
     """
     seq = _sturm_sequence(p)
     if seq is None:

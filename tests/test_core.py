@@ -38,9 +38,18 @@ from epspect.core import (
     square_free_factors,
 )
 from epspect.core.eig import _berkowitz
-from epspect.core.poly import _certified, _cleared, _dyadic_roots, _gaussian_cleared, _int_exact_div
+from epspect.core.poly import (
+    _bracket,
+    _cleared,
+    _dyadic_roots,
+    _gaussian_cleared,
+    _int_exact_div,
+    _int_homogeneous,
+    _sturm_sequence,
+)
 from epspect.epfinder import (
     _disc_in_y_at_p,
+    _event_pieces,
     _fold_coeffs_in_E,
     _fold_event_poly,
     _pole_collision_poly,
@@ -501,17 +510,57 @@ def test_real_root_intervals_isolate_planted_roots_at_every_scale(roots, mults, 
             assert x == w
 
 
-def test_certificate_reads_the_signs_around_the_iterate():
-    # f = 3x - 1 rises through its root 1/3; u / v lies 2^-202 above it
-    f, v = [-1, 3], 1 << 200
-    u = -(-v // 3)
-    lo, hi = Fraction(1, 4), Fraction(1, 2)
-    assert _certified(f, u, v, lo, hi, True)
-    assert not _certified(f, u, v, lo, hi, False)  # the signs of a falling f
-    assert not _certified(f, u + (1 << 70), v, lo, hi, True)  # 2^-130 off
-    assert not _certified(f, u, v, lo, Fraction(1, 3), True)  # outside the half
-    # at the top of the half nothing above it needs a sign
-    assert _certified(f, u, v, lo, Fraction(u, v), True)
+def _signs_across(f, lo, hi, e):
+    return [_int_homogeneous(f, u, 1 << e) > 0 for u in (lo, hi)]
+
+
+def _to_136_bits(lo, hi, e):
+    return (hi - lo) << 136 <= min(abs(lo), abs(hi))
+
+
+def test_bracket_certifies_the_root_it_narrows_to():
+    # f = 3x - 1 rises through 1/3, which no dyadic grid meets
+    f = [-1, 3]
+    lo, hi, e = _bracket(f, Fraction(1, 4), Fraction(1, 2), _to_136_bits)
+    assert _signs_across(f, lo, hi, e) == [False, True]
+    assert Fraction(lo, 1 << e) < Fraction(1, 3) < Fraction(hi, 1 << e)
+    assert Fraction(hi - lo, 1 << e) <= Fraction(1, 3) / 2**136
+    # 1 is met exactly; 1 + 2^-150 lies closer to it than 136 bits resolve
+    planted = [Fraction(1), 1 + Fraction(1, 2**150), Fraction(3)]
+    p = _product([(root, 1) for root in planted], [], 1)
+    f = _sturm_sequence(p)[0]
+    brackets = [(_bracket(f, a, b, _to_136_bits), root) for (_, a, b), root in zip(real_root_intervals(p), planted)]
+    assert [root for (lo, hi, _), root in brackets if lo == hi] == [1, 3]
+    for (lo, hi, e), root in brackets:
+        if lo == hi:
+            assert Fraction(hi, 1 << e) == root and not _int_homogeneous(f, hi, 1 << e)
+        else:
+            assert _signs_across(f, lo, hi, e) in ([False, True], [True, False])
+            assert Fraction(lo, 1 << e) < root < Fraction(hi, 1 << e)
+            assert Fraction(hi - lo, 1 << e) <= root / 2**136
+
+
+def test_refinement_converges_quadratically(monkeypatch):
+    """A guard on the refinement's rate that no host speed moves: exact
+    evaluations per refined root, averaged over planted roots from 2^-200
+    to 2^200, close pairs and the square-free factors of the n = 8 shift
+    scan.  Quadratic refinement spends about 19 from the isolating
+    interval, bisection to 136 bits about 124."""
+    corpus = [
+        _product([(root, 1) for root in _SCALES], [], 1),
+        _product([(Fraction(1), 1), (1 + Fraction(1, 2**150), 1), (Fraction(3), 1)], [], 1),
+        _product([(Fraction(2), 1), (2 + Fraction(1, 10**12), 1)], [], 1),
+        _product([(Fraction(-5, 7) * (1 + Fraction(1, 2**60)), 1), (Fraction(-5, 7), 1)], [], 1),
+        *(piece for piece, _ in _event_pieces(8)),
+    ]
+    isolated = [(_sturm_sequence(p)[0], a, b) for p in corpus for _, a, b in real_root_intervals(p)]
+    calls = []
+    evaluate = core_poly._int_homogeneous
+    monkeypatch.setattr(core_poly, "_int_homogeneous", lambda *args: calls.append(1) or evaluate(*args))
+    for f, a, b in isolated:
+        core_poly._refined_root(f, a, b)
+    assert len(isolated) == 42
+    assert len(calls) <= 20 * len(isolated), len(calls) / len(isolated)
 
 
 def test_real_roots_keep_roots_on_float_window_ends():
@@ -1251,6 +1300,44 @@ def test_chain_reads_order_and_energy_at_rational_and_irrational_roots():
     for root in real_root_intervals(chain.disc):
         j, e_star = chain.repeated_root(chain.disc, *root)
         assert j == 1 and float(e_star) == pytest.approx(-math.copysign(3**-0.25, root[0]), rel=1e-15)
+
+
+def test_chain_certifies_how_the_corner_energy_rounds():
+    # bc n = 5 at y = 1e300: the discriminant's one root in (0, 1] lies
+    # between 1 - 1e-1800 and 1 - 1e-2100, and s_1 of the chain nearly
+    # vanishes there, so E* = -s_0 / s_1 read at a point 2^-137 off once gave
+    # 2.0; the certificate reads the double E* rounds to from any point
+    # within 2^-136 of the root
+    chain = disc_chain(bivariate_secular(5, 1e300).secular.coefficients)
+    ((_, a, b),) = real_root_intervals(chain.disc, 0, 1)
+    lo, hi, e = _bracket(_sturm_sequence(chain.disc)[0], a, b, lambda lo, hi, e: (hi - lo) << 8000 <= lo)
+    for root in (1 - Fraction(1, 2**137), 1 + Fraction(1, 2**137), 1 - Fraction(1, 2**400), Fraction(1), Fraction(hi, 1 << e)):
+        assert chain.repeated_root(chain.disc, root, a, b) == (1, Fraction(-1e300))
+
+
+def test_certified_energy_settles_a_tie_exactly():
+    # (E - c)^2 - (y^2 - 2) with c = t + y^2 - 2 has E* = t at y = -+sqrt(2)
+    def energies(t):
+        chain = disc_chain(_in_E([(t - 2) ** 2 + 2, 0, 2 * t - 5, 0, 1], [4 - 2 * t, 0, -2], [1]))
+        return [chain.repeated_root(chain.disc, *root) for root in real_root_intervals(chain.disc)]
+
+    # the tie between 1 and its neighbour above: every bracket bounds E*
+    # across it, and the exact test finds it
+    tie = 1 + Fraction(1, 2**53)
+    assert energies(tie) == [(1, tie), (1, tie)]
+    # 2^-200 off the tie, the bracket narrows from 2^-136 until E* rounds one way
+    assert energies(tie + Fraction(1, 2**200)) == [(1, Fraction(1 + 2**-52))] * 2
+    assert energies(tie - Fraction(1, 2**200)) == [(1, Fraction(1))] * 2
+
+
+def test_certified_energy_at_an_even_root_of_the_discriminant():
+    # (E - y)^2 - (y^2 - 2)^2: the discriminant 4 (y^2 - 2)^2 keeps its sign
+    # across y = -+sqrt(2), so the energy E* = y is narrowed on its
+    # square-free part, and rounds as sqrt does
+    chain = disc_chain(_in_E([-4, 0, 5, 0, -1], [0, -2], [1]))
+    roots = real_root_intervals(chain.disc)
+    want = [(1, Fraction(-math.sqrt(2))), (1, Fraction(math.sqrt(2)))]
+    assert [chain.repeated_root(chain.disc, *root) for root in roots] == want
 
 
 def test_chain_refuses_what_one_repeated_root_cannot_explain():

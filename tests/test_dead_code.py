@@ -1,6 +1,6 @@
 """Static guard against dead code in the package (stdlib ``ast`` only).
 
-Eighteen things fail the guard: an import a module never uses (package
+Twenty things fail the guard: an import a module never uses (package
 ``__init__.py`` files are exempt, their imports are re-exports), a
 ``_private`` top-level function that no module of the package references,
 a module-level UPPER_CASE constant that no module of the package loads,
@@ -10,7 +10,10 @@ determinant or characteristic polynomial (``numpy.linalg.det``,
 ``numpy.poly``) anywhere, double root seeds (``numpy.roots``) anywhere,
 a name of the deleted floating tier of ``Polynomial`` (``to_double``,
 ``is_exact_zero``, ``_check_mode``, ``EXACT``, or a ``.mode`` attribute)
-anywhere,
+anywhere, a name of the deleted real-root polisher (``_newton_polish_real``,
+``_certified``, ``NEWTON_STEPS``) anywhere, the Aberth kernel
+(``_aberth_fixed``, ``_dyadic_roots``) anywhere ``real_root_intervals``
+reaches,
 denominator clearing (``math.lcm``) outside ``core/poly.py``, an inline
 square-free gcd ``p.gcd(p.derivative())`` outside ``core/poly.py``,
 sampled reality
@@ -246,22 +249,27 @@ def test_floating_algebra_guard_sees_every_spelling():
 FLOATING_TIER = {"to_double", "is_exact_zero", "_check_mode", "EXACT"}
 
 
-def _floating_tier_uses(tree):
-    """Lines that name a ``FLOATING_TIER`` name in any spelling (a name, an
-    attribute, an import, a definition), or read a ``.mode`` attribute."""
+def _spellings(tree, names, attributes=()):
+    """Lines that name one of ``names`` in any spelling (a name, an
+    attribute, an import, a definition), or read one of ``attributes``."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
-            found = node.attr in FLOATING_TIER or node.attr == "mode"
+            found = node.attr in names or node.attr in attributes
         elif isinstance(node, ast.Name):
-            found = node.id in FLOATING_TIER
+            found = node.id in names
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            found = node.name in FLOATING_TIER
+            found = node.name in names
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            found = any(name in FLOATING_TIER for alias in node.names for name in (alias.name.rpartition(".")[2], alias.asname))
+            found = any(name in names for alias in node.names for name in (alias.name.rpartition(".")[2], alias.asname))
         else:
             found = False
         if found:
             yield node.lineno
+
+
+def _floating_tier_uses(tree):
+    """Lines that name a ``FLOATING_TIER`` name in any spelling, or read a ``.mode`` attribute."""
+    return _spellings(tree, FLOATING_TIER, ("mode",))
 
 
 def test_polynomial_has_one_exact_tier():
@@ -285,6 +293,44 @@ def test_floating_tier_guard_sees_every_spelling():
         "mode = 'w'; open(f, mode=mode); Precision.DOUBLE; is_exact_zero(c); modes.x\n"
     )
     assert sorted(_floating_tier_uses(ast.parse(source))) == [1, 2, 3, 3, 4, 4, 5, 7, 10, 12]
+
+
+RETIRED_POLISH = {"_newton_polish_real", "_certified", "NEWTON_STEPS"}
+REAL_ROOTS = re.compile(r"real_root_intervals")
+ABERTH = {"_aberth_fixed", "_dyadic_roots"}
+
+
+def test_real_roots_have_one_refinement():
+    """A real root is refined by ``_bracket`` alone, whose bracket is its
+    certificate; the one-seed Aberth polisher, its sign certificate and the
+    exact Newton steps after it must not come back, and nothing
+    ``real_root_intervals`` reaches may run the Aberth kernel."""
+    found = [f"{path.relative_to(PACKAGE)}:{line}" for path in MODULES for line in _spellings(_parse(path), RETIRED_POLISH)]
+    found += [
+        f"{path.relative_to(PACKAGE)}:{line}: {name}"
+        for path in MODULES
+        for name, line in _names_reached(_parse(path), REAL_ROOTS, ABERTH)
+    ]
+    assert found == []
+
+
+def test_real_root_refinement_guard_sees_every_spelling():
+    source = (
+        "from .poly import _certified as c\n"
+        "NEWTON_STEPS = 2\n"
+        "def _newton_polish_real(f):\n    return poly._certified(f)\n"
+        "x = core.poly.NEWTON_STEPS; certified = _newton_polish_real\n"
+        "import epspect.core.poly._certified\n"
+        "steps = NEWTON; polish = _newton_polish; _certified_energy = 1\n"
+    )
+    assert sorted(_spellings(ast.parse(source), RETIRED_POLISH)) == [1, 2, 3, 4, 5, 5, 6]
+    source = (
+        "def helper(c):\n    return _dyadic_roots(c, [], 136)\n"
+        "def _refined_root(f, a, b):\n    return helper(f)\n"
+        "def real_root_intervals(p):\n    return _refined_root(p, 0, 1), core.poly._aberth_fixed\n"
+        "def eigvals_mp(m):\n    return _aberth_fixed(m), _dyadic_roots(m)\n"
+    )
+    assert sorted(_names_reached(ast.parse(source), REAL_ROOTS, ABERTH)) == [("helper", 2), ("real_root_intervals", 6)]
 
 
 DENOMINATOR_CLEARING = {"math.lcm"}
