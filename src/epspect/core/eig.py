@@ -2,20 +2,21 @@
 
 Each tier has an eigenvalue-only primitive for the callers that read
 nothing else: ``eigvals_double`` (LAPACK without eigenvectors, in the order
-of ``eig_dense``) and ``eigvals_mp`` (the roots of the characteristic
-polynomial, which Berkowitz's division-free recurrence gives exactly on the
-Gaussian integers of the power-of-two-scaled matrix, found at
-``EXTENDED_BITS`` by the integer fixed-point Aberth iteration of ``poly``
-from the double eigenvalues, and rounded once to ``complex``).  The
-extended tier matters close to
-a degeneracy, where double-precision eigenvalues lose half their digits per
-coalescing level; the extended sweep, the perturbation draws, the
-metric's reality verdict and the algebraic multiplicity of a degeneracy
-classification read ``eigvals_mp``.  ``eigvals_double`` also takes
-a ``(k, n, n)`` stack and returns one row per matrix, bit for bit what each
-matrix gives alone; a sweep solves its grid in stacked chunks, on several
-threads at once (the LAPACK call releases the GIL), and a real stack
-reaches ``dgeev`` without a complex copy.  A LAPACK failure is raised as
+of ``eig_dense``) and, for bare matrices, ``eigvals_mp``: Berkowitz's
+division-free recurrence gives the characteristic polynomial exactly on the
+Gaussian integers of the power-of-two-scaled matrix (a bc family point
+brings its own, ``BcModel.eigvals_mp``), and ``_extended_roots`` finds its
+roots at ``EXTENDED_BITS`` by the integer fixed-point Aberth iteration of
+``poly`` from the double eigenvalues, each rounded once to ``complex``.
+The extended tier matters close to a degeneracy, where double-precision
+eigenvalues lose half their digits per coalescing level; the perturbation
+draws, the metric's reality verdict, the algebraic multiplicity of a
+degeneracy classification and the Hermitian demo's extended sweep read
+``eigvals_mp``.  ``eigvals_double`` also takes a ``(k, n, n)`` stack and
+returns one row per matrix, bit for bit what each matrix gives alone; a
+sweep solves its grid in stacked chunks, on several threads at once (the
+LAPACK call releases the GIL), and a real stack reaches ``dgeev`` without a
+complex copy.  A LAPACK failure is raised as
 ``ConvergenceError``.  ``eigvalsh_double`` is the double tier of an exactly
 Hermitian matrix or stack (the Hermitian demo's sweep): LAPACK's Hermitian
 driver, whose values are real by construction.
@@ -30,8 +31,8 @@ send a matrix whose imaginary parts are all exactly zero to the real
 ``dgeev`` and any other to ``zgeev``.  The real driver is faster, and a real
 matrix's real eigenvalues come back with imaginary part exactly 0.0, the
 others in exact conjugate pairs; in a stack the choice is made per matrix.
-The double seeds of ``eigvals_mp`` stay on the complex driver: real seeds
-would move the extended roots it polishes.
+The double seeds of ``_extended_roots`` stay on the complex driver: real
+seeds would move the extended roots it polishes.
 """
 
 from __future__ import annotations
@@ -170,26 +171,23 @@ def _nudged_seeds(values) -> list[tuple[Fraction, Fraction]]:
     """Each double eigenvalue s moved exactly by 1e-3 * 2^-26 * (1 + |s|) along both axes.
 
     Exact arithmetic keeps every symmetry of the polynomial: from seeds on
-    the real axis the iterates of a real polynomial stay real, and from
-    seeds on the imaginary axis those of a polynomial symmetric about it
-    (EPN at t < 0) stay imaginary; neither reaches a pair off the axis.
+    the real axis the iterates of a real polynomial stay real, and never
+    reach a pair off the axis.
     """
     steps = [Fraction(1e-3 * 2.0**-26 * (1 + abs(s))) for s in values]
     return [(Fraction(s.real) + e, Fraction(s.imag) + e) for s, e in zip(values, steps)]
 
 
-def _gaussian_eigvals(rows: list[list[tuple[int, int]]], exp2: int, approx: np.ndarray) -> list[complex]:
-    """Eigenvalues of the Gaussian-integer matrix ``rows`` / 2^exp2 at ``EXTENDED_BITS``.
+def _extended_roots(coeffs: list[tuple[int, int]], exp2: int, approx: np.ndarray) -> list[complex]:
+    """The roots of the Gaussian-integer polynomial ``coeffs``, divided by 2^exp2, at ``EXTENDED_BITS``.
 
-    ``_berkowitz`` gives the characteristic polynomial exactly; its roots
-    are 2^exp2 times the eigenvalues.  They are found by the fixed-point
-    integer Aberth iteration of ``poly``, seeded with ``_nudged_seeds`` of
-    the eigenvalues of ``approx`` (a double matrix near this one) from the
-    complex LAPACK driver, and each is rounded once to ``complex``.
-    Raises ``ConvergenceError`` with the unconverged subset if any root
-    fails to lock; unpolished roots are never returned.
+    They are the eigenvalues of a matrix near ``approx`` (a double
+    matrix), found by the fixed-point integer Aberth iteration of ``poly``,
+    seeded with ``_nudged_seeds`` of the eigenvalues of ``approx`` from the
+    complex LAPACK driver, and each rounded once to ``complex``, in the
+    order of the seeds.  Raises ``ConvergenceError`` with the unconverged
+    subset if any root fails to lock; unpolished roots are never returned.
     """
-    coeffs = _berkowitz(rows)
     seeds = _nudged_seeds(np.linalg.eigvals(approx.astype(complex)))
     roots, scale, _ = _dyadic_roots(coeffs, seeds, EXTENDED_BITS, exp2)
     return [_rounded(root, scale) for root in roots]
@@ -198,14 +196,16 @@ def _gaussian_eigvals(rows: list[list[tuple[int, int]]], exp2: int, approx: np.n
 def eigvals_mp(m) -> list[complex]:
     """Eigenvalues of a dense matrix at ``EXTENDED_BITS``, in the order of its double ones.
 
-    Every entry is a binary float, so scaled by the lcm D of their
-    denominators (a power of two) the matrix has Gaussian-integer entries,
-    and ``_gaussian_eigvals`` finds the eigenvalues from them.
+    Every entry is a binary float, so scaled by the lcm D = 2^k of their
+    denominators the matrix has Gaussian-integer entries; ``_berkowitz``
+    gives its characteristic polynomial exactly, whose roots are 2^k times
+    the eigenvalues, and ``_extended_roots`` finds them.
     """
     a = as_array(m)
     n = len(a)
     flat, d = _gaussian_cleared(a.ravel())
-    return _gaussian_eigvals([flat[i * n : (i + 1) * n] for i in range(n)], d.bit_length() - 1, a)
+    coeffs = _berkowitz([flat[i * n : (i + 1) * n] for i in range(n)])
+    return _extended_roots(coeffs, d.bit_length() - 1, a)
 
 
 def eig_dense(m) -> EigResult:

@@ -8,12 +8,14 @@ Complex roots come from one Aberth-Ehrlich kernel, ``_aberth_fixed``, on
 Python ints: the coefficients are Gaussian integers (denominators cleared
 by their lcm), the iterates are fixed point, Horner is exact and only
 divisions round.  ``_dyadic_roots`` runs it at a precision given in bits
-for ``eig.eigvals_mp`` and the extended spectra of the models.
+for ``eig._extended_roots``, which serves ``eig.eigvals_mp`` and the bc
+family's extended spectrum.
 ``real_root_intervals`` is the one routine for the real roots of an exact
 polynomial, and neither a double seed nor the kernel enters it: it
 isolates each root by bisecting dyadic intervals on the sign variations of
 a Sturm sequence over Z, and ``_bracket`` narrows each interval on exact
-signs, by quadratic interval refinement, to a certified 136 bits.
+signs, by quadratic interval refinement, to a certified 136 bits; the
+root is returned with about 138.
 
 Every resultant and discriminant goes through one kernel: the subresultant
 pseudo-remainder sequence over Z[y] on plain ``int`` coefficient lists, the
@@ -899,14 +901,18 @@ def _bracket(f: list[int], a: Fraction, b: Fraction, done) -> tuple[int, int, in
 def _refined_root(f: list[int], a: Fraction, b: Fraction) -> Fraction:
     """The root of the square-free integer polynomial f alone in (a, b], as ``real_root_intervals`` returns it.
 
-    The upper end of its ``_bracket`` once that is 2^-``POLISH_BITS`` of
-    either end wide, which certifies it, or the exact root where the bracket
-    meets it or it is the double of that end or the tie toward it, so every
-    root's double is the correctly rounded one.  ``ConvergenceError`` for a
-    root whose double overflows or is 0.
+    ``_bracket`` narrows (a, b] until the bracket is 2^-``POLISH_BITS`` of
+    either end wide, which certifies it.  The root is the exact root where
+    the bracket meets it or it is the double of the bracket's upper end or
+    the tie toward it, so every root's double is the correctly rounded one.
+    Otherwise it is the bracket's midpoint rounded to ``POLISH_BITS`` + 2
+    bits, or to as many more as keep it strictly inside (a, b]: within
+    2^-``POLISH_BITS`` |root| of the root, and short however far the last
+    refinement step overshot.  ``ConvergenceError`` for a root whose double
+    overflows or is 0.
     """
     lo, hi, e = _bracket(f, a, b, lambda lo, hi, e: (hi - lo) << POLISH_BITS <= min(abs(lo), abs(hi)))
-    x, lo = Fraction(hi, 1 << e), Fraction(lo, 1 << e)
+    x, low = Fraction(hi, 1 << e), Fraction(lo, 1 << e)
     try:
         d = float(x)
         near = Fraction(d), (Fraction(d) + Fraction(math.nextafter(d, math.inf if x > d else -math.inf))) / 2
@@ -915,9 +921,16 @@ def _refined_root(f: list[int], a: Fraction, b: Fraction) -> Fraction:
     if x and not d:
         raise ConvergenceError("a real root beyond the double range")
     for c in near:  # the double of x, or the tie between it and its neighbour toward x, may be the root itself
-        if lo < c <= x and not _int_homogeneous(f, c.numerator, c.denominator):
+        if low < c <= x and not _int_homogeneous(f, c.numerator, c.denominator):
             return c
-    return x
+    if lo == hi:
+        return x
+    # the midpoint, at 2^-(e + 1), rounded to a grid 2^s at most 2^-(POLISH_BITS + 1) of it and a quarter
+    # of its distance to a or b: it moves by at most 2^-(POLISH_BITS + 2) |root|, and stays in (a, b]
+    mid = Fraction(lo + hi, 2 << e)
+    room = math.floor(min(mid - a, b - mid) * (2 << e))  # >= 1: the bracket lies in (a, b]
+    s = min(min(abs(lo), abs(hi)).bit_length() - POLISH_BITS - 1, room.bit_length() - 2)
+    return mid if s <= 0 else Fraction(_div_round(lo + hi, 1 << s) << s, 2 << e)
 
 
 def real_roots(p: Polynomial, lo=None, hi=None) -> list[Fraction]:

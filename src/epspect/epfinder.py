@@ -54,15 +54,8 @@ from .core import (
     res_E,
     square_free_factors,
 )
-from .models import BcModel, EpnModel, HermitianDemoModel, epn_secular
-from .sturmian import (
-    SturmianFunction,
-    bc_secular_parts,
-    bivariate_secular,
-    branch_merges,
-    secular_in_y,
-    sturmian_r2,
-)
+from .models import BcModel, EpnModel, HermitianDemoModel, bc_secular_parts, epn_secular, secular_in_y
+from .sturmian import SturmianFunction, bivariate_secular, branch_merges, sturmian_r2
 
 SWEEP_STACK_BYTES = 1 << 20  # bytes of complex n x n matrices per stack of a sweep
 
@@ -712,14 +705,20 @@ def _label_residuals(resid: dict, key: str, labels) -> None:
 
 
 @lru_cache(maxsize=None)
-def _secular_chain(n: int, p) -> DiscriminantChain:
-    """The subresultant chain of the secular polynomial at coupling p and its E-derivative, over Z[y]."""
-    return disc_chain(list(secular_in_y(n, p)))
+def _secular_chain(n: int) -> DiscriminantChain:
+    """The subresultant chain of the secular polynomial at r = 0 and its E-derivative, over Z[y]."""
+    return disc_chain(list(secular_in_y(n)))
 
 
-def _disc_in_y_at_p(n: int, p) -> Polynomial:
-    """Discriminant in E of the secular polynomial, as an exact polynomial in y."""
-    return _secular_chain(n, p).disc
+def _disc_in_y_at_p(n: int) -> Polynomial:
+    """Discriminant in E of the secular polynomial at r = 0, as an exact polynomial in y."""
+    return _secular_chain(n).disc
+
+
+@lru_cache(maxsize=None)
+def _pole_energies(n: int) -> tuple[Fraction, ...]:
+    """The real roots of B = -c3, which does not depend on y: the energies where r^2(E) can have a pole."""
+    return tuple(real_roots(-bc_secular_parts(n)[3]))
 
 
 @lru_cache(maxsize=None)
@@ -836,7 +835,7 @@ def _event_pieces(n: int) -> list[tuple[Polynomial, tuple]]:
     """
     pieces = []
     for polish, poly in (
-        (_polish_merge_event, _disc_in_y_at_p(n, 0)),
+        (_polish_merge_event, _disc_in_y_at_p(n)),
         (_polish_pole_event, _pole_collision_poly(n)),
         (_polish_fold_event, _fold_event_poly(n)),
     ):
@@ -870,7 +869,7 @@ def _polish_merge_event(n, root: _Root, below, above) -> CriticalPoint:
     off the real axis.
     """
     y_star = float(root.value)
-    j, e_star = _secular_chain(n, 0).repeated_root(*root)
+    j, e_star = _secular_chain(n).repeated_root(*root)
     energy = complex(float(e_star))
     resid = _rank_residuals(BcModel(n, y_star).matrix(0.0), energy)
     lowest = below.segments[-1], above.segments[-1]
@@ -879,7 +878,7 @@ def _polish_merge_event(n, root: _Root, below, above) -> CriticalPoint:
     if len(lowest[0]) != len(lowest[1]) or lowest[0] == lowest[1]:
         k = real_roots_above(bivariate_secular(n, y_star).A, energy.real, j + 1, len(levels))
     _label_residuals(resid, "tracks", _labels_at(levels, k, j + 1))
-    resid["disc_residual"] = _relative_residual(_disc_in_y_at_p(n, 0), y_star)
+    resid["disc_residual"] = _relative_residual(_disc_in_y_at_p(n), y_star)
     return CriticalPoint({"y": y_star, "r": 0.0}, energy, "ep", j + 1, resid)
 
 
@@ -888,7 +887,7 @@ def _polish_pole_event(n, root: _Root, below, above) -> CriticalPoint:
 
     At a root y* of Res_E(A_y, B) the numerator A_y* and the denominator B
     share a real root E*: an eigenvalue that stays put for every coupling,
-    the one of ``real_roots(B)`` where A_y* is smallest.  The residuals
+    the one of ``_pole_energies`` where A_y* is smallest.  The residuals
     evaluate A, A' and B' exactly at E*, which is exact where its double is
     a root of B (E* = 2 for odd n at y = 0), so they and
     ``_crossing_track``'s zero-slope test see it exactly.  A root shared
@@ -900,7 +899,7 @@ def _polish_pole_event(n, root: _Root, below, above) -> CriticalPoint:
     """
     y_star = float(root.value)
     s = bivariate_secular(n, y_star)
-    energy = min(real_roots(s.B), key=lambda e: abs(s.A(e)))
+    energy = min(_pole_energies(n), key=lambda e: abs(s.A(e)))
     p_star = -s.A.derivative()(energy) / s.B.derivative()(energy)
     resid = {
         "appearing": tuple(sorted(below.lost - above.lost)),

@@ -6,6 +6,11 @@
   corner couplings z and conj(z);
 * ``hermitian_demo``  -- seeded random Hermitian pencil A + t*B used to
   exhibit avoided crossings.
+
+Each solvable family has one exact characteristic polynomial, kept here:
+``epn_secular``, and the bc corner decomposition ``bc_secular_parts``
+that ``secular_in_y`` assembles into det(M - E) = A(E, y) + r^2 B(E),
+which the extended spectrum, the Sturmian function and the scans read.
 """
 
 from __future__ import annotations
@@ -19,10 +24,10 @@ from typing import Union
 
 import numpy as np
 
-from .core import EXTENDED_BITS, ConvergenceError, DenseMatrix, Polynomial, Tridiagonal, as_fraction
+from .core import ConvergenceError, DenseMatrix, Polynomial, Tridiagonal, as_fraction, charpoly_from_parts
 from .core import eigvals_double, eigvalsh_double, eigvals_mp
-from .core.eig import _gaussian_eigvals
-from .core.poly import _gaussian_cleared
+from .core.eig import _extended_roots
+from .core.poly import _cleared
 
 
 # --------------------------------------------------------------------------
@@ -151,9 +156,39 @@ def _sqrt_double(y: Fraction) -> float:
     return (2 * m + (rem != 0 or m * m != n)) / (1 << s + 1)
 
 
-def _sqrt_rounded(x: Fraction, scale: int) -> int:
-    """round(sqrt(x) 2^scale), x >= 0: floor(sqrt(y) + 1/2) = (isqrt(floor(4y)) + 1) // 2, y = x 4^scale."""
-    return (math.isqrt((x.numerator << 2 * scale + 2) // x.denominator) + 1) // 2
+@lru_cache(maxsize=None)
+def bc_secular_parts(n: int) -> tuple[Polynomial, Polynomial, Polynomial, Polynomial]:
+    """Exact decomposition det(R - E) = c0 + c1*z + c2*conj(z) + c3*z*conj(z).
+
+    Obtained by evaluating the characteristic-polynomial recurrence at the
+    four corner assignments (z, conj z) in {0,1}^2, which is exact because
+    all remaining entries are integers.  By the reversal symmetry of the
+    matrix c1 == c2.
+    """
+    if n < 2:
+        raise ValueError("n must be >= 2")
+
+    def corner_poly(u: int, v: int) -> Polynomial:
+        # the recurrence runs on ints; the parts carry Fraction coefficients
+        diag = [2 - u] + [2] * (n - 2) + [2 - v]
+        return Polynomial([Fraction(c) for c in charpoly_from_parts(diag, [1] * (n - 1)).coeffs])
+
+    p00, p10, p01, p11 = (corner_poly(u, v) for u, v in ((0, 0), (1, 0), (0, 1), (1, 1)))
+    c1, c2 = p10 - p00, p01 - p00
+    assert c1 == c2, "corner symmetry violated"
+    return p00, c1, c2, p11 - p10 - p01 + p00
+
+
+@lru_cache(maxsize=None)
+def secular_in_y(n: int) -> tuple[Polynomial, ...]:
+    """E-coefficients of A(E, y) = det(R - E) at r = 0, as polynomials in y.
+
+    Coefficient k is c0_k + (c1_k + c2_k)*y + c3_k*(y^2 + 1): the one
+    place where the corner decomposition is assembled.  The coupling
+    enters as r^2 B(E) with B = -c3, which does not depend on y.
+    """
+    c0, c1, c2, c3 = (list(c.coeffs) + [0] * (n + 1 - len(c.coeffs)) for c in bc_secular_parts(n))
+    return tuple(Polynomial([c0[k] + c3[k], c1[k] + c2[k], c3[k]]) for k in range(n + 1))
 
 
 def bc_matrix(n: int, z: complex) -> Tridiagonal:
@@ -314,23 +349,24 @@ class BcModel:
         return eigvals_double(self.matrices(grid))
 
     def eigvals_mp(self, r) -> list[complex]:
-        """The eigenvalues at r at ``EXTENDED_BITS``, in the order of the double ones.
+        """The eigenvalues at r at ``EXTENDED_BITS``, in the order of the double ones: the roots of A(y') + p' B.
 
-        The matrix is exact but for sqrt(1 - r^2), which is rounded once to
-        2^-``EXTENDED_BITS`` (on the principal branch, as in ``z_value``);
-        ``_gaussian_eigvals`` finds its eigenvalues from Berkowitz's
-        characteristic polynomial, seeded from ``matrix(r)``.
+        A and B are the exact ``secular_in_y`` and -c3 of ``bc_secular_parts``.
+        Where r^2 <= 1, (y', p') = (y, r^2), both exact.  Beyond |r| = 1 the
+        coupling z = y - sqrt(r^2 - 1) is real and the matrix is the family's
+        at (z, 1), with z = 2 - M[0, 0] read exactly from ``matrix(r)``; with
+        the energies scaled by the denominator 2^k of z, the integer
+        coefficients are +-those of Berkowitz's polynomial of that matrix,
+        so the values are ``eigvals_mp(matrix(r))`` bit for bit.
+        ``_extended_roots`` finds the roots, seeded from ``matrix(r)``.
         """
-        x = 1 - as_fraction(r) ** 2
-        root = Fraction(_sqrt_rounded(abs(x), EXTENDED_BITS), 1 << EXTENDED_BITS)
-        y = as_fraction(self.y)
-        z_re, z_im = (y, root) if x >= 0 else (y - root, 0)
-        # D times the matrix: diagonal 2, off-diagonals -1, corners 2 - z and 2 - conj(z)
-        ((re, _), (im, _)), d = _gaussian_cleared([2 - z_re, z_im])
-        n = self.n
-        rows = [[(2 * d if i == j else -d if abs(i - j) == 1 else 0, 0) for j in range(n)] for i in range(n)]
-        rows[0][0], rows[-1][-1] = (re, -im), (re, im)
-        return _gaussian_eigvals(rows, d.bit_length() - 1, self.matrix(r))
+        approx, y, p, d = self.matrix(r), as_fraction(self.y), as_fraction(r) ** 2, 1
+        if p > 1:
+            y, p = 2 - as_fraction(approx[0, 0].real), 1
+            d = y.denominator
+        poly = Polynomial([c(y) for c in secular_in_y(self.n)]) - bc_secular_parts(self.n)[3].scale(p)
+        (ints,), _ = _cleared([Polynomial([c * d ** (self.n - k) for k, c in enumerate(poly.coeffs)])])
+        return _extended_roots([(c, 0) for c in ints], d.bit_length() - 1, approx)
 
     def describe(self) -> dict:
         return {"model": "bc", "n": self.n, "y": self.y, "param": "r"}

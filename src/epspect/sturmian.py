@@ -4,7 +4,8 @@ The determinant det(R - E) of the boundary-controlled matrix is bilinear in
 the two corner couplings z and conj(z), hence linear in p = r^2 once
 z = y + i*sqrt(1 - r^2).  Writing det = A(E) + p*B(E) inverts to the
 two-branched coupling function r^2(E) = -A(E)/B(E): every spectral question
-at fixed y becomes a question about one rational function of E.
+at fixed y becomes a question about one rational function of E.  The
+decomposition comes from ``models`` (``bc_secular_parts``, ``secular_in_y``).
 
 Everything after the decomposition runs on the cleared integers D*A and
 D*B (``SturmianFunction.cleared``, one common denominator D), which give
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import zip_longest
 from typing import NamedTuple
 
@@ -35,7 +36,6 @@ from .core import (
     ConvergenceError,
     Polynomial,
     as_fraction,
-    charpoly_from_parts,
     eigvals_double,
     real_roots,
     reality_flags,
@@ -43,61 +43,10 @@ from .core import (
 )
 from .core.poly import _cleared
 from .core.scalars import as_ratio
-from .models import BcModel
+from .models import BcModel, bc_secular_parts, secular_in_y
 
 REFINE_LEVELS = 3  # local refinements of a branch trace around each pole and merge
 REFINE_FACTOR = 10  # each one this many times finer than the last
-
-
-@lru_cache(maxsize=None)
-def bc_secular_parts(n: int) -> tuple[Polynomial, Polynomial, Polynomial, Polynomial]:
-    """Exact decomposition det(R - E) = c0 + c1*z + c2*conj(z) + c3*z*conj(z).
-
-    Obtained by evaluating the characteristic-polynomial recurrence at the
-    four corner assignments (z, conj z) in {0,1}^2, which is exact because
-    all remaining entries are integers.  By the reversal symmetry of the
-    matrix c1 == c2.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-
-    def corner_poly(u: int, v: int) -> Polynomial:
-        # the recurrence runs on ints; the parts carry Fraction coefficients
-        diag = [2] * n
-        diag[0] = 2 - u
-        diag[-1] = 2 - v
-        return Polynomial([Fraction(c) for c in charpoly_from_parts(diag, [1] * (n - 1)).coeffs])
-
-    p00 = corner_poly(0, 0)
-    p10 = corner_poly(1, 0)
-    p01 = corner_poly(0, 1)
-    p11 = corner_poly(1, 1)
-    c0 = p00
-    c1 = p10 - p00
-    c2 = p01 - p00
-    c3 = p11 - p10 - p01 + p00
-    assert c1 == c2, "corner symmetry violated"
-    return c0, c1, c2, c3
-
-
-@lru_cache(maxsize=None)
-def secular_in_y(n: int, p=0) -> tuple[Polynomial, ...]:
-    """E-coefficients of det(R - E) at fixed rational p = r^2, as polynomials in y.
-
-    Coefficient k is c0_k + (c1_k + c2_k)*y + c3_k*(y^2 + 1 - p): the one
-    place where the corner decomposition is assembled.
-    """
-    p = as_fraction(p)
-    parts = bc_secular_parts(n)
-    width = parts[0].degree + 1
-    c0, c1, c2, c3 = (
-        [Fraction(x) for x in c.coeffs] + [Fraction(0)] * (width - len(c.coeffs))
-        for c in parts
-    )
-    return tuple(
-        Polynomial([c0[k] + c3[k] * (1 - p), c1[k] + c2[k], c3[k]])
-        for k in range(width)
-    )
 
 
 @dataclass(frozen=True)

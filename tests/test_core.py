@@ -39,6 +39,7 @@ from epspect.core import (
 )
 from epspect.core.eig import _berkowitz
 from epspect.core.poly import (
+    POLISH_BITS,
     _bracket,
     _cleared,
     _dyadic_roots,
@@ -55,8 +56,8 @@ from epspect.epfinder import (
     _pole_collision_poly,
     classify_degeneracy,
 )
-from epspect.models import EpnModel, bc_matrix, epn_matrix, epn_secular, hermitian_demo
-from epspect.sturmian import bivariate_secular, secular_in_y
+from epspect.models import EpnModel, bc_matrix, bc_secular_parts, epn_matrix, epn_secular, hermitian_demo, secular_in_y
+from epspect.sturmian import bivariate_secular
 from oracles import POLISH_PREC, Gaussian, as_mpc, charpoly_tridiag, eigvals_at, epn_mp, frac, sylvester_matrix
 
 
@@ -540,20 +541,24 @@ def test_bracket_certifies_the_root_it_narrows_to():
             assert Fraction(hi - lo, 1 << e) <= root / 2**136
 
 
-def test_refinement_converges_quadratically(monkeypatch):
-    """A guard on the refinement's rate that no host speed moves: exact
-    evaluations per refined root, averaged over planted roots from 2^-200
-    to 2^200, close pairs and the square-free factors of the n = 8 shift
-    scan.  Quadratic refinement spends about 19 from the isolating
-    interval, bisection to 136 bits about 124."""
-    corpus = [
+def _refinement_corpus():
+    """Planted roots from 2^-200 to 2^200, close pairs and the square-free factors of the n = 8 shift scan."""
+    return [
         _product([(root, 1) for root in _SCALES], [], 1),
         _product([(Fraction(1), 1), (1 + Fraction(1, 2**150), 1), (Fraction(3), 1)], [], 1),
         _product([(Fraction(2), 1), (2 + Fraction(1, 10**12), 1)], [], 1),
         _product([(Fraction(-5, 7) * (1 + Fraction(1, 2**60)), 1), (Fraction(-5, 7), 1)], [], 1),
         *(piece for piece, _ in _event_pieces(8)),
     ]
-    isolated = [(_sturm_sequence(p)[0], a, b) for p in corpus for _, a, b in real_root_intervals(p)]
+
+
+def test_refinement_converges_quadratically(monkeypatch):
+    """A guard on the refinement's rate that no host speed moves: exact
+    evaluations per refined root, averaged over planted roots from 2^-200
+    to 2^200, close pairs and the square-free factors of the n = 8 shift
+    scan.  Quadratic refinement spends about 19 from the isolating
+    interval, bisection to 136 bits about 124."""
+    isolated = [(_sturm_sequence(p)[0], a, b) for p in _refinement_corpus() for _, a, b in real_root_intervals(p)]
     calls = []
     evaluate = core_poly._int_homogeneous
     monkeypatch.setattr(core_poly, "_int_homogeneous", lambda *args: calls.append(1) or evaluate(*args))
@@ -561,6 +566,30 @@ def test_refinement_converges_quadratically(monkeypatch):
         core_poly._refined_root(f, a, b)
     assert len(isolated) == 42
     assert len(calls) <= 20 * len(isolated), len(calls) / len(isolated)
+
+
+def test_refined_roots_carry_about_the_certified_bits():
+    """A root that is not exact carries POLISH_BITS + 2 significant bits
+    (3 with a carry of its rounding), however far the last refinement step
+    overshot, unless it needs more to stay inside its isolating interval:
+    1 + 2^-150 beside the root 1 needs about 150.  Every root stays in its
+    interval, and within 2^-136 of the root relative to its size: the
+    midpoint is at most 2^-137 off, its rounding 2^-138 more."""
+    widths = []
+    for p in _refinement_corpus():
+        f = _sturm_sequence(p)[0]
+        for x, a, b in real_root_intervals(p):
+            if _int_homogeneous(f, x.numerator, x.denominator):  # not the exact root
+                inside = (abs(x) / min(x - a, b - x)).numerator.bit_length()  # bits that keep x off a and b
+                assert x.numerator.bit_length() <= max(POLISH_BITS + 3, inside + 3), (x, a, b)
+                widths.append(x.numerator.bit_length())
+            _, hi, e = _bracket(f, a, b, lambda lo, hi, e: (hi - lo) << 200 <= min(abs(lo), abs(hi)))
+            root = Fraction(hi, 1 << e)  # within 2^-200 of the root
+            assert a < x <= b and abs(x - root) <= abs(root) * Fraction(7, 8) / 2**136
+    assert len(widths) == 38 and sorted(widths)[len(widths) // 2] <= POLISH_BITS + 2
+    # a root that the bracket meets comes back exactly, however many bits it has (here 151)
+    met = Fraction(3, 2**200) + Fraction(1, 2**350)
+    assert real_roots(Polynomial.from_roots([met, Fraction(3)]))[0] == met
 
 
 def test_real_roots_keep_roots_on_float_window_ends():
@@ -1125,8 +1154,11 @@ def test_discriminant_in_E_matches_pointwise_resultant():
     n = 5
     for y0 in (Fraction(-1, 2), Fraction(1, 3), Fraction(-7, 9), Fraction(2)):
         s = bivariate_secular(n, y0)
+        assert _disc_in_y_at_p(n)(y0) == discriminant(s.poly_at(0))
+        # the chain at a nonzero coupling, on coefficients A(y) + p0 B built here (B = -c3 is constant in y)
         for p0 in (Fraction(0), Fraction(2, 5)):
-            assert _disc_in_y_at_p(n, p0)(y0) == discriminant(s.poly_at(p0))
+            at_p0 = [c - Polynomial([p0 * b]) for c, b in itertools.zip_longest(secular_in_y(n), bc_secular_parts(n)[3].coeffs, fillvalue=0)]
+            assert disc_chain(at_p0).disc(y0) == discriminant(s.poly_at(p0))
         assert _pole_collision_poly(n)(y0) == resultant(s.A, s.B)
         w = s.A.derivative() * s.B - s.A * s.B.derivative()
         assert _fold_event_poly(n)(y0) == discriminant(w)
@@ -1175,7 +1207,7 @@ def test_event_polynomials_match_gaussian_elimination(n):
         s = bivariate_secular(n, y0)
         a = Polynomial([c(y0) for c in secular_in_y(n)])
         assert a == s.A
-        assert _disc_in_y_at_p(n, 0)(y0) == _disc_oracle(a)
+        assert _disc_in_y_at_p(n)(y0) == _disc_oracle(a)
         assert _pole_collision_poly(n)(y0) == _det_gauss(sylvester_matrix(s.A, s.B))
         w = Polynomial([c(y0) for c in _fold_coeffs_in_E(n)])
         assert _fold_event_poly(n)(y0) == _disc_oracle(w)
@@ -1373,7 +1405,7 @@ def test_roots_above_a_cluster_count_multiple_and_split_roots():
 def test_event_polynomials_beyond_n9_match_gaussian_elimination(n):
     for y0 in (Fraction(-1, 2), Fraction(2, 7)):
         s = bivariate_secular(n, y0)
-        assert _disc_in_y_at_p(n, 0)(y0) == _disc_oracle(s.A)
+        assert _disc_in_y_at_p(n)(y0) == _disc_oracle(s.A)
         assert _pole_collision_poly(n)(y0) == _det_gauss(sylvester_matrix(s.A, s.B))
         w = Polynomial([c(y0) for c in _fold_coeffs_in_E(n)])
         assert _fold_event_poly(n)(y0) == _disc_oracle(w)

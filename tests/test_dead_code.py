@@ -1,6 +1,6 @@
 """Static guard against dead code in the package (stdlib ``ast`` only).
 
-Twenty things fail the guard: an import a module never uses (package
+Twenty-three things fail the guard: an import a module never uses (package
 ``__init__.py`` files are exempt, their imports are re-exports), a
 ``_private`` top-level function that no module of the package references,
 a module-level UPPER_CASE constant that no module of the package loads,
@@ -23,7 +23,12 @@ cluster tolerance, a Newton polish or ``_levels_above``) anywhere the exact
 locators reach, a ``Fraction``, ``sturmian_r2`` or ``R2Value`` anywhere
 ``branch_trace`` reaches, ``numpy.linalg`` or a ``core.eig`` solver
 anywhere ``EpnModel.eigvals`` reaches (the double EPN spectrum is the
-family's closed form), a ``scipy`` import anywhere, an ``mpmath`` import anywhere
+family's closed form), a name of the bc family's deleted second route to
+its characteristic polynomial (``_sqrt_rounded``, ``_gaussian_eigvals``)
+anywhere, Berkowitz or its Gaussian clearing (``_berkowitz``,
+``_gaussian_cleared``) anywhere ``BcModel.eigvals_mp`` reaches, a
+definition of ``bc_secular_parts`` or ``secular_in_y`` outside
+``models.py``, a ``scipy`` import anywhere, an ``mpmath`` import anywhere
 (numpy is the one runtime dependency), an import of ``threading`` or
 ``concurrent.futures`` anywhere but in ``epfinder._sweep_stacks``, and a
 whole ``sweep`` or ``SweepResult`` anywhere the CSV branches of the
@@ -509,7 +514,7 @@ def test_exact_scan_guard_sees_every_spelling():
     ]
 
 
-LAPACK_ROUTES = {"linalg", "eigvals_double", "eig_dense", "eigvals_mp", "_gaussian_eigvals"}
+LAPACK_ROUTES = {"linalg", "eigvals_double", "eig_dense", "eigvals_mp", "_extended_roots"}
 
 
 def _method_reaches(tree, cls, method, names):
@@ -561,6 +566,83 @@ def test_epn_lapack_guard_sees_every_spelling():
         ("eigvals", 8),
         ("helper", 3),
         ("matrices", 6),
+    ]
+
+
+RETIRED_BC_ROUTE = {"_sqrt_rounded", "_gaussian_eigvals"}
+BERKOWITZ_ROUTE = {"_berkowitz", "_gaussian_cleared"}
+BC_PARTS = {"bc_secular_parts", "secular_in_y"}
+
+
+def _definitions(tree, names):
+    """(name, line) of each function, class or assignment, at any depth, that defines one of ``names``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name in names:
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name) and sub.id in names:
+                        yield sub.id, node.lineno
+
+
+def _second_bc_polynomials(modules):
+    """Where the bc family gets a second characteristic polynomial: a
+    ``RETIRED_BC_ROUTE`` name in any spelling, a ``BERKOWITZ_ROUTE`` name
+    anywhere ``BcModel.eigvals_mp`` reaches, or ``BC_PARTS`` defined
+    outside ``models.py``."""
+    found = [f"{path}:{line}" for path, tree in modules.items() for line in _spellings(tree, RETIRED_BC_ROUTE)]
+    found += [
+        f"models.py:{line}: {name}"
+        for name, line in _method_reaches(modules["models.py"], "BcModel", "eigvals_mp", BERKOWITZ_ROUTE)
+    ]
+    found += [
+        f"{path}:{line}: def {name}"
+        for path, tree in modules.items()
+        if path != "models.py"
+        for name, line in _definitions(tree, BC_PARTS)
+    ]
+    return found
+
+
+def test_bc_family_has_one_characteristic_polynomial():
+    """``bc_secular_parts`` and ``secular_in_y`` in ``models.py`` are the bc
+    family's one characteristic polynomial; its extended spectrum reads
+    them, and Berkowitz serves bare matrices only.  The Gaussian-integer
+    matrix with sqrt(1 - r^2) rounded to 2^-103 must not come back."""
+    modules = {str(path.relative_to(PACKAGE)): _parse(path) for path in MODULES}
+    assert {name for name, _ in _definitions(modules["models.py"], BC_PARTS)} == BC_PARTS
+    assert _second_bc_polynomials(modules) == []
+
+
+def test_bc_polynomial_guard_sees_every_spelling():
+    modules = {
+        "models.py": ast.parse(
+            "from .core.eig import _gaussian_eigvals as solve\n"
+            "def helper(rows):\n    return _berkowitz(rows)\n"
+            "class BcModel:\n"
+            "    def _rows(self):\n        return core.poly._gaussian_cleared([1])\n"
+            "    def eigvals_mp(self, r):\n        return helper(self._rows()) + solve(_sqrt_rounded(r, 103))\n"
+            "    def eigvals(self, grid):\n        return _berkowitz(grid)\n"
+            "def secular_in_y(n):\n    return bc_secular_parts(n)\n"
+        ),
+        "sturmian.py": ast.parse(
+            "from .models import bc_secular_parts, secular_in_y\n"
+            "async def bc_secular_parts(n):\n    return n\n"
+            "secular_in_y: object = lambda n: n\n"
+            "class S:\n    def secular_in_y(self):\n        return secular_in_y(1)\n"
+            "a, (b, bc_secular_parts) = 1, (2, 3)\n"
+        ),
+    }
+    assert sorted(_second_bc_polynomials(modules)) == [
+        "models.py:1",
+        "models.py:3: helper",
+        "models.py:6: _rows",
+        "models.py:8",
+        "sturmian.py:2: def bc_secular_parts",
+        "sturmian.py:4: def secular_in_y",
+        "sturmian.py:6: def secular_in_y",
+        "sturmian.py:8: def bc_secular_parts",
     ]
 
 

@@ -40,7 +40,7 @@ from epspect.epfinder import (
     perturbation_exponent,
     sweep,
 )
-from epspect.models import BcModel, EpnModel, HermitianDemoModel, bc_matrix, epn_matrix
+from epspect.models import BcModel, EpnModel, HermitianDemoModel, bc_matrix, bc_secular_parts, epn_matrix
 from epspect.sturmian import bivariate_secular
 from oracles import POLISH_PREC, bc_mp, eigvals_at, epn_levels, model_mp
 
@@ -746,6 +746,17 @@ def test_scan_y_locates_pole_event():
     assert pt.residuals["crossing_coupling"] == pytest.approx(0.25)
 
 
+def test_pole_energies_are_found_once_per_n(monkeypatch):
+    # B = -c3 does not depend on y, so a scan finds its roots once, not at every pole event
+    b = -bc_secular_parts(8)[3]
+    calls = []
+    roots = epfinder.real_roots
+    monkeypatch.setattr(epfinder, "real_roots", lambda p, *args: calls.append(p == b) or roots(p, *args))
+    epfinder._pole_energies.cache_clear()
+    poles = [p for p in ep_locate_2d_bc(8, (-1, 1)) if p.kind == "sturmian-pole"]
+    assert len(poles) >= 2 and sum(calls) == 1
+
+
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
 def test_odd_pole_at_zero_shift_is_exact_and_has_no_single_crossing(n):
     # A and B share E = 2 exactly; the mirror E -> 4 - E sends two levels
@@ -822,7 +833,7 @@ def _own_event_poly(n, point):
     if point.kind == "sturmian-pole":
         poly = _pole_collision_poly(n)
     elif point.params["r"] == 0:
-        poly = _disc_in_y_at_p(n, 0)
+        poly = _disc_in_y_at_p(n)
     else:
         poly = _fold_event_poly(n)
     return poly.exact_div(poly.gcd(poly.derivative()))

@@ -8,6 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 import epspect.models as models
 from epspect.cli import main as cli_main
@@ -17,6 +18,7 @@ from epspect.core import (
     charpoly_from_parts,
     eig_dense,
     eigvals_double,
+    eigvals_mp,
     real_root_count,
     square_free_factors,
 )
@@ -34,6 +36,7 @@ from epspect.models import (
     hermitian_demo,
     z_value,
 )
+from epspect.sturmian import bivariate_secular
 from oracles import charpoly_tridiag, epn_levels, rounded
 
 
@@ -271,6 +274,37 @@ def test_epn_extended_levels_are_correctly_rounded_where_t_squared_overflows_a_d
 # --------------------------------------------------------------------------
 # boundary-controlled family
 # --------------------------------------------------------------------------
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    n=st.integers(2, 10),
+    y=st.integers(-96, 96).map(lambda k: k / 32),
+    r=st.floats(-1.5, 1.5, allow_nan=False),
+)
+@example(n=6, y=0.0, r=1e-13)  # beside the EP at r = 0
+@example(n=6, y=0.0, r=0.0)  # on it: a double root at E = 2
+@example(n=5, y=-0.5, r=1.0)  # the real coupling z = y
+@example(n=5, y=-0.5, r=-1.5)
+@example(n=12, y=-0.2, r=1.0 + 2.0**-52)  # the first double beyond |r| = 1
+@example(n=13, y=-2.339193081439843, r=17.711481035569445)  # two corner levels 2e-13 apart
+def test_bc_extended_spectrum_is_the_roots_of_the_exact_secular_polynomial(n, y, r):
+    """Where |r| <= 1, ``BcModel.eigvals_mp`` gives the 40-digit roots of the
+    exact A + r^2 B to 1e-12, matched as sets; beyond |r| = 1 the matrix's
+    real coupling is read from it, and the values are those of the bare
+    matrix's extended route bit for bit."""
+    model = BcModel(n, y)
+    got = np.array(model.eigvals_mp(r))
+    if abs(r) > 1:
+        assert got.tolist() == eigvals_mp(model.matrix(r))
+        return
+    poly = bivariate_secular(n, y).poly_at(Fraction(r) ** 2)
+    with mp.workdps(40):
+        coeffs = [mp.mpf(c.numerator) / c.denominator for c in map(Fraction, reversed(poly.coeffs))]
+        want = np.array([complex(v) for v in mp.polyroots(coeffs, maxsteps=400, extraprec=400)])
+    cost = np.abs(got[:, None] - want[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    assert cost[rows, cols].max() <= 1e-12
 
 
 def test_bc_matrix_laplacian_spectrum():
