@@ -204,8 +204,7 @@ def eigvals_mp(m) -> list[complex]:
     a = as_array(m)
     n = len(a)
     flat, d = _gaussian_cleared(a.ravel())
-    coeffs = _berkowitz([flat[i * n : (i + 1) * n] for i in range(n)])
-    return _extended_roots(coeffs, d.bit_length() - 1, a)
+    return _extended_roots(_berkowitz([flat[i * n : (i + 1) * n] for i in range(n)]), d.bit_length() - 1, a)
 
 
 def eig_dense(m) -> EigResult:

@@ -902,13 +902,12 @@ def _refined_root(f: list[int], a: Fraction, b: Fraction) -> Fraction:
     """The root of the square-free integer polynomial f alone in (a, b], as ``real_root_intervals`` returns it.
 
     ``_bracket`` narrows (a, b] until the bracket is 2^-``POLISH_BITS`` of
-    either end wide, which certifies it.  The root is the exact root where
-    the bracket meets it or it is the double of the bracket's upper end or
-    the tie toward it, so every root's double is the correctly rounded one.
-    Otherwise it is the bracket's midpoint rounded to ``POLISH_BITS`` + 2
-    bits, or to as many more as keep it strictly inside (a, b]: within
-    2^-``POLISH_BITS`` |root| of the root, and short however far the last
-    refinement step overshot.  ``ConvergenceError`` for a root whose double
+    either end wide, which certifies it.  The exact root where the bracket
+    meets it or it is the double of the upper end or the tie toward it;
+    else the bracket's midpoint, on the root's side of that tie, rounded to
+    ``POLISH_BITS`` + 2 bits or as many more as keep it inside (a, b] and
+    off the tie: within 2^-``POLISH_BITS`` |root| of the root, with its
+    correctly rounded double.  ``ConvergenceError`` for a root whose double
     overflows or is 0.
     """
     lo, hi, e = _bracket(f, a, b, lambda lo, hi, e: (hi - lo) << POLISH_BITS <= min(abs(lo), abs(hi)))
@@ -921,14 +920,18 @@ def _refined_root(f: list[int], a: Fraction, b: Fraction) -> Fraction:
     if x and not d:
         raise ConvergenceError("a real root beyond the double range")
     for c in near:  # the double of x, or the tie between it and its neighbour toward x, may be the root itself
-        if low < c <= x and not _int_homogeneous(f, c.numerator, c.denominator):
+        if low < c <= x and not (fc := _int_homogeneous(f, c.numerator, c.denominator)):
             return c
     if lo == hi:
         return x
-    # the midpoint, at 2^-(e + 1), rounded to a grid 2^s at most 2^-(POLISH_BITS + 1) of it and a quarter
-    # of its distance to a or b: it moves by at most 2^-(POLISH_BITS + 2) |root|, and stays in (a, b]
+    if low < near[1] <= x:  # the bracket ends on the tie or straddles it (fc is f there): keep the root's side
+        t = (near[1].numerator << e) // near[1].denominator  # exact: the tie lies on the bracket's grid
+        lo, hi = (lo, t) if near[1] == x or (fc > 0) == (_int_homogeneous(f, hi, 1 << e) > 0) else (t, hi)
+    # the midpoint, at 2^-(e + 1), rounded to a grid 2^s at most 2^-(POLISH_BITS + 1) of it and a quarter of its
+    # distance to a, b and that tie (any other lies a quarter ulp off): it moves by at most 2^-(POLISH_BITS + 2)
+    # |root|, stays in (a, b] and on the root's side of every tie, so it has the root's double
     mid = Fraction(lo + hi, 2 << e)
-    room = math.floor(min(mid - a, b - mid) * (2 << e))  # >= 1: the bracket lies in (a, b]
+    room = math.floor(min(mid - a, b - mid, abs(mid - near[1])) * (2 << e))  # >= 1
     s = min(min(abs(lo), abs(hi)).bit_length() - POLISH_BITS - 1, room.bit_length() - 2)
     return mid if s <= 0 else Fraction(_div_round(lo + hi, 1 << s) << s, 2 << e)
 

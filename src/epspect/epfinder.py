@@ -54,7 +54,7 @@ from .core import (
     res_E,
     square_free_factors,
 )
-from .models import BcModel, EpnModel, HermitianDemoModel, bc_secular_parts, epn_secular, secular_in_y
+from .models import BcModel, EpnModel, HermitianDemoModel, bc_secular_at, epn_secular, secular_in_y
 from .sturmian import SturmianFunction, bivariate_secular, branch_merges, sturmian_r2
 
 SWEEP_STACK_BYTES = 1 << 20  # bytes of complex n x n matrices per stack of a sweep
@@ -717,8 +717,8 @@ def _disc_in_y_at_p(n: int) -> Polynomial:
 
 @lru_cache(maxsize=None)
 def _pole_energies(n: int) -> tuple[Fraction, ...]:
-    """The real roots of B = -c3, which does not depend on y: the energies where r^2(E) can have a pole."""
-    return tuple(real_roots(-bc_secular_parts(n)[3]))
+    """The real roots of B, which does not depend on y: the energies where r^2(E) can have a pole."""
+    return tuple(real_roots(bc_secular_at(n, 0)[1]))
 
 
 @lru_cache(maxsize=None)
@@ -729,8 +729,7 @@ def _pole_collision_poly(n: int) -> Polynomial:
     its denominator: the coupling function develops a persistent eigenvalue
     at a pole instead of a level merger.
     """
-    b = -bc_secular_parts(n)[3]
-    return res_E(list(secular_in_y(n)), [Polynomial([Fraction(c)]) for c in b.coeffs])
+    return res_E(list(secular_in_y(n)), [Polynomial([c]) for c in bc_secular_at(n, 0)[1].coeffs])  # B is free of y
 
 
 def _fold_coeffs_in_E(n: int) -> tuple[Polynomial, ...]:
@@ -741,7 +740,7 @@ def _fold_coeffs_in_E(n: int) -> tuple[Polynomial, ...]:
     interior r and the non-real interval between them closes.
     """
     ce = secular_in_y(n)
-    b = (-bc_secular_parts(n)[3]).coeffs
+    b = bc_secular_at(n, 0)[1].coeffs  # B does not depend on y
     # A'B - AB' = sum over i, j of (i - j) a_i b_j E^(i + j - 1)
     w = [Polynomial.zero()] * (len(ce) + len(b) - 2)
     for i, a_i in enumerate(ce):

@@ -8,9 +8,8 @@
   exhibit avoided crossings.
 
 Each solvable family has one exact characteristic polynomial, kept here:
-``epn_secular``, and the bc corner decomposition ``bc_secular_parts``
-that ``secular_in_y`` assembles into det(M - E) = A(E, y) + r^2 B(E),
-which the extended spectrum, the Sturmian function and the scans read.
+``epn_secular``, and the bc corner decomposition ``bc_secular_parts``, which
+``secular_in_y`` and ``bc_secular_at`` alone assemble into A(E, y) + r^2 B(E).
 """
 
 from __future__ import annotations
@@ -183,12 +182,15 @@ def bc_secular_parts(n: int) -> tuple[Polynomial, Polynomial, Polynomial, Polyno
 def secular_in_y(n: int) -> tuple[Polynomial, ...]:
     """E-coefficients of A(E, y) = det(R - E) at r = 0, as polynomials in y.
 
-    Coefficient k is c0_k + (c1_k + c2_k)*y + c3_k*(y^2 + 1): the one
-    place where the corner decomposition is assembled.  The coupling
-    enters as r^2 B(E) with B = -c3, which does not depend on y.
+    Coefficient k is c0_k + (c1_k + c2_k)*y + c3_k*(y^2 + 1).
     """
     c0, c1, c2, c3 = (list(c.coeffs) + [0] * (n + 1 - len(c.coeffs)) for c in bc_secular_parts(n))
     return tuple(Polynomial([c0[k] + c3[k], c1[k] + c2[k], c3[k]]) for k in range(n + 1))
+
+
+def bc_secular_at(n: int, y: Fraction) -> tuple[Polynomial, Polynomial]:
+    """(A, B) with det(M - E) = A(E) + r^2 B(E) at the exact shift y: ``secular_in_y`` at y, and B = -c3, free of y."""
+    return Polynomial([c(y) for c in secular_in_y(n)]), -bc_secular_parts(n)[3]
 
 
 def bc_matrix(n: int, z: complex) -> Tridiagonal:
@@ -349,22 +351,21 @@ class BcModel:
         return eigvals_double(self.matrices(grid))
 
     def eigvals_mp(self, r) -> list[complex]:
-        """The eigenvalues at r at ``EXTENDED_BITS``, in the order of the double ones: the roots of A(y') + p' B.
+        """The eigenvalues at r at ``EXTENDED_BITS``, in the order of the double ones: the roots of A + p' B at y'.
 
-        A and B are the exact ``secular_in_y`` and -c3 of ``bc_secular_parts``.
-        Where r^2 <= 1, (y', p') = (y, r^2), both exact.  Beyond |r| = 1 the
-        coupling z = y - sqrt(r^2 - 1) is real and the matrix is the family's
-        at (z, 1), with z = 2 - M[0, 0] read exactly from ``matrix(r)``; with
-        the energies scaled by the denominator 2^k of z, the integer
-        coefficients are +-those of Berkowitz's polynomial of that matrix,
-        so the values are ``eigvals_mp(matrix(r))`` bit for bit.
-        ``_extended_roots`` finds the roots, seeded from ``matrix(r)``.
+        (A, B) is ``bc_secular_at`` y', and (y', p') = (y, r^2) where
+        r^2 <= 1.  Beyond |r| = 1 the matrix is the family's at the real
+        coupling z = 2 - M[0, 0], read exactly from ``matrix(r)``, and p' = 1;
+        with the energies scaled by the denominator 2^k of z the integer
+        coefficients are +-Berkowitz's, so ``_extended_roots``, seeded from
+        ``matrix(r)``, gives ``eigvals_mp(matrix(r))`` bit for bit.
         """
         approx, y, p, d = self.matrix(r), as_fraction(self.y), as_fraction(r) ** 2, 1
         if p > 1:
             y, p = 2 - as_fraction(approx[0, 0].real), 1
             d = y.denominator
-        poly = Polynomial([c(y) for c in secular_in_y(self.n)]) - bc_secular_parts(self.n)[3].scale(p)
+        a, b = bc_secular_at(self.n, y)
+        poly = a + b.scale(p)
         (ints,), _ = _cleared([Polynomial([c * d ** (self.n - k) for k, c in enumerate(poly.coeffs)])])
         return _extended_roots([(c, 0) for c in ints], d.bit_length() - 1, approx)
 

@@ -4,8 +4,8 @@ The determinant det(R - E) of the boundary-controlled matrix is bilinear in
 the two corner couplings z and conj(z), hence linear in p = r^2 once
 z = y + i*sqrt(1 - r^2).  Writing det = A(E) + p*B(E) inverts to the
 two-branched coupling function r^2(E) = -A(E)/B(E): every spectral question
-at fixed y becomes a question about one rational function of E.  The
-decomposition comes from ``models`` (``bc_secular_parts``, ``secular_in_y``).
+at fixed y becomes a question about one rational function of E.  A and
+B come from ``models.bc_secular_at``.
 
 Everything after the decomposition runs on the cleared integers D*A and
 D*B (``SturmianFunction.cleared``, one common denominator D), which give
@@ -43,8 +43,10 @@ from .core import (
 )
 from .core.poly import _cleared
 from .core.scalars import as_ratio
-from .models import BcModel, bc_secular_parts, secular_in_y
+from . import models
+from .models import BcModel, bc_secular_at
 
+bc_secular_parts = models.bc_secular_parts  # importable from here: perfbench's tracer wraps it under this module
 REFINE_LEVELS = 3  # local refinements of a branch trace around each pole and merge
 REFINE_FACTOR = 10  # each one this many times finer than the last
 
@@ -104,9 +106,7 @@ def bivariate_secular(n: int, y) -> SturmianFunction:
     y may be an int, Fraction or float (floats convert exactly).
     """
     y = as_fraction(y)
-    a = Polynomial([c(y) for c in secular_in_y(n)])
-    b = -bc_secular_parts(n)[3]
-    return SturmianFunction(n, y, a, b)
+    return SturmianFunction(n, y, *bc_secular_at(n, y))
 
 
 # --------------------------------------------------------------------------

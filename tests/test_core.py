@@ -464,6 +464,8 @@ _SCALES = [Fraction(4, 3) * Fraction(2) ** (20 * k - 200) * sign for k in range(
 @example([Fraction(-5, 7) * (1 + Fraction(1, 2**60)), Fraction(-5, 7), Fraction(1, 3)], [3] * 20, [], 0, 1, "both")
 @example(sorted(_SCALES), [2] * 20, [], 3, 16, "both")  # degree 40
 @example([Fraction(1), 1 + Fraction(1, 2**53)], [1] * 20, [], 0, 0, "lo")  # a root on a tie of two doubles
+@example([1 + Fraction(1, 2**53) + Fraction(1, 3 * 2**200), Fraction(3)], [1] * 20, [], 0, 1, "none")  # just off a tie
+@example([1 + Fraction(1, 2**53) - Fraction(1, 3 * 2**200), Fraction(3)], [1] * 20, [], 0, 1, "none")
 @example([1 + Fraction(1, 2**150), Fraction(3)], [1] * 20, [], 0, 0, "none")  # nearer the split at 1 than Newton resolves
 @example([Fraction(1), 1 + Fraction(1, 2**150), Fraction(3)], [1] * 20, [], 0, 2, "none")  # Newton only halves the gap
 @example(  # a Newton iterate kept on its residual alone once missed even 2^-70 here
@@ -580,7 +582,7 @@ def test_refined_roots_carry_about_the_certified_bits():
         f = _sturm_sequence(p)[0]
         for x, a, b in real_root_intervals(p):
             if _int_homogeneous(f, x.numerator, x.denominator):  # not the exact root
-                inside = (abs(x) / min(x - a, b - x)).numerator.bit_length()  # bits that keep x off a and b
+                inside = math.floor(abs(x) / min(x - a, b - x)).bit_length()  # bits that keep x off a and b
                 assert x.numerator.bit_length() <= max(POLISH_BITS + 3, inside + 3), (x, a, b)
                 widths.append(x.numerator.bit_length())
             _, hi, e = _bracket(f, a, b, lambda lo, hi, e: (hi - lo) << 200 <= min(abs(lo), abs(hi)))
@@ -590,6 +592,27 @@ def test_refined_roots_carry_about_the_certified_bits():
     # a root that the bracket meets comes back exactly, however many bits it has (here 151)
     met = Fraction(3, 2**200) + Fraction(1, 2**350)
     assert real_roots(Polynomial.from_roots([met, Fraction(3)]))[0] == met
+
+
+@pytest.mark.parametrize("end, side", [("on", -1), ("across", -1), ("across", 1)])
+def test_a_refined_root_keeps_the_side_of_a_tie_that_its_bracket_meets(monkeypatch, end, side):
+    """A final bracket that ends on the tie t = 1 + 3 2^-53, which rounds up
+    to even, or straddles it, with the root 2^-200 / 3 beside t: the root's
+    double is the one on its own side of t, also where the bracket's
+    midpoint lies on the other, and t is not returned."""
+    tie = 1 + Fraction(3, 2**53)
+    w = tie + side * Fraction(1, 3 * 2**200)
+    f = [-w.numerator, w.denominator]
+    e = 260
+    t = tie * 2**e  # (lo, hi] holds w and t, and its midpoint lies across t from w
+    u = math.floor(w * 2**e) if side < 0 else math.ceil(w * 2**e)
+    lo, hi = sorted([u, 4 * t - 3 * u])
+    if end == "on":  # then the root lies below t
+        hi = t
+    assert lo < w * 2**e < hi and lo < t <= hi
+    monkeypatch.setattr(core_poly, "_bracket", lambda f, a, b, done: (int(lo), int(hi), e))
+    x = core_poly._refined_root(f, Fraction(1), Fraction(2))
+    assert x != tie and float(x) == float(w) and abs(x - w) <= w / 2**136
 
 
 def test_real_roots_keep_roots_on_float_window_ends():

@@ -1,6 +1,6 @@
 """Static guard against dead code in the package (stdlib ``ast`` only).
 
-Twenty-three things fail the guard: an import a module never uses (package
+Twenty-four things fail the guard: an import a module never uses (package
 ``__init__.py`` files are exempt, their imports are re-exports), a
 ``_private`` top-level function that no module of the package references,
 a module-level UPPER_CASE constant that no module of the package loads,
@@ -27,8 +27,9 @@ family's closed form), a name of the bc family's deleted second route to
 its characteristic polynomial (``_sqrt_rounded``, ``_gaussian_eigvals``)
 anywhere, Berkowitz or its Gaussian clearing (``_berkowitz``,
 ``_gaussian_cleared``) anywhere ``BcModel.eigvals_mp`` reaches, a
-definition of ``bc_secular_parts`` or ``secular_in_y`` outside
-``models.py``, a ``scipy`` import anywhere, an ``mpmath`` import anywhere
+definition of ``bc_secular_parts``, ``secular_in_y`` or ``bc_secular_at``
+outside ``models.py``, a call of ``bc_secular_parts`` outside it, a
+``scipy`` import anywhere, an ``mpmath`` import anywhere
 (numpy is the one runtime dependency), an import of ``threading`` or
 ``concurrent.futures`` anywhere but in ``epfinder._sweep_stacks``, and a
 whole ``sweep`` or ``SweepResult`` anywhere the CSV branches of the
@@ -571,7 +572,18 @@ def test_epn_lapack_guard_sees_every_spelling():
 
 RETIRED_BC_ROUTE = {"_sqrt_rounded", "_gaussian_eigvals"}
 BERKOWITZ_ROUTE = {"_berkowitz", "_gaussian_cleared"}
-BC_PARTS = {"bc_secular_parts", "secular_in_y"}
+BC_PARTS = {"bc_secular_parts", "secular_in_y", "bc_secular_at"}
+
+
+def _is_alias(node):
+    """``name = models.name``: the same object bound under its own name, not a second definition."""
+    target, value = (node.targets[0] if len(node.targets) == 1 else None), node.value
+    return (
+        isinstance(target, ast.Name)
+        and isinstance(value, ast.Attribute)
+        and isinstance(value.value, ast.Name)
+        and (value.value.id, value.attr) == ("models", target.id)
+    )
 
 
 def _definitions(tree, names):
@@ -580,17 +592,31 @@ def _definitions(tree, names):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name in names:
             yield node.name, node.lineno
         elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            if isinstance(node, ast.Assign) and _is_alias(node):
+                continue
             for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
                 for sub in ast.walk(target):
                     if isinstance(sub, ast.Name) and sub.id in names:
                         yield sub.id, node.lineno
 
 
+def _calls(tree, names):
+    """(name, line) of each call of one of ``names``, as a bare name or an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            if name in names:
+                yield name, node.lineno
+
+
 def _second_bc_polynomials(modules):
     """Where the bc family gets a second characteristic polynomial: a
     ``RETIRED_BC_ROUTE`` name in any spelling, a ``BERKOWITZ_ROUTE`` name
-    anywhere ``BcModel.eigvals_mp`` reaches, or ``BC_PARTS`` defined
-    outside ``models.py``."""
+    anywhere ``BcModel.eigvals_mp`` reaches, ``BC_PARTS`` defined outside
+    ``models.py`` (an alias ``name = models.name`` is not a definition),
+    or ``bc_secular_parts`` called outside it: only ``secular_in_y`` and
+    ``bc_secular_at`` assemble the corner decomposition."""
     found = [f"{path}:{line}" for path, tree in modules.items() for line in _spellings(tree, RETIRED_BC_ROUTE)]
     found += [
         f"models.py:{line}: {name}"
@@ -602,14 +628,22 @@ def _second_bc_polynomials(modules):
         if path != "models.py"
         for name, line in _definitions(tree, BC_PARTS)
     ]
+    found += [
+        f"{path}:{line}: {name}()"
+        for path, tree in modules.items()
+        if path != "models.py"
+        for name, line in _calls(tree, {"bc_secular_parts"})
+    ]
     return found
 
 
 def test_bc_family_has_one_characteristic_polynomial():
-    """``bc_secular_parts`` and ``secular_in_y`` in ``models.py`` are the bc
-    family's one characteristic polynomial; its extended spectrum reads
-    them, and Berkowitz serves bare matrices only.  The Gaussian-integer
-    matrix with sqrt(1 - r^2) rounded to 2^-103 must not come back."""
+    """``bc_secular_parts``, assembled by ``secular_in_y`` and
+    ``bc_secular_at`` in ``models.py``, is the bc family's one
+    characteristic polynomial; its extended spectrum, the Sturmian function
+    and the scans read it there, and Berkowitz serves bare matrices only.
+    The Gaussian-integer matrix with sqrt(1 - r^2) rounded to 2^-103 must
+    not come back."""
     modules = {str(path.relative_to(PACKAGE)): _parse(path) for path in MODULES}
     assert {name for name, _ in _definitions(modules["models.py"], BC_PARTS)} == BC_PARTS
     assert _second_bc_polynomials(modules) == []
@@ -632,13 +666,21 @@ def test_bc_polynomial_guard_sees_every_spelling():
             "secular_in_y: object = lambda n: n\n"
             "class S:\n    def secular_in_y(self):\n        return secular_in_y(1)\n"
             "a, (b, bc_secular_parts) = 1, (2, 3)\n"
+            "bc_secular_at = models.bc_secular_at\n"
+            "secular_in_y = other.secular_in_y\n"
+            "b = -models.bc_secular_parts(n)[3]\n"
         ),
+        "epfinder.py": ast.parse("bc_secular_at = models.bc_secular_parts\nc3 = bc_secular_parts(4)[3]\n"),
     }
     assert sorted(_second_bc_polynomials(modules)) == [
+        "epfinder.py:1: def bc_secular_at",
+        "epfinder.py:2: bc_secular_parts()",
         "models.py:1",
         "models.py:3: helper",
         "models.py:6: _rows",
         "models.py:8",
+        "sturmian.py:10: def secular_in_y",
+        "sturmian.py:11: bc_secular_parts()",
         "sturmian.py:2: def bc_secular_parts",
         "sturmian.py:4: def secular_in_y",
         "sturmian.py:6: def secular_in_y",

@@ -40,7 +40,7 @@ from epspect.epfinder import (
     perturbation_exponent,
     sweep,
 )
-from epspect.models import BcModel, EpnModel, HermitianDemoModel, bc_matrix, bc_secular_parts, epn_matrix
+from epspect.models import BcModel, EpnModel, HermitianDemoModel, bc_matrix, bc_secular_at, epn_matrix
 from epspect.sturmian import bivariate_secular
 from oracles import POLISH_PREC, bc_mp, eigvals_at, epn_levels, model_mp
 
@@ -747,8 +747,8 @@ def test_scan_y_locates_pole_event():
 
 
 def test_pole_energies_are_found_once_per_n(monkeypatch):
-    # B = -c3 does not depend on y, so a scan finds its roots once, not at every pole event
-    b = -bc_secular_parts(8)[3]
+    # B does not depend on y, so a scan finds its roots once, not at every pole event
+    b = bc_secular_at(8, 0)[1]
     calls = []
     roots = epfinder.real_roots
     monkeypatch.setattr(epfinder, "real_roots", lambda p, *args: calls.append(p == b) or roots(p, *args))
