@@ -203,7 +203,7 @@ def _write_columns(out: Path, header: list[str], columns) -> None:
 def _family_model(args, parser):
     """The model behind --model, refusing a --param the family does not sweep."""
     model = _make_model(args.model, args.n, args.y, args.seed)
-    if args.model != "hermitian-demo" and args.param not in (None, model.param):
+    if args.param not in (None, model.param):
         parser.error(f"the {args.model} family sweeps the parameter {model.param}")
     return model
 

@@ -125,7 +125,10 @@ def eigvalsh_double(m) -> np.ndarray:
 
 
 def _eig_double(a: np.ndarray):
-    values, right = np.linalg.eig(a if a.imag.any() else a.real)
+    try:
+        values, right = np.linalg.eig(a if a.imag.any() else a.real)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"double eigensolve failed: {exc}") from exc
     right = right.astype(complex, copy=False)
     try:
         left = np.linalg.inv(right).conj().T

@@ -10,10 +10,10 @@ A Hermitian family has none, and any other one-parameter model is refused.
 Sweeps read the family's eigenvalues in double or extended precision
 (for EPN its closed form, for the others those of the matrix), the
 perturbation exponent in extended precision.  A sweep is made one stack
-of grid points at a time, each stack sized by the bytes of its matrices
-and of the cost block of its continuation, and continued as a whole, in
-numpy, from the last row of the one before, so a writer can stream the
-stacks as they are solved; ``sweep`` joins them.  The
+of grid points at a time, each sized by the bytes of its matrices and of
+its continuation's cost block, so a writer can stream the stacks as they
+are solved; ``sweep`` joins them.  Column k is level k for EPN and the
+demo; only bc tracks are continued, in numpy, from the row before.  The
 classification of one matrix takes its algebraic multiplicity from the
 extended eigenvalues, whatever the type of the matrix, and reads the
 double eigenvectors only for the coalescence angle.
@@ -69,9 +69,9 @@ SWEEP_STACK_BYTES = 1 << 20  # bytes of complex n x n matrices per stack of a sw
 class SweepResult:
     """Eigenvalue tracks over a parameter grid.
 
-    ``tracks[i, k]`` is track i at grid point k; tracks are continued by
-    minimal-total-displacement assignment between consecutive points, with
-    the ordering fixed by an ascending (Re, Im) sort at the first point.
+    ``tracks[i, k]`` is track i at grid point k: level i of the ascending
+    (Re, Im) order for EPN and the Hermitian demo; for bc, continued by
+    minimal-total-displacement assignment from that order at the first point.
     ``warnings[k]`` flags points where the pairing is ambiguous because two
     eigenvalues lie closer than the step displacement.
     """
@@ -181,7 +181,7 @@ def _augmenting_paths(cost: np.ndarray) -> list[int]:
 
 
 def _pairing_warnings(tracks: np.ndarray, before: np.ndarray | None) -> np.ndarray:
-    """Points where two continued values lie closer than twice the largest step into them.
+    """Points where two values of a column lie closer than twice the largest step into them.
 
     Per column k of a stack of tracks this is ``min_{i<j} |tracks[i, k] -
     tracks[j, k]| < 2 * max |tracks[:, k] - tracks[:, k - 1]|``.  Column -1
@@ -222,8 +222,8 @@ def _stack_length(n: int) -> int:
 
     That bounds the stack's matrices, where the model builds them (16 n^2
     bytes per point), and the (k, n, n) cost block of ``_continue_tracks``,
-    which every model builds (8 n^2 bytes per point, and 16 n^2 more for
-    the complex differences of a complex stack while it is made).
+    which bc builds (8 n^2 bytes per point, and 16 n^2 more for the
+    complex differences of a complex stack while it is made).
     """
     return max(1, SWEEP_STACK_BYTES // (16 * n * n))
 
@@ -296,16 +296,18 @@ def _sweep_stacks(model, param_range: tuple[float, float], samples: int, precisi
     closed form where the model's ``closed_form_double`` says so (EPN), the
     eigenvalues of the stack of matrices from LAPACK for the others.  With
     more than one LAPACK stack and more than one usable CPU, a thread pool
-    solves the stacks while the caller reads those already continued, since
+    solves the stacks while the caller reads those already solved, since
     numpy's eigensolvers release the GIL; a closed form is solved on this
     thread, and no pool is made.  The pool keeps at most one stack per
     worker submitted ahead of the caller, and it is shut down when the
     generator ends, raises or is closed.  Extended precision reads each
-    point's ``model.eigvals_mp`` on this thread.  Each stack's tracks are
-    continued as a whole by ``_continue_tracks`` from the last row of the
-    stack before, so the stacks do not depend on the number of threads;
-    levels are flagged real by ``reality_flags`` and ambiguous pairings by
-    ``_pairing_warnings``.
+    point's ``model.eigvals_mp`` on this thread.  EPN and demo stacks stay
+    as solved, ascending in (Re, Im): EPN's column k is level k on both
+    sides of t = 0, and Hermitian levels do not cross.  Only bc levels meet
+    and part, so a bc stack is continued as a whole by ``_continue_tracks``
+    from the last row of the stack before; the stacks do not depend on the
+    number of threads.  ``reality_flags`` flags real levels and
+    ``_pairing_warnings`` ambiguous pairings of the columns as written.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
@@ -333,7 +335,8 @@ def _sweep_stacks(model, param_range: tuple[float, float], samples: int, precisi
         solved = map(solve, stacks) if pool is None else _ahead(pool, solve, stacks, workers)
         prev = None
         for points, values in zip(stacks, solved):
-            _continue_tracks(values, prev)
+            if isinstance(model, BcModel):
+                _continue_tracks(values, prev)
             tracks = np.ascontiguousarray(values.T)
             yield SweepStack(points, tracks, reality_flags(tracks), _pairing_warnings(tracks, prev))
             prev = values[-1].copy()  # a copy: the stack before need not stay alive
@@ -349,7 +352,7 @@ def sweep(
     *,
     precision: Precision = Precision.DOUBLE,
 ) -> SweepResult:
-    """Continued eigenvalue tracks of the family at each p of a grid.
+    """Eigenvalue tracks of the family at each p of a grid.
 
     The stacks of ``_sweep_stacks``, joined: double precision solves the
     grid in stacks by ``model.eigvals``, on a thread pool when there are

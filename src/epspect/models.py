@@ -362,6 +362,8 @@ class BcModel:
         """
         approx, y, p, d = self.matrix(r), as_fraction(self.y), as_fraction(r) ** 2, 1
         if p > 1:
+            if not math.isfinite(approx[0, 0].real):  # r^2 overflows a double
+                raise ConvergenceError("the matrix at r is not a finite double")
             y, p = 2 - as_fraction(approx[0, 0].real), 1
             d = y.denominator
         a, b = bc_secular_at(self.n, y)

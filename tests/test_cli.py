@@ -441,14 +441,15 @@ def test_usage_error_exit_code():
 
 
 def test_wrong_param_for_model_is_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        run(
-            [
-                "sweep", "--model", "epn", "--n", "6", "--param", "r",
-                "--range", "0:1", "--samples", "5",
-            ]
-        )
-    assert exc.value.code == 2
+    for model, param in (("epn", "r"), ("hermitian-demo", "r"), ("bc", "t")):
+        with pytest.raises(SystemExit) as exc:
+            run(
+                [
+                    "sweep", "--model", model, "--n", "6", "--param", param,
+                    "--range", "0:1", "--samples", "5",
+                ]
+            )
+        assert exc.value.code == 2, model
 
 
 def test_find_ep_wrong_param_for_model_is_usage_error(tmp_path):
@@ -524,6 +525,26 @@ def test_failed_lapack_solve_in_a_sweep_exits_4(tmp_path, monkeypatch, capsys):
     argv = ["sweep", "--model", "bc", "--n", "16", "--range", "-1:1", "--samples", "600", "--output", str(out)]  # three stacks
     assert run(argv) == 4
     assert "no convergence" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "sweep --model bc --n 4 --range 1e200:1e201 --samples 3 --precision extended",
+        "sweep --model bc --n 4 --range 1e200:1e201 --samples 3",
+        "metric --model epn --n 4 --t 1e300",
+        "metric --model bc --n 4 --r 1e200",
+        "metric-sweep --model epn --n 4 --t-grid 1e300",
+    ],
+    ids=["sweep-bc-extended", "sweep-bc-double", "metric-epn", "metric-bc", "metric-sweep-epn"],
+)
+def test_a_matrix_beyond_double_range_exits_4(argv, tmp_path, capsys):
+    # t(2 - t) or r^2 overflows, so the double matrix is not finite
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run([*argv.split(), "--output", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("no convergence: ")
     assert not out.exists()
 
 
@@ -605,6 +626,41 @@ def test_epn_sweep_beyond_double_range_is_a_typed_refusal(precision, window, cod
         assert proc.stderr == ""
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
         assert np.isfinite(rows).all() and rows[-1, 1] == float(window.split(":")[1])
+
+
+def _csv_tracks(path):
+    """The grid and the (n, k) tracks of a sweep CSV, each value read back exactly."""
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    rows = np.array([[float(x) for x in line.split(",")] for line in lines])
+    tracks = np.empty((len(rows[0]) // 3 - 1, len(rows)), dtype=complex)
+    tracks.real, tracks.imag = rows[:, 2:-1:3].T, rows[:, 3:-1:3].T
+    return rows[:, 1], tracks
+
+
+def test_sweep_double_and_figure_1_assign_nothing(tmp_path, monkeypatch, capsys):
+    # EPN columns are its levels and Hermitian levels do not cross, so
+    # only a bc sweep is continued: the benchmark's four sweep commands and
+    # figure 1 never reach the assignment, and a demo sweep is its solver's
+    # output as it is.  The bc sweep shows that the counter sees the calls.
+    calls, assign = [], epfinder._assign
+    monkeypatch.setattr(epfinder, "_assign", lambda cost: calls.append(len(cost)) or assign(cost))
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        "sweep --model epn --n 32 --param t --range 0:1 --samples 2001 --output epn32.csv",
+        "sweep --model hermitian-demo --n 4 --seed 5 --range -1:1 --samples 2001 --output demo4.csv",
+        "figure 2",
+        "figure 3",
+        "figure 1",
+    ):
+        assert run(argv.split()) == 0
+    assert calls == []
+    for name, model in (("demo4.csv", HermitianDemoModel(4, 5)), ("figure1_data.csv", HermitianDemoModel(4, 1))):
+        grid, tracks = _csv_tracks(tmp_path / name)
+        assert np.array_equal(grid, np.linspace(-1.0, 1.0, 2001))
+        assert np.array_equal(tracks.view(float), np.ascontiguousarray(model.eigvals(grid).T).view(float))
+    assert run("sweep --model bc --n 16 --y -0.5 --range -1.5:1.5 --samples 2001 --output bc16.csv".split()) == 0
+    assert calls
+    capsys.readouterr()
 
 
 def test_figure_index_validated(tmp_path):

@@ -660,6 +660,14 @@ def test_non_finite_double_coefficients_are_refused_before_numpy():
 # --------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan, complex(1.0, math.inf)])
+def test_eig_dense_of_a_non_finite_matrix_is_a_typed_refusal(bad):
+    a = np.eye(3, dtype=complex)
+    a[1, 2] = bad
+    with pytest.raises(ConvergenceError):
+        eig_dense(a)
+
+
 def test_eig_dense_hermitian_spectrum_is_real():
     rng = np.random.default_rng(3)
     g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))

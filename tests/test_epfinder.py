@@ -103,12 +103,13 @@ def _pairwise_loop(values):
 
 
 def _reference_sweep(model, param_range, samples):
-    """The sweep as one solve per point and Python loops: the eigentriples of
-    the matrix, or for EPN the 40-digit closed form of the family."""
+    """The sweep as one solve per point and Python loops: for EPN the
+    40-digit closed form of the family in level order, for bc the
+    eigentriples of the matrix continued by scipy's assignment."""
     grid = np.linspace(param_range[0], param_range[1], samples)
     if isinstance(model, EpnModel):
         with mp.workdps(40):
-            spectra = [np.sort_complex([complex(v) for v in epn_levels(model.n, p)]) for p in grid]
+            spectra = [np.array([complex(v) for v in epn_levels(model.n, p)]) for p in grid]
     else:
         spectra = [eig_dense(model.matrix(p)).values for p in grid]
     n = len(spectra[0])
@@ -117,8 +118,10 @@ def _reference_sweep(model, param_range, samples):
     tracks[:, 0] = spectra[0]
     for k in range(1, samples):
         prev, cur = tracks[:, k - 1], spectra[k]
-        rows, cols = linear_sum_assignment(np.abs(cur[None, :] - prev[:, None]))
-        tracks[:, k] = cur[cols[np.argsort(rows)]]
+        if isinstance(model, BcModel):
+            rows, cols = linear_sum_assignment(np.abs(cur[None, :] - prev[:, None]))
+            cur = cur[cols[np.argsort(rows)]]
+        tracks[:, k] = cur
         step = np.max(np.abs(tracks[:, k] - prev))
         warnings[k] = _pairwise_loop(tracks[:, k]) < 2.0 * step
     flags = np.zeros((n, samples), dtype=bool)
@@ -164,6 +167,29 @@ def test_pairing_warnings_match_the_per_step_formula(model, param_range, samples
     assert res.warnings.tolist() == want
     assert _pairing_warnings(tracks, None).tolist() == want
     assert any(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 16),
+    st.floats(-1.0, 2.0, exclude_min=True, exclude_max=True),
+    st.floats(-1.0, 2.0, exclude_min=True, exclude_max=True),
+    st.integers(2, 401),
+    st.sampled_from([Precision.DOUBLE, Precision.EXTENDED]),
+)
+@example(6, -1.0, 1.0, 101, Precision.DOUBLE)
+@example(12, -0.2, 0.2, 201, Precision.DOUBLE)
+@example(16, 0.0, 1.0, 11, Precision.EXTENDED)
+def test_epn_sweep_column_k_is_level_k(n, a, b, samples, precision):
+    # E_k = (2k - n + 9) sqrt|t(2 - t)|, real or imaginary: no level is
+    # continued into another at the EP of t = 0 or at t = 2
+    if precision is Precision.EXTENDED:
+        samples = min(samples, 21)
+    res = sweep(EpnModel(n), (min(a, b), max(a, b)), samples, precision=precision)
+    scale = np.sqrt(np.abs(res.grid * (2.0 - res.grid)))
+    away = scale > 0
+    levels = (res.tracks.real + res.tracks.imag)[:, away] / scale[away]
+    assert np.abs(levels - np.arange(9 - n, n + 9, 2.0)[:, None]).max(initial=0.0) <= 1e-9
 
 
 def _sweep_on(workers, monkeypatch, *args):

@@ -13,6 +13,7 @@ from scipy.optimize import linear_sum_assignment
 import epspect.models as models
 from epspect.cli import main as cli_main
 from epspect.core import (
+    ConvergenceError,
     Polynomial,
     as_array,
     charpoly_from_parts,
@@ -305,6 +306,14 @@ def test_bc_extended_spectrum_is_the_roots_of_the_exact_secular_polynomial(n, y,
     cost = np.abs(got[:, None] - want[None, :])
     rows, cols = linear_sum_assignment(cost)
     assert cost[rows, cols].max() <= 1e-12
+
+
+@pytest.mark.parametrize("r", [1.4e154, -1e200, 1e300])
+def test_bc_extended_spectrum_beyond_the_double_range_of_r_squared_is_a_typed_refusal(r):
+    # r^2 overflows a double, so the matrix has no finite corner to read the coupling from
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConvergenceError):
+            BcModel(4, 0.0).eigvals_mp(r)
 
 
 def test_bc_matrix_laplacian_spectrum():
