@@ -9,17 +9,14 @@ metric operators that turn the non-Hermitian matrices into observables.
 """
 
 from .core import (
-    BivariateSecular,
     ConvergenceError,
     DenseMatrix,
     Polynomial,
     Precision,
     RootCluster,
-    Tridiagonal,
     charpoly_from_parts,
     cluster_points,
     discriminant,
-    discriminant_in_E,
     eig_dense,
     resultant,
 )
@@ -73,17 +70,14 @@ from .metric import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BivariateSecular",
     "ConvergenceError",
     "DenseMatrix",
     "Polynomial",
     "Precision",
     "RootCluster",
-    "Tridiagonal",
     "charpoly_from_parts",
     "cluster_points",
     "discriminant",
-    "discriminant_in_E",
     "eig_dense",
     "resultant",
     "BcModel",

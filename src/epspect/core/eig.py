@@ -21,9 +21,9 @@ complex copy.  A LAPACK failure is raised as
 Hermitian matrix or stack (the Hermitian demo's sweep): LAPACK's Hermitian
 driver, whose values are real by construction.
 ``eig_dense`` (right eigenvectors of unit 2-norm from ``numpy.linalg.eig``,
-left ones as the columns of Y = X^-H, so that Y^H X = I by construction, with
-residual checks) serves only the consumers of eigenvectors: the metric
-and the coalescence angle of a degeneracy classification.  Eigenvectors
+left ones as the columns of Y = X^-H, so that Y^H X = I by construction, and
+the clusters of the values) serves only the consumers of eigenvectors: the
+metric and the coalescence angle of a degeneracy classification.  Eigenvectors
 exist in double precision only.
 
 No other module calls LAPACK's nonsymmetric drivers.  Both double solvers
@@ -49,33 +49,21 @@ from .tridiag import as_array
 
 @dataclass(frozen=True)
 class EigResult:
-    """Eigentriples of a dense matrix.
+    """Eigentriples of a dense matrix, ascending in (Re, Im).
 
     ``right[:, i]`` satisfies M x = values[i] x and has unit 2-norm;
     ``left[:, i]`` satisfies y^H M = values[i] y^H, and the columns are
     normalized against each other, Y^H X = I.  Where X is exactly singular
     (LAPACK's vectors of a defective matrix can be parallel to the last
-    bit), ``left`` is all NaN.
-    ``low_confidence[i]`` marks members of an eigenvalue cluster whose
-    eigenvectors are not individually trustworthy.
+    bit), ``left`` is all NaN.  ``clusters`` are the ``cluster_points`` of
+    the values: a member of a cluster of multiplicity > 1 has no
+    individually trustworthy eigenvectors.
     """
 
     values: np.ndarray
     right: np.ndarray
     left: np.ndarray
-    residual_right: np.ndarray
-    residual_left: np.ndarray
-    low_confidence: np.ndarray
     clusters: tuple[RootCluster, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-
-def _sort_triples(values, right, left):
-    order = np.lexsort((values.imag, values.real))
-    return values[order], right[:, order], left[:, order]
 
 
 def eigvals_double(m) -> np.ndarray:
@@ -211,37 +199,8 @@ def eigvals_mp(m) -> list[complex]:
 
 
 def eig_dense(m) -> EigResult:
-    """Eigenvalues plus right and left eigenvectors of a dense matrix.
-
-    Residuals are ||M x - lambda x||_2 (and the adjoint analogue) per
-    column.  Members of any eigenvalue cluster tighter than
-    ``CLUSTER_RTOL`` are flagged low-confidence instead of raising: their
-    individual eigenvectors are ill-conditioned near a degeneracy.
-    """
-    a = as_array(m)
-    values, right, left = _eig_double(a)
-    values, right, left = _sort_triples(values, right, left)
-    norm = np.linalg.norm(a, "fro")
-    res_r = np.array(
-        [np.linalg.norm(a @ right[:, i] - values[i] * right[:, i]) for i in range(len(values))]
-    )
-    res_l = np.array(
-        [
-            np.linalg.norm(left[:, i].conj() @ a - values[i] * left[:, i].conj())
-            for i in range(len(values))
-        ]
-    )
-
-    clusters = cluster_points(values)
-    low = np.zeros(len(values), dtype=bool)
-    for c in clusters:
-        if c.multiplicity > 1:
-            for i, v in enumerate(values):
-                if abs(v - c.center) <= c.radius * (1 + 1e-12) + 1e-300:
-                    low[i] = True
-
-    if norm > 0:
-        bad = (res_r > 1e-8 * norm) & ~low
-        if np.any(bad):
-            low = low | bad
-    return EigResult(values, right, left, res_r, res_l, low, clusters)
+    """Eigenvalues plus right and left eigenvectors of a dense matrix, and the clusters of its values."""
+    values, right, left = _eig_double(as_array(m))
+    order = np.lexsort((values.imag, values.real))
+    values = values[order]
+    return EigResult(values, right[:, order], left[:, order], cluster_points(values))

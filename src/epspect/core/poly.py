@@ -1017,53 +1017,3 @@ def square_free_factors(p: Polynomial) -> tuple[Polynomial, ...]:
         factors.append(_monic(f))
         b, d = _int_exact_div(b, f), _int_exact_div(d, f)
     return tuple(factors)
-
-
-# --------------------------------------------------------------------------
-# secular polynomials linear in one parameter
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BivariateSecular:
-    """P(E; p) = A(E) + p * B(E) with deg B < deg A.
-
-    A is the characteristic polynomial at p = 0; the full family stays
-    linear in the sweep parameter p.
-    """
-
-    A: Polynomial
-    B: Polynomial
-    parameter: str = "p"
-
-    def __post_init__(self):
-        if self.A.degree < 1:
-            raise ValueError("A must have degree >= 1")
-        if not self.B.is_zero and self.B.degree >= self.A.degree:
-            raise ValueError("deg B must be < deg A")
-
-    @property
-    def degree(self) -> int:
-        return self.A.degree
-
-    @property
-    def coefficients(self) -> list[Polynomial]:
-        """E-coefficients A_k + p B_k, each an exact polynomial in p."""
-        a = list(self.A.coeffs)
-        b = list(self.B.coeffs) + [0] * (len(a) - len(self.B.coeffs))
-        return [Polynomial([Fraction(ak), Fraction(bk)]) for ak, bk in zip(a, b)]
-
-    def poly_at(self, p0) -> Polynomial:
-        """Specialize the parameter at p0, an int, Fraction or float that converts exactly (``as_fraction``)."""
-        return self.A + self.B.scale(as_fraction(p0))
-
-
-def discriminant_in_E(s: BivariateSecular) -> Polynomial:
-    """Discriminant of A(E) + p*B(E) with respect to E, as a polynomial in p.
-
-    Zeros of the returned polynomial are exactly the parameter values where
-    the secular polynomial acquires a repeated E-root.  Normalized as
-    Res_E(P, dP/dE) / lc_E(P); requires a constant (parameter-independent)
-    leading E-coefficient, which holds whenever deg B < deg A.
-    """
-    return disc_E(s.coefficients)

@@ -1,9 +1,12 @@
-"""Tridiagonal and dense matrix containers plus characteristic polynomials.
+"""The dense matrix container, and exact tridiagonal and rational matrix algebra.
 
-The characteristic polynomial of a tridiagonal matrix only involves the
-diagonal entries and the products sup[k]*sub[k], which lets the exact
-algebra handle matrices whose individual off-diagonal entries are
-irrational but whose products are rational.
+The family constructors return their matrix as a ``DenseMatrix`` (a complex
+``ndarray`` checked square and finite), and ``as_array`` unwraps one or
+converts any square array-like to complex.  The characteristic polynomial
+of a tridiagonal matrix only involves the diagonal entries and the products
+sup[k]*sub[k], which lets the exact algebra handle matrices whose
+individual off-diagonal entries are irrational but whose products are
+rational (``charpoly_from_parts``).
 """
 
 from __future__ import annotations
@@ -14,58 +17,6 @@ from fractions import Fraction
 import numpy as np
 
 from .poly import Polynomial
-
-
-@dataclass(frozen=True)
-class Tridiagonal:
-    """Complex tridiagonal matrix stored as three bands.
-
-    ``diag`` has n entries, ``sup``/``sub`` n-1 each (``sup[k]`` sits at
-    position (k, k+1), ``sub[k]`` at (k+1, k)).
-    """
-
-    diag: tuple
-    sup: tuple
-    sub: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "diag", tuple(self.diag))
-        object.__setattr__(self, "sup", tuple(self.sup))
-        object.__setattr__(self, "sub", tuple(self.sub))
-        n = len(self.diag)
-        if n < 1:
-            raise ValueError("dimension must be >= 1")
-        if len(self.sup) != n - 1 or len(self.sub) != n - 1:
-            raise ValueError("off-diagonals must have length n-1")
-
-    @property
-    def n(self) -> int:
-        return len(self.diag)
-
-    def offdiag_products(self) -> tuple:
-        """Products sup[k]*sub[k]; all the recurrence needs besides diag."""
-        return tuple(s * t for s, t in zip(self.sup, self.sub))
-
-    def is_hermitian(self, tol: float = 0.0) -> bool:
-        """Diagonal real and sup[k] == conj(sub[k]) for all k (within tol)."""
-
-        def imag_of(v):
-            return getattr(v, "imag", 0)
-
-        if any(abs(imag_of(d)) > tol for d in self.diag):
-            return False
-        for s, t in zip(self.sup, self.sub):
-            delta = complex(s) - complex(t).conjugate()
-            if abs(delta) > tol:
-                return False
-        return True
-
-    def to_array(self) -> np.ndarray:
-        a = np.diag(np.asarray(self.diag, dtype=complex))
-        k = np.arange(self.n - 1)
-        a[k, k + 1] = np.asarray(self.sup, dtype=complex)
-        a[k + 1, k] = np.asarray(self.sub, dtype=complex)
-        return a
 
 
 @dataclass(frozen=True)
@@ -91,9 +42,7 @@ class DenseMatrix:
 
 
 def as_array(m) -> np.ndarray:
-    """Accepts Tridiagonal, DenseMatrix or array-like; returns complex ndarray."""
-    if isinstance(m, Tridiagonal):
-        return m.to_array()
+    """Accepts a DenseMatrix or an array-like; returns a complex ndarray."""
     if isinstance(m, DenseMatrix):
         return m.a
     arr = np.asarray(m, dtype=complex)

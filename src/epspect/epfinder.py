@@ -499,7 +499,7 @@ def ep_locate_1d(target, param_range: tuple[float, float]) -> list[CriticalPoint
         target = bivariate_secular(target.n, target.y)
     if isinstance(target, SturmianFunction):
         model = BcModel(target.n, float(target.y))
-        coeffs, shift = target.secular.coefficients, lambda lam: 0.0
+        coeffs, shift = target.coefficients, lambda lam: 0.0
         return _ep_locate_exact(model, coeffs, lambda mu: mu, shift, param_range)
     if isinstance(target, EpnModel):
         coeffs, shift = epn_secular(target.n), lambda lam: 8 * cmath.sqrt(1 - lam)

@@ -23,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import ConvergenceError, DenseMatrix, Polynomial, Tridiagonal, as_fraction, charpoly_from_parts
+from .core import ConvergenceError, DenseMatrix, Polynomial, as_fraction, charpoly_from_parts
 from .core import eigvals_double, eigvalsh_double, eigvals_mp
 from .core.eig import _extended_roots
 from .core.poly import _cleared
@@ -103,7 +103,7 @@ def _epn_weight_sq(n: int, k: int) -> int:
     return (k + 1) * (n - k - 1)
 
 
-def epn_matrix(n: int, t: float) -> Tridiagonal:
+def epn_matrix(n: int, t: float) -> DenseMatrix:
     """N-level family with a maximal-order exceptional point at t = 0.
 
     With tau = 1 - t and shift = 8*sqrt(1 - tau^2):
@@ -111,11 +111,11 @@ def epn_matrix(n: int, t: float) -> Tridiagonal:
     sub_k = -sup_k.  The spectrum is (2k - n + 1 + 8)*sqrt(1 - tau^2): real
     and positive on t in (0, 1] for n <= 8, fully degenerate at t = 0, and
     purely non-real for t < 0 (the shift turns imaginary; the principal
-    square root is used for t outside [0, 2]).  The bands are those of
-    ``EpnModel(n).matrix(t)``; the off-diagonals are real.
+    square root is used for t outside [0, 2]).  The matrix is
+    ``EpnModel(n).matrix(t)``; an entry beyond double range raises
+    ``DenseMatrix``'s ``ValueError``.
     """
-    a = EpnModel(n).matrix(t)
-    return Tridiagonal(a.diagonal().tolist(), a.diagonal(1).real.tolist(), a.diagonal(-1).real.tolist())
+    return DenseMatrix(EpnModel(n).matrix(t))
 
 
 @lru_cache(maxsize=None)
@@ -193,15 +193,15 @@ def bc_secular_at(n: int, y: Fraction) -> tuple[Polynomial, Polynomial]:
     return Polynomial([c(y) for c in secular_in_y(n)]), -bc_secular_parts(n)[3]
 
 
-def bc_matrix(n: int, z: complex) -> Tridiagonal:
+def bc_matrix(n: int, z: complex) -> DenseMatrix:
     """Discrete Laplacian with corner couplings 2-z and 2-conj(z).
 
     diag = (2-z, 2, ..., 2, 2-conj(z)), sup = sub = -1; Hermitian exactly
-    when z is real.  The bands are read from the stack that
-    ``BcModel.matrices`` also fills.
+    when z is real.  The matrix is the one ``BcModel.matrices`` fills at
+    that z; an entry beyond double range raises ``DenseMatrix``'s
+    ``ValueError``.
     """
-    a = _bc_matrices(n, np.array([complex(z)]))[0]
-    return Tridiagonal(a.diagonal().tolist(), a.diagonal(1).tolist(), a.diagonal(-1).tolist())
+    return DenseMatrix(_bc_matrices(n, np.array([complex(z)]))[0])
 
 
 def _bc_matrices(n: int, z: np.ndarray) -> np.ndarray:
@@ -254,7 +254,7 @@ class EpnModel:
     def matrices(self, grid) -> np.ndarray:
         """The ``(k, n, n)`` stack of the matrices at each t of ``grid``, in one numpy pass.
 
-        ``epn_matrix`` reads its bands from here.  The stack is
+        ``epn_matrix`` wraps one of its matrices.  The stack is
         real when 1 - tau^2 >= 0 at every t; otherwise it is complex, and
         where 1 - tau^2 < 0 the shift 8*sqrt(1 - tau^2) is imaginary.
         """
@@ -262,7 +262,8 @@ class EpnModel:
         if n < 2:
             raise ValueError("n must be >= 2")
         tau = 1.0 - np.asarray(grid, dtype=float)
-        inside = (1.0 - tau * tau)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):  # beyond |t| ~ 1.3e154 the stack is not finite
+            inside = (1.0 - tau * tau)[:, None]
         shift = 8.0 * np.sqrt(np.abs(inside))
         real = inside >= 0
         sup = np.sqrt([_epn_weight_sq(n, k) for k in range(n - 1)]) * tau[:, None]
@@ -341,7 +342,8 @@ class BcModel:
         the entries are those of ``bc_matrix`` at that z.
         """
         r = np.asarray(grid, dtype=float)
-        return _bc_matrices(self.n, self.y + 1j * np.sqrt((1.0 - r * r).astype(complex)))
+        with np.errstate(over="ignore", invalid="ignore"):  # beyond |r| ~ 1.3e154 the stack is not finite
+            return _bc_matrices(self.n, self.y + 1j * np.sqrt((1.0 - r * r).astype(complex)))
 
     def matrix(self, r: float) -> np.ndarray:
         return self.matrices([r])[0]

@@ -32,7 +32,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    BivariateSecular,
     ConvergenceError,
     Polynomial,
     as_fraction,
@@ -58,6 +57,9 @@ class SturmianFunction:
     A(E) + r^2 B(E) equals the characteristic polynomial of the assembled
     matrix on the model domain |r| <= 1; outside it the matrix conjugates a
     coupling that has become real, while A + p B continues analytically.
+    deg B < deg A, so the leading E-coefficient is free of p, and the
+    discriminant in E of ``coefficients`` (``disc_E``) is a polynomial in p
+    whose zeros are exactly the p where a level is repeated.
     """
 
     n: int
@@ -66,11 +68,14 @@ class SturmianFunction:
     B: Polynomial
 
     @property
-    def secular(self) -> BivariateSecular:
-        return BivariateSecular(self.A, self.B, parameter="r^2")
+    def coefficients(self) -> list[Polynomial]:
+        """E-coefficients A_k + p B_k, each an exact polynomial in p = r^2."""
+        pairs = zip_longest(self.A.coeffs, self.B.coeffs, fillvalue=0)
+        return [Polynomial([Fraction(a), Fraction(b)]) for a, b in pairs]
 
     def poly_at(self, p) -> Polynomial:
-        return self.secular.poly_at(p)
+        """A + p B at p, an int, Fraction or float that converts exactly (``as_fraction``)."""
+        return self.A + self.B.scale(as_fraction(p))
 
     @cached_property
     def cleared(self) -> tuple[list[int], list[int]]:

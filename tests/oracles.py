@@ -17,7 +17,7 @@ from typing import NamedTuple
 import mpmath as mp
 import numpy as np
 
-from epspect.core import Polynomial, Tridiagonal
+from epspect.core import Polynomial, as_array
 from epspect.core.eig import _berkowitz, _nudged_seeds
 from epspect.core.poly import _dyadic_roots, _gaussian_cleared
 from epspect.models import BcModel, EpnModel
@@ -126,10 +126,17 @@ def rounded(x) -> float:
     return float(frac(x))
 
 
-def charpoly_tridiag(t: Tridiagonal) -> list[complex]:
-    """Coefficients of det(T - E*I), ascending, by the minor recurrence D_k = (d_k - E) D_(k-1) - w_k D_(k-2) in complex doubles."""
+def charpoly_tridiag(diag, sup=None, sub=None) -> list[complex]:
+    """Coefficients of det(T - E*I), ascending, by the minor recurrence D_k = (d_k - E) D_(k-1) - w_k D_(k-2) in complex doubles.
+
+    T is given by its three bands, or as a matrix (``diag`` alone, anything
+    ``as_array`` takes) whose bands are read; w_k = sup[k-1] * sub[k-1].
+    """
+    if sup is None:
+        a = as_array(diag)
+        diag, sup, sub = a.diagonal(), a.diagonal(1), a.diagonal(-1)
     prev, cur = [], [1 + 0j]
-    for d, w in zip(t.diag, (0, *t.offdiag_products())):
+    for d, w in zip(diag, (0, *(complex(s) * complex(t) for s, t in zip(sup, sub)))):
         nxt = [complex(d) * c for c in cur] + [0j]
         for j, c in enumerate(cur):
             nxt[j + 1] -= c

@@ -128,7 +128,7 @@ def test_criterion_08_metric_residual_and_degeneracy_trend():
     grid = [0.5, 0.2, 0.1, 0.05, 0.02, 0.01]
     min_eigs = []
     for t in grid:
-        m = ep.epn_matrix(6, t).to_array()
+        m = ep.epn_matrix(6, t).a
         met = ep.build_metric(m)
         bound = 1e-10 * np.linalg.norm(m, "fro") * np.linalg.norm(met.theta, "fro")
         assert met.residual <= bound, f"residual bound missed at t={t}"

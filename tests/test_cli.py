@@ -528,7 +528,7 @@ def test_failed_lapack_solve_in_a_sweep_exits_4(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
+BEYOND_DOUBLE_RANGE = pytest.mark.parametrize(
     "argv",
     [
         "sweep --model bc --n 4 --range 1e200:1e201 --samples 3 --precision extended",
@@ -539,6 +539,9 @@ def test_failed_lapack_solve_in_a_sweep_exits_4(tmp_path, monkeypatch, capsys):
     ],
     ids=["sweep-bc-extended", "sweep-bc-double", "metric-epn", "metric-bc", "metric-sweep-epn"],
 )
+
+
+@BEYOND_DOUBLE_RANGE
 def test_a_matrix_beyond_double_range_exits_4(argv, tmp_path, capsys):
     # t(2 - t) or r^2 overflows, so the double matrix is not finite
     out = tmp_path / "out"
@@ -546,6 +549,16 @@ def test_a_matrix_beyond_double_range_exits_4(argv, tmp_path, capsys):
         assert run([*argv.split(), "--output", str(out)]) == 4
     assert capsys.readouterr().err.startswith("no convergence: ")
     assert not out.exists()
+
+
+@BEYOND_DOUBLE_RANGE
+def test_a_matrix_beyond_double_range_is_refused_in_one_line(argv, tmp_path):
+    # a fresh interpreter, so that a numpy warning of the matrix builders would reach stderr too
+    proc = _fresh_cli(argv.split(), tmp_path / "out")
+    assert proc.returncode == 4
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("no convergence: ")
+    assert not (tmp_path / "out").exists()
 
 
 def _fresh_cli(argv, out):

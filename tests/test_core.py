@@ -14,16 +14,13 @@ from scipy.optimize import linear_sum_assignment
 import epspect.core.poly as core_poly
 from epspect.core import (
     EXTENDED_BITS,
-    BivariateSecular,
     ConvergenceError,
     Polynomial,
-    Tridiagonal,
     as_fraction,
     charpoly_from_parts,
     cluster_points,
     disc_E,
     discriminant,
-    discriminant_in_E,
     disc_chain,
     eig_dense,
     eigvals_double,
@@ -256,9 +253,9 @@ def test_epn_at_t1_decouples_into_simple_levels():
     # at t = 1 the off-diagonal products are +-0.0: the levels are the
     # diagonal, each one simple
     for n in range(2, 9):
-        m = epn_matrix(n, 1.0)
-        assert m.offdiag_products() == (0,) * (n - 1)
-        assert all(classify_degeneracy(m, d).kind == "simple" for d in m.diag)
+        m = epn_matrix(n, 1.0).a
+        assert not (m.diagonal(1) * m.diagonal(-1)).any()
+        assert all(classify_degeneracy(m, d).kind == "simple" for d in m.diagonal())
 
 
 def test_charpoly_matches_cofactor_on_random_exact_tridiagonals():
@@ -268,24 +265,9 @@ def test_charpoly_matches_cofactor_on_random_exact_tridiagonals():
             diag = [Fraction(int(v)) for v in rng.integers(-5, 6, n)]
             sup = [Fraction(int(v)) for v in rng.integers(-4, 5, n - 1)]
             sub = [Fraction(int(v)) for v in rng.integers(-4, 5, n - 1)]
-            got = charpoly_from_parts(diag, Tridiagonal(diag, sup, sub).offdiag_products())
+            got = charpoly_from_parts(diag, [s * t for s, t in zip(sup, sub)])
             want = _cofactor_det(_poly_matrix(diag, sup, sub))
             assert got == want
-
-
-def test_tridiagonal_to_array_converts_every_entry_type():
-    diag = (Fraction(1, 3), 2, 2.5, 1 - 2j, mp.mpf("0.25"))
-    sup = (mp.mpc(1, -1), Fraction(-1, 7), -0.0, 3)
-    sub = (-1, 1j, mp.mpf(3), Fraction(5, 2))
-    want = np.zeros((5, 5), dtype=complex)
-    for k in range(5):
-        want[k, k] = complex(diag[k])
-    for k in range(4):
-        want[k, k + 1] = complex(sup[k])
-        want[k + 1, k] = complex(sub[k])
-    got = Tridiagonal(diag, sup, sub).to_array()
-    assert got.dtype == complex and got.tobytes() == want.tobytes()
-    assert Tridiagonal((Fraction(3),), (), ()).to_array().tolist() == [[3]]
 
 
 # --------------------------------------------------------------------------
@@ -674,7 +656,7 @@ def test_eig_dense_hermitian_spectrum_is_real():
     h = (g + g.conj().T) / 2
     res = eig_dense(h)
     assert np.max(np.abs(res.values.imag)) <= 1e-12 * np.linalg.norm(h)
-    assert np.all(res.residual_right <= 1e-10 * np.linalg.norm(h))
+    assert np.all(np.linalg.norm(h @ res.right - res.right * res.values, axis=0) <= 1e-10 * np.linalg.norm(h))
 
 
 def test_eig_dense_epn_half_matches_closed_form():
@@ -694,7 +676,7 @@ def test_eig_dense_epn_negative_t_has_no_real_eigenvalues():
 
 
 def test_eig_dense_left_vectors_satisfy_adjoint_relation():
-    a = epn_matrix(5, 0.4).to_array()
+    a = epn_matrix(5, 0.4).a
     res = eig_dense(a)
     for i in range(5):
         y = res.left[:, i]
@@ -708,23 +690,22 @@ def test_eig_dense_matches_charpoly_roots_on_random_tridiagonals():
         diag = 10.0 * np.arange(n) + rng.standard_normal(n)
         sup = rng.standard_normal(n - 1)
         sub = rng.standard_normal(n - 1)
-        t = Tridiagonal(tuple(diag), tuple(sup), tuple(sub))
+        t = np.diag(diag) + np.diag(sup, 1) + np.diag(sub, -1)
         ev = np.sort(eig_dense(t).values.real)
-        rr = sorted(np.roots(charpoly_tridiag(t)[::-1]).real)
+        rr = sorted(np.roots(charpoly_tridiag(diag, sup, sub)[::-1]).real)
         assert np.allclose(ev, rr, atol=1e-8)
 
 
 def test_eig_dense_without_an_inverse_of_the_right_vectors_has_nan_left_vectors():
     # LAPACK's two eigenvectors of this Jordan block are exactly parallel
-    with np.errstate(over="ignore"):  # ||M||_F overflows
-        res = eig_dense(np.array([[0.0, 1e300], [0.0, 0.0]]))
+    res = eig_dense(np.array([[0.0, 1e300], [0.0, 0.0]]))
     assert np.all(np.isfinite(res.right)) and np.all(np.isnan(res.left))
-    assert res.low_confidence.all()
+    assert [c.multiplicity for c in res.clusters] == [2]
 
 
 def test_eig_dense_flags_near_degenerate_vectors():
     res = eig_dense(bc_matrix(6, 1j))
-    assert res.low_confidence.sum() >= 2  # the merged pair at E = 2
+    assert max(c.multiplicity for c in res.clusters) >= 2  # the merged pair at E = 2
 
 
 def _random_complex(n, seed):
@@ -795,11 +776,11 @@ def test_eigvals_double_stack_matches_single_solves_bit_for_bit():
     # real matrices (EPN ones, one at its EP8, and a random one with
     # conjugate pairs) between complex boundary-controlled ones
     stack = [
-        epn_matrix(8, 0.3).to_array(),
-        bc_matrix(8, 1j).to_array(),
-        epn_matrix(8, 0.0).to_array(),
-        bc_matrix(8, -0.5 + 0.8j).to_array(),
-        epn_matrix(8, 1.7).to_array(),
+        epn_matrix(8, 0.3).a,
+        bc_matrix(8, 1j).a,
+        epn_matrix(8, 0.0).a,
+        bc_matrix(8, -0.5 + 0.8j).a,
+        epn_matrix(8, 1.7).a,
         np.random.default_rng(3).standard_normal((8, 8)),
     ]
     got = eigvals_double(np.array(stack))
@@ -850,8 +831,8 @@ def _oracle_input(kind, n):
         rng = np.random.default_rng(100 + n)
         return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     if kind == "epn":
-        return epn_matrix(n, 0.5).to_array()
-    return bc_matrix(n, 1j).to_array()
+        return epn_matrix(n, 0.5).a
+    return bc_matrix(n, 1j).a
 
 
 @pytest.mark.parametrize("kind", ["random", "epn", "bc"])
@@ -1138,7 +1119,7 @@ def test_discriminant_normalization():
 
 
 def test_discriminant_in_E_vanishes_at_p0_for_even_n():
-    d = discriminant_in_E(bivariate_secular(6, 0).secular)
+    d = disc_E(bivariate_secular(6, 0).coefficients)
     assert d(Fraction(0)) == 0
     # simple zero: the EP at r = 0 is the only one on [0, 1]
     dd = Polynomial(d.coeffs[1:])
@@ -1151,8 +1132,7 @@ def test_discriminant_in_E_vanishes_at_p0_for_even_n():
 
 def test_discriminant_in_E_constant_when_B_zero():
     a = Polynomial.from_roots([Fraction(1), Fraction(2), Fraction(4)])
-    s = BivariateSecular(a, Polynomial.zero())
-    d = discriminant_in_E(s)
+    d = disc_E([Polynomial([c]) for c in a.coeffs])
     assert d.degree == 0
     assert d.coeffs[0] != 0
 
@@ -1160,7 +1140,7 @@ def test_discriminant_in_E_constant_when_B_zero():
 def test_discriminant_in_E_has_zero_past_critical_shift():
     # just past the critical shift of the five-level family the level pair
     # touches at small coupling: a real discriminant zero inside (0, 1)
-    d = discriminant_in_E(bivariate_secular(5, -0.2).secular)
+    d = disc_E(bivariate_secular(5, -0.2).coefficients)
     zeros = [
         z.real
         for z in np.roots([float(c) for c in reversed(d.coeffs)])
@@ -1172,7 +1152,7 @@ def test_discriminant_in_E_has_zero_past_critical_shift():
 def test_discriminant_in_E_matches_pointwise_resultant():
     rng = np.random.default_rng(5)
     s = bivariate_secular(6, Fraction(1, 3))
-    d = discriminant_in_E(s.secular)
+    d = disc_E(s.coefficients)
     lc = s.A.lc
     for _ in range(20):
         p0 = Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 40)))
@@ -1371,7 +1351,7 @@ def test_chain_certifies_how_the_corner_energy_rounds():
     # vanishes there, so E* = -s_0 / s_1 read at a point 2^-137 off once gave
     # 2.0; the certificate reads the double E* rounds to from any point
     # within 2^-136 of the root
-    chain = disc_chain(bivariate_secular(5, 1e300).secular.coefficients)
+    chain = disc_chain(bivariate_secular(5, 1e300).coefficients)
     ((_, a, b),) = real_root_intervals(chain.disc, 0, 1)
     lo, hi, e = _bracket(_sturm_sequence(chain.disc)[0], a, b, lambda lo, hi, e: (hi - lo) << 8000 <= lo)
     for root in (1 - Fraction(1, 2**137), 1 + Fraction(1, 2**137), 1 - Fraction(1, 2**400), Fraction(1), Fraction(hi, 1 << e)):

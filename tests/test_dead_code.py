@@ -1,6 +1,6 @@
 """Static guard against dead code in the package (stdlib ``ast`` only).
 
-Twenty-four things fail the guard: an import a module never uses (package
+Twenty-five things fail the guard: an import a module never uses (package
 ``__init__.py`` files are exempt, their imports are re-exports), a
 ``_private`` top-level function that no module of the package references,
 a module-level UPPER_CASE constant that no module of the package loads,
@@ -31,9 +31,12 @@ definition of ``bc_secular_parts``, ``secular_in_y`` or ``bc_secular_at``
 outside ``models.py``, a call of ``bc_secular_parts`` outside it, a
 ``scipy`` import anywhere, an ``mpmath`` import anywhere
 (numpy is the one runtime dependency), an import of ``threading`` or
-``concurrent.futures`` anywhere but in ``epfinder._sweep_stacks``, and a
+``concurrent.futures`` anywhere but in ``epfinder._sweep_stacks``, a
 whole ``sweep`` or ``SweepResult`` anywhere the CSV branches of the
-``sweep`` and ``figure`` commands reach: they stream ``_sweep_stacks``.  Two narrower
+``sweep`` and ``figure`` commands reach (they stream ``_sweep_stacks``),
+and a name of a deleted container (``Tridiagonal``, ``BivariateSecular``,
+``discriminant_in_E``) or of a deleted ``EigResult`` field
+(``residual_right``, ``residual_left``, ``low_confidence``) anywhere.  Two narrower
 mpmath guards stay beside the import guard and name the culprit when it
 fails: mpmath in the integer kernels of the extended tier (the Berkowitz
 characteristic polynomial and the fixed-point Aberth iteration), and a
@@ -1020,3 +1023,54 @@ def test_csv_branch_guard_sees_every_spelling():
         ("_cmd_sweep", "SweepResult", 4),
     ]
     assert {cmd for cmd, name, _ in names if name == "_sweep_stacks"} == set(CSV_BRANCHES)
+
+
+DELETED_CONTAINERS = {
+    "Tridiagonal",
+    "BivariateSecular",
+    "discriminant_in_E",
+    "residual_right",
+    "residual_left",
+    "low_confidence",
+}
+
+
+def _deleted_container_uses(tree):
+    """Lines that name a ``DELETED_CONTAINERS`` name in any spelling, pass or
+    take it as a keyword, or hold it as a string (an ``__all__`` entry)."""
+    yield from _spellings(tree, DELETED_CONTAINERS)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.keyword, ast.arg)):
+            found = node.arg in DELETED_CONTAINERS
+        elif isinstance(node, ast.Constant):
+            found = isinstance(node.value, str) and node.value in DELETED_CONTAINERS
+        else:
+            found = False
+        if found:
+            yield node.lineno
+
+
+def test_one_container_per_core_object():
+    """A matrix is a ``DenseMatrix`` (or an array), the bc secular
+    polynomial in p = r^2 is ``SturmianFunction.coefficients``, and an
+    eigentriple holds values, vectors and clusters: no banded copy of a
+    matrix, no second secular container with its own discriminant, and no
+    per-column residuals or confidence flags that no caller reads."""
+    uses = [f"{path.relative_to(PACKAGE)}:{line}" for path in MODULES for line in _deleted_container_uses(_parse(path))]
+    assert uses == []
+
+
+def test_deleted_container_guard_sees_every_spelling():
+    source = (
+        "from .tridiag import Tridiagonal as T\n"
+        "import epspect.core.poly.discriminant_in_E\n"
+        "core.BivariateSecular(a, b); res.low_confidence.any()\n"
+        "class Tridiagonal:\n    pass\n"
+        "def discriminant_in_E(s):\n    pass\n"
+        "EigResult(values, right, left, residual_right=r)\n"
+        "__all__ = ['residual_left']\n"
+        "def f(low_confidence=None):\n    pass\n"
+        "residual_right: object = None\n"
+        "tridiagonal = Tridiag(); residuals = x.residual; 'low confidence'; discriminant_in_e(s)\n"
+    )
+    assert sorted(set(_deleted_container_uses(ast.parse(source)))) == [1, 2, 3, 4, 6, 8, 9, 10, 12]

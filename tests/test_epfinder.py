@@ -505,7 +505,7 @@ def test_classify_dense_integer_ep3_is_order_three():
 
 @pytest.mark.parametrize("m, energy", [(bc_matrix(6, 1j), 2.0), (epn_matrix(5, 0.5), 4 * math.sqrt(0.75))])
 def test_classify_gives_one_verdict_for_either_matrix_form(m, energy):
-    assert classify_degeneracy(m, energy) == classify_degeneracy(m.to_array(), energy)
+    assert classify_degeneracy(m, energy) == classify_degeneracy(m.a, energy)
 
 
 def test_epn_rank_chain_all_dimensions():
@@ -534,10 +534,10 @@ def test_locate_bc5_finds_nothing_at_zero_shift():
 def test_located_zero_coincides_with_discriminant_sign_change():
     from fractions import Fraction
 
-    from epspect.core import discriminant_in_E
+    from epspect.core import disc_E
 
     s = bivariate_secular(6, 0)
-    d = discriminant_in_E(s.secular)
+    d = disc_E(s.coefficients)
     (pt,) = ep_locate_1d(s, (-1, 1))
     p_star = pt.params["r"] ** 2
     eps = Fraction(1, 1000)
@@ -690,7 +690,7 @@ _unit_fractions = st.fractions(0, 1, max_denominator=64)
 def test_chain_order_is_the_cluster_size_of_the_40_digit_spectrum(n, y, window):
     # the chain's order and energy at each root lam0 = r0^2 in the window,
     # against the eigenvalues of the 40-digit matrix at r0 itself
-    chain = disc_chain(bivariate_secular(n, y).secular.coefficients)
+    chain = disc_chain(bivariate_secular(n, y).coefficients)
     for lam, a, b in real_root_intervals(chain.disc, *window):
         j, e_star = chain.repeated_root(chain.disc, lam, a, b)
         with mp.workdps(40):

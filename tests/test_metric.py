@@ -42,7 +42,7 @@ def test_biorthogonal_hermitian_left_equals_right():
 
 
 def test_biorthogonal_epn_interior_is_well_conditioned():
-    m = epn_matrix(6, 0.5).to_array()
+    m = epn_matrix(6, 0.5).a
     basis = biorthogonal_basis(m)
     assert basis.overlap_residual() <= 1e-8
     lam = np.diag(basis.values)
@@ -51,7 +51,7 @@ def test_biorthogonal_epn_interior_is_well_conditioned():
 
 
 def test_biorthogonal_near_ep_degenerates_or_flags():
-    m = epn_matrix(6, 1e-6).to_array()
+    m = epn_matrix(6, 1e-6).a
     try:
         basis = biorthogonal_basis(m)
     except DegenerateBasisError:
@@ -77,12 +77,12 @@ def test_metric_hermitian_uniform_weights_is_identity():
 
 
 def test_metric_diagonal_model_is_identity():
-    met = build_metric(epn_matrix(6, 1.0).to_array())
+    met = build_metric(epn_matrix(6, 1.0).a)
     assert np.allclose(met.theta, np.eye(6), atol=1e-12)
 
 
 def test_metric_epn_interior_satisfies_quasi_hermiticity():
-    m = epn_matrix(6, 0.5).to_array()
+    m = epn_matrix(6, 0.5).a
     met = build_metric(m)
     bound = 1e-10 * np.linalg.norm(m, "fro") * np.linalg.norm(met.theta, "fro")
     assert met.residual <= bound
@@ -92,11 +92,11 @@ def test_metric_epn_interior_satisfies_quasi_hermiticity():
 
 def test_metric_rejects_complex_spectrum():
     with pytest.raises(ComplexSpectrumError):
-        build_metric(epn_matrix(6, -0.3).to_array())
+        build_metric(epn_matrix(6, -0.3).a)
 
 
 def test_metric_rejects_bad_kappa():
-    m = epn_matrix(6, 0.5).to_array()
+    m = epn_matrix(6, 0.5).a
     with pytest.raises(ValueError):
         build_metric(m, np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
@@ -107,11 +107,11 @@ def test_metric_refuses_at_exceptional_point():
     with pytest.raises(
         (ComplexSpectrumError, DegenerateBasisError, MetricConstructionError)
     ):
-        build_metric(epn_matrix(6, 0.0).to_array())
+        build_metric(epn_matrix(6, 0.0).a)
     with pytest.raises(
         (ComplexSpectrumError, DegenerateBasisError, MetricConstructionError)
     ):
-        build_metric(bc_matrix(6, 1j).to_array())
+        build_metric(bc_matrix(6, 1j).a)
 
 
 def _epn_entries_in_double(t):
@@ -180,7 +180,7 @@ def test_metric_matches_a_30_digit_oracle_in_the_unit_norm_convention(m):
 
 
 def test_metric_kappa_scaling_is_linear():
-    m = epn_matrix(6, 0.4).to_array()
+    m = epn_matrix(6, 0.4).a
     k = np.array([1.0, 2.0, 0.5, 1.5, 3.0, 1.0])
     t1 = build_metric(m, k).theta
     t2 = build_metric(m, 4.0 * k).theta
@@ -193,14 +193,14 @@ def test_metric_kappa_scaling_is_linear():
 
 
 def test_family_distinct_scale_invariance():
-    m = epn_matrix(6, 0.5).to_array()
+    m = epn_matrix(6, 0.5).a
     assert metric_family_distinct(m, np.ones(6), 2 * np.ones(6)) == pytest.approx(
         0.0, abs=1e-12
     )
 
 
 def test_family_distinct_inequivalent_weights():
-    m = epn_matrix(6, 0.5).to_array()
+    m = epn_matrix(6, 0.5).a
     sep = metric_family_distinct(m, np.ones(6), np.arange(1.0, 7.0))
     assert sep > 1e-3
 
@@ -254,7 +254,7 @@ def test_inner_product_identity_metric_is_standard():
 
 
 def test_inner_product_positive_on_diagonal():
-    m = epn_matrix(6, 0.5).to_array()
+    m = epn_matrix(6, 0.5).a
     met = build_metric(m)
     rng = np.random.default_rng(4)
     for _ in range(10):
@@ -265,7 +265,7 @@ def test_inner_product_positive_on_diagonal():
 
 
 def test_inner_product_orthogonality_of_eigenvectors():
-    m = epn_matrix(6, 0.5).to_array()
+    m = epn_matrix(6, 0.5).a
     met = build_metric(m)
     basis = biorthogonal_basis(m)
     for i in range(6):
@@ -293,7 +293,7 @@ def test_metric_invariants_on_random_models():
     while checked < 50:
         t = float(rng.uniform(0.15, 1.0))
         kappa = rng.uniform(0.2, 3.0, 6)
-        m = epn_matrix(6, t).to_array()
+        m = epn_matrix(6, t).a
         met = build_metric(m, kappa)
         bound = 1e-10 * np.linalg.norm(m, "fro") * np.linalg.norm(met.theta, "fro")
         assert met.residual <= bound
@@ -303,7 +303,7 @@ def test_metric_invariants_on_random_models():
 
 def test_observables_are_metric_self_adjoint():
     rng = np.random.default_rng(7)
-    m = epn_matrix(6, 0.3).to_array()
+    m = epn_matrix(6, 0.3).a
     met = build_metric(m)
     scale = np.linalg.norm(m) * np.linalg.norm(met.theta)
     for _ in range(10):

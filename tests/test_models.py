@@ -14,8 +14,8 @@ import epspect.models as models
 from epspect.cli import main as cli_main
 from epspect.core import (
     ConvergenceError,
+    DenseMatrix,
     Polynomial,
-    as_array,
     charpoly_from_parts,
     eig_dense,
     eigvals_double,
@@ -54,17 +54,19 @@ def test_epn_matrix_reproduces_six_level_entries():
     for t in rng.uniform(0.0, 2.0, 10):
         tau = 1.0 - t
         shift = 8.0 * math.sqrt(1.0 - tau * tau)
-        m = epn_matrix(6, t)
+        m = epn_matrix(6, t).a
+        assert not m.imag.any()
+        diag, sup, sub = (m.diagonal(k).real for k in (0, 1, -1))
         for k, base in enumerate((-5, -3, -1, 1, 3, 5)):
-            assert math.isclose(m.diag[k], base + shift, rel_tol=1e-15, abs_tol=1e-15)
+            assert math.isclose(diag[k], base + shift, rel_tol=1e-15, abs_tol=1e-15)
         for k in range(5):
-            assert math.isclose(m.sup[k], mags[k] * tau, rel_tol=1e-14, abs_tol=1e-15)
-            assert math.isclose(m.sub[k], -mags[k] * tau, rel_tol=1e-14, abs_tol=1e-15)
+            assert math.isclose(sup[k], mags[k] * tau, rel_tol=1e-14, abs_tol=1e-15)
+            assert math.isclose(sub[k], -mags[k] * tau, rel_tol=1e-14, abs_tol=1e-15)
 
 
 def test_epn_degenerate_instant():
     m = epn_matrix(6, 0.0)
-    assert all(d == v for d, v in zip(m.diag, (-5, -3, -1, 1, 3, 5)))
+    assert all(d == v for d, v in zip(m.a.diagonal(), (-5, -3, -1, 1, 3, 5)))
     roots = np.roots(charpoly_tridiag(m)[::-1])
     assert all(abs(r) < 1e-2 for r in roots)  # total collapse at t=0
 
@@ -103,9 +105,8 @@ def test_epn_spectrum_reality_partition():
 
 
 def test_epn_outside_unit_window_goes_complex():
-    m = epn_matrix(6, -0.5)
-    assert isinstance(m.diag[0], complex)
-    assert m.diag[0].imag != 0
+    m = epn_matrix(6, -0.5).a
+    assert m[0, 0].imag != 0
 
 
 # dyadic t in [-0.5, 1] with at most 53 significant bits: exact doubles
@@ -331,12 +332,13 @@ def test_bc_matrix_at_circle_top_splits_into_double_and_quartic():
 
 def test_bc_matrix_entry_layout():
     z = 0.3 - 0.7j
-    m = bc_matrix(4, z)
-    assert m.diag[0] == 2 - z
-    assert m.diag[-1] == 2 - z.conjugate()
-    assert m.diag[1] == m.diag[2] == 2
-    assert all(s == -1 for s in m.sup)
-    assert all(s == -1 for s in m.sub)
+    m = bc_matrix(4, z).a
+    assert m[0, 0] == 2 - z
+    assert m[-1, -1] == 2 - z.conjugate()
+    assert m[1, 1] == m[2, 2] == 2
+    assert all(s == -1 for s in m.diagonal(1))
+    assert all(s == -1 for s in m.diagonal(-1))
+    assert not (np.triu(m, 2).any() or np.tril(m, -2).any())
 
 
 @settings(deadline=None, max_examples=50)
@@ -471,26 +473,40 @@ def _bc_point(n, y, r):
     return bc_matrix(n, z_value(ShiftedCircle(y, r)))
 
 
-@pytest.mark.parametrize(
-    "model, grid, tridiagonal",
+FAMILY_GRIDS = pytest.mark.parametrize(
+    "model, grid",
     [
         # 1 - tau^2 changes sign at t = 0 and t = 2: both complex branches
-        (EpnModel(6), np.linspace(-0.5, 2.5, 601), lambda t: epn_matrix(6, t)),
-        (EpnModel(9), np.array([-0.5, 0.0, 1.0, 2.0, 2.5, 1e-17]), lambda t: epn_matrix(9, t)),
-        (BcModel(5, -0.5), np.linspace(-1.5, 1.5, 301), lambda r: _bc_point(5, -0.5, r)),
-        (BcModel(4), np.array([-2.0, -1.0, 0.0, 1.0, 3.0]), lambda r: _bc_point(4, 0.0, r)),
-        (HermitianDemoModel(4, 1), np.linspace(-1, 1, 101), lambda t: hermitian_demo(4, t, seed=1)),
+        (EpnModel(6), np.linspace(-0.5, 2.5, 601)),
+        (EpnModel(9), np.array([-0.5, 0.0, 1.0, 2.0, 2.5, 1e-17])),
+        (BcModel(5, -0.5), np.linspace(-1.5, 1.5, 301)),
+        (BcModel(4), np.array([-2.0, -1.0, 0.0, 1.0, 3.0])),
+        (HermitianDemoModel(4, 1), np.linspace(-1, 1, 101)),
     ],
     ids=["epn6-both-branches", "epn9-edges", "bc5-beyond-unit-r", "bc4-real-z", "demo4"],
 )
-def test_matrices_are_the_per_point_matrices_bit_for_bit(model, grid, tridiagonal):
+
+
+@FAMILY_GRIDS
+def test_matrices_are_the_per_point_matrices_bit_for_bit(model, grid):
     stack = model.matrices(grid)
     per_point = np.array([model.matrix(p) for p in grid])
     assert stack.dtype == per_point.dtype and stack.shape == (len(grid), model.n, model.n)
     assert np.array_equal(_bits(stack), _bits(per_point))
-    # and the entries of the Tridiagonal / DenseMatrix constructors
-    want = np.array([as_array(tridiagonal(float(p))) for p in grid])
-    assert np.array_equal(_bits(stack), _bits(want))
+
+
+@FAMILY_GRIDS
+def test_family_constructors_wrap_the_model_matrix_in_a_dense_matrix(model, grid):
+    # epn_matrix, bc_matrix and hermitian_demo hold the model's matrix, complex, bit for bit
+    for p in map(float, grid):
+        if isinstance(model, EpnModel):
+            m = epn_matrix(model.n, p)
+        elif isinstance(model, BcModel):
+            m = _bc_point(model.n, model.y, p)
+        else:
+            m = hermitian_demo(model.n, p, seed=model.seed)
+        assert type(m) is DenseMatrix and m.a.dtype == complex
+        assert np.array_equal(_bits(m.a), _bits(model.matrix(p)))
 
 
 def test_epn_stack_is_real_exactly_where_every_shift_is():
