@@ -2,12 +2,13 @@
 
 Each tier has an eigenvalue-only primitive for the callers that read
 nothing else: ``eigvals_double`` (LAPACK without eigenvectors, in the order
-of ``eig_dense``) and, for bare matrices, ``eigvals_mp``: Berkowitz's
+of ``eig_dense``) and, for bare matrices, ``eigvals_mp``, which runs on
+Python ints from the double matrix to the rounded roots: Berkowitz's
 division-free recurrence gives the characteristic polynomial exactly on the
 Gaussian integers of the power-of-two-scaled matrix (a bc family point
 brings its own, ``BcModel.eigvals_mp``), and ``_extended_roots`` finds its
 roots at ``EXTENDED_BITS`` by the integer fixed-point Aberth iteration of
-``poly`` from the double eigenvalues, each rounded once to ``complex``.
+``poly``, seeded from the double eigenvalues, each rounded once to ``complex``.
 The extended tier matters close to a degeneracy, where double-precision
 eigenvalues lose half their digits per coalescing level; the perturbation
 draws, the metric's reality verdict, the algebraic multiplicity of a
@@ -37,12 +38,12 @@ seeds would move the extended roots it polishes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .poly import ConvergenceError, _dyadic_roots, _gaussian_cleared, _rounded
+from .poly import ConvergenceError, _dyadic_roots, _rounded
 from .scalars import EXTENDED_BITS, RootCluster, cluster_points
 from .tridiag import as_array
 
@@ -125,77 +126,87 @@ def _eig_double(a: np.ndarray):
     return values.astype(complex, copy=False), right, left
 
 
-def _berkowitz(entries: list[list[tuple[int, int]]]) -> list[tuple[int, int]]:
-    """Characteristic polynomial det(x I - m) of a Gaussian-integer matrix.
+def _gaussian_cleared(a: np.ndarray) -> tuple[list[int], list[int], int]:
+    """The Gaussian integers 2^k a of a complex array of binary floats, row-major, as (re, im, k).
+
+    Each part num / 2^q (``float.as_integer_ratio``) is shifted to 2^k, the
+    largest 2^q; an infinite or NaN part raises ``ValueError``.
+    """
+    parts = np.ascontiguousarray(a, dtype=complex).view(float).ravel().tolist()  # re, im interleaved
+    try:
+        ratios = [x.as_integer_ratio() for x in parts]
+    except (OverflowError, ValueError):
+        raise ValueError(f"{next(x for x in parts if not math.isfinite(x))} has no exact rational value") from None
+    k = max((den for _, den in ratios), default=1).bit_length()
+    ints = [num << k - den.bit_length() for num, den in ratios]
+    return ints[0::2], ints[1::2], k - 1
+
+
+def _berkowitz(re: list[int], im: list[int], n: int) -> list[tuple[int, int]]:
+    """Characteristic polynomial det(x I - m) of the n x n Gaussian-integer matrix re + i im (row-major).
 
     Ascending (re, im) coefficients, exact.  Berkowitz's division-free
     recurrence: with r and s the row and column bordering the leading
     k x k block B, and a the new diagonal entry, the polynomial grows by a
     lower-triangular Toeplitz product with
-    (1, -a, -r s, -r B s, ..., -r B^(k-1) s).
+    (1, -a, -r s, -r B s, ..., -r B^(k-1) s); B^k s is never formed.
     """
-
-    def dot(xs, ys):
-        re = im = 0
-        for (a, b), (c, d) in zip(xs, ys):
-            re += a * c - b * d
-            im += a * d + b * c
-        return re, im
-
-    poly = [(1, 0)]  # descending
-    for k in range(len(entries)):
-        toeplitz = [(1, 0), (-entries[k][k][0], -entries[k][k][1])]
-        col = [entries[i][k] for i in range(k)]
-        rows = [entries[i][:k] for i in range(k + 1)]
-        for _ in range(k):
-            re, im = dot(rows[k], col)
-            toeplitz.append((-re, -im))
-            col = [dot(rows[i], col) for i in range(k)]
-        poly = [
-            dot((toeplitz[i - j] for j in range(min(i, k) + 1)), poly[: min(i, k) + 1])
-            for i in range(k + 2)
-        ]
-    return poly[::-1]
-
-
-def _nudged_seeds(values) -> list[tuple[Fraction, Fraction]]:
-    """Each double eigenvalue s moved exactly by 1e-3 * 2^-26 * (1 + |s|) along both axes.
-
-    Exact arithmetic keeps every symmetry of the polynomial: from seeds on
-    the real axis the iterates of a real polynomial stay real, and never
-    reach a pair off the axis.
-    """
-    steps = [Fraction(1e-3 * 2.0**-26 * (1 + abs(s))) for s in values]
-    return [(Fraction(s.real) + e, Fraction(s.imag) + e) for s, e in zip(values, steps)]
+    pr, pi = [1], [0]  # descending
+    for k in range(n):
+        rows = [(re[i * n : i * n + k], im[i * n : i * n + k]) for i in range(k + 1)]  # B's, then r
+        sr, si = re[k : k * n : n], im[k : k * n : n]
+        tr, ti = [1, -re[k * n + k]], [0, -im[k * n + k]]
+        for step in range(k):
+            # (B; r) B^step s: B^(step+1) s, then the Toeplitz entry's r B^step s (alone at the last step)
+            nr, ni = [], []
+            for br, bi in rows[k if step == k - 1 else 0 :]:
+                ur = ui = 0
+                for a, b, c, d in zip(br, bi, sr, si):
+                    ur += a * c - b * d
+                    ui += a * d + b * c
+                nr.append(ur)
+                ni.append(ui)
+            sr, si = nr, ni
+            tr.append(-ur)
+            ti.append(-ui)
+        pr, pi, qr, qi = pr + [0], pi + [0], [], []
+        for i in range(k + 2):
+            ur, ui = pr[i], pi[i]  # tr[0] = 1
+            for a, b, c, d in zip(tr[i:0:-1], ti[i:0:-1], pr, pi):
+                ur += a * c - b * d
+                ui += a * d + b * c
+            qr.append(ur)
+            qi.append(ui)
+        pr, pi = qr, qi
+    return list(zip(pr, pi))[::-1]
 
 
 def _extended_roots(coeffs: list[tuple[int, int]], exp2: int, approx: np.ndarray) -> list[complex]:
     """The roots of the Gaussian-integer polynomial ``coeffs``, divided by 2^exp2, at ``EXTENDED_BITS``.
 
     They are the eigenvalues of a matrix near ``approx`` (a double
-    matrix), found by the fixed-point integer Aberth iteration of ``poly``,
-    seeded with ``_nudged_seeds`` of the eigenvalues of ``approx`` from the
-    complex LAPACK driver, and each rounded once to ``complex``, in the
-    order of the seeds.  Raises ``ConvergenceError`` with the unconverged
-    subset if any root fails to lock; unpolished roots are never returned.
+    matrix), found by the fixed-point integer Aberth iteration of
+    ``poly._dyadic_roots`` from the eigenvalues of ``approx`` by the complex
+    LAPACK driver, and each rounded once to ``complex``, in the order of
+    the seeds.  Raises ``ConvergenceError`` with the unconverged subset if
+    any root fails to lock; unpolished roots are never returned.
     """
-    seeds = _nudged_seeds(np.linalg.eigvals(approx.astype(complex)))
-    roots, scale, _ = _dyadic_roots(coeffs, seeds, EXTENDED_BITS, exp2)
+    roots, scale, _ = _dyadic_roots(coeffs, np.linalg.eigvals(approx.astype(complex)), EXTENDED_BITS, exp2)
     return [_rounded(root, scale) for root in roots]
 
 
 def eigvals_mp(m) -> list[complex]:
     """Eigenvalues of a dense matrix at ``EXTENDED_BITS``, in the order of its double ones.
 
-    Every entry is a binary float, so scaled by the lcm D = 2^k of their
-    denominators the matrix has Gaussian-integer entries; ``_berkowitz``
-    gives its characteristic polynomial exactly, whose roots are 2^k times
-    the eigenvalues, and ``_extended_roots`` finds them.
+    Every entry is a binary float, so scaled by their largest denominator
+    2^k the matrix has Gaussian-integer entries (``_gaussian_cleared``; an
+    infinite or NaN entry is a ``ValueError``); ``_berkowitz`` gives its
+    characteristic polynomial exactly, whose roots are 2^k times the
+    eigenvalues, and ``_extended_roots`` finds them, all on ints.
     """
     a = as_array(m)
-    n = len(a)
-    flat, d = _gaussian_cleared(a.ravel())
-    return _extended_roots(_berkowitz([flat[i * n : (i + 1) * n] for i in range(n)]), d.bit_length() - 1, a)
+    re, im, k = _gaussian_cleared(a)
+    return _extended_roots(_berkowitz(re, im, len(a)), k, a)
 
 
 def eig_dense(m) -> EigResult:

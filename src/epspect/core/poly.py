@@ -39,7 +39,7 @@ from itertools import zip_longest
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import ExactTypes, as_fraction, as_ratio
+from .scalars import ExactTypes, as_fraction
 
 
 class ConvergenceError(RuntimeError):
@@ -233,13 +233,6 @@ def _div_round(a: int, b: int) -> int:
     return (2 * a + b) // (2 * b)
 
 
-def _gaussian_div(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    """a / b rounded to the nearest Gaussian integer (b nonzero)."""
-    (ar, ai), (br, bi) = a, b
-    q = br * br + bi * bi
-    return _div_round(ar * br + ai * bi, q), _div_round(ai * br - ar * bi, q)
-
-
 EXTENDED_GUARD_BITS = 32
 
 
@@ -254,7 +247,8 @@ def _aberth_fixed(coeffs, z, bits, eps_bits, maxiter=200):
     N / (1 - N sum 1 / (z - z_j)) are rounded to 2^-frac, with frac =
     eps_bits + ``EXTENDED_GUARD_BITS``, whatever the scale of the roots.
     A root locks once |p(z)| <= 16 2^-eps_bits sum |c_k| |z|^k, compared on
-    integers with the magnitudes floored by ``isqrt``.
+    integers with the magnitudes floored by ``isqrt``: by the bit lengths of
+    the two sides, squared out exactly only where those are within 2.
     """
     m, deg = len(z), len(coeffs) - 1
     one = 1 << bits
@@ -263,6 +257,7 @@ def _aberth_fixed(coeffs, z, bits, eps_bits, maxiter=200):
     # c_k 2^((d-k) bits): the Horner terms of the scaled value
     shifted = [(cr << (deg - k) * bits, ci << (deg - k) * bits) for k, (cr, ci) in enumerate(coeffs)]
     abs_shifted = [math.isqrt(cr * cr + ci * ci) if ci else abs(cr) for cr, ci in shifted]
+    lower, abs_lower = shifted[-2::-1], abs_shifted[-2::-1]
     it = 0
     for it in range(1, maxiter + 1):
         moved = False
@@ -272,14 +267,16 @@ def _aberth_fixed(coeffs, z, bits, eps_bits, maxiter=200):
             zr, zi = z[i]
             pr, pi = shifted[-1]
             dr = di = 0
-            for cr, ci in reversed(shifted[:-1]):
+            for cr, ci in lower:
                 dr, di = dr * zr - di * zi + pr, dr * zi + di * zr + pi
                 pr, pi = pr * zr - pi * zi + cr, pr * zi + pi * zr + ci
             az = math.isqrt(zr * zr + zi * zi) if zi else abs(zr)
             scale = abs_shifted[-1]
-            for a in reversed(abs_shifted[:-1]):
+            for a in abs_lower:
                 scale = scale * az + a
-            if (pr * pr + pi * pi) << 2 * eps_bits <= (scale << 4) ** 2:
+            # log2(|p| 2^eps_bits / (16 scale)) lies in (gap - 1, gap + 1.5)
+            gap = max(pr.bit_length(), pi.bit_length()) + eps_bits - scale.bit_length() - 4
+            if gap < -1 or gap < 1 and (pr * pr + pi * pi) << 2 * eps_bits <= (scale << 4) ** 2 or not (pr or pi):
                 locked[i] = True
                 continue
             if not (dr or di):
@@ -288,36 +285,27 @@ def _aberth_fixed(coeffs, z, bits, eps_bits, maxiter=200):
                 z[i] = (zr + nudge, zi + nudge)
                 moved = True
                 continue
-            nr, ni = _gaussian_div((pr, pi), (dr, di))
+            # each quotient a / b is floor((2 a conj(b) + |b|^2) / (2 |b|^2)) per part
+            q = dr * dr + di * di
+            nr, ni = (2 * (pr * dr + pi * di) + q) // (2 * q), (2 * (pi * dr - pr * di) + q) // (2 * q)
             # 1 - N sum 1 / (z - z_j), at 2^-frac
-            wide = (nr << frac, ni << frac)
             er, ei = 1 << frac, 0
-            for j in range(m):
-                if j != i:
-                    d = (zr - z[j][0], zi - z[j][1])
-                    if d == (0, 0):
-                        d = (max((one + az) >> eps_bits, 1), 0)
-                    qr, qi = _gaussian_div(wide, d)
-                    er, ei = er - qr, ei - qi
+            for xr, xi in z[:i] + z[i + 1 :]:
+                xr, xi = zr - xr, zi - xi
+                if not (xr or xi):
+                    xr = max((one + az) >> eps_bits, 1)
+                q = xr * xr + xi * xi
+                er -= (((nr * xr + ni * xi) << frac + 1) + q) // (2 * q)
+                ei -= (((ni * xr - nr * xi) << frac + 1) + q) // (2 * q)
             if er or ei:
-                nr, ni = _gaussian_div(wide, (er, ei))
+                q = er * er + ei * ei
+                ur, ui = (nr * er + ni * ei) << frac + 1, (ni * er - nr * ei) << frac + 1
+                nr, ni = (ur + q) // (2 * q), (ui + q) // (2 * q)
             z[i] = (zr - nr, zi - ni)
             moved = True
         if not moved:
             break
     return z, locked, it
-
-
-def _gaussian_cleared(values) -> tuple[list[tuple[int, int]], int]:
-    """Gaussian integers D * values, with D the lcm of all denominators.
-
-    The values are exact or floating scalars (int, Fraction, float,
-    complex); a binary float is the dyadic rational it stores, so for
-    floating input D is a power of two.
-    """
-    parts = [(as_ratio(v.real), as_ratio(v.imag)) for v in values]
-    d = math.lcm(*(den for pair in parts for _, den in pair))
-    return [(re * (d // re_den), im * (d // im_den)) for (re, re_den), (im, im_den) in parts], d
 
 
 def _bits_below_roots(coeffs) -> int:
@@ -333,14 +321,29 @@ def _bits_below_roots(coeffs) -> int:
     return 1 + max((-((sizes[0] - s - 2) // k) for k, s in enumerate(sizes) if k and s), default=0)
 
 
-def _dyadic_roots(coeffs, seeds, prec, exp2=0):
+def _fixed_sum(x: float, e: float, scale: int) -> int:
+    """The exact sum x + e of two binary floats at 2^-scale, rounded half up.
+
+    Each is the num / 2^q of ``float.as_integer_ratio``: the sum is taken
+    over the larger 2^q and shifted, with no division and no ``Fraction``.
+    """
+    (a, p), (b, q) = x.as_integer_ratio(), e.as_integer_ratio()
+    m = max(p, q)  # powers of two, so both quotients are exact
+    num, h = a * (m // p) + b * (m // q), m.bit_length() - 1 - scale
+    return num << -h if h <= 0 else ((num >> h - 1) + 1) >> 1
+
+
+def _dyadic_roots(coeffs, values, prec, exp2=0):
     """Roots at ``prec`` bits from the Gaussian-integer ``coeffs``, exactly as iterated.
 
-    The polynomial's roots are 2^exp2 times the wanted ones; ``seeds`` are
-    (re, im) pairs of exact or binary-float reals that approximate the
-    wanted roots.  Roots exactly at the origin are deflated (the lock test,
-    relative to sum |c_k| |z|^k, cannot pass there) and take the places of
-    the seeds nearest it.  The other iterates are fixed point at 2^-bits,
+    The polynomial's roots are 2^exp2 times the wanted ones, which the
+    complex doubles ``values`` approximate.  The seeds are the values s
+    moved by e = 1e-3 * 2^-26 * (1 + |s|) along both axes (``_fixed_sum``,
+    exact): the iteration keeps every symmetry of the polynomial, so from the
+    real axis the iterates of a real polynomial would never reach a pair off
+    it.  Roots exactly at the origin are deflated (the lock test, relative
+    to sum |c_k| |z|^k, cannot pass there) and take the places of the seeds
+    nearest it in double.  The other iterates are fixed point at 2^-bits,
     bits = prec + ``EXTENDED_GUARD_BITS`` + the bits below the smallest root
     (``_bits_below_roots``), so even that root carries ``prec`` bits and the
     guard; a root locks at the relative residual 16 * 2^(1 - prec).
@@ -348,25 +351,26 @@ def _dyadic_roots(coeffs, seeds, prec, exp2=0):
     (z[i][0] + i z[i][1]) / 2^scale.  Raises ``ConvergenceError`` with the
     unconverged subset, rounded to ``complex``, if any root fails to lock.
     """
-    exact = [(as_ratio(re), as_ratio(im)) for re, im in seeds]
+    seeds = [(s.real, s.imag, 1e-3 * 2.0**-26 * (1 + abs(s))) for s in values]
     zeros = next(k for k, c in enumerate(coeffs) if c != (0, 0))
     moving = range(len(seeds))
     if zeros:  # the seeds nearest the origin give way to the roots there
-        moving = sorted(sorted(moving, key=lambda i: abs(complex(float(seeds[i][0]), float(seeds[i][1]))))[zeros:])
+        nearness = [abs(complex(re + e, im + e)) for re, im, e in seeds]
+        moving = sorted(sorted(moving, key=nearness.__getitem__)[zeros:])
     roots = [(0, 0)] * len(seeds)
     if not moving:
         return roots, prec + EXTENDED_GUARD_BITS + exp2, 0
     bits = max(0, prec + EXTENDED_GUARD_BITS + _bits_below_roots(coeffs[zeros:]))
-    shift = 1 << bits + exp2
-    z = [tuple(_div_round(num * shift, den) for num, den in exact[i]) for i in moving]
+    scale = bits + exp2
+    z = [(_fixed_sum(re, e, scale), _fixed_sum(im, e, scale)) for re, im, e in map(seeds.__getitem__, moving)]
     z, locked, it = _aberth_fixed(coeffs[zeros:], z, bits, prec - 1)
     for i, root in zip(moving, z):
         roots[i] = root
     if not all(locked):
-        rounded = [_rounded(root, bits + exp2) for root in roots]
+        rounded = [_rounded(root, scale) for root in roots]
         bad = [rounded[i] for i, ok in zip(moving, locked) if not ok]
         raise ConvergenceError(f"{len(bad)} root(s) failed to converge", roots=rounded, unconverged=bad)
-    return roots, bits + exp2, it
+    return roots, scale, it
 
 
 def _rounded(root: tuple[int, int], scale: int) -> complex:

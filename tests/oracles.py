@@ -8,9 +8,13 @@ at a chosen number of bits, and find the real roots of an exact
 polynomial with mpmath's own root finder.  Two more oracles sit beside
 them: the characteristic polynomial of a tridiagonal matrix from its
 three-term recurrence in complex doubles, and the exact Sylvester matrix of
-two polynomials.
+two polynomials.  Last comes the extended tier's earlier route through
+``as_ratio`` clearing, per-dot Berkowitz products, ``Fraction`` seeds and a
+Gaussian rounding division, which the package's integer route must match
+bit for bit (``reference_eigvals_mp``, ``reference_extended_roots``).
 """
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -18,15 +22,16 @@ import mpmath as mp
 import numpy as np
 
 from epspect.core import Polynomial, as_array
-from epspect.core.eig import _berkowitz, _nudged_seeds
-from epspect.core.poly import _dyadic_roots, _gaussian_cleared
+from epspect.core.eig import _berkowitz
+from epspect.core.poly import EXTENDED_GUARD_BITS, ConvergenceError, _bits_below_roots, _dyadic_roots, _rounded
+from epspect.core.scalars import EXTENDED_BITS, as_ratio
 from epspect.models import BcModel, EpnModel
 
 POLISH_PREC = 136  # mpmath's precision at 40 digits
 
 
 class Gaussian(NamedTuple):
-    """An exact complex entry: ``_gaussian_cleared`` reads ``.real`` and ``.imag``."""
+    """An exact complex entry: ``gaussian_cleared`` reads ``.real`` and ``.imag``."""
 
     real: Fraction
     imag: Fraction
@@ -91,15 +96,12 @@ def eigvals_at(m, prec):
 
     The route of ``eigvals_mp`` read exactly: Berkowitz's polynomial of the
     power-of-two-scaled matrix, the integer Aberth kernel at ``prec`` bits
-    seeded with the nudged double eigenvalues, and each fixed-point root
-    converted to ``mpc`` at the working precision.
+    seeded with the double eigenvalues, and each fixed-point root converted
+    to ``mpc`` at the working precision.
     """
-    n = m.rows
-    entries = [Gaussian(frac(mp.mpc(v).real), frac(mp.mpc(v).imag)) for v in m]
-    flat, d = _gaussian_cleared(entries)
-    coeffs = _berkowitz([flat[i * n : (i + 1) * n] for i in range(n)])
-    approx = np.array(m.tolist(), dtype=complex)
-    seeds = _nudged_seeds(np.linalg.eigvals(approx))
+    flat, d = gaussian_cleared([Gaussian(frac(mp.mpc(v).real), frac(mp.mpc(v).imag)) for v in m])
+    coeffs = _berkowitz([re for re, _ in flat], [im for _, im in flat], m.rows)
+    seeds = np.linalg.eigvals(np.array(m.tolist(), dtype=complex))
     roots, scale, _ = _dyadic_roots(coeffs, seeds, prec, d.bit_length() - 1)
     return [as_mpc(root, scale) for root in roots]
 
@@ -155,3 +157,157 @@ def sylvester_matrix(p: Polynomial, q: Polynomial) -> list[list]:
     return [[0] * i + fr + [0] * (m - 1 - i) for i in range(m)] + [
         [0] * i + gr + [0] * (n - 1 - i) for i in range(n)
     ]
+
+
+# --------------------------------------------------------------------------
+# the extended tier's earlier route, kept as its bit-for-bit reference
+# --------------------------------------------------------------------------
+#
+# ``eigvals_mp`` and ``_extended_roots`` once cleared every scalar through
+# ``as_ratio``, took each Berkowitz product as a separate dot product,
+# seeded the iteration with ``Fraction`` sums and divided through a Gaussian
+# rounding helper.  The package now runs on ints from the double matrix to
+# the rounded roots; each of its iterates must be the one below.
+
+
+def gaussian_cleared(values) -> tuple[list[tuple[int, int]], int]:
+    """Gaussian integers D * values, with D the lcm of all denominators.
+
+    The values are exact or floating scalars (int, Fraction, float,
+    complex); a binary float is the dyadic rational it stores, so for
+    floating input D is a power of two.
+    """
+    parts = [(as_ratio(v.real), as_ratio(v.imag)) for v in values]
+    d = math.lcm(*(den for pair in parts for _, den in pair))
+    return [(re * (d // re_den), im * (d // im_den)) for (re, re_den), (im, im_den) in parts], d
+
+
+def berkowitz_by_dots(entries: list[list[tuple[int, int]]]) -> list[tuple[int, int]]:
+    """det(x I - m) of a Gaussian-integer matrix, ascending, one dot product per Berkowitz product."""
+
+    def dot(xs, ys):
+        re = im = 0
+        for (a, b), (c, d) in zip(xs, ys):
+            re += a * c - b * d
+            im += a * d + b * c
+        return re, im
+
+    poly = [(1, 0)]  # descending
+    for k in range(len(entries)):
+        toeplitz = [(1, 0), (-entries[k][k][0], -entries[k][k][1])]
+        col = [entries[i][k] for i in range(k)]
+        rows = [entries[i][:k] for i in range(k + 1)]
+        for _ in range(k):
+            re, im = dot(rows[k], col)
+            toeplitz.append((-re, -im))
+            col = [dot(rows[i], col) for i in range(k)]
+        poly = [
+            dot((toeplitz[i - j] for j in range(min(i, k) + 1)), poly[: min(i, k) + 1])
+            for i in range(k + 2)
+        ]
+    return poly[::-1]
+
+
+def nudged_seeds(values) -> list[tuple[Fraction, Fraction]]:
+    """Each double eigenvalue s moved exactly by 1e-3 * 2^-26 * (1 + |s|) along both axes, as ``Fraction``."""
+    steps = [Fraction(1e-3 * 2.0**-26 * (1 + abs(s))) for s in values]
+    return [(Fraction(s.real) + e, Fraction(s.imag) + e) for s, e in zip(values, steps)]
+
+
+def _div_round(a: int, b: int) -> int:
+    return (2 * a + b) // (2 * b)
+
+
+def _gaussian_div(a, b):
+    (ar, ai), (br, bi) = a, b
+    q = br * br + bi * bi
+    return _div_round(ar * br + ai * bi, q), _div_round(ai * br - ar * bi, q)
+
+
+def aberth_by_divisions(coeffs, z, bits, eps_bits, maxiter=200):
+    """The integer Aberth kernel with every quotient through ``_gaussian_div`` and the lock test squared out."""
+    m, deg = len(z), len(coeffs) - 1
+    one = 1 << bits
+    frac = eps_bits + EXTENDED_GUARD_BITS
+    locked = [False] * m
+    shifted = [(cr << (deg - k) * bits, ci << (deg - k) * bits) for k, (cr, ci) in enumerate(coeffs)]
+    abs_shifted = [math.isqrt(cr * cr + ci * ci) if ci else abs(cr) for cr, ci in shifted]
+    it = 0
+    for it in range(1, maxiter + 1):
+        moved = False
+        for i in range(m):
+            if locked[i]:
+                continue
+            zr, zi = z[i]
+            pr, pi = shifted[-1]
+            dr = di = 0
+            for cr, ci in reversed(shifted[:-1]):
+                dr, di = dr * zr - di * zi + pr, dr * zi + di * zr + pi
+                pr, pi = pr * zr - pi * zi + cr, pr * zi + pi * zr + ci
+            az = math.isqrt(zr * zr + zi * zi) if zi else abs(zr)
+            scale = abs_shifted[-1]
+            for a in reversed(abs_shifted[:-1]):
+                scale = scale * az + a
+            if (pr * pr + pi * pi) << 2 * eps_bits <= (scale << 4) ** 2:
+                locked[i] = True
+                continue
+            if not (dr or di):
+                nudge = (one + az) >> eps_bits // 4 + 1
+                z[i] = (zr + nudge, zi + nudge)
+                moved = True
+                continue
+            nr, ni = _gaussian_div((pr, pi), (dr, di))
+            wide = (nr << frac, ni << frac)
+            er, ei = 1 << frac, 0
+            for j in range(m):
+                if j != i:
+                    d = (zr - z[j][0], zi - z[j][1])
+                    if d == (0, 0):
+                        d = (max((one + az) >> eps_bits, 1), 0)
+                    qr, qi = _gaussian_div(wide, d)
+                    er, ei = er - qr, ei - qi
+            if er or ei:
+                nr, ni = _gaussian_div(wide, (er, ei))
+            z[i] = (zr - nr, zi - ni)
+            moved = True
+        if not moved:
+            break
+    return z, locked, it
+
+
+def dyadic_roots_from_fractions(coeffs, seeds, prec, exp2=0):
+    """``_dyadic_roots`` from exact (re, im) seeds, each put to fixed point by a rounded division."""
+    exact = [(as_ratio(re), as_ratio(im)) for re, im in seeds]
+    zeros = next(k for k, c in enumerate(coeffs) if c != (0, 0))
+    moving = range(len(seeds))
+    if zeros:
+        moving = sorted(sorted(moving, key=lambda i: abs(complex(float(seeds[i][0]), float(seeds[i][1]))))[zeros:])
+    roots = [(0, 0)] * len(seeds)
+    if not moving:
+        return roots, prec + EXTENDED_GUARD_BITS + exp2, 0
+    bits = max(0, prec + EXTENDED_GUARD_BITS + _bits_below_roots(coeffs[zeros:]))
+    shift = 1 << bits + exp2
+    z = [tuple(_div_round(num * shift, den) for num, den in exact[i]) for i in moving]
+    z, locked, it = aberth_by_divisions(coeffs[zeros:], z, bits, prec - 1)
+    for i, root in zip(moving, z):
+        roots[i] = root
+    if not all(locked):
+        rounded = [_rounded(root, bits + exp2) for root in roots]
+        bad = [rounded[i] for i, ok in zip(moving, locked) if not ok]
+        raise ConvergenceError(f"{len(bad)} root(s) failed to converge", roots=rounded, unconverged=bad)
+    return roots, bits + exp2, it
+
+
+def reference_extended_roots(coeffs, exp2, approx):
+    """``_extended_roots`` by the reference route."""
+    seeds = nudged_seeds(np.linalg.eigvals(approx.astype(complex)))
+    roots, scale, _ = dyadic_roots_from_fractions(coeffs, seeds, EXTENDED_BITS, exp2)
+    return [_rounded(root, scale) for root in roots]
+
+
+def reference_eigvals_mp(m) -> list[complex]:
+    """``eigvals_mp`` by the reference route."""
+    a = as_array(m)
+    n = len(a)
+    flat, d = gaussian_cleared(a.ravel())
+    return reference_extended_roots(berkowitz_by_dots([flat[i * n : (i + 1) * n] for i in range(n)]), d.bit_length() - 1, a)

@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import epspect.core.poly as core_poly
+import epspect.models as models
 from epspect.core import (
     EXTENDED_BITS,
     ConvergenceError,
@@ -34,13 +36,12 @@ from epspect.core import (
     resultant,
     square_free_factors,
 )
-from epspect.core.eig import _berkowitz
+from epspect.core.eig import _berkowitz, _gaussian_cleared
 from epspect.core.poly import (
     POLISH_BITS,
     _bracket,
     _cleared,
     _dyadic_roots,
-    _gaussian_cleared,
     _int_exact_div,
     _int_homogeneous,
     _sturm_sequence,
@@ -53,9 +54,24 @@ from epspect.epfinder import (
     _pole_collision_poly,
     classify_degeneracy,
 )
-from epspect.models import EpnModel, bc_matrix, bc_secular_parts, epn_matrix, epn_secular, hermitian_demo, secular_in_y
+from epspect.models import BcModel, EpnModel, bc_matrix, bc_secular_parts, epn_matrix, epn_secular, hermitian_demo, secular_in_y
 from epspect.sturmian import bivariate_secular
-from oracles import POLISH_PREC, Gaussian, as_mpc, charpoly_tridiag, eigvals_at, epn_mp, frac, sylvester_matrix
+from oracles import (
+    POLISH_PREC,
+    Gaussian,
+    as_mpc,
+    berkowitz_by_dots,
+    charpoly_tridiag,
+    dyadic_roots_from_fractions,
+    eigvals_at,
+    epn_mp,
+    frac,
+    gaussian_cleared,
+    nudged_seeds,
+    reference_eigvals_mp,
+    reference_extended_roots,
+    sylvester_matrix,
+)
 
 
 # --------------------------------------------------------------------------
@@ -951,10 +967,10 @@ def _exact_matrices(draw):
 def test_integer_berkowitz_is_the_exact_characteristic_polynomial(m):
     n = len(m)
     exact = [[(v.real, v.imag) for v in row] for row in m]
-    flat, d = _gaussian_cleared([v for row in m for v in row])
+    flat, d = gaussian_cleared([v for row in m for v in row])
     assert d & (d - 1) == 0  # dyadic entries: D is a power of two
     assert flat == [(int(re * d), int(im * d)) for row in exact for re, im in row]
-    coeffs = _berkowitz([flat[i * n : (i + 1) * n] for i in range(n)])
+    coeffs = _berkowitz([re for re, _ in flat], [im for _, im in flat], n)
     assert len(coeffs) == n + 1 and coeffs[-1] == (1, 0)
     # both sides are monic of degree n in x, so n values fix them:
     # det(x I - A) = D^-n det(D x I - D A)
@@ -985,13 +1001,12 @@ def _from_roots(roots):
 
 
 def _double_seeds(coeffs):
-    return [(s.real, s.imag) for s in np.roots([complex(cr, ci) for cr, ci in reversed(coeffs)])]
+    return np.roots([complex(cr, ci) for cr, ci in reversed(coeffs)])
 
 
 def _circle_seeds(degree):
     """Seeds far from every root: the Aberth term has to keep them apart."""
-    seeds = [5 * cmath.exp(2j * math.pi * (k + 0.25) / degree + 0.4j) for k in range(degree)]
-    return [(s.real, s.imag) for s in seeds]
+    return [5 * cmath.exp(2j * math.pi * (k + 0.25) / degree + 0.4j) for k in range(degree)]
 
 
 def _roots_at_40_digits(coeffs, seeds):
@@ -1048,6 +1063,120 @@ def test_eigvals_mp_raises_on_unconverged_roots(monkeypatch):
         eigvals_mp(epn_matrix(4, 0.5))
     assert len(err.value.roots) == 4
     assert err.value.unconverged == (err.value.roots[0],)
+
+
+# The extended tier runs on ints from the double matrix to the rounded
+# roots; the earlier route through ``Fraction`` seeds and per-dot Berkowitz
+# products (``oracles.reference_eigvals_mp``) is its bit-for-bit reference.
+
+
+def _hexes(values):
+    """Each value's parts as ``float.hex``, so that -0.0 and 0.0 differ."""
+    return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
+def _outcome(solve, *args, read=_hexes):
+    """``read`` of what ``solve(*args)`` returns, or its refusal with the roots it carries."""
+    try:
+        return read(solve(*args))
+    except (ConvergenceError, ValueError) as exc:
+        return type(exc), str(exc), _hexes(getattr(exc, "roots", ())), _hexes(getattr(exc, "unconverged", ()))
+
+
+def _assert_same_fixed_point_roots(coeffs, exp2, approx):
+    """``_extended_roots``'s fixed-point roots, scale and sweep count, or its refusal, are the reference's."""
+    values = np.linalg.eigvals(approx.astype(complex))
+    got = _outcome(_dyadic_roots, coeffs, values, EXTENDED_BITS, exp2, read=tuple)
+    want = _outcome(dyadic_roots_from_fractions, coeffs, nudged_seeds(values), EXTENDED_BITS, exp2, read=tuple)
+    assert got == want
+
+
+_binary_entries = st.one_of(
+    st.just(0.0),
+    st.builds(lambda x, sign: sign * x, st.floats(2.0**-80, 2.0**20), st.sampled_from([1.0, -1.0])),
+)
+
+
+@st.composite
+def _double_matrices(draw):
+    """A real or complex n x n double matrix, n = 1..8, with entries from
+    2^-80 to 2^20 in magnitude; a singular one repeats a row or zeroes a
+    column, so that roots at the origin deflate."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["real", "complex", "singular"]))
+    entries = st.lists(_binary_entries, min_size=n * n, max_size=n * n)
+    a = np.array(draw(entries), dtype=complex).reshape(n, n)
+    if kind != "real":
+        a += 1j * np.array(draw(entries)).reshape(n, n)
+    if kind == "singular":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            a[i] = a[j] * 2.0 ** draw(st.integers(-3, 3))
+        else:
+            a[:, i] = 0
+    return a
+
+
+@settings(deadline=None, max_examples=80)
+@given(_double_matrices())
+@example(np.zeros((0, 0)))
+@example(np.zeros((3, 3)))
+@example(np.diag([0.0, 1.0, 0.0, -1.0]))
+def test_eigvals_mp_is_the_reference_route_bit_for_bit(a):
+    assert _outcome(eigvals_mp, a) == _outcome(reference_eigvals_mp, a)
+    re, im, k = _gaussian_cleared(a)
+    flat, d = gaussian_cleared(a.ravel())
+    assert (re, im, k) == ([x for x, _ in flat], [y for _, y in flat], d.bit_length() - 1)
+    coeffs = _berkowitz(re, im, len(a))
+    assert coeffs == berkowitz_by_dots([flat[i * len(a) : (i + 1) * len(a)] for i in range(len(a))])
+    _assert_same_fixed_point_roots(coeffs, k, a)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1))
+def test_eigvals_mp_near_an_epn_exceptional_point_is_the_reference_route(n, seed):
+    rng = np.random.default_rng(seed)
+    a = epn_matrix(n, 0.0).a + 1e-12 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    assert _outcome(eigvals_mp, a) == _outcome(reference_eigvals_mp, a)
+    re, im, k = _gaussian_cleared(a)
+    _assert_same_fixed_point_roots(_berkowitz(re, im, n), k, a)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 8), st.floats(-1.5, 1.5), st.floats(-3.0, 3.0))
+@example(6, 0.0, 2.0)
+@example(5, -0.5, 1.0)
+def test_bc_eigvals_mp_is_the_reference_route(n, y, r):
+    model = BcModel(n, y)
+    with mock.patch.object(models, "_extended_roots", reference_extended_roots):
+        want = _outcome(model.eigvals_mp, r)
+    with mock.patch.object(models, "_extended_roots", wraps=models._extended_roots) as solve:
+        assert _outcome(model.eigvals_mp, r) == want
+    if solve.called:  # beyond |r| ~ 1.3e154 the matrix is refused first
+        _assert_same_fixed_point_roots(*solve.call_args.args)
+
+
+def test_eigvals_mp_builds_no_fraction(monkeypatch):
+    rng = np.random.default_rng(5)
+    a = epn_matrix(6, 0.0).a + 1e-9 * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    built = []
+    fraction_new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return fraction_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    eigvals_mp(a)
+    assert built == []
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0, math.inf), complex(1, math.nan)])
+def test_eigvals_mp_refuses_non_finite_entries(bad):
+    a = np.eye(3, dtype=complex)
+    a[1, 2] = bad
+    with pytest.raises(ValueError, match="has no exact rational value"):
+        eigvals_mp(a)
 
 
 # --------------------------------------------------------------------------

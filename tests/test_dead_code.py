@@ -691,7 +691,7 @@ def test_bc_polynomial_guard_sees_every_spelling():
     ]
 
 
-INTEGER_KERNELS = {"core/eig.py": ("_berkowitz",), "core/poly.py": ("_aberth_fixed",)}
+INTEGER_KERNELS = {"core/eig.py": ("_berkowitz",), "core/poly.py": ("_aberth_fixed", "_fixed_sum")}
 
 
 def _mpmath_in_kernels(tree, kernels):
