@@ -189,9 +189,13 @@ def _extended_roots(coeffs: list[tuple[int, int]], exp2: int, approx: np.ndarray
     ``poly._dyadic_roots`` from the eigenvalues of ``approx`` by the complex
     LAPACK driver, and each rounded once to ``complex``, in the order of
     the seeds.  Raises ``ConvergenceError`` with the unconverged subset if
-    any root fails to lock; unpolished roots are never returned.
+    any root fails to lock, and for a seed beyond the double range;
+    unpolished roots are never returned.
     """
-    roots, scale, _ = _dyadic_roots(coeffs, np.linalg.eigvals(approx.astype(complex)), EXTENDED_BITS, exp2)
+    seeds = np.linalg.eigvals(approx.astype(complex))
+    if not np.isfinite(seeds).all():
+        raise ConvergenceError("a double eigenvalue beyond the double range seeds no extended root")
+    roots, scale, _ = _dyadic_roots(coeffs, seeds, EXTENDED_BITS, exp2)
     return [_rounded(root, scale) for root in roots]
 
 

@@ -631,7 +631,7 @@ class DiscriminantChain:
         psc_j(y0) = 0 exactly when gcd(g, psc_j) has a root in (a, b].  One
         repeated root gives S_j = s_j (E - E*)^j, so E* = -s_(j-1) / (j s_j):
         at j = 1 the double that E* rounds to, certified by
-        ``_rounded_energy``, and at j >= 2 exact.  ``ArithmeticError`` for
+        ``_rounded_ratio``, and at j >= 2 exact.  ``ArithmeticError`` for
         j >= 2 unless the root is rational and S_j that power;
         ``ValueError`` for a leading E-coefficient that is not a constant.
         """
@@ -641,7 +641,7 @@ class DiscriminantChain:
             if j and not real_root_count(Polynomial(psc).gcd(g), a, b):
                 break
         if j == 1:
-            return j, _rounded_energy(s, g, root, a, b)
+            return j, _rounded_ratio(s, g, root, a, b)
         values = [Polynomial(c)(root) for c in s]
         e_star = -values[j - 1] / (j * values[j])
         if g(root) != 0 or Polynomial(values) != Polynomial.from_roots([e_star] * j, values[j]):
@@ -658,16 +658,18 @@ def _int_homogeneous_bounds(ints: list[int], lo: int, hi: int, e: int) -> tuple[
     return low, high
 
 
-def _rounded_energy(s: list[list[int]], g: Polynomial, x: Fraction, a: Fraction, b: Fraction) -> Fraction:
-    """The double E*(y) = -s_0(y) / s_1(y) rounds to at the one root y0 of g in (a, b], as a ``Fraction``; E*(y0) where y0 is met.
+def _rounded_ratio(s: list[list[int]], g: Polynomial, x: Fraction, a: Fraction, b: Fraction) -> Fraction:
+    """The double -s_0(y0) / s_1(y0) rounds to at the one root y0 of g in (a, b], as a ``Fraction``; the ratio itself where y0 is met.
 
-    s_1(y0) != 0, and the dyadic x lies within 2^-``POLISH_BITS`` |x| of y0.
+    s_0 and s_1 are integer polynomials with s_1(y0) != 0: the energy
+    -s_0/s_1 of a chain's S_1, the shift -W0/W1 at a fold's energy or
+    -P/Q at a pole's.  The dyadic x lies within 2^-``POLISH_BITS`` |x| of y0.
     ``_bracket`` narrows that neighbourhood on the signs of g, or of its
-    square-free part, until Horner on intervals bounds E* over it by two
-    numbers that round to one double.  Where they round to neighbours,
-    E*(y0) may be the tie t between them, which no bracket settles: it is,
-    exactly when s_0 + t s_1 and g share a root in (a, b].
-    ``ConvergenceError`` for an E* beyond the double range.
+    square-free part, until Horner on intervals bounds the ratio over it by
+    two numbers that round to one double.  Where they round to neighbours,
+    the ratio at y0 may be the tie t between them, which no bracket
+    settles: it is, exactly when s_0 + t s_1 and g share a root in (a, b].
+    ``ConvergenceError`` for a ratio beyond the double range.
     """
     (f,), _ = _cleared([g])
     eps = abs(x) / 2**POLISH_BITS
@@ -681,7 +683,7 @@ def _rounded_energy(s: list[list[int]], g: Polynomial, x: Fraction, a: Fraction,
     if not brackets(f):  # y0 is a root of g of even multiplicity
         f = _int_exact_div(f, _int_gcd(f, _int_derivative(f)))
         lo, hi = (lo, hi) if brackets(f) else (a, b)
-    s0, s1 = (c + [0] * (max(map(len, s[:2])) - len(c)) for c in s[:2])  # one degree: E* = -s_0 / s_1 on any grid
+    s0, s1 = (c + [0] * (max(map(len, s[:2])) - len(c)) for c in s[:2])  # one degree: -s_0 / s_1 on any grid
     rounded = []
 
     def double(num: int, den: int) -> float:
@@ -697,7 +699,7 @@ def _rounded_energy(s: list[list[int]], g: Polynomial, x: Fraction, a: Fraction,
         low, *_, high = sorted(double(-n, d) for n in (n0, n1) for d in (d0, d1))
         if low == high:
             rounded.append(low)
-        elif math.isfinite(low - high) and math.nextafter(low, high) == high:  # E*(y0) may be the tie t
+        elif math.isfinite(low - high) and math.nextafter(low, high) == high:  # the ratio at y0 may be the tie t
             t = (Fraction(low) + Fraction(high)) / 2
             at_t = _int_sub([t.denominator * c for c in s0], [-t.numerator * c for c in s1])  # s_0 + t s_1
             if real_root_count(Polynomial(_int_gcd(f, at_t)), a, b):
@@ -708,7 +710,7 @@ def _rounded_energy(s: list[list[int]], g: Polynomial, x: Fraction, a: Fraction,
     if lo == hi:
         return Fraction(-_int_homogeneous(s0, hi, 1 << e), _int_homogeneous(s1, hi, 1 << e))
     if math.isinf(rounded[0]):
-        raise ConvergenceError("an energy beyond the double range")
+        raise ConvergenceError("a ratio beyond the double range")
     return Fraction(rounded[0])
 
 

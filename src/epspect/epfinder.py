@@ -2,10 +2,12 @@
 
 The exceptional points of the two solvable families are decided exactly:
 along one parameter by the real roots of the discriminant of the secular
-polynomial, along the shift y by three exact event polynomials.  The
+polynomial, along the shift y by the level mergers at r = 0, the real
+roots of such a discriminant, and by the poles and folds of the bc
+family's rational EP curve, real roots of polynomials in E.  The
 subresultant chain that computes a discriminant also reads the order and
-the energy of each event, and every event is an EP: both families are
-irreducible tridiagonal, so each eigenvalue has geometric multiplicity 1.
+the energy of each of its events, and every event is an EP: both families
+are irreducible tridiagonal, so each eigenvalue has geometric multiplicity 1.
 A Hermitian family has none, and any other one-parameter model is refused.
 Sweeps read the family's eigenvalues in double or extended precision
 (for EPN its closed form, for the others those of the matrix), the
@@ -27,7 +29,7 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -48,13 +50,12 @@ from .core import (
     exact_rank,
     real_root_count,
     real_root_intervals,
-    real_roots,
     real_roots_above,
     reality_flags,
-    res_E,
     square_free_factors,
 )
-from .models import BcModel, EpnModel, HermitianDemoModel, bc_secular_at, epn_secular, secular_in_y
+from .core.poly import _cleared, _rounded_ratio
+from .models import BcModel, EpnModel, HermitianDemoModel, epn_secular, secular_in_y
 from .sturmian import SturmianFunction, bivariate_secular, branch_merges, sturmian_r2
 
 SWEEP_STACK_BYTES = 1 << 20  # bytes of complex n x n matrices per stack of a sweep
@@ -718,159 +719,150 @@ def _disc_in_y_at_p(n: int) -> Polynomial:
     return _secular_chain(n).disc
 
 
-@lru_cache(maxsize=None)
-def _pole_energies(n: int) -> tuple[Fraction, ...]:
-    """The real roots of B, which does not depend on y: the energies where r^2(E) can have a pole."""
-    return tuple(real_roots(bc_secular_at(n, 0)[1]))
+def _parts_in_y(n: int) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """P, Q and c3 with A(E, y) = P + Q y + c3 y^2, on ints: the coefficients of ``secular_in_y`` by powers of y, cleared."""
+    parts, _ = _cleared([Polynomial([c.coeffs[i] if i < len(c.coeffs) else 0 for c in secular_in_y(n)]) for i in range(3)])
+    return tuple(map(Polynomial, parts))
 
 
-@lru_cache(maxsize=None)
-def _pole_collision_poly(n: int) -> Polynomial:
-    """Res_E(A_y, B) as an exact polynomial in y.
+def _pole_candidates(n: int) -> tuple[tuple[Fraction, Fraction], ...]:
+    """(y*, E*) for each real root E* of B = -c3 that is a pole event's energy, y* rounded once.
 
-    Zeros are the shifts where the numerator of r^2(E) shares a root with
-    its denominator: the coupling function develops a persistent eigenvalue
-    at a pole instead of a level merger.
+    B does not depend on y, and at its root A = P + Q y is linear in y, so
+    A and B share E* exactly at y* = -P(E*)/Q(E*), the double that
+    ``_rounded_ratio`` certifies (or the exact value where it is met).  A
+    root where Q vanishes has no such y.  One where P'Q^2 - Q'PQ + c3'P^2
+    vanishes has p* = -A'(E*)/B'(E*) = 0: the moving level crosses the
+    persistent one at r = 0, a level merger that the merge candidates own
+    (n = 7, y = +-1/2).
     """
-    return res_E(list(secular_in_y(n)), [Polynomial([c]) for c in bc_secular_at(n, 0)[1].coeffs])  # B is free of y
-
-
-def _fold_coeffs_in_E(n: int) -> tuple[Polynomial, ...]:
-    """E-coefficients of W = A_y' B - A_y B' (polynomials in y).
-
-    Real double roots of W(., y) with coupling p = -A/B inside (0, 1] are
-    folds of the exceptional-point curve: two level mergers collide at an
-    interior r and the non-real interval between them closes.
-    """
-    ce = secular_in_y(n)
-    b = bc_secular_at(n, 0)[1].coeffs  # B does not depend on y
-    # A'B - AB' = sum over i, j of (i - j) a_i b_j E^(i + j - 1)
-    w = [Polynomial.zero()] * (len(ce) + len(b) - 2)
-    for i, a_i in enumerate(ce):
-        for j, b_j in enumerate(b):
-            if i != j:
-                w[i + j - 1] = w[i + j - 1] + a_i.scale(Fraction((i - j) * b_j))
-    while len(w) > 1 and w[-1].is_zero:
-        w.pop()
-    return tuple(w)
+    p, q, c3 = _parts_in_y(n)
+    slope = p.derivative() * q * q - q.derivative() * p * q + c3.derivative() * p * p  # Q^2 A' at y = -P/Q, c3 = 0
+    owned = c3.gcd(q * slope)
+    ratio, _ = _cleared([p, q])
+    b = -c3
+    return tuple(
+        (_rounded_ratio(ratio, b, e, lo, hi), e)
+        for e, lo, hi in real_root_intervals(b)
+        if not real_root_count(owned, lo, hi)
+    )
 
 
 @lru_cache(maxsize=None)
-def _fold_chain(n: int) -> DiscriminantChain:
-    """The subresultant chain of W(E, y) and its E-derivative, over Z[y]."""
-    return disc_chain(list(_fold_coeffs_in_E(n)))
+def _fold_curve(n: int) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """(W0, W1, V): W = A'B - AB' = W0 + y W1, and the Wronskian V = W0 W1' - W0' W1.
+
+    With A = P + Q y + c3 y^2 and B = -c3 the y^2 terms of W cancel, so
+    W0 = P'B - PB' and W1 = Q'B - QB'.  Where B(E) W1(E) != 0 the shift
+    y(E) = -W0/W1 is the one where E is a real double root of A + p B,
+    p = -A/B: every interior EP lies on E -> (y(E), p(E)), and since
+    y' = V / W1^2 its folds are the roots of V.
+    """
+    p, q, c3 = _parts_in_y(n)
+    b = -c3
+    w0 = p.derivative() * b - p * b.derivative()
+    w1 = q.derivative() * b - q * b.derivative()
+    return w0, w1, w0 * w1.derivative() - w0.derivative() * w1
 
 
-def _fold_event_poly(n: int) -> Polynomial:
-    """Disc_E of W(E, y) as an exact polynomial in y (EP-curve folds)."""
-    return _fold_chain(n).disc
+def _fold_candidates(n: int) -> tuple[tuple[Fraction, Fraction, int], ...]:
+    """(y*, E*, order) for each real root E* of V off the roots of B and W1, y* = -W0(E*)/W1(E*) rounded once.
+
+    At a root of multiplicity m of V, y(E) - y* vanishes to order m + 1,
+    so W(., y*) has a root of that multiplicity and A + p B one of
+    multiplicity m + 2: an EP of order m + 2 (the Pluecker formula for a
+    Wronskian).  The multiplicity is that of the square-free factor of V
+    (``square_free_factors``) that holds E*.
+    """
+    w0, w1, v = _fold_curve(n)
+    ratio, _ = _cleared([w0, w1])
+    off = -_parts_in_y(n)[2] * w1
+    return tuple(
+        (_rounded_ratio(ratio, f, e, lo, hi), e, m + 2)
+        for m, f in enumerate(square_free_factors(v), 1)
+        for e, lo, hi in real_root_intervals(f.exact_div(f.gcd(off)))
+    )
+
+
+@lru_cache(maxsize=None)
+def _scan_candidates(n: int) -> tuple:
+    """Every event candidate of the shift scan on the whole line, ascending in y, as (y*, polish).
+
+    Mergers are the real roots y* of the square-free factors of the
+    discriminant at r = 0; poles and folds are roots in E, with their y*
+    (``_pole_candidates``, ``_fold_candidates``).  ``polish(y*, below,
+    above)`` gives the event, or None.  Two candidates at one double y*
+    are not merged: ``ArithmeticError``.
+    """
+    merges = (
+        (float(y), partial(_polish_merge_event, n, (g, y, a, b)))
+        for g in square_free_factors(_disc_in_y_at_p(n))
+        for y, a, b in real_root_intervals(g)
+    )
+    poles = ((float(y), partial(_polish_pole_event, n, e)) for y, e in _pole_candidates(n))
+    folds = ((float(y), partial(_polish_fold_event, n, e, order)) for y, e, order in _fold_candidates(n))
+    candidates = sorted((*merges, *poles, *folds), key=lambda c: c[0])
+    for (y, _), (next_y, _) in zip(candidates, candidates[1:]):
+        if y == next_y:
+            raise ArithmeticError(f"two event candidates of the n = {n} shift scan round to one y = {y!r}")
+    return tuple(candidates)
 
 
 def ep_locate_2d_bc(n: int, y_range: tuple[float, float]) -> list[CriticalPoint]:
     """Critical shifts y where the reality pattern of the spectrum changes.
 
-    The exact algebra decides.  The candidates are the real roots in
-    ``y_range`` (endpoints included) of the three event polynomials in y:
-    level mergers at r = 0 (the discriminant of the secular polynomial at
-    p = 0), poles (Res_E(A_y, B)) and folds of the EP curve (Disc_E W).  A
-    root is an event exactly when its mechanism's polisher accepts it; a
-    root shared by several polynomials is tried on merge, pole and fold in
-    that order and yields at most one event.
+    The exact algebra decides.  The candidates (``_scan_candidates``) are
+    the level mergers at r = 0, the real roots of the discriminant of the
+    secular polynomial at p = 0, and the poles and folds of the EP curve,
+    read from polynomials in E: a pole at each real root E* of B, at
+    y* = -P(E*)/Q(E*), and a fold at each real root E* of the Wronskian V
+    of W = W0 + y W1, at y* = -W0(E*)/W1(E*).  Those with y* in ``y_range``
+    (endpoints included) are polished, and a candidate is an event exactly
+    when its polisher accepts it.
 
-    A pole-owned root is always a ``sturmian-pole``, with its crossing
-    coupling p* = -A'(E*)/B'(E*) in the residuals; no sampling decides it.
+    A pole is always a ``sturmian-pole``, with its crossing coupling
+    p* = -A'(E*)/B'(E*) in the residuals; no sampling decides it.
     The labels come from one exact label history per gap between
-    consecutive real roots of the event polynomials (on the whole line, so
-    a window only selects events), taken at the simplest rational in the
-    gap: ``tracks`` of a merger or fold are the levels meeting at its
-    multiple root, a pole has ``appearing``/``vanishing`` (read walking y
-    downward through it) and ``crossing_track``, the level that crosses
-    its persistent line.  Where a landing pair cannot be told apart from
-    another complex pair, or two levels reach a persistent line together
-    (the odd-n pole at y = 0), the labels are left out and
-    ``labels_ambiguous`` is set.  The labels never create or remove an
-    event.
+    consecutive candidates (on the whole line, so a window only selects
+    events), taken at the simplest rational in the gap: ``tracks`` of a
+    merger or fold are the levels meeting at its multiple root, a pole has
+    ``appearing``/``vanishing`` (read walking y downward through it) and
+    ``crossing_track``, the level that crosses its persistent line.  Where
+    a landing pair cannot be told apart from another complex pair, or two
+    levels reach a persistent line together (the odd-n pole at y = 0), the
+    labels are left out and ``labels_ambiguous`` is set.  The labels never
+    create or remove an event.
     """
     lo, hi = sorted((float(y_range[0]), float(y_range[1])))
-    found = (
-        (_Root(piece, *root), polishers) for piece, polishers in _event_pieces(n) for root in real_root_intervals(piece)
-    )
-    roots = sorted(found, key=lambda c: c[0].value)
-    ys = [float(root.value) for root, _ in roots]
+    candidates = _scan_candidates(n)
+    ys = [y for y, _ in candidates]
 
     def gap(i: int) -> _RealityHistory:
-        """The label history between roots i - 1 and i."""
+        """The label history between candidates i - 1 and i."""
         a = ys[i - 1] if i > 0 else ys[0] - 1 - abs(ys[0])
         b = ys[i] if i < len(ys) else ys[-1] + 1 + abs(ys[-1])
         return _reality_history(n, _inner_rational(a, b))
 
     points = []
-    for i, (root, polishers) in enumerate(roots):
-        if not lo <= ys[i] <= hi:
-            continue
-        below, above = gap(i), gap(i + 1)
-        for polish in polishers:
-            point = polish(n, root, below, above)
-            if point is not None:
-                points.append(point)
-                break
+    for i, (y, polish) in enumerate(candidates):
+        if lo <= y <= hi and (point := polish(y, gap(i), gap(i + 1))) is not None:
+            points.append(point)
     return points
 
 
-class _Root(NamedTuple):
-    """A real root of a square-free factor of an event polynomial, its only root in (lo, hi]."""
-
-    factor: Polynomial
-    value: Fraction
-    lo: Fraction | None
-    hi: Fraction | None
-
-
-def _event_pieces(n: int) -> list[tuple[Polynomial, tuple]]:
-    """The event polynomials split into coprime square-free exact factors.
-
-    Each factor carries the polishers of every event polynomial it divides,
-    in the order merge, pole, fold, so each real root appears in exactly
-    one factor together with all of its mechanisms (the fold polynomial,
-    for one, vanishes at every pole root).  The split is by gcds over Q;
-    no two floating-point roots are ever compared.
-    """
-    pieces = []
-    for polish, poly in (
-        (_polish_merge_event, _disc_in_y_at_p(n)),
-        (_polish_pole_event, _pole_collision_poly(n)),
-        (_polish_fold_event, _fold_event_poly(n)),
-    ):
-        if poly.degree < 1:
-            continue
-        rest = math.prod(square_free_factors(poly))
-        split = []
-        for piece, owners in pieces:
-            common = piece.gcd(rest)
-            if common.degree >= 1:
-                split.append((common, owners + (polish,)))
-                piece, rest = piece.exact_div(common), rest.exact_div(common)
-            if piece.degree >= 1:
-                split.append((piece, owners))
-        if rest.degree >= 1:
-            split.append((rest, (polish,)))
-        pieces = split
-    return pieces
-
-
-def _polish_merge_event(n, root: _Root, below, above) -> CriticalPoint:
+def _polish_merge_event(n, root, y_star: float, below, above) -> CriticalPoint:
     """A level merger at r = 0 on a root y* of the exact discriminant.
 
     The subresultant chain of the secular polynomial at r = 0, over Z[y],
     reads the order j + 1 and the energy at y*
-    (``DiscriminantChain.repeated_root``), as at every root of the exact
-    1-D locator.  Its ``tracks`` are the levels at the merge energy's
+    (``DiscriminantChain.repeated_root`` of ``root``, a factor with y* and
+    its isolating interval), as at every root of the exact 1-D locator.
+    Its ``tracks`` are the levels at the merge energy's
     positions at r -> 0, on the side of y* where they are real: Sturm
     counts the levels of the secular polynomial at the double y* above the
     merging ones (``real_roots_above``), which that rounding may have moved
     off the real axis.
     """
-    y_star = float(root.value)
     j, e_star = _secular_chain(n).repeated_root(*root)
     energy = complex(float(e_star))
     resid = _rank_residuals(BcModel(n, y_star).matrix(0.0), energy)
@@ -884,31 +876,28 @@ def _polish_merge_event(n, root: _Root, below, above) -> CriticalPoint:
     return CriticalPoint({"y": y_star, "r": 0.0}, energy, "ep", j + 1, resid)
 
 
-def _polish_pole_event(n, root: _Root, below, above) -> CriticalPoint:
+def _polish_pole_event(n, energy: Fraction, y_star: float, below, above) -> CriticalPoint:
     """A reality exchange through a pole of the coupling function.
 
-    At a root y* of Res_E(A_y, B) the numerator A_y* and the denominator B
-    share a real root E*: an eigenvalue that stays put for every coupling,
-    the one of ``_pole_energies`` where A_y* is smallest.  The residuals
-    evaluate A, A' and B' exactly at E*, which is exact where its double is
-    a root of B (E* = 2 for odd n at y = 0), so they and
-    ``_crossing_track``'s zero-slope test see it exactly.  A root shared
-    with the merge polynomial is tried as a merger first, so every root
-    that reaches this polisher is a pole.  Its ``crossing_coupling``
-    p* = -A'(E*)/B'(E*) is the coupling at which the moving branch of
-    r^2(E) passes through the persistent line; ``crossing_track`` is that
-    moving level (``_crossing_track``).
+    At y* the numerator A_y* and the denominator B share the real root
+    E* = ``energy`` of B (``_pole_candidates``): an eigenvalue that stays
+    put for every coupling.  The residuals evaluate A, A' and B' exactly at
+    E*, which is exact where its double is a root of B (E* = 2 for odd n
+    at y = 0), so they and ``_crossing_track``'s zero-slope test see it
+    exactly; ``pole_residual`` is B's relative residual at the reported
+    double of E*.  Its ``crossing_coupling`` p* = -A'(E*)/B'(E*) is the
+    coupling at which the moving branch of r^2(E) passes through the
+    persistent line; ``crossing_track`` is that moving level
+    (``_crossing_track``).
     """
-    y_star = float(root.value)
     s = bivariate_secular(n, y_star)
-    energy = min(_pole_energies(n), key=lambda e: abs(s.A(e)))
     p_star = -s.A.derivative()(energy) / s.B.derivative()(energy)
     resid = {
         "appearing": tuple(sorted(below.lost - above.lost)),
         "vanishing": tuple(sorted(above.lost - below.lost)),
         "numerator_at_pole": abs(float(s.A(energy))),
         "crossing_coupling": float(p_star),
-        "resultant_residual": _relative_residual(_pole_collision_poly(n), y_star),
+        "pole_residual": _relative_residual(s.B, float(energy)),
     }
     _label_residuals(resid, "crossing_track", _crossing_track(s, energy, p_star, below, above))
     return CriticalPoint(
@@ -952,30 +941,27 @@ def _crossing_track(s: SturmianFunction, energy: Fraction, p_star: Fraction, bel
     return None if labels is None else labels[0]
 
 
-def _polish_fold_event(n, root: _Root, below, above) -> CriticalPoint | None:
+def _polish_fold_event(n, e_star: Fraction, order: int, y_star: float, below, above) -> CriticalPoint | None:
     """Two interior-r level mergers colliding: a fold of the EP curve.
 
-    The subresultant chain of W = A'B - AB', over Z[y], reads the repeated
-    root E* of W(., y*) and its order j_W (``DiscriminantChain.repeated_root``).
-    Where B(E*) != 0, A + p B with p = -A(E*)/B(E*) vanishes to order m at
-    E* exactly when W vanishes to order m - 1 there, so the fold is an EP
-    of order j_W + 2 at E*.  Its coupling p* is r^2 at the reported double
-    E* and y*; r^2 is stationary at E* to second order, so the last bits of
-    E* do not move it.  Its ``tracks`` are the three levels that are real
-    between the landing and the departure that the fold joins: on one side
-    of y* the history has these two extra steps next to each other.
+    E* is a root of the Wronskian V, of the multiplicity that gives the
+    EP's ``order`` (``_fold_candidates``), and ``fold_residual`` is V's
+    relative residual at its reported double.  Its coupling p* is r^2 at
+    the reported doubles of E* and y*; r^2 is stationary at E* to second
+    order, so the last bits of E* do not move it.  Its ``tracks`` are the
+    three levels that are real between the landing and the departure that
+    the fold joins: on one side of y* the history has these two extra
+    steps next to each other.
     """
-    y_star = float(root.value)
-    j, e_star = _fold_chain(n).repeated_root(*root)
     energy = complex(float(e_star))
     r2 = sturmian_r2(bivariate_secular(n, y_star), energy.real)
     if not r2.is_finite or not -1e-9 <= r2.exact <= 1 + 1e-9:
         return None
     r0 = math.sqrt(max(r2.value, 0.0))
     resid = _rank_residuals(BcModel(n, y_star).matrix(r0), energy)
-    _label_residuals(resid, "tracks", _fold_tracks(below, above, j + 2))
-    resid["fold_residual"] = _relative_residual(_fold_event_poly(n), y_star)
-    return CriticalPoint({"y": y_star, "r": r0}, energy, "ep", j + 2, resid)
+    _label_residuals(resid, "tracks", _fold_tracks(below, above, order))
+    resid["fold_residual"] = _relative_residual(_fold_curve(n)[2], energy.real)
+    return CriticalPoint({"y": y_star, "r": r0}, energy, "ep", order, resid)
 
 
 def _fold_tracks(below: _RealityHistory, above: _RealityHistory, order: int) -> tuple | None:

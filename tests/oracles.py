@@ -8,7 +8,11 @@ at a chosen number of bits, and find the real roots of an exact
 polynomial with mpmath's own root finder.  Two more oracles sit beside
 them: the characteristic polynomial of a tridiagonal matrix from its
 three-term recurrence in complex doubles, and the exact Sylvester matrix of
-two polynomials.  Last comes the extended tier's earlier route through
+two polynomials.  The shift scan's earlier event polynomials in y follow:
+the pole resultant Res_E(A_y, B), and Disc_E W with W = A'B - AB' and
+its subresultant chain, from the package's ``res_E`` and ``disc_chain``,
+split into coprime square-free pieces by exact gcds as the scan once did.
+Last comes the extended tier's earlier route through
 ``as_ratio`` clearing, per-dot Berkowitz products, ``Fraction`` seeds and a
 Gaussian rounding division, which the package's integer route must match
 bit for bit (``reference_eigvals_mp``, ``reference_extended_roots``).
@@ -16,16 +20,18 @@ bit for bit (``reference_eigvals_mp``, ``reference_extended_roots``).
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
 
-from epspect.core import Polynomial, as_array
+from epspect.core import Polynomial, as_array, disc_chain, res_E, square_free_factors
 from epspect.core.eig import _berkowitz
 from epspect.core.poly import EXTENDED_GUARD_BITS, ConvergenceError, _bits_below_roots, _dyadic_roots, _rounded
 from epspect.core.scalars import EXTENDED_BITS, as_ratio
-from epspect.models import BcModel, EpnModel
+from epspect.epfinder import _disc_in_y_at_p
+from epspect.models import BcModel, EpnModel, bc_secular_at, secular_in_y
 
 POLISH_PREC = 136  # mpmath's precision at 40 digits
 
@@ -157,6 +163,68 @@ def sylvester_matrix(p: Polynomial, q: Polynomial) -> list[list]:
     return [[0] * i + fr + [0] * (m - 1 - i) for i in range(m)] + [
         [0] * i + gr + [0] * (n - 1 - i) for i in range(n)
     ]
+
+
+# --------------------------------------------------------------------------
+# the shift scan's earlier event polynomials in y
+# --------------------------------------------------------------------------
+#
+# The scan once took its pole and fold candidates from the real roots of two
+# polynomials in y, split with the merge discriminant into coprime pieces.
+# It now reads them from polynomials in E; these are the oracles it meets.
+
+
+@lru_cache(maxsize=None)
+def pole_collision_poly(n: int) -> Polynomial:
+    """Res_E(A_y, B) as an exact polynomial in y: zero where A_y and B share a root."""
+    return res_E(list(secular_in_y(n)), [Polynomial([c]) for c in bc_secular_at(n, 0)[1].coeffs])
+
+
+@lru_cache(maxsize=None)
+def fold_coeffs_in_E(n: int) -> tuple[Polynomial, ...]:
+    """E-coefficients of W = A_y' B - A_y B', each a polynomial in y."""
+    b = bc_secular_at(n, 0)[1].coeffs  # B does not depend on y
+    w = [Polynomial.zero()] * (n + len(b) - 1)
+    # A'B - AB' = sum over i, j of (i - j) a_i b_j E^(i + j - 1)
+    for i, a_i in enumerate(secular_in_y(n)):
+        for j, b_j in enumerate(b):
+            if i != j:
+                w[i + j - 1] = w[i + j - 1] + a_i.scale(Fraction((i - j) * b_j))
+    while len(w) > 1 and w[-1].is_zero:
+        w.pop()
+    return tuple(w)
+
+
+@lru_cache(maxsize=None)
+def fold_chain(n: int):
+    """Disc_E W with the subresultant chain of W and W_E over Z[y] (``disc_chain``)."""
+    return disc_chain(list(fold_coeffs_in_E(n)))
+
+
+def fold_event_poly(n: int) -> Polynomial:
+    """Disc_E W as an exact polynomial in y: zero at every fold of the EP curve, and at every pole."""
+    return fold_chain(n).disc
+
+
+def event_pieces(n: int) -> list[tuple[Polynomial, tuple[str, ...]]]:
+    """The merge, pole and fold polynomials in y split into coprime square-free pieces, each with the mechanisms it belongs to."""
+    pieces = []
+    for kind, poly in (("merge", _disc_in_y_at_p(n)), ("pole", pole_collision_poly(n)), ("fold", fold_event_poly(n))):
+        if poly.degree < 1:
+            continue
+        rest = math.prod(square_free_factors(poly))
+        split = []
+        for piece, owners in pieces:
+            common = piece.gcd(rest)
+            if common.degree >= 1:
+                split.append((common, owners + (kind,)))
+                piece, rest = piece.exact_div(common), rest.exact_div(common)
+            if piece.degree >= 1:
+                split.append((piece, owners))
+        if rest.degree >= 1:
+            split.append((rest, (kind,)))
+        pieces = split
+    return pieces
 
 
 # --------------------------------------------------------------------------

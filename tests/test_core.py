@@ -46,14 +46,7 @@ from epspect.core.poly import (
     _int_homogeneous,
     _sturm_sequence,
 )
-from epspect.epfinder import (
-    _disc_in_y_at_p,
-    _event_pieces,
-    _fold_coeffs_in_E,
-    _fold_event_poly,
-    _pole_collision_poly,
-    classify_degeneracy,
-)
+from epspect.epfinder import _disc_in_y_at_p, classify_degeneracy
 from epspect.models import BcModel, EpnModel, bc_matrix, bc_secular_parts, epn_matrix, epn_secular, hermitian_demo, secular_in_y
 from epspect.sturmian import bivariate_secular
 from oracles import (
@@ -65,9 +58,13 @@ from oracles import (
     dyadic_roots_from_fractions,
     eigvals_at,
     epn_mp,
+    event_pieces,
+    fold_coeffs_in_E,
+    fold_event_poly,
     frac,
     gaussian_cleared,
     nudged_seeds,
+    pole_collision_poly,
     reference_eigvals_mp,
     reference_extended_roots,
     sylvester_matrix,
@@ -548,7 +545,7 @@ def _refinement_corpus():
         _product([(Fraction(1), 1), (1 + Fraction(1, 2**150), 1), (Fraction(3), 1)], [], 1),
         _product([(Fraction(2), 1), (2 + Fraction(1, 10**12), 1)], [], 1),
         _product([(Fraction(-5, 7) * (1 + Fraction(1, 2**60)), 1), (Fraction(-5, 7), 1)], [], 1),
-        *(piece for piece, _ in _event_pieces(8)),
+        *(piece for piece, _ in event_pieces(8)),
     ]
 
 
@@ -1065,6 +1062,18 @@ def test_eigvals_mp_raises_on_unconverged_roots(monkeypatch):
     assert err.value.unconverged == (err.value.roots[0],)
 
 
+@pytest.mark.parametrize(
+    "m",
+    [
+        [[1e308, 1e308], [1e308, 1e308]],  # the double eigenvalue 2e308 overflows to inf
+        [[1e308j, 1e308j], [1e308j, 1e308j]],  # and to inf j on the complex driver
+    ],
+)
+def test_eigvals_mp_refuses_seeds_beyond_the_double_range(m):
+    with pytest.raises(ConvergenceError, match="beyond the double range"):
+        eigvals_mp(np.array(m))
+
+
 # The extended tier runs on ints from the double matrix to the rounded
 # roots; the earlier route through ``Fraction`` seeds and per-dot Berkowitz
 # products (``oracles.reference_eigvals_mp``) is its bit-for-bit reference.
@@ -1299,9 +1308,9 @@ def test_discriminant_in_E_matches_pointwise_resultant():
         for p0 in (Fraction(0), Fraction(2, 5)):
             at_p0 = [c - Polynomial([p0 * b]) for c, b in itertools.zip_longest(secular_in_y(n), bc_secular_parts(n)[3].coeffs, fillvalue=0)]
             assert disc_chain(at_p0).disc(y0) == discriminant(s.poly_at(p0))
-        assert _pole_collision_poly(n)(y0) == resultant(s.A, s.B)
+        assert pole_collision_poly(n)(y0) == resultant(s.A, s.B)
         w = s.A.derivative() * s.B - s.A * s.B.derivative()
-        assert _fold_event_poly(n)(y0) == discriminant(w)
+        assert fold_event_poly(n)(y0) == discriminant(w)
 
 
 # --------------------------------------------------------------------------
@@ -1348,9 +1357,9 @@ def test_event_polynomials_match_gaussian_elimination(n):
         a = Polynomial([c(y0) for c in secular_in_y(n)])
         assert a == s.A
         assert _disc_in_y_at_p(n)(y0) == _disc_oracle(a)
-        assert _pole_collision_poly(n)(y0) == _det_gauss(sylvester_matrix(s.A, s.B))
-        w = Polynomial([c(y0) for c in _fold_coeffs_in_E(n)])
-        assert _fold_event_poly(n)(y0) == _disc_oracle(w)
+        assert pole_collision_poly(n)(y0) == _det_gauss(sylvester_matrix(s.A, s.B))
+        w = Polynomial([c(y0) for c in fold_coeffs_in_E(n)])
+        assert fold_event_poly(n)(y0) == _disc_oracle(w)
 
 
 _fractions = st.fractions(min_value=-4, max_value=4, max_denominator=9)
@@ -1546,9 +1555,9 @@ def test_event_polynomials_beyond_n9_match_gaussian_elimination(n):
     for y0 in (Fraction(-1, 2), Fraction(2, 7)):
         s = bivariate_secular(n, y0)
         assert _disc_in_y_at_p(n)(y0) == _disc_oracle(s.A)
-        assert _pole_collision_poly(n)(y0) == _det_gauss(sylvester_matrix(s.A, s.B))
-        w = Polynomial([c(y0) for c in _fold_coeffs_in_E(n)])
-        assert _fold_event_poly(n)(y0) == _disc_oracle(w)
+        assert pole_collision_poly(n)(y0) == _det_gauss(sylvester_matrix(s.A, s.B))
+        w = Polynomial([c(y0) for c in fold_coeffs_in_E(n)])
+        assert fold_event_poly(n)(y0) == _disc_oracle(w)
 
 
 def _gcd_oracle(a, b):

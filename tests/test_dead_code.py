@@ -1,6 +1,6 @@
 """Static guard against dead code in the package (stdlib ``ast`` only).
 
-Twenty-five things fail the guard: an import a module never uses (package
+Twenty-six things fail the guard: an import a module never uses (package
 ``__init__.py`` files are exempt, their imports are re-exports), a
 ``_private`` top-level function that no module of the package references,
 a module-level UPPER_CASE constant that no module of the package loads,
@@ -34,9 +34,14 @@ outside ``models.py``, a call of ``bc_secular_parts`` outside it, a
 ``concurrent.futures`` anywhere but in ``epfinder._sweep_stacks``, a
 whole ``sweep`` or ``SweepResult`` anywhere the CSV branches of the
 ``sweep`` and ``figure`` commands reach (they stream ``_sweep_stacks``),
-and a name of a deleted container (``Tridiagonal``, ``BivariateSecular``,
+a name of a deleted container (``Tridiagonal``, ``BivariateSecular``,
 ``discriminant_in_E``) or of a deleted ``EigResult`` field
-(``residual_right``, ``residual_left``, ``low_confidence``) anywhere.  Two narrower
+(``residual_right``, ``residual_left``, ``low_confidence``) anywhere,
+and a name of the shift scan's deleted polynomials in y for poles and
+folds, their chain and their gcd split (``_pole_collision_poly``,
+``_fold_coeffs_in_E``, ``_fold_chain``, ``_fold_event_poly``,
+``_event_pieces``), of the ratio rounding's old name ``_rounded_energy``
+or of the pole residual's old name ``resultant_residual`` anywhere.  Two narrower
 mpmath guards stay beside the import guard and name the culprit when it
 fails: mpmath in the integer kernels of the extended tier (the Berkowitz
 characteristic polynomial and the fixed-point Aberth iteration), and a
@@ -1035,15 +1040,15 @@ DELETED_CONTAINERS = {
 }
 
 
-def _deleted_container_uses(tree):
-    """Lines that name a ``DELETED_CONTAINERS`` name in any spelling, pass or
-    take it as a keyword, or hold it as a string (an ``__all__`` entry)."""
-    yield from _spellings(tree, DELETED_CONTAINERS)
+def _deleted_name_uses(tree, names):
+    """Lines that name one of ``names`` in any spelling, pass or take it as a
+    keyword, or hold it as a string (an ``__all__`` entry or a dict key)."""
+    yield from _spellings(tree, names)
     for node in ast.walk(tree):
         if isinstance(node, (ast.keyword, ast.arg)):
-            found = node.arg in DELETED_CONTAINERS
+            found = node.arg in names
         elif isinstance(node, ast.Constant):
-            found = isinstance(node.value, str) and node.value in DELETED_CONTAINERS
+            found = isinstance(node.value, str) and node.value in names
         else:
             found = False
         if found:
@@ -1056,7 +1061,7 @@ def test_one_container_per_core_object():
     eigentriple holds values, vectors and clusters: no banded copy of a
     matrix, no second secular container with its own discriminant, and no
     per-column residuals or confidence flags that no caller reads."""
-    uses = [f"{path.relative_to(PACKAGE)}:{line}" for path in MODULES for line in _deleted_container_uses(_parse(path))]
+    uses = [f"{path.relative_to(PACKAGE)}:{line}" for path in MODULES for line in _deleted_name_uses(_parse(path), DELETED_CONTAINERS)]
     assert uses == []
 
 
@@ -1073,4 +1078,42 @@ def test_deleted_container_guard_sees_every_spelling():
         "residual_right: object = None\n"
         "tridiagonal = Tridiag(); residuals = x.residual; 'low confidence'; discriminant_in_e(s)\n"
     )
-    assert sorted(set(_deleted_container_uses(ast.parse(source)))) == [1, 2, 3, 4, 6, 8, 9, 10, 12]
+    assert sorted(set(_deleted_name_uses(ast.parse(source), DELETED_CONTAINERS))) == [1, 2, 3, 4, 6, 8, 9, 10, 12]
+
+
+DELETED_SCAN_POLYNOMIALS = {
+    "_pole_collision_poly",
+    "_fold_coeffs_in_E",
+    "_fold_chain",
+    "_fold_event_poly",
+    "_event_pieces",
+    "_rounded_energy",
+    "resultant_residual",
+}
+
+
+def test_shift_scan_reads_poles_and_folds_in_E():
+    """The shift scan reads its pole and fold candidates from polynomials in
+    E (the roots of B and of the Wronskian V), so the pole resultant
+    Res_E(A_y, B), the fold chain of W over Z[y], its discriminant and their
+    gcd split into coprime pieces are neither defined nor read, and the
+    ratio rounding and the pole residual keep their new names.  The
+    deleted polynomials live on as test oracles (``oracles.py``)."""
+    uses = [
+        f"{path.relative_to(PACKAGE)}:{line}"
+        for path in MODULES
+        for line in _deleted_name_uses(_parse(path), DELETED_SCAN_POLYNOMIALS)
+    ]
+    assert uses == []
+
+
+def test_deleted_scan_polynomial_guard_sees_every_spelling():
+    source = (
+        "from .epfinder import _event_pieces as pieces\n"
+        "@lru_cache(maxsize=None)\ndef _fold_chain(n):\n    pass\n"
+        "poly = epfinder._pole_collision_poly(n)\n"
+        "resid['resultant_residual'] = 0.0\n"
+        "j, e = _rounded_energy(s, g, x, a, b)\n"
+        "fold_event_poly(n); _fold_coeffs_in_e(n); resultant(p, q)\n"
+    )
+    assert sorted(set(_deleted_name_uses(ast.parse(source), DELETED_SCAN_POLYNOMIALS))) == [1, 3, 5, 6, 7]

@@ -10,10 +10,13 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
+import epspect.core.poly as core_poly
 import epspect.epfinder as epfinder
+import epspect.models as models
+import epspect.sturmian as sturmian
 from epspect.core import (
     ConvergenceError,
     Precision,
@@ -21,15 +24,11 @@ from epspect.core import (
     eig_dense,
     eigvals_double,
     real_root_intervals,
-    real_roots,
 )
 from epspect.epfinder import (
     _assign,
     _disc_in_y_at_p,
-    _event_pieces,
-    _fold_event_poly,
     _pairing_warnings,
-    _pole_collision_poly,
     _stack_length,
     _sweep_stacks,
     bc_reality_signature,
@@ -42,7 +41,17 @@ from epspect.epfinder import (
 )
 from epspect.models import BcModel, EpnModel, HermitianDemoModel, bc_matrix, bc_secular_at, epn_matrix
 from epspect.sturmian import bivariate_secular
-from oracles import POLISH_PREC, bc_mp, eigvals_at, epn_levels, model_mp
+from oracles import (
+    POLISH_PREC,
+    bc_mp,
+    eigvals_at,
+    epn_levels,
+    fold_chain,
+    fold_event_poly,
+    model_mp,
+    pole_collision_poly,
+    rounded,
+)
 
 EPS_LADDER = [1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6]
 
@@ -776,9 +785,9 @@ def test_pole_energies_are_found_once_per_n(monkeypatch):
     # B does not depend on y, so a scan finds its roots once, not at every pole event
     b = bc_secular_at(8, 0)[1]
     calls = []
-    roots = epfinder.real_roots
-    monkeypatch.setattr(epfinder, "real_roots", lambda p, *args: calls.append(p == b) or roots(p, *args))
-    epfinder._pole_energies.cache_clear()
+    roots = epfinder.real_root_intervals
+    monkeypatch.setattr(epfinder, "real_root_intervals", lambda p, *args: calls.append(p == b) or roots(p, *args))
+    epfinder._scan_candidates.cache_clear()
     poles = [p for p in ep_locate_2d_bc(8, (-1, 1)) if p.kind == "sturmian-pole"]
     assert len(poles) >= 2 and sum(calls) == 1
 
@@ -855,13 +864,13 @@ def scan10():
 
 
 def _own_event_poly(n, point):
-    """The exact polynomial in y of the event's mechanism, made square-free."""
+    """The exact polynomial in y of the event's mechanism, made square-free: for a pole and a fold the oracle's."""
     if point.kind == "sturmian-pole":
-        poly = _pole_collision_poly(n)
+        poly = pole_collision_poly(n)
     elif point.params["r"] == 0:
         poly = _disc_in_y_at_p(n)
     else:
-        poly = _fold_event_poly(n)
+        poly = fold_event_poly(n)
     return poly.exact_div(poly.gcd(poly.derivative()))
 
 
@@ -887,7 +896,7 @@ def test_scan_verdicts_are_certified(n, request):
         # rounded from a root reads a few units of rounding
         (residual,) = (
             p.residuals[k]
-            for k in ("disc_residual", "resultant_residual", "fold_residual")
+            for k in ("disc_residual", "pole_residual", "fold_residual")
             if k in p.residuals
         )
         assert residual <= 1e-15, p
@@ -962,9 +971,70 @@ def test_scan_labels_without_sweeps_one_history_per_gap(monkeypatch):
     monkeypatch.setattr(epfinder, "sweep", no_sweep)
     epfinder._reality_history.cache_clear()
     points = ep_locate_2d_bc(8, (-1.0, 0.0))
-    candidates = sum(len(real_roots(piece, -1.0, 0.0)) for piece, _ in _event_pieces(8))
+    candidates = sum(-1.0 <= y <= 0.0 for y, _ in epfinder._scan_candidates(8))
     assert len(points) == 7
     assert epfinder._reality_history.cache_info().misses <= candidates + 1
+
+
+def test_scan_builds_one_subresultant_chain_and_no_resultant(monkeypatch):
+    """A guard that no host speed moves: with every cache cleared, the
+    n = 12 scan runs the subresultant sequence once, on the secular
+    polynomial at r = 0 (E-degree 12), and takes no resultant in E: poles
+    and folds come from polynomials in E, not from chains over Z[y]."""
+    for module in (models, sturmian, epfinder):
+        for value in list(vars(module).values()):
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    degrees, resultants = [], []
+    subresultant, res_E = core_poly._subresultant, core_poly.res_E
+    monkeypatch.setattr(core_poly, "_subresultant", lambda f, g: degrees.append(len(f) - 1) or subresultant(f, g))
+    monkeypatch.setattr(core_poly, "res_E", lambda f, g: resultants.append(len(f) - 1) or res_E(f, g))
+    assert ep_locate_2d_bc(12, (-1, 1))
+    assert degrees == [12] and resultants == []
+    assert not any(hasattr(module, "res_E") for module in (models, sturmian, epfinder))
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_fold_orders_and_shifts_are_those_of_the_oracle_chain(n):
+    # the oracle is Disc_E W over Z[y] with its subresultant chain: at the
+    # fold's root y0 it reads j_W = deg gcd(W, W_E) and the repeated root E*
+    chain = fold_chain(n)
+    roots = {float(y): (y, a, b) for y, a, b in real_root_intervals(chain.disc)}
+    folds = [p for p in ep_locate_2d_bc(n, (-1.0, 1.0)) if p.params["r"] > 0]
+    assert folds or n < 6
+    for p in folds:
+        j, e_star = chain.repeated_root(chain.disc, *roots[p.params["y"]])
+        assert (p.order, p.energy) == (j + 2, complex(float(e_star))), p
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(3, 12), e=st.fractions(-1, 5, max_denominator=64))
+@example(n=6, e=Fraction(1, 3))
+def test_the_fold_curve_is_a_double_root_of_the_family_in_exact_fractions(n, e):
+    # at E off the roots of B and W1, y = -W0/W1 and p = -A/B make E a
+    # double root of A + p B: the curve E -> (y, p) holds every interior EP
+    w0, w1, _ = epfinder._fold_curve(n)
+    b = bc_secular_at(n, 0)[1]
+    assume(b(e) * w1(e) != 0)
+    a, b = bc_secular_at(n, -w0(e) / w1(e))
+    pencil = a + b.scale(-a(e) / b(e))
+    assert pencil(e) == 0 and pencil.derivative()(e) == 0
+
+
+@pytest.mark.parametrize("n", range(3, 25))
+def test_pole_candidates_are_the_closed_form_rounded_once(n):
+    # B's roots are 2 - 2 cos(k pi / (n - 1)), k = 1..n - 2, each shared by
+    # A at y = cos(k pi / (n - 1)); at n = 7 the two at y = +-1/2 are level
+    # mergers at r = 0, owned by the merge candidates
+    with mp.workdps(40):
+        cosines = [mp.cospi(mp.mpf(k) / (n - 1)) for k in range(1, n - 1)]  # exactly 0 at k / (n - 1) = 1/2
+        want = {(rounded(c), rounded(2 - 2 * c)) for c in cosines}
+    owned = {(0.5, 1.0), (-0.5, 3.0)} if n == 7 else set()
+    assert owned <= want
+    assert {(float(y), float(e)) for y, e in epfinder._pole_candidates(n)} == want - owned
+    if owned:
+        merges = {(p.params["y"], p.energy.real) for p in ep_locate_2d_bc(n, (-0.5, 0.5)) if p.params["r"] == 0}
+        assert owned <= merges
 
 
 def test_landing_labels_are_unknown_only_beside_another_complex_pair():

@@ -33,9 +33,9 @@ import mpmath as mp
 import pytest
 
 from epspect.cli import main as cli_main
-from epspect.epfinder import _disc_in_y_at_p, _fold_coeffs_in_E, _fold_event_poly, ep_locate_2d_bc
+from epspect.epfinder import _disc_in_y_at_p, ep_locate_2d_bc
 from epspect.models import secular_in_y
-from oracles import rounded
+from oracles import fold_coeffs_in_E, fold_event_poly, rounded
 
 DATA = Path(__file__).resolve().parent / "data"
 SWEEP_FIGURES = (1, 2, 3)
@@ -187,8 +187,8 @@ def _check_scan_energies(n, points, by_newton=False):
         if p.kind != "ep":
             continue
         merge = p.params["r"] == 0
-        event = _disc_in_y_at_p(n) if merge else _fold_event_poly(n)
-        coeffs = secular_in_y(n) if merge else _fold_coeffs_in_E(n)
+        event = _disc_in_y_at_p(n) if merge else fold_event_poly(n)
+        coeffs = secular_in_y(n) if merge else fold_coeffs_in_E(n)
         assert p.energy.imag == 0
         assert p.energy.real == _repeated_root_oracle(event, coeffs, p.params["y"], p.energy.real, by_newton), p
 
