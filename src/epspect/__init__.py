@@ -16,9 +16,7 @@ from .core import (
     RootCluster,
     charpoly_from_parts,
     cluster_points,
-    discriminant,
     eig_dense,
-    resultant,
 )
 from .models import (
     BcModel,
@@ -29,7 +27,6 @@ from .models import (
     Robin,
     ShiftedCircle,
     bc_matrix,
-    epn_secular,
     epn_matrix,
     hermitian_demo,
     z_value,
@@ -77,9 +74,7 @@ __all__ = [
     "RootCluster",
     "charpoly_from_parts",
     "cluster_points",
-    "discriminant",
     "eig_dense",
-    "resultant",
     "BcModel",
     "Circle",
     "EpnModel",
@@ -88,7 +83,6 @@ __all__ = [
     "Robin",
     "ShiftedCircle",
     "bc_matrix",
-    "epn_secular",
     "epn_matrix",
     "hermitian_demo",
     "z_value",

@@ -12,17 +12,11 @@ from .scalars import (
 )
 from .poly import (
     ConvergenceError,
-    DiscriminantChain,
     Polynomial,
-    disc_E,
-    disc_chain,
-    discriminant,
     real_root_count,
     real_root_intervals,
     real_roots,
     real_roots_above,
-    res_E,
-    resultant,
     square_free_factors,
 )
 from .tridiag import (
@@ -50,17 +44,11 @@ __all__ = [
     "cluster_points",
     "reality_flags",
     "ConvergenceError",
-    "DiscriminantChain",
     "Polynomial",
-    "disc_E",
-    "disc_chain",
-    "discriminant",
     "real_root_count",
     "real_root_intervals",
     "real_roots",
     "real_roots_above",
-    "res_E",
-    "resultant",
     "square_free_factors",
     "DenseMatrix",
     "as_array",

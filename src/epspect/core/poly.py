@@ -1,8 +1,8 @@
-"""Univariate polynomials, root finding, resultants and discriminants.
+"""Univariate polynomials and their real and complex roots.
 
 A ``Polynomial`` holds exact coefficients only (``int`` / ``Fraction``):
-its constructor refuses any other with ``TypeError``, so division, gcd,
-resultants and root finding all run on rationals.
+its constructor refuses any other with ``TypeError``, so division, gcd
+and root finding all run on rationals.
 
 Complex roots come from one Aberth-Ehrlich kernel, ``_aberth_fixed``, on
 Python ints: the coefficients are Gaussian integers (denominators cleared
@@ -15,28 +15,17 @@ polynomial, and neither a double seed nor the kernel enters it: it
 isolates each root by bisecting dyadic intervals on the sign variations of
 a Sturm sequence over Z, and ``_bracket`` narrows each interval on exact
 signs, by quadratic interval refinement, to a certified 136 bits; the
-root is returned with about 138.
-
-Every resultant and discriminant goes through one kernel: the subresultant
-pseudo-remainder sequence over Z[y] on plain ``int`` coefficient lists, the
-Sylvester determinant of the formal degrees in O(nm) ring operations.
-``res_E`` and ``disc_E`` clear each argument's denominators once, check
-every division for exactness, and rescale at the end, so they return the
-rational polynomial an elimination over ``Fraction`` would.  ``disc_chain``
-keeps the subresultant chain the sequence runs through, which reads the
-repeated root at each real root of the discriminant, and at an
-irrational one ``_bracket`` narrows the root until the double that the
-energy rounds to is certified.  The univariate ``resultant`` and
-``discriminant`` are that kernel on constant coefficients.
-``Polynomial.gcd`` and the Sturm sequences run the primitive
-pseudo-remainder sequence over Z on the same cleared integers.
+root is returned with about 138.  ``_rounded_ratio`` certifies the double
+that a rational function takes at one such root: the coupling or the
+shift of an exceptional point whose energy is a root of a polynomial in E.
+``Polynomial.gcd``, ``square_free_factors`` and the Sturm sequences run the
+primitive pseudo-remainder sequence over Z on the cleared integers.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import zip_longest
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import ExactTypes, as_fraction
@@ -379,29 +368,13 @@ def _rounded(root: tuple[int, int], scale: int) -> complex:
 
 
 # --------------------------------------------------------------------------
-# resultants / discriminants
+# integer polynomials
 # --------------------------------------------------------------------------
 
 
-def resultant(p: Polynomial, q: Polynomial) -> Fraction:
-    """Resultant of p and q: lc(p)^deg(q) * prod over roots alpha of p of q(alpha).
-
-    Exact, zero iff p and q share a root: the subresultant kernel of ``res_E``
-    with constant coefficients in the second variable.
-    """
-    if p.degree < 1 or q.degree < 1:
-        raise ValueError("resultant requires both degrees >= 1 (nonzero lc)")
-    return Fraction(res_E([Polynomial([c]) for c in p.coeffs], [Polynomial([c]) for c in q.coeffs]).coeffs[0])
-
-
-def discriminant(p: Polynomial) -> Fraction:
-    """Res(p, p') / lc(p), exact."""
-    return resultant(p, p.derivative()) / p.lc
-
-
-# The exact kernel runs over Z[y]: a polynomial in the second variable is an
-# ascending list of ints with a nonzero last entry, and [] is zero.  Products
-# and derivatives take any exact coefficients, and serve ``Polynomial`` too.
+# The exact kernel runs over Z: a polynomial is an ascending list of ints
+# with a nonzero last entry, and [] is zero.  Products and derivatives take
+# any exact coefficients, and serve ``Polynomial`` too.
 
 
 def _int_mul(a: list[int], b: list[int]) -> list[int]:
@@ -427,7 +400,7 @@ def _int_derivative(a: list[int]) -> list[int]:
 
 
 def _int_exact_div(num: list[int], den: list[int]) -> list[int]:
-    """num / den in Z[y]; ArithmeticError unless the quotient is integral and exact."""
+    """num / den over Z; ArithmeticError unless the quotient is integral and exact."""
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     if not num:
@@ -449,99 +422,6 @@ def _int_exact_div(num: list[int], den: list[int]) -> list[int]:
     if any(rem[:shift]):
         raise ArithmeticError("division expected to be exact left a remainder")
     return quot
-
-
-def _int_pow(a: list[int], k: int) -> list[int]:
-    out = [1]
-    for _ in range(k):
-        out = _int_mul(out, a)
-    return out
-
-
-def _prem(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """lc(b)^(deg a - deg b + 1) a mod b over Z[y], trailing zeros trimmed."""
-    lc, db = b[-1], len(b) - 1
-    rem = a[:]
-    for k in range(len(a) - 1 - db, -1, -1):
-        lead = rem.pop()
-        rem = [_int_mul(lc, c) for c in rem]
-        if lead:
-            for j, c in enumerate(b[:db], k):
-                rem[j] = _int_sub(rem[j], _int_mul(lead, c))
-    while rem and not rem[-1]:
-        rem.pop()
-    return rem
-
-
-def _subresultant(f: list[list[int]], g: list[list[int]]) -> list[tuple]:
-    """The subresultant chain of f and g over Z[y], for nonzero leading E-coefficients and degrees >= 1.
-
-    The subresultant PRS (Cohen, *A Course in Computational Algebraic
-    Number Theory*, Alg. 3.3.7, without the content step): each
-    pseudo-remainder is divided by lc(f) h^delta, and each new h by a power
-    of the last one, and every such division is exact, so no entry leaves
-    Z[y] and no gcd is taken.  Each remainder g is S_(deg f - 1), and h the
-    principal subresultant coefficient psc_j of j = deg g.  Returns
-    (j, psc_j, S_j) up to sign for each such j, descending, with
-    S_j = lc(g)^(delta-1) g / h^(delta-1); psc_j = 0 at the missing
-    degrees.  The chain ends in (0, Res(f, g), [Res(f, g)]), the resultant
-    with its sign, or above degree 0 when the resultant vanishes.
-    """
-    sign = 1
-    if len(f) < len(g):
-        f, g = g, f
-        if (len(f) - 1) * (len(g) - 1) % 2:
-            sign = -1
-    chain, lc_f, h_f = [], [1], [1]
-    while True:
-        delta = len(f) - len(g)
-        h_g = h_f
-        if delta:
-            scale, lead = _int_pow(h_f, delta - 1), _int_pow(g[-1], delta - 1)
-            h_g = _int_exact_div(_int_mul(lead, g[-1]), scale)
-            s = g if delta == 1 else [_int_exact_div(_int_mul(lead, c), scale) for c in g]
-            chain.append((len(g) - 1, h_g, s))
-        if len(g) == 1:
-            if sign == -1:
-                chain[-1] = (0, [-c for c in h_g], [[-c for c in h_g]])
-            return chain
-        if (len(f) - 1) * (len(g) - 1) % 2:
-            sign = -sign
-        rem = _prem(f, g)
-        if not rem:
-            return chain
-        div = _int_mul(lc_f, _int_pow(h_f, delta))
-        f, g = g, [_int_exact_div(c, div) for c in rem]
-        lc_f, h_f = f[-1], h_g
-
-
-def _resultant_int(f: list[list[int]], g: list[list[int]]) -> list[int]:
-    """The Sylvester determinant over Z[y] of the formal degrees len - 1.
-
-    A zero leading E-coefficient of one argument leaves one entry in the
-    first column: Res_{n,m}(f, g) = (-1)^m lc(g) Res_{n-1,m}(f, g) when
-    lc(f) = 0, and lc(f) Res_{n,m-1}(f, g) when lc(g) = 0, so a true degree
-    n' < n contributes (-1)^(m(n-n')) lc(g)^(n-n').  With both leading
-    coefficients zero the first column vanishes.
-    """
-    n, m = len(f) - 1, len(g) - 1
-    if m == 0:
-        return _int_pow(g[0], n)
-    if n == 0:
-        return _int_pow(f[0], m)
-    if not f[-1] and not g[-1]:
-        return []
-    if not f[-1]:
-        res = _int_mul(g[-1], _resultant_int(f[:-1], g))
-        return [-c for c in res] if m % 2 else res
-    if not g[-1]:
-        return _int_mul(f[-1], _resultant_int(f, g[:-1]))
-    return _chain_resultant(_subresultant(f, g))
-
-
-def _chain_resultant(chain: list[tuple]) -> list[int]:
-    """The resultant a subresultant chain ends in: its psc_0, or zero if it ends above degree 0."""
-    return chain[-1][1] if chain and chain[-1][0] == 0 else []
 
 
 def _cleared(coeffs: list[Polynomial]) -> tuple[list[list[int]], int]:
@@ -567,88 +447,6 @@ def _int_homogeneous(ints: list[int], u: int, v: int) -> int:
     return acc
 
 
-def _rescaled(det: list[int], denom: int) -> Polynomial:
-    return Polynomial([Fraction(c, denom) for c in det])
-
-
-def res_E(f: list[Polynomial], g: list[Polynomial]) -> Polynomial:
-    """Res_E(f, g) as an exact polynomial in a second variable.
-
-    ``f`` and ``g`` are polynomials in E given as ascending lists of their
-    E-coefficients, each an exact Polynomial in the second variable; the
-    result is the Sylvester determinant of the formal degrees len - 1, so
-    two E-constants give 1.  Each argument is scaled once by its common
-    denominator (Df, Dg) and the resultant runs over Z[y]; since it has
-    degree deg g in f's coefficients and deg f in g's, it is divided by
-    Df^deg g * Dg^deg f at the end.
-    """
-    fi, df = _cleared(f)
-    gi, dg = _cleared(g)
-    return _rescaled(_resultant_int(fi, gi), df ** (len(g) - 1) * dg ** (len(f) - 1))
-
-
-def disc_E(f: list[Polynomial]) -> Polynomial:
-    """Disc_E(f) = Res_E(f, df/dE) / lc_E(f), coefficients as in ``res_E``: ``disc_chain(f).disc``."""
-    return disc_chain(f).disc
-
-
-def disc_chain(f: list[Polynomial]) -> "DiscriminantChain":
-    """Disc_E(f) with the subresultant chain of f and df/dE that computed it.
-
-    With F = D f integral, Res(F, F') = +-lc(F) Disc(F) where Disc(F) is an
-    integer polynomial in the coefficients of F, so the division by lc(F) is
-    exact over Z[y]; Disc_E(f) = Res(F, F') / lc(F) / D^(2 deg f - 2).
-    Raises ``ValueError`` for an E-degree below 1 or a zero leading
-    E-coefficient.
-    """
-    if len(f) < 2:
-        raise ValueError(f"disc_E requires E-degree >= 1, got {len(f) - 1}")
-    fi, d = _cleared(f)
-    if not fi[-1]:
-        raise ValueError("disc_E requires a nonzero leading E-coefficient")
-    dfi = [[k * c for c in fi[k]] for k in range(1, len(fi))]
-    chain = _subresultant(fi, dfi) if len(dfi) > 1 else [(0, dfi[0], dfi)]
-    disc = _rescaled(_int_exact_div(_chain_resultant(chain), fi[-1]), d ** (2 * len(f) - 4))
-    return DiscriminantChain(disc, tuple(chain))
-
-
-@dataclass(frozen=True)
-class DiscriminantChain:
-    """Disc_E(f) and the subresultant chain (j, psc_j, S_j) of D f and its E-derivative over Z[y]."""
-
-    disc: Polynomial
-    chain: tuple
-
-    def repeated_root(self, g: Polynomial, root, a, b) -> tuple[int, Fraction]:
-        """(j, E*) at a real root y0 of ``disc``: j = deg gcd(f, f_E) there, and E* its one repeated root.
-
-        g is a factor of ``disc`` with y0 as its only root in (a, b], and
-        ``root`` is y0 or a dyadic within 2^-``POLISH_BITS`` |root| of it,
-        as ``real_root_intervals(g)`` gives them.  Under a constant leading E-coefficient, j is the
-        smallest chain degree with psc_j(y0) != 0, and S_j(E, y0) is the gcd
-        times a number (the structure theorem of subresultants: Basu,
-        Pollack and Roy, *Algorithms in Real Algebraic Geometry*, ch. 8).
-        psc_j(y0) = 0 exactly when gcd(g, psc_j) has a root in (a, b].  One
-        repeated root gives S_j = s_j (E - E*)^j, so E* = -s_(j-1) / (j s_j):
-        at j = 1 the double that E* rounds to, certified by
-        ``_rounded_ratio``, and at j >= 2 exact.  ``ArithmeticError`` for
-        j >= 2 unless the root is rational and S_j that power;
-        ``ValueError`` for a leading E-coefficient that is not a constant.
-        """
-        if len(self.chain[0][1]) != 1:
-            raise ValueError("the chain reads repeated roots only under a constant leading E-coefficient")
-        for j, psc, s in reversed(self.chain):
-            if j and not real_root_count(Polynomial(psc).gcd(g), a, b):
-                break
-        if j == 1:
-            return j, _rounded_ratio(s, g, root, a, b)
-        values = [Polynomial(c)(root) for c in s]
-        e_star = -values[j - 1] / (j * values[j])
-        if g(root) != 0 or Polynomial(values) != Polynomial.from_roots([e_star] * j, values[j]):
-            raise ArithmeticError(f"gcd(f, f_E) of degree {j} at {float(root)!r} is not one repeated root")
-        return j, e_star
-
-
 def _int_homogeneous_bounds(ints: list[int], lo: int, hi: int, e: int) -> tuple[int, int]:
     """Integers below and above 2^(deg e) P(u / 2^e) for all u in [lo, hi]: Horner on intervals."""
     low = high = ints[-1]
@@ -661,9 +459,10 @@ def _int_homogeneous_bounds(ints: list[int], lo: int, hi: int, e: int) -> tuple[
 def _rounded_ratio(s: list[list[int]], g: Polynomial, x: Fraction, a: Fraction, b: Fraction) -> Fraction:
     """The double -s_0(y0) / s_1(y0) rounds to at the one root y0 of g in (a, b], as a ``Fraction``; the ratio itself where y0 is met.
 
-    s_0 and s_1 are integer polynomials with s_1(y0) != 0: the energy
-    -s_0/s_1 of a chain's S_1, the shift -W0/W1 at a fold's energy or
-    -P/Q at a pole's.  The dyadic x lies within 2^-``POLISH_BITS`` |x| of y0.
+    s_0 and s_1 are integer polynomials with s_1(y0) != 0: the coupling
+    -A/B at a branch merge's energy, -A'/B' at a crossing's, the shift
+    -W0/W1 at a fold's or a merger's energy, or -P/Q at a pole's.  The
+    dyadic x lies within 2^-``POLISH_BITS`` |x| of y0.
     ``_bracket`` narrows that neighbourhood on the signs of g, or of its
     square-free part, until Horner on intervals bounds the ratio over it by
     two numbers that round to one double.  Where they round to neighbours,
@@ -712,6 +511,27 @@ def _rounded_ratio(s: list[list[int]], g: Polynomial, x: Fraction, a: Fraction, 
     if math.isinf(rounded[0]):
         raise ConvergenceError("a ratio beyond the double range")
     return Fraction(rounded[0])
+
+
+def _sign_at(h: Polynomial, g: Polynomial, a: Fraction, b: Fraction) -> int:
+    """The sign of h at the one root of the square-free g in (a, b], exactly: -1, 0 or 1.
+
+    0 where h and g share that root; else ``_bracket`` narrows (a, b] on
+    the signs of g until Horner on intervals keeps h off 0 over it.
+    """
+    if real_root_count(h.gcd(g), a, b):
+        return 0
+    (f, ints), _ = _cleared([g, h])
+    signs = []
+
+    def done(lo: int, hi: int, e: int) -> bool:
+        low, high = _int_homogeneous_bounds(ints, lo, hi, e)
+        if low > 0 or high < 0:
+            signs.append(1 if low > 0 else -1)
+        return bool(signs)
+
+    lo, hi, e = _bracket(f, a, b, done)
+    return signs[0] if signs else (1 if _int_homogeneous(ints, hi, 1 << e) > 0 else -1)
 
 
 # --------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Location and classification of spectral degeneracies.
 
-The exceptional points of the two solvable families are decided exactly:
-along one parameter by the real roots of the discriminant of the secular
-polynomial, along the shift y by the level mergers at r = 0, the real
-roots of such a discriminant, and by the poles and folds of the bc
-family's rational EP curve, real roots of polynomials in E.  The
-subresultant chain that computes a discriminant also reads the order and
-the energy of each of its events, and every event is an EP: both families
+The exceptional points of the two solvable families are decided exactly,
+each as a real root of a univariate polynomial in the energy E: along r
+at a fixed shift, the branch merges of r^2 = -A/B and the crossings on
+its persistent lines; along the shift y, the level mergers at r = 0 and
+the poles and folds of the bc family's rational EP curve.  The coupling
+or shift of each is the certified double of a rational function at its
+root, and its order a multiplicity there.  The EPN family's one EP is
+read from its closed-form spectrum.  Every event is an EP: both families
 are irreducible tridiagonal, so each eigenvalue has geometric multiplicity 1.
 A Hermitian family has none, and any other one-parameter model is refused.
 Sweeps read the family's eigenvalues in double or extended precision
@@ -23,7 +24,6 @@ double eigenvectors only for the coalescence angle.
 
 from __future__ import annotations
 
-import cmath
 import math
 import os
 from collections import deque
@@ -36,13 +36,11 @@ import numpy as np
 
 from .core import (
     CLUSTER_RTOL,
-    DiscriminantChain,
     Polynomial,
     Precision,
     as_array,
     as_fraction,
     cluster_points,
-    disc_chain,
     eig_dense,
     eigvals_double,
     eigvals_mp,
@@ -54,8 +52,8 @@ from .core import (
     reality_flags,
     square_free_factors,
 )
-from .core.poly import _cleared, _rounded_ratio
-from .models import BcModel, EpnModel, HermitianDemoModel, epn_secular, secular_in_y
+from .core.poly import _cleared, _rounded_ratio, _sign_at
+from .models import BcModel, EpnModel, HermitianDemoModel, secular_in_y
 from .sturmian import SturmianFunction, bivariate_secular, branch_merges, sturmian_r2
 
 SWEEP_STACK_BYTES = 1 << 20  # bytes of complex n x n matrices per stack of a sweep
@@ -488,63 +486,101 @@ def classify_degeneracy(
 def ep_locate_1d(target, param_range: tuple[float, float]) -> list[CriticalPoint]:
     """All exceptional points of a one-parameter family inside a range.
 
-    The two solvable families are located exactly (``_ep_locate_exact``):
-    the boundary-controlled family in r, given as a BcModel or its
-    SturmianFunction, where lam = r^2, and an EpnModel in t, where
-    lam = (1 - t)^2.  A HermitianDemoModel has none: its matrix is
-    Hermitian at every real t, hence diagonalizable, and a level crossing
-    on a generic one-parameter Hermitian line has codimension 3 (von
-    Neumann and Wigner, 1929).  Any other target raises ``TypeError``.
+    The two solvable families are located exactly: the boundary-controlled
+    family in r, given as a BcModel or its SturmianFunction, from
+    polynomials in E (``_bc_locate``), and an EpnModel in t from its
+    closed-form spectrum (``_epn_locate``).  A HermitianDemoModel has none:
+    its matrix is Hermitian at every real t, hence diagonalizable, and a
+    level crossing on a generic one-parameter Hermitian line has
+    codimension 3 (von Neumann and Wigner, 1929).  Any other target raises
+    ``TypeError``.
     """
     if isinstance(target, BcModel):
         target = bivariate_secular(target.n, target.y)
     if isinstance(target, SturmianFunction):
-        model = BcModel(target.n, float(target.y))
-        coeffs, shift = target.coefficients, lambda lam: 0.0
-        return _ep_locate_exact(model, coeffs, lambda mu: mu, shift, param_range)
+        return _bc_locate(target, param_range)
     if isinstance(target, EpnModel):
-        coeffs, shift = epn_secular(target.n), lambda lam: 8 * cmath.sqrt(1 - lam)
-        return _ep_locate_exact(target, coeffs, lambda mu: 1 - mu, shift, param_range)
+        return _epn_locate(target, param_range)
     if isinstance(target, HermitianDemoModel):
         return []
     raise TypeError(f"no exact exceptional-point locator for {type(target).__name__}")
 
 
-def _ep_locate_exact(model, coeffs, to_param, shift, param_range) -> list[CriticalPoint]:
-    """Every real root lam of the discriminant in the window, with its order and energy read from the subresultant chain.
+def _epn_locate(model: EpnModel, param_range) -> list[CriticalPoint]:
+    """The EPN family's one EP, of order n at E = 0: at t = 0 where the range holds it, else at t = 2 where it holds that.
 
-    ``coeffs`` are the E-coefficients of the secular polynomial, exact
-    polynomials in lam = mu^2; it is the characteristic polynomial of
-    ``model.matrix`` in E - shift(lam).  ``to_param`` maps mu to the swept
-    parameter and back.  The mirror locations +-mu carry one critical point
-    each way; one representative is kept, mu = +sqrt(lam) when the range
-    allows it.  At each root the chain that computed the discriminant gives
-    deg gcd = j and the repeated root E* (``DiscriminantChain.repeated_root``):
-    an EP of order j + 1 at E* + shift(lam), rounded once.  A range end
-    whose square overflows a double bounds nothing above.
+    The spectrum (2k - n + 9) sqrt(t(2 - t)) is simple wherever
+    q = (1 - t)^2 != 1, and coalesces into E = 0 at q = 1; the mirror
+    t -> 2 - t maps t = 0 onto t = 2, and one representative is kept.
     """
+    if model.n < 2:
+        raise ValueError("n must be >= 2")
     lo, hi = sorted((float(param_range[0]), float(param_range[1])))
-    mu_lo, mu_hi = sorted((to_param(lo), to_param(hi)))
-    lam_lo = 0.0 if mu_lo <= 0.0 <= mu_hi else min(mu_lo * mu_lo, mu_hi * mu_hi, np.finfo(float).max)
-    lam_hi = max(mu_lo * mu_lo, mu_hi * mu_hi)
-    chain = disc_chain(list(coeffs))
-    d = chain.disc
-    if d.is_zero:
-        raise ValueError("discriminant vanishes identically; family is degenerate")
+    t = next((t for t in (0.0, 2.0) if lo <= t <= hi), None)
+    return [] if t is None else [CriticalPoint({"t": t}, 0j, "ep", model.n, _rank_residuals(model.matrix(t), 0j))]
 
+
+def _bc_locate(s: SturmianFunction, param_range) -> list[CriticalPoint]:
+    """Every EP of A + p B at the shift y with r in the range, p = r^2, ascending in p, from polynomials in E.
+
+    Off the roots of B, E* is a root of multiplicity m + 1 of A + p B
+    exactly when p = -A(E*)/B(E*) and E* is a root of multiplicity m of
+    W = A'B - AB': the branch merges of r^2 (``merge_roots``), each an EP
+    of order m + 1.  At a root e of gcd(A, B), an eigenvalue for every
+    coupling, the moving level crosses the persistent one at
+    p* = -A'(e)/B'(e) (B is square-free): an EP of the order that e has in
+    A + p* B (``_root_multiplicity``).  Each p* is rounded once
+    (``_rounded_ratio``, ``ConvergenceError`` beyond the double range) and
+    kept where it lies in the window of p, decided on exact signs
+    (``_sign_at``) where it rounds to an end; ``merge_residual`` is the
+    relative residual, at the reported energy, of W or of gcd(A, B).  The
+    mirror locations +-sqrt(p*) carry one critical point each way; one
+    representative is kept, +sqrt(p*) when the range allows it.  A range
+    end whose square overflows a double bounds nothing above.
+    """
+    model = BcModel(s.n, float(s.y))
+    lo, hi = sorted((float(param_range[0]), float(param_range[1])))
+    p_lo = 0.0 if lo <= 0.0 <= hi else min(lo * lo, hi * hi, np.finfo(float).max)
+    p_hi = max(lo * lo, hi * hi)
+    a, b = (Polynomial(c) for c in s.cleared)
+    da, db = a.derivative(), b.derivative()
+    common = s.common_factor
+    events = [(m + 1, f, root, (a, b), da * b - a * db) for m, f, *root in s.merge_roots]
+    events += [
+        (_root_multiplicity(((db, a), (-da, b)), common, *root[1:]), common, root, (da, db), common)
+        for root in real_root_intervals(common)
+    ]
     points = []
-    for lam, a, b in real_root_intervals(d, lam_lo, lam_hi if math.isfinite(lam_hi) else None):
-        mu = math.sqrt(lam)
-        param = next((p for p in (to_param(mu), to_param(-mu)) if lo <= p <= hi), None)
+    for order, f, (e, e_lo, e_hi), (s0, s1), poly in events:
+        p = _rounded_ratio(_cleared([s0, s1])[0], f, e, e_lo, e_hi)
+        # the sign of p* - end; where p* rounds to the end it may lie on either side of it
+        side = [
+            (p > end) - (p < end) or -_sign_at(s0 + s1.scale(Fraction(end)), f, e_lo, e_hi) * _sign_at(s1, f, e_lo, e_hi)
+            for end in (p_lo, p_hi)
+        ]
+        if side[0] < 0 or side[1] > 0:
+            continue
+        mu = math.sqrt(p)
+        param = next((x for x in (mu, -mu) if lo <= x <= hi), None)
         if param is None:
             continue
-        params = {"y": model.y, "r": param} if isinstance(model, BcModel) else {"t": param}
-        j, e_star = chain.repeated_root(d, lam, a, b)
-        energy = complex(float(e_star)) + shift(float(lam))
+        energy = complex(float(e))
         resid = _rank_residuals(model.matrix(param), energy)
-        resid["disc_residual"] = _relative_residual(d, float(lam))
-        points.append(CriticalPoint(params, energy, "ep", j + 1, resid))
-    return points
+        resid["merge_residual"] = _relative_residual(poly, energy.real)
+        points.append((p, CriticalPoint({"y": model.y, "r": param}, energy, "ep", order, resid)))
+    return [point for _, point in sorted(points, key=lambda pair: pair[0])]
+
+
+def _root_multiplicity(terms, g: Polynomial, lo: Fraction, hi: Fraction) -> int:
+    """The multiplicity at the one root e of g in (lo, hi] of sum c_i(e) F_i(E), a polynomial in E, for ``terms`` (c_i, F_i).
+
+    Its k-th derivative at e is sum c_i(e) F_i^(k)(e), which vanishes
+    exactly where g and sum c_i F_i^(k) share a root in (lo, hi].
+    """
+    k = 0
+    while real_root_count(g.gcd(sum((c * f for c, f in terms), Polynomial.zero())), lo, hi):
+        k, terms = k + 1, [(c, f.derivative()) for c, f in terms]
+    return k
 
 
 def _rank_residuals(matrix, energy) -> dict:
@@ -708,100 +744,115 @@ def _label_residuals(resid: dict, key: str, labels) -> None:
         resid["labels_ambiguous"] = True
 
 
-@lru_cache(maxsize=None)
-def _secular_chain(n: int) -> DiscriminantChain:
-    """The subresultant chain of the secular polynomial at r = 0 and its E-derivative, over Z[y]."""
-    return disc_chain(list(secular_in_y(n)))
-
-
-def _disc_in_y_at_p(n: int) -> Polynomial:
-    """Discriminant in E of the secular polynomial at r = 0, as an exact polynomial in y."""
-    return _secular_chain(n).disc
-
-
 def _parts_in_y(n: int) -> tuple[Polynomial, Polynomial, Polynomial]:
     """P, Q and c3 with A(E, y) = P + Q y + c3 y^2, on ints: the coefficients of ``secular_in_y`` by powers of y, cleared."""
     parts, _ = _cleared([Polynomial([c.coeffs[i] if i < len(c.coeffs) else 0 for c in secular_in_y(n)]) for i in range(3)])
     return tuple(map(Polynomial, parts))
 
 
-def _pole_candidates(n: int) -> tuple[tuple[Fraction, Fraction], ...]:
-    """(y*, E*) for each real root E* of B = -c3 that is a pole event's energy, y* rounded once.
+def _pole_candidates(n: int) -> tuple[tuple[Fraction, Fraction, int], ...]:
+    """(y*, E*, m) for each real root E* of B = -c3 off the roots of Q, y* rounded once, m the multiplicity of E* in A(., y*).
 
     B does not depend on y, and at its root A = P + Q y is linear in y, so
     A and B share E* exactly at y* = -P(E*)/Q(E*), the double that
     ``_rounded_ratio`` certifies (or the exact value where it is met).  A
-    root where Q vanishes has no such y.  One where P'Q^2 - Q'PQ + c3'P^2
-    vanishes has p* = -A'(E*)/B'(E*) = 0: the moving level crosses the
-    persistent one at r = 0, a level merger that the merge candidates own
-    (n = 7, y = +-1/2).
+    root where Q vanishes has no such y.  m = 1 is a pole event.  m is
+    read from Q(E*)^2 A(E, y*) = Q(E*)^2 P - P(E*) Q(E*) Q + P(E*)^2 c3
+    (``_root_multiplicity``), where the E-derivative P'Q^2 - Q'PQ + c3'P^2
+    shares a root with B: there p* = -A'(E*)/B'(E*) = 0, and the moving
+    level meets the persistent one at r = 0, a level merger of order
+    m >= 2 (n = 7, y = +-1/2).
     """
     p, q, c3 = _parts_in_y(n)
-    slope = p.derivative() * q * q - q.derivative() * p * q + c3.derivative() * p * p  # Q^2 A' at y = -P/Q, c3 = 0
-    owned = c3.gcd(q * slope)
-    ratio, _ = _cleared([p, q])
     b = -c3
+    terms = ((q * q, p), (-p * q, q), (p * p, c3))
+    slope = sum((c * f.derivative() for c, f in terms), Polynomial.zero())
+    owned, poleless = b.gcd(slope), b.gcd(q)
+    ratio, _ = _cleared([p, q])
     return tuple(
-        (_rounded_ratio(ratio, b, e, lo, hi), e)
+        (_rounded_ratio(ratio, b, e, lo, hi), e, _root_multiplicity(terms, b, lo, hi) if real_root_count(owned, lo, hi) else 1)
         for e, lo, hi in real_root_intervals(b)
-        if not real_root_count(owned, lo, hi)
+        if not real_root_count(poleless, lo, hi)
     )
 
 
 @lru_cache(maxsize=None)
-def _fold_curve(n: int) -> tuple[Polynomial, Polynomial, Polynomial]:
-    """(W0, W1, V): W = A'B - AB' = W0 + y W1, and the Wronskian V = W0 W1' - W0' W1.
+def _ep_curve(n: int) -> tuple[Polynomial, Polynomial, Polynomial, Polynomial]:
+    """(W0, W1, V, N): W = A'B - AB' = W0 + y W1, its Wronskian V = W0 W1' - W0' W1, and N = W1^2 A(E, -W0/W1).
 
     With A = P + Q y + c3 y^2 and B = -c3 the y^2 terms of W cancel, so
     W0 = P'B - PB' and W1 = Q'B - QB'.  Where B(E) W1(E) != 0 the shift
     y(E) = -W0/W1 is the one where E is a real double root of A + p B,
-    p = -A/B: every interior EP lies on E -> (y(E), p(E)), and since
-    y' = V / W1^2 its folds are the roots of V.
+    p = -A/B: every interior EP lies on E -> (y(E), p(E)).  Since
+    y' = V / W1^2 its folds are the roots of V, and since p = -A/B its
+    level mergers at r = 0 are the roots of N = W1^2 P - W0 W1 Q + W0^2 c3.
     """
     p, q, c3 = _parts_in_y(n)
     b = -c3
     w0 = p.derivative() * b - p * b.derivative()
     w1 = q.derivative() * b - q * b.derivative()
-    return w0, w1, w0 * w1.derivative() - w0.derivative() * w1
+    return w0, w1, w0 * w1.derivative() - w0.derivative() * w1, w1 * w1 * p - w0 * w1 * q + w0 * w0 * c3
+
+
+def _curve_roots(n: int, poly: Polynomial):
+    """(m, y*, E*, g, lo, hi) for each real root E* of ``poly`` off the roots of B W1, y* = -W0(E*)/W1(E*) rounded once.
+
+    m is the multiplicity of E* in ``poly``, and g the part of its
+    square-free factor (``square_free_factors``) off those roots, which
+    holds E* alone in (lo, hi].
+    """
+    w0, w1, _, _ = _ep_curve(n)
+    ratio, _ = _cleared([w0, w1])
+    off = -_parts_in_y(n)[2] * w1
+    for m, f in enumerate(square_free_factors(poly), 1):
+        g = f.exact_div(f.gcd(off))
+        for e, lo, hi in real_root_intervals(g):
+            yield m, _rounded_ratio(ratio, g, e, lo, hi), e, g, lo, hi
 
 
 def _fold_candidates(n: int) -> tuple[tuple[Fraction, Fraction, int], ...]:
-    """(y*, E*, order) for each real root E* of V off the roots of B and W1, y* = -W0(E*)/W1(E*) rounded once.
+    """(y*, E*, order) for each real root E* of V off the roots of B and W1 (``_curve_roots``).
 
     At a root of multiplicity m of V, y(E) - y* vanishes to order m + 1,
     so W(., y*) has a root of that multiplicity and A + p B one of
     multiplicity m + 2: an EP of order m + 2 (the Pluecker formula for a
-    Wronskian).  The multiplicity is that of the square-free factor of V
-    (``square_free_factors``) that holds E*.
+    Wronskian).
     """
-    w0, w1, v = _fold_curve(n)
-    ratio, _ = _cleared([w0, w1])
-    off = -_parts_in_y(n)[2] * w1
-    return tuple(
-        (_rounded_ratio(ratio, f, e, lo, hi), e, m + 2)
-        for m, f in enumerate(square_free_factors(v), 1)
-        for e, lo, hi in real_root_intervals(f.exact_div(f.gcd(off)))
-    )
+    return tuple((y, e, m + 2) for m, y, e, *_ in _curve_roots(n, _ep_curve(n)[2]))
+
+
+def _merge_candidates(n: int) -> tuple[tuple[Fraction, Fraction, int], ...]:
+    """(y*, E*, order) for each real root E* of N off the roots of B and W1 (``_curve_roots``): a level merger at r = 0.
+
+    There p(E*) = 0 and E* is a double root of A(., y*): an EP of order 2,
+    or of order m + 2 where E* is a root of multiplicity m of V, a fold of
+    the curve on r = 0 (``_fold_candidates``).
+    """
+    one, v = Polynomial([1]), _ep_curve(n)[2]
+    return tuple((y, e, 2 + _root_multiplicity(((one, v),), g, lo, hi)) for _, y, e, g, lo, hi in _curve_roots(n, _ep_curve(n)[3]))
 
 
 @lru_cache(maxsize=None)
 def _scan_candidates(n: int) -> tuple:
     """Every event candidate of the shift scan on the whole line, ascending in y, as (y*, polish).
 
-    Mergers are the real roots y* of the square-free factors of the
-    discriminant at r = 0; poles and folds are roots in E, with their y*
-    (``_pole_candidates``, ``_fold_candidates``).  ``polish(y*, below,
-    above)`` gives the event, or None.  Two candidates at one double y*
-    are not merged: ``ArithmeticError``.
+    All are roots in E, with their y*: the level mergers at r = 0 and the
+    folds of the EP curve (``_merge_candidates``, ``_fold_candidates``),
+    and the roots of B (``_pole_candidates``), poles where A(., y*) has a
+    simple root there and mergers where it has a multiple one.
+    ``polish(y*, below, above)`` gives the event, or None.  Two candidates
+    at one double y* are not merged: ``ArithmeticError``.
     """
-    merges = (
-        (float(y), partial(_polish_merge_event, n, (g, y, a, b)))
-        for g in square_free_factors(_disc_in_y_at_p(n))
-        for y, a, b in real_root_intervals(g)
+    poles, b, nn = _pole_candidates(n), -_parts_in_y(n)[2], _ep_curve(n)[3]
+    merges = [(y, e, order, nn) for y, e, order in _merge_candidates(n)] + [(y, e, m, b) for y, e, m in poles if m > 1]
+    candidates = sorted(
+        [
+            *((float(y), partial(_polish_merge_event, n, e, order, poly)) for y, e, order, poly in merges),
+            *((float(y), partial(_polish_pole_event, n, e)) for y, e, m in poles if m == 1),
+            *((float(y), partial(_polish_fold_event, n, e, order)) for y, e, order in _fold_candidates(n)),
+        ],
+        key=lambda c: c[0],
     )
-    poles = ((float(y), partial(_polish_pole_event, n, e)) for y, e in _pole_candidates(n))
-    folds = ((float(y), partial(_polish_fold_event, n, e, order)) for y, e, order in _fold_candidates(n))
-    candidates = sorted((*merges, *poles, *folds), key=lambda c: c[0])
     for (y, _), (next_y, _) in zip(candidates, candidates[1:]):
         if y == next_y:
             raise ArithmeticError(f"two event candidates of the n = {n} shift scan round to one y = {y!r}")
@@ -812,13 +863,14 @@ def ep_locate_2d_bc(n: int, y_range: tuple[float, float]) -> list[CriticalPoint]
     """Critical shifts y where the reality pattern of the spectrum changes.
 
     The exact algebra decides.  The candidates (``_scan_candidates``) are
-    the level mergers at r = 0, the real roots of the discriminant of the
-    secular polynomial at p = 0, and the poles and folds of the EP curve,
-    read from polynomials in E: a pole at each real root E* of B, at
-    y* = -P(E*)/Q(E*), and a fold at each real root E* of the Wronskian V
-    of W = W0 + y W1, at y* = -W0(E*)/W1(E*).  Those with y* in ``y_range``
-    (endpoints included) are polished, and a candidate is an event exactly
-    when its polisher accepts it.
+    the level mergers at r = 0, the poles and the folds of the EP curve
+    E -> (y, p) = (-W0/W1, -A/B), all read from polynomials in E: a merger
+    at each real root E* of N = W1^2 A(E, -W0/W1) and a fold at each real
+    root E* of the Wronskian V of W = W0 + y W1, both at y* = -W0(E*)/W1(E*),
+    and a pole at each real root E* of B, at y* = -P(E*)/Q(E*), unless
+    A(., y*) has a multiple root there, which makes it a merger.  Those
+    with y* in ``y_range`` (endpoints included) are polished, and a
+    candidate is an event exactly when its polisher accepts it.
 
     A pole is always a ``sturmian-pole``, with its crossing coupling
     p* = -A'(E*)/B'(E*) in the residuals; no sampling decides it.
@@ -850,30 +902,26 @@ def ep_locate_2d_bc(n: int, y_range: tuple[float, float]) -> list[CriticalPoint]
     return points
 
 
-def _polish_merge_event(n, root, y_star: float, below, above) -> CriticalPoint:
-    """A level merger at r = 0 on a root y* of the exact discriminant.
+def _polish_merge_event(n, e_star: Fraction, order: int, poly: Polynomial, y_star: float, below, above) -> CriticalPoint:
+    """A level merger at r = 0: ``order`` levels meet at E*, a root of ``poly`` (N, or B for a merger on a pole).
 
-    The subresultant chain of the secular polynomial at r = 0, over Z[y],
-    reads the order j + 1 and the energy at y*
-    (``DiscriminantChain.repeated_root`` of ``root``, a factor with y* and
-    its isolating interval), as at every root of the exact 1-D locator.
-    Its ``tracks`` are the levels at the merge energy's
+    ``merge_residual`` is the relative residual of ``poly`` at the reported
+    double of E*.  Its ``tracks`` are the levels at the merge energy's
     positions at r -> 0, on the side of y* where they are real: Sturm
     counts the levels of the secular polynomial at the double y* above the
     merging ones (``real_roots_above``), which that rounding may have moved
     off the real axis.
     """
-    j, e_star = _secular_chain(n).repeated_root(*root)
     energy = complex(float(e_star))
     resid = _rank_residuals(BcModel(n, y_star).matrix(0.0), energy)
     lowest = below.segments[-1], above.segments[-1]
     levels = max(lowest, key=len)
     k = None
     if len(lowest[0]) != len(lowest[1]) or lowest[0] == lowest[1]:
-        k = real_roots_above(bivariate_secular(n, y_star).A, energy.real, j + 1, len(levels))
-    _label_residuals(resid, "tracks", _labels_at(levels, k, j + 1))
-    resid["disc_residual"] = _relative_residual(_disc_in_y_at_p(n), y_star)
-    return CriticalPoint({"y": y_star, "r": 0.0}, energy, "ep", j + 1, resid)
+        k = real_roots_above(bivariate_secular(n, y_star).A, energy.real, order, len(levels))
+    _label_residuals(resid, "tracks", _labels_at(levels, k, order))
+    resid["merge_residual"] = _relative_residual(poly, energy.real)
+    return CriticalPoint({"y": y_star, "r": 0.0}, energy, "ep", order, resid)
 
 
 def _polish_pole_event(n, energy: Fraction, y_star: float, below, above) -> CriticalPoint:
@@ -960,7 +1008,7 @@ def _polish_fold_event(n, e_star: Fraction, order: int, y_star: float, below, ab
     r0 = math.sqrt(max(r2.value, 0.0))
     resid = _rank_residuals(BcModel(n, y_star).matrix(r0), energy)
     _label_residuals(resid, "tracks", _fold_tracks(below, above, order))
-    resid["fold_residual"] = _relative_residual(_fold_curve(n)[2], energy.real)
+    resid["fold_residual"] = _relative_residual(_ep_curve(n)[2], energy.real)
     return CriticalPoint({"y": y_star, "r": r0}, energy, "ep", order, resid)
 
 

@@ -7,9 +7,10 @@
 * ``hermitian_demo``  -- seeded random Hermitian pencil A + t*B used to
   exhibit avoided crossings.
 
-Each solvable family has one exact characteristic polynomial, kept here:
-``epn_secular``, and the bc corner decomposition ``bc_secular_parts``, which
-``secular_in_y`` and ``bc_secular_at`` alone assemble into A(E, y) + r^2 B(E).
+The bc family has one exact characteristic polynomial, kept here: the
+corner decomposition ``bc_secular_parts``, which ``secular_in_y`` and
+``bc_secular_at`` alone assemble into A(E, y) + r^2 B(E).  The EPN family
+needs none: its spectrum is a closed form (``EpnModel.eigvals``).
 """
 
 from __future__ import annotations
@@ -116,30 +117,6 @@ def epn_matrix(n: int, t: float) -> DenseMatrix:
     ``DenseMatrix``'s ``ValueError``.
     """
     return DenseMatrix(EpnModel(n).matrix(t))
-
-
-@lru_cache(maxsize=None)
-def epn_secular(n: int) -> tuple[Polynomial, ...]:
-    """E-coefficients of det(M(t) - E) in u = E - 8*sqrt(1 - q), q = (1 - t)^2.
-
-    The shift is common to the whole diagonal, so in u the minor recurrence
-    runs over Q[q] with diagonal 2k - n + 1 and products -(k+1)(n-k-1)*q;
-    coefficient k of the returned tuple is the exact polynomial in q that
-    multiplies u^k.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    prev, cur = (), (Polynomial([1]),)
-    for k in range(n):
-        d = Polynomial([2 * k - n + 1])
-        nxt = [d * c for c in cur] + [Polynomial.zero()]
-        for j, c in enumerate(cur):
-            nxt[j + 1] = nxt[j + 1] - c
-        w = Polynomial([0, _epn_weight_sq(n, k - 1)])
-        for j, c in enumerate(prev):
-            nxt[j] = nxt[j] + w * c
-        prev, cur = cur, tuple(nxt)
-    return cur
 
 
 def _sqrt_double(y: Fraction) -> float:

@@ -16,8 +16,8 @@ N_B, so a pole is an integer zero test and a finite value is one
 correctly rounded integer division.  ``sturmian_r2`` wraps it in an
 ``R2Value``; ``branch_trace`` calls it directly for each of its samples.
 Counting real levels at a rational p = num/den uses den*D*A + num*D*B
-(``cleared_at``), and gcd(A, B) is computed once per function
-(``common_factor``).
+(``cleared_at``), and gcd(A, B) and the critical points of r^2 are
+computed once per function (``common_factor``, ``merge_roots``).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .core import (
     Polynomial,
     as_fraction,
     eigvals_double,
+    real_root_intervals,
     real_roots,
     reality_flags,
     square_free_factors,
@@ -57,25 +58,15 @@ class SturmianFunction:
     A(E) + r^2 B(E) equals the characteristic polynomial of the assembled
     matrix on the model domain |r| <= 1; outside it the matrix conjugates a
     coupling that has become real, while A + p B continues analytically.
-    deg B < deg A, so the leading E-coefficient is free of p, and the
-    discriminant in E of ``coefficients`` (``disc_E``) is a polynomial in p
-    whose zeros are exactly the p where a level is repeated.
+    deg B < deg A, so no coupling lowers the degree in E.  A level is
+    repeated at p exactly where r^2 has a critical point of value p
+    (``merge_roots``) or a level crosses a root of gcd(A, B).
     """
 
     n: int
     y: Fraction
     A: Polynomial
     B: Polynomial
-
-    @property
-    def coefficients(self) -> list[Polynomial]:
-        """E-coefficients A_k + p B_k, each an exact polynomial in p = r^2."""
-        pairs = zip_longest(self.A.coeffs, self.B.coeffs, fillvalue=0)
-        return [Polynomial([Fraction(a), Fraction(b)]) for a, b in pairs]
-
-    def poly_at(self, p) -> Polynomial:
-        """A + p B at p, an int, Fraction or float that converts exactly (``as_fraction``)."""
-        return self.A + self.B.scale(as_fraction(p))
 
     @cached_property
     def cleared(self) -> tuple[list[int], list[int]]:
@@ -90,7 +81,7 @@ class SturmianFunction:
         return list(zip_longest(a, b, fillvalue=0))[::-1]
 
     def cleared_at(self, p: Fraction) -> Polynomial:
-        """den*D*A + num*D*B at p = num/den: ``poly_at(p)`` times D*den > 0, on integers.
+        """den*D*A + num*D*B at p = num/den: A + p B times D*den > 0, on integers.
 
         A positive multiple has the same roots and Sturm counts.
         """
@@ -103,6 +94,19 @@ class SturmianFunction:
         """Exact monic gcd(A, B); nontrivial iff some E is an eigenvalue for every r."""
         a, b = self.cleared
         return Polynomial(a).gcd(Polynomial(b))
+
+    @cached_property
+    def merge_roots(self) -> tuple[tuple[int, Polynomial, Fraction, Fraction, Fraction], ...]:
+        """The critical points of r^2, as (m, f, E*, a, b) for each real root E* of A'B - AB' that B does not share.
+
+        m is the multiplicity of E*, and f the square-free factor
+        (``square_free_factors``) that holds it alone in (a, b]
+        (``real_root_intervals``).  D*A and D*B give the same r^2, so the
+        integer forms stand in for A and B.
+        """
+        a, b = (Polynomial(c) for c in self.cleared)
+        w = _without_factors_of(a.derivative() * b - a * b.derivative(), b)
+        return tuple((m, f, *root) for m, f in enumerate(square_free_factors(w), 1) for root in real_root_intervals(f))
 
 
 def bivariate_secular(n: int, y) -> SturmianFunction:
@@ -238,13 +242,8 @@ def sturmian_poles(s: SturmianFunction) -> tuple[BranchPoint, ...]:
 
 
 def branch_merges(s: SturmianFunction) -> tuple[BranchPoint, ...]:
-    """Critical points of r^2(E): real zeros of A'B - AB' that B does not share, from ``real_roots``.
-
-    D*A and D*B give the same r^2, so the integer forms stand in for A and B.
-    """
-    a, b = (Polynomial(c) for c in s.cleared)
-    num = _without_factors_of(a.derivative() * b - a * b.derivative(), b)
-    return tuple(sorted(_marked(num, "branch-merge"), key=lambda b: b.energy))
+    """Critical points of r^2(E), ascending: the real zeros of A'B - AB' that B does not share (``merge_roots``)."""
+    return tuple(sorted((BranchPoint(float(e), "branch-merge", m) for m, _, e, _, _ in s.merge_roots), key=lambda b: b.energy))
 
 
 def branch_trace(

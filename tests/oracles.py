@@ -8,10 +8,17 @@ at a chosen number of bits, and find the real roots of an exact
 polynomial with mpmath's own root finder.  Two more oracles sit beside
 them: the characteristic polynomial of a tridiagonal matrix from its
 three-term recurrence in complex doubles, and the exact Sylvester matrix of
-two polynomials.  The shift scan's earlier event polynomials in y follow:
-the pole resultant Res_E(A_y, B), and Disc_E W with W = A'B - AB' and
-its subresultant chain, from the package's ``res_E`` and ``disc_chain``,
-split into coprime square-free pieces by exact gcds as the scan once did.
+two polynomials.  The subresultant chain over Z[y] follows, the route by
+which the package once read every exceptional point: ``res_E``,
+``disc_E`` and ``disc_chain``, whose ``DiscriminantChain.repeated_root``
+gives the order and the energy at each real root of a discriminant, with
+the univariate ``resultant`` and ``discriminant``, the secular
+polynomial's E-coefficients in p = r^2 (``coefficients``) and in
+q = (1 - t)^2 for EPN (``epn_secular``), and the discriminant at r = 0 in y
+(``disc_in_y_at_p``).  The shift scan's earlier event polynomials in y are
+built on it: the pole resultant Res_E(A_y, B), and Disc_E W with
+W = A'B - AB' and its chain, split into coprime square-free pieces by exact
+gcds as the scan once did.
 Last comes the extended tier's earlier route through
 ``as_ratio`` clearing, per-dot Berkowitz products, ``Fraction`` seeds and a
 Gaussian rounding division, which the package's integer route must match
@@ -19,19 +26,31 @@ bit for bit (``reference_eigvals_mp``, ``reference_extended_roots``).
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
 
-from epspect.core import Polynomial, as_array, disc_chain, res_E, square_free_factors
+from epspect.core import Polynomial, as_array, as_fraction, real_root_count, square_free_factors
 from epspect.core.eig import _berkowitz
-from epspect.core.poly import EXTENDED_GUARD_BITS, ConvergenceError, _bits_below_roots, _dyadic_roots, _rounded
+from epspect.core.poly import (
+    EXTENDED_GUARD_BITS,
+    ConvergenceError,
+    _bits_below_roots,
+    _cleared,
+    _dyadic_roots,
+    _int_exact_div,
+    _int_mul,
+    _int_sub,
+    _rounded,
+    _rounded_ratio,
+)
 from epspect.core.scalars import EXTENDED_BITS, as_ratio
-from epspect.epfinder import _disc_in_y_at_p
-from epspect.models import BcModel, EpnModel, bc_secular_at, secular_in_y
+from epspect.models import BcModel, EpnModel, _epn_weight_sq, bc_secular_at, secular_in_y
 
 POLISH_PREC = 136  # mpmath's precision at 40 digits
 
@@ -166,6 +185,253 @@ def sylvester_matrix(p: Polynomial, q: Polynomial) -> list[list]:
 
 
 # --------------------------------------------------------------------------
+# the subresultant chain over Z[y]
+# --------------------------------------------------------------------------
+#
+# The exceptional points were once the real roots of discriminants, with
+# their order and energy read from the chain that computed each.  The
+# package now reads them from polynomials in E; this is the reference it
+# meets.  A polynomial in the second variable is an ascending list of ints
+# with a nonzero last entry, and [] is zero.
+
+
+def resultant(p: Polynomial, q: Polynomial) -> Fraction:
+    """Resultant of p and q: lc(p)^deg(q) * prod over roots alpha of p of q(alpha).
+
+    Exact, zero iff p and q share a root: the subresultant kernel of ``res_E``
+    with constant coefficients in the second variable.
+    """
+    if p.degree < 1 or q.degree < 1:
+        raise ValueError("resultant requires both degrees >= 1 (nonzero lc)")
+    return Fraction(res_E([Polynomial([c]) for c in p.coeffs], [Polynomial([c]) for c in q.coeffs]).coeffs[0])
+
+
+def discriminant(p: Polynomial) -> Fraction:
+    """Res(p, p') / lc(p), exact."""
+    return resultant(p, p.derivative()) / p.lc
+
+
+def _int_pow(a: list[int], k: int) -> list[int]:
+    out = [1]
+    for _ in range(k):
+        out = _int_mul(out, a)
+    return out
+
+
+def _prem(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """lc(b)^(deg a - deg b + 1) a mod b over Z[y], trailing zeros trimmed."""
+    lc, db = b[-1], len(b) - 1
+    rem = a[:]
+    for k in range(len(a) - 1 - db, -1, -1):
+        lead = rem.pop()
+        rem = [_int_mul(lc, c) for c in rem]
+        if lead:
+            for j, c in enumerate(b[:db], k):
+                rem[j] = _int_sub(rem[j], _int_mul(lead, c))
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem
+
+
+def _subresultant(f: list[list[int]], g: list[list[int]]) -> list[tuple]:
+    """The subresultant chain of f and g over Z[y], for nonzero leading E-coefficients and degrees >= 1.
+
+    The subresultant PRS (Cohen, *A Course in Computational Algebraic
+    Number Theory*, Alg. 3.3.7, without the content step): each
+    pseudo-remainder is divided by lc(f) h^delta, and each new h by a power
+    of the last one, and every such division is exact, so no entry leaves
+    Z[y] and no gcd is taken.  Each remainder g is S_(deg f - 1), and h the
+    principal subresultant coefficient psc_j of j = deg g.  Returns
+    (j, psc_j, S_j) up to sign for each such j, descending, with
+    S_j = lc(g)^(delta-1) g / h^(delta-1); psc_j = 0 at the missing
+    degrees.  The chain ends in (0, Res(f, g), [Res(f, g)]), the resultant
+    with its sign, or above degree 0 when the resultant vanishes.
+    """
+    sign = 1
+    if len(f) < len(g):
+        f, g = g, f
+        if (len(f) - 1) * (len(g) - 1) % 2:
+            sign = -1
+    chain, lc_f, h_f = [], [1], [1]
+    while True:
+        delta = len(f) - len(g)
+        h_g = h_f
+        if delta:
+            scale, lead = _int_pow(h_f, delta - 1), _int_pow(g[-1], delta - 1)
+            h_g = _int_exact_div(_int_mul(lead, g[-1]), scale)
+            s = g if delta == 1 else [_int_exact_div(_int_mul(lead, c), scale) for c in g]
+            chain.append((len(g) - 1, h_g, s))
+        if len(g) == 1:
+            if sign == -1:
+                chain[-1] = (0, [-c for c in h_g], [[-c for c in h_g]])
+            return chain
+        if (len(f) - 1) * (len(g) - 1) % 2:
+            sign = -sign
+        rem = _prem(f, g)
+        if not rem:
+            return chain
+        div = _int_mul(lc_f, _int_pow(h_f, delta))
+        f, g = g, [_int_exact_div(c, div) for c in rem]
+        lc_f, h_f = f[-1], h_g
+
+
+def _resultant_int(f: list[list[int]], g: list[list[int]]) -> list[int]:
+    """The Sylvester determinant over Z[y] of the formal degrees len - 1.
+
+    A zero leading E-coefficient of one argument leaves one entry in the
+    first column: Res_{n,m}(f, g) = (-1)^m lc(g) Res_{n-1,m}(f, g) when
+    lc(f) = 0, and lc(f) Res_{n,m-1}(f, g) when lc(g) = 0, so a true degree
+    n' < n contributes (-1)^(m(n-n')) lc(g)^(n-n').  With both leading
+    coefficients zero the first column vanishes.
+    """
+    n, m = len(f) - 1, len(g) - 1
+    if m == 0:
+        return _int_pow(g[0], n)
+    if n == 0:
+        return _int_pow(f[0], m)
+    if not f[-1] and not g[-1]:
+        return []
+    if not f[-1]:
+        res = _int_mul(g[-1], _resultant_int(f[:-1], g))
+        return [-c for c in res] if m % 2 else res
+    if not g[-1]:
+        return _int_mul(f[-1], _resultant_int(f, g[:-1]))
+    return _chain_resultant(_subresultant(f, g))
+
+
+def _chain_resultant(chain: list[tuple]) -> list[int]:
+    """The resultant a subresultant chain ends in: its psc_0, or zero if it ends above degree 0."""
+    return chain[-1][1] if chain and chain[-1][0] == 0 else []
+
+
+def _rescaled(det: list[int], denom: int) -> Polynomial:
+    return Polynomial([Fraction(c, denom) for c in det])
+
+
+def res_E(f: list[Polynomial], g: list[Polynomial]) -> Polynomial:
+    """Res_E(f, g) as an exact polynomial in a second variable.
+
+    ``f`` and ``g`` are polynomials in E given as ascending lists of their
+    E-coefficients, each an exact Polynomial in the second variable; the
+    result is the Sylvester determinant of the formal degrees len - 1, so
+    two E-constants give 1.  Each argument is scaled once by its common
+    denominator (Df, Dg) and the resultant runs over Z[y]; since it has
+    degree deg g in f's coefficients and deg f in g's, it is divided by
+    Df^deg g * Dg^deg f at the end.
+    """
+    fi, df = _cleared(f)
+    gi, dg = _cleared(g)
+    return _rescaled(_resultant_int(fi, gi), df ** (len(g) - 1) * dg ** (len(f) - 1))
+
+
+def disc_E(f: list[Polynomial]) -> Polynomial:
+    """Disc_E(f) = Res_E(f, df/dE) / lc_E(f), coefficients as in ``res_E``: ``disc_chain(f).disc``."""
+    return disc_chain(f).disc
+
+
+def disc_chain(f: list[Polynomial]) -> "DiscriminantChain":
+    """Disc_E(f) with the subresultant chain of f and df/dE that computed it.
+
+    With F = D f integral, Res(F, F') = +-lc(F) Disc(F) where Disc(F) is an
+    integer polynomial in the coefficients of F, so the division by lc(F) is
+    exact over Z[y]; Disc_E(f) = Res(F, F') / lc(F) / D^(2 deg f - 2).
+    Raises ``ValueError`` for an E-degree below 1 or a zero leading
+    E-coefficient.
+    """
+    if len(f) < 2:
+        raise ValueError(f"disc_E requires E-degree >= 1, got {len(f) - 1}")
+    fi, d = _cleared(f)
+    if not fi[-1]:
+        raise ValueError("disc_E requires a nonzero leading E-coefficient")
+    dfi = [[k * c for c in fi[k]] for k in range(1, len(fi))]
+    chain = _subresultant(fi, dfi) if len(dfi) > 1 else [(0, dfi[0], dfi)]
+    disc = _rescaled(_int_exact_div(_chain_resultant(chain), fi[-1]), d ** (2 * len(f) - 4))
+    return DiscriminantChain(disc, tuple(chain))
+
+
+@dataclass(frozen=True)
+class DiscriminantChain:
+    """Disc_E(f) and the subresultant chain (j, psc_j, S_j) of D f and its E-derivative over Z[y]."""
+
+    disc: Polynomial
+    chain: tuple
+
+    def repeated_root(self, g: Polynomial, root, a, b) -> tuple[int, Fraction]:
+        """(j, E*) at a real root y0 of ``disc``: j = deg gcd(f, f_E) there, and E* its one repeated root.
+
+        g is a factor of ``disc`` with y0 as its only root in (a, b], and
+        ``root`` is y0 or a dyadic within 2^-``POLISH_BITS`` |root| of it,
+        as ``real_root_intervals(g)`` gives them.  Under a constant leading E-coefficient, j is the
+        smallest chain degree with psc_j(y0) != 0, and S_j(E, y0) is the gcd
+        times a number (the structure theorem of subresultants: Basu,
+        Pollack and Roy, *Algorithms in Real Algebraic Geometry*, ch. 8).
+        psc_j(y0) = 0 exactly when gcd(g, psc_j) has a root in (a, b].  One
+        repeated root gives S_j = s_j (E - E*)^j, so E* = -s_(j-1) / (j s_j):
+        at j = 1 the double that E* rounds to, certified by
+        ``_rounded_ratio``, and at j >= 2 exact.  ``ArithmeticError`` for
+        j >= 2 unless the root is rational and S_j that power;
+        ``ValueError`` for a leading E-coefficient that is not a constant.
+        """
+        if len(self.chain[0][1]) != 1:
+            raise ValueError("the chain reads repeated roots only under a constant leading E-coefficient")
+        for j, psc, s in reversed(self.chain):
+            if j and not real_root_count(Polynomial(psc).gcd(g), a, b):
+                break
+        if j == 1:
+            return j, _rounded_ratio(s, g, root, a, b)
+        values = [Polynomial(c)(root) for c in s]
+        e_star = -values[j - 1] / (j * values[j])
+        if g(root) != 0 or Polynomial(values) != Polynomial.from_roots([e_star] * j, values[j]):
+            raise ArithmeticError(f"gcd(f, f_E) of degree {j} at {float(root)!r} is not one repeated root")
+        return j, e_star
+
+
+def coefficients(s) -> list[Polynomial]:
+    """E-coefficients A_k + p B_k of a ``SturmianFunction``, each an exact polynomial in p = r^2."""
+    return [Polynomial([Fraction(a), Fraction(b)]) for a, b in zip_longest(s.A.coeffs, s.B.coeffs, fillvalue=0)]
+
+
+def poly_at(s, p) -> Polynomial:
+    """A + p B of a ``SturmianFunction`` at p, an int, Fraction or float that converts exactly."""
+    return s.A + s.B.scale(as_fraction(p))
+
+
+@lru_cache(maxsize=None)
+def epn_secular(n: int) -> tuple[Polynomial, ...]:
+    """E-coefficients of det(M(t) - E) in u = E - 8*sqrt(1 - q), q = (1 - t)^2.
+
+    The shift is common to the whole diagonal, so in u the minor recurrence
+    runs over Q[q] with diagonal 2k - n + 1 and products -(k+1)(n-k-1)*q;
+    coefficient k of the returned tuple is the exact polynomial in q that
+    multiplies u^k.
+    """
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    prev, cur = (), (Polynomial([1]),)
+    for k in range(n):
+        d = Polynomial([2 * k - n + 1])
+        nxt = [d * c for c in cur] + [Polynomial.zero()]
+        for j, c in enumerate(cur):
+            nxt[j + 1] = nxt[j + 1] - c
+        w = Polynomial([0, _epn_weight_sq(n, k - 1)])
+        for j, c in enumerate(prev):
+            nxt[j] = nxt[j] + w * c
+        prev, cur = cur, tuple(nxt)
+    return cur
+
+
+@lru_cache(maxsize=None)
+def secular_chain(n: int) -> DiscriminantChain:
+    """The subresultant chain of the bc secular polynomial at r = 0 and its E-derivative, over Z[y]."""
+    return disc_chain(list(secular_in_y(n)))
+
+
+def disc_in_y_at_p(n: int) -> Polynomial:
+    """Discriminant in E of the bc secular polynomial at r = 0, as an exact polynomial in y: zero at every merger."""
+    return secular_chain(n).disc
+
+
+# --------------------------------------------------------------------------
 # the shift scan's earlier event polynomials in y
 # --------------------------------------------------------------------------
 #
@@ -209,7 +475,7 @@ def fold_event_poly(n: int) -> Polynomial:
 def event_pieces(n: int) -> list[tuple[Polynomial, tuple[str, ...]]]:
     """The merge, pole and fold polynomials in y split into coprime square-free pieces, each with the mechanisms it belongs to."""
     pieces = []
-    for kind, poly in (("merge", _disc_in_y_at_p(n)), ("pole", pole_collision_poly(n)), ("fold", fold_event_poly(n))):
+    for kind, poly in (("merge", disc_in_y_at_p(n)), ("pole", pole_collision_poly(n)), ("fold", fold_event_poly(n))):
         if poly.degree < 1:
             continue
         rest = math.prod(square_free_factors(poly))

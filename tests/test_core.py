@@ -1,4 +1,4 @@
-"""Core substrate: polynomials, roots, resultants, eigensolver."""
+"""Core substrate: polynomials, roots, eigensolver, and the resultant kernel kept as an oracle."""
 
 import cmath
 import itertools
@@ -21,9 +21,6 @@ from epspect.core import (
     as_fraction,
     charpoly_from_parts,
     cluster_points,
-    disc_E,
-    discriminant,
-    disc_chain,
     eig_dense,
     eigvals_double,
     eigvals_mp,
@@ -32,8 +29,6 @@ from epspect.core import (
     real_roots,
     real_roots_above,
     reality_flags,
-    res_E,
-    resultant,
     square_free_factors,
 )
 from epspect.core.eig import _berkowitz, _gaussian_cleared
@@ -44,10 +39,11 @@ from epspect.core.poly import (
     _dyadic_roots,
     _int_exact_div,
     _int_homogeneous,
+    _sign_at,
     _sturm_sequence,
 )
-from epspect.epfinder import _disc_in_y_at_p, classify_degeneracy
-from epspect.models import BcModel, EpnModel, bc_matrix, bc_secular_parts, epn_matrix, epn_secular, hermitian_demo, secular_in_y
+from epspect.epfinder import classify_degeneracy
+from epspect.models import BcModel, EpnModel, bc_matrix, bc_secular_parts, epn_matrix, hermitian_demo, secular_in_y
 from epspect.sturmian import bivariate_secular
 from oracles import (
     POLISH_PREC,
@@ -55,9 +51,15 @@ from oracles import (
     as_mpc,
     berkowitz_by_dots,
     charpoly_tridiag,
+    coefficients,
+    disc_chain,
+    disc_E,
+    disc_in_y_at_p,
+    discriminant,
     dyadic_roots_from_fractions,
     eigvals_at,
     epn_mp,
+    epn_secular,
     event_pieces,
     fold_coeffs_in_E,
     fold_event_poly,
@@ -65,8 +67,11 @@ from oracles import (
     gaussian_cleared,
     nudged_seeds,
     pole_collision_poly,
+    poly_at,
     reference_eigvals_mp,
     reference_extended_roots,
+    res_E,
+    resultant,
     sylvester_matrix,
 )
 
@@ -244,7 +249,7 @@ def test_charpoly_bc6_matches_printed_secular_polynomial():
     for r in (0.0, 0.3, 0.7, 1.0):
         z = 1j * math.sqrt(1 - r * r) if r <= 1 else 0
         got = charpoly_tridiag(bc_matrix(6, z))
-        want = s.poly_at(r * r)
+        want = poly_at(s, r * r)
         assert len(got) == len(want.coeffs)
         for a, b in zip(got, want.coeffs):
             assert abs(a - complex(b)) < 1e-12
@@ -536,6 +541,23 @@ def test_bracket_certifies_the_root_it_narrows_to():
             assert _signs_across(f, lo, hi, e) in ([False, True], [True, False])
             assert Fraction(lo, 1 << e) < root < Fraction(hi, 1 << e)
             assert Fraction(hi - lo, 1 << e) <= root / 2**136
+
+
+@settings(deadline=None, max_examples=80)
+@given(k=st.integers(2, 200), shift=st.integers(-3, 3), scale=st.sampled_from([1, -3, Fraction(2, 7)]))
+@example(k=200, shift=0, scale=1)
+@example(k=300, shift=1, scale=-3)
+def test_sign_at_a_root_is_exact(k, shift, scale):
+    # c > 0 lies within a few 2^-k of sqrt(2), and d is 3/2 moved by shift 2^-k:
+    # the sign of scale (x - c) at sqrt(2) is that of scale (2 - c^2), and
+    # at the dyadic root 3/2, which the bracket can meet exactly, that of
+    # scale (3/2 - d), 0 where d = 3/2
+    c = Fraction(math.isqrt(2 << 2 * k) + shift, 1 << k)
+    d = Fraction(3, 2) + Fraction(shift, 1 << k)
+    sign = 1 if scale > 0 else -1
+    assert _sign_at(Polynomial([-c, 1]).scale(scale), Polynomial([-2, 0, 1]), Fraction(1), Fraction(2)) == sign * (1 if c * c < 2 else -1)
+    assert _sign_at(Polynomial([-d, 1]).scale(scale), Polynomial([-3, 2]), Fraction(1), Fraction(2)) == sign * (Fraction(3, 2) > d) - sign * (Fraction(3, 2) < d)
+    assert _sign_at(Polynomial([-2, 0, 1]) * Polynomial([5, 1]), Polynomial([-2, 0, 1]), Fraction(1), Fraction(2)) == 0
 
 
 def _refinement_corpus():
@@ -1189,7 +1211,7 @@ def test_eigvals_mp_refuses_non_finite_entries(bad):
 
 
 # --------------------------------------------------------------------------
-# resultants and discriminants
+# resultants and discriminants: the oracle's subresultant kernel
 # --------------------------------------------------------------------------
 
 
@@ -1257,7 +1279,7 @@ def test_discriminant_normalization():
 
 
 def test_discriminant_in_E_vanishes_at_p0_for_even_n():
-    d = disc_E(bivariate_secular(6, 0).coefficients)
+    d = disc_E(coefficients(bivariate_secular(6, 0)))
     assert d(Fraction(0)) == 0
     # simple zero: the EP at r = 0 is the only one on [0, 1]
     dd = Polynomial(d.coeffs[1:])
@@ -1278,7 +1300,7 @@ def test_discriminant_in_E_constant_when_B_zero():
 def test_discriminant_in_E_has_zero_past_critical_shift():
     # just past the critical shift of the five-level family the level pair
     # touches at small coupling: a real discriminant zero inside (0, 1)
-    d = disc_E(bivariate_secular(5, -0.2).coefficients)
+    d = disc_E(coefficients(bivariate_secular(5, -0.2)))
     zeros = [
         z.real
         for z in np.roots([float(c) for c in reversed(d.coeffs)])
@@ -1290,11 +1312,11 @@ def test_discriminant_in_E_has_zero_past_critical_shift():
 def test_discriminant_in_E_matches_pointwise_resultant():
     rng = np.random.default_rng(5)
     s = bivariate_secular(6, Fraction(1, 3))
-    d = disc_E(s.coefficients)
+    d = disc_E(coefficients(s))
     lc = s.A.lc
     for _ in range(20):
         p0 = Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 40)))
-        poly = s.poly_at(p0)
+        poly = poly_at(s, p0)
         want = Fraction(resultant(poly, poly.derivative())) / lc
         assert d(p0) == want
 
@@ -1303,11 +1325,11 @@ def test_discriminant_in_E_matches_pointwise_resultant():
     n = 5
     for y0 in (Fraction(-1, 2), Fraction(1, 3), Fraction(-7, 9), Fraction(2)):
         s = bivariate_secular(n, y0)
-        assert _disc_in_y_at_p(n)(y0) == discriminant(s.poly_at(0))
+        assert disc_in_y_at_p(n)(y0) == discriminant(poly_at(s, 0))
         # the chain at a nonzero coupling, on coefficients A(y) + p0 B built here (B = -c3 is constant in y)
         for p0 in (Fraction(0), Fraction(2, 5)):
             at_p0 = [c - Polynomial([p0 * b]) for c, b in itertools.zip_longest(secular_in_y(n), bc_secular_parts(n)[3].coeffs, fillvalue=0)]
-            assert disc_chain(at_p0).disc(y0) == discriminant(s.poly_at(p0))
+            assert disc_chain(at_p0).disc(y0) == discriminant(poly_at(s, p0))
         assert pole_collision_poly(n)(y0) == resultant(s.A, s.B)
         w = s.A.derivative() * s.B - s.A * s.B.derivative()
         assert fold_event_poly(n)(y0) == discriminant(w)
@@ -1356,7 +1378,7 @@ def test_event_polynomials_match_gaussian_elimination(n):
         s = bivariate_secular(n, y0)
         a = Polynomial([c(y0) for c in secular_in_y(n)])
         assert a == s.A
-        assert _disc_in_y_at_p(n)(y0) == _disc_oracle(a)
+        assert disc_in_y_at_p(n)(y0) == _disc_oracle(a)
         assert pole_collision_poly(n)(y0) == _det_gauss(sylvester_matrix(s.A, s.B))
         w = Polynomial([c(y0) for c in fold_coeffs_in_E(n)])
         assert fold_event_poly(n)(y0) == _disc_oracle(w)
@@ -1489,7 +1511,7 @@ def test_chain_certifies_how_the_corner_energy_rounds():
     # vanishes there, so E* = -s_0 / s_1 read at a point 2^-137 off once gave
     # 2.0; the certificate reads the double E* rounds to from any point
     # within 2^-136 of the root
-    chain = disc_chain(bivariate_secular(5, 1e300).coefficients)
+    chain = disc_chain(coefficients(bivariate_secular(5, 1e300)))
     ((_, a, b),) = real_root_intervals(chain.disc, 0, 1)
     lo, hi, e = _bracket(_sturm_sequence(chain.disc)[0], a, b, lambda lo, hi, e: (hi - lo) << 8000 <= lo)
     for root in (1 - Fraction(1, 2**137), 1 + Fraction(1, 2**137), 1 - Fraction(1, 2**400), Fraction(1), Fraction(hi, 1 << e)):
@@ -1554,7 +1576,7 @@ def test_roots_above_a_cluster_count_multiple_and_split_roots():
 def test_event_polynomials_beyond_n9_match_gaussian_elimination(n):
     for y0 in (Fraction(-1, 2), Fraction(2, 7)):
         s = bivariate_secular(n, y0)
-        assert _disc_in_y_at_p(n)(y0) == _disc_oracle(s.A)
+        assert disc_in_y_at_p(n)(y0) == _disc_oracle(s.A)
         assert pole_collision_poly(n)(y0) == _det_gauss(sylvester_matrix(s.A, s.B))
         w = Polynomial([c(y0) for c in fold_coeffs_in_E(n)])
         assert fold_event_poly(n)(y0) == _disc_oracle(w)

@@ -1,6 +1,6 @@
 """Static guard against dead code in the package (stdlib ``ast`` only).
 
-Twenty-six things fail the guard: an import a module never uses (package
+Twenty-seven things fail the guard: an import a module never uses (package
 ``__init__.py`` files are exempt, their imports are re-exports), a
 ``_private`` top-level function that no module of the package references,
 a module-level UPPER_CASE constant that no module of the package loads,
@@ -41,7 +41,13 @@ and a name of the shift scan's deleted polynomials in y for poles and
 folds, their chain and their gcd split (``_pole_collision_poly``,
 ``_fold_coeffs_in_E``, ``_fold_chain``, ``_fold_event_poly``,
 ``_event_pieces``), of the ratio rounding's old name ``_rounded_energy``
-or of the pole residual's old name ``resultant_residual`` anywhere.  Two narrower
+or of the pole residual's old name ``resultant_residual`` anywhere, and a
+name of the deleted subresultant chain over Z[y] (``disc_chain``,
+``DiscriminantChain``, ``repeated_root``, ``res_E``, ``_subresultant`` and
+the rest of its kernel), of the locators and secular coefficient lists
+that read it (``_ep_locate_exact``, ``_secular_chain``,
+``_disc_in_y_at_p``, ``epn_secular``, ``coefficients``, ``poly_at``) or of
+the merge residual's old name ``disc_residual`` anywhere.  Two narrower
 mpmath guards stay beside the import guard and name the culprit when it
 fails: mpmath in the integer kernels of the extended tier (the Berkowitz
 characteristic polynomial and the fixed-point Aberth iteration), and a
@@ -416,7 +422,7 @@ def test_square_free_guard_sees_every_spelling():
 SAMPLED_REALITY = {"sweep", "reality_flags", "REALITY_RTOL"}
 EXACT_SCAN = re.compile(r"bc_reality_signature|ep_locate_2d_bc|_polish_\w+_event")
 DOUBLE_ROOTS = {"poly_roots", "cluster_points", "CLUSTER_RTOL", "_newton_polish_real", "_levels_above"}
-EXACT_LOCATORS = re.compile(r"ep_locate_1d|_ep_locate_exact|ep_locate_2d_bc|_polish_\w+_event")
+EXACT_LOCATORS = re.compile(r"ep_locate_1d|_bc_locate|_epn_locate|ep_locate_2d_bc|_polish_\w+_event")
 
 
 def _names_reached(tree, roots, names):
@@ -500,12 +506,12 @@ def test_exact_scan_guard_sees_every_spelling():
         "def helper():\n    return poly_roots(p)\n"
         "def ep_locate_1d():\n    return helper()\n"
         "def _polish_fold_event():\n    return core.poly._newton_polish_real(p, 1.0)\n"
-        "def _ep_locate_exact(rtol=CLUSTER_RTOL):\n    return cluster_points(v)\n"
+        "def _bc_locate(rtol=CLUSTER_RTOL):\n    return cluster_points(v)\n"
         "def unrelated():\n    return _levels_above(1)\n"
     )
     assert sorted(_names_reached(ast.parse(source), EXACT_LOCATORS, DOUBLE_ROOTS)) == [
-        ("_ep_locate_exact", 8),
-        ("_ep_locate_exact", 9),
+        ("_bc_locate", 8),
+        ("_bc_locate", 9),
         ("_polish_fold_event", 7),
         ("helper", 3),
     ]
@@ -1117,3 +1123,60 @@ def test_deleted_scan_polynomial_guard_sees_every_spelling():
         "fold_event_poly(n); _fold_coeffs_in_e(n); resultant(p, q)\n"
     )
     assert sorted(set(_deleted_name_uses(ast.parse(source), DELETED_SCAN_POLYNOMIALS))) == [1, 3, 5, 6, 7]
+
+
+DELETED_CHAIN = {
+    "disc_chain",
+    "DiscriminantChain",
+    "repeated_root",
+    "disc_E",
+    "res_E",
+    "resultant",
+    "discriminant",
+    "_subresultant",
+    "_prem",
+    "_resultant_int",
+    "_chain_resultant",
+    "_rescaled",
+    "_int_pow",
+    "_ep_locate_exact",
+    "_secular_chain",
+    "_disc_in_y_at_p",
+    "epn_secular",
+    "coefficients",
+    "poly_at",
+    "disc_residual",
+}
+LIVE_KEYS = {"discriminant"}  # ``classify_degeneracy``'s residual key, not the deleted function
+
+
+def _chain_uses(tree):
+    """Lines that name a ``DELETED_CHAIN`` name as ``_deleted_name_uses`` does, a live residual key only as an identifier."""
+    yield from _deleted_name_uses(tree, DELETED_CHAIN - LIVE_KEYS)
+    yield from _spellings(tree, LIVE_KEYS)
+
+
+def test_exact_points_are_roots_of_polynomials_in_E():
+    """Every exact EP is a root of a univariate polynomial in E: the 1-D
+    bc locator reads the branch merges of r^2 and the crossings on
+    persistent lines, the EPN locator its closed form, and the shift scan
+    N, V and B.  So no discriminant over Z[y], no subresultant chain and
+    none of its kernel is defined or read, nor the secular coefficient
+    lists in p or q that fed it, and the merge residual keeps its new name.
+    The chain lives on as a test oracle (``oracles.py``)."""
+    uses = [f"{path.relative_to(PACKAGE)}:{line}" for path in MODULES for line in _chain_uses(_parse(path))]
+    assert uses == []
+
+
+def test_deleted_chain_guard_sees_every_spelling():
+    source = (
+        "from .core import disc_chain as chain, DiscriminantChain\n"
+        "j, e = _secular_chain(n).repeated_root(g, y, a, b)\n"
+        "def _subresultant(f, g):\n    pass\n"
+        "resid['disc_residual'] = 0.0\n"
+        "residuals = {'discriminant': 0.0}; coeffs = s.coefficients\n"
+        "d = discriminant(p); epn_secular(n); core.poly._int_pow(a, 2)\n"
+        "def f(poly_at=None):\n    pass\n"
+        "fold_residual = 0.0; disc_e(f); 'resultant of two'; _prem_steps = 0\n"
+    )
+    assert sorted(set(_chain_uses(ast.parse(source)))) == [1, 2, 3, 5, 6, 7, 8]

@@ -13,21 +13,18 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-import epspect.core.poly as core_poly
 import epspect.epfinder as epfinder
-import epspect.models as models
-import epspect.sturmian as sturmian
 from epspect.core import (
     ConvergenceError,
+    Polynomial,
     Precision,
-    disc_chain,
     eig_dense,
     eigvals_double,
     real_root_intervals,
+    square_free_factors,
 )
 from epspect.epfinder import (
     _assign,
-    _disc_in_y_at_p,
     _pairing_warnings,
     _stack_length,
     _sweep_stacks,
@@ -44,13 +41,19 @@ from epspect.sturmian import bivariate_secular
 from oracles import (
     POLISH_PREC,
     bc_mp,
+    coefficients,
+    disc_chain,
+    disc_E,
+    disc_in_y_at_p,
     eigvals_at,
     epn_levels,
     fold_chain,
     fold_event_poly,
     model_mp,
     pole_collision_poly,
+    real_roots_mp,
     rounded,
+    secular_chain,
 )
 
 EPS_LADDER = [1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6]
@@ -541,12 +544,8 @@ def test_locate_bc5_finds_nothing_at_zero_shift():
 
 
 def test_located_zero_coincides_with_discriminant_sign_change():
-    from fractions import Fraction
-
-    from epspect.core import disc_E
-
     s = bivariate_secular(6, 0)
-    d = disc_E(s.coefficients)
+    d = disc_E(coefficients(s))
     (pt,) = ep_locate_1d(s, (-1, 1))
     p_star = pt.params["r"] ** 2
     eps = Fraction(1, 1000)
@@ -668,8 +667,8 @@ def test_matrix_and_sturmian_paths_agree(n, y):
     exact = ep_locate_1d(bivariate_secular(n, y), (-1, 1))
     assert matrix == exact
     _check_against_gap_scan(BcModel(n, y), (-1, 1), exact, mirror=lambda r: -r)
-    # relative to the discriminant's own size, so a root reads ~rounding
-    assert all(q.residuals["disc_residual"] <= 1e-15 for q in exact)
+    # relative to the size of W or gcd(A, B), so a root reads ~rounding
+    assert all(q.residuals["merge_residual"] <= 1e-15 for q in exact)
 
 
 @settings(max_examples=50, deadline=None)
@@ -688,6 +687,27 @@ def _mpf(x: Fraction):
 _unit_fractions = st.fractions(0, 1, max_denominator=64)
 
 
+def _mp_value(poly: Polynomial, x):
+    """An exact polynomial at an ``mpf``, at the working precision."""
+    return mp.polyval([_mpf(Fraction(c)) for c in reversed(poly.coeffs)], x)
+
+
+def _ep_at_40_digits(s, energy):
+    """(E*, p*) at 40 digits for a located bc EP near ``energy``.
+
+    E* is the real root of W = A'B - AB' nearest it, from mpmath's root
+    finder on W's square-free part, and p* = -A(E*)/B(E*); at a crossing on
+    a persistent line, where B(E*) = 0 as well, p* = -A'(E*)/B'(E*).
+    """
+    a, b = s.A, s.B
+    w = a.derivative() * b - a * b.derivative()
+    with mp.workdps(40):
+        e_star = min(real_roots_mp(w.exact_div(w.gcd(w.derivative()))), key=lambda x: abs(x - energy))
+        if abs(_mp_value(b, e_star)) > 1e-30:
+            return e_star, -_mp_value(a, e_star) / _mp_value(b, e_star)
+        return e_star, -_mp_value(a.derivative(), e_star) / _mp_value(b.derivative(), e_star)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(3, 8),
@@ -696,20 +716,69 @@ _unit_fractions = st.fractions(0, 1, max_denominator=64)
 )
 @example(n=6, y=Fraction(-4, 5), window=[Fraction(0), Fraction(1)])
 @example(n=8, y=Fraction(0), window=[Fraction(0), Fraction(1)])
+@example(n=7, y=Fraction(1, 2), window=[Fraction(0), Fraction(1)])
 def test_chain_order_is_the_cluster_size_of_the_40_digit_spectrum(n, y, window):
-    # the chain's order and energy at each root lam0 = r0^2 in the window,
-    # against the eigenvalues of the 40-digit matrix at r0 itself
-    chain = disc_chain(bivariate_secular(n, y).coefficients)
-    for lam, a, b in real_root_intervals(chain.disc, *window):
-        j, e_star = chain.repeated_root(chain.disc, lam, a, b)
-        with mp.workdps(40):
-            values = eigvals_at(bc_mp(n, _mpf(y), mp.sqrt(_mpf(lam))), POLISH_PREC)
-            dist = sorted(abs(v - _mpf(e_star)) for v in values)
-        assert dist[j] <= 1e-15
-        assert j + 1 == n or dist[j + 1] > 1e-8
+    # each located (r, E, order), against the eigenvalues of the 40-digit
+    # matrix at the 40-digit r*: E is E* rounded once, r is r* to rounding,
+    # and exactly ``order`` eigenvalues meet at E*
+    s = bivariate_secular(n, y)
     r_window = tuple(math.sqrt(w) for w in window)
-    for p in ep_locate_1d(BcModel(n, float(y)), r_window):
+    for p in ep_locate_1d(s, r_window):
         assert (p.kind, p.order >= 2) == ("ep", True)
+        e_star, p_star = _ep_at_40_digits(s, p.energy.real)
+        with mp.workdps(40):
+            r_star = mp.sqrt(max(p_star, 0))
+            assert p.energy == rounded(e_star)
+            assert abs(abs(p.params["r"]) - r_star) <= 1e-15 * max(1.0, abs(p.params["r"]))
+            values = eigvals_at(bc_mp(n, _mpf(y), r_star), POLISH_PREC)
+            dist = sorted(abs(v - e_star) for v in values)
+        assert dist[p.order - 1] <= 1e-15
+        assert p.order == n or dist[p.order] > 1e-8
+
+
+def _oracle_bc_locate(s, window) -> list:
+    """(params, energy, order) of the 1-D bc locator by the oracle chain.
+
+    The real roots lam of Disc_E(A + lam B) in the window of r^2, with an
+    end whose square overflows bounding nothing; at each, r = +-sqrt(lam)
+    (the positive one where the window holds it) and the chain's order
+    j + 1 and energy E* (``DiscriminantChain.repeated_root``).
+    """
+    lo, hi = sorted(map(float, window))
+    lam_lo = 0.0 if lo <= 0.0 <= hi else min(lo * lo, hi * hi, np.finfo(float).max)
+    lam_hi = max(lo * lo, hi * hi)
+    chain = disc_chain(coefficients(s))
+    out = []
+    for lam, a, b in real_root_intervals(chain.disc, lam_lo, lam_hi if math.isfinite(lam_hi) else None):
+        mu = math.sqrt(lam)
+        r = next((x for x in (mu, -mu) if lo <= x <= hi), None)
+        if r is not None:
+            j, e_star = chain.repeated_root(chain.disc, lam, a, b)
+            out.append(({"y": float(s.y), "r": r}, complex(float(e_star)), j + 1))
+    return out
+
+
+_windows = st.tuples(st.fractions(-3, 3, max_denominator=64), st.fractions(-3, 3, max_denominator=64))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(3, 10), y=st.fractions(-2, 2, max_denominator=16), window=_windows)
+@example(n=5, y=Fraction(0), window=(-1, 1))
+@example(n=7, y=Fraction(0), window=(-3, 3))
+@example(n=7, y=Fraction(1, 2), window=(-1, 1))
+@example(n=7, y=Fraction(-1, 2), window=(0, 3))
+@example(n=10, y=Fraction(1, 2), window=(-1, 1))
+@example(n=5, y=Fraction(1e300), window=(-1, 1))
+@example(n=4, y=Fraction(3e-300), window=(-1, 1))
+def test_bc_locator_is_the_oracle_chain(n, y, window):
+    # the branch merges of r^2 and the crossings on persistent lines
+    # (n = 7 at y = +-1/2, n = 10 at y = 1/2) give the params, energy and
+    # order of the discriminant's roots and their subresultant chain; at
+    # y = 3e-300 the coupling of the merge near E = 2 lies a hair below 0
+    # and rounds to 0.0, which exact signs keep out of the window
+    s = bivariate_secular(n, y)
+    got = [(p.params, p.energy, p.order) for p in ep_locate_1d(s, window)]
+    assert got == _oracle_bc_locate(s, window)
 
 
 @settings(max_examples=30, deadline=None)
@@ -868,7 +937,7 @@ def _own_event_poly(n, point):
     if point.kind == "sturmian-pole":
         poly = pole_collision_poly(n)
     elif point.params["r"] == 0:
-        poly = _disc_in_y_at_p(n)
+        poly = disc_in_y_at_p(n)
     else:
         poly = fold_event_poly(n)
     return poly.exact_div(poly.gcd(poly.derivative()))
@@ -896,7 +965,7 @@ def test_scan_verdicts_are_certified(n, request):
         # rounded from a root reads a few units of rounding
         (residual,) = (
             p.residuals[k]
-            for k in ("disc_residual", "pole_residual", "fold_residual")
+            for k in ("merge_residual", "pole_residual", "fold_residual")
             if k in p.residuals
         )
         assert residual <= 1e-15, p
@@ -976,22 +1045,22 @@ def test_scan_labels_without_sweeps_one_history_per_gap(monkeypatch):
     assert epfinder._reality_history.cache_info().misses <= candidates + 1
 
 
-def test_scan_builds_one_subresultant_chain_and_no_resultant(monkeypatch):
-    """A guard that no host speed moves: with every cache cleared, the
-    n = 12 scan runs the subresultant sequence once, on the secular
-    polynomial at r = 0 (E-degree 12), and takes no resultant in E: poles
-    and folds come from polynomials in E, not from chains over Z[y]."""
-    for module in (models, sturmian, epfinder):
-        for value in list(vars(module).values()):
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
-    degrees, resultants = [], []
-    subresultant, res_E = core_poly._subresultant, core_poly.res_E
-    monkeypatch.setattr(core_poly, "_subresultant", lambda f, g: degrees.append(len(f) - 1) or subresultant(f, g))
-    monkeypatch.setattr(core_poly, "res_E", lambda f, g: resultants.append(len(f) - 1) or res_E(f, g))
-    assert ep_locate_2d_bc(12, (-1, 1))
-    assert degrees == [12] and resultants == []
-    assert not any(hasattr(module, "res_E") for module in (models, sturmian, epfinder))
+@pytest.mark.parametrize("n", range(3, 17))
+def test_merge_candidates_are_those_of_the_oracle_chain(n):
+    # the oracle is the discriminant at r = 0 over Z[y] with its
+    # subresultant chain: at each real root y0 it reads j = deg gcd(A, A_E)
+    # and the repeated root E*; the roots of N, and at n = 7 the two roots
+    # of B where A(., y*) has a double root, give the same (y*, E*, j + 1)
+    chain = secular_chain(n)
+    want = set()
+    for g in square_free_factors(chain.disc):
+        for y, a, b in real_root_intervals(g):
+            j, e_star = chain.repeated_root(g, y, a, b)
+            want.add((float(y), float(e_star), j + 1))
+    got = {(float(y), float(e), order) for y, e, order in epfinder._merge_candidates(n)}
+    owned = {(float(y), float(e), m) for y, e, m in epfinder._pole_candidates(n) if m > 1}
+    assert owned == ({(0.5, 1.0, 2), (-0.5, 3.0, 2)} if n == 7 else set())
+    assert got | owned == want and not got & owned
 
 
 @pytest.mark.parametrize("n", range(3, 17))
@@ -1013,7 +1082,7 @@ def test_fold_orders_and_shifts_are_those_of_the_oracle_chain(n):
 def test_the_fold_curve_is_a_double_root_of_the_family_in_exact_fractions(n, e):
     # at E off the roots of B and W1, y = -W0/W1 and p = -A/B make E a
     # double root of A + p B: the curve E -> (y, p) holds every interior EP
-    w0, w1, _ = epfinder._fold_curve(n)
+    w0, w1, _, _ = epfinder._ep_curve(n)
     b = bc_secular_at(n, 0)[1]
     assume(b(e) * w1(e) != 0)
     a, b = bc_secular_at(n, -w0(e) / w1(e))
@@ -1031,7 +1100,7 @@ def test_pole_candidates_are_the_closed_form_rounded_once(n):
         want = {(rounded(c), rounded(2 - 2 * c)) for c in cosines}
     owned = {(0.5, 1.0), (-0.5, 3.0)} if n == 7 else set()
     assert owned <= want
-    assert {(float(y), float(e)) for y, e in epfinder._pole_candidates(n)} == want - owned
+    assert {(float(y), float(e)) for y, e, m in epfinder._pole_candidates(n) if m == 1} == want - owned
     if owned:
         merges = {(p.params["y"], p.energy.real) for p in ep_locate_2d_bc(n, (-0.5, 0.5)) if p.params["r"] == 0}
         assert owned <= merges

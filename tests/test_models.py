@@ -33,12 +33,11 @@ from epspect.models import (
     ShiftedCircle,
     bc_matrix,
     epn_matrix,
-    epn_secular,
     hermitian_demo,
     z_value,
 )
 from epspect.sturmian import bivariate_secular
-from oracles import charpoly_tridiag, epn_levels, rounded
+from oracles import charpoly_tridiag, epn_levels, epn_secular, poly_at, rounded
 
 
 # --------------------------------------------------------------------------
@@ -300,7 +299,7 @@ def test_bc_extended_spectrum_is_the_roots_of_the_exact_secular_polynomial(n, y,
     if abs(r) > 1:
         assert got.tolist() == eigvals_mp(model.matrix(r))
         return
-    poly = bivariate_secular(n, y).poly_at(Fraction(r) ** 2)
+    poly = poly_at(bivariate_secular(n, y), Fraction(r) ** 2)
     with mp.workdps(40):
         coeffs = [mp.mpf(c.numerator) / c.denominator for c in map(Fraction, reversed(poly.coeffs))]
         want = np.array([complex(v) for v in mp.polyroots(coeffs, maxsteps=400, extraprec=400)])
